@@ -52,8 +52,10 @@ vet-json:
 	@$(GO) run ./cmd/voyager-vet -novet -json ./... > VET_findings.json; \
 	st=$$?; cat VET_findings.json; exit $$st
 
-# The engine and core protocol layers are the only packages whose tests spin
-# real goroutines (sim.Proc handoff); run them under the race detector.
+# The engine and core protocol layers drive every sim.Proc coroutine switch.
+# Coroutines are race-instrumented like goroutines, so a handoff that lost
+# its ordering would still be reported; run their tests under the race
+# detector.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/core/...
 

@@ -177,8 +177,8 @@ func benchBoxHeapScheduleStep(b *testing.B) {
 }
 
 // benchProcDelay measures the full Proc context switch: Delay schedules a
-// wakeup and yields to the engine, which resumes the goroutine — two baton
-// passes per op.
+// wakeup and yields to the engine, which resumes the coroutine — two
+// coroutine switches per op.
 func benchProcDelay(b *testing.B) {
 	e := sim.NewEngine()
 	n := b.N

@@ -16,8 +16,8 @@ import (
 // byte-identical whatever the host scheduler does (test-enforced in
 // parallel_test.go against the fault-matrix JSON and waterfall exports).
 //
-// This file is the one sanctioned use of real concurrency outside
-// internal/sim; the nogoroutine analyzer admits it through the
+// This file is the one sanctioned use of real concurrency in model
+// packages; the nogoroutine analyzer admits it through the
 // voyager:parallel-harness directive below and flags everything else.
 
 // Cells evaluates fn(i) for every cell i in [0, n) across at most workers

@@ -155,8 +155,7 @@ func Suite() []*Analyzer {
 }
 
 // simPkgPath is the import path of the simulation engine; several analyzers
-// special-case it (its types mark order-sensitive operations, and it alone
-// may use real goroutines to implement Procs).
+// special-case it (its types mark order-sensitive operations).
 const simPkgPath = "startvoyager/internal/sim"
 
 // isModelPackage reports whether path is one of the simulator's model

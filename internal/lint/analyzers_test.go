@@ -13,14 +13,21 @@ func TestNoGoroutine(t *testing.T)  { runAnalyzerTest(t, NoGoroutine, "testdata/
 func TestNoGoroutineBenchHarness(t *testing.T) {
 	runAnalyzerTest(t, NoGoroutine, "testdata/nogoroutine_bench")
 }
+
+// The engine package has no exemption: its testdata pins the import path to
+// startvoyager/internal/sim, where a go statement is reported like anywhere
+// else in model code.
+func TestNoGoroutineSimPackage(t *testing.T) {
+	runAnalyzerTest(t, NoGoroutine, "testdata/nogoroutine_sim")
+}
 func TestSimTimeUnits(t *testing.T) { runAnalyzerTest(t, SimTimeUnits, "testdata/simtimeunits") }
 func TestSpanLeak(t *testing.T)     { runAnalyzerTest(t, SpanLeak, "testdata/spanleak") }
 func TestNoAlloc(t *testing.T)      { runAnalyzerTest(t, NoAlloc, "testdata/noalloc") }
 
 // TestSuitePolicy pins which packages each analyzer covers: wall-clock and
-// goroutine rules protect model code under internal/ (sim itself may use
-// goroutines — it implements Proc with them), while the rand, map-order,
-// and time-unit rules apply module-wide.
+// goroutine rules protect model code under internal/, the engine included
+// (Procs are coroutines, not goroutines), while the rand, map-order, and
+// time-unit rules apply module-wide.
 func TestSuitePolicy(t *testing.T) {
 	cases := []struct {
 		analyzer *Analyzer
@@ -30,7 +37,7 @@ func TestSuitePolicy(t *testing.T) {
 		{NoWallTime, "startvoyager/internal/bus", true},
 		{NoWallTime, "startvoyager/cmd/voyager-bench", false},
 		{NoGoroutine, "startvoyager/internal/core", true},
-		{NoGoroutine, "startvoyager/internal/sim", false},
+		{NoGoroutine, "startvoyager/internal/sim", true},
 		{NoGoroutine, "startvoyager/examples/samplesort", false},
 		{NoGlobalRand, "startvoyager/cmd/voyager-net", true},
 		{NoMapOrder, "startvoyager/internal/memcheck", true},

@@ -12,8 +12,9 @@ import (
 // concurrency must be expressed as scheduled events or as sim.Proc/sim.Cond,
 // which the engine runs in strict handoff. A raw goroutine or channel next
 // to the event loop reintroduces scheduler-dependent interleavings (the
-// exact failure mode the platform exists to exclude). Only internal/sim
-// itself may use them, to implement Proc's deterministic handoff.
+// exact failure mode the platform exists to exclude). internal/sim is
+// covered too: Procs are stdlib coroutines (iter.Pull), so the engine needs
+// no goroutine or channel of its own.
 //
 // One scoped exception exists: the deterministic parallel run harness in
 // internal/bench fans fully independent engines (one per cell) across
@@ -27,9 +28,9 @@ import (
 // so the allowance cannot silently spread.
 var NoGoroutine = &Analyzer{
 	Name: "nogoroutine",
-	Doc: "forbid go statements, channel operations, and select outside internal/sim; " +
+	Doc: "forbid go statements, channel operations, and select in model packages; " +
 		"model concurrency with sim.Proc and sim.Cond",
-	Applies: func(path string) bool { return isModelPackage(path) && path != simPkgPath },
+	Applies: isModelPackage,
 	Run:     runNoGoroutine,
 }
 

@@ -1,5 +1,5 @@
-// Package a exercises the nogoroutine analyzer: real concurrency is
-// reserved for internal/sim; model code gets Procs and Conds.
+// Package a exercises the nogoroutine analyzer: model code gets Procs and
+// Conds, never real concurrency.
 package a
 
 func badGo() {

@@ -4,9 +4,10 @@
 // The engine is single-threaded: events are executed strictly in (time,
 // sequence) order. Concurrency in the modeled system (processors, firmware,
 // routers) is expressed either as callback-style components that schedule
-// events, or as Procs — goroutines driven in strict handoff so that exactly
-// one of them runs at any instant. Both styles are deterministic and can be
-// mixed freely.
+// events, or as Procs — stdlib coroutines (iter.Pull) driven in strict
+// handoff so that exactly one of them runs at any instant. Both styles are
+// deterministic and can be mixed freely. The package starts no goroutines
+// and uses no channels; proc.go needs a go1.23 toolchain for iter.
 package sim
 
 import "fmt"
@@ -130,15 +131,13 @@ type Engine struct {
 	procs   int // live Procs
 	blocked int // Procs blocked on a Cond (not on a scheduled event)
 
-	panicVal interface{} // pending panic propagated from a Proc
-
 	obs     Observer // instrumentation sink (nil: all hooks are no-ops)
 	spanSeq uint64   // deterministic span id allocator
 	msgSeq  uint64   // deterministic message trace id allocator
 
 	// Simulated-time profiler hooks (see profiler.go). prof is the attached
 	// ProcProfiler (nil: every hook site is a nil-check no-op); curProc is
-	// the Proc currently executing between baton handoffs, giving ProfPush/
+	// the Proc whose coroutine is currently executing, giving ProfPush/
 	// ProfPop their implicit subject. Neither touches events or sequence
 	// numbers, so attaching a profiler cannot perturb simulated outcomes.
 	prof    ProcProfiler
@@ -249,11 +248,6 @@ func (e *Engine) Step() bool {
 	e.now = ev.at
 	e.nEvents++
 	ev.fn()
-	if e.panicVal != nil {
-		v := e.panicVal
-		e.panicVal = nil
-		panic(v)
-	}
 	return true
 }
 

@@ -1,23 +1,34 @@
+//go:build go1.23
+
+// The go1.23 constraint gives this file the language version iter.Pull
+// needs while go.mod stays at 1.22 (the nested benchmark module pins go
+// 1.22, and a root module at 1.23 would force it to change). Any go1.23+
+// toolchain builds it.
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Proc is a simulated sequential process (an aP program, a firmware handler
-// loop, a traffic generator). A Proc runs on its own goroutine but in strict
-// handoff with the engine: the engine resumes it, then blocks until the Proc
-// either blocks again (Delay, Cond.Wait, Call) or returns. Exactly one
-// goroutine is ever runnable, preserving determinism.
+// loop, a traffic generator). A Proc runs as a stdlib coroutine (iter.Pull)
+// in strict handoff with the engine: resuming it returns once the Proc
+// either blocks again (Delay, Cond.Wait, Call) or finishes. Control moves
+// directly between coroutines, never through the Go scheduler, and exactly
+// one of them executes at any instant, preserving determinism.
 //
-// The handoff is a single unbuffered rendezvous channel used as a baton:
-// ownership of execution strictly alternates, so every transfer is exactly
-// one send/receive pair. Both resume-closures (run as an engine event) and
-// the Call completion callback are bound once at Spawn, so the steady-state
-// block/resume cycle performs no allocation.
+// Resuming is the coroutine's next and blocking is its yield, so every
+// transfer is one coroutine switch. Both resume-closures (run as an engine
+// event) and the Call completion callback are bound once at Spawn, so the
+// steady-state block/resume cycle performs no allocation.
 type Proc struct {
-	eng  *Engine
-	name string
-	ch   chan struct{} // rendezvous baton between engine and proc goroutine
-	dead bool
+	eng   *Engine
+	name  string
+	next  func() (struct{}, bool) // resumes the body until its next yield
+	yield func(struct{}) bool     // suspends the body back into next's caller
+	dead  bool
 
 	// Profiler attribution given at SpawnOn: the node and component this
 	// proc executes on (an aP program, sP firmware). Plain Spawn leaves them
@@ -52,31 +63,31 @@ func (e *Engine) SpawnOn(node int, component, name string, body func(p *Proc)) *
 	p := &Proc{
 		eng:       e,
 		name:      name,
-		ch:        make(chan struct{}),
 		onNode:    node,
 		component: component,
 	}
 	p.runFn = p.run
 	p.doneFn = p.callDone
-	e.procs++
-	if e.prof != nil {
-		e.prof.ProcStart(e.now, p)
-	}
-	go func() {
-		<-p.ch
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
-				e.panicVal = fmt.Sprintf("sim: proc %q panicked: %v", p.name, r)
-			}
+			r := recover()
 			if e.prof != nil {
 				e.prof.ProcEnd(e.now, p)
 			}
 			p.dead = true
 			e.procs--
-			p.ch <- struct{}{}
+			if r != nil {
+				// next re-raises this in whichever event or proc resumed p.
+				panic(fmt.Sprintf("sim: proc %q panicked: %v", p.name, r))
+			}
 		}()
 		body(p)
-	}()
+	})
+	e.procs++
+	if e.prof != nil {
+		e.prof.ProcStart(e.now, p)
+	}
 	e.Schedule(0, p.runFn)
 	return p
 }
@@ -94,8 +105,10 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// run transfers control to the process goroutine and waits for it to yield.
-// It must only be called from an engine event.
+// run resumes the process coroutine and returns once it yields or finishes.
+// It must only be called from an engine event, or from a proc's window when
+// a Call completion resumes another proc. A panic in the body propagates out
+// of run to its caller.
 //
 //voyager:noalloc
 func (p *Proc) run() {
@@ -112,18 +125,17 @@ func (p *Proc) run() {
 	if e.prof != nil {
 		e.prof.ProcResume(e.now, p)
 	}
-	p.ch <- struct{}{}
-	<-p.ch
+	p.next()
 	e.curProc = prev
 }
 
-// block yields control back to the engine. The caller must have arranged a
-// wakeup (a scheduled event or Cond registration) that calls p.run().
+// block yields control back to whoever resumed the process. The caller must
+// have arranged a wakeup (a scheduled event or Cond registration) that calls
+// p.run().
 //
 //voyager:noalloc
 func (p *Proc) block() {
-	p.ch <- struct{}{}
-	<-p.ch
+	p.yield(struct{}{})
 }
 
 // Delay advances the process by d of simulated time (modeling computation or

@@ -96,18 +96,110 @@ func TestCallT(t *testing.T) {
 	}
 }
 
+// runRecovered runs e until it drains or panics and returns the recovered
+// panic value (nil if Run returned normally).
+func runRecovered(e *Engine) (r interface{}) {
+	defer func() { r = recover() }()
+	e.Run()
+	return nil
+}
+
+// TestProcPanicPropagates: a panic in a Proc body reaches Run tagged with the
+// proc's name, and the panicking proc is dead and no longer counted live.
 func TestProcPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("proc panic not propagated to Run")
-		}
-	}()
 	e := NewEngine()
-	e.Spawn("boom", func(p *Proc) {
+	boom := e.Spawn("boom", func(p *Proc) {
 		p.Delay(10)
 		panic("boom")
 	})
+	e.Spawn("bystander", func(p *Proc) { p.Delay(100) })
+	if r := runRecovered(e); r != `sim: proc "boom" panicked: boom` {
+		t.Fatalf("recovered %v", r)
+	}
+	if !boom.dead {
+		t.Error("panicked proc not marked dead")
+	}
+	if e.LiveProcs() != 1 {
+		t.Errorf("live procs = %d, want 1 (the bystander)", e.LiveProcs())
+	}
+}
+
+// TestProcNestedPanicPropagates: proc a completes proc b's Call from inside
+// its own window, so b's window nests in a's. A panic in b unwinds through
+// a as well; the value that reaches Run names both, and both are dead.
+func TestProcNestedPanicPropagates(t *testing.T) {
+	e := NewEngine()
+	var doneB func()
+	b := e.Spawn("b", func(p *Proc) {
+		p.Call(func(done func()) { doneB = done })
+		panic("boom")
+	})
+	a := e.Spawn("a", func(p *Proc) {
+		p.Delay(10)
+		doneB()
+	})
+	want := `sim: proc "a" panicked: sim: proc "b" panicked: boom`
+	if r := runRecovered(e); r != want {
+		t.Fatalf("recovered %v, want %s", r, want)
+	}
+	if !a.dead || !b.dead {
+		t.Errorf("dead: a=%v b=%v, want both", a.dead, b.dead)
+	}
+	if e.LiveProcs() != 0 {
+		t.Errorf("live procs = %d, want 0", e.LiveProcs())
+	}
+}
+
+// frameLog is a ProcProfiler recording resumes and frame hooks with the proc
+// each was attributed to.
+type frameLog struct{ log []string }
+
+func (f *frameLog) ProcStart(Time, *Proc)                    {}
+func (f *frameLog) ProcResume(_ Time, p *Proc)               { f.log = append(f.log, "resume "+p.Name()) }
+func (f *frameLog) ProcBlock(Time, *Proc, BlockKind, string) {}
+func (f *frameLog) ProcEnd(Time, *Proc)                      {}
+func (f *frameLog) FramePush(p *Proc, name string)           { f.log = append(f.log, p.Name()+" push "+name) }
+func (f *frameLog) FramePop(p *Proc)                         { f.log = append(f.log, p.Name()+" pop") }
+
+// TestNestedResumeAttribution: when a completes b's Call, b's window runs
+// inside a's. Frames pushed in that window belong to b, and once b blocks
+// again a is the current proc, so its pending ProfPop closes a's frame.
+func TestNestedResumeAttribution(t *testing.T) {
+	e := NewEngine()
+	fl := &frameLog{}
+	e.SetProfiler(fl)
+	var doneB func()
+	e.Spawn("b", func(p *Proc) {
+		p.Call(func(done func()) { doneB = done })
+		e.ProfPush("b-work")
+		e.ProfPop()
+		p.Delay(5)
+	})
+	e.Spawn("a", func(p *Proc) {
+		p.Delay(10)
+		e.ProfPush("a-outer")
+		doneB()
+		if e.curProc != p {
+			t.Errorf("current proc after the nested window = %v, want a", e.curProc)
+		}
+		e.ProfPop()
+	})
 	e.Run()
+	want := []string{
+		"resume b", "resume a", "resume a", "a push a-outer",
+		"resume b", "b push b-work", "b pop", "a pop", "resume b",
+	}
+	if len(fl.log) != len(want) {
+		t.Fatalf("log = %q, want %q", fl.log, want)
+	}
+	for i := range want {
+		if fl.log[i] != want[i] {
+			t.Fatalf("log = %q, want %q", fl.log, want)
+		}
+	}
+	if e.curProc != nil {
+		t.Errorf("current proc after Run = %v, want none", e.curProc)
+	}
 }
 
 func TestCondSignalFIFO(t *testing.T) {

@@ -32,7 +32,7 @@ const (
 )
 
 // ProcProfiler receives Proc lifecycle callbacks from the engine. All
-// callbacks run synchronously inside the strict engine/proc baton handoff,
+// callbacks run synchronously inside the strict engine/proc coroutine handoff,
 // so implementations need no locking; they must not schedule events or touch
 // modeled state. The hot callbacks (ProcResume, ProcBlock, FramePush,
 // FramePop) are called from //voyager:noalloc engine paths and must be
