@@ -10,7 +10,8 @@
 #   make bench-micro   simulation-core microbenchmarks -> BENCH_micro.json
 #   make bench-scale   64/256/1024-node footprint + scale sweep vs BENCH_scale.json
 #   make bench-scale-baseline  refresh the committed scale baseline
-#   make series      windowed telemetry sample -> SERIES_sample.json + SERIES_report.txt
+#   make series      windowed telemetry sample byte-compared to SERIES_* goldens
+#   make series-baseline  refresh the committed series goldens
 #   make prof        simulated-time profile byte-compared to PROF_sample.* goldens
 #   make prof-baseline  refresh the committed profile goldens
 #   make chaos       short-budget chaos sweep, byte-compared to CHAOS_findings.json
@@ -18,7 +19,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt vet voyager-vet vet-json race lint bench-json bench-diff bench-baseline faults faults-check bench-micro bench-scale bench-scale-baseline series prof prof-baseline chaos ci
+.PHONY: all build test fmt vet voyager-vet vet-json race lint bench-json bench-diff bench-baseline faults faults-check bench-micro bench-scale bench-scale-baseline series series-baseline prof prof-baseline chaos ci
 
 all: build test
 
@@ -97,10 +98,12 @@ faults-check:
 	cmp /tmp/FAULTS_seq.txt /tmp/FAULTS_par.txt
 	@echo "faults-check: parallel output is byte-identical to sequential"
 
-# Simulation-core microbenchmarks (event heap vs the boxed baseline, Proc
-# handoff, queue traffic, whole-node run) -> BENCH_micro.json. Wall-clock
-# numbers are host-dependent; the committed artifact records the trajectory
-# and the allocs/op invariants, which the unit tests also enforce.
+# Simulation-core microbenchmarks (event heap schedule/step, Proc handoff,
+# queue traffic, whole-node run) -> BENCH_micro.json. Wall-clock numbers are
+# host-dependent; the committed artifact records the trajectory and the
+# allocs/op invariants, which the unit tests also enforce. (The boxed
+# container/heap replica that proved the 4-ary heap's >=2x events/sec when
+# it landed is retired; that result is recorded in DESIGN.md §5e.)
 bench-micro:
 	$(GO) run ./cmd/voyager-bench -fig none -micro BENCH_micro.json
 
@@ -117,12 +120,21 @@ bench-scale:
 bench-scale-baseline:
 	$(GO) run ./cmd/voyager-bench -fig none -scale BENCH_scale.json
 
-# Windowed time-series telemetry sample: a reliable run under a 5% drop
+# Windowed time-series telemetry golden: a reliable run under a 5% drop
 # plan exports its voyager-series/v1 document, and voyager-stats renders
-# the link/credit heatmaps and stall attribution. Both artifacts are
-# byte-identical across invocations (the series and report golden tests
-# under `make test` pin the formats).
+# the link/credit heatmaps and stall attribution; both are byte-compared to
+# the committed artifacts, so any drift fails the build.
 series:
+	$(GO) run ./cmd/voyager-run -nodes 4 -mech reliable -count 50 \
+		-faults 'seed=7,drop=0.05' -series /tmp/SERIES_sample.json -series-window 20us
+	$(GO) run ./cmd/voyager-stats -top 8 /tmp/SERIES_sample.json > /tmp/SERIES_report.txt
+	cmp /tmp/SERIES_sample.json SERIES_sample.json
+	cmp /tmp/SERIES_report.txt SERIES_report.txt
+	@echo "series: telemetry artifacts match the committed goldens"
+
+# Refresh the committed series goldens after an intentional timing or
+# metrics change.
+series-baseline:
 	$(GO) run ./cmd/voyager-run -nodes 4 -mech reliable -count 50 \
 		-faults 'seed=7,drop=0.05' -series SERIES_sample.json -series-window 20us
 	$(GO) run ./cmd/voyager-stats -top 8 SERIES_sample.json > SERIES_report.txt

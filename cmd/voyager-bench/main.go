@@ -12,11 +12,14 @@
 //	              [-scale file.json] [-scale-diff baseline.json] [-nodes 64,256,1024]
 //	              [-cpuprofile file] [-memprofile file]
 //
-// -trace / -metrics / -series execute the canonical instrumented run (every
-// mechanism on a four-node machine) and export its Perfetto trace / metrics
-// registry / windowed voyager-series/v1 telemetry; combine with -fig none to
-// produce only the observability artifacts. -strict-trace exits nonzero if
-// the canonical run's trace ring dropped events.
+// -trace / -metrics / -series / -prof execute the canonical instrumented run
+// (every mechanism on a four-node machine) and export its Perfetto trace /
+// metrics registry / windowed voyager-series/v1 telemetry / simulated-time
+// profile; combine with -fig none to produce only the observability
+// artifacts. -strict-trace exits nonzero if the canonical run's trace ring
+// dropped events. These are the shared internal/bench.Artifacts flags, so
+// they behave as in voyager-run: the trace ring is attached only for -trace
+// or -strict-trace, and -metrics or -series alone carry no trace/ gauges.
 //
 // -headline writes the deterministic headline latencies (mean traced
 // end-to-end latency per MP mechanism) as JSON; -diff recomputes them and
@@ -54,18 +57,15 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"startvoyager/internal/bench"
-	"startvoyager/internal/prof"
-	"startvoyager/internal/sim"
+	"startvoyager/internal/cluster"
 	"startvoyager/internal/stats"
 	"startvoyager/internal/workload"
 )
@@ -73,12 +73,6 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 3, 4, ext-a..ext-l, all, none")
 	maxSize := flag.Int("max-size", 256<<10, "largest transfer size in the sweep")
-	traceFile := flag.String("trace", "", "write a Perfetto trace of the canonical instrumented run")
-	metricsFile := flag.String("metrics", "", "write the canonical run's metrics registry as JSON")
-	traceCap := flag.Int("trace-cap", 1<<18, "trace ring capacity for the instrumented run (oldest events drop beyond this)")
-	seriesFile := flag.String("series", "", "write the canonical run's windowed telemetry (voyager-series/v1, render with voyager-stats)")
-	seriesWindow := flag.String("series-window", "20us", "simulated-time window width for -series (Go duration)")
-	strictTrace := flag.Bool("strict-trace", false, "exit nonzero if the canonical run's trace ring dropped events")
 	headlineFile := flag.String("headline", "", "write the headline per-mechanism latencies as JSON")
 	diffBase := flag.String("diff", "", "diff headline latencies against this baseline JSON; exit 1 on >10% regression")
 	faultMatrix := flag.Bool("fault-matrix", false, "run the fault-injection smoke matrix")
@@ -90,13 +84,10 @@ func main() {
 	scaleFile := flag.String("scale", "", "run the scale sweep and write bytes/node + sim results as JSON (voyager-scale/v1)")
 	scaleDiff := flag.String("scale-diff", "", "diff the scale sweep's bytes/node against this baseline JSON; exit 1 on >10% regression")
 	nodesFlag := flag.String("nodes", "", "comma-separated node counts for the scale sweep and fig ext-f (e.g. 64,256,1024)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	profFile := flag.String("prof", "", "write the canonical run's simulated-time profile (voyager-prof/v1 JSON)")
-	profFolded := flag.String("prof-folded", "", "write the canonical run's profile as folded flame-graph stacks")
-	profPprof := flag.String("prof-pprof", "", "write the canonical run's profile as pprof protobuf")
+	var art bench.Artifacts
+	art.Register(flag.CommandLine)
 	flag.Parse()
-	stopProfiles := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles := art.StartProfiles()
 	defer stopProfiles()
 
 	sizes := []int{}
@@ -107,63 +98,21 @@ func main() {
 	}
 
 	ran := false
-	profiling := *profFile != "" || *profFolded != "" || *profPprof != ""
-	if *traceFile != "" || *metricsFile != "" || *seriesFile != "" || *strictTrace || profiling {
-		var scfg *stats.SamplerConfig
-		if *seriesFile != "" {
-			w, err := time.ParseDuration(*seriesWindow)
-			if err != nil || w <= 0 {
-				log.Fatalf("-series-window: invalid duration %q", *seriesWindow)
-			}
-			scfg = &stats.SamplerConfig{Window: sim.Time(w.Nanoseconds())}
-		}
-		var profiler *prof.Profiler
-		if profiling {
-			profiler = prof.New()
-		}
-		obs := bench.ObservedRunProf(*traceCap, scfg, profiler)
-		meta := &stats.RunMeta{Tool: "voyager-bench", Mechanism: "mixed", Nodes: 4,
-			SimTimeNs: int64(obs.SimTime)}
-		if *traceFile != "" {
-			writeFile(*traceFile, func(f *os.File) error { return obs.Trace.WritePerfetto(f) })
-			fmt.Printf("trace: %s (simulated %v)\n", *traceFile, obs.SimTime)
-		}
-		if *metricsFile != "" {
-			writeFile(*metricsFile, func(f *os.File) error { return obs.Metrics.WriteJSONMeta(f, obs.SimTime, meta) })
-			fmt.Printf("metrics: %s\n", *metricsFile)
-		}
-		if *seriesFile != "" {
-			writeFile(*seriesFile, func(f *os.File) error { return obs.Series.WriteJSON(f, meta) })
-			fmt.Printf("series: %s (%d windows, render with voyager-stats)\n", *seriesFile, obs.Series.Windows())
-		}
-		if profiling {
-			doc := profiler.Doc(meta)
-			if *profFile != "" {
-				writeFile(*profFile, func(f *os.File) error { return doc.WriteJSON(f) })
-				fmt.Printf("prof: %s (render with voyager-prof)\n", *profFile)
-			}
-			if *profFolded != "" {
-				writeFile(*profFolded, func(f *os.File) error { return doc.WriteFolded(f) })
-				fmt.Printf("prof-folded: %s\n", *profFolded)
-			}
-			if *profPprof != "" {
-				writeFile(*profPprof, func(f *os.File) error { return doc.WritePprof(f) })
-				fmt.Printf("prof-pprof: %s\n", *profPprof)
-			}
-		}
-		if d := obs.Trace.Stats().Dropped; d > 0 {
-			fmt.Fprintf(os.Stderr, "WARNING: trace ring dropped %d events; the trace is truncated (raise -trace-cap)\n", d)
-			if *strictTrace {
-				stopProfiles()
-				os.Exit(1)
-			}
+	if art.Requested() {
+		r := art.Start(cluster.DefaultConfig(bench.CanonicalNodes))
+		bench.Canonical(r.M)
+		r.M.Run()
+		if err := art.Write(r, stats.RunMeta{Tool: "voyager-bench", Mechanism: "mixed"}); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			stopProfiles()
+			os.Exit(1)
 		}
 		ran = true
 	}
 	if *headlineFile != "" || *diffBase != "" {
 		latencies := bench.HeadlineLatencies(*parallelN)
 		if *headlineFile != "" {
-			writeFile(*headlineFile, func(f *os.File) error { return writeHeadline(f, latencies) })
+			bench.WriteFile(*headlineFile, func(w io.Writer) error { return writeHeadline(w, latencies) })
 			fmt.Printf("headline: %s\n", *headlineFile)
 		}
 		if *diffBase != "" {
@@ -201,7 +150,7 @@ func main() {
 		fmt.Print(bench.ScaleFootprintTable(results))
 		fmt.Println()
 		if *scaleFile != "" {
-			writeFile(*scaleFile, func(f *os.File) error { return bench.WriteScale(f, results) })
+			bench.WriteFile(*scaleFile, func(w io.Writer) error { return bench.WriteScale(w, results) })
 			fmt.Printf("scale: %s\n", *scaleFile)
 		}
 		if baseline != nil && !bench.DiffScale(baseline, results, os.Stdout) {
@@ -212,7 +161,7 @@ func main() {
 	}
 	if *microFile != "" {
 		results := bench.MicroBench()
-		writeFile(*microFile, func(f *os.File) error { return bench.WriteMicro(f, results) })
+		bench.WriteFile(*microFile, func(w io.Writer) error { return bench.WriteMicro(w, results) })
 		for _, r := range results {
 			fmt.Printf("micro: %-28s %12.1f ns/op %14.0f ops/s %6d allocs/op\n",
 				r.Name, r.NsPerOp, r.OpsPerSec, r.AllocsPerOp)
@@ -271,7 +220,7 @@ func main() {
 		fmt.Print(table)
 		fmt.Println()
 		if *faultsJSON != "" {
-			writeFile(*faultsJSON, func(f *os.File) error { return writeFaultRuns(f, runs) })
+			bench.WriteFile(*faultsJSON, func(w io.Writer) error { return writeFaultRuns(w, runs) })
 			fmt.Printf("fault metrics: %s\n", *faultsJSON)
 		}
 		ran = true
@@ -290,14 +239,14 @@ type headlineDoc struct {
 	Latencies map[string]int64 `json:"latencies"`
 }
 
-func writeHeadline(f *os.File, latencies map[string]int64) error {
+func writeHeadline(w io.Writer, latencies map[string]int64) error {
 	out, err := json.MarshalIndent(headlineDoc{
 		Schema: "voyager-headline/v1", Latencies: latencies,
 	}, "", "  ")
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(append(out, '\n'))
+	_, err = w.Write(append(out, '\n'))
 	return err
 }
 
@@ -348,7 +297,7 @@ func diffHeadline(path string, latencies map[string]int64) bool {
 
 // writeFaultRuns renders the fault matrix as one JSON document: a summary
 // plus the full metrics registry per cell (the CI artifact).
-func writeFaultRuns(f *os.File, runs []bench.FaultRun) error {
+func writeFaultRuns(w io.Writer, runs []bench.FaultRun) error {
 	type cell struct {
 		Scenario  string          `json:"scenario"`
 		Seed      uint64          `json:"seed"`
@@ -375,58 +324,6 @@ func writeFaultRuns(f *os.File, runs []bench.FaultRun) error {
 	if err != nil {
 		return err
 	}
-	_, err = f.Write(append(out, '\n'))
+	_, err = w.Write(append(out, '\n'))
 	return err
-}
-
-func writeFile(path string, write func(*os.File) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := write(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-}
-
-// startProfiles starts the requested pprof captures and returns the stop
-// function that finalizes them; it must run before every exit path (os.Exit
-// skips deferred calls).
-func startProfiles(cpu, mem string) func() {
-	var cpuF *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		cpuF = f
-	}
-	stopped := false
-	return func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			cpuF.Close()
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				log.Fatal(err)
-			}
-			runtime.GC() // flush recent frees so the profile shows live heap accurately
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
-		}
-	}
 }

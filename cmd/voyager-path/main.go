@@ -23,22 +23,24 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
+	"startvoyager/internal/bench"
 	"startvoyager/internal/cluster"
 	"startvoyager/internal/core"
 	"startvoyager/internal/fault"
-	"startvoyager/internal/sim"
 	"startvoyager/internal/stats"
 	"startvoyager/internal/trace"
 )
 
 func main() {
+	var drive bench.AllToOne
 	nodes := flag.Int("nodes", 2, "number of nodes (all-to-one traffic)")
-	mech := flag.String("mech", "basic", "mechanism: basic, express, tagon, dma, reliable")
-	count := flag.Int("count", 8, "messages (or transfers) per sender")
-	size := flag.Int("size", 32, "payload bytes (dma: transfer bytes, line-aligned)")
+	flag.StringVar(&drive.Mech, "mech", "basic", "mechanism: basic, express, tagon, dma, reliable")
+	flag.IntVar(&drive.Count, "count", 8, "messages (or transfers) per sender")
+	flag.IntVar(&drive.Size, "size", 32, "payload bytes (dma: transfer bytes, line-aligned)")
 	faults := flag.String("faults", "", "fault-injection plan (e.g. 'seed=7,drop=0.05')")
 	top := flag.Int("top", 0, "show only the n slowest delivered messages (0 = all)")
 	jsonOut := flag.Bool("json", false, "emit the voyager-path/v1 JSON document instead of the text waterfall")
@@ -47,6 +49,9 @@ func main() {
 	traceCap := flag.Int("trace-cap", 1<<19, "trace ring capacity (oldest events drop beyond this)")
 	flag.Parse()
 
+	if err := drive.Check(); err != nil {
+		log.Fatal(err)
+	}
 	cfg := cluster.DefaultConfig(*nodes)
 	if *faults != "" {
 		plan, err := fault.ParsePlan(*faults)
@@ -57,75 +62,17 @@ func main() {
 	}
 	m := core.NewMachineConfig(cfg)
 	tbuf := m.Trace(*traceCap)
-
-	senders := *nodes - 1
-	total := senders * *count
-	received := 0
-	sendersDone := 0
-	m.Go(0, "sink", func(p *sim.Proc, a *core.API) {
-		if *mech == "reliable" {
-			for {
-				if _, _, err := a.RecvReliableTimeout(p, m.RelBound()); err != nil {
-					if sendersDone == senders {
-						return
-					}
-					continue
-				}
-				received++
-			}
-		}
-		for received < total {
-			switch *mech {
-			case "basic", "tagon":
-				if _, _, ok := a.TryRecvBasic(p); ok {
-					received++
-				}
-			case "express":
-				if _, _, ok := a.TryRecvExpress(p); ok {
-					received++
-				}
-			case "dma":
-				a.RecvNotify(p)
-				received++
-			}
-		}
-	})
-	for i := 1; i < *nodes; i++ {
-		i := i
-		m.Go(i, "src", func(p *sim.Proc, a *core.API) {
-			for k := 0; k < *count; k++ {
-				switch *mech {
-				case "basic":
-					a.SendBasic(p, 0, make([]byte, min(*size, core.MaxBasicPayload)))
-				case "tagon":
-					a.SendTagOn(p, 0, []byte{byte(k)}, 0x400, 16)
-				case "express":
-					a.SendExpress(p, 0, []byte{byte(k)})
-					a.Compute(p, 2*sim.Microsecond) // pace: express drops on overflow
-				case "reliable":
-					if err := a.SendReliable(p, 0, make([]byte, min(*size, core.MaxReliablePayload))); err != nil {
-						fmt.Fprintf(os.Stderr, "reliable send failed: %v\n", err)
-					}
-				case "dma":
-					n := *size &^ 31
-					if n == 0 {
-						n = 32
-					}
-					a.DmaPush(p, 0, 0x10_0000, uint32(0x20_0000+i*0x1_0000), n, uint32(k))
-				default:
-					log.Fatalf("unknown mechanism %q", *mech)
-				}
-			}
-			sendersDone++
-		})
-	}
+	delivery := drive.Spawn(m)
 	m.Run()
+	if delivery.Failed > 0 {
+		fmt.Fprintf(os.Stderr, "reliable: %d sends failed\n", delivery.Failed)
+	}
 
 	analysis := trace.AnalyzePaths(tbuf.Events())
 	if *top > 0 {
 		analysis = analysis.Slowest(*top)
 	}
-	meta := &stats.RunMeta{Tool: "voyager-path", Mechanism: *mech, Nodes: *nodes,
+	meta := &stats.RunMeta{Tool: "voyager-path", Mechanism: drive.Mech, Nodes: *nodes,
 		FaultPlan: *faults, SimTimeNs: int64(m.Eng.Now())}
 	if cfg.Faults != nil {
 		meta.Seed = cfg.Faults.Seed
@@ -137,7 +84,7 @@ func main() {
 		}
 	} else {
 		fmt.Printf("mechanism=%s nodes=%d senders=%d count=%d simulated=%v\n\n",
-			*mech, *nodes, senders, *count, m.Eng.Now())
+			drive.Mech, *nodes, *nodes-1, drive.Count, m.Eng.Now())
 		if err := analysis.WriteWaterfall(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
@@ -145,15 +92,15 @@ func main() {
 
 	if *metricsFile != "" {
 		analysis.RegisterMetrics(m.Metrics().Child("path"))
-		writeFile(*metricsFile, func(f *os.File) error {
-			return m.Metrics().WriteJSONMeta(f, m.Eng.Now(), meta)
+		bench.WriteFile(*metricsFile, func(w io.Writer) error {
+			return m.Metrics().WriteJSONMeta(w, m.Eng.Now(), meta)
 		})
 		if !*jsonOut {
 			fmt.Printf("\nmetrics: %s\n", *metricsFile)
 		}
 	}
 	if *traceFile != "" {
-		writeFile(*traceFile, func(f *os.File) error { return tbuf.WritePerfetto(f) })
+		bench.WriteFile(*traceFile, tbuf.WritePerfetto)
 		if !*jsonOut {
 			fmt.Printf("\ntrace: %s\n", *traceFile)
 		}
@@ -161,24 +108,4 @@ func main() {
 	if d := tbuf.Stats().Dropped; d > 0 {
 		fmt.Fprintf(os.Stderr, "WARNING: trace ring dropped %d events; chains may be orphaned (raise -trace-cap)\n", d)
 	}
-}
-
-func writeFile(path string, write func(*os.File) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := write(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

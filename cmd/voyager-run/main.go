@@ -7,11 +7,17 @@
 //	voyager-run [-nodes n1,n2,...] [-mech basic|express|dma|reliable] [-count c] [-size s]
 //	            [-faults plan] [-trace file.json] [-metrics file.json] [-dump n]
 //	            [-series file.json] [-series-window 20us] [-strict-trace]
+//	            [-prof f] [-prof-folded f] [-prof-pprof f]
 //	            [-seeds 1,2,3] [-parallel n] [-cpuprofile f] [-memprofile f]
+//
+// The artifact flags are the shared internal/bench.Artifacts set, also used
+// by voyager-bench; -dump is this tool's own.
 //
 // -trace writes a Chrome trace-event (Perfetto) file of the run; open it at
 // ui.perfetto.dev. -metrics dumps the hierarchical metrics registry as JSON.
-// Both are byte-identical across runs with the same arguments.
+// Both are byte-identical across runs with the same arguments. The trace
+// ring is attached only for -trace, -dump and -strict-trace, so only then
+// do the metrics and series exports carry its trace/ gauges.
 //
 // -series attaches the windowed telemetry sampler (window width set by
 // -series-window, simulated time) and writes the voyager-series/v1 export:
@@ -51,42 +57,28 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"startvoyager/internal/bench"
 	"startvoyager/internal/cluster"
-	"startvoyager/internal/core"
 	"startvoyager/internal/fault"
-	"startvoyager/internal/prof"
-	"startvoyager/internal/sim"
 	"startvoyager/internal/stats"
-	"startvoyager/internal/trace"
 )
 
 // runOpts is one machine run's configuration.
 type runOpts struct {
-	nodes, count, size int
-	mech               string
-	plan               *fault.Plan
-	faultsSpec         string // original -faults text, recorded in run metadata
-	traceCap           int
-	trace              bool
-	seriesWindow       sim.Time // 0: no windowed telemetry sampler
-	profile            bool     // attach the simulated-time profiler
+	nodes int
+	drive bench.AllToOne
+	plan  *fault.Plan
+	art   *bench.Artifacts
 }
 
-// runResult carries the counters the report paths need, plus the machine for
-// the single-run artifact writers.
+// runResult is one run's machine and instruments plus the delivery and
+// recovery counters the reports print.
 type runResult struct {
-	m                      *core.Machine
-	tbuf                   *trace.Buffer
-	sampler                *stats.Sampler
-	profiler               *prof.Profiler
-	received, failed       int
+	bench.Run
+	bench.Delivery
 	retrans, dups, garbage uint64
 }
 
@@ -96,140 +88,41 @@ type runResult struct {
 func runOnce(o runOpts) runResult {
 	cfg := cluster.DefaultConfig(o.nodes)
 	cfg.Faults = o.plan
-	var profiler *prof.Profiler
-	if o.profile {
-		// Attached through the config so firmware loops spawned during
-		// machine construction are accounted from time zero.
-		profiler = prof.New()
-		cfg.Profiler = profiler
-	}
-	m := core.NewMachineConfig(cfg)
-	var tbuf *trace.Buffer
-	if o.trace {
-		tbuf = m.Trace(o.traceCap)
-	}
-	var sampler *stats.Sampler
-	if o.seriesWindow > 0 {
-		sampler = m.Series(stats.SamplerConfig{Window: o.seriesWindow})
-	}
-	senders := o.nodes - 1
-	total := senders * o.count
-
-	received := 0
-	failed := 0
-	sendersDone := 0
-	m.Go(0, "sink", func(p *sim.Proc, a *core.API) {
-		if o.mech == "reliable" {
-			// Senders may legitimately fail under a fault plan (dead peers),
-			// so the sink drains with a bounded wait and leaves once every
-			// sender has finished and the pipeline has gone quiet.
-			for {
-				if _, _, err := a.RecvReliableTimeout(p, m.RelBound()); err != nil {
-					if sendersDone == senders {
-						return
-					}
-					continue
-				}
-				received++
-			}
-		}
-		for received < total {
-			switch o.mech {
-			case "basic", "tagon":
-				if _, _, ok := a.TryRecvBasic(p); ok {
-					received++
-				}
-			case "express":
-				if _, _, ok := a.TryRecvExpress(p); ok {
-					received++
-				}
-			case "dma":
-				a.RecvNotify(p)
-				received++
-			}
-		}
-	})
-	for i := 1; i < o.nodes; i++ {
-		i := i
-		m.Go(i, "src", func(p *sim.Proc, a *core.API) {
-			for k := 0; k < o.count; k++ {
-				switch o.mech {
-				case "basic":
-					payload := make([]byte, min(o.size, core.MaxBasicPayload))
-					a.SendBasic(p, 0, payload)
-				case "tagon":
-					// Inline byte + one 16-byte aSRAM tag appended by the NIU.
-					a.SendTagOn(p, 0, []byte{byte(k)}, 0x400, 16)
-				case "express":
-					a.SendExpress(p, 0, []byte{byte(k)})
-					a.Compute(p, 2*sim.Microsecond) // pace: express drops on overflow
-				case "reliable":
-					payload := make([]byte, min(o.size, core.MaxReliablePayload))
-					if err := a.SendReliable(p, 0, payload); err != nil {
-						failed++
-					}
-				case "dma":
-					n := o.size &^ 31
-					if n == 0 {
-						n = 32
-					}
-					a.DmaPush(p, 0, 0x10_0000, uint32(0x20_0000+i*0x1_0000), n, uint32(k))
-				default:
-					log.Fatalf("unknown mechanism %q", o.mech)
-				}
-			}
-			sendersDone++
-		})
-	}
-	m.Run()
-	if sampler != nil {
-		sampler.Finish()
-	}
-	if profiler != nil {
-		profiler.Finish(m.Eng.Now())
-	}
-
-	r := runResult{m: m, tbuf: tbuf, sampler: sampler, profiler: profiler,
-		received: received, failed: failed}
-	for _, rel := range m.Rels {
+	r := runResult{Run: o.art.Start(cfg)}
+	delivery := o.drive.Spawn(r.M)
+	r.M.Run()
+	r.Delivery = *delivery
+	for _, rel := range r.M.Rels {
 		st := rel.Stats()
 		r.retrans += st.Retransmits
 		r.dups += st.DupSuppressed
 	}
-	for _, n := range m.Nodes {
+	for _, n := range r.M.Nodes {
 		r.garbage += n.Ctrl.Stats().RxGarbage
 	}
 	return r
 }
 
 func main() {
+	var art bench.Artifacts
+	art.Register(flag.CommandLine)
+	var drive bench.AllToOne
 	nodes := flag.String("nodes", "4", "comma-separated node counts (all-to-one traffic; more than one count runs a sweep)")
-	mech := flag.String("mech", "basic", "mechanism: basic, express, tagon, dma, reliable")
-	count := flag.Int("count", 100, "messages (or transfers) per sender")
-	size := flag.Int("size", 64, "payload bytes (dma: transfer bytes, line-aligned)")
+	flag.StringVar(&drive.Mech, "mech", "basic", "mechanism: basic, express, tagon, dma, reliable")
+	flag.IntVar(&drive.Count, "count", 100, "messages (or transfers) per sender")
+	flag.IntVar(&drive.Size, "size", 64, "payload bytes (dma: transfer bytes, line-aligned)")
 	faults := flag.String("faults", "", "fault-injection plan (e.g. 'seed=7,drop=0.05,outage=1-0@20us:200us')")
-	traceFile := flag.String("trace", "", "write a Perfetto/Chrome trace-event JSON file")
-	metricsFile := flag.String("metrics", "", "write the metrics registry as JSON")
-	dumpN := flag.Int("dump", 0, "print the last N structured trace events")
-	traceCap := flag.Int("trace-cap", 1<<18, "trace ring capacity (oldest events drop beyond this)")
-	seriesFile := flag.String("series", "", "write windowed time-series telemetry (voyager-series/v1, render with voyager-stats)")
-	seriesWindow := flag.String("series-window", "20us", "simulated-time window width for -series (Go duration)")
-	strictTrace := flag.Bool("strict-trace", false, "exit nonzero if the trace ring dropped events (implies tracing)")
+	flag.IntVar(&art.Dump, "dump", 0, "print the last N structured trace events")
 	seeds := flag.String("seeds", "", "comma-separated fault-plan seeds: run once per seed and print a summary table")
 	parallelN := flag.Int("parallel", 1, "max OS worker goroutines for the -seeds sweep (output is identical at any value)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the simulator process")
-	memProfile := flag.String("memprofile", "", "write an allocation profile of the simulator process")
-	profFile := flag.String("prof", "", "write a simulated-time profile (voyager-prof/v1 JSON, render with voyager-prof)")
-	profFolded := flag.String("prof-folded", "", "write the simulated-time profile as folded flame-graph stacks")
-	profPprof := flag.String("prof-pprof", "", "write the simulated-time profile as pprof protobuf (open with `go tool pprof`)")
 	flag.Parse()
-
-	stopProfiles := startProfiles(*cpuProfile, *memProfile)
-	defer stopProfiles()
 
 	nodeCounts, err := bench.ParseNodeList(*nodes)
 	if err != nil {
 		log.Fatalf("-nodes: %v", err)
+	}
+	if err := drive.Check(); err != nil {
+		log.Fatal(err)
 	}
 	var plan *fault.Plan
 	if *faults != "" {
@@ -238,29 +131,19 @@ func main() {
 			log.Fatalf("-faults: %v", err)
 		}
 	}
-	opts := runOpts{
-		nodes: nodeCounts[0], count: *count, size: *size, mech: *mech,
-		plan: plan, faultsSpec: *faults, traceCap: *traceCap,
-		trace:   *traceFile != "" || *dumpN > 0 || *strictTrace,
-		profile: *profFile != "" || *profFolded != "" || *profPprof != "",
-	}
-	if *seriesFile != "" {
-		w, err := time.ParseDuration(*seriesWindow)
-		if err != nil || w <= 0 {
-			log.Fatalf("-series-window: invalid duration %q", *seriesWindow)
-		}
-		opts.seriesWindow = sim.Time(w.Nanoseconds())
-	}
+	stopProfiles := art.StartProfiles()
+	defer stopProfiles()
+	opts := runOpts{nodes: nodeCounts[0], drive: drive, plan: plan, art: &art}
 
 	if len(nodeCounts) > 1 {
-		if opts.trace || *metricsFile != "" || *seriesFile != "" || opts.profile || *seeds != "" {
+		if art.Requested() || *seeds != "" {
 			log.Fatalf("a -nodes sweep cannot be combined with -trace, -metrics, -series, -prof, -dump, or -seeds")
 		}
 		runNodeSweep(opts, nodeCounts, *parallelN)
 		return
 	}
 	if *seeds != "" {
-		if opts.trace || *metricsFile != "" || *seriesFile != "" || opts.profile {
+		if art.Requested() {
 			log.Fatalf("-seeds cannot be combined with -trace, -metrics, -series, -prof, or -dump")
 		}
 		runSweep(opts, parseSeeds(*seeds), *parallelN)
@@ -268,14 +151,15 @@ func main() {
 	}
 
 	r := runOnce(opts)
-	report(opts, r, *traceFile, *metricsFile, *seriesFile, *dumpN)
-	writeProfiles(opts, r, *profFile, *profFolded, *profPprof)
-	if *strictTrace {
-		if d := r.tbuf.Stats().Dropped; d > 0 {
-			fmt.Fprintf(os.Stderr, "strict-trace: ring dropped %d events\n", d)
-			stopProfiles()
-			os.Exit(1)
-		}
+	report(opts, r)
+	meta := stats.RunMeta{Tool: "voyager-run", Mechanism: drive.Mech, FaultPlan: *faults}
+	if plan != nil {
+		meta.Seed = plan.Seed
+	}
+	if err := art.Write(r.Run, meta); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		stopProfiles()
+		os.Exit(1)
 	}
 }
 
@@ -304,15 +188,15 @@ func runNodeSweep(opts runOpts, counts []int, workers int) {
 	})
 	t := &stats.Table{
 		Title: fmt.Sprintf("node-count sweep — mechanism=%s messages/sender=%d",
-			opts.mech, opts.count),
+			opts.drive.Mech, opts.drive.Count),
 		Columns: []string{"nodes", "delivered", "failed", "retransmits",
 			"dup-suppressed", "rx-garbage", "sim-time"},
 	}
 	for i, r := range results {
 		t.AddRow(fmt.Sprint(counts[i]),
-			fmt.Sprint(r.received), fmt.Sprint(r.failed),
+			fmt.Sprint(r.Received), fmt.Sprint(r.Failed),
 			fmt.Sprint(r.retrans), fmt.Sprint(r.dups), fmt.Sprint(r.garbage),
-			r.m.Eng.Now().String())
+			r.M.Eng.Now().String())
 	}
 	fmt.Print(t)
 }
@@ -331,15 +215,15 @@ func runSweep(opts runOpts, seedList []uint64, workers int) {
 	})
 	t := &stats.Table{
 		Title: fmt.Sprintf("multi-seed sweep — mechanism=%s nodes=%d messages=%d per seed",
-			opts.mech, opts.nodes, (opts.nodes-1)*opts.count),
+			opts.drive.Mech, opts.nodes, (opts.nodes-1)*opts.drive.Count),
 		Columns: []string{"seed", "delivered", "failed", "retransmits",
 			"dup-suppressed", "rx-garbage", "sim-time"},
 	}
 	for i, r := range results {
 		t.AddRow(fmt.Sprint(seedList[i]),
-			fmt.Sprint(r.received), fmt.Sprint(r.failed),
+			fmt.Sprint(r.Received), fmt.Sprint(r.Failed),
 			fmt.Sprint(r.retrans), fmt.Sprint(r.dups), fmt.Sprint(r.garbage),
-			r.m.Eng.Now().String())
+			r.M.Eng.Now().String())
 	}
 	fmt.Print(t)
 	if opts.plan == nil {
@@ -347,26 +231,14 @@ func runSweep(opts runOpts, seedList []uint64, workers int) {
 	}
 }
 
-// runMeta describes the run for the metrics and series export headers.
-func runMeta(opts runOpts, m *core.Machine) *stats.RunMeta {
-	meta := &stats.RunMeta{
-		Tool: "voyager-run", Mechanism: opts.mech, Nodes: opts.nodes,
-		FaultPlan: opts.faultsSpec, SimTimeNs: int64(m.Eng.Now()),
-	}
-	if opts.plan != nil {
-		meta.Seed = opts.plan.Seed
-	}
-	return meta
-}
-
-// report prints the single-run statistics and writes the requested artifacts.
-func report(opts runOpts, r runResult, traceFile, metricsFile, seriesFile string, dumpN int) {
-	m, tbuf := r.m, r.tbuf
-	total := (opts.nodes - 1) * opts.count
+// report prints the single-run statistics.
+func report(opts runOpts, r runResult) {
+	m := r.M
+	total := (opts.nodes - 1) * opts.drive.Count
 	fmt.Printf("mechanism=%s nodes=%d messages=%d simulated=%v\n",
-		opts.mech, opts.nodes, total, m.Eng.Now())
-	if opts.mech == "reliable" {
-		fmt.Printf("reliable: delivered=%d failed=%d bound=%v\n", r.received, r.failed, m.RelBound())
+		opts.drive.Mech, opts.nodes, total, m.Eng.Now())
+	if opts.drive.Mech == "reliable" {
+		fmt.Printf("reliable: delivered=%d failed=%d bound=%v\n", r.Received, r.Failed, m.RelBound())
 	}
 	if m.Faults != nil {
 		fs := m.Faults.Stats()
@@ -390,123 +262,4 @@ func report(opts runOpts, r runResult, traceFile, metricsFile, seriesFile string
 			fmt.Sprint(cs.RxMessages))
 	}
 	fmt.Print(t)
-
-	if traceFile != "" {
-		writeFile(traceFile, func(f *os.File) error { return tbuf.WritePerfetto(f) })
-		ts := tbuf.Stats()
-		fmt.Printf("trace: %s (%d events captured, %d retained)\n",
-			traceFile, ts.Captured, ts.Retained)
-	}
-	if tbuf != nil {
-		if d := tbuf.Stats().Dropped; d > 0 {
-			fmt.Fprintf(os.Stderr, "WARNING: trace ring dropped %d events; the trace is truncated (raise -trace-cap)\n", d)
-		}
-	}
-	if metricsFile != "" {
-		writeFile(metricsFile, func(f *os.File) error {
-			return m.Metrics().WriteJSONMeta(f, m.Eng.Now(), runMeta(opts, m))
-		})
-		fmt.Printf("metrics: %s\n", metricsFile)
-	}
-	if seriesFile != "" {
-		writeFile(seriesFile, func(f *os.File) error {
-			return r.sampler.WriteJSON(f, runMeta(opts, m))
-		})
-		fmt.Printf("series: %s (%d windows of %v, render with voyager-stats)\n",
-			seriesFile, r.sampler.Windows(), opts.seriesWindow)
-	}
-	if dumpN > 0 {
-		evs := tbuf.Events()
-		if len(evs) > dumpN {
-			evs = evs[len(evs)-dumpN:]
-		}
-		fmt.Printf("\nlast %d structured trace events:\n", len(evs))
-		for _, e := range evs {
-			fmt.Println(e.String())
-		}
-	}
-}
-
-// writeProfiles exports the simulated-time profile in the requested formats.
-// All three derive from the same document, so their totals agree exactly.
-func writeProfiles(opts runOpts, r runResult, jsonFile, foldedFile, pprofFile string) {
-	if r.profiler == nil {
-		return
-	}
-	doc := r.profiler.Doc(runMeta(opts, r.m))
-	if jsonFile != "" {
-		writeFile(jsonFile, func(f *os.File) error { return doc.WriteJSON(f) })
-		fmt.Printf("prof: %s (render with voyager-prof)\n", jsonFile)
-	}
-	if foldedFile != "" {
-		writeFile(foldedFile, func(f *os.File) error { return doc.WriteFolded(f) })
-		fmt.Printf("prof-folded: %s (flamegraph.pl / speedscope)\n", foldedFile)
-	}
-	if pprofFile != "" {
-		writeFile(pprofFile, func(f *os.File) error { return doc.WritePprof(f) })
-		fmt.Printf("prof-pprof: %s (go tool pprof)\n", pprofFile)
-	}
-}
-
-// startProfiles begins the requested pprof captures and returns an
-// idempotent stop function that flushes them; it must run before exit for
-// the profiles to be valid.
-func startProfiles(cpu, mem string) func() {
-	var cpuF *os.File
-	if cpu != "" {
-		f, err := os.Create(cpu)
-		if err != nil {
-			log.Fatalf("-cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("-cpuprofile: %v", err)
-		}
-		cpuF = f
-	}
-	stopped := false
-	return func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			if err := cpuF.Close(); err != nil {
-				log.Fatalf("-cpuprofile: %v", err)
-			}
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				log.Fatalf("-memprofile: %v", err)
-			}
-			runtime.GC() // materialize the final live-heap picture
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				log.Fatalf("-memprofile: %v", err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatalf("-memprofile: %v", err)
-			}
-		}
-	}
-}
-
-func writeFile(path string, write func(*os.File) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := write(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

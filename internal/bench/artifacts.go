@@ -1,0 +1,228 @@
+package bench
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"log"
+	"os"
+	"runtime"
+	"runtime/pprof"
+	"time"
+
+	"startvoyager/internal/cluster"
+	"startvoyager/internal/core"
+	"startvoyager/internal/prof"
+	"startvoyager/internal/sim"
+	"startvoyager/internal/stats"
+	"startvoyager/internal/trace"
+)
+
+// Artifacts is the one declaration of a run's artifact flags, shared by
+// voyager-run and voyager-bench: Register binds them, Start instruments one
+// machine run, Write exports what was asked for. The spec is read-only once
+// the flags are parsed, so parallel workers may Start runs from one spec;
+// each run's instruments live in the Run value Start returns.
+type Artifacts struct {
+	Trace, Metrics, Series      string // export paths; "" = not requested
+	Prof, ProfFolded, ProfPprof string // simulated-time profile exports
+	CPUProfile, MemProfile      string // host-process pprof profiles
+	TraceCap                    int
+	SeriesWindow                sim.Time // -series window width
+	StrictTrace                 bool
+
+	// Dump prints the last Dump trace events after the file exports. It has
+	// no shared flag: voyager-run registers its own -dump into it.
+	Dump int
+}
+
+// Register declares the shared artifact flags on fs.
+func (a *Artifacts) Register(fs *flag.FlagSet) {
+	fs.StringVar(&a.Trace, "trace", "", "write a Perfetto/Chrome trace-event JSON file")
+	fs.StringVar(&a.Metrics, "metrics", "", "write the metrics registry as JSON")
+	fs.IntVar(&a.TraceCap, "trace-cap", 1<<18, "trace ring capacity (oldest events drop beyond this)")
+	fs.StringVar(&a.Series, "series", "", "write windowed time-series telemetry (voyager-series/v1, render with voyager-stats)")
+	a.SeriesWindow = 20 * sim.Microsecond
+	fs.Func("series-window", "simulated-time window width for -series (Go duration, default 20us)", func(s string) error {
+		w, err := time.ParseDuration(s)
+		if err != nil || w <= 0 {
+			return fmt.Errorf("invalid duration %q", s)
+		}
+		a.SeriesWindow = sim.Time(w.Nanoseconds())
+		return nil
+	})
+	fs.BoolVar(&a.StrictTrace, "strict-trace", false, "exit nonzero if the trace ring dropped events (implies tracing)")
+	fs.StringVar(&a.Prof, "prof", "", "write a simulated-time profile (voyager-prof/v1 JSON, render with voyager-prof)")
+	fs.StringVar(&a.ProfFolded, "prof-folded", "", "write the simulated-time profile as folded flame-graph stacks")
+	fs.StringVar(&a.ProfPprof, "prof-pprof", "", "write the simulated-time profile as pprof protobuf (open with go tool pprof)")
+	fs.StringVar(&a.CPUProfile, "cpuprofile", "", "write a CPU profile of the simulator process")
+	fs.StringVar(&a.MemProfile, "memprofile", "", "write an allocation profile of the simulator process")
+}
+
+// Requested reports whether any per-run export was asked for.
+func (a *Artifacts) Requested() bool {
+	return a.tracing() || a.Metrics != "" || a.Series != "" || a.profiling()
+}
+
+// tracing is the one trace-attach rule: the ring is attached only when its
+// contents are exported (-trace, -dump) or checked (-strict-trace), so a
+// run's metrics and series carry trace/ gauges only then.
+func (a *Artifacts) tracing() bool { return a.Trace != "" || a.Dump > 0 || a.StrictTrace }
+
+func (a *Artifacts) profiling() bool { return a.Prof != "" || a.ProfFolded != "" || a.ProfPprof != "" }
+
+// Run is one machine run and the instruments Start attached to it.
+type Run struct {
+	M        *core.Machine
+	Trace    *trace.Buffer // nil unless the attach rule holds
+	sampler  *stats.Sampler
+	profiler *prof.Profiler
+}
+
+// Start builds the machine for one run and attaches the requested
+// instruments in the order that keeps every export byte-stable: the
+// profiler through cfg, so firmware loops spawned during construction are
+// accounted from time zero; then the trace ring, whose trace/ gauges join
+// the registry; then the sampler, which snapshots the registry's paths.
+func (a *Artifacts) Start(cfg cluster.Config) Run {
+	var r Run
+	if a.profiling() {
+		r.profiler = prof.New()
+		cfg.Profiler = r.profiler
+	}
+	r.M = core.NewMachineConfig(cfg)
+	if a.tracing() {
+		r.Trace = r.M.Trace(a.TraceCap)
+	}
+	if a.Series != "" {
+		r.sampler = r.M.Series(stats.SamplerConfig{Window: a.SeriesWindow})
+	}
+	return r
+}
+
+// Write finishes r's instruments and writes every requested export, with
+// meta (Nodes and SimTimeNs filled in from the run) as the header of the
+// metrics, series and profile documents. It prints one status line per
+// file, warns on stderr when the trace ring dropped events, and returns an
+// error when it did under -strict-trace.
+func (a *Artifacts) Write(r Run, meta stats.RunMeta) error {
+	now := r.M.Eng.Now()
+	meta.Nodes, meta.SimTimeNs = len(r.M.Nodes), int64(now)
+	if r.sampler != nil {
+		r.sampler.Finish()
+	}
+	if r.profiler != nil {
+		r.profiler.Finish(now)
+	}
+
+	var dropped uint64
+	if r.Trace != nil {
+		ts := r.Trace.Stats()
+		if a.Trace != "" {
+			WriteFile(a.Trace, r.Trace.WritePerfetto)
+			fmt.Printf("trace: %s (%d events captured, %d retained)\n", a.Trace, ts.Captured, ts.Retained)
+		}
+		if dropped = ts.Dropped; dropped > 0 {
+			fmt.Fprintf(os.Stderr, "WARNING: trace ring dropped %d events; the trace is truncated (raise -trace-cap)\n", dropped)
+		}
+	}
+	if a.Metrics != "" {
+		WriteFile(a.Metrics, func(w io.Writer) error { return r.M.Metrics().WriteJSONMeta(w, now, &meta) })
+		fmt.Printf("metrics: %s\n", a.Metrics)
+	}
+	if r.sampler != nil {
+		WriteFile(a.Series, func(w io.Writer) error { return r.sampler.WriteJSON(w, &meta) })
+		fmt.Printf("series: %s (%d windows of %v, render with voyager-stats)\n",
+			a.Series, r.sampler.Windows(), r.sampler.Window())
+	}
+	if a.Dump > 0 {
+		evs := r.Trace.Events()
+		if len(evs) > a.Dump {
+			evs = evs[len(evs)-a.Dump:]
+		}
+		fmt.Printf("\nlast %d structured trace events:\n", len(evs))
+		for _, e := range evs {
+			fmt.Println(e.String())
+		}
+	}
+	if r.profiler != nil {
+		// All three formats derive from one document, so their totals agree.
+		doc := r.profiler.Doc(&meta)
+		for _, out := range []struct {
+			path, flag, note string
+			write            func(io.Writer) error
+		}{
+			{a.Prof, "prof", "render with voyager-prof", doc.WriteJSON},
+			{a.ProfFolded, "prof-folded", "flamegraph.pl / speedscope", doc.WriteFolded},
+			{a.ProfPprof, "prof-pprof", "go tool pprof", doc.WritePprof},
+		} {
+			if out.path != "" {
+				WriteFile(out.path, out.write)
+				fmt.Printf("%s: %s (%s)\n", out.flag, out.path, out.note)
+			}
+		}
+	}
+	if a.StrictTrace && dropped > 0 {
+		return fmt.Errorf("strict-trace: ring dropped %d events", dropped)
+	}
+	return nil
+}
+
+// StartProfiles begins the requested host-process pprof captures and
+// returns an idempotent stop that flushes them; it must run before every
+// exit path (os.Exit skips deferred calls). Host profiling never perturbs
+// simulated time.
+func (a *Artifacts) StartProfiles() (stop func()) {
+	var cpuF *os.File
+	if a.CPUProfile != "" {
+		f, err := os.Create(a.CPUProfile)
+		if err != nil {
+			log.Fatalf("-cpuprofile: %v", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			log.Fatalf("-cpuprofile: %v", err)
+		}
+		cpuF = f
+	}
+	stopped := false
+	return func() {
+		if stopped {
+			return
+		}
+		stopped = true
+		if cpuF != nil {
+			pprof.StopCPUProfile()
+			if err := cpuF.Close(); err != nil {
+				log.Fatalf("-cpuprofile: %v", err)
+			}
+		}
+		if a.MemProfile != "" {
+			f, err := os.Create(a.MemProfile)
+			if err != nil {
+				log.Fatalf("-memprofile: %v", err)
+			}
+			runtime.GC() // materialize the final live-heap picture
+			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+				log.Fatalf("-memprofile: %v", err)
+			}
+			if err := f.Close(); err != nil {
+				log.Fatalf("-memprofile: %v", err)
+			}
+		}
+	}
+}
+
+// WriteFile creates path, fills it with write, and closes it, exiting the
+// process on any error: the CLIs' one artifact writer.
+func WriteFile(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := write(f); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
+}

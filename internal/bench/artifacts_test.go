@@ -1,0 +1,115 @@
+package bench
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"startvoyager/internal/cluster"
+	"startvoyager/internal/fault"
+	"startvoyager/internal/sim"
+	"startvoyager/internal/stats"
+)
+
+// TestArtifactsGoldens runs the shared spec and driver in the `make prof` /
+// `make series` configuration and byte-compares every export with the
+// goldens committed at the repo root.
+func TestArtifactsGoldens(t *testing.T) {
+	dir := t.TempDir()
+	art := &Artifacts{
+		Series: filepath.Join(dir, "SERIES_sample.json"), SeriesWindow: 20 * sim.Microsecond,
+		Prof:       filepath.Join(dir, "PROF_sample.json"),
+		ProfFolded: filepath.Join(dir, "PROF_sample.folded"),
+		ProfPprof:  filepath.Join(dir, "PROF_sample.pb"),
+		TraceCap:   1 << 18,
+	}
+	plan, err := fault.ParsePlan("seed=7,drop=0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cluster.DefaultConfig(4)
+	cfg.Faults = plan
+	r := art.Start(cfg)
+	delivery := AllToOne{Mech: "reliable", Count: 50, Size: 64}.Spawn(r.M)
+	r.M.Run()
+	if delivery.Received != 150 || delivery.Failed != 0 {
+		t.Fatalf("delivered %d of 150, %d sends failed", delivery.Received, delivery.Failed)
+	}
+	meta := stats.RunMeta{Tool: "voyager-run", Mechanism: "reliable", Seed: 7, FaultPlan: "seed=7,drop=0.05"}
+	if err := art.Write(r, meta); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"SERIES_sample.json", "PROF_sample.json", "PROF_sample.folded", "PROF_sample.pb"} {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the committed golden", name)
+		}
+	}
+}
+
+// TestArtifactsTraceAttachRule: the ring, and with it the trace/ gauges in
+// the metrics and series exports, is attached only for -trace, -dump and
+// -strict-trace.
+func TestArtifactsTraceAttachRule(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		art  Artifacts
+		want bool
+	}{
+		{"metrics", Artifacts{Metrics: "m.json"}, false},
+		{"series", Artifacts{Series: "s.json", SeriesWindow: 20 * sim.Microsecond}, false},
+		{"prof", Artifacts{Prof: "p.json"}, false},
+		{"trace", Artifacts{Trace: "t.json", Metrics: "m.json"}, true},
+		{"dump", Artifacts{Dump: 5}, true},
+		{"strict-trace", Artifacts{StrictTrace: true}, true},
+	} {
+		r := tc.art.Start(cluster.DefaultConfig(CanonicalNodes))
+		paths := r.M.Metrics().Paths()
+		if !tc.want && anyHasPrefix(paths, "trace/") {
+			t.Errorf("%s: registry has trace/ paths without the ring", tc.name)
+		}
+		for _, gauge := range []string{"trace/captured", "trace/dropped"} {
+			if got := slices.Contains(paths, gauge); got != tc.want {
+				t.Errorf("%s: %s registered = %v, want %v", tc.name, gauge, got, tc.want)
+			}
+		}
+		if got := r.Trace != nil; got != tc.want {
+			t.Errorf("%s: ring attached = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestAllToOneCheck: bad driver input is a named error before any machine
+// is built, never a hang or a panic inside a proc.
+func TestAllToOneCheck(t *testing.T) {
+	for _, tc := range []struct {
+		d    AllToOne
+		want string
+	}{
+		{AllToOne{Mech: "basic"}, ""},
+		{AllToOne{Mech: "reliable", Count: 100, Size: 64}, ""},
+		{AllToOne{Mech: "bogus", Count: 1, Size: 1},
+			`-mech: unknown mechanism "bogus" (want basic, express, tagon, dma, reliable)`},
+		{AllToOne{Mech: "", Count: 1, Size: 1},
+			`-mech: unknown mechanism "" (want basic, express, tagon, dma, reliable)`},
+		{AllToOne{Mech: "basic", Count: -1, Size: 64}, "-count: must be >= 0, got -1"},
+		{AllToOne{Mech: "dma", Count: 1, Size: -1}, "-size: must be >= 0, got -1"},
+	} {
+		got := ""
+		if err := tc.d.Check(); err != nil {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("%+v: Check() = %q, want %q", tc.d, got, tc.want)
+		}
+	}
+}

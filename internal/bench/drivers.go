@@ -1,0 +1,154 @@
+package bench
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+
+	"startvoyager/internal/blockxfer"
+	"startvoyager/internal/core"
+	"startvoyager/internal/sim"
+)
+
+// CanonicalNodes is the machine size Canonical drives.
+const CanonicalNodes = 4
+
+// Canonical spawns the canonical observability workload on m, a
+// CanonicalNodes-node machine: every major mechanism at once — a hardware
+// block transfer (approach 3) between nodes 0 and 1, and Basic/Express/DMA
+// message traffic plus cached and S-COMA memory operations between nodes 2
+// and 3. Run with the trace ring attached, every model package emits at
+// least one span, instant, counter, or metric; the coverage test in
+// observe_test.go holds the layer to that.
+func Canonical(m *core.Machine) {
+	xfer := blockxfer.NewTransfer(blockxfer.A3, m, 4<<10)
+	m.Go(0, "xfer-src", func(p *sim.Proc, api *core.API) {
+		xfer.Send(p, api)
+	})
+	m.Go(1, "xfer-dst", func(p *sim.Proc, api *core.API) {
+		xfer.Receive(p, api)
+		xfer.Consume(p, api)
+	})
+
+	const msgs = 8
+	m.Go(2, "mixed-src", func(p *sim.Proc, api *core.API) {
+		payload := make([]byte, 32)
+		for k := 0; k < msgs; k++ {
+			api.SendBasic(p, 3, payload)
+		}
+		api.SendExpress(p, 3, []byte{1, 2})
+		api.DmaPush(p, 3, 0x10_0000, 0x20_0000, 256, 7)
+		var line [64]byte
+		api.MemStore(p, 0x30_0000, line[:])
+		api.MemLoad(p, 0x30_0000, line[:])
+		api.ScomaLoad(p, 0, line[:32]) // remote page: capture + directory firmware
+	})
+	m.Go(3, "mixed-dst", func(p *sim.Proc, api *core.API) {
+		for got := 0; got < msgs; {
+			if _, _, ok := api.TryRecvBasic(p); ok {
+				got++
+			}
+		}
+		api.RecvExpress(p)
+		api.RecvNotify(p)
+	})
+}
+
+// AllToOne is the all-to-one traffic driver of voyager-run and
+// voyager-path: every node but 0 sends Count messages (DMA: transfers) of
+// Size payload bytes to node 0 over Mech, one of PathMechs.
+type AllToOne struct {
+	Mech        string
+	Count, Size int
+}
+
+// Delivery is an AllToOne run's outcome, final once the machine's Run
+// returns.
+type Delivery struct {
+	Received int
+	Failed   int // reliable sends that returned an error
+}
+
+// Check validates the driver's inputs; each error names its CLI flag.
+func (d AllToOne) Check() error {
+	switch {
+	case !slices.Contains(PathMechs, d.Mech):
+		return fmt.Errorf("-mech: unknown mechanism %q (want %s)", d.Mech, strings.Join(PathMechs, ", "))
+	case d.Count < 0:
+		return fmt.Errorf("-count: must be >= 0, got %d", d.Count)
+	case d.Size < 0:
+		return fmt.Errorf("-size: must be >= 0, got %d", d.Size)
+	}
+	return nil
+}
+
+// Spawn starts the sink on node 0 and a sender on every other node of m.
+// It panics on inputs Check rejects.
+func (d AllToOne) Spawn(m *core.Machine) *Delivery {
+	if err := d.Check(); err != nil {
+		panic(err)
+	}
+	out := &Delivery{}
+	senders := len(m.Nodes) - 1
+	total := senders * d.Count
+	sendersDone := 0
+	m.Go(0, "sink", func(p *sim.Proc, a *core.API) {
+		if d.Mech == "reliable" {
+			// Senders may legitimately fail under a fault plan (dead peers),
+			// so the sink drains with a bounded wait and leaves once every
+			// sender has finished and the pipeline has gone quiet.
+			for {
+				if _, _, err := a.RecvReliableTimeout(p, m.RelBound()); err != nil {
+					if sendersDone == senders {
+						return
+					}
+					continue
+				}
+				out.Received++
+			}
+		}
+		for out.Received < total {
+			switch d.Mech {
+			case "basic", "tagon":
+				if _, _, ok := a.TryRecvBasic(p); ok {
+					out.Received++
+				}
+			case "express":
+				if _, _, ok := a.TryRecvExpress(p); ok {
+					out.Received++
+				}
+			case "dma":
+				a.RecvNotify(p)
+				out.Received++
+			}
+		}
+	})
+	for i := 1; i <= senders; i++ {
+		m.Go(i, "src", func(p *sim.Proc, a *core.API) {
+			for k := 0; k < d.Count; k++ {
+				switch d.Mech {
+				case "basic":
+					a.SendBasic(p, 0, make([]byte, min(d.Size, core.MaxBasicPayload)))
+				case "tagon":
+					// Inline byte + one 16-byte aSRAM tag appended by the NIU.
+					a.SendTagOn(p, 0, []byte{byte(k)}, 0x400, 16)
+				case "express":
+					a.SendExpress(p, 0, []byte{byte(k)})
+					a.Compute(p, 2*sim.Microsecond) // pace: express drops on overflow
+				case "reliable":
+					if err := a.SendReliable(p, 0, make([]byte, min(d.Size, core.MaxReliablePayload))); err != nil {
+						out.Failed++
+					}
+				case "dma":
+					n := d.Size &^ 31
+					if n == 0 {
+						n = 32
+					}
+					a.DmaPush(p, 0, 0x10_0000, uint32(0x20_0000+i*0x1_0000), n, uint32(k))
+				}
+			}
+			sendersDone++
+		})
+	}
+	return out
+}

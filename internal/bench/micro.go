@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"container/heap"
 	"encoding/json"
 	"io"
 	"testing"
@@ -30,16 +29,12 @@ type MicroResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// microSuite lists the benchmarks in reporting order. boxheap/schedule-step
-// is the seed implementation of the event queue (container/heap over
-// *event), kept here as the baseline the value-based 4-ary heap is measured
-// against.
+// microSuite lists the benchmarks in reporting order.
 var microSuite = []struct {
 	name string
 	fn   func(*testing.B)
 }{
 	{"engine/schedule-step", benchEngineScheduleStep},
-	{"boxheap/schedule-step", benchBoxHeapScheduleStep},
 	{"proc/delay", benchProcDelay},
 	{"proc/call-immediate", benchProcCallImmediate},
 	{"queue/push-pop", benchQueuePushPop},
@@ -104,75 +99,6 @@ func benchEngineScheduleStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
-	}
-}
-
-// boxEvent/boxHeap/boxEngine replicate the seed event queue: every push
-// heap-allocates an event and boxes it through container/heap's interface{}.
-type boxEvent struct {
-	at  sim.Time
-	seq uint64
-	fn  func()
-}
-
-type boxHeap []*boxEvent
-
-func (h boxHeap) Len() int { return len(h) }
-func (h boxHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h boxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *boxHeap) Push(x interface{}) { *h = append(*h, x.(*boxEvent)) }
-func (h *boxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-type boxEngine struct {
-	now      sim.Time
-	seq      uint64
-	events   boxHeap
-	nEvents  uint64
-	panicVal interface{}
-}
-
-func (e *boxEngine) schedule(d sim.Time, fn func()) {
-	e.seq++
-	heap.Push(&e.events, &boxEvent{at: e.now + d, seq: e.seq, fn: fn})
-}
-
-func (e *boxEngine) step() bool {
-	if len(e.events) == 0 {
-		return false
-	}
-	ev := heap.Pop(&e.events).(*boxEvent)
-	e.now = ev.at
-	e.nEvents++
-	ev.fn()
-	if e.panicVal != nil {
-		v := e.panicVal
-		e.panicVal = nil
-		panic(v)
-	}
-	return true
-}
-
-// benchBoxHeapScheduleStep is benchEngineScheduleStep against the seed
-// implementation — the baseline for the events/sec comparison.
-func benchBoxHeapScheduleStep(b *testing.B) {
-	e := &boxEngine{}
-	scheduleFan(e.schedule, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.step()
 	}
 }
 

@@ -31,12 +31,11 @@ func TestWriteMicro(t *testing.T) {
 	}
 }
 
-// TestMicroSuiteContents pins the benchmark set: the engine/boxheap pair must
-// both be present (the events/sec comparison in BENCH_micro.json depends on
-// it), alongside the handoff, queue, and whole-node probes.
+// TestMicroSuiteContents pins the benchmark set: the engine schedule/step
+// probe alongside the handoff, queue, and whole-node probes.
 func TestMicroSuiteContents(t *testing.T) {
 	want := []string{
-		"engine/schedule-step", "boxheap/schedule-step",
+		"engine/schedule-step",
 		"proc/delay", "proc/call-immediate", "queue/push-pop", "node/basic-msg",
 	}
 	if len(microSuite) != len(want) {
@@ -50,25 +49,4 @@ func TestMicroSuiteContents(t *testing.T) {
 			t.Errorf("suite[%d] %q has nil fn", i, s.name)
 		}
 	}
-}
-
-// TestScheduleStepVsBoxHeapAllocs runs the two heap benchmarks briefly and
-// checks the property BENCH_micro.json is meant to showcase: the value-based
-// heap schedules without allocating; the seed boxed heap pays at least one
-// allocation per event.
-func TestScheduleStepVsBoxHeapAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed; skipped in -short")
-	}
-	eng := testing.Benchmark(benchEngineScheduleStep)
-	box := testing.Benchmark(benchBoxHeapScheduleStep)
-	if got := eng.AllocsPerOp(); got != 0 {
-		t.Errorf("engine schedule/step allocates %d per event, want 0", got)
-	}
-	if got := box.AllocsPerOp(); got < 1 {
-		t.Errorf("boxheap baseline allocates %d per event, want >= 1", got)
-	}
-	t.Logf("engine %.1f ns/op vs boxheap %.1f ns/op",
-		float64(eng.T.Nanoseconds())/float64(eng.N),
-		float64(box.T.Nanoseconds())/float64(box.N))
 }

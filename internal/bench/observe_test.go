@@ -4,16 +4,39 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"startvoyager/internal/cluster"
+	"startvoyager/internal/core"
+	"startvoyager/internal/prof"
+	"startvoyager/internal/trace"
 )
 
+// canonicalRun runs the Canonical workload with the trace ring attached and,
+// when profiler is non-nil, the profiler attached from construction and
+// finished at the run's end.
+func canonicalRun(profiler *prof.Profiler) (*core.Machine, *trace.Buffer) {
+	cfg := cluster.DefaultConfig(CanonicalNodes)
+	if profiler != nil {
+		cfg.Profiler = profiler
+	}
+	m := core.NewMachineConfig(cfg)
+	tbuf := m.Trace(1 << 18)
+	Canonical(m)
+	m.Run()
+	if profiler != nil {
+		profiler.Finish(m.Eng.Now())
+	}
+	return m, tbuf
+}
+
 // TestObservedRunCoverage is the whole-machine coverage gate for the
-// observability layer: the canonical run must produce trace events from
-// every traced component and metrics from every model package.
+// observability layer: the canonical observed run must produce trace events
+// from every traced component and metrics from every model package.
 func TestObservedRunCoverage(t *testing.T) {
-	obs := ObservedRun()
+	m, tbuf := canonicalRun(nil)
 
 	comps := map[string]bool{}
-	for _, e := range obs.Trace.Events() {
+	for _, e := range tbuf.Events() {
 		comps[e.Component] = true
 	}
 	for _, want := range []string{"aP", "bus", "cache", "ctrl", "fw", "sP", "net", "blockxfer"} {
@@ -24,7 +47,7 @@ func TestObservedRunCoverage(t *testing.T) {
 
 	// Packages that emit metrics only (mem) — and everything else — must
 	// show up in the registry under their node/component paths.
-	paths := obs.Metrics.Paths()
+	paths := m.Metrics().Paths()
 	for _, prefix := range []string{
 		"net/", "node0/bus/", "node0/cache/", "node0/mem/",
 		"node0/ctrl/", "node0/fw/", "node0/aP",
@@ -34,10 +57,10 @@ func TestObservedRunCoverage(t *testing.T) {
 		}
 	}
 
-	if obs.SimTime <= 0 {
+	if m.Eng.Now() <= 0 {
 		t.Error("canonical run simulated no time")
 	}
-	if s := obs.Trace.Stats(); s.Captured == 0 {
+	if s := tbuf.Stats(); s.Captured == 0 {
 		t.Error("canonical run captured no trace events")
 	}
 }
@@ -46,12 +69,12 @@ func TestObservedRunCoverage(t *testing.T) {
 // artifacts.
 func TestObservedRunDeterministic(t *testing.T) {
 	render := func() ([]byte, []byte) {
-		obs := ObservedRun()
+		m, tbuf := canonicalRun(nil)
 		var tr, me bytes.Buffer
-		if err := obs.Trace.WritePerfetto(&tr); err != nil {
+		if err := tbuf.WritePerfetto(&tr); err != nil {
 			t.Fatalf("WritePerfetto: %v", err)
 		}
-		if err := obs.Metrics.WriteJSON(&me, obs.SimTime); err != nil {
+		if err := m.Metrics().WriteJSON(&me, m.Eng.Now()); err != nil {
 			t.Fatalf("WriteJSON: %v", err)
 		}
 		return tr.Bytes(), me.Bytes()

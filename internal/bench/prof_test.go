@@ -19,15 +19,15 @@ import (
 // an accounting hook leaked into modeled state.
 func TestProfilerInert(t *testing.T) {
 	render := func(profiler *prof.Profiler) ([]byte, []byte, sim.Time) {
-		obs := ObservedRunProf(1<<18, nil, profiler)
+		m, tbuf := canonicalRun(profiler)
 		var tr, me bytes.Buffer
-		if err := obs.Trace.WritePerfetto(&tr); err != nil {
+		if err := tbuf.WritePerfetto(&tr); err != nil {
 			t.Fatalf("WritePerfetto: %v", err)
 		}
-		if err := obs.Metrics.WriteJSON(&me, obs.SimTime); err != nil {
+		if err := m.Metrics().WriteJSON(&me, m.Eng.Now()); err != nil {
 			t.Fatalf("WriteJSON: %v", err)
 		}
-		return tr.Bytes(), me.Bytes(), obs.SimTime
+		return tr.Bytes(), me.Bytes(), m.Eng.Now()
 	}
 
 	tPlain, mPlain, simPlain := render(nil)
@@ -44,7 +44,7 @@ func TestProfilerInert(t *testing.T) {
 		t.Error("attaching the profiler changed the metrics export")
 	}
 	if !profiler.Finished() {
-		t.Fatal("ObservedRunProf did not finish the profiler")
+		t.Fatal("canonicalRun did not finish the profiler")
 	}
 	if doc := profiler.Doc(nil); doc.TotalNs == 0 {
 		t.Error("profiled run accounted no proc time")
@@ -68,32 +68,10 @@ func TestProfilerInertUnderFaults(t *testing.T) {
 		}
 		m := core.NewMachineConfig(cfg)
 		const msgs = 20
-		received := 0
-		sendersDone := 0
-		m.Go(0, "sink", func(p *sim.Proc, a *core.API) {
-			for {
-				if _, _, err := a.RecvReliableTimeout(p, m.RelBound()); err != nil {
-					if sendersDone == 2 {
-						return
-					}
-					continue
-				}
-				received++
-			}
-		})
-		for i := 1; i < 3; i++ {
-			m.Go(i, "src", func(p *sim.Proc, a *core.API) {
-				for k := 0; k < msgs; k++ {
-					if err := a.SendReliable(p, 0, []byte{byte(k)}); err != nil {
-						t.Errorf("SendReliable: %v", err)
-					}
-				}
-				sendersDone++
-			})
-		}
+		delivery := AllToOne{Mech: "reliable", Count: msgs, Size: 1}.Spawn(m)
 		m.Run()
-		if received != 2*msgs {
-			t.Fatalf("delivered %d of %d", received, 2*msgs)
+		if delivery.Received != 2*msgs || delivery.Failed != 0 {
+			t.Fatalf("delivered %d of %d, %d sends failed", delivery.Received, 2*msgs, delivery.Failed)
 		}
 		if profiler != nil {
 			profiler.Finish(m.Eng.Now())
@@ -120,7 +98,7 @@ func TestProfilerInertUnderFaults(t *testing.T) {
 func TestProfilerDeterministic(t *testing.T) {
 	render := func() ([]byte, []byte, []byte) {
 		profiler := prof.New()
-		ObservedRunProf(1<<18, nil, profiler)
+		canonicalRun(profiler)
 		doc := profiler.Doc(nil)
 		var js, folded, pb bytes.Buffer
 		if err := doc.WriteJSON(&js); err != nil {
@@ -153,11 +131,11 @@ func TestProfilerDeterministic(t *testing.T) {
 // formats, which derive from the same tree, agree on the total).
 func TestProfiledRunInvariants(t *testing.T) {
 	profiler := prof.New()
-	obs := ObservedRunProf(1<<18, nil, profiler)
+	m, _ := canonicalRun(profiler)
 	doc := profiler.Doc(nil)
 
-	if doc.SimNs != int64(obs.SimTime) {
-		t.Errorf("doc.SimNs = %d, run ended at %d", doc.SimNs, int64(obs.SimTime))
+	if doc.SimNs != int64(m.Eng.Now()) {
+		t.Errorf("doc.SimNs = %d, run ended at %d", doc.SimNs, int64(m.Eng.Now()))
 	}
 	var lifetimes int64
 	for _, p := range doc.Procs {

@@ -12,7 +12,7 @@ import (
 	"startvoyager/internal/stats"
 )
 
-// seriesScenario is the ISSUE acceptance run: a four-node reliable all-to-one
+// seriesScenario is the acceptance run: a four-node reliable all-to-one
 // workload under a 5% drop plan with the windowed sampler attached, rendered
 // to the series export and the voyager-stats report.
 func seriesScenario(t *testing.T) (*stats.SeriesDoc, []byte, []byte) {
@@ -26,27 +26,11 @@ func seriesScenario(t *testing.T) (*stats.SeriesDoc, []byte, []byte) {
 	m := core.NewMachineConfig(cfg)
 	sampler := m.Series(stats.SamplerConfig{Window: 20 * sim.Microsecond})
 
-	const msgs = 60
-	senders := 3
-	sendersDone := 0
-	m.Go(0, "sink", func(p *sim.Proc, a *core.API) {
-		for {
-			if _, _, err := a.RecvReliableTimeout(p, m.RelBound()); err != nil && sendersDone == senders {
-				return
-			}
-		}
-	})
-	for i := 1; i <= senders; i++ {
-		m.Go(i, "src", func(p *sim.Proc, a *core.API) {
-			for k := 0; k < msgs; k++ {
-				if err := a.SendReliable(p, 0, []byte{byte(k)}); err != nil {
-					t.Errorf("SendReliable: %v", err)
-				}
-			}
-			sendersDone++
-		})
-	}
+	delivery := AllToOne{Mech: "reliable", Count: 60, Size: 1}.Spawn(m)
 	m.Run()
+	if delivery.Failed != 0 {
+		t.Errorf("%d reliable sends failed", delivery.Failed)
+	}
 	sampler.Finish()
 
 	meta := &stats.RunMeta{Tool: "series-test", Mechanism: "reliable", Nodes: 4,
