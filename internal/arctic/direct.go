@@ -3,7 +3,6 @@ package arctic
 import (
 	"fmt"
 
-	"startvoyager/internal/fault"
 	"startvoyager/internal/sim"
 	"startvoyager/internal/stats"
 )
@@ -13,17 +12,11 @@ import (
 // testing higher layers in isolation from fat-tree effects, and as the
 // "perfect network" baseline for ablation benchmarks.
 type Direct struct {
-	eng     *sim.Engine
+	edge
 	latency sim.Time
 	flit    sim.Time // per-16B serialization; 0 = infinite bandwidth
-	nodes   int
-
-	endpoints []Endpoint
 	// chans[src*nodes+dst] serializes per-direction traffic.
-	chans   []*directChan
-	stats   Stats
-	latHist *stats.Histogram // end-to-end delivery latency (ns)
-	faults  *fault.Injector  // nil = ideal network
+	chans []*directChan
 }
 
 type directChan struct {
@@ -44,39 +37,17 @@ type directChan struct {
 // flitTime is nonzero, each (src,dst) direction serializes packets at 16
 // bytes per flitTime.
 func NewDirect(eng *sim.Engine, numNodes int, latency, flitTime sim.Time) *Direct {
-	d := &Direct{
-		eng:       eng,
-		latency:   latency,
-		flit:      flitTime,
-		nodes:     numNodes,
-		endpoints: make([]Endpoint, numNodes),
-		chans:     make([]*directChan, numNodes*numNodes),
-		latHist:   stats.NewHistogram(stats.ExpBounds(1000, 2, 12)...),
-	}
+	d := &Direct{latency: latency, flit: flitTime, chans: make([]*directChan, numNodes*numNodes)}
+	d.edge = newEdge(eng, numNodes, d.launch)
 	for i := range d.chans {
 		d.chans[i] = &directChan{d: d, dst: i % numNodes}
 	}
 	return d
 }
 
-// NumNodes returns the endpoint count.
-func (d *Direct) NumNodes() int { return d.nodes }
-
-// SetFaults attaches a fault injector; nil restores the ideal network.
-func (d *Direct) SetFaults(in *fault.Injector) { d.faults = in }
-
-// Stats returns a snapshot of delivery counters.
-func (d *Direct) Stats() Stats { return d.stats }
-
 // RegisterMetrics registers the fabric's counters under r.
 func (d *Direct) RegisterMetrics(r *stats.Registry) {
-	r.Gauge("injected", func() int64 { return int64(d.stats.Injected) })
-	r.Gauge("delivered", func() int64 { return int64(d.stats.Delivered) })
-	r.Gauge("bytes", func() int64 { return int64(d.stats.Bytes) })
-	r.Gauge("refusals", func() int64 { return int64(d.stats.Refusals) })
-	r.Gauge("high_pri", func() int64 { return int64(d.stats.ByPri[High]) })
-	r.Gauge("low_pri", func() int64 { return int64(d.stats.ByPri[Low]) })
-	r.Histogram("delivery_latency_ns", d.latHist)
+	d.registerMetrics(r)
 	lr := r.Child("link")
 	for i, c := range d.chans {
 		c := c
@@ -101,65 +72,9 @@ func (d *Direct) InFlight() int {
 	return n
 }
 
-// delivered updates delivery counters and emits the per-packet trace event.
-func (d *Direct) delivered(pkt *Packet) {
-	d.stats.Delivered++
-	d.stats.Bytes += uint64(pkt.Size)
-	lat := d.eng.Now() - pkt.injected
-	d.latHist.ObserveTime(lat)
-	if d.eng.Observed() {
-		d.eng.Instant(pkt.Dst, "net", "deliver",
-			traceFields([]sim.Field{
-				sim.Int("src", pkt.Src), sim.I64("lat_ns", int64(lat)),
-				sim.Int("size", pkt.Size)}, pkt.Trace)...)
-	}
-}
-
-// Attach registers the endpoint for node.
-func (d *Direct) Attach(node int, ep Endpoint) { d.endpoints[node] = ep }
-
-// Inject sends pkt after the channel latency.
-func (d *Direct) Inject(pkt *Packet) {
-	if pkt.Size <= HeaderBytes || pkt.Size > MaxPacketBytes {
-		panic(fmt.Sprintf("arctic: bad packet size %d", pkt.Size))
-	}
-	pkt.injected = d.eng.Now()
-	d.stats.Injected++
-	d.stats.ByPri[pkt.Priority]++
-	if d.eng.Observed() {
-		d.eng.Instant(pkt.Src, "net", "inject",
-			traceFields([]sim.Field{
-				sim.Int("dst", pkt.Dst), sim.Int("size", pkt.Size),
-				sim.Str("pri", pkt.Priority.String())}, pkt.Trace)...)
-	}
-	if d.faults != nil {
-		launch, delay := judgeFault(d.faults, pkt, func(dup *Packet) {
-			d.stats.Injected++
-			d.stats.ByPri[dup.Priority]++
-		})
-		if len(launch) == 0 && d.eng.Observed() && pkt.Trace.Traced() {
-			d.eng.Instant(pkt.Src, "net", "msg-drop",
-				traceFields([]sim.Field{sim.Str("why", "fault")}, pkt.Trace)...)
-		}
-		for _, lp := range launch {
-			d.launchAfter(lp, delay)
-		}
-		return
-	}
-	d.launchAfter(pkt, 0)
-}
-
-// launchAfter enters pkt into its directional channel, optionally after a
-// fault-injected extra latency.
-func (d *Direct) launchAfter(pkt *Packet, delay sim.Time) {
+// launch enters pkt into its directional channel.
+func (d *Direct) launch(pkt *Packet) {
 	ch := d.chans[pkt.Src*d.nodes+pkt.Dst]
-	if delay > 0 {
-		d.eng.Schedule(delay, func() {
-			ch.queue = append(ch.queue, pkt)
-			ch.kick()
-		})
-		return
-	}
 	ch.queue = append(ch.queue, pkt)
 	ch.kick()
 }
@@ -207,14 +122,6 @@ func (c *directChan) arrive(pkt *Packet) {
 	c.stalled = append(c.stalled, pkt)
 }
 
-// dropDead traces a packet killed at the delivery boundary (dead receiver).
-func (d *Direct) dropDead(pkt *Packet) {
-	if d.eng.Observed() && pkt.Trace.Traced() {
-		d.eng.Instant(pkt.Dst, "net", "msg-drop",
-			traceFields([]sim.Field{sim.Str("why", "dead")}, pkt.Trace)...)
-	}
-}
-
 // InjectReady always reports true: the ideal fabric buffers without bound.
 func (d *Direct) InjectReady(node int, pri Priority) bool { return true }
 
@@ -225,19 +132,8 @@ func (d *Direct) SetReadyHook(node int, fn func()) {}
 func (d *Direct) Poke(node int) {
 	for src := 0; src < d.nodes; src++ {
 		ch := d.chans[src*d.nodes+node]
-		for len(ch.stalled) > 0 {
-			pkt := ch.stalled[0]
-			if d.faults != nil && d.faults.DropOnDelivery(pkt.Dst) {
-				ch.stalled = ch.stalled[1:]
-				d.dropDead(pkt)
-				continue
-			}
-			if !d.endpoints[node].TryDeliver(pkt) {
-				d.stats.Refusals++
-				break
-			}
+		for len(ch.stalled) > 0 && d.tryDeliver(ch.stalled[0]) {
 			ch.stalled = ch.stalled[1:]
-			d.delivered(pkt)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package arctic
 import (
 	"fmt"
 
-	"startvoyager/internal/fault"
 	"startvoyager/internal/sim"
 	"startvoyager/internal/stats"
 )
@@ -51,31 +50,22 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Stats are fabric-wide delivery counters.
-type Stats struct {
-	Injected  uint64
-	Delivered uint64
-	Bytes     uint64
-	Refusals  uint64 // endpoint backpressure events
-	ByPri     [2]uint64
-}
-
 // FatTree is a k-ary n-tree fabric (the Arctic topology). Routing is
 // deterministic: packets ascend toward the nearest common ancestor level
 // using an up-link selected by the source's least-significant digit (so the
 // k leaves under a switch spread across its k up links), then descend
-// following the destination's digits. Each directed link serializes at the
+// following the destination's digits. Config.Adaptive swaps the up link for
+// the least-loaded one; both modes route each hop in the same step, as the
+// packet reaches the switch. Each directed link serializes at the
 // configured flit rate and arbitrates two priority lanes, High first.
 type FatTree struct {
-	eng    *sim.Engine
+	edge
 	cfg    Config
-	nodes  int // requested endpoint count
 	n      int // levels
 	k      int
 	width  int // k^(n-1): words per level
 	leaves int // k^n
 
-	endpoints  []Endpoint
 	inject     []*link
 	eject      []*link
 	links      []*link // every link, in construction order, for metrics
@@ -83,10 +73,6 @@ type FatTree struct {
 	// up[l][w*k+j]: switch(l+1, w) -> switch(l, w with digit l = j)
 	// down[l][w*k+i]: switch(l, w) -> switch(l+1, w with digit l = i)
 	up, down [][]*link
-
-	stats   Stats
-	latHist *stats.Histogram // end-to-end delivery latency (ns)
-	faults  *fault.Injector  // nil = fault-free fabric
 }
 
 // NewFatTree builds a fabric for numNodes endpoints (rounded up internally
@@ -102,17 +88,8 @@ func NewFatTree(eng *sim.Engine, numNodes int, cfg Config) *FatTree {
 		n++
 		leaves *= k
 	}
-	f := &FatTree{
-		eng:       eng,
-		cfg:       cfg,
-		nodes:     numNodes,
-		n:         n,
-		k:         k,
-		width:     leaves / k,
-		leaves:    leaves,
-		endpoints: make([]Endpoint, numNodes),
-		latHist:   stats.NewHistogram(stats.ExpBounds(1000, 2, 12)...),
-	}
+	f := &FatTree{cfg: cfg, n: n, k: k, width: leaves / k, leaves: leaves}
+	f.edge = newEdge(eng, numNodes, f.launch)
 	f.readyHooks = make([]func(), numNodes)
 	f.inject = make([]*link, numNodes)
 	f.eject = make([]*link, numNodes)
@@ -142,9 +119,6 @@ func NewFatTree(eng *sim.Engine, numNodes int, cfg Config) *FatTree {
 	return f
 }
 
-// NumNodes returns the number of attachable endpoints.
-func (f *FatTree) NumNodes() int { return f.nodes }
-
 // Levels returns the number of switch levels in the tree.
 func (f *FatTree) Levels() int { return f.n }
 
@@ -152,21 +126,9 @@ func (f *FatTree) Levels() int { return f.n }
 // per-node injection and ejection links.
 func (f *FatTree) NumLinks() int { return len(f.links) }
 
-// SetFaults attaches a fault injector; nil restores the fault-free fabric.
-func (f *FatTree) SetFaults(in *fault.Injector) { f.faults = in }
-
-// Stats returns a snapshot of fabric counters.
-func (f *FatTree) Stats() Stats { return f.stats }
-
 // RegisterMetrics registers the fabric's counters under r.
 func (f *FatTree) RegisterMetrics(r *stats.Registry) {
-	r.Gauge("injected", func() int64 { return int64(f.stats.Injected) })
-	r.Gauge("delivered", func() int64 { return int64(f.stats.Delivered) })
-	r.Gauge("bytes", func() int64 { return int64(f.stats.Bytes) })
-	r.Gauge("refusals", func() int64 { return int64(f.stats.Refusals) })
-	r.Gauge("high_pri", func() int64 { return int64(f.stats.ByPri[High]) })
-	r.Gauge("low_pri", func() int64 { return int64(f.stats.ByPri[Low]) })
-	r.Histogram("delivery_latency_ns", f.latHist)
+	f.registerMetrics(r)
 	lr := r.Child("link")
 	for _, l := range f.links {
 		l := l
@@ -264,34 +226,10 @@ func (f *FatTree) CheckLanes() error {
 	return nil
 }
 
-// delivered updates delivery counters and emits the per-packet trace event;
-// both acceptance paths (first try and post-Poke retry) funnel through it.
-func (f *FatTree) delivered(pkt *Packet) {
-	f.stats.Delivered++
-	f.stats.Bytes += uint64(pkt.Size)
-	lat := f.eng.Now() - pkt.injected
-	f.latHist.ObserveTime(lat)
-	if f.eng.Observed() {
-		f.eng.Instant(pkt.Dst, "net", "deliver",
-			traceFields([]sim.Field{
-				sim.Int("src", pkt.Src), sim.I64("lat_ns", int64(lat)),
-				sim.Int("size", pkt.Size)}, pkt.Trace)...)
-	}
-}
-
-// dropDead traces a packet killed at the delivery boundary (dead receiver).
-func (f *FatTree) dropDead(pkt *Packet) {
-	if f.eng.Observed() && pkt.Trace.Traced() {
-		f.eng.Instant(pkt.Dst, "net", "msg-drop",
-			traceFields([]sim.Field{sim.Str("why", "dead")}, pkt.Trace)...)
-	}
-}
-
-// Attach registers the endpoint for node.
-func (f *FatTree) Attach(node int, ep Endpoint) { f.endpoints[node] = ep }
-
 // digit returns base-k digit at position pos (0 = most significant of n
 // digits) of leaf address p.
+//
+//voyager:noalloc
 func (f *FatTree) digit(p, pos int) int {
 	div := 1
 	for i := 0; i < f.n-1-pos; i++ {
@@ -302,6 +240,8 @@ func (f *FatTree) digit(p, pos int) int {
 
 // setWordDigit returns word w with its digit at position pos (0 = most
 // significant of n-1 digits) replaced by v.
+//
+//voyager:noalloc
 func (f *FatTree) setWordDigit(w, pos, v int) int {
 	div := 1
 	for i := 0; i < f.n-2-pos; i++ {
@@ -311,35 +251,16 @@ func (f *FatTree) setWordDigit(w, pos, v int) int {
 	return w + (v-old)*div
 }
 
-// path computes the deterministic link sequence from src to dst.
-func (f *FatTree) path(src, dst int) []*link {
-	links := []*link{f.inject[src]}
-	lca := f.lcaLevel(src, dst)
-	w := src / f.k // word of the leaf-adjacent switch
-	j := f.digit(src, f.n-1)
-	for l := f.n - 2; l >= lca; l-- { // ascend
-		if f.cfg.Adaptive {
-			j = f.bestUp(l, w)
-		}
-		links = append(links, f.up[l][w*f.k+j])
-		w = f.setWordDigit(w, l, j)
-	}
-	for l := lca; l <= f.n-2; l++ { // descend
-		i := f.digit(dst, l)
-		links = append(links, f.down[l][w*f.k+i])
-		w = f.setWordDigit(w, l, i)
-	}
-	return append(links, f.eject[dst])
-}
-
 // bestUp picks the up-link out of switch (l+1, w) with the least queued
 // work (ties broken by port index, keeping the simulation deterministic).
+//
+//voyager:noalloc
 func (f *FatTree) bestUp(l, w int) int {
 	best, bestLoad := 0, int(^uint(0)>>1)
 	for j := 0; j < f.k; j++ {
 		lk := f.up[l][w*f.k+j]
 		load := len(lk.queues[High]) + len(lk.queues[Low])
-		if lk.busy {
+		if lk.ser != nil {
 			load++
 		}
 		if load < bestLoad {
@@ -350,61 +271,51 @@ func (f *FatTree) bestUp(l, w int) int {
 }
 
 // HopCount returns the number of links a packet from src to dst traverses
-// (including injection and ejection links).
-func (f *FatTree) HopCount(src, dst int) int { return len(f.path(src, dst)) }
+// (including injection and ejection links): as many up links as down links
+// around the nearest common ancestor.
+func (f *FatTree) HopCount(src, dst int) int { return 2*(f.n-1-f.lcaLevel(src, dst)) + 2 }
 
-// Inject sends pkt from pkt.Src toward pkt.Dst.
-func (f *FatTree) Inject(pkt *Packet) {
-	if pkt.Size <= HeaderBytes || pkt.Size > MaxPacketBytes {
-		panic(fmt.Sprintf("arctic: bad packet size %d", pkt.Size))
-	}
-	if pkt.Dst < 0 || pkt.Dst >= f.nodes || pkt.Src < 0 || pkt.Src >= f.nodes {
-		panic(fmt.Sprintf("arctic: bad src/dst %d->%d", pkt.Src, pkt.Dst))
-	}
-	pkt.injected = f.eng.Now()
-	f.stats.Injected++
-	f.stats.ByPri[pkt.Priority]++
-	if f.eng.Observed() {
-		f.eng.Instant(pkt.Src, "net", "inject",
-			traceFields([]sim.Field{
-				sim.Int("dst", pkt.Dst), sim.Int("size", pkt.Size),
-				sim.Str("pri", pkt.Priority.String())}, pkt.Trace)...)
-	}
-	if f.faults != nil {
-		launch, delay := judgeFault(f.faults, pkt, func(dup *Packet) {
-			f.stats.Injected++
-			f.stats.ByPri[dup.Priority]++
-		})
-		if len(launch) == 0 && f.eng.Observed() && pkt.Trace.Traced() {
-			f.eng.Instant(pkt.Src, "net", "msg-drop",
-				traceFields([]sim.Field{sim.Str("why", "fault")}, pkt.Trace)...)
-		}
-		for _, lp := range launch {
-			lp := lp
-			if delay > 0 {
-				f.eng.Schedule(delay, func() { f.launch(lp) })
-			} else {
-				f.launch(lp)
-			}
-		}
-		return
-	}
-	f.launch(pkt)
+// launch enters a (fault-approved) packet into the routed fabric at the
+// leaf switch above its source, over the source's injection link.
+//
+//voyager:noalloc
+func (f *FatTree) launch(pkt *Packet) {
+	pkt.lvl, pkt.word = f.n-1, pkt.Src/f.k
+	pkt.climb = f.n - 1 - f.lcaLevel(pkt.Src, pkt.Dst)
+	pkt.readyAt = 0
+	f.inject[pkt.Src].enqueueOrWait(pkt, nil)
 }
 
-// launch enters a (fault-approved) packet into the routed fabric.
-func (f *FatTree) launch(pkt *Packet) {
-	if f.cfg.Adaptive {
-		lca := f.lcaLevel(pkt.Src, pkt.Dst)
-		entry := &linkEntry{pkt: pkt}
-		entry.advance = func(from *link) {
-			f.adaptiveStep(pkt, f.n-1, pkt.Src/f.k, lca, lca < f.n-1, from)
+// forward moves pkt, just serialized over from, on by one hop, choosing the
+// next link from the packet's position the way an Arctic router reads the
+// header: up while it still climbs toward the nearest common ancestor (on
+// the source's last digit, or under Adaptive on the least-loaded up link
+// as the switch sees it now), then down on the destination's digits, then
+// out the ejection link. from stays blocked until that link admits pkt.
+//
+//voyager:noalloc
+func (f *FatTree) forward(pkt *Packet, from *link) {
+	var next *link
+	switch {
+	case pkt.climb > 0:
+		j := f.digit(pkt.Src, f.n-1)
+		if f.cfg.Adaptive {
+			j = f.bestUp(pkt.lvl-1, pkt.word)
 		}
-		f.inject[pkt.Src].enqueueOrWait(entry, nil)
-		return
+		pkt.lvl--
+		pkt.climb--
+		next = f.up[pkt.lvl][pkt.word*f.k+j]
+		pkt.word = f.setWordDigit(pkt.word, pkt.lvl, j)
+	case pkt.lvl < f.n-1:
+		i := f.digit(pkt.Dst, pkt.lvl)
+		next = f.down[pkt.lvl][pkt.word*f.k+i]
+		pkt.word = f.setWordDigit(pkt.word, pkt.lvl, i)
+		pkt.lvl++
+	default:
+		next = f.eject[pkt.Dst]
 	}
-	route := f.path(pkt.Src, pkt.Dst)
-	f.walk(pkt, route, 0, nil)
+	pkt.readyAt = f.eng.Now() + f.cfg.RouterLatency
+	next.enqueueOrWait(pkt, from)
 }
 
 // InjectReady reports whether node's injection link can take more traffic
@@ -420,6 +331,8 @@ func (f *FatTree) InjectReady(node int, pri Priority) bool {
 func (f *FatTree) SetReadyHook(node int, fn func()) { f.readyHooks[node] = fn }
 
 // lcaLevel returns the nearest-common-ancestor switch level of two leaves.
+//
+//voyager:noalloc
 func (f *FatTree) lcaLevel(src, dst int) int {
 	for pos := 0; pos < f.n-1; pos++ {
 		if f.digit(src, pos) != f.digit(dst, pos) {
@@ -429,49 +342,13 @@ func (f *FatTree) lcaLevel(src, dst int) int {
 	return f.n - 1
 }
 
-// adaptiveStep routes one hop at a time, choosing the least-loaded up link
-// at each ascent — the decision is made when the packet actually reaches
-// the switch, not at injection.
-func (f *FatTree) adaptiveStep(pkt *Packet, cl, w, lca int, ascending bool, from *link) {
-	rdy := f.eng.Now() + f.cfg.RouterLatency
-	switch {
-	case ascending && cl > lca:
-		j := f.bestUp(cl-1, w)
-		nw := f.setWordDigit(w, cl-1, j)
-		nl := cl - 1
-		entry := &linkEntry{pkt: pkt, readyAt: rdy}
-		entry.advance = func(from *link) { f.adaptiveStep(pkt, nl, nw, lca, nl > lca, from) }
-		f.up[cl-1][w*f.k+j].enqueueOrWait(entry, from)
-	case cl < f.n-1:
-		i := f.digit(pkt.Dst, cl)
-		nw := f.setWordDigit(w, cl, i)
-		nl := cl + 1
-		entry := &linkEntry{pkt: pkt, readyAt: rdy}
-		entry.advance = func(from *link) { f.adaptiveStep(pkt, nl, nw, lca, false, from) }
-		f.down[cl][w*f.k+i].enqueueOrWait(entry, from)
-	default:
-		f.eject[pkt.Dst].enqueueOrWait(&linkEntry{pkt: pkt, readyAt: rdy}, from)
-	}
-}
-
-// walk enqueues pkt on route[hop] and continues the traversal as each hop
-// admits it.
-func (f *FatTree) walk(pkt *Packet, route []*link, hop int, from *link) {
-	entry := &linkEntry{pkt: pkt}
-	if hop > 0 {
-		entry.readyAt = f.eng.Now() + f.cfg.RouterLatency
-	}
-	if hop+1 < len(route) {
-		entry.advance = func(from *link) { f.walk(pkt, route, hop+1, from) }
-	}
-	route[hop].enqueueOrWait(entry, from)
-}
-
 // Poke retries deliveries previously refused by node's endpoint.
 func (f *FatTree) Poke(node int) { f.eject[node].poke() }
 
 // serTime returns link serialization time for a packet of size bytes,
 // rounded up to whole flits.
+//
+//voyager:noalloc
 func (f *FatTree) serTime(size int) sim.Time {
 	flits := (size + f.cfg.FlitBytes - 1) / f.cfg.FlitBytes
 	return sim.Time(flits) * f.cfg.FlitTime
@@ -493,13 +370,17 @@ type link struct {
 	port   int16
 	word   int32
 	node   int32 // owning node for inject/eject links
-	queues [numPriorities][]*linkEntry
+	queues [numPriorities][]*Packet
 	// blocked holds a serialized packet awaiting downstream admission (or
 	// endpoint acceptance); its lane cannot serialize further packets.
-	blocked [numPriorities]*linkEntry
+	blocked [numPriorities]*Packet
 	// waiters are upstream packets waiting for a lane slot here.
-	waiters [numPriorities][]*creditWaiter
-	busy    bool
+	waiters [numPriorities][]*Packet
+	ser     *Packet // the packet on the wire; nil while the link is idle
+
+	// Event callbacks, bound on the link's first kick so that a link which
+	// never carries traffic allocates none.
+	kickFn, serDoneFn func()
 
 	// Per-link telemetry: wire occupancy, and credit stalls — packets that
 	// found their lane full and had to wait for a slot. stallCnt.Events
@@ -509,22 +390,6 @@ type link struct {
 	// per-window utilization and credit-stall series voyager-stats renders.
 	busyNs   sim.Time
 	stallCnt stats.Counter
-}
-
-type linkEntry struct {
-	pkt *Packet
-	// advance moves the packet to its next hop (nil on the ejection hop);
-	// it receives the link it is leaving so admission can unblock it.
-	advance func(from *link)
-	// readyAt delays serialization start by the router decision latency
-	// without holding the upstream lane (cut-through-style overlap).
-	readyAt sim.Time
-}
-
-type creditWaiter struct {
-	entry *linkEntry
-	from  *link    // upstream link to unblock on admission (nil at injection)
-	since sim.Time // when the stall began, for stalled-time attribution
 }
 
 // Link kinds (see link.kind).
@@ -559,12 +424,24 @@ func (l *link) name() string {
 	}
 }
 
+// popFront removes q's head in place, keeping the backing array, so a lane
+// never holds more than LaneCapacity slots.
+//
+//voyager:noalloc
+func popFront(q []*Packet) []*Packet {
+	n := copy(q, q[1:])
+	q[n] = nil
+	return q[:n]
+}
+
 // enqueueOrWait admits the packet if the lane has room, otherwise registers
 // it as a credit waiter; from (if non-nil) stays blocked until admission.
-func (l *link) enqueueOrWait(e *linkEntry, from *link) {
-	pr := e.pkt.Priority
+//
+//voyager:noalloc
+func (l *link) enqueueOrWait(pkt *Packet, from *link) {
+	pr := pkt.Priority
 	if len(l.queues[pr]) < l.f.cfg.LaneCapacity {
-		l.queues[pr] = append(l.queues[pr], e)
+		l.queues[pr] = append(l.queues[pr], pkt) //voyager:alloc-ok(amortized: the lane grows once to LaneCapacity and is reused)
 		if from != nil {
 			from.unblock(pr)
 		}
@@ -573,11 +450,14 @@ func (l *link) enqueueOrWait(e *linkEntry, from *link) {
 		return
 	}
 	l.stallCnt.Events++
-	l.waiters[pr] = append(l.waiters[pr], &creditWaiter{entry: e, from: from, since: l.f.eng.Now()})
+	pkt.from, pkt.since = from, l.f.eng.Now()
+	l.waiters[pr] = append(l.waiters[pr], pkt) //voyager:alloc-ok(amortized: waiter list backing array is retained)
 }
 
 // unblock clears the lane's downstream-wait state and restarts the
 // serializer.
+//
+//voyager:noalloc
 func (l *link) unblock(pr Priority) {
 	l.blocked[pr] = nil
 	l.kick()
@@ -586,95 +466,90 @@ func (l *link) unblock(pr Priority) {
 // kick starts serializing the next eligible packet, High lane first; a lane
 // with a packet still awaiting downstream admission (or endpoint
 // acceptance) is skipped.
+//
+//voyager:noalloc
 func (l *link) kick() {
-	if l.busy {
+	if l.ser != nil {
 		return
+	}
+	if l.kickFn == nil {
+		l.kickFn, l.serDoneFn = l.kick, l.serDone //voyager:alloc-ok(one-time method binding on the link's first kick)
 	}
 	for pr := Priority(0); pr < numPriorities; pr++ {
 		if l.blocked[pr] != nil || len(l.queues[pr]) == 0 {
 			continue
 		}
-		entry := l.queues[pr][0]
-		if entry.readyAt > l.f.eng.Now() {
+		pkt := l.queues[pr][0]
+		if pkt.readyAt > l.f.eng.Now() {
 			// The head is still in the router pipeline; try again when it
 			// emerges (the other lane may proceed meanwhile).
-			l.f.eng.At(entry.readyAt, l.kick)
+			l.f.eng.At(pkt.readyAt, l.kickFn)
 			continue
 		}
-		l.queues[pr] = l.queues[pr][1:]
+		l.queues[pr] = popFront(l.queues[pr])
+		l.ser = pkt
 		l.admitWaiter(pr)
-		l.busy = true
-		l.busyNs += l.f.serTime(entry.pkt.Size)
-		l.f.eng.Schedule(l.f.serTime(entry.pkt.Size), func() {
-			l.busy = false
-			l.afterSer(entry)
-			l.kick()
-		})
+		ser := l.f.serTime(pkt.Size)
+		l.busyNs += ser
+		l.f.eng.Schedule(ser, l.serDoneFn)
 		return
 	}
 }
 
+// serDone runs when the wire is done with the packet: the link frees up,
+// the packet moves on, and the next one may start.
+//
+//voyager:noalloc
+func (l *link) serDone() {
+	pkt := l.ser
+	l.ser = nil
+	l.afterSer(pkt)
+	l.kick()
+}
+
 // admitWaiter moves one credit waiter into the freed lane slot.
+//
+//voyager:noalloc
 func (l *link) admitWaiter(pr Priority) {
 	if len(l.waiters[pr]) == 0 {
 		l.maybeReady()
 		return
 	}
-	w := l.waiters[pr][0]
-	l.waiters[pr] = l.waiters[pr][1:]
-	l.stallCnt.Amount += uint64(l.f.eng.Now() - w.since)
-	l.queues[pr] = append(l.queues[pr], w.entry)
-	if w.from != nil {
-		w.from.unblock(pr)
+	pkt := l.waiters[pr][0]
+	l.waiters[pr] = popFront(l.waiters[pr])
+	l.stallCnt.Amount += uint64(l.f.eng.Now() - pkt.since)
+	l.queues[pr] = append(l.queues[pr], pkt) //voyager:alloc-ok(amortized: the slot just freed keeps the lane within its capacity)
+	if pkt.from != nil {
+		pkt.from.unblock(pr)
 	}
 	l.maybeReady()
 }
 
 // afterSer runs when the wire is done with the packet: deliver (ejection)
 // or advance toward the next hop, blocking the lane until it is accepted.
-func (l *link) afterSer(e *linkEntry) {
-	pr := e.pkt.Priority
-	if l.kind == lkEject {
-		if l.f.faults != nil && l.f.faults.DropOnDelivery(e.pkt.Dst) {
-			l.f.dropDead(e.pkt)
-			return // dead destination: the packet dies, the lane stays free
-		}
-		ep := l.f.endpoints[l.node]
-		if ep == nil {
-			panic("arctic: delivery to unattached node " + l.name())
-		}
-		if ep.TryDeliver(e.pkt) {
-			l.f.delivered(e.pkt)
-			return
-		}
-		l.f.stats.Refusals++
-		l.blocked[pr] = e
+//
+//voyager:noalloc
+func (l *link) afterSer(pkt *Packet) {
+	if l.kind != lkEject {
+		l.blocked[pkt.Priority] = pkt
+		l.f.forward(pkt, l)
 		return
 	}
-	l.blocked[pr] = e
-	e.advance(l)
+	// A dead destination's packet dies here and leaves the lane free.
+	if !l.f.tryDeliver(pkt) {
+		l.blocked[pkt.Priority] = pkt
+	}
 }
 
 // poke retries endpoint delivery of stalled packets (ejection links).
+//
+//voyager:noalloc
 func (l *link) poke() {
 	progressed := false
 	for pr := Priority(0); pr < numPriorities; pr++ {
-		e := l.blocked[pr]
-		if e == nil {
-			continue
-		}
-		if l.f.faults != nil && l.f.faults.DropOnDelivery(e.pkt.Dst) {
+		if pkt := l.blocked[pr]; pkt != nil && l.f.tryDeliver(pkt) {
 			l.blocked[pr] = nil
-			l.f.dropDead(e.pkt)
 			progressed = true
-			continue
-		}
-		if l.f.endpoints[l.node].TryDeliver(e.pkt) {
-			l.blocked[pr] = nil
-			l.f.delivered(e.pkt)
-			progressed = true
-		} else {
-			l.f.stats.Refusals++
 		}
 	}
 	if progressed {
@@ -684,6 +559,8 @@ func (l *link) poke() {
 
 // maybeReady fires the node's injection-ready hook when an injection link
 // regains room (the NIU-side flow control signal).
+//
+//voyager:noalloc
 func (l *link) maybeReady() {
 	if l.kind != lkInject {
 		return
@@ -695,6 +572,8 @@ func (l *link) maybeReady() {
 }
 
 // injectReady reports whether the lane can take another packet.
+//
+//voyager:noalloc
 func (l *link) injectReady(pr Priority) bool {
 	return len(l.queues[pr]) < l.f.cfg.LaneCapacity && len(l.waiters[pr]) == 0
 }

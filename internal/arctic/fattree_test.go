@@ -3,6 +3,7 @@ package arctic
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -230,27 +231,54 @@ type selectiveEndpoint struct{ accept func(*Packet) bool }
 
 func (s *selectiveEndpoint) TryDeliver(p *Packet) bool { return s.accept(p) }
 
+// TestBadPacketPanics: both fabrics reject a malformed packet at Inject
+// with a named panic, before it reaches their links.
 func TestBadPacketPanics(t *testing.T) {
-	eng, f, _ := buildTree(t, 4)
-	for _, size := range []int{0, 8, 97} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("no panic for size %d", size)
-				}
+	eng, tree, _ := buildTree(t, 4)
+	direct := NewDirect(eng, 4, 100, 0)
+	bad := []Packet{{Src: 0, Dst: 1, Size: 0}, {Src: 0, Dst: 1, Size: 8}, {Src: 0, Dst: 1, Size: 97},
+		{Src: 0, Dst: 99, Size: 96}, {Src: -1, Dst: 1, Size: 96}}
+	for _, f := range []Fabric{tree, direct} {
+		for _, pkt := range bad {
+			pkt := pkt
+			func() {
+				defer func() {
+					if r := recover(); !strings.HasPrefix(fmt.Sprint(r), "arctic: bad ") {
+						t.Errorf("%T: Inject(%d->%d, %d bytes) panicked with %v, want an arctic: bad ... panic",
+							f, pkt.Src, pkt.Dst, pkt.Size, r)
+					}
+				}()
+				f.Inject(&pkt)
 			}()
-			f.Inject(&Packet{Src: 0, Dst: 1, Size: size})
-		}()
+		}
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("no panic for bad dst")
-			}
-		}()
-		f.Inject(&Packet{Src: 0, Dst: 99, Size: 96})
-	}()
 	eng.Run()
+}
+
+// TestHopPathAllocs pins the fat tree's per-hop path at zero allocations:
+// on a warmed 64-node tree, one packet from 0 to 63 (six links), injected
+// and drained, allocates nothing in either routing mode.
+func TestHopPathAllocs(t *testing.T) {
+	for _, adaptive := range []bool{false, true} {
+		eng := sim.NewEngine()
+		cfg := DefaultConfig()
+		cfg.Adaptive = adaptive
+		f := NewFatTree(eng, 64, cfg)
+		f.Attach(63, EndpointFunc(func(*Packet) {}))
+		var pkt Packet
+		send := func() {
+			pkt = Packet{Src: 0, Dst: 63, Priority: Low, Size: 96}
+			f.Inject(&pkt)
+			eng.Run()
+		}
+		send() // warm-up: grows the route's lanes and binds its links' callbacks
+		if f.HopCount(0, 63) != 6 || f.Stats().Delivered != 1 {
+			t.Fatalf("adaptive=%v: warm-up packet took %d hops, delivered %d", adaptive, f.HopCount(0, 63), f.Stats().Delivered)
+		}
+		if got := testing.AllocsPerRun(100, send); got != 0 {
+			t.Errorf("adaptive=%v: a 6-hop packet allocates %v times, want 0", adaptive, got)
+		}
+	}
 }
 
 // Property: for random tree sizes and node pairs, every injected packet is

@@ -40,6 +40,11 @@ const (
 
 // Packet is one Arctic network packet. Payload is opaque to the network; the
 // NIU layers attach their message representation to it.
+//
+// The fabric owns a packet from Fabric.Inject until it is delivered or
+// dropped, and carries its route state in it the way a router carries the
+// route in the header: inject a fresh packet each time, and leave it alone
+// while it is in flight.
 type Packet struct {
 	Src, Dst int
 	Priority Priority
@@ -54,6 +59,15 @@ type Packet struct {
 	Trace sim.MsgTag
 
 	injected sim.Time
+
+	// Fat-tree hop state. The packet is at switch (lvl, word) and still
+	// has climb up links to take before it turns down toward Dst.
+	lvl, word, climb int
+	readyAt          sim.Time // router pipeline done: serialization may start
+	// While the packet waits for a lane slot: the upstream link it holds
+	// blocked, and when the credit stall began.
+	from  *link
+	since sim.Time
 }
 
 // InjectedAt returns the time the packet entered the fabric (set by the
@@ -92,7 +106,8 @@ type Fabric interface {
 	// Attach registers the endpoint for a node. Must be called before the
 	// first delivery to that node.
 	Attach(node int, ep Endpoint)
-	// Inject sends a packet from pkt.Src toward pkt.Dst.
+	// Inject sends a packet from pkt.Src toward pkt.Dst. The fabric owns
+	// pkt until it is delivered or dropped: pass a fresh packet each time.
 	Inject(pkt *Packet)
 	// Poke tells the fabric that node's endpoint, having previously refused
 	// a delivery, may now accept; the fabric retries stalled packets.

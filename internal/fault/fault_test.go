@@ -285,6 +285,20 @@ func TestJudgeNodeDeath(t *testing.T) {
 	}
 }
 
+// TestDropOnDeliveryAllocs pins the delivery-boundary check, which the fat
+// tree's alloc-free hop path calls on every ejection while a plan is
+// attached, at zero allocations for a live and a dead destination alike
+// (unobserved engine).
+func TestDropOnDeliveryAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	in := NewInjector(eng, Plan{Seed: 1, Deaths: []NodeDeath{{Node: 1, At: 0}}})
+	for _, dst := range []int{0, 1} {
+		if got := testing.AllocsPerRun(100, func() { in.DropOnDelivery(dst) }); got != 0 {
+			t.Errorf("DropOnDelivery(%d) allocates %v times, want 0", dst, got)
+		}
+	}
+}
+
 func TestJudgeDuplicateCopiesWire(t *testing.T) {
 	plan := Plan{Seed: 2}
 	plan.SetAllLanes(LaneProbs{Duplicate: 1})

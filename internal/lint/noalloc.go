@@ -81,6 +81,7 @@ var noallocAllowlist = map[string]bool{
 	"startvoyager/internal/sim.Hex":                 true,
 	"(startvoyager/internal/sim.Span).End":          true,
 	"(*startvoyager/internal/sim.Engine).NewMsgID":  true,
+	"(startvoyager/internal/sim.MsgTag).Traced":     true,
 	// Profiler hooks: no-ops without a profiler; the internal/prof
 	// implementations are //voyager:noalloc with an AllocsPerRun pin
 	// (interface dispatch cannot be checked statically).
@@ -126,6 +127,12 @@ var noallocAllowlist = map[string]bool{
 	"startvoyager/internal/niu/ctrl.SlotOffset":               true,
 	"startvoyager/internal/niu/txrx.EncodeInto":               true,
 	"startvoyager/internal/niu/txrx.DecodeInto":               true,
+	// Fabric delivery boundary, crossed by the fat tree's hop path: the
+	// Endpoint implementations are pinned by TestHopPathAllocs
+	// (internal/arctic) and TestBasicMsgChainAllocs, DropOnDelivery by
+	// TestDropOnDeliveryAllocs (internal/fault).
+	"(startvoyager/internal/arctic.Endpoint).TryDeliver":     true,
+	"(*startvoyager/internal/fault.Injector).DropOnDelivery": true,
 	// NIU interface ports: implementations are audited by the same budget
 	// tests (interface dispatch cannot be checked statically).
 	"(startvoyager/internal/niu/ctrl.NetPort).Inject":        true,

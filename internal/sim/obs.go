@@ -154,6 +154,8 @@ type MsgTag struct {
 }
 
 // Traced reports whether the tag identifies a traced message.
+//
+//voyager:noalloc
 func (t MsgTag) Traced() bool { return t.ID != 0 }
 
 // NewMsgID allocates the next deterministic message id, or 0 when no
