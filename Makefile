@@ -4,7 +4,7 @@
 #   make lint        gofmt + go vet + voyager-vet analyzer suite + race tests
 #   make vet-json    voyager-vet findings as JSON -> VET_findings.json
 #   make bench-json  canonical instrumented run -> BENCH_observability.json (+ trace)
-#   make bench-diff  headline latencies vs BENCH_baseline.json (fail on >10% regression)
+#   make bench-diff  headline latencies byte-compared to BENCH_baseline.json
 #   make faults      fault-injection smoke matrix -> FAULTS_matrix.json
 #   make faults-check  parallel (-parallel 4) fault matrix byte-compared to sequential
 #   make bench-micro   simulation-core microbenchmarks -> BENCH_micro.json
@@ -68,10 +68,14 @@ bench-json:
 	$(GO) run ./cmd/voyager-bench -fig none \
 		-metrics BENCH_observability.json -trace TRACE_observability.json
 
-# Headline latency regression gate: recompute the per-mechanism traced
-# end-to-end means and fail if any exceeds the committed baseline by >10%.
+# Headline latency gate: recompute the per-mechanism traced end-to-end
+# means and byte-compare them with the committed baseline. They are
+# deterministic, so any change, faster or slower, fails until
+# `make bench-baseline` refreshes the file on purpose.
 bench-diff:
-	$(GO) run ./cmd/voyager-bench -fig none -diff BENCH_baseline.json
+	$(GO) run ./cmd/voyager-bench -fig none -headline /tmp/BENCH_baseline.json
+	cmp /tmp/BENCH_baseline.json BENCH_baseline.json
+	@echo "bench-diff: headline latencies match BENCH_baseline.json"
 
 # Refresh the committed baseline after an intentional performance change.
 bench-baseline:

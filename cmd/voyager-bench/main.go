@@ -6,7 +6,7 @@
 //	voyager-bench [-fig 3|4|ext-a|ext-b|ext-c|all|none] [-max-size bytes]
 //	              [-trace file.json] [-metrics file.json] [-trace-cap n]
 //	              [-series file.json] [-series-window 20us] [-strict-trace]
-//	              [-headline file.json] [-diff baseline.json]
+//	              [-headline file.json]
 //	              [-fault-matrix] [-fault-seeds 1,2,3] [-faults-json file.json]
 //	              [-parallel n] [-micro file.json]
 //	              [-scale file.json] [-scale-diff baseline.json] [-nodes 64,256,1024]
@@ -22,10 +22,10 @@
 // or -strict-trace, and -metrics or -series alone carry no trace/ gauges.
 //
 // -headline writes the deterministic headline latencies (mean traced
-// end-to-end latency per MP mechanism) as JSON; -diff recomputes them and
-// exits nonzero if any latency regressed more than 10% against the given
-// baseline file. BENCH_baseline.json in the repo root is the committed
-// baseline that CI diffs against (regenerate with make bench-baseline).
+// end-to-end latency per MP mechanism) as JSON. BENCH_baseline.json in the
+// repo root is the committed copy: `make bench-diff` writes a fresh one and
+// byte-compares it, so any change fails CI until `make bench-baseline`
+// refreshes the file on purpose.
 //
 // -fault-matrix runs the reliability smoke matrix (drop, corrupt, outage and
 // node-death scenarios at each seed in -fault-seeds); -faults-json writes
@@ -60,7 +60,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -74,7 +73,6 @@ func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 3, 4, ext-a..ext-l, all, none")
 	maxSize := flag.Int("max-size", 256<<10, "largest transfer size in the sweep")
 	headlineFile := flag.String("headline", "", "write the headline per-mechanism latencies as JSON")
-	diffBase := flag.String("diff", "", "diff headline latencies against this baseline JSON; exit 1 on >10% regression")
 	faultMatrix := flag.Bool("fault-matrix", false, "run the fault-injection smoke matrix")
 	faultSeeds := flag.String("fault-seeds", "1,2,3", "comma-separated fault seeds for the matrix")
 	faultMsgs := flag.Int("fault-msgs", 30, "reliable messages per fault-matrix cell")
@@ -109,18 +107,10 @@ func main() {
 		}
 		ran = true
 	}
-	if *headlineFile != "" || *diffBase != "" {
+	if *headlineFile != "" {
 		latencies := bench.HeadlineLatencies(*parallelN)
-		if *headlineFile != "" {
-			bench.WriteFile(*headlineFile, func(w io.Writer) error { return writeHeadline(w, latencies) })
-			fmt.Printf("headline: %s\n", *headlineFile)
-		}
-		if *diffBase != "" {
-			if !diffHeadline(*diffBase, latencies) {
-				stopProfiles()
-				os.Exit(1)
-			}
-		}
+		bench.WriteFile(*headlineFile, func(w io.Writer) error { return bench.WriteHeadline(w, latencies) })
+		fmt.Printf("headline: %s\n", *headlineFile)
 		ran = true
 	}
 	var nodeCounts []int
@@ -230,69 +220,6 @@ func main() {
 		stopProfiles()
 		os.Exit(2)
 	}
-}
-
-// headlineDoc is the on-disk shape of BENCH_baseline.json: the deterministic
-// headline latencies, keyed "<mechanism>_e2e_mean_ns".
-type headlineDoc struct {
-	Schema    string           `json:"schema"`
-	Latencies map[string]int64 `json:"latencies"`
-}
-
-func writeHeadline(w io.Writer, latencies map[string]int64) error {
-	out, err := json.MarshalIndent(headlineDoc{
-		Schema: "voyager-headline/v1", Latencies: latencies,
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(out, '\n'))
-	return err
-}
-
-// diffHeadline compares freshly computed headline latencies against the
-// committed baseline and reports every entry. Returns false — the CI failure
-// signal — when any latency exceeds its baseline by more than 10%.
-func diffHeadline(path string, latencies map[string]int64) bool {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		log.Fatalf("-diff: %v", err)
-	}
-	var base headlineDoc
-	if err := json.Unmarshal(raw, &base); err != nil {
-		log.Fatalf("-diff %s: %v", path, err)
-	}
-	keys := make([]string, 0, len(base.Latencies))
-	for k := range base.Latencies {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	ok := true
-	for _, k := range keys {
-		was := base.Latencies[k]
-		now, found := latencies[k]
-		if !found {
-			fmt.Printf("bench-diff: %-24s MISSING (baseline %dns)\n", k, was)
-			ok = false
-			continue
-		}
-		pct := 100 * float64(now-was) / float64(was)
-		verdict := "ok"
-		if now > was+was/10 {
-			verdict = "REGRESSED"
-			ok = false
-		}
-		fmt.Printf("bench-diff: %-24s %8dns -> %8dns (%+.1f%%) %s\n", k, was, now, pct, verdict)
-	}
-	for k := range latencies {
-		if _, found := base.Latencies[k]; !found {
-			fmt.Printf("bench-diff: %-24s %8dns (new; not in baseline — refresh with make bench-baseline)\n", k, latencies[k])
-		}
-	}
-	if !ok {
-		fmt.Println("bench-diff: FAIL — headline latency regressed >10% (refresh BENCH_baseline.json via make bench-baseline if intentional)")
-	}
-	return ok
 }
 
 // writeFaultRuns renders the fault matrix as one JSON document: a summary

@@ -18,6 +18,10 @@
 // n slowest delivered messages (0 = all). -metrics adds the per-stage latency
 // histograms to the dumped registry under path/. -trace writes the Perfetto
 // export, whose flow arrows link each message's events across tracks.
+//
+// -faults follows voyager-run's rule: a plan that can lose a packet (a drop
+// or corrupt rate, an outage, a death) needs -mech reliable, and any other
+// mechanism exits 1 with a -faults: error before the run.
 package main
 
 import (
@@ -49,9 +53,6 @@ func main() {
 	traceCap := flag.Int("trace-cap", 1<<19, "trace ring capacity (oldest events drop beyond this)")
 	flag.Parse()
 
-	if err := drive.Check(); err != nil {
-		log.Fatal(err)
-	}
 	cfg := cluster.DefaultConfig(*nodes)
 	if *faults != "" {
 		plan, err := fault.ParsePlan(*faults)
@@ -59,6 +60,9 @@ func main() {
 			log.Fatalf("-faults: %v", err)
 		}
 		cfg.Faults = plan
+	}
+	if err := drive.Check(cfg.Faults); err != nil {
+		log.Fatal(err)
 	}
 	m := core.NewMachineConfig(cfg)
 	tbuf := m.Trace(*traceCap)

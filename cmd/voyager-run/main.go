@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	voyager-run [-nodes n1,n2,...] [-mech basic|express|dma|reliable] [-count c] [-size s]
+//	voyager-run [-nodes n1,n2,...] [-mech basic|express|tagon|dma|reliable] [-count c] [-size s]
 //	            [-faults plan] [-trace file.json] [-metrics file.json] [-dump n]
 //	            [-series file.json] [-series-window 20us] [-strict-trace]
 //	            [-prof f] [-prof-folded f] [-prof-pprof f]
@@ -34,7 +34,10 @@
 //	voyager-run -mech reliable -faults 'outage=1-0@20us:200us'
 //
 // See internal/fault.ParsePlan for the full plan grammar (drop/corrupt/dup/
-// delay per lane, link outage windows, node deaths).
+// delay per lane, link outage windows, node deaths). Only reliable delivery
+// recovers a lost packet, so a plan that can lose one (a drop or corrupt
+// rate, an outage, a death) with any other -mech exits 1 with a -faults:
+// error before the run; dup-only and delay-only plans take any mechanism.
 //
 // -nodes takes a comma-separated machine-size list: a single count runs the
 // workload once with full reporting; several counts run a node-count sweep
@@ -79,7 +82,7 @@ type runOpts struct {
 type runResult struct {
 	bench.Run
 	bench.Delivery
-	retrans, dups, garbage uint64
+	bench.RecoveryStats
 }
 
 // runOnce builds a machine, drives the all-to-one traffic pattern, and
@@ -92,14 +95,7 @@ func runOnce(o runOpts) runResult {
 	delivery := o.drive.Spawn(r.M)
 	r.M.Run()
 	r.Delivery = *delivery
-	for _, rel := range r.M.Rels {
-		st := rel.Stats()
-		r.retrans += st.Retransmits
-		r.dups += st.DupSuppressed
-	}
-	for _, n := range r.M.Nodes {
-		r.garbage += n.Ctrl.Stats().RxGarbage
-	}
+	r.RecoveryStats = bench.Recovery(r.M)
 	return r
 }
 
@@ -121,15 +117,15 @@ func main() {
 	if err != nil {
 		log.Fatalf("-nodes: %v", err)
 	}
-	if err := drive.Check(); err != nil {
-		log.Fatal(err)
-	}
 	var plan *fault.Plan
 	if *faults != "" {
 		plan, err = fault.ParsePlan(*faults)
 		if err != nil {
 			log.Fatalf("-faults: %v", err)
 		}
+	}
+	if err := drive.Check(plan); err != nil {
+		log.Fatal(err)
 	}
 	stopProfiles := art.StartProfiles()
 	defer stopProfiles()
@@ -139,14 +135,41 @@ func main() {
 		if art.Requested() || *seeds != "" {
 			log.Fatalf("a -nodes sweep cannot be combined with -trace, -metrics, -series, -prof, -dump, or -seeds")
 		}
-		runNodeSweep(opts, nodeCounts, *parallelN)
+		var keys []string
+		var runs []runOpts
+		for _, n := range nodeCounts {
+			o := opts
+			o.nodes = n
+			keys, runs = append(keys, fmt.Sprint(n)), append(runs, o)
+		}
+		sweep(fmt.Sprintf("node-count sweep — mechanism=%s messages/sender=%d", drive.Mech, drive.Count),
+			"nodes", keys, runs, *parallelN)
 		return
 	}
 	if *seeds != "" {
 		if art.Requested() {
 			log.Fatalf("-seeds cannot be combined with -trace, -metrics, -series, -prof, or -dump")
 		}
-		runSweep(opts, parseSeeds(*seeds), *parallelN)
+		var keys []string
+		var runs []runOpts
+		for _, part := range strings.Split(*seeds, ",") {
+			seed, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
+			if err != nil {
+				log.Fatalf("-seeds: %v", err)
+			}
+			o := opts
+			if plan != nil {
+				p := *plan
+				p.Seed = seed
+				o.plan = &p
+			}
+			keys, runs = append(keys, fmt.Sprint(seed)), append(runs, o)
+		}
+		sweep(fmt.Sprintf("multi-seed sweep — mechanism=%s nodes=%d messages=%d per seed",
+			drive.Mech, opts.nodes, (opts.nodes-1)*drive.Count), "seed", keys, runs, *parallelN)
+		if plan == nil {
+			fmt.Println("note: no -faults plan attached; seeds have nothing to re-seed, runs are identical")
+		}
 		return
 	}
 
@@ -163,72 +186,20 @@ func main() {
 	}
 }
 
-// parseSeeds parses the -seeds list.
-func parseSeeds(s string) []uint64 {
-	var out []uint64
-	for _, part := range strings.Split(s, ",") {
-		seed, err := strconv.ParseUint(strings.TrimSpace(part), 10, 64)
-		if err != nil {
-			log.Fatalf("-seeds: %v", err)
-		}
-		out = append(out, seed)
-	}
-	return out
-}
-
-// runNodeSweep executes one run per machine size across up to workers
-// goroutines and prints the per-size summary in listed order. Delivery
-// counters and simulated time are deterministic per size, so the table is
+// sweep executes runs across up to workers goroutines and prints one
+// outcome row per run, keyed by keys, in listed order. Each run owns its
+// machine and its counters are deterministic, so the table is
 // byte-identical at any -parallel value.
-func runNodeSweep(opts runOpts, counts []int, workers int) {
-	results := bench.Cells(len(counts), workers, func(i int) runResult {
-		o := opts
-		o.nodes = counts[i]
-		return runOnce(o)
-	})
-	t := &stats.Table{
-		Title: fmt.Sprintf("node-count sweep — mechanism=%s messages/sender=%d",
-			opts.drive.Mech, opts.drive.Count),
-		Columns: []string{"nodes", "delivered", "failed", "retransmits",
-			"dup-suppressed", "rx-garbage", "sim-time"},
-	}
+func sweep(title, key string, keys []string, runs []runOpts, workers int) {
+	results := bench.Cells(len(runs), workers, func(i int) runResult { return runOnce(runs[i]) })
+	t := &stats.Table{Title: title, Columns: []string{key, "delivered", "failed",
+		"retransmits", "dup-suppressed", "rx-garbage", "sim-time"}}
 	for i, r := range results {
-		t.AddRow(fmt.Sprint(counts[i]),
-			fmt.Sprint(r.Received), fmt.Sprint(r.Failed),
-			fmt.Sprint(r.retrans), fmt.Sprint(r.dups), fmt.Sprint(r.garbage),
+		t.AddRow(keys[i], fmt.Sprint(r.Received), fmt.Sprint(r.Failed),
+			fmt.Sprint(r.Retransmits), fmt.Sprint(r.DupSuppressed), fmt.Sprint(r.RxGarbage),
 			r.M.Eng.Now().String())
 	}
 	fmt.Print(t)
-}
-
-// runSweep executes one run per seed (re-seeding the fault plan) across up
-// to workers goroutines and prints the per-seed summary in seed order.
-func runSweep(opts runOpts, seedList []uint64, workers int) {
-	results := bench.Cells(len(seedList), workers, func(i int) runResult {
-		o := opts
-		if opts.plan != nil {
-			p := *opts.plan
-			p.Seed = seedList[i]
-			o.plan = &p
-		}
-		return runOnce(o)
-	})
-	t := &stats.Table{
-		Title: fmt.Sprintf("multi-seed sweep — mechanism=%s nodes=%d messages=%d per seed",
-			opts.drive.Mech, opts.nodes, (opts.nodes-1)*opts.drive.Count),
-		Columns: []string{"seed", "delivered", "failed", "retransmits",
-			"dup-suppressed", "rx-garbage", "sim-time"},
-	}
-	for i, r := range results {
-		t.AddRow(fmt.Sprint(seedList[i]),
-			fmt.Sprint(r.Received), fmt.Sprint(r.Failed),
-			fmt.Sprint(r.retrans), fmt.Sprint(r.dups), fmt.Sprint(r.garbage),
-			r.M.Eng.Now().String())
-	}
-	fmt.Print(t)
-	if opts.plan == nil {
-		fmt.Println("note: no -faults plan attached; seeds have nothing to re-seed, runs are identical")
-	}
 }
 
 // report prints the single-run statistics.
@@ -245,7 +216,7 @@ func report(opts runOpts, r runResult) {
 		fmt.Printf("faults: drops=%d corrupted=%d duplicated=%d delayed=%d outage-drops=%d death-drops=%d\n",
 			fs.InjectedDrops, fs.Corrupted, fs.Duplicated, fs.Delayed, fs.OutageDrops, fs.DeathDrops)
 		fmt.Printf("recovery: retransmits=%d dup-suppressed=%d rx-garbage=%d\n",
-			r.retrans, r.dups, r.garbage)
+			r.Retransmits, r.DupSuppressed, r.RxGarbage)
 	}
 	t := &stats.Table{
 		Title:   "per-node statistics",

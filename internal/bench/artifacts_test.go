@@ -89,27 +89,47 @@ func TestArtifactsTraceAttachRule(t *testing.T) {
 }
 
 // TestAllToOneCheck: bad driver input is a named error before any machine
-// is built, never a hang or a panic inside a proc.
+// is built, never a hang or a panic inside a proc. A mechanism without
+// recovery under a plan that can lose packets is bad input too: its sink
+// would wait forever for what the network dropped.
 func TestAllToOneCheck(t *testing.T) {
+	plan := func(s string) *fault.Plan {
+		p, err := fault.ParsePlan(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	lossyErr := func(mech string) string {
+		return "-faults: the plan can lose packets and " + mech + " does not recover them (use -mech reliable)"
+	}
 	for _, tc := range []struct {
 		d    AllToOne
+		plan *fault.Plan
 		want string
 	}{
-		{AllToOne{Mech: "basic"}, ""},
-		{AllToOne{Mech: "reliable", Count: 100, Size: 64}, ""},
-		{AllToOne{Mech: "bogus", Count: 1, Size: 1},
+		{AllToOne{Mech: "basic"}, nil, ""},
+		{AllToOne{Mech: "reliable", Count: 100, Size: 64}, nil, ""},
+		{AllToOne{Mech: "bogus", Count: 1, Size: 1}, nil,
 			`-mech: unknown mechanism "bogus" (want basic, express, tagon, dma, reliable)`},
-		{AllToOne{Mech: "", Count: 1, Size: 1},
+		{AllToOne{Mech: "", Count: 1, Size: 1}, nil,
 			`-mech: unknown mechanism "" (want basic, express, tagon, dma, reliable)`},
-		{AllToOne{Mech: "basic", Count: -1, Size: 64}, "-count: must be >= 0, got -1"},
-		{AllToOne{Mech: "dma", Count: 1, Size: -1}, "-size: must be >= 0, got -1"},
+		{AllToOne{Mech: "basic", Count: -1, Size: 64}, nil, "-count: must be >= 0, got -1"},
+		{AllToOne{Mech: "dma", Count: 1, Size: -1}, nil, "-size: must be >= 0, got -1"},
+		{AllToOne{Mech: "basic", Count: 1}, plan("seed=7,drop=0.05"), lossyErr("basic")},
+		{AllToOne{Mech: "tagon", Count: 1}, plan("corrupt.high=0.01"), lossyErr("tagon")},
+		{AllToOne{Mech: "dma", Count: 1}, plan("death=1@1ms"), lossyErr("dma")},
+		{AllToOne{Mech: "express", Count: 1}, plan("outage=1-0@20us:200us"), lossyErr("express")},
+		{AllToOne{Mech: "reliable", Count: 1}, plan("seed=7,drop=0.05,corrupt=0.02,death=1@1ms"), ""},
+		{AllToOne{Mech: "basic", Count: 1}, plan("seed=7,dup=0.05"), ""},
+		{AllToOne{Mech: "basic", Count: 1}, plan("delay=0.2@2us"), ""},
 	} {
 		got := ""
-		if err := tc.d.Check(); err != nil {
+		if err := tc.d.Check(tc.plan); err != nil {
 			got = err.Error()
 		}
 		if got != tc.want {
-			t.Errorf("%+v: Check() = %q, want %q", tc.d, got, tc.want)
+			t.Errorf("%+v under %v: Check() = %q, want %q", tc.d, tc.plan, got, tc.want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"startvoyager/internal/blockxfer"
 	"startvoyager/internal/core"
+	"startvoyager/internal/fault"
 	"startvoyager/internal/sim"
 )
 
@@ -54,8 +55,9 @@ func Canonical(m *core.Machine) {
 	})
 }
 
-// AllToOne is the all-to-one traffic driver of voyager-run and
-// voyager-path: every node but 0 sends Count messages (DMA: transfers) of
+// AllToOne is the one all-to-one traffic driver, shared by voyager-run,
+// voyager-path, the headline probe, the fault matrix and the node/basic-msg
+// microbenchmark: every node but 0 sends Count messages (DMA: transfers) of
 // Size payload bytes to node 0 over Mech, one of PathMechs.
 type AllToOne struct {
 	Mech        string
@@ -69,8 +71,32 @@ type Delivery struct {
 	Failed   int // reliable sends that returned an error
 }
 
-// Check validates the driver's inputs; each error names its CLI flag.
-func (d AllToOne) Check() error {
+// RecoveryStats is a run's recovery work, summed over the machine.
+type RecoveryStats struct {
+	Retransmits   uint64 // reliable-layer retransmissions
+	DupSuppressed uint64 // duplicate reliable messages discarded
+	RxGarbage     uint64 // arrivals CTRL could not decode and discarded
+}
+
+// Recovery totals m's recovery work once m has run.
+func Recovery(m *core.Machine) RecoveryStats {
+	var r RecoveryStats
+	for _, rel := range m.Rels {
+		st := rel.Stats()
+		r.Retransmits += st.Retransmits
+		r.DupSuppressed += st.DupSuppressed
+	}
+	for _, n := range m.Nodes {
+		r.RxGarbage += n.Ctrl.Stats().RxGarbage
+	}
+	return r
+}
+
+// Check validates the driver's inputs against the fault plan the machine
+// will run under (nil = fault-free); each error names its CLI flag. Only
+// reliable delivery recovers lost packets, so any other mechanism under a
+// plan that can lose one would leave the sink waiting forever.
+func (d AllToOne) Check(plan *fault.Plan) error {
 	switch {
 	case !slices.Contains(PathMechs, d.Mech):
 		return fmt.Errorf("-mech: unknown mechanism %q (want %s)", d.Mech, strings.Join(PathMechs, ", "))
@@ -78,14 +104,31 @@ func (d AllToOne) Check() error {
 		return fmt.Errorf("-count: must be >= 0, got %d", d.Count)
 	case d.Size < 0:
 		return fmt.Errorf("-size: must be >= 0, got %d", d.Size)
+	case d.Mech != "reliable" && lossy(plan):
+		return fmt.Errorf("-faults: the plan can lose packets and %s does not recover them (use -mech reliable)", d.Mech)
 	}
 	return nil
 }
 
+// lossy reports whether plan can lose a packet: a drop or corruption rate
+// on either lane, a link outage, or a node death. Duplicates and delays
+// only reorder or repeat traffic.
+func lossy(plan *fault.Plan) bool {
+	if plan == nil {
+		return false
+	}
+	for _, lp := range plan.Lanes {
+		if lp.Drop > 0 || lp.Corrupt > 0 {
+			return true
+		}
+	}
+	return len(plan.Outages) > 0 || len(plan.Deaths) > 0
+}
+
 // Spawn starts the sink on node 0 and a sender on every other node of m.
-// It panics on inputs Check rejects.
+// It panics on inputs Check rejects under m's fault plan.
 func (d AllToOne) Spawn(m *core.Machine) *Delivery {
-	if err := d.Check(); err != nil {
+	if err := d.Check(m.Cfg.Faults); err != nil {
 		panic(err)
 	}
 	out := &Delivery{}
@@ -124,11 +167,14 @@ func (d AllToOne) Spawn(m *core.Machine) *Delivery {
 		}
 	})
 	for i := 1; i <= senders; i++ {
+		// One payload buffer per sender, sized for the larger of the Basic
+		// and reliable limits; the sends copy it out.
+		payload := make([]byte, min(d.Size, max(core.MaxBasicPayload, core.MaxReliablePayload)))
 		m.Go(i, "src", func(p *sim.Proc, a *core.API) {
 			for k := 0; k < d.Count; k++ {
 				switch d.Mech {
 				case "basic":
-					a.SendBasic(p, 0, make([]byte, min(d.Size, core.MaxBasicPayload)))
+					a.SendBasic(p, 0, payload[:min(d.Size, core.MaxBasicPayload)])
 				case "tagon":
 					// Inline byte + one 16-byte aSRAM tag appended by the NIU.
 					a.SendTagOn(p, 0, []byte{byte(k)}, 0x400, 16)
@@ -136,7 +182,7 @@ func (d AllToOne) Spawn(m *core.Machine) *Delivery {
 					a.SendExpress(p, 0, []byte{byte(k)})
 					a.Compute(p, 2*sim.Microsecond) // pace: express drops on overflow
 				case "reliable":
-					if err := a.SendReliable(p, 0, make([]byte, min(d.Size, core.MaxReliablePayload))); err != nil {
+					if err := a.SendReliable(p, 0, payload[:min(d.Size, core.MaxReliablePayload)]); err != nil {
 						out.Failed++
 					}
 				case "dma":

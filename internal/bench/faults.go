@@ -54,10 +54,7 @@ func reliableStream(msgs int, drop float64) (lat sim.Time, mbps float64, retrans
 
 	dur := m.Eng.Now()
 	mbps = float64(msgs*payload) / (float64(dur) / float64(sim.Second)) / 1e6
-	for _, r := range m.Rels {
-		retrans += r.Stats().Retransmits
-	}
-	return sendBusy / sim.Time(msgs), mbps, retrans
+	return sendBusy / sim.Time(msgs), mbps, Recovery(m).Retransmits
 }
 
 // basicStream is the unreliable baseline on a clean network: same message
@@ -112,11 +109,9 @@ type FaultRun struct {
 	Seed      uint64
 	Delivered int
 	Failed    int
-	Retrans   uint64
-	Dups      uint64
-	RxGarbage uint64
-	Reg       *stats.Registry
-	Now       sim.Time
+	RecoveryStats
+	Reg *stats.Registry
+	Now sim.Time
 }
 
 // faultScenarios are the CI smoke matrix: one plan per injected failure mode.
@@ -129,9 +124,9 @@ func faultScenarios(seed uint64) []struct {
 	corrupt := &fault.Plan{Seed: seed}
 	corrupt.Lanes[fault.LaneLow] = fault.LaneProbs{Corrupt: 0.05}
 	outage := &fault.Plan{Seed: seed, Outages: []fault.Outage{
-		{Src: 0, Dst: 1, From: 20 * sim.Microsecond, To: 200 * sim.Microsecond}}}
+		{Src: 1, Dst: 0, From: 20 * sim.Microsecond, To: 200 * sim.Microsecond}}}
 	death := &fault.Plan{Seed: seed, Deaths: []fault.NodeDeath{
-		{Node: 1, At: 50 * sim.Microsecond}}}
+		{Node: 0, At: 50 * sim.Microsecond}}}
 	return []struct {
 		name string
 		plan *fault.Plan
@@ -140,45 +135,17 @@ func faultScenarios(seed uint64) []struct {
 	}
 }
 
-// runFaultScenario pushes msgs reliable messages 0->1 under the plan and
+// runFaultScenario pushes msgs reliable messages 1->0 under the plan and
 // counts delivered versus failed sends. Node death is expected to fail
 // sends; everything else must deliver.
 func runFaultScenario(name string, plan *fault.Plan, seed uint64, msgs int) FaultRun {
 	cfg := cluster.DefaultConfig(2)
 	cfg.Faults = plan
 	m := core.NewMachineConfig(cfg)
-
-	run := FaultRun{Scenario: name, Seed: seed}
-	senderDone := false
-	m.Go(0, "src", func(p *sim.Proc, a *core.API) {
-		for i := 0; i < msgs; i++ {
-			if err := a.SendReliable(p, 1, []byte{byte(i)}); err != nil {
-				run.Failed++
-			} else {
-				run.Delivered++
-			}
-		}
-		senderDone = true
-	})
-	m.Go(1, "dst", func(p *sim.Proc, a *core.API) {
-		for {
-			if _, _, err := a.RecvReliableTimeout(p, m.RelBound()); err != nil && senderDone {
-				return
-			}
-		}
-	})
+	d := AllToOne{Mech: "reliable", Count: msgs, Size: 1}.Spawn(m)
 	m.Run()
-	for _, r := range m.Rels {
-		st := r.Stats()
-		run.Retrans += st.Retransmits
-		run.Dups += st.DupSuppressed
-	}
-	for _, n := range m.Nodes {
-		run.RxGarbage += n.Ctrl.Stats().RxGarbage
-	}
-	run.Reg = m.Metrics()
-	run.Now = m.Eng.Now()
-	return run
+	return FaultRun{Scenario: name, Seed: seed, Delivered: msgs - d.Failed, Failed: d.Failed,
+		RecoveryStats: Recovery(m), Reg: m.Metrics(), Now: m.Eng.Now()}
 }
 
 // FaultMatrix runs every fault scenario at every seed — the CI smoke that
@@ -220,7 +187,7 @@ func FaultMatrix(msgs int, seeds []uint64, workers int) (*stats.Table, []FaultRu
 		}
 		t.AddRow(run.Scenario, fmt.Sprint(run.Seed),
 			fmt.Sprint(run.Delivered), fmt.Sprint(run.Failed),
-			fmt.Sprint(run.Retrans), fmt.Sprint(run.Dups), fmt.Sprint(run.RxGarbage),
+			fmt.Sprint(run.Retransmits), fmt.Sprint(run.DupSuppressed), fmt.Sprint(run.RxGarbage),
 			fmtUs(run.Now))
 	}
 	return t, runs

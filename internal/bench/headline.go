@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"startvoyager/internal/core"
 	"startvoyager/internal/sim"
@@ -11,8 +13,9 @@ import (
 // Headline latency probe: one small fixed workload per MP mechanism, traced,
 // with the mean delivered end-to-end latency extracted from the causal path
 // analysis. The engine is deterministic, so these numbers are bit-stable for
-// a given code state — CI diffs them against the committed BENCH_baseline.json
-// with a 10% tolerance to catch accidental performance regressions.
+// a given code state — CI byte-compares them with the committed
+// BENCH_baseline.json, so any change, faster or slower, fails until the
+// baseline is refreshed on purpose.
 
 // PathMechs lists the MP mechanisms covered by the probe.
 var PathMechs = []string{"basic", "express", "tagon", "dma", "reliable"}
@@ -20,55 +23,21 @@ var PathMechs = []string{"basic", "express", "tagon", "dma", "reliable"}
 // headlineMsgs is the per-mechanism message count of the probe workload.
 const headlineMsgs = 8
 
+// headlineSize is the probe's payload per mechanism in bytes (dma: transfer
+// bytes); tagon and express send their own one-byte payloads.
+var headlineSize = map[string]int{"basic": 4, "reliable": 1, "dma": 128}
+
 // RunMechTraced executes the fixed two-node workload of one MP mechanism
 // with a trace buffer attached and returns the buffer. Panics on an unknown
 // mechanism or a failed reliable send (the probe runs fault-free).
 func RunMechTraced(mech string) *trace.Buffer {
 	m := core.NewMachine(2)
 	tbuf := m.Trace(1 << 18)
-	m.Go(0, "sink", func(p *sim.Proc, a *core.API) {
-		for got := 0; got < headlineMsgs; {
-			switch mech {
-			case "basic", "tagon":
-				if _, _, ok := a.TryRecvBasic(p); ok {
-					got++
-				}
-			case "express":
-				if _, _, ok := a.TryRecvExpress(p); ok {
-					got++
-				}
-			case "dma":
-				a.RecvNotify(p)
-				got++
-			case "reliable":
-				a.RecvReliable(p)
-				got++
-			}
-		}
-	})
-	m.Go(1, "src", func(p *sim.Proc, a *core.API) {
-		for k := 0; k < headlineMsgs; k++ {
-			switch mech {
-			case "basic":
-				a.SendBasic(p, 0, []byte{byte(k), 1, 2, 3})
-			case "tagon":
-				a.MemStore(p, 0x10_0000, make([]byte, 64))
-				a.SendTagOn(p, 0, []byte{byte(k)}, 0x400, 16)
-			case "express":
-				a.SendExpress(p, 0, []byte{byte(k)})
-				a.Compute(p, 2*sim.Microsecond) // pace: express drops on overflow
-			case "dma":
-				a.DmaPush(p, 0, 0x10_0000, 0x20_0000, 128, uint32(k))
-			case "reliable":
-				if err := a.SendReliable(p, 0, []byte{byte(k)}); err != nil {
-					panic(fmt.Sprintf("bench: headline reliable send: %v", err))
-				}
-			default:
-				panic(fmt.Sprintf("bench: unknown mechanism %q", mech))
-			}
-		}
-	})
+	delivery := AllToOne{Mech: mech, Count: headlineMsgs, Size: headlineSize[mech]}.Spawn(m)
 	m.Run()
+	if delivery.Failed > 0 {
+		panic(fmt.Sprintf("bench: headline: %d reliable sends failed", delivery.Failed))
+	}
 	if d := tbuf.Stats().Dropped; d != 0 {
 		panic(fmt.Sprintf("bench: headline trace ring dropped %d events", d))
 	}
@@ -102,4 +71,18 @@ func HeadlineLatencies(workers int) map[string]int64 {
 		out[mech+"_e2e_mean_ns"] = means[i]
 	}
 	return out
+}
+
+// WriteHeadline renders latencies as the BENCH_baseline.json document
+// (voyager-headline/v1, keys sorted).
+func WriteHeadline(w io.Writer, latencies map[string]int64) error {
+	out, err := json.MarshalIndent(struct {
+		Schema    string           `json:"schema"`
+		Latencies map[string]int64 `json:"latencies"`
+	}{"voyager-headline/v1", latencies}, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(out, '\n'))
+	return err
 }

@@ -157,25 +157,11 @@ func benchQueuePushPop(b *testing.B) {
 }
 
 // benchNodeBasicMsg is the whole-node benchmark: a two-node machine pushing
-// Basic messages through the full aP → CTRL → fabric → CTRL → aP pipeline
-// (the Ext E resident-queue path), one delivered message per op.
+// 4-byte Basic messages through the full aP → CTRL → fabric → CTRL → aP
+// pipeline (the Ext E resident-queue path), one delivered message per op.
 func benchNodeBasicMsg(b *testing.B) {
 	m := core.NewMachine(2)
-	n := b.N
-	buf := []byte{1, 2, 3, 4}
-	m.Go(1, "src", func(p *sim.Proc, a *core.API) {
-		for i := 0; i < n; i++ {
-			a.SendBasic(p, 0, buf)
-		}
-	})
-	got := 0
-	m.Go(0, "dst", func(p *sim.Proc, a *core.API) {
-		for got < n {
-			if _, _, ok := a.TryRecvBasic(p); ok {
-				got++
-			}
-		}
-	})
+	AllToOne{Mech: "basic", Count: b.N, Size: 4}.Spawn(m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	m.Run()

@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -82,16 +84,26 @@ func TestFaultMatrixParallelByteIdentical(t *testing.T) {
 	}
 }
 
+// TestHeadlineLatenciesParallelIdentical: the headline is identical at any
+// worker count and byte-identical to the committed BENCH_baseline.json —
+// the latencies are deterministic, so any drift is a change to explain and
+// re-baseline, not noise.
 func TestHeadlineLatenciesParallelIdentical(t *testing.T) {
 	seq := HeadlineLatencies(1)
 	par := HeadlineLatencies(4)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("parallel headline differs: %v vs %v", par, seq)
 	}
-	for _, mech := range PathMechs {
-		if seq[mech+"_e2e_mean_ns"] <= 0 {
-			t.Fatalf("headline %s latency = %d, want > 0", mech, seq[mech+"_e2e_mean_ns"])
-		}
+	var got bytes.Buffer
+	if err := WriteHeadline(&got, seq); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("headline differs from BENCH_baseline.json (refresh with make bench-baseline if intended):\n%s", got.Bytes())
 	}
 }
 

@@ -167,28 +167,14 @@ func TestProfiledRunInvariants(t *testing.T) {
 // ProcBlock, FramePush/Pop, interval close) on the Basic message chain.
 func benchProfiledNodeBasicMsg(b *testing.B) {
 	cfg := cluster.DefaultConfig(2)
-	profiler := prof.New()
-	cfg.Profiler = profiler
+	cfg.Profiler = prof.New()
 	m := core.NewMachineConfig(cfg)
-	payload := make([]byte, 32)
-	delivered := 0
-	m.Go(0, "src", func(p *sim.Proc, a *core.API) {
-		for k := 0; k < b.N; k++ {
-			a.SendBasic(p, 1, payload)
-		}
-	})
-	m.Go(1, "dst", func(p *sim.Proc, a *core.API) {
-		for delivered < b.N {
-			if _, _, ok := a.TryRecvBasic(p); ok {
-				delivered++
-			}
-		}
-	})
+	delivery := AllToOne{Mech: "basic", Count: b.N, Size: 32}.Spawn(m)
 	b.ResetTimer()
 	m.Run()
 	b.StopTimer()
-	if delivered != b.N {
-		b.Fatalf("delivered %d of %d", delivered, b.N)
+	if delivery.Received != b.N {
+		b.Fatalf("delivered %d of %d", delivery.Received, b.N)
 	}
 }
 

@@ -202,8 +202,6 @@ type Bus struct {
 	stats   Stats
 	node    int // owning node, for trace attribution (SetNode)
 	retHist *stats.Histogram
-	// snoopHook, if set, observes every completed transaction (tracing).
-	snoopHook func(tx *Transaction)
 
 	// opFree recycles busOp records so steady-state issues allocate nothing.
 	// The pool is per-bus (per-node), never global: parallel sweeps run whole
@@ -252,9 +250,6 @@ func (b *Bus) RegisterMetrics(r *stats.Registry) {
 	// Masters queued for bus tenure right now — the bus-side depth series.
 	r.Gauge("waiters", func() int64 { return int64(b.res.QueueLen()) })
 }
-
-// SetTraceHook installs fn to observe each completed transaction.
-func (b *Bus) SetTraceHook(fn func(tx *Transaction)) { b.snoopHook = fn }
 
 // Issue runs tx to completion, retrying as needed, then calls done. The
 // master must not mutate tx until done runs.
@@ -420,9 +415,6 @@ func (op *busOp) finish() {
 	op.tx, op.done, op.winner = nil, nil, Snoop{}
 	b.opFree = append(b.opFree, op) //voyager:alloc-ok(amortized: pool backing array is retained)
 	b.res.Release()
-	if b.snoopHook != nil {
-		b.snoopHook(tx)
-	}
 	done()
 }
 

@@ -21,10 +21,9 @@ type Config struct {
 	Node  node.Config
 	Net   arctic.Config
 
-	// DirectNet replaces the fat tree with an ideal fixed-latency fabric
-	// (ablation baseline).
-	DirectNet        bool
-	DirectNetLatency sim.Time
+	// DirectNet replaces the fat tree with an ideal fabric of fixed
+	// DirectNetLatency (ablation baseline).
+	DirectNet bool
 
 	// ScomaSize enables the S-COMA shared window of this many bytes
 	// (page-interleaved across nodes). Must be a multiple of the page size
@@ -33,11 +32,6 @@ type Config struct {
 	// NumaSegment enables the NUMA window with this many bytes homed on
 	// each node.
 	NumaSegment uint32
-	// NumaLocalBase is the home-local DRAM address backing NUMA segments.
-	NumaLocalBase uint32
-	// ScomaBackingBase is the home-local DRAM address of S-COMA backing
-	// copies (default: 8 MB).
-	ScomaBackingBase uint32
 	// ScomaMigratory enables the migratory-sharing protocol optimization.
 	ScomaMigratory bool
 
@@ -51,11 +45,7 @@ type Config struct {
 	// Rel parameterizes the R-Basic reliable-delivery firmware service
 	// (zero fields take defaults).
 	Rel firmware.RelConfig
-	// DisableRel turns off the reliable-delivery service.
-	DisableRel bool
 
-	// DisableDma turns off the firmware DMA service.
-	DisableDma bool
 	// DisableScomaProtocol keeps the S-COMA window and clsSRAM hardware but
 	// installs no directory firmware — experiments that use the cache-line
 	// state check for arrival gating (block transfer approaches 4 and 5)
@@ -73,12 +63,10 @@ type Config struct {
 // DefaultConfig returns a ready-to-run machine configuration.
 func DefaultConfig(nodes int) Config {
 	return Config{
-		Nodes:            nodes,
-		Net:              arctic.DefaultConfig(),
-		ScomaSize:        1 << 20,
-		NumaSegment:      1 << 20,
-		NumaLocalBase:    4 << 20,
-		ScomaBackingBase: 8 << 20,
+		Nodes:       nodes,
+		Net:         arctic.DefaultConfig(),
+		ScomaSize:   1 << 20,
+		NumaSegment: 1 << 20,
 	}
 }
 
@@ -104,9 +92,20 @@ type Cluster struct {
 	Rels      []*firmware.Rel
 }
 
-// MissRingBase is the DRAM address of the non-resident-queue overflow ring
-// on every node.
-const MissRingBase = 12 << 20
+// Fixed per-node DRAM layout and the ideal fabric's latency.
+const (
+	// NumaLocalBase is the home-local DRAM address backing NUMA segments.
+	NumaLocalBase = 4 << 20
+	// ScomaBackingBase is the home-local DRAM address of S-COMA backing
+	// copies.
+	ScomaBackingBase = 8 << 20
+	// MissRingBase is the DRAM address of the non-resident-queue overflow
+	// ring on every node.
+	MissRingBase = 12 << 20
+
+	// DirectNetLatency is the DirectNet fabric's fixed latency.
+	DirectNetLatency = 250 * sim.Nanosecond
+)
 
 // MissRingEntries is the overflow ring capacity.
 const MissRingEntries = 64
@@ -122,11 +121,7 @@ func New(cfg Config) *Cluster {
 	}
 	var fabric arctic.Fabric
 	if cfg.DirectNet {
-		lat := cfg.DirectNetLatency
-		if lat == 0 {
-			lat = 250 * sim.Nanosecond
-		}
-		fabric = arctic.NewDirect(eng, cfg.Nodes, lat, cfg.Net.FlitTime)
+		fabric = arctic.NewDirect(eng, cfg.Nodes, DirectNetLatency, cfg.Net.FlitTime)
 	} else {
 		fabric = arctic.NewFatTree(eng, cfg.Nodes, cfg.Net)
 	}
@@ -165,7 +160,7 @@ func New(cfg Config) *Cluster {
 		if cfg.ScomaSize > 0 && !cfg.DisableScomaProtocol {
 			c.Scomas = append(c.Scomas, firmware.NewScoma(n.FW, firmware.ScomaConfig{
 				Window:      n.ScomaWindow(),
-				BackingBase: cfg.ScomaBackingBase,
+				BackingBase: ScomaBackingBase,
 				NumNodes:    cfg.Nodes,
 				Migratory:   cfg.ScomaMigratory,
 			}))
@@ -174,41 +169,31 @@ func New(cfg Config) *Cluster {
 			c.Numas = append(c.Numas, firmware.NewNuma(n.FW, firmware.NumaConfig{
 				Window:    bus.Range{Base: node.NumaBase, Size: cfg.NumaSegment * uint32(cfg.Nodes)},
 				Segment:   cfg.NumaSegment,
-				LocalBase: cfg.NumaLocalBase,
+				LocalBase: NumaLocalBase,
 			}))
 		}
 		if cfg.ReflectSize > 0 {
 			c.Reflects = append(c.Reflects, firmware.NewReflect(n.FW, n.Map.Reflect))
 		}
-		if !cfg.DisableDma {
-			c.Dmas = append(c.Dmas, firmware.NewDma(n.FW, firmware.DmaConfig{
-				StagingBase: n.DmaStagingOff(),
-				StagingSize: node.DmaStagingLen,
-			}))
-		}
+		c.Dmas = append(c.Dmas, firmware.NewDma(n.FW, firmware.DmaConfig{
+			StagingBase: n.DmaStagingOff(),
+			StagingSize: node.DmaStagingLen,
+		}))
 		c.MissRings = append(c.MissRings,
 			firmware.NewMissRing(n.FW, MissRingBase, MissRingEntries))
-		if !cfg.DisableRel {
-			relCfg := cfg.Rel
-			relCfg.NumNodes = cfg.Nodes
-			rel := firmware.NewRel(n.FW, relCfg)
-			rel.RegisterMetrics(c.Reg.Child(fmt.Sprintf("node%d", n.ID)).Child("fault"))
-			c.Rels = append(c.Rels, rel)
-		}
+		relCfg := cfg.Rel
+		relCfg.NumNodes = cfg.Nodes
+		rel := firmware.NewRel(n.FW, relCfg)
+		rel.RegisterMetrics(c.Reg.Child(fmt.Sprintf("node%d", n.ID)).Child("fault"))
+		c.Rels = append(c.Rels, rel)
 		n.FW.Start()
 	}
 	return c
 }
 
 // RelBound returns the worst-case sim time between submitting a reliable
-// send and its success-or-failure status landing (see RelConfig.SendBound);
-// zero when the service is disabled.
-func (c *Cluster) RelBound() sim.Time {
-	if len(c.Rels) == 0 {
-		return 0
-	}
-	return c.Rels[0].Config().SendBound()
-}
+// send and its success-or-failure status landing (see RelConfig.SendBound).
+func (c *Cluster) RelBound() sim.Time { return c.Rels[0].Config().SendBound() }
 
 // Run drives the simulation until no events remain, then checks for
 // deadlocked processes.

@@ -23,9 +23,8 @@ func TestDisabledServices(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.ScomaSize = 0
 	cfg.NumaSegment = 0
-	cfg.DisableDma = true
 	c := New(cfg)
-	if len(c.Scomas) != 0 || len(c.Numas) != 0 || len(c.Dmas) != 0 {
+	if len(c.Scomas) != 0 || len(c.Numas) != 0 {
 		t.Fatal("disabled services were installed")
 	}
 }

@@ -44,9 +44,6 @@ func (a *API) SendReliable(p *sim.Proc, dest int, payload []byte) error {
 	if len(payload) > MaxReliablePayload {
 		panic(fmt.Sprintf("core: payload %d exceeds reliable limit %d", len(payload), MaxReliablePayload))
 	}
-	if len(a.m.Rels) == 0 {
-		panic("core: reliable delivery disabled (cluster.Config.DisableRel)")
-	}
 	defer a.busy("SendReliable")()
 	a.relTag++
 	tag := a.relTag

@@ -40,10 +40,9 @@ type Proc struct {
 	// `eng.Schedule(d, p.runFn)` with no per-wakeup closure allocation.
 	runFn func()
 
-	// Completion state of the innermost active Call, plus the prebound
-	// done callback handed to start. Only the outermost Call on a Proc uses
-	// this fast path; nested Calls (a start function that itself Calls) fall
-	// back to a private closure, so the shared state is never aliased.
+	// Completion state of the active Call, plus the prebound done callback
+	// handed to start. A Proc has at most one Call in flight: a start
+	// function that itself Calls panics.
 	callActive    bool
 	callCompleted bool
 	callBlocked   bool
@@ -160,18 +159,14 @@ func (p *Proc) Delay(d Time) {
 //
 //	p.Call(func(done func()) { busPort.Issue(tx, done) })
 //
-// The common path — start completes synchronously (a bus issue that is
-// granted immediately) — allocates nothing: the done callback is the
-// Proc's prebound doneFn and the completion state lives in the Proc.
+// Call allocates nothing: the done callback is the Proc's prebound doneFn
+// and the completion state lives in the Proc. Calls do not nest — start
+// must not Call on the same Proc.
 //
-//voyager:noalloc the immediate-completion path; nested Calls take callSlow
+//voyager:noalloc
 func (p *Proc) Call(start func(done func())) {
 	if p.callActive {
-		// Nested Call (start itself blocked on another Call): give the inner
-		// call private state so an outer completion arriving while the inner
-		// call is blocked cannot be misattributed.
-		p.callSlow(start) //voyager:alloc-ok(nested Calls are the audited closure-per-call slow path)
-		return
+		panic(fmt.Sprintf("sim: nested Call in proc %q", p.name)) //voyager:alloc-ok(panic path)
 	}
 	p.callActive = true
 	p.callCompleted = false
@@ -197,28 +192,6 @@ func (p *Proc) callDone() {
 	p.callCompleted = true
 	if p.callBlocked {
 		p.run()
-	}
-}
-
-// callSlow is the closure-per-call implementation used for nested Calls.
-func (p *Proc) callSlow(start func(done func())) {
-	completed := false
-	blocked := false
-	start(func() {
-		if completed {
-			panic(fmt.Sprintf("sim: double completion in proc %q", p.name))
-		}
-		completed = true
-		if blocked {
-			p.run()
-		}
-	})
-	if !completed {
-		blocked = true
-		if pr := p.eng.prof; pr != nil {
-			pr.ProcBlock(p.eng.now, p, BlockBusy, "")
-		}
-		p.block()
 	}
 }
 

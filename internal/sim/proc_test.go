@@ -150,6 +150,22 @@ func TestProcNestedPanicPropagates(t *testing.T) {
 	}
 }
 
+// TestProcNestedCallPanics: a start function that Calls on its own Proc is
+// a usage error with a named panic; the Proc has one Call in flight at most.
+func TestProcNestedCallPanics(t *testing.T) {
+	e := NewEngine()
+	e.Spawn("nest", func(p *Proc) {
+		p.Call(func(done func()) {
+			p.Call(func(inner func()) { inner() })
+			done()
+		})
+	})
+	want := `sim: proc "nest" panicked: sim: nested Call in proc "nest"`
+	if r := runRecovered(e); r != want {
+		t.Fatalf("recovered %v, want %s", r, want)
+	}
+}
+
 // frameLog is a ProcProfiler recording resumes and frame hooks with the proc
 // each was attributed to.
 type frameLog struct{ log []string }
