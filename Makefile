@@ -8,6 +8,7 @@
 #   make faults      fault-injection smoke matrix -> FAULTS_matrix.json
 #   make faults-check  parallel (-parallel 4) fault matrix byte-compared to sequential
 #   make bench-micro   simulation-core microbenchmarks -> BENCH_micro.json
+#   make fuzz        one minute of event-queue fuzzing (not in ci)
 #   make bench-scale   64/256/1024-node footprint + scale sweep vs BENCH_scale.json
 #   make bench-scale-baseline  refresh the committed scale baseline
 #   make series      windowed telemetry sample byte-compared to SERIES_* goldens
@@ -19,7 +20,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt vet voyager-vet vet-json race lint bench-json bench-diff bench-baseline faults faults-check bench-micro bench-scale bench-scale-baseline series series-baseline prof prof-baseline chaos ci
+.PHONY: all build test fmt vet voyager-vet vet-json race lint bench-json bench-diff bench-baseline faults faults-check bench-micro fuzz bench-scale bench-scale-baseline series series-baseline prof prof-baseline chaos ci
 
 all: build test
 
@@ -102,14 +103,19 @@ faults-check:
 	cmp /tmp/FAULTS_seq.txt /tmp/FAULTS_par.txt
 	@echo "faults-check: parallel output is byte-identical to sequential"
 
-# Simulation-core microbenchmarks (event heap schedule/step, Proc handoff,
+# Simulation-core microbenchmarks (event queue schedule/step, Proc handoff,
 # queue traffic, whole-node run) -> BENCH_micro.json. Wall-clock numbers are
 # host-dependent; the committed artifact records the trajectory and the
-# allocs/op invariants, which the unit tests also enforce. (The boxed
-# container/heap replica that proved the 4-ary heap's >=2x events/sec when
-# it landed is retired; that result is recorded in DESIGN.md §5e.)
+# allocs/op invariants, which the unit tests also enforce.
 bench-micro:
 	$(GO) run ./cmd/voyager-bench -fig none -micro BENCH_micro.json
+
+# Time-boxed fuzzing of the event queue against its heap-only reference.
+# Plain `go test` (and so `make ci`) only replays the committed corpus in
+# internal/sim/testdata/fuzz; this explores beyond it for a minute. New
+# failing inputs land in that directory.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 60s ./internal/sim/
 
 # Machine-size sweep (64/256/1024-node fat trees): per-node heap footprint,
 # construction time, MPI allreduce/samplesort completion, and the per-level

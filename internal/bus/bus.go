@@ -364,7 +364,12 @@ func (op *busOp) snoop() {
 		}
 	}
 	if retried {
-		op.span.End(sim.Str("result", "retry"))
+		// Guarded like granted's BeginSpan: the ...Field slice escapes through
+		// the Observer interface, so building it costs an allocation per
+		// retry even when the span is inert.
+		if b.eng.Observed() {
+			op.span.End(sim.Str("result", "retry"))
+		}
 		b.res.Release()
 		b.stats.Retries++
 		tx.Retries++

@@ -159,6 +159,9 @@ var noallocAllowlist = map[string]bool{
 	"(encoding/binary.bigEndian).PutUint16":         true,
 	"(encoding/binary.bigEndian).PutUint32":         true,
 	"(encoding/binary.bigEndian).PutUint64":         true,
+	// Compiler intrinsic (a single TZCNT/BSF): the event wheel's occupancy
+	// bitmap scan.
+	"math/bits.TrailingZeros64": true,
 }
 
 // hasNoallocDirective reports whether the function's doc comment carries the

@@ -35,6 +35,12 @@ type DRAM struct {
 	aliases  []alias
 
 	reads, writes uint64
+
+	// srvOff stages the claimed backing offset for serve, so a claim needs
+	// no per-snoop closure. One field suffices: the bus is held from the
+	// snoop through the data phase, and the DRAM sits on one bus.
+	srvOff  uint32
+	serveFn func(tx *bus.Transaction)
 }
 
 // alias maps an extra claimed address range onto backing-array offsets
@@ -48,7 +54,9 @@ type alias struct {
 // New creates size bytes of DRAM at base with the given first-access latency.
 func New(rng bus.Range, latency sim.Time) *DRAM {
 	numPages := (uint64(rng.Size) + pageSize - 1) >> pageShift
-	return &DRAM{rng: rng, pages: make([][]byte, numPages), latency: latency}
+	d := &DRAM{rng: rng, pages: make([][]byte, numPages), latency: latency}
+	d.serveFn = d.serve
+	return d
 }
 
 // DeviceName implements bus.Device.
@@ -137,24 +145,23 @@ func (d *DRAM) SnoopBus(tx *bus.Transaction) bus.Snoop {
 	if tx.Kind == bus.Kill {
 		return bus.Snoop{}
 	}
-	offset, ok := d.resolve(tx.Addr)
+	off, ok := d.resolve(tx.Addr)
 	if !ok {
 		return bus.Snoop{}
 	}
-	return bus.Snoop{
-		Action:  bus.Claim,
-		Latency: d.latency,
-		Serve: func(tx *bus.Transaction) {
-			off := offset
-			switch tx.Kind {
-			case bus.ReadLine, bus.ReadLineX, bus.ReadWord:
-				d.readAt(off, tx.Data)
-				d.reads++
-			case bus.WriteLine, bus.WriteWord:
-				d.writeAt(off, tx.Data)
-				d.writes++
-			}
-		},
+	d.srvOff = off
+	return bus.Snoop{Action: bus.Claim, Latency: d.latency, Serve: d.serveFn}
+}
+
+// serve is the data phase of the claim SnoopBus staged.
+func (d *DRAM) serve(tx *bus.Transaction) {
+	switch tx.Kind {
+	case bus.ReadLine, bus.ReadLineX, bus.ReadWord:
+		d.readAt(d.srvOff, tx.Data)
+		d.reads++
+	case bus.WriteLine, bus.WriteWord:
+		d.writeAt(d.srvOff, tx.Data)
+		d.writes++
 	}
 }
 

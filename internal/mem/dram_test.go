@@ -39,6 +39,28 @@ func TestDRAMReadWrite(t *testing.T) {
 	}
 }
 
+// TestDRAMClaimZeroAllocs: a DRAM-claimed line read or write allocates
+// nothing. The claim stages its offset for a prebound serve; it builds no
+// closure per snoop.
+func TestDRAMClaimZeroAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	b := bus.New(eng, "bus", bus.DefaultConfig())
+	d := New(bus.Range{Base: 0, Size: 1 << 16}, 60)
+	m := &master{"cpu"}
+	b.Attach(d)
+	b.Attach(m)
+	for _, kind := range []bus.Kind{bus.ReadLine, bus.WriteLine} {
+		tx := &bus.Transaction{Kind: kind, Addr: 96, Data: make([]byte, bus.LineSize), Master: m}
+		allocs := testing.AllocsPerRun(100, func() {
+			b.Issue(tx, func() {})
+			eng.Run()
+		})
+		if allocs != 0 {
+			t.Errorf("DRAM-claimed %v allocates %v per transaction, want 0", kind, allocs)
+		}
+	}
+}
+
 func TestDRAMIgnoresOutOfRangeAndKill(t *testing.T) {
 	d := New(bus.Range{Base: 0x1000, Size: 0x1000}, 60)
 	if s := d.SnoopBus(&bus.Transaction{Kind: bus.ReadLine, Addr: 0}); s.Action != bus.OK {

@@ -306,6 +306,28 @@ func TestScomaStateCheck(t *testing.T) {
 	}
 }
 
+// TestScomaRetryZeroAllocs: while a line is Pending in clsSRAM the aBIU
+// answers Retry, and each retried bus round (the tenure, the DRAM's claim
+// of the aliased line, the backoff) allocates nothing.
+func TestScomaRetryZeroAllocs(t *testing.T) {
+	r := newRig(t)
+	addr := testMap.Scoma.Base + 64 // line 2
+	r.cls.Set(2, sram.CLPending)
+	var got [8]byte
+	r.eng.Spawn("ap", func(p *sim.Proc) { r.ch.Load(p, addr, got[:]) })
+	cfg := bus.DefaultConfig()
+	round := cfg.RetryBackoff + sim.Time(cfg.AddrCycles)*cfg.CycleTime // one snoop per round
+	r.eng.RunUntil(round)
+	before := r.a.Stats().ScomaRetries
+	allocs := testing.AllocsPerRun(100, func() { r.eng.RunUntil(r.eng.Now() + round) })
+	if n := r.a.Stats().ScomaRetries - before; n != 101 {
+		t.Fatalf("%d retries in 101 rounds", n)
+	}
+	if allocs != 0 {
+		t.Fatalf("a retried S-COMA bus round allocates %v, want 0", allocs)
+	}
+}
+
 func TestScomaWriteNeedsRW(t *testing.T) {
 	r := newRig(t)
 	addr := testMap.Scoma.Base + 128 // line 4

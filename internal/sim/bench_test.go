@@ -8,11 +8,11 @@ import (
 
 // Microbenchmarks for the kernel hot paths (run with `go test -bench . ./internal/sim/`)
 // plus AllocsPerRun regression tests pinning the fast-path guarantees: the
-// value-based event heap makes steady-state Schedule/Step allocation-free,
-// and the prebound completion callback makes an immediately-completing
-// Proc.Call allocation-free.
+// event queue's recycled node slab makes steady-state Schedule/Step
+// allocation-free, and the prebound completion callback makes an
+// immediately-completing Proc.Call allocation-free.
 
-// fan seeds n self-rescheduling event chains so the heap holds a realistic
+// fan seeds n self-rescheduling event chains so the queue holds a realistic
 // pending population; deltas follow a fixed multiplicative walk.
 func fan(e *sim.Engine, n int) {
 	for j := 0; j < n; j++ {
@@ -83,12 +83,12 @@ func BenchmarkQueuePushPop(b *testing.B) {
 	e.Run()
 }
 
-// TestScheduleStepZeroAllocs: once the heap's backing array has grown to the
+// TestScheduleStepZeroAllocs: once the queue's node slab has grown to the
 // working-set size, Schedule+Step cycles must not allocate at all.
 func TestScheduleStepZeroAllocs(t *testing.T) {
 	e := sim.NewEngine()
 	fan(e, 64)
-	for i := 0; i < 256; i++ { // settle heap capacity
+	for i := 0; i < 256; i++ { // settle slab capacity
 		e.Step()
 	}
 	allocs := testing.AllocsPerRun(1000, func() { e.Step() })

@@ -36,96 +36,11 @@ func (t Time) String() string {
 	}
 }
 
-type event struct {
-	at  Time
-	seq uint64
-	fn  func()
-}
-
-// before reports whether a orders ahead of b. (at, seq) is a strict total
-// order — seq is unique and monotonic — so the pop sequence of any correct
-// min-heap over it is identical, which is what keeps this rewrite
-// bit-compatible with the old container/heap implementation.
-//
-//voyager:noalloc
-func (a *event) before(b *event) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-// eventHeap is a value-based 4-ary min-heap ordered by (at, seq). Events are
-// stored inline (no per-push pointer allocation, no interface{} boxing), the
-// backing array is retained across pops, and the 4-ary layout halves tree
-// height versus a binary heap — sift-downs touch fewer cache lines on the
-// deep queues the full-machine models build.
-type eventHeap []event
-
-// push appends ev and sifts it up to its heap position. The new event is
-// held aside while ancestors shift down, so each level costs one event copy
-// rather than a swap's three.
-//
-//voyager:noalloc
-func (h *eventHeap) push(ev event) {
-	s := append(*h, ev) //voyager:alloc-ok(amortized: heap backing array is retained across pops)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !ev.before(&s[parent]) {
-			break
-		}
-		s[i] = s[parent]
-		i = parent
-	}
-	s[i] = ev
-	*h = s
-}
-
-// pop removes and returns the minimum event. The displaced last element is
-// held aside while the smallest children shift up, then placed once.
-//
-//voyager:noalloc
-func (h *eventHeap) pop() event {
-	s := *h
-	root := s[0]
-	n := len(s) - 1
-	moved := s[n]
-	s[n] = event{} // release the closure so the GC can collect it
-	s = s[:n]
-	*h = s
-	if n == 0 {
-		return root
-	}
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		min := first
-		for c := first + 1; c < last; c++ {
-			if s[c].before(&s[min]) {
-				min = c
-			}
-		}
-		if !s[min].before(&moved) {
-			break
-		}
-		s[i] = s[min]
-		i = min
-	}
-	s[i] = moved
-	return root
-}
-
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
 	now     Time
 	seq     uint64
-	events  eventHeap
 	nEvents uint64 // total events executed
 
 	procs   int // live Procs
@@ -162,6 +77,8 @@ type Engine struct {
 	// fixed window boundaries.
 	hookAt Time
 	hookFn func(Time)
+
+	q eventQueue // pending events (eventq.go)
 }
 
 // NewEngine returns an empty engine at time zero.
@@ -195,7 +112,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now)) //voyager:alloc-ok(panic path)
 	}
 	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn})
+	e.q.push(t, e.seq, fn)
 }
 
 // SetTimerHook arms the engine's single out-of-band timer: fn is invoked
@@ -238,16 +155,18 @@ func (e *Engine) fireHooks(t Time) {
 //
 //voyager:noalloc
 func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
+	if e.q.len() == 0 {
 		return false
 	}
-	if e.hookFn != nil && e.events[0].at >= e.hookAt {
-		e.fireHooks(e.events[0].at)
+	if e.hookFn != nil {
+		if at := e.q.peek(); at >= e.hookAt {
+			e.fireHooks(at)
+		}
 	}
-	ev := e.events.pop()
-	e.now = ev.at
+	at, fn := e.q.pop()
+	e.now = at
 	e.nEvents++
-	ev.fn()
+	fn()
 	return true
 }
 
@@ -263,7 +182,7 @@ func (e *Engine) Run() {
 //
 //voyager:noalloc
 func (e *Engine) RunUntil(t Time) {
-	for len(e.events) > 0 && e.events[0].at <= t {
+	for e.q.len() > 0 && e.q.peek() <= t {
 		e.Step()
 	}
 	if e.hookFn != nil && e.hookAt <= t {
@@ -282,11 +201,11 @@ func (e *Engine) RunLimit(n uint64) bool {
 			return true
 		}
 	}
-	return len(e.events) == 0
+	return e.q.len() == 0
 }
 
 // Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.q.len() }
 
 // BlockedProcs returns the number of live Procs currently blocked on a Cond
 // with no scheduled wakeup. If Run returns while this is nonzero the modeled
