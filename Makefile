@@ -104,7 +104,7 @@ faults-check:
 	@echo "faults-check: parallel output is byte-identical to sequential"
 
 # Simulation-core microbenchmarks (event queue schedule/step, Proc handoff,
-# queue traffic, whole-node run) -> BENCH_micro.json. Wall-clock numbers are
+# queue traffic, whole-node run, empty receive try) -> BENCH_micro.json. Wall-clock numbers are
 # host-dependent; the committed artifact records the trajectory and the
 # allocs/op invariants, which the unit tests also enforce.
 bench-micro:

@@ -10,8 +10,8 @@ import (
 )
 
 // Microbenchmark suite for the simulation core's hot paths: event
-// scheduling, Proc handoff, queue traffic, and a whole-node message
-// exchange. `voyager-bench -micro` (make bench-micro) runs it with
+// scheduling, Proc handoff, queue traffic, a whole-node message exchange,
+// and an aP spinning on an empty receive queue. `voyager-bench -micro` (make bench-micro) runs it with
 // testing.Benchmark and records events/sec and allocs/op in
 // BENCH_micro.json, so the perf trajectory is versioned alongside the
 // sim-time baseline in BENCH_baseline.json. Wall-clock numbers are
@@ -39,6 +39,7 @@ var microSuite = []struct {
 	{"proc/call-immediate", benchProcCallImmediate},
 	{"queue/push-pop", benchQueuePushPop},
 	{"node/basic-msg", benchNodeBasicMsg},
+	{"node/empty-poll", benchNodeEmptyPoll},
 }
 
 // MicroBench runs the suite and returns the results in suite order.
@@ -164,5 +165,24 @@ func benchNodeBasicMsg(b *testing.B) {
 	AllToOne{Mech: "basic", Count: b.N, Size: 4}.Spawn(m)
 	b.ReportAllocs()
 	b.ResetTimer()
+	m.Run()
+}
+
+// benchNodeEmptyPoll measures one empty receive try: node 0 blocks in
+// RecvBasic and polls its empty Basic queue's producer pointer for b.N
+// tries (one uncached bus read each) before node 1's message arrives. Steady
+// state must be allocation-free.
+func benchNodeEmptyPoll(b *testing.B) {
+	m := core.NewMachine(2)
+	bus0 := m.Nodes[0].Bus
+	m.Go(0, "sink", func(p *sim.Proc, a *core.API) { a.RecvBasic(p) })
+	m.Eng.RunUntil(sim.Microsecond) // warm the wait's pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for end := bus0.Stats().Transactions + uint64(b.N); bus0.Stats().Transactions < end; {
+		m.Eng.Step()
+	}
+	b.StopTimer()
+	m.Go(1, "src", func(p *sim.Proc, a *core.API) { a.SendBasic(p, 0, []byte{1}) })
 	m.Run()
 }

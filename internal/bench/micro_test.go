@@ -32,11 +32,12 @@ func TestWriteMicro(t *testing.T) {
 }
 
 // TestMicroSuiteContents pins the benchmark set: the engine schedule/step
-// probe alongside the handoff, queue, and whole-node probes.
+// probe alongside the handoff, queue, whole-node and empty-poll probes.
 func TestMicroSuiteContents(t *testing.T) {
 	want := []string{
 		"engine/schedule-step",
 		"proc/delay", "proc/call-immediate", "queue/push-pop", "node/basic-msg",
+		"node/empty-poll",
 	}
 	if len(microSuite) != len(want) {
 		t.Fatalf("suite has %d benchmarks, want %d", len(microSuite), len(want))

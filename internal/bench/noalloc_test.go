@@ -1,6 +1,13 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"startvoyager/internal/cluster"
+	"startvoyager/internal/core"
+	"startvoyager/internal/prof"
+	"startvoyager/internal/sim"
+)
 
 // TestBasicMsgChainAllocs pins the allocation budget of the Basic message
 // send/recv chain — the path the //voyager:noalloc annotations and the
@@ -27,4 +34,31 @@ func TestBasicMsgChainAllocs(t *testing.T) {
 	}
 	t.Logf("node/basic-msg: %d allocs/op, %d B/op over %d ops",
 		r.AllocsPerOp(), r.AllocedBytesPerOp(), r.N)
+}
+
+// TestEmptyPollZeroAllocs: an aP spinning in RecvBasic on an empty queue
+// allocates nothing per try, with or without the profiler attached. Each
+// try is one uncached bus read re-issued from the previous one's
+// completion, with the occupancy bracket closed and reopened in between.
+func TestEmptyPollZeroAllocs(t *testing.T) {
+	for _, profiled := range []bool{false, true} {
+		cfg := cluster.DefaultConfig(2)
+		if profiled {
+			cfg.Profiler = prof.New()
+		}
+		m := core.NewMachineConfig(cfg)
+		m.Go(0, "sink", func(p *sim.Proc, a *core.API) { a.RecvBasic(p) })
+		m.Eng.RunUntil(sim.Microsecond) // warm the wait's pools
+		bus0 := m.Nodes[0].Bus
+		before := bus0.Stats().Transactions
+		allocs := testing.AllocsPerRun(100, func() { m.Eng.RunUntil(m.Eng.Now() + sim.Microsecond) })
+		tries := bus0.Stats().Transactions - before
+		if tries < 500 {
+			t.Fatalf("profiled=%v: %d tries in 101 us, want a spinning receiver", profiled, tries)
+		}
+		if allocs != 0 {
+			t.Errorf("profiled=%v: spinning RecvBasic allocates %.1f per microsecond (%d tries), want 0",
+				profiled, allocs, tries)
+		}
+	}
 }

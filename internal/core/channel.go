@@ -130,16 +130,7 @@ func (ch *Channel) Send(p *sim.Proc, dest int, payload []byte) error {
 	virt := ch.virtFor(dest)
 
 	// Wait for queue space, aborting if protection trips.
-	shutdown := false
-	a.pollWait(p, "Channel.Send", noDeadline, func() bool {
-		if a.n.Ctrl.TxShutdown(ch.txq) {
-			shutdown = true
-			return true
-		}
-		_, consumer := a.ptrLoad(p, ch.txq, false)
-		return ch.txProd-consumer < ChannelEntries
-	})
-	if shutdown {
+	if ch.waitTx(p, ChannelEntries) {
 		return ErrChannelShutdown
 	}
 	slot := make([]byte, ctrl.SlotHeaderBytes+len(payload))
@@ -156,18 +147,24 @@ func (ch *Channel) Send(p *sim.Proc, dest int, payload []byte) error {
 	a.ptrStore(p, ch.txq, false, ch.txProd)
 	// Let the launch (and any violation) resolve before reporting success:
 	// poll until the consumer catches up or the queue is shut down.
-	a.pollWait(p, "Channel.Send", noDeadline, func() bool {
-		if a.n.Ctrl.TxShutdown(ch.txq) {
-			shutdown = true
-			return true
-		}
-		_, consumer := a.ptrLoad(p, ch.txq, false)
-		return consumer == ch.txProd
-	})
-	if shutdown {
+	if ch.waitTx(p, 1) {
 		return ErrChannelShutdown
 	}
 	return nil
+}
+
+// waitTx polls the transmit consumer pointer until fewer than lim messages
+// are outstanding, and reports true instead if protection shuts the queue
+// down first.
+//
+//voyager:noalloc
+func (ch *Channel) waitTx(p *sim.Proc, lim uint32) (shutdown bool) {
+	a := ch.api
+	s := a.spinGet(spinTx, ptrAddr(ch.txq, false), &ch.txProd, "", noDeadline)
+	s.lim, s.shutQ = lim, ch.txq
+	shutdown = s.wait(p) == spinShutdown
+	s.release()
+	return shutdown
 }
 
 // TryRecv polls this channel once.
@@ -178,6 +175,13 @@ func (ch *Channel) TryRecv(p *sim.Proc) (src int, payload []byte, ok bool) {
 	if producer == ch.rxCons {
 		return 0, nil, false
 	}
+	src, payload = ch.readSlot(p)
+	return src, payload, true
+}
+
+// readSlot consumes the message at the head of the receive queue.
+func (ch *Channel) readSlot(p *sim.Proc) (src int, payload []byte) {
+	a := ch.api
 	base := node.SramBase + ctrl.SlotOffset(ch.bufRx, node.BasicSlotBytes,
 		ChannelEntries, ch.rxCons)
 	var hdr [8]byte
@@ -193,7 +197,7 @@ func (ch *Channel) TryRecv(p *sim.Proc) (src int, payload []byte, ok bool) {
 	}
 	ch.rxCons++
 	a.ptrStore(p, ch.rxq, true, ch.rxCons)
-	return int(binary.BigEndian.Uint16(hdr[0:])), payload, true
+	return int(binary.BigEndian.Uint16(hdr[0:])), payload
 }
 
 // Recv blocks until a message arrives on this channel.
@@ -209,14 +213,17 @@ func (ch *Channel) RecvTimeout(p *sim.Proc, timeout sim.Time) (src int, payload 
 }
 
 func (ch *Channel) recvT(p *sim.Proc, timeout sim.Time) (src int, payload []byte, err error) {
-	err = ch.api.pollWait(p, "Channel.Recv", timeout, func() bool {
-		s, pl, ok := ch.TryRecv(p)
-		if ok {
-			src, payload = s, pl
-		}
-		return ok
-	})
-	return src, payload, err
+	a := ch.api
+	s := a.spinGet(spinRx, ptrAddr(ch.rxq, true), &ch.rxCons, "Channel.TryRecv", timeout)
+	hit := s.wait(p) == spinHit
+	if hit {
+		src, payload = ch.readSlot(p)
+	}
+	s.release()
+	if !hit {
+		return 0, nil, &TimeoutError{Op: "Channel.Recv", Timeout: timeout}
+	}
+	return src, payload, nil
 }
 
 // Shutdown reports whether protection has disabled this channel.

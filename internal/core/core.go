@@ -88,8 +88,7 @@ type API struct {
 	busyFree []*busyTok
 	wordFree []*wordBuf
 	slotFree []*slotBuf
-	txwFree  []*txWait
-	rxwFree  []*rxWait
+	spinFree []*spin
 }
 
 func newAPI(m *Machine, n *node.Node) *API {
@@ -269,43 +268,14 @@ func (a *API) sendSlot(p *sim.Proc, op string, destIdx int, flags byte, payload 
 	a.ptrStore(p, q, false, a.txProd[q])
 }
 
-// txWait is a pooled predicate record for waitTxSpace: its prebound try
-// method replaces a per-call closure.
-type txWait struct {
-	a       *API
-	p       *sim.Proc
-	q       int
-	entries uint32
-	tryFn   func() bool
-}
-
-//voyager:noalloc
-func (w *txWait) try() bool {
-	_, consumer := w.a.ptrLoad(w.p, w.q, false)
-	return w.a.txProd[w.q]-consumer < w.entries
-}
-
-//voyager:noalloc
-func (a *API) txWaitGet() *txWait {
-	if n := len(a.txwFree); n > 0 {
-		w := a.txwFree[n-1]
-		a.txwFree = a.txwFree[:n-1]
-		return w
-	}
-	w := &txWait{a: a} //voyager:alloc-ok(pool warm-up; recycled thereafter)
-	w.tryFn = w.try    //voyager:alloc-ok(one-time method binding for the pooled record)
-	return w
-}
-
 // waitTxSpace polls the transmit consumer pointer until a slot is free.
 //
 //voyager:noalloc
 func (a *API) waitTxSpace(p *sim.Proc, q, entries int) {
-	w := a.txWaitGet()
-	w.p, w.q, w.entries = p, q, uint32(entries)
-	a.pollWait(p, "waitTxSpace", noDeadline, w.tryFn)
-	w.p = nil
-	a.txwFree = append(a.txwFree, w) //voyager:alloc-ok(amortized: pool backing array is retained)
+	s := a.spinGet(spinTx, ptrAddr(q, false), &a.txProd[q], "", noDeadline)
+	s.lim = uint32(entries)
+	s.wait(p)
+	s.release()
 }
 
 // TryRecvBasic polls the Basic receive queue once; ok is false if empty.
@@ -331,54 +301,22 @@ func (a *API) RecvBasicTimeout(p *sim.Proc, timeout sim.Time) (src int, payload 
 	return a.recvBasicT(p, timeout)
 }
 
-// rxWait is a pooled predicate record for the blocking receives: its
-// prebound try method polls one slot queue and stashes the result, replacing
-// a per-call closure over the outparams.
-type rxWait struct {
-	a       *API
-	p       *sim.Proc
-	op      string
-	q       int
-	bufOff  uint32
-	src     int
-	payload []byte
-	tryFn   func() bool
-}
-
-//voyager:noalloc
-func (w *rxWait) try() bool {
-	s, pl, ok := w.a.tryRecvSlot(w.p, w.op, w.q, w.bufOff)
-	if ok {
-		w.src, w.payload = s, pl
-	}
-	return ok
-}
-
-//voyager:noalloc
-func (a *API) rxWaitGet() *rxWait {
-	if n := len(a.rxwFree); n > 0 {
-		w := a.rxwFree[n-1]
-		a.rxwFree = a.rxwFree[:n-1]
-		return w
-	}
-	w := &rxWait{a: a} //voyager:alloc-ok(pool warm-up; recycled thereafter)
-	w.tryFn = w.try    //voyager:alloc-ok(one-time method binding for the pooled record)
-	return w
-}
-
-// recvSlotT blocks (with an optional deadline) on the given slot queue; op
-// names the inner poll's occupancy span.
+// recvSlotT blocks (with an optional deadline) on the given slot queue; span
+// names the wait for its timeout error, op each try's occupancy bracket.
 //
 //voyager:noalloc
 func (a *API) recvSlotT(p *sim.Proc, span, op string, q int, bufOff uint32,
 	timeout sim.Time) (src int, payload []byte, err error) {
-	w := a.rxWaitGet()
-	w.p, w.op, w.q, w.bufOff = p, op, q, bufOff
-	err = a.pollWait(p, span, timeout, w.tryFn)
-	src, payload = w.src, w.payload
-	w.p, w.payload = nil, nil
-	a.rxwFree = append(a.rxwFree, w) //voyager:alloc-ok(amortized: pool backing array is retained)
-	return src, payload, err
+	s := a.spinGet(spinRx, ptrAddr(q, true), &a.rxCons[q], op, timeout)
+	hit := s.wait(p) == spinHit
+	if hit {
+		src, payload = a.readSlot(p, q, bufOff)
+	}
+	s.release()
+	if !hit {
+		return 0, nil, &TimeoutError{Op: span, Timeout: timeout} //voyager:alloc-ok(timeout error on the cold exit)
+	}
+	return src, payload, nil
 }
 
 //voyager:noalloc
@@ -416,15 +354,26 @@ func (a *API) TryRecvNotify(p *sim.Proc) (src int, payload []byte, ok bool) {
 	return a.tryRecvSlot(p, "TryRecvNotify", node.RxNotify, node.SramRxNotifyBuf)
 }
 
-// to the caller, which owns it outright
+// tryRecvSlot polls the given slot queue once; op names the occupancy
+// bracket.
 //
-//voyager:noalloc the returned payload is the only allocation: it is handed
+//voyager:noalloc
 func (a *API) tryRecvSlot(p *sim.Proc, op string, q int, bufOff uint32) (int, []byte, bool) {
 	defer a.busy(op)()
 	producer, _ := a.ptrLoad(p, q, true)
 	if producer == a.rxCons[q] {
 		return 0, nil, false
 	}
+	src, payload := a.readSlot(p, q, bufOff)
+	return src, payload, true
+}
+
+// readSlot consumes the message at the head of a slot queue the producer
+// pointer has shown to be non-empty. The returned payload is its only
+// allocation: it is handed to the caller, which owns it outright.
+//
+//voyager:noalloc
+func (a *API) readSlot(p *sim.Proc, q int, bufOff uint32) (int, []byte) {
 	base := a.slotAddr(bufOff, node.BasicSlotBytes, node.BasicEntries, a.rxCons[q])
 	// Invalidate any stale cached copy of the slot, then read it.
 	var hdr [8]byte
@@ -442,7 +391,7 @@ func (a *API) tryRecvSlot(p *sim.Proc, op string, q int, bufOff uint32) (int, []
 	a.traceMsg("msg-consume", a.n.Ctrl.RxTag(q, a.rxCons[q]), sim.Int("rxq", q))
 	a.rxCons[q]++
 	a.ptrStore(p, q, true, a.rxCons[q])
-	return src, payload, true
+	return src, payload
 }
 
 // --- Express messages ---
@@ -471,18 +420,30 @@ func (a *API) SendExpress(p *sim.Proc, dest int, payload []byte) {
 func (a *API) TryRecvExpress(p *sim.Proc) (src int, payload [MaxExpressPayload]byte, ok bool) {
 	defer a.busy("TryRecvExpress")()
 	w := a.wordGet()
-	addr := node.ExRxBase + uint32(node.RxExpress)*8
-	a.n.Cache.LoadUncached(p, addr, w.b[:])
+	a.n.Cache.LoadUncached(p, exRxAddr, w.b[:])
 	word := w.b
 	a.wordPut(w)
 	if word[0]&0x80 == 0 {
 		return 0, payload, false
 	}
+	src, payload = expressMsg(&word)
+	return src, payload, true
+}
+
+// exRxAddr is the Express receive queue's word: loading it pops one message.
+const exRxAddr = node.ExRxBase + uint32(node.RxExpress)*8
+
+// expressMsg decodes a valid Express receive word.
+//
+//voyager:noalloc
+func expressMsg(word *[8]byte) (src int, payload [MaxExpressPayload]byte) {
 	copy(payload[:], word[3:8])
-	return int(binary.BigEndian.Uint16(word[1:])), payload, true
+	return int(binary.BigEndian.Uint16(word[1:])), payload
 }
 
 // RecvExpress blocks until an Express message arrives.
+//
+//voyager:noalloc
 func (a *API) RecvExpress(p *sim.Proc) (src int, payload [MaxExpressPayload]byte) {
 	src, payload, _ = a.recvExpressT(p, noDeadline)
 	return src, payload
@@ -490,19 +451,24 @@ func (a *API) RecvExpress(p *sim.Proc) (src int, payload [MaxExpressPayload]byte
 
 // RecvExpressTimeout is RecvExpress with a bound: after timeout of simulated
 // time with no message it returns a *TimeoutError.
+//
+//voyager:noalloc
 func (a *API) RecvExpressTimeout(p *sim.Proc, timeout sim.Time) (src int, payload [MaxExpressPayload]byte, err error) {
 	return a.recvExpressT(p, timeout)
 }
 
+//voyager:noalloc
 func (a *API) recvExpressT(p *sim.Proc, timeout sim.Time) (src int, payload [MaxExpressPayload]byte, err error) {
-	err = a.pollWait(p, "RecvExpress", timeout, func() bool {
-		s, pl, ok := a.TryRecvExpress(p)
-		if ok {
-			src, payload = s, pl
-		}
-		return ok
-	})
-	return src, payload, err
+	s := a.spinGet(spinExpress, exRxAddr, nil, "TryRecvExpress", timeout)
+	hit := s.wait(p) == spinHit
+	if hit {
+		src, payload = expressMsg(&s.word)
+	}
+	s.release()
+	if !hit {
+		return 0, payload, &TimeoutError{Op: "RecvExpress", Timeout: timeout} //voyager:alloc-ok(timeout error on the cold exit)
+	}
+	return src, payload, nil
 }
 
 // --- DMA ---
@@ -642,11 +608,7 @@ func (a *API) wordPut(w *wordBuf) {
 //voyager:noalloc
 func (a *API) ptrLoad(p *sim.Proc, q int, rx bool) (producer, consumer uint32) {
 	w := a.wordGet()
-	off := uint32(q) * 16
-	if rx {
-		off += 8
-	}
-	a.n.Cache.LoadUncached(p, node.PtrBase+off, w.b[:])
+	a.n.Cache.LoadUncached(p, ptrAddr(q, rx), w.b[:])
 	v := binary.BigEndian.Uint64(w.b[:])
 	a.wordPut(w)
 	return uint32(v >> 32), uint32(v)
@@ -658,12 +620,20 @@ func (a *API) ptrLoad(p *sim.Proc, q int, rx bool) (producer, consumer uint32) {
 func (a *API) ptrStore(p *sim.Proc, q int, rx bool, val uint32) {
 	w := a.wordGet()
 	binary.BigEndian.PutUint64(w.b[:], uint64(val))
+	a.n.Cache.StoreUncached(p, ptrAddr(q, rx), w.b[:])
+	a.wordPut(w)
+}
+
+// ptrAddr is the address of a queue's pointer word: its (producer,
+// consumer) pair, big-endian.
+//
+//voyager:noalloc
+func ptrAddr(q int, rx bool) uint32 {
 	off := uint32(q) * 16
 	if rx {
 		off += 8
 	}
-	a.n.Cache.StoreUncached(p, node.PtrBase+off, w.b[:])
-	a.wordPut(w)
+	return node.PtrBase + off
 }
 
 //voyager:noalloc

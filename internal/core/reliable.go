@@ -121,10 +121,16 @@ func (a *API) TryRecvReliable(p *sim.Proc) (src int, payload []byte, ok bool) {
 	if !ok {
 		return 0, nil, false
 	}
+	src, payload = a.relDelivery(pl)
+	return src, payload, true
+}
+
+// relDelivery splits a reliable-queue slot into its origin node and payload.
+func (a *API) relDelivery(pl []byte) (src int, payload []byte) {
 	if len(pl) < 2 {
 		panic(fmt.Sprintf("core: node %d: short reliable delivery (%d bytes)", a.n.ID, len(pl)))
 	}
-	return int(binary.BigEndian.Uint16(pl[0:])), pl[2:], true
+	return int(binary.BigEndian.Uint16(pl[0:])), pl[2:]
 }
 
 // RecvReliable blocks until a reliably-delivered message arrives.
@@ -141,12 +147,10 @@ func (a *API) RecvReliableTimeout(p *sim.Proc, timeout sim.Time) (src int, paylo
 }
 
 func (a *API) recvReliableT(p *sim.Proc, timeout sim.Time) (src int, payload []byte, err error) {
-	err = a.pollWait(p, "RecvReliable", timeout, func() bool {
-		s, pl, ok := a.TryRecvReliable(p)
-		if ok {
-			src, payload = s, pl
-		}
-		return ok
-	})
-	return src, payload, err
+	_, pl, err := a.recvSlotT(p, "RecvReliable", "TryRecvReliable", node.RxRel, node.SramRxRelBuf, timeout)
+	if err != nil {
+		return 0, nil, err
+	}
+	src, payload = a.relDelivery(pl)
+	return src, payload, nil
 }

@@ -65,6 +65,7 @@ var noallocAllowlist = map[string]bool{
 	"(*startvoyager/internal/sim.Resource).Busy":    true,
 	"(*startvoyager/internal/sim.Proc).Call":        true,
 	"(*startvoyager/internal/sim.Proc).Delay":       true,
+	"(*startvoyager/internal/sim.Proc).Inline":      true,
 	"(*startvoyager/internal/sim.Proc).Now":         true,
 	"(*startvoyager/internal/sim.Queue).Push":       true,
 	"(*startvoyager/internal/sim.Queue).Pop":        true,
@@ -124,6 +125,7 @@ var noallocAllowlist = map[string]bool{
 	"(*startvoyager/internal/niu/ctrl.Ctrl).TxConsumer":       true,
 	"(*startvoyager/internal/niu/ctrl.Ctrl).RxProducer":       true,
 	"(*startvoyager/internal/niu/ctrl.Ctrl).RxConsumer":       true,
+	"(*startvoyager/internal/niu/ctrl.Ctrl).TxShutdown":       true,
 	"startvoyager/internal/niu/ctrl.SlotOffset":               true,
 	"startvoyager/internal/niu/txrx.EncodeInto":               true,
 	"startvoyager/internal/niu/txrx.DecodeInto":               true,

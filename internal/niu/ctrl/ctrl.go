@@ -606,6 +606,8 @@ func (c *Ctrl) RxProducer(q int) uint32 { c.checkQ(q); return c.rx[q].producer }
 func (c *Ctrl) RxConsumer(q int) uint32 { c.checkQ(q); return c.rx[q].consumer }
 
 // TxShutdown reports whether queue q was shut down by protection.
+//
+//voyager:noalloc
 func (c *Ctrl) TxShutdown(q int) bool { c.checkQ(q); return c.tx[q].shutdown }
 
 // TxBacklog totals the work CTRL has accepted but not finished launching:

@@ -8,6 +8,7 @@ package txrx
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"startvoyager/internal/arctic"
@@ -23,6 +24,11 @@ const (
 	MaxDataPayload  = arctic.MaxPacketBytes - DataHeaderBytes // 88
 	MaxCmdPayload   = arctic.MaxPacketBytes - CmdHeaderBytes  // 80
 )
+
+// ErrPayloadTooLong reports a frame whose payload exceeds its kind's limit
+// (MaxDataPayload, MaxCmdPayload): Encode refuses to build one, and
+// DecodeInto refuses one whose header claims it, checksum or not.
+var ErrPayloadTooLong = errors.New("txrx: payload too long for its frame kind")
 
 // crcTable holds CRC-8 (poly 0x07, MSB-first) remainders for every byte.
 // Each frame carries its checksum at byte 1 — previously an unused pad —
@@ -161,7 +167,7 @@ func EncodeInto(f *Frame, buf []byte) ([]byte, error) {
 	switch f.Kind {
 	case Data:
 		if len(f.Payload) > MaxDataPayload {
-			return nil, fmt.Errorf("txrx: data payload %d exceeds %d", len(f.Payload), MaxDataPayload) //voyager:alloc-ok(error path)
+			return nil, fmt.Errorf("%w: data payload %d exceeds %d", ErrPayloadTooLong, len(f.Payload), MaxDataPayload) //voyager:alloc-ok(error path)
 		}
 		b := wireBytes(DataHeaderBytes + len(f.Payload))
 		b[0] = byte(Data)
@@ -173,7 +179,7 @@ func EncodeInto(f *Frame, buf []byte) ([]byte, error) {
 		return b, nil
 	case Cmd:
 		if len(f.Payload) > MaxCmdPayload {
-			return nil, fmt.Errorf("txrx: cmd payload %d exceeds %d", len(f.Payload), MaxCmdPayload) //voyager:alloc-ok(error path)
+			return nil, fmt.Errorf("%w: cmd payload %d exceeds %d", ErrPayloadTooLong, len(f.Payload), MaxCmdPayload) //voyager:alloc-ok(error path)
 		}
 		b := wireBytes(CmdHeaderBytes + len(f.Payload))
 		b[0] = byte(Cmd)
@@ -220,12 +226,18 @@ func DecodeInto(f *Frame, b []byte) error {
 		if len(b) != DataHeaderBytes+n {
 			return fmt.Errorf("txrx: data frame length %d, header says %d", len(b), n) //voyager:alloc-ok(error path)
 		}
+		if n > MaxDataPayload {
+			return fmt.Errorf("%w: data frame header says %d, limit %d", ErrPayloadTooLong, n, MaxDataPayload) //voyager:alloc-ok(error path)
+		}
 		f.LogicalQ = binary.BigEndian.Uint16(b[4:])
 		f.Payload = append(pl[:0], b[DataHeaderBytes:]...)
 		return nil
 	case Cmd:
 		if len(b) < CmdHeaderBytes || len(b) != CmdHeaderBytes+n {
 			return fmt.Errorf("txrx: cmd frame length %d, header says %d", len(b), n) //voyager:alloc-ok(error path)
+		}
+		if n > MaxCmdPayload {
+			return fmt.Errorf("%w: cmd frame header says %d, limit %d", ErrPayloadTooLong, n, MaxCmdPayload) //voyager:alloc-ok(error path)
 		}
 		f.Op = CmdOp(binary.BigEndian.Uint16(b[4:]))
 		f.Addr = binary.BigEndian.Uint32(b[8:])

@@ -2,6 +2,8 @@ package txrx
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -134,5 +136,32 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeRejectsOversizedPayload: a frame whose header claims more
+// payload than its kind allows is refused with ErrPayloadTooLong even when
+// its length and checksum agree, exactly as Encode refuses to build it.
+func TestDecodeRejectsOversizedPayload(t *testing.T) {
+	for _, tc := range []struct {
+		kind   Kind
+		header int
+		max    int
+	}{
+		{Data, DataHeaderBytes, MaxDataPayload},
+		{Cmd, CmdHeaderBytes, MaxCmdPayload},
+	} {
+		n := tc.max + 1
+		b := make([]byte, tc.header+n)
+		b[0] = byte(tc.kind)
+		binary.BigEndian.PutUint16(b[6:], uint16(n))
+		b[1] = Checksum(b)
+		var f Frame
+		if err := DecodeInto(&f, b); !errors.Is(err, ErrPayloadTooLong) {
+			t.Errorf("kind %d: DecodeInto(%d-byte payload) = %v, want ErrPayloadTooLong", tc.kind, n, err)
+		}
+		if _, err := Encode(&Frame{Kind: tc.kind, Payload: make([]byte, n)}); !errors.Is(err, ErrPayloadTooLong) {
+			t.Errorf("kind %d: Encode(%d-byte payload) = %v, want ErrPayloadTooLong", tc.kind, n, err)
+		}
 	}
 }

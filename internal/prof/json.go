@@ -2,6 +2,7 @@ package prof
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -144,6 +145,9 @@ func (d *Doc) WriteJSON(w io.Writer) error {
 	return err
 }
 
+// ErrNullTreeNode reports a profile document whose tree holds a null node.
+var ErrNullTreeNode = errors.New("prof: null tree node")
+
 // ReadDoc parses a voyager-prof/v1 JSON document.
 func ReadDoc(r io.Reader) (*Doc, error) {
 	data, err := io.ReadAll(r)
@@ -157,7 +161,23 @@ func ReadDoc(r io.Reader) (*Doc, error) {
 	if d.Schema != Schema {
 		return nil, fmt.Errorf("prof: unsupported schema %q (want %q)", d.Schema, Schema)
 	}
+	if err := checkTree(d.Tree); err != nil {
+		return nil, err
+	}
 	return &d, nil
+}
+
+// checkTree rejects a null node anywhere in a parsed tree.
+func checkTree(ns []*TreeNode) error {
+	for _, n := range ns {
+		if n == nil {
+			return ErrNullTreeNode
+		}
+		if err := checkTree(n.Children); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReadDocFile parses the profile JSON at path.

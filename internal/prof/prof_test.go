@@ -2,6 +2,7 @@ package prof
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -331,4 +332,17 @@ func TestFinishTerminal(t *testing.T) {
 		}
 	}()
 	New().Doc(nil)
+}
+
+// TestReadDocNullTreeNode: a null node anywhere in the tree is a named parse
+// error, not a nil dereference when the tree is rendered.
+func TestReadDocNullTreeNode(t *testing.T) {
+	for _, doc := range []string{
+		`{"schema":"voyager-prof/v1","tree":[null]}`,
+		`{"schema":"voyager-prof/v1","tree":[{"name":"a","kind":"frame","children":[null]}]}`,
+	} {
+		if _, err := ReadDoc(strings.NewReader(doc)); !errors.Is(err, ErrNullTreeNode) {
+			t.Errorf("ReadDoc(%s) = %v, want ErrNullTreeNode", doc, err)
+		}
+	}
 }

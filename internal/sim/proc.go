@@ -42,10 +42,12 @@ type Proc struct {
 
 	// Completion state of the active Call, plus the prebound done callback
 	// handed to start. A Proc has at most one Call in flight: a start
-	// function that itself Calls panics.
+	// function that itself Calls panics. inline marks an Inline window, in
+	// which the Proc must not block.
 	callActive    bool
 	callCompleted bool
 	callBlocked   bool
+	inline        bool
 	doneFn        func()
 }
 
@@ -134,7 +136,39 @@ func (p *Proc) run() {
 //
 //voyager:noalloc
 func (p *Proc) block() {
+	if p.inline {
+		panic(fmt.Sprintf("sim: proc %q blocked inside Inline", p.name)) //voyager:alloc-ok(panic path)
+	}
 	p.yield(struct{}{})
+}
+
+// Inline runs fn as p while p stays blocked: fn is the code p would run if
+// resumed now, up to blocking again in a Call. It runs in the current event,
+// with p as the current proc, and an attached profiler sees ProcResume
+// before fn and ProcBlock(BlockBusy) after it, so fn's frame pushes and pops
+// land exactly where the resumed proc's would. It saves the two coroutine
+// switches of resuming p only for it to block again. fn must not block:
+// Delay, Call and Cond waits inside it panic. p must be blocked, not
+// running.
+//
+//voyager:noalloc
+func (p *Proc) Inline(fn func()) {
+	e := p.eng
+	if p.dead || e.curProc == p {
+		panic(fmt.Sprintf("sim: Inline on proc %q, which is not blocked", p.name)) //voyager:alloc-ok(panic path)
+	}
+	prev := e.curProc
+	e.curProc = p
+	p.inline = true
+	if e.prof != nil {
+		e.prof.ProcResume(e.now, p)
+	}
+	fn()
+	if e.prof != nil {
+		e.prof.ProcBlock(e.now, p, BlockBusy, "")
+	}
+	p.inline = false
+	e.curProc = prev
 }
 
 // Delay advances the process by d of simulated time (modeling computation or
@@ -165,6 +199,9 @@ func (p *Proc) Delay(d Time) {
 //
 //voyager:noalloc
 func (p *Proc) Call(start func(done func())) {
+	if p.inline {
+		panic(fmt.Sprintf("sim: proc %q blocked inside Inline", p.name)) //voyager:alloc-ok(panic path)
+	}
 	if p.callActive {
 		panic(fmt.Sprintf("sim: nested Call in proc %q", p.name)) //voyager:alloc-ok(panic path)
 	}

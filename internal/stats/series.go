@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -484,6 +485,10 @@ func (s *Sampler) WriteJSON(w io.Writer, meta *RunMeta) error {
 	return err
 }
 
+// ErrNullSeries reports a series document whose series map holds a null
+// entry.
+var ErrNullSeries = errors.New("stats: null series entry")
+
 // ParseSeries reads and validates a voyager-series/v1 document.
 func ParseSeries(r io.Reader) (*SeriesDoc, error) {
 	var doc SeriesDoc
@@ -496,6 +501,9 @@ func ParseSeries(r io.Reader) (*SeriesDoc, error) {
 	}
 	for _, p := range doc.SortedPaths() {
 		d := doc.Series[p]
+		if d == nil {
+			return nil, fmt.Errorf("%w: %q", ErrNullSeries, p)
+		}
 		for _, l := range [][2]int{
 			{len(d.Min), doc.Windows}, {len(d.Max), doc.Windows},
 			{len(d.Sum), doc.Windows}, {len(d.Count), doc.Windows},

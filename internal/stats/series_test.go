@@ -2,8 +2,10 @@ package stats
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"startvoyager/internal/sim"
@@ -262,5 +264,14 @@ func TestSamplerConfigValidation(t *testing.T) {
 			}()
 			NewSampler(eng, reg, cfg)
 		}()
+	}
+}
+
+// TestParseSeriesNullEntry: a null series entry is a named parse error, not
+// a nil dereference in the window-count check.
+func TestParseSeriesNullEntry(t *testing.T) {
+	_, err := ParseSeries(strings.NewReader(`{"schema":"voyager-series/v1","series":{"x":null}}`))
+	if !errors.Is(err, ErrNullSeries) {
+		t.Fatalf("ParseSeries = %v, want ErrNullSeries", err)
 	}
 }
