@@ -119,10 +119,11 @@ fuzz:
 
 # Machine-size sweep (64/256/1024-node fat trees): per-node heap footprint,
 # construction time, MPI allreduce/samplesort completion, and the per-level
-# hotspot saturation profile. The gate recomputes the sweep and fails if any
-# bytes/node figure regressed >10% against the committed BENCH_scale.json;
-# simulated-time columns are pinned by unit tests, wall-clock columns are
-# informational.
+# hotspot saturation profile. The gate recomputes the sweep against the
+# committed BENCH_scale.json and fails if any bytes/node figure regressed
+# >10%, or if any deterministic column (levels, links, allreduce_ns,
+# samplesort_ns, hotspot_level_stalls) differs at all, as bench-diff does
+# for the headline; wall-clock columns are informational.
 bench-scale:
 	$(GO) run ./cmd/voyager-bench -fig none -scale-diff BENCH_scale.json
 

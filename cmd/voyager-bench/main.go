@@ -47,9 +47,9 @@
 // and the per-tree-level hotspot saturation profile, written as
 // voyager-scale/v1 JSON (`make bench-scale-baseline` keeps BENCH_scale.json
 // current). -scale-diff recomputes the sweep and exits nonzero if any
-// bytes/node figure regressed more than 10% against the given baseline
-// (`make bench-scale` is the CI gate). -nodes also overrides fig ext-f's
-// machine sizes.
+// bytes/node figure regressed more than 10% against the given baseline, or
+// if any deterministic simulated column differs from it (`make bench-scale`
+// is the CI gate). -nodes also overrides fig ext-f's machine sizes.
 package main
 
 import (
@@ -80,7 +80,7 @@ func main() {
 	parallelN := flag.Int("parallel", 1, "worker goroutines for independent sweep cells (output is byte-identical at any value)")
 	microFile := flag.String("micro", "", "run the microbenchmark suite and write events/sec + allocs/op as JSON")
 	scaleFile := flag.String("scale", "", "run the scale sweep and write bytes/node + sim results as JSON (voyager-scale/v1)")
-	scaleDiff := flag.String("scale-diff", "", "diff the scale sweep's bytes/node against this baseline JSON; exit 1 on >10% regression")
+	scaleDiff := flag.String("scale-diff", "", "diff the scale sweep against this baseline JSON; exit 1 on a >10% bytes/node regression or any simulated-column change")
 	nodesFlag := flag.String("nodes", "", "comma-separated node counts for the scale sweep and fig ext-f (e.g. 64,256,1024)")
 	var art bench.Artifacts
 	art.Register(flag.CommandLine)

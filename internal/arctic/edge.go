@@ -79,9 +79,9 @@ func (e *edge) Inject(pkt *Packet) {
 	e.stats.ByPri[pkt.Priority]++
 	if e.eng.Observed() {
 		e.eng.Instant(pkt.Src, "net", "inject",
-			traceFields([]sim.Field{
+			pkt.Trace.AppendTo([]sim.Field{
 				sim.Int("dst", pkt.Dst), sim.Int("size", pkt.Size),
-				sim.Str("pri", pkt.Priority.String())}, pkt.Trace)...)
+				sim.Str("pri", pkt.Priority.String())})...)
 	}
 	if e.faults == nil {
 		e.launchFn(pkt)
@@ -90,7 +90,7 @@ func (e *edge) Inject(pkt *Packet) {
 	launch, delay := e.judge(pkt)
 	if len(launch) == 0 && e.eng.Observed() && pkt.Trace.Traced() {
 		e.eng.Instant(pkt.Src, "net", "msg-drop",
-			traceFields([]sim.Field{sim.Str("why", "fault")}, pkt.Trace)...)
+			pkt.Trace.AppendTo([]sim.Field{sim.Str("why", "fault")})...)
 	}
 	for _, lp := range launch {
 		lp := lp
@@ -162,9 +162,9 @@ func (e *edge) delivered(pkt *Packet) {
 	e.latHist.ObserveTime(lat)
 	if e.eng.Observed() {
 		e.eng.Instant(pkt.Dst, "net", "deliver", //voyager:alloc-ok(observed runs trade allocation for visibility)
-			traceFields([]sim.Field{
+			pkt.Trace.AppendTo([]sim.Field{
 				sim.Int("src", pkt.Src), sim.I64("lat_ns", int64(lat)),
-				sim.Int("size", pkt.Size)}, pkt.Trace)...)
+				sim.Int("size", pkt.Size)})...)
 	}
 }
 
@@ -174,6 +174,6 @@ func (e *edge) delivered(pkt *Packet) {
 func (e *edge) dropDead(pkt *Packet) {
 	if e.eng.Observed() && pkt.Trace.Traced() {
 		e.eng.Instant(pkt.Dst, "net", "msg-drop", //voyager:alloc-ok(observed runs trade allocation for visibility)
-			traceFields([]sim.Field{sim.Str("why", "dead")}, pkt.Trace)...)
+			pkt.Trace.AppendTo([]sim.Field{sim.Str("why", "dead")})...)
 	}
 }

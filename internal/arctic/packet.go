@@ -74,19 +74,6 @@ type Packet struct {
 // fabric on injection).
 func (p *Packet) InjectedAt() sim.Time { return p.injected }
 
-// traceFields appends a packet's causal trace attributes ("msg", and
-// "attempt" for retransmissions) to an event's field list; untraced packets
-// add nothing, keeping fault-free untagged traffic's events unchanged.
-func traceFields(fields []sim.Field, t sim.MsgTag) []sim.Field {
-	if t.Traced() {
-		fields = append(fields, sim.I64("msg", int64(t.ID)))
-		if t.Attempt > 1 {
-			fields = append(fields, sim.I64("attempt", int64(t.Attempt)))
-		}
-	}
-	return fields
-}
-
 // Endpoint receives packets from the fabric. TryDeliver returns false to
 // refuse the packet (backpressure): the fabric then stalls that packet's
 // priority lane on the final link until the endpoint calls Fabric.Poke.

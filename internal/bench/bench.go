@@ -112,12 +112,12 @@ func ExtCMechanisms() *stats.Table {
 		Columns: []string{"mechanism", "one-way (us)", "throughput (MB/s)", "msgs/s"},
 	}
 	for _, r := range MeasureMechanisms() {
-		row := []string{r.Name, fmtUs(r.OneWay)}
+		row := []string{r.Name, fmtUs(r.OneWay), "-", "-"}
 		if r.Throughput > 0 {
-			row = append(row, fmt.Sprintf("%.1f", r.Throughput),
-				fmt.Sprintf("%.0f", r.MsgPerSec))
-		} else {
-			row = append(row, "-", "-")
+			row[2] = fmt.Sprintf("%.1f", r.Throughput)
+		}
+		if r.MsgPerSec > 0 {
+			row[3] = fmt.Sprintf("%.0f", r.MsgPerSec)
 		}
 		t.AddRow(row...)
 	}

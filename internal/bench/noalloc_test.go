@@ -14,10 +14,11 @@ import (
 // noalloc analyzer guard. The whole-node benchmark pushes one delivered
 // message per op through aP compose → CTRL launch → fabric → CTRL landing →
 // aP consume; at the growth seed it cost 112 allocs/op. The pooled records
-// (bus ops, cache transactions, ctrl launch/land state, core slot and word
-// buffers) brought it to 14, and the alloc-free fat-tree hop path to 4. The
-// budget below leaves a little headroom over the measured value
-// so incidental runtime jitter does not flake, while still catching any
+// (bus ops, cache transactions, ctrl launch/land state) and stack arrays
+// for core's slot and word buffers (the cache copies them, never retains
+// them) brought it to 14, and the alloc-free fat-tree hop path to 4. The
+// budget below leaves a little headroom over the measured value so
+// incidental runtime jitter does not flake, while still catching any
 // closure or buffer that slips back onto the path.
 func TestBasicMsgChainAllocs(t *testing.T) {
 	if testing.Short() {
@@ -34,6 +35,46 @@ func TestBasicMsgChainAllocs(t *testing.T) {
 	}
 	t.Logf("node/basic-msg: %d allocs/op, %d B/op over %d ops",
 		r.AllocsPerOp(), r.AllocedBytesPerOp(), r.N)
+}
+
+// TestChannelMsgChainAllocs: a protected channel's send and receive run the
+// library's slot path, so a message over a channel pair allocates no more
+// than a Basic message does in node/basic-msg.
+func TestChannelMsgChainAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed; skipped in -short")
+	}
+	basic := testing.Benchmark(benchNodeBasicMsg)
+	ch := testing.Benchmark(benchNodeChannelMsg)
+	if ch.AllocsPerOp() > basic.AllocsPerOp() || ch.AllocedBytesPerOp() > basic.AllocedBytesPerOp() {
+		t.Errorf("channel message allocates %d/op, %d B/op; node/basic-msg %d/op, %d B/op",
+			ch.AllocsPerOp(), ch.AllocedBytesPerOp(), basic.AllocsPerOp(), basic.AllocedBytesPerOp())
+	}
+	t.Logf("channel: %d allocs/op, %d B/op over %d ops", ch.AllocsPerOp(), ch.AllocedBytesPerOp(), ch.N)
+}
+
+// benchNodeChannelMsg is benchNodeBasicMsg over a protected channel pair:
+// node 1 sends 4-byte messages to node 0, one delivered message per op.
+func benchNodeChannelMsg(b *testing.B) {
+	m := core.NewMachine(2)
+	sink := m.API(0).OpenChannel(1, []int{1})
+	src := m.API(1).OpenChannel(1, []int{0})
+	payload := make([]byte, 4)
+	m.Go(1, "src", func(p *sim.Proc, _ *core.API) {
+		for range b.N {
+			if err := src.Send(p, 0, payload); err != nil {
+				b.Error(err)
+			}
+		}
+	})
+	m.Go(0, "sink", func(p *sim.Proc, _ *core.API) {
+		for range b.N {
+			sink.Recv(p)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	m.Run()
 }
 
 // TestEmptyPollZeroAllocs: an aP spinning in RecvBasic on an empty queue

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,7 +28,8 @@ import (
 // against BENCH_scale.json in CI), plus the depth-dependent simulated
 // behaviour that only exists on deep trees — MPI collectives at scale and
 // credit-backpressure propagating level by level under hotspot traffic.
-// Every simulated-time number is deterministic: same inputs, same bytes.
+// Every simulated-time number is deterministic: same inputs, same bytes, so
+// CI compares those columns exactly.
 
 // ScaleSchema identifies the BENCH_scale.json document format.
 const ScaleSchema = "voyager-scale/v1"
@@ -95,10 +97,10 @@ type LevelStallsJSON struct {
 	StalledNs uint64 `json:"stalled_ns"`
 }
 
-// ScaleResult is one node count's row of the scale sweep. AllreduceNs,
-// SamplesortNs and HotspotStalls are simulated-time values and fully
-// deterministic; BytesPerNode, ConstructMs and EventsPerSec are host-side
-// measurements (only BytesPerNode is stable enough to gate in CI).
+// ScaleResult is one node count's row of the scale sweep. Levels, Links,
+// AllreduceNs, SamplesortNs and HotspotStalls are fully deterministic;
+// BytesPerNode, ConstructMs and EventsPerSec are host-side measurements
+// (only BytesPerNode is stable enough to gate in CI, with a tolerance).
 type ScaleResult struct {
 	Nodes        int     `json:"nodes"`
 	Levels       int     `json:"levels"` // fat-tree switch levels
@@ -390,10 +392,10 @@ func WriteScale(w io.Writer, results []ScaleResult) error {
 
 // DiffScale compares fresh results against the committed baseline document
 // and reports every node count to w. Returns false — the CI failure signal —
-// when any bytes/node figure exceeds its baseline by more than 10%. The
-// simulated-time and wall-clock columns are reported but never gated here
-// (allreduce latency shifts are caught by their own tests; wall-clock is
-// host noise).
+// when a node count is missing, when its bytes/node exceeds the baseline by
+// more than 10%, or when any deterministic column (levels, links,
+// allreduce_ns, samplesort_ns, hotspot_level_stalls) differs from the
+// baseline at all. The wall-clock columns are host noise and never gated.
 func DiffScale(baseline []byte, results []ScaleResult, w io.Writer) bool {
 	var base scaleDoc
 	if err := json.Unmarshal(baseline, &base); err != nil {
@@ -416,17 +418,31 @@ func DiffScale(baseline []byte, results []ScaleResult, w io.Writer) bool {
 		if b.BytesPerNode > 0 {
 			pct = 100 * float64(now.BytesPerNode-b.BytesPerNode) / float64(b.BytesPerNode)
 		}
-		verdict := "ok"
+		var bad []string
 		if now.BytesPerNode > b.BytesPerNode+b.BytesPerNode/10 {
-			verdict = "REGRESSED"
-			ok = false
+			bad = append(bad, "REGRESSED")
 		}
-		fmt.Fprintf(w, "scale-diff: %5d nodes %8d -> %8d bytes/node (%+.1f%%) %s (allreduce %dns -> %dns)\n",
-			b.Nodes, b.BytesPerNode, now.BytesPerNode, pct, verdict,
-			b.AllreduceNs, now.AllreduceNs)
+		exact := func(col string, was, is int64) {
+			if was != is {
+				bad = append(bad, fmt.Sprintf("CHANGED %s %d -> %d", col, was, is))
+			}
+		}
+		exact("levels", int64(b.Levels), int64(now.Levels))
+		exact("links", int64(b.Links), int64(now.Links))
+		exact("allreduce_ns", b.AllreduceNs, now.AllreduceNs)
+		exact("samplesort_ns", b.SamplesortNs, now.SamplesortNs)
+		if !slices.Equal(b.HotspotStalls, now.HotspotStalls) {
+			bad = append(bad, fmt.Sprintf("CHANGED hotspot_level_stalls %v -> %v", b.HotspotStalls, now.HotspotStalls))
+		}
+		verdict := "ok"
+		if len(bad) > 0 {
+			verdict, ok = strings.Join(bad, "; "), false
+		}
+		fmt.Fprintf(w, "scale-diff: %5d nodes %8d -> %8d bytes/node (%+.1f%%) (allreduce %dns -> %dns) %s\n",
+			b.Nodes, b.BytesPerNode, now.BytesPerNode, pct, b.AllreduceNs, now.AllreduceNs, verdict)
 	}
 	if !ok {
-		fmt.Fprintln(w, "scale-diff: FAIL — per-node footprint regressed >10% (refresh BENCH_scale.json via make bench-scale-baseline if intentional)")
+		fmt.Fprintln(w, "scale-diff: FAIL — a node count is missing, its bytes/node regressed >10%, or a deterministic column changed (refresh BENCH_scale.json via make bench-scale-baseline if intentional)")
 	}
 	return ok
 }

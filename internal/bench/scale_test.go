@@ -105,8 +105,9 @@ func TestScaleSkipsSamplesortAboveCap(t *testing.T) {
 }
 
 // TestWriteDiffScale: the JSON round-trips, an unchanged footprint passes
-// the gate, a >10% bytes/node growth fails it (naming the node count), and
-// a missing node count fails it.
+// the gate, a >10% bytes/node growth fails it (naming the node count), any
+// difference in a deterministic simulated column fails it (naming the
+// column), and a missing node count fails it.
 func TestWriteDiffScale(t *testing.T) {
 	results := []ScaleResult{
 		{Nodes: 64, Levels: 3, Links: 512, BytesPerNode: 100_000, HeapBytes: 6_400_000,
@@ -143,6 +144,25 @@ func TestWriteDiffScale(t *testing.T) {
 	out.Reset()
 	if !DiffScale(baseline, within, &out) {
 		t.Errorf("9%% growth tripped the 10%% gate:\n%s", out.String())
+	}
+
+	for name, mutate := range map[string]func(r *ScaleResult){
+		"allreduce_ns":  func(r *ScaleResult) { r.AllreduceNs++ },
+		"levels":        func(r *ScaleResult) { r.Levels++ },
+		"samplesort_ns": func(r *ScaleResult) { r.SamplesortNs-- },
+		"hotspot_level_stalls": func(r *ScaleResult) {
+			r.HotspotStalls = []LevelStallsJSON{{Level: "inject", Links: 64, Stalls: 10, StalledNs: 1001}}
+		},
+	} {
+		off := append([]ScaleResult(nil), results...)
+		mutate(&off[0])
+		out.Reset()
+		if DiffScale(baseline, off, &out) {
+			t.Errorf("%s off by one passed the gate:\n%s", name, out.String())
+		}
+		if !strings.Contains(out.String(), "CHANGED "+name) {
+			t.Errorf("%s change not named:\n%s", name, out.String())
+		}
 	}
 
 	out.Reset()

@@ -430,7 +430,10 @@ var spinGoldens = []struct {
 
 // TestSpinWaitGoldens: the waits with no same-named Try variant reproduce
 // the exports recorded from the per-try resuming implementation they
-// replaced (testdata/spin/<wait>.<export>).
+// replaced (testdata/spin/<wait>.<export>). Channel.Send's trace, metrics
+// and series were re-recorded once channel messages carried trace tags:
+// the trace gained their lifecycle instants and flow events, the metrics
+// and series only the trace/captured count.
 func TestSpinWaitGoldens(t *testing.T) {
 	for _, tc := range spinGoldens {
 		t.Run(tc.name, func(t *testing.T) {

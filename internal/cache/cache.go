@@ -394,22 +394,28 @@ func (c *Cache) Flush(p *sim.Proc, addr uint32) {
 	l.state = Invalid
 }
 
-// LoadUncached performs a cache-inhibited read (1..8 bytes).
+// LoadUncached performs a cache-inhibited read (1..8 bytes). Like every
+// cache access it copies rather than retains the caller's slice: the word
+// crosses the bus in the operation's own pooled buffer.
 //
 //voyager:noalloc
 func (c *Cache) LoadUncached(p *sim.Proc, addr uint32, buf []byte) {
 	t := c.getTx()
-	t.tx = bus.Transaction{Kind: bus.ReadWord, Addr: addr, Data: buf, Master: c}
+	n := copy(t.data[:], buf)
+	t.tx = bus.Transaction{Kind: bus.ReadWord, Addr: addr, Data: t.data[:n], Master: c}
 	c.b.IssueP(p, &t.tx)
+	copy(buf, t.data[:n])
 	c.putTx(t)
 }
 
-// StoreUncached performs a cache-inhibited write (1..8 bytes).
+// StoreUncached performs a cache-inhibited write (1..8 bytes), staged in
+// the operation's pooled buffer like LoadUncached.
 //
 //voyager:noalloc
 func (c *Cache) StoreUncached(p *sim.Proc, addr uint32, data []byte) {
 	t := c.getTx()
-	t.tx = bus.Transaction{Kind: bus.WriteWord, Addr: addr, Data: data, Master: c}
+	n := copy(t.data[:], data)
+	t.tx = bus.Transaction{Kind: bus.WriteWord, Addr: addr, Data: t.data[:n], Master: c}
 	c.b.IssueP(p, &t.tx)
 	c.putTx(t)
 }

@@ -26,16 +26,7 @@ func attachLifecycleTap(e *sim.Engine, capacity int) *lifecycleTap {
 
 // Instant implements sim.Observer, keeping only events with a message id.
 func (t *lifecycleTap) Instant(at sim.Time, node int, component, name string, fields []sim.Field) {
-	hasMsg := false
-	for _, f := range fields {
-		if f.Key == "msg" {
-			if v, ok := f.Int64(); ok && v != 0 {
-				hasMsg = true
-				break
-			}
-		}
-	}
-	if !hasMsg {
+	if !sim.MsgTagOf(fields).Traced() {
 		return
 	}
 	if len(t.events) >= t.cap {

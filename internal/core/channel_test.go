@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"startvoyager/internal/sim"
+	"startvoyager/internal/trace"
 )
 
 func TestChannelPingPong(t *testing.T) {
@@ -34,6 +35,41 @@ func TestChannelPingPong(t *testing.T) {
 	m.Run()
 	if !done {
 		t.Fatal("channel ping-pong incomplete")
+	}
+}
+
+// TestChannelTraced: channel messages go through the library's slot path,
+// so each one carries a trace tag from the aP store that creates it to the
+// consume that retires it, and reconstructs as one complete causal chain.
+func TestChannelTraced(t *testing.T) {
+	const msgs = 5
+	m := NewMachine(2)
+	tb := m.Trace(1 << 14)
+	tx := m.API(0).OpenChannel(1, []int{1})
+	rx := m.API(1).OpenChannel(1, []int{0})
+	m.Go(0, "src", func(p *sim.Proc, _ *API) {
+		for k := range msgs {
+			if err := tx.Send(p, 1, []byte{byte(k)}); err != nil {
+				t.Errorf("send %d: %v", k, err)
+			}
+		}
+	})
+	m.Go(1, "sink", func(p *sim.Proc, _ *API) {
+		for range msgs {
+			rx.Recv(p)
+		}
+	})
+	m.Run()
+	pa := trace.AnalyzePaths(tb.Events())
+	complete := 0
+	for _, mp := range pa.Msgs {
+		if mp.Complete && mp.SrcNode == 0 && mp.DstNode == 1 {
+			complete++
+		}
+	}
+	if len(pa.Msgs) != msgs || complete != msgs || pa.Orphans != 0 {
+		t.Fatalf("%d chains (%d complete 0->1, %d orphans), want %d complete chains",
+			len(pa.Msgs), complete, pa.Orphans, msgs)
 	}
 }
 

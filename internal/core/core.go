@@ -69,7 +69,12 @@ type API struct {
 	txProd       [ctrl.NumQueues]uint32 // software's producer counters
 	rxCons       [ctrl.NumQueues]uint32 // software's consumer counters
 	overflowCons uint32                 // DRAM overflow ring consumer
-	busyDepth    int
+
+	// Occupancy brackets (see busy): how many are open, the span over
+	// them, and each Proc that holds one.
+	busyDepth int
+	busySpan  sim.Span
+	busyProcs []*sim.Proc
 
 	// Channel allocation state (see channel.go).
 	nextTxQ, nextRxQ int
@@ -86,8 +91,6 @@ type API struct {
 	// calls blocked in the simulator never share scratch state even when
 	// several procs time-share this aP (multitasking workloads).
 	busyFree []*busyTok
-	wordFree []*wordBuf
-	slotFree []*slotBuf
 	spinFree []*spin
 }
 
@@ -105,44 +108,75 @@ func (a *API) NodeID() int { return a.n.ID }
 // NumNodes returns the machine size.
 func (a *API) NumNodes() int { return len(a.m.Nodes) }
 
-// busy brackets aP occupancy; nested calls meter once. The outermost call
-// also opens a span named after the API operation on the node's "aP" track.
+// busy brackets the aP occupancy of an API call made by p. The aP meter
+// and one span on the node's "aP" track, named after the operation that
+// opened it, cover the union of the brackets open on this aP, whichever
+// Procs time-sharing it hold them. Each Proc's outermost bracket pushes op
+// as that Proc's profiler frame, so nested calls meter and attribute once.
 // The returned func is a pooled token's prebound method value — deferring it
 // closes the bracket and recycles the token without allocating.
 //
 //voyager:noalloc
-func (a *API) busy(op string) func() {
-	t := a.busyGet()
+func (a *API) busy(p *sim.Proc, op string) func() {
 	if a.busyDepth == 0 {
 		a.n.APMeter.Start()
-		a.m.Eng.ProfPush(op)
 		if eng := a.m.Eng; eng.Observed() {
-			t.span = eng.BeginSpan(a.n.ID, "aP", op)
+			a.busySpan = eng.BeginSpan(a.n.ID, "aP", op)
 		}
 	}
 	a.busyDepth++
+	t := a.busyGet()
+	t.p = p
+	if t.outer = !a.holdsBusy(p); t.outer {
+		a.busyProcs = append(a.busyProcs, p) //voyager:alloc-ok(amortized: backing array is retained)
+		a.m.Eng.ProfPush(op)
+	}
 	return t.endFn
 }
 
-// busyTok is one pooled occupancy bracket. Only the outermost bracket holds
-// an open span; inner tokens carry a zero Span whose End is a no-op.
+// busyTok is one pooled occupancy bracket, opened by p; outer marks p's
+// outermost one.
 type busyTok struct {
 	a     *API
-	span  sim.Span
+	p     *sim.Proc
+	outer bool
 	endFn func()
 }
 
 //voyager:noalloc
 func (t *busyTok) end() {
 	a := t.a
+	if t.outer {
+		for i, p := range a.busyProcs {
+			if p == t.p {
+				last := len(a.busyProcs) - 1
+				a.busyProcs[i], a.busyProcs[last] = a.busyProcs[last], nil
+				a.busyProcs = a.busyProcs[:last]
+				break
+			}
+		}
+		a.m.Eng.ProfPop()
+	}
 	a.busyDepth--
 	if a.busyDepth == 0 {
-		t.span.End()
-		a.m.Eng.ProfPop()
+		a.busySpan.End()
+		a.busySpan = sim.Span{}
 		a.n.APMeter.Stop()
 	}
-	t.span = sim.Span{}
+	t.p = nil
 	a.busyFree = append(a.busyFree, t) //voyager:alloc-ok(amortized: pool backing array is retained)
+}
+
+// holdsBusy reports whether p has a bracket open on this aP.
+//
+//voyager:noalloc
+func (a *API) holdsBusy(p *sim.Proc) bool {
+	for _, q := range a.busyProcs {
+		if q == p {
+			return true
+		}
+	}
+	return false
 }
 
 //voyager:noalloc
@@ -157,44 +191,54 @@ func (a *API) busyGet() *busyTok {
 	return t
 }
 
-// traceMsg emits one causal lifecycle instant for a traced message on this
-// node's "aP" track. No-op for untraced messages (tag.ID == 0).
-func (a *API) traceMsg(name string, tag sim.MsgTag, extra ...sim.Field) {
-	eng := a.m.Eng
-	if !tag.Traced() || !eng.Observed() {
-		return
-	}
-	fields := make([]sim.Field, 0, 2+len(extra))
-	fields = append(fields, sim.I64("msg", int64(tag.ID)))
-	if tag.Parent != 0 {
-		fields = append(fields, sim.I64("parent", int64(tag.Parent)))
-	}
-	fields = append(fields, extra...)
-	eng.Instant(a.n.ID, "aP", name, fields...)
-}
-
 // Compute models d of application computation on the aP.
 //
 //voyager:noalloc
 func (a *API) Compute(p *sim.Proc, d sim.Time) {
-	defer a.busy("Compute")()
+	defer a.busy(p, "Compute")()
 	p.Delay(d)
 }
 
 // --- Basic messages ---
+
+// slotQ is one message queue in the Basic slot format as the library sees
+// it: the CTRL queue number, the aSRAM offset of its slot ring and the
+// ring's depth. The default queues below and every Channel's pair share the
+// one compose path (sendSlot) and the one consume path (readSlot).
+type slotQ struct {
+	q       int
+	buf     uint32
+	entries int
+}
+
+var (
+	txBasicQ   = slotQ{node.TxBasic, node.SramTxBasicBuf, node.BasicEntries}
+	rxBasicQ   = slotQ{node.RxBasic, node.SramRxBasicBuf, node.BasicEntries}
+	rxNotifyQ  = slotQ{node.RxNotify, node.SramRxNotifyBuf, node.BasicEntries}
+	rxRelQ     = slotQ{node.RxRel, node.SramRxRelBuf, node.BasicEntries}
+	rxRelStatQ = slotQ{node.RxRelStatus, node.SramRxRelStatBuf, node.BasicEntries}
+)
+
+// slot returns the bus address of the ring slot that counter value ptr
+// names.
+//
+//voyager:noalloc
+func (sq slotQ) slot(ptr uint32) uint32 {
+	return node.SramBase + ctrl.SlotOffset(sq.buf, node.BasicSlotBytes, sq.entries, ptr)
+}
 
 // SendBasic sends payload (<= 88 bytes) to the Basic queue of node dest,
 // blocking while the transmit queue is full.
 //
 //voyager:noalloc
 func (a *API) SendBasic(p *sim.Proc, dest int, payload []byte) {
-	a.sendSlot(p, "SendBasic", a.n.TransBasicIdx(dest), 0, payload, 0, 0)
+	a.sendSlot(p, "SendBasic", txBasicQ, a.n.TransBasicIdx(dest), 0, payload, 0, 0, false)
 }
 
 // SendSvc sends a firmware service message (service id + body) to node
 // dest's sP — the aP→sP request path (e.g. DMA requests).
 func (a *API) SendSvc(p *sim.Proc, dest int, svc byte, body []byte) {
-	a.sendSlot(p, "SendSvc", a.n.TransSvcIdx(dest), 0, append([]byte{svc}, body...), 0, 0)
+	a.sendSlot(p, "SendSvc", txBasicQ, a.n.TransSvcIdx(dest), 0, append([]byte{svc}, body...), 0, 0, false)
 }
 
 // SendTagOn sends a Basic message whose payload is extended with tagLen
@@ -206,45 +250,29 @@ func (a *API) SendTagOn(p *sim.Proc, dest int, inline []byte, sramOff uint32, ta
 	if tagLen%16 != 0 || tagLen > 80 {
 		panic(fmt.Sprintf("core: bad TagOn length %d", tagLen)) //voyager:alloc-ok(panic path)
 	}
-	a.sendSlot(p, "SendTagOn", a.n.TransBasicIdx(dest), ctrl.SlotFlagTagOn|ctrl.SlotFlagTagASram,
-		inline, sramOff, tagLen)
+	a.sendSlot(p, "SendTagOn", txBasicQ, a.n.TransBasicIdx(dest), ctrl.SlotFlagTagOn|ctrl.SlotFlagTagASram,
+		inline, sramOff, tagLen, false)
 }
 
-// slotBuf is a pooled compose buffer sized for the largest Basic slot.
-type slotBuf struct {
-	b [ctrl.SlotHeaderBytes + MaxBasicPayload]byte
-}
-
-//voyager:noalloc
-func (a *API) slotGet() *slotBuf {
-	if n := len(a.slotFree); n > 0 {
-		s := a.slotFree[n-1]
-		a.slotFree = a.slotFree[:n-1]
-		return s
-	}
-	return &slotBuf{} //voyager:alloc-ok(pool warm-up; recycled thereafter)
-}
-
-//voyager:noalloc
-func (a *API) slotPut(s *slotBuf) {
-	a.slotFree = append(a.slotFree, s) //voyager:alloc-ok(amortized: pool backing array is retained)
-}
-
-// sendSlot composes and launches one Basic-queue message; op names the
-// public API call for the occupancy span.
+// sendSlot composes and launches one message on transmit queue sq; op names
+// the public API call for the occupancy span. With shut set, a protection
+// shutdown of the queue ends the wait for a free slot, and sendSlot
+// reports it instead of sending.
 //
-//voyager:noalloc composes into a pooled slot buffer
-func (a *API) sendSlot(p *sim.Proc, op string, destIdx int, flags byte, payload []byte,
-	tagOff uint32, tagLen int) {
+//voyager:noalloc composes on the stack: Cache.Store copies the slot out
+func (a *API) sendSlot(p *sim.Proc, op string, sq slotQ, destIdx int, flags byte, payload []byte,
+	tagOff uint32, tagLen int, shut bool) (shutdown bool) {
 	if len(payload) > MaxBasicPayload {
 		panic(fmt.Sprintf("core: payload %d exceeds Basic limit", len(payload))) //voyager:alloc-ok(panic path)
 	}
-	defer a.busy(op)()
-	q := node.TxBasic
-	a.waitTxSpace(p, q, node.BasicEntries)
+	defer a.busy(p, op)()
+	q := sq.q
+	if a.waitTx(p, q, uint32(sq.entries), shut) {
+		return true
+	}
 
-	sb := a.slotGet()
-	slot := sb.b[:ctrl.SlotHeaderBytes+len(payload)]
+	var buf [ctrl.SlotHeaderBytes + MaxBasicPayload]byte
+	slot := buf[:ctrl.SlotHeaderBytes+len(payload)]
 	binary.BigEndian.PutUint16(slot[0:], uint16(destIdx))
 	slot[2] = flags
 	slot[3] = byte(len(payload))
@@ -252,44 +280,50 @@ func (a *API) sendSlot(p *sim.Proc, op string, destIdx int, flags byte, payload 
 	slot[7] = byte(tagLen / 16)
 	copy(slot[8:], payload)
 
-	base := a.slotAddr(node.SramTxBasicBuf, node.BasicSlotBytes, node.BasicEntries, a.txProd[q])
+	base := sq.slot(a.txProd[q])
 	// Cached stores compose the message, flushes push it into the aSRAM.
 	a.n.Cache.Store(p, base, slot)
 	for off := uint32(0); off < uint32(len(slot)); off += bus.LineSize {
 		a.n.Cache.Flush(p, base+off)
 	}
-	a.slotPut(sb)
 	// The message enters the system when the producer pointer publishes it:
 	// allocate its causal trace id and stage it beside the slot.
 	tag := sim.MsgTag{ID: a.m.Eng.NewMsgID()}
 	a.n.Ctrl.StageTxTag(q, a.txProd[q], tag)
-	a.traceMsg("msg-send", tag, sim.Int("txq", q))
+	a.m.Eng.MsgInstant(a.n.ID, "aP", "msg-send", tag, sim.Int("txq", q))
 	a.txProd[q]++
 	a.ptrStore(p, q, false, a.txProd[q])
+	return false
 }
 
-// waitTxSpace polls the transmit consumer pointer until a slot is free.
+// waitTx polls transmit queue q's consumer pointer until fewer than lim
+// messages are outstanding. With shut set, a protection shutdown of q ends
+// the wait instead, and waitTx reports true.
 //
 //voyager:noalloc
-func (a *API) waitTxSpace(p *sim.Proc, q, entries int) {
+func (a *API) waitTx(p *sim.Proc, q int, lim uint32, shut bool) (shutdown bool) {
 	s := a.spinGet(spinTx, ptrAddr(q, false), &a.txProd[q], "", noDeadline)
-	s.lim = uint32(entries)
-	s.wait(p)
+	s.lim = lim
+	if shut {
+		s.shutQ = q
+	}
+	shutdown = s.wait(p) == spinShutdown
 	s.release()
+	return shutdown
 }
 
 // TryRecvBasic polls the Basic receive queue once; ok is false if empty.
 //
 //voyager:noalloc
 func (a *API) TryRecvBasic(p *sim.Proc) (src int, payload []byte, ok bool) {
-	return a.tryRecvSlot(p, "TryRecvBasic", node.RxBasic, node.SramRxBasicBuf)
+	return a.tryRecvSlot(p, "TryRecvBasic", rxBasicQ)
 }
 
 // RecvBasic blocks until a Basic message arrives.
 //
 //voyager:noalloc
 func (a *API) RecvBasic(p *sim.Proc) (src int, payload []byte) {
-	src, payload, _ = a.recvBasicT(p, noDeadline)
+	src, payload, _ = a.recvSlotT(p, "RecvBasic", "TryRecvBasic", rxBasicQ, noDeadline)
 	return src, payload
 }
 
@@ -298,19 +332,19 @@ func (a *API) RecvBasic(p *sim.Proc) (src int, payload []byte) {
 //
 //voyager:noalloc
 func (a *API) RecvBasicTimeout(p *sim.Proc, timeout sim.Time) (src int, payload []byte, err error) {
-	return a.recvBasicT(p, timeout)
+	return a.recvSlotT(p, "RecvBasic", "TryRecvBasic", rxBasicQ, timeout)
 }
 
-// recvSlotT blocks (with an optional deadline) on the given slot queue; span
+// recvSlotT blocks (with an optional deadline) on receive queue sq; span
 // names the wait for its timeout error, op each try's occupancy bracket.
 //
 //voyager:noalloc
-func (a *API) recvSlotT(p *sim.Proc, span, op string, q int, bufOff uint32,
+func (a *API) recvSlotT(p *sim.Proc, span, op string, sq slotQ,
 	timeout sim.Time) (src int, payload []byte, err error) {
-	s := a.spinGet(spinRx, ptrAddr(q, true), &a.rxCons[q], op, timeout)
+	s := a.spinGet(spinRx, ptrAddr(sq.q, true), &a.rxCons[sq.q], op, timeout)
 	hit := s.wait(p) == spinHit
 	if hit {
-		src, payload = a.readSlot(p, q, bufOff)
+		src, payload = a.readSlot(p, sq)
 	}
 	s.release()
 	if !hit {
@@ -319,17 +353,12 @@ func (a *API) recvSlotT(p *sim.Proc, span, op string, q int, bufOff uint32,
 	return src, payload, nil
 }
 
-//voyager:noalloc
-func (a *API) recvBasicT(p *sim.Proc, timeout sim.Time) (src int, payload []byte, err error) {
-	return a.recvSlotT(p, "RecvBasic", "TryRecvBasic", node.RxBasic, node.SramRxBasicBuf, timeout)
-}
-
 // RecvNotify blocks until a completion notification (DMA / block transfer)
 // arrives on the notification queue.
 //
 //voyager:noalloc
 func (a *API) RecvNotify(p *sim.Proc) (src int, payload []byte) {
-	src, payload, _ = a.recvNotifyT(p, noDeadline)
+	src, payload, _ = a.recvSlotT(p, "RecvNotify", "RecvNotify", rxNotifyQ, noDeadline)
 	return src, payload
 }
 
@@ -339,42 +368,37 @@ func (a *API) RecvNotify(p *sim.Proc) (src int, payload []byte) {
 //
 //voyager:noalloc
 func (a *API) RecvNotifyTimeout(p *sim.Proc, timeout sim.Time) (src int, payload []byte, err error) {
-	return a.recvNotifyT(p, timeout)
-}
-
-//voyager:noalloc
-func (a *API) recvNotifyT(p *sim.Proc, timeout sim.Time) (src int, payload []byte, err error) {
-	return a.recvSlotT(p, "RecvNotify", "RecvNotify", node.RxNotify, node.SramRxNotifyBuf, timeout)
+	return a.recvSlotT(p, "RecvNotify", "RecvNotify", rxNotifyQ, timeout)
 }
 
 // TryRecvNotify polls the notification queue once.
 //
 //voyager:noalloc
 func (a *API) TryRecvNotify(p *sim.Proc) (src int, payload []byte, ok bool) {
-	return a.tryRecvSlot(p, "TryRecvNotify", node.RxNotify, node.SramRxNotifyBuf)
+	return a.tryRecvSlot(p, "TryRecvNotify", rxNotifyQ)
 }
 
-// tryRecvSlot polls the given slot queue once; op names the occupancy
-// bracket.
+// tryRecvSlot polls receive queue sq once; op names the occupancy bracket.
 //
 //voyager:noalloc
-func (a *API) tryRecvSlot(p *sim.Proc, op string, q int, bufOff uint32) (int, []byte, bool) {
-	defer a.busy(op)()
-	producer, _ := a.ptrLoad(p, q, true)
-	if producer == a.rxCons[q] {
+func (a *API) tryRecvSlot(p *sim.Proc, op string, sq slotQ) (int, []byte, bool) {
+	defer a.busy(p, op)()
+	producer, _ := a.ptrLoad(p, sq.q, true)
+	if producer == a.rxCons[sq.q] {
 		return 0, nil, false
 	}
-	src, payload := a.readSlot(p, q, bufOff)
+	src, payload := a.readSlot(p, sq)
 	return src, payload, true
 }
 
-// readSlot consumes the message at the head of a slot queue the producer
-// pointer has shown to be non-empty. The returned payload is its only
-// allocation: it is handed to the caller, which owns it outright.
+// readSlot consumes the message at the head of receive queue sq, which the
+// producer pointer has shown to be non-empty. The returned payload is its
+// only allocation: it is handed to the caller, which owns it outright.
 //
 //voyager:noalloc
-func (a *API) readSlot(p *sim.Proc, q int, bufOff uint32) (int, []byte) {
-	base := a.slotAddr(bufOff, node.BasicSlotBytes, node.BasicEntries, a.rxCons[q])
+func (a *API) readSlot(p *sim.Proc, sq slotQ) (int, []byte) {
+	q := sq.q
+	base := sq.slot(a.rxCons[q])
 	// Invalidate any stale cached copy of the slot, then read it.
 	var hdr [8]byte
 	a.n.Cache.Flush(p, base)
@@ -388,7 +412,7 @@ func (a *API) readSlot(p *sim.Proc, q int, bufOff uint32) (int, []byte) {
 		a.n.Cache.Load(p, base+8, payload)
 	}
 	src := int(binary.BigEndian.Uint16(hdr[0:]))
-	a.traceMsg("msg-consume", a.n.Ctrl.RxTag(q, a.rxCons[q]), sim.Int("rxq", q))
+	a.m.Eng.MsgInstant(a.n.ID, "aP", "msg-consume", a.n.Ctrl.RxTag(q, a.rxCons[q]), sim.Int("rxq", q))
 	a.rxCons[q]++
 	a.ptrStore(p, q, true, a.rxCons[q])
 	return src, payload
@@ -403,14 +427,12 @@ func (a *API) SendExpress(p *sim.Proc, dest int, payload []byte) {
 	if len(payload) > MaxExpressPayload {
 		panic(fmt.Sprintf("core: payload %d exceeds Express limit", len(payload))) //voyager:alloc-ok(panic path)
 	}
-	defer a.busy("SendExpress")()
+	defer a.busy(p, "SendExpress")()
 	destIdx := uint32(a.n.TransExpressIdx(dest))
 	addr := node.ExTxBase + (uint32(node.TxExpress)<<12|destIdx)<<3
-	w := a.wordGet()
-	w.b = [8]byte{}
-	copy(w.b[:], payload)
-	a.n.Cache.StoreUncached(p, addr, w.b[:])
-	a.wordPut(w)
+	var word [8]byte
+	copy(word[:], payload)
+	a.n.Cache.StoreUncached(p, addr, word[:])
 }
 
 // TryRecvExpress polls the Express receive queue with a single uncached
@@ -418,11 +440,9 @@ func (a *API) SendExpress(p *sim.Proc, dest int, payload []byte) {
 //
 //voyager:noalloc
 func (a *API) TryRecvExpress(p *sim.Proc) (src int, payload [MaxExpressPayload]byte, ok bool) {
-	defer a.busy("TryRecvExpress")()
-	w := a.wordGet()
-	a.n.Cache.LoadUncached(p, exRxAddr, w.b[:])
-	word := w.b
-	a.wordPut(w)
+	defer a.busy(p, "TryRecvExpress")()
+	var word [8]byte
+	a.n.Cache.LoadUncached(p, exRxAddr, word[:])
 	if word[0]&0x80 == 0 {
 		return 0, payload, false
 	}
@@ -445,7 +465,7 @@ func expressMsg(word *[8]byte) (src int, payload [MaxExpressPayload]byte) {
 //
 //voyager:noalloc
 func (a *API) RecvExpress(p *sim.Proc) (src int, payload [MaxExpressPayload]byte) {
-	src, payload, _ = a.recvExpressT(p, noDeadline)
+	src, payload, _ = a.RecvExpressTimeout(p, noDeadline)
 	return src, payload
 }
 
@@ -454,11 +474,6 @@ func (a *API) RecvExpress(p *sim.Proc) (src int, payload [MaxExpressPayload]byte
 //
 //voyager:noalloc
 func (a *API) RecvExpressTimeout(p *sim.Proc, timeout sim.Time) (src int, payload [MaxExpressPayload]byte, err error) {
-	return a.recvExpressT(p, timeout)
-}
-
-//voyager:noalloc
-func (a *API) recvExpressT(p *sim.Proc, timeout sim.Time) (src int, payload [MaxExpressPayload]byte, err error) {
 	s := a.spinGet(spinExpress, exRxAddr, nil, "TryRecvExpress", timeout)
 	hit := s.wait(p) == spinHit
 	if hit {
@@ -502,7 +517,7 @@ func (a *API) ScomaAddr(off uint32) uint32 { return node.ScomaBase + off }
 //
 //voyager:noalloc
 func (a *API) ScomaLoad(p *sim.Proc, off uint32, buf []byte) {
-	defer a.busy("ScomaLoad")()
+	defer a.busy(p, "ScomaLoad")()
 	a.n.Cache.Load(p, a.ScomaAddr(off), buf)
 }
 
@@ -510,7 +525,7 @@ func (a *API) ScomaLoad(p *sim.Proc, off uint32, buf []byte) {
 //
 //voyager:noalloc
 func (a *API) ScomaStore(p *sim.Proc, off uint32, data []byte) {
-	defer a.busy("ScomaStore")()
+	defer a.busy(p, "ScomaStore")()
 	a.n.Cache.Store(p, a.ScomaAddr(off), data)
 }
 
@@ -519,7 +534,7 @@ func (a *API) ScomaStore(p *sim.Proc, off uint32, data []byte) {
 //
 //voyager:noalloc
 func (a *API) NumaLoad(p *sim.Proc, off uint32, buf []byte) {
-	defer a.busy("NumaLoad")()
+	defer a.busy(p, "NumaLoad")()
 	a.n.Cache.LoadUncached(p, node.NumaBase+off, buf)
 }
 
@@ -527,7 +542,7 @@ func (a *API) NumaLoad(p *sim.Proc, off uint32, buf []byte) {
 //
 //voyager:noalloc
 func (a *API) NumaStore(p *sim.Proc, off uint32, data []byte) {
-	defer a.busy("NumaStore")()
+	defer a.busy(p, "NumaStore")()
 	a.n.Cache.StoreUncached(p, node.NumaBase+off, data)
 }
 
@@ -537,7 +552,7 @@ func (a *API) NumaStore(p *sim.Proc, off uint32, data []byte) {
 //
 //voyager:noalloc
 func (a *API) MemLoad(p *sim.Proc, addr uint32, buf []byte) {
-	defer a.busy("MemLoad")()
+	defer a.busy(p, "MemLoad")()
 	a.n.Cache.Load(p, addr, buf)
 }
 
@@ -545,7 +560,7 @@ func (a *API) MemLoad(p *sim.Proc, addr uint32, buf []byte) {
 //
 //voyager:noalloc
 func (a *API) MemStore(p *sim.Proc, addr uint32, data []byte) {
-	defer a.busy("MemStore")()
+	defer a.busy(p, "MemStore")()
 	a.n.Cache.Store(p, addr, data)
 }
 
@@ -554,7 +569,7 @@ func (a *API) MemStore(p *sim.Proc, addr uint32, data []byte) {
 //
 //voyager:noalloc
 func (a *API) MemFlush(p *sim.Proc, addr uint32, n int) {
-	defer a.busy("MemFlush")()
+	defer a.busy(p, "MemFlush")()
 	first := addr &^ (bus.LineSize - 1)
 	for la := first; la < addr+uint32(n); la += bus.LineSize {
 		a.n.Cache.Flush(p, la)
@@ -566,7 +581,7 @@ func (a *API) MemFlush(p *sim.Proc, addr uint32, n int) {
 //
 //voyager:noalloc
 func (a *API) StageASram(p *sim.Proc, off uint32, data []byte) {
-	defer a.busy("StageASram")()
+	defer a.busy(p, "StageASram")()
 	addr := node.SramBase + off
 	a.n.Cache.Store(p, addr, data)
 	for la := addr &^ (bus.LineSize - 1); la < addr+uint32(len(data)); la += bus.LineSize {
@@ -582,35 +597,14 @@ func (a *API) Peek(addr uint32, buf []byte) { a.n.Dram.Peek(addr, buf) }
 
 // --- low-level pointer access ---
 
-// wordBuf is a pooled 8-byte bounce buffer for uncached word accesses. The
-// cache's pooled transaction record briefly retains the slice while the bus
-// operation is in flight, so a stack array would escape on every call.
-type wordBuf struct{ b [8]byte }
-
-//voyager:noalloc
-func (a *API) wordGet() *wordBuf {
-	if n := len(a.wordFree); n > 0 {
-		w := a.wordFree[n-1]
-		a.wordFree = a.wordFree[:n-1]
-		return w
-	}
-	return &wordBuf{} //voyager:alloc-ok(pool warm-up; recycled thereafter)
-}
-
-//voyager:noalloc
-func (a *API) wordPut(w *wordBuf) {
-	a.wordFree = append(a.wordFree, w) //voyager:alloc-ok(amortized: pool backing array is retained)
-}
-
 // ptrLoad reads the (producer, consumer) pair of a queue with one uncached
 // load through the aBIU.
 //
 //voyager:noalloc
 func (a *API) ptrLoad(p *sim.Proc, q int, rx bool) (producer, consumer uint32) {
-	w := a.wordGet()
-	a.n.Cache.LoadUncached(p, ptrAddr(q, rx), w.b[:])
-	v := binary.BigEndian.Uint64(w.b[:])
-	a.wordPut(w)
+	var word [8]byte
+	a.n.Cache.LoadUncached(p, ptrAddr(q, rx), word[:])
+	v := binary.BigEndian.Uint64(word[:])
 	return uint32(v >> 32), uint32(v)
 }
 
@@ -618,10 +612,9 @@ func (a *API) ptrLoad(p *sim.Proc, q int, rx bool) (producer, consumer uint32) {
 //
 //voyager:noalloc
 func (a *API) ptrStore(p *sim.Proc, q int, rx bool, val uint32) {
-	w := a.wordGet()
-	binary.BigEndian.PutUint64(w.b[:], uint64(val))
-	a.n.Cache.StoreUncached(p, ptrAddr(q, rx), w.b[:])
-	a.wordPut(w)
+	var word [8]byte
+	binary.BigEndian.PutUint64(word[:], uint64(val))
+	a.n.Cache.StoreUncached(p, ptrAddr(q, rx), word[:])
 }
 
 // ptrAddr is the address of a queue's pointer word: its (producer,
@@ -634,9 +627,4 @@ func ptrAddr(q int, rx bool) uint32 {
 		off += 8
 	}
 	return node.PtrBase + off
-}
-
-//voyager:noalloc
-func (a *API) slotAddr(bufOff uint32, entryBytes, entries int, ptr uint32) uint32 {
-	return node.SramBase + ctrl.SlotOffset(bufOff, entryBytes, entries, ptr)
 }

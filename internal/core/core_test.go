@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"startvoyager/internal/cluster"
 	"startvoyager/internal/firmware"
+	"startvoyager/internal/prof"
 	"startvoyager/internal/sim"
+	"startvoyager/internal/trace"
 )
 
 func newMachine(t *testing.T, nodes int) *Machine {
@@ -314,6 +317,53 @@ func TestOccupancyMetering(t *testing.T) {
 	// idle; basic messaging must not consume sP time at all.
 	if sp := m.Nodes[0].FW.BusyTime(); sp != 0 {
 		t.Fatalf("sP0 busy %v on pure hardware messaging", sp)
+	}
+}
+
+// TestTimeSharedBusyBrackets: two Procs time-share node 0's aP, and B's
+// Compute opens while A's is still open. The aP meter and the aP track's
+// span cover the union of the two calls, [0, 10.5 us]; each Proc's
+// profiler frame covers its own call only, so A's idle delay after its
+// Compute is not charged to it.
+func TestTimeSharedBusyBrackets(t *testing.T) {
+	cfg := cluster.DefaultConfig(2)
+	pr := prof.New()
+	cfg.Profiler = pr
+	m := NewMachineConfig(cfg)
+	tb := m.Trace(1 << 12)
+	m.Go(0, "A", func(p *sim.Proc, a *API) {
+		a.Compute(p, sim.Microsecond)
+		p.Delay(5 * sim.Microsecond)
+	})
+	m.Go(0, "B", func(p *sim.Proc, a *API) {
+		p.Delay(500 * sim.Nanosecond)
+		a.Compute(p, 10*sim.Microsecond)
+	})
+	m.Run()
+	pr.Finish(m.Eng.Now())
+
+	const union = 10500 * sim.Nanosecond
+	if got := m.Nodes[0].APMeter.BusyTime(); got != union {
+		t.Errorf("aP0 busy %v, want %v", got, union)
+	}
+	var spans []trace.Event
+	for _, e := range tb.Events() {
+		if e.Node == 0 && e.Component == "aP" && e.Kind != trace.Instant {
+			spans = append(spans, e)
+		}
+	}
+	if len(spans) != 2 || spans[0].Kind != trace.SpanBegin || spans[0].At != 0 ||
+		spans[1].Kind != trace.SpanEnd || spans[1].At != union {
+		t.Errorf("aP0 track %v, want one span over [0, %v]", spans, union)
+	}
+	var folded bytes.Buffer
+	if err := pr.Doc(nil).WriteFolded(&folded); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{";ap0-A;Compute 1000\n", ";ap0-B;Compute 10000\n"} {
+		if !strings.Contains(folded.String(), want) {
+			t.Errorf("profile lacks %q:\n%s", want, folded.String())
+		}
 	}
 }
 

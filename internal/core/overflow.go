@@ -37,13 +37,13 @@ func (a *API) MapVirtualDest(virt int, destNode int, logicalQ uint16) {
 // SendVirtual sends a Basic-queue message to a previously mapped virtual
 // destination (which may name a non-resident logical queue).
 func (a *API) SendVirtual(p *sim.Proc, virt int, payload []byte) {
-	a.sendSlot(p, "SendVirtual", virt, 0, payload, 0, 0)
+	a.sendSlot(p, "SendVirtual", txBasicQ, virt, 0, payload, 0, 0, false)
 }
 
 // TryRecvOverflow polls the DRAM overflow ring for one message delivered to
 // a non-resident logical queue.
 func (a *API) TryRecvOverflow(p *sim.Proc) (src int, logicalQ uint16, payload []byte, ok bool) {
-	defer a.busy("TryRecvOverflow")()
+	defer a.busy(p, "TryRecvOverflow")()
 	var prod [8]byte
 	a.n.Cache.Load(p, cluster.MissRingBase, prod[:])
 	producer := uint32(binary.BigEndian.Uint64(prod[:]))
@@ -69,17 +69,13 @@ func (a *API) TryRecvOverflow(p *sim.Proc) (src int, logicalQ uint16, payload []
 
 // RecvOverflow blocks until a non-resident-queue message arrives.
 func (a *API) RecvOverflow(p *sim.Proc) (src int, logicalQ uint16, payload []byte) {
-	src, logicalQ, payload, _ = a.recvOverflowT(p, noDeadline)
+	src, logicalQ, payload, _ = a.RecvOverflowTimeout(p, noDeadline)
 	return src, logicalQ, payload
 }
 
 // RecvOverflowTimeout is RecvOverflow with a bound: after timeout of
 // simulated time with no message it returns a *TimeoutError.
 func (a *API) RecvOverflowTimeout(p *sim.Proc, timeout sim.Time) (src int, logicalQ uint16, payload []byte, err error) {
-	return a.recvOverflowT(p, timeout)
-}
-
-func (a *API) recvOverflowT(p *sim.Proc, timeout sim.Time) (src int, logicalQ uint16, payload []byte, err error) {
 	err = a.pollWait(p, "RecvOverflow", timeout, func() bool {
 		s, lq, pl, ok := a.TryRecvOverflow(p)
 		if ok {

@@ -28,7 +28,7 @@ func (a *API) ReflectConfigure(mode biu.ReflectMode, entries []biu.ReflectEntry)
 // aBIU can observe them (the usual write-through discipline of reflective
 // memory systems).
 func (a *API) ReflectStore(p *sim.Proc, off uint32, data []byte) {
-	defer a.busy("ReflectStore")()
+	defer a.busy(p, "ReflectStore")()
 	addr := node.ReflectBase + off
 	a.n.Cache.Store(p, addr, data)
 	for la := addr &^ (bus.LineSize - 1); la < addr+uint32(len(data)); la += bus.LineSize {
@@ -39,14 +39,14 @@ func (a *API) ReflectStore(p *sim.Proc, off uint32, data []byte) {
 // ReflectStoreWord writes up to 8 bytes with a single uncached store (the
 // lowest-latency reflective update).
 func (a *API) ReflectStoreWord(p *sim.Proc, off uint32, data []byte) {
-	defer a.busy("ReflectStoreWord")()
+	defer a.busy(p, "ReflectStoreWord")()
 	a.n.Cache.StoreUncached(p, node.ReflectBase+off, data)
 }
 
 // ReflectLoad reads the local copy of the reflective window (always local:
 // reflective memory reads never cross the network).
 func (a *API) ReflectLoad(p *sim.Proc, off uint32, buf []byte) {
-	defer a.busy("ReflectLoad")()
+	defer a.busy(p, "ReflectLoad")()
 	a.n.Cache.Load(p, node.ReflectBase+off, buf)
 }
 
@@ -54,7 +54,7 @@ func (a *API) ReflectLoad(p *sim.Proc, off uint32, buf []byte) {
 // read for values another node updates (cached copies are invalidated by
 // arriving updates, but uncached polls see stores immediately).
 func (a *API) ReflectLoadUncached(p *sim.Proc, off uint32, buf []byte) {
-	defer a.busy("ReflectLoadUncached")()
+	defer a.busy(p, "ReflectLoadUncached")()
 	a.n.Cache.LoadUncached(p, node.ReflectBase+off, buf)
 }
 

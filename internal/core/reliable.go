@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"startvoyager/internal/firmware"
-	"startvoyager/internal/node"
 	"startvoyager/internal/sim"
 )
 
@@ -44,7 +43,7 @@ func (a *API) SendReliable(p *sim.Proc, dest int, payload []byte) error {
 	if len(payload) > MaxReliablePayload {
 		panic(fmt.Sprintf("core: payload %d exceeds reliable limit %d", len(payload), MaxReliablePayload))
 	}
-	defer a.busy("SendReliable")()
+	defer a.busy(p, "SendReliable")()
 	a.relTag++
 	tag := a.relTag
 	body := make([]byte, 6+len(payload))
@@ -91,7 +90,7 @@ func (a *API) takeRelStatus(p *sim.Proc, tag uint32) (byte, bool) {
 	}
 	a.relLock.AcquireP(p)
 	defer a.relLock.Release()
-	_, pl, ok := a.tryRecvSlot(p, "relStatus", node.RxRelStatus, node.SramRxRelStatBuf)
+	_, pl, ok := a.tryRecvSlot(p, "relStatus", rxRelStatQ)
 	if !ok {
 		return 0, false
 	}
@@ -117,7 +116,7 @@ const relStashCap = 64
 // TryRecvReliable polls the reliable receive queue once; ok is false when
 // empty. src is the true origin node of the payload.
 func (a *API) TryRecvReliable(p *sim.Proc) (src int, payload []byte, ok bool) {
-	_, pl, ok := a.tryRecvSlot(p, "TryRecvReliable", node.RxRel, node.SramRxRelBuf)
+	_, pl, ok := a.tryRecvSlot(p, "TryRecvReliable", rxRelQ)
 	if !ok {
 		return 0, nil, false
 	}
@@ -135,7 +134,7 @@ func (a *API) relDelivery(pl []byte) (src int, payload []byte) {
 
 // RecvReliable blocks until a reliably-delivered message arrives.
 func (a *API) RecvReliable(p *sim.Proc) (src int, payload []byte) {
-	src, payload, _ = a.recvReliableT(p, noDeadline)
+	src, payload, _ = a.RecvReliableTimeout(p, noDeadline)
 	return src, payload
 }
 
@@ -143,11 +142,7 @@ func (a *API) RecvReliable(p *sim.Proc) (src int, payload []byte) {
 // simulated time with no message it returns a *TimeoutError (e.g. every
 // remaining sender is dead).
 func (a *API) RecvReliableTimeout(p *sim.Proc, timeout sim.Time) (src int, payload []byte, err error) {
-	return a.recvReliableT(p, timeout)
-}
-
-func (a *API) recvReliableT(p *sim.Proc, timeout sim.Time) (src int, payload []byte, err error) {
-	_, pl, err := a.recvSlotT(p, "RecvReliable", "TryRecvReliable", node.RxRel, node.SramRxRelBuf, timeout)
+	_, pl, err := a.recvSlotT(p, "RecvReliable", "TryRecvReliable", rxRelQ, timeout)
 	if err != nil {
 		return 0, nil, err
 	}

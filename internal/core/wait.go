@@ -208,7 +208,7 @@ func (s *spin) retry() {
 //voyager:noalloc
 func (s *spin) open() {
 	if s.op != "" {
-		s.end = s.a.busy(s.op)
+		s.end = s.a.busy(s.p, s.op)
 	}
 }
 

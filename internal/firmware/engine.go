@@ -218,7 +218,7 @@ func (e *Engine) msgLoop(p *sim.Proc) {
 			// The sP dispatch is the terminal causal stage for messages it
 			// consumes; derived messages the handler originates link back
 			// through curMsg.
-			e.traceMsg("msg-consume", tag, sim.Int("rxq", q))
+			e.sim.MsgInstant(e.node, "fw", "msg-consume", tag, sim.Int("rxq", q))
 			e.curMsg = tag
 			// One span per handled message on the node's "fw" track. Only
 			// this loop opens "fw" spans, so they never overlap (the other
@@ -326,24 +326,6 @@ func (e *Engine) protLoop(p *sim.Proc) {
 // executing (0 outside handler context). Services that defer work to spawned
 // procs capture it at handler time to parent the messages that work emits.
 func (e *Engine) CurMsgID() uint64 { return e.curMsg.ID }
-
-// traceMsg emits one causal lifecycle instant for a traced message on this
-// node's "fw" track. No-op for untraced messages (tag.ID == 0).
-func (e *Engine) traceMsg(name string, tag sim.MsgTag, extra ...sim.Field) {
-	if !tag.Traced() || !e.sim.Observed() {
-		return
-	}
-	fields := make([]sim.Field, 0, 3+len(extra))
-	fields = append(fields, sim.I64("msg", int64(tag.ID)))
-	if tag.Attempt > 1 {
-		fields = append(fields, sim.I64("attempt", int64(tag.Attempt)))
-	}
-	if tag.Parent != 0 {
-		fields = append(fields, sim.I64("parent", int64(tag.Parent)))
-	}
-	fields = append(fields, extra...)
-	e.sim.Instant(e.node, "fw", name, fields...)
-}
 
 // SendSvc issues a service message (svc id + body) to destNode's service
 // queue via a CTRL SendMsg command. Protocol replies use the high-priority

@@ -234,7 +234,7 @@ func (r *Rel) onSend(p *sim.Proc, src uint16, body []byte) {
 	}
 	ent := &relEntry{seq: peer.nextSeq, tag: tag, payload: payload,
 		msg: r.e.sim.NewMsgID(), parent: r.e.curMsg.ID}
-	r.e.traceMsg("msg-send", sim.MsgTag{ID: ent.msg, Parent: ent.parent},
+	r.e.sim.MsgInstant(r.e.node, "fw", "msg-send", sim.MsgTag{ID: ent.msg, Parent: ent.parent},
 		sim.Int("dst", dst))
 	peer.pending = append(peer.pending, ent)
 	peer.nextSeq++

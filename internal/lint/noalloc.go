@@ -110,8 +110,7 @@ var noallocAllowlist = map[string]bool{
 	"(*startvoyager/internal/stats.Meter).Stop":            true,
 	// Traced-message diagnostics: no-ops unless the message carries a trace
 	// tag; traced runs allocate event fields by design (see DESIGN.md).
-	"(*startvoyager/internal/niu/ctrl.Ctrl).traceMsg": true,
-	"(*startvoyager/internal/core.API).traceMsg":      true,
+	"(*startvoyager/internal/sim.Engine).MsgInstant": true,
 	// Snoop fan-out: every Device implementation's snoop path is itself
 	// marked //voyager:noalloc in its own package.
 	"(startvoyager/internal/bus.Device).SnoopBus": true,

@@ -64,7 +64,7 @@ func (m *SendMsg) exec(c *Ctrl, done func()) {
 		// tagged — reliable-delivery retransmissions — keep their identity
 		// so every attempt links to one logical message.
 		m.Frame.Trace.ID = c.eng.NewMsgID()
-		c.traceMsg("ctrl", "msg-send", m.Frame.Trace)
+		c.eng.MsgInstant(c.myNode, "ctrl", "msg-send", m.Frame.Trace)
 	}
 	send := func(phys uint16, pri arctic.Priority) {
 		// Move the payload across the IBus into the Tx FIFO, then format.
@@ -273,7 +273,7 @@ func (b *BlockTx) exec(c *Ctrl, done func()) {
 					Op: txrx.CmdNotify, Aux: b.NotifyQ,
 					Payload: append([]byte(nil), b.NotifyPayload...),
 					Trace:   sim.MsgTag{ID: c.eng.NewMsgID(), Parent: b.TraceParent}}
-				c.traceMsg("ctrl", "msg-send", f.Trace)
+				c.eng.MsgInstant(c.myNode, "ctrl", "msg-send", f.Trace)
 				c.emit(f, b.DestNode, b.Priority, done)
 				return
 			}
@@ -294,7 +294,7 @@ func (b *BlockTx) exec(c *Ctrl, done func()) {
 				Addr: b.DestAddr + uint32(off), Aux: uint16(b.ClsState),
 				Payload: append([]byte(nil), b.Buf.Slice(b.SramOff+uint32(off), n)...),
 				Trace:   sim.MsgTag{ID: c.eng.NewMsgID(), Parent: b.TraceParent}}
-			c.traceMsg("ctrl", "msg-send", f.Trace)
+			c.eng.MsgInstant(c.myNode, "ctrl", "msg-send", f.Trace)
 			c.emit(f, b.DestNode, b.Priority, func() {
 				// Pace to the link rate so the unit does not flood the
 				// injection queue beyond what the wire can carry. The IBus

@@ -439,24 +439,6 @@ func (c *Ctrl) RxTag(q int, ptr uint32) sim.MsgTag {
 	return rq.tags[int(ptr)%len(rq.tags)]
 }
 
-// traceMsg emits one causal lifecycle instant for a traced message on the
-// node's component track. No-op for untraced messages (tag.ID == 0).
-func (c *Ctrl) traceMsg(component, name string, tag sim.MsgTag, extra ...sim.Field) {
-	if !tag.Traced() || !c.eng.Observed() {
-		return
-	}
-	fields := make([]sim.Field, 0, 3+len(extra))
-	fields = append(fields, sim.I64("msg", int64(tag.ID)))
-	if tag.Attempt > 1 {
-		fields = append(fields, sim.I64("attempt", int64(tag.Attempt)))
-	}
-	if tag.Parent != 0 {
-		fields = append(fields, sim.I64("parent", int64(tag.Parent)))
-	}
-	fields = append(fields, extra...)
-	c.eng.Instant(c.myNode, component, name, fields...)
-}
-
 // Cls exposes the clsSRAM (written by remote commands and firmware).
 func (c *Ctrl) Cls() *sram.Cls { return c.cls }
 

@@ -43,7 +43,7 @@ func (c *Ctrl) TryReceive(wire []byte, tag sim.MsgTag) bool {
 		c.stats.RxGarbage++
 		if c.eng.Observed() {
 			c.eng.Instant(c.myNode, "ctrl", "rx-garbage", sim.Str("err", err.Error())) //voyager:alloc-ok(opt-in diagnostics on the garbage path)
-			c.traceMsg("ctrl", "msg-drop", tag, sim.Str("why", "garbage"))
+			c.eng.MsgInstant(c.myNode, "ctrl", "msg-drop", tag, sim.Str("why", "garbage"))
 		}
 		return true
 	}
@@ -62,7 +62,7 @@ func (c *Ctrl) TryReceive(wire []byte, tag sim.MsgTag) bool {
 		q = c.cfg.MissQueue
 		if q < 0 {
 			c.stats.RxDrops++
-			c.traceMsg("ctrl", "msg-drop", frame.Trace, sim.Str("why", "no-queue"))
+			c.eng.MsgInstant(c.myNode, "ctrl", "msg-drop", frame.Trace, sim.Str("why", "no-queue"))
 			c.framePut(frame)
 			return true
 		}
@@ -97,7 +97,7 @@ func (c *Ctrl) acceptInto(q int, frame *txrx.Frame) bool {
 	rq := &c.rx[q]
 	if rq.cfg.Buf == nil || !rq.cfg.Enabled {
 		c.stats.RxDrops++
-		c.traceMsg("ctrl", "msg-drop", frame.Trace, sim.Str("why", "rx-disabled"))
+		c.eng.MsgInstant(c.myNode, "ctrl", "msg-drop", frame.Trace, sim.Str("why", "rx-disabled"))
 		c.framePut(frame)
 		return true
 	}
@@ -105,7 +105,7 @@ func (c *Ctrl) acceptInto(q int, frame *txrx.Frame) bool {
 		switch rq.cfg.Full {
 		case Drop:
 			c.stats.RxDrops++
-			c.traceMsg("ctrl", "msg-drop", frame.Trace, sim.Str("why", "rx-full"))
+			c.eng.MsgInstant(c.myNode, "ctrl", "msg-drop", frame.Trace, sim.Str("why", "rx-full"))
 			c.framePut(frame)
 			return true
 		case Divert:
@@ -114,7 +114,7 @@ func (c *Ctrl) acceptInto(q int, frame *txrx.Frame) bool {
 				return c.acceptInto(c.cfg.MissQueue, frame)
 			}
 			c.stats.RxDrops++
-			c.traceMsg("ctrl", "msg-drop", frame.Trace, sim.Str("why", "rx-full"))
+			c.eng.MsgInstant(c.myNode, "ctrl", "msg-drop", frame.Trace, sim.Str("why", "rx-full"))
 			c.framePut(frame)
 			return true
 		default: // Hold
@@ -197,7 +197,7 @@ func (o *rxOp) land() {
 	if len(rq.tags) > 0 {
 		rq.tags[int(ptr)%len(rq.tags)] = frame.Trace
 	}
-	c.traceMsg("ctrl", "msg-enq", frame.Trace, sim.Int("rxq", q))
+	c.eng.MsgInstant(c.myNode, "ctrl", "msg-enq", frame.Trace, sim.Int("rxq", q))
 	rq.reserved--
 	rq.producer++
 	c.shadowRx(q)
@@ -273,7 +273,7 @@ func (r *remoteQueue) kick() {
 
 // execRemote performs one remote command.
 func (c *Ctrl) execRemote(f *txrx.Frame, done func()) {
-	c.traceMsg("ctrl", "msg-exec", f.Trace, sim.Str("op", f.Op.String()))
+	c.eng.MsgInstant(c.myNode, "ctrl", "msg-exec", f.Trace, sim.Str("op", f.Op.String()))
 	switch f.Op {
 	case txrx.CmdWriteDram, txrx.CmdWriteDramCls:
 		c.writeDramLines(f.Addr, f.Payload, func() {
@@ -299,10 +299,10 @@ func (c *Ctrl) execRemote(f *txrx.Frame, done func()) {
 			if !c.acceptInto(q, g) {
 				c.rx[q].holding = false
 				c.stats.RxDrops++
-				c.traceMsg("ctrl", "msg-drop", g.Trace, sim.Str("why", "notify-hold"))
+				c.eng.MsgInstant(c.myNode, "ctrl", "msg-drop", g.Trace, sim.Str("why", "notify-hold"))
 			}
 		} else {
-			c.traceMsg("ctrl", "msg-drop", g.Trace, sim.Str("why", "no-queue"))
+			c.eng.MsgInstant(c.myNode, "ctrl", "msg-drop", g.Trace, sim.Str("why", "no-queue"))
 		}
 		done()
 	case txrx.CmdWriteSram:

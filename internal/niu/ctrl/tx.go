@@ -338,7 +338,7 @@ func (c *Ctrl) emit(frame *txrx.Frame, phys int, pri arctic.Priority, done func(
 	}
 	// The message has left its queue and owns the TxU: one launch per
 	// attempt, even if injection is then deferred by backpressure.
-	c.traceMsg("ctrl", "msg-launch", frame.Trace, sim.Int("dst", phys))
+	c.eng.MsgInstant(c.myNode, "ctrl", "msg-launch", frame.Trace, sim.Int("dst", phys))
 	if len(c.emitPending[pri]) > 0 || !c.net.Ready(pri) {
 		c.emitPending[pri] = append(c.emitPending[pri], pendingEmit{wire, phys, pri, frame.Trace, done}) //voyager:alloc-ok(backpressure path)
 		return
@@ -414,7 +414,7 @@ func (c *Ctrl) ExpressCompose(q int, dest uint16, payload []byte) {
 	// aBIU composes the slot, so the trace id is allocated here.
 	tag := sim.MsgTag{ID: c.eng.NewMsgID()}
 	c.StageTxTag(q, tq.producer, tag)
-	c.traceMsg("ctrl", "msg-send", tag, sim.Int("txq", q))
+	c.eng.MsgInstant(c.myNode, "ctrl", "msg-send", tag, sim.Int("txq", q))
 	slot := make([]byte, ExpressSlotBytes)
 	binary.BigEndian.PutUint16(slot[0:], dest)
 	slot[2] = byte(len(payload))
@@ -441,7 +441,7 @@ func (c *Ctrl) ExpressReceive(q int) [8]byte {
 	var slot [ExpressSlotBytes]byte
 	rq.cfg.Buf.Read(off, slot[:])
 	copy(out[:], slot[:])
-	c.traceMsg("aP", "msg-consume", c.RxTag(q, rq.consumer), sim.Int("rxq", q))
+	c.eng.MsgInstant(c.myNode, "aP", "msg-consume", c.RxTag(q, rq.consumer), sim.Int("rxq", q))
 	c.RxConsumerUpdate(q, rq.consumer+1)
 	return out
 }

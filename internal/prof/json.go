@@ -148,6 +148,11 @@ func (d *Doc) WriteJSON(w io.Writer) error {
 // ErrNullTreeNode reports a profile document whose tree holds a null node.
 var ErrNullTreeNode = errors.New("prof: null tree node")
 
+// ErrProcTimes reports a profile document with a proc entry that breaks the
+// telescoping law: a negative time or bucket, or buckets that do not sum to
+// the proc's lifetime.
+var ErrProcTimes = errors.New("prof: proc times break the telescoping law")
+
 // ReadDoc parses a voyager-prof/v1 JSON document.
 func ReadDoc(r io.Reader) (*Doc, error) {
 	data, err := io.ReadAll(r)
@@ -164,7 +169,25 @@ func ReadDoc(r io.Reader) (*Doc, error) {
 	if err := checkTree(d.Tree); err != nil {
 		return nil, err
 	}
+	for _, pe := range d.Procs {
+		if err := pe.check(); err != nil {
+			return nil, err
+		}
+	}
 	return &d, nil
+}
+
+// check holds a parsed entry to the telescoping law: the proc lives from
+// spawn to end, and its three buckets split that lifetime exactly. The
+// comparisons are ordered so that no sum can overflow.
+func (pe ProcEntry) check() error {
+	life := pe.EndNs - pe.SpawnNs
+	if pe.SpawnNs < 0 || pe.EndNs < pe.SpawnNs || pe.BusyNs < 0 || pe.CondNs < 0 || pe.QueueNs < 0 ||
+		pe.BusyNs > life || pe.CondNs > life-pe.BusyNs || pe.QueueNs != life-pe.BusyNs-pe.CondNs {
+		return fmt.Errorf("%w: proc %q spawn_ns=%d end_ns=%d busy_ns=%d cond_ns=%d queue_ns=%d",
+			ErrProcTimes, pe.Name, pe.SpawnNs, pe.EndNs, pe.BusyNs, pe.CondNs, pe.QueueNs)
+	}
+	return nil
 }
 
 // checkTree rejects a null node anywhere in a parsed tree.

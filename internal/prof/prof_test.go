@@ -334,6 +334,32 @@ func TestFinishTerminal(t *testing.T) {
 	New().Doc(nil)
 }
 
+// TestReadDocProcTimes: a proc entry that breaks the telescoping law is a
+// named parse error, not a negative occupancy in the rendered report, and
+// the committed sample profile still loads.
+func TestReadDocProcTimes(t *testing.T) {
+	for _, proc := range []string{
+		`{"name":"p","spawn_ns":100,"end_ns":0,"busy_ns":-100}`,
+		`{"name":"p","spawn_ns":0,"end_ns":100,"busy_ns":-10,"cond_ns":110}`,
+		`{"name":"p","spawn_ns":0,"end_ns":100,"busy_ns":50}`,
+		`{"name":"p","spawn_ns":0,"end_ns":100,"busy_ns":60,"cond_ns":60,"queue_ns":-20}`,
+		`{"name":"p","spawn_ns":-10,"end_ns":0,"busy_ns":10}`,
+		`{"name":"p","spawn_ns":0,"end_ns":0,"busy_ns":9223372036854775807,"cond_ns":9223372036854775807,"queue_ns":2}`,
+	} {
+		doc := `{"schema":"voyager-prof/v1","procs":[` + proc + `]}`
+		if _, err := ReadDoc(strings.NewReader(doc)); !errors.Is(err, ErrProcTimes) {
+			t.Errorf("ReadDoc(%s) = %v, want ErrProcTimes", proc, err)
+		}
+	}
+	ok := `{"schema":"voyager-prof/v1","procs":[{"name":"p","spawn_ns":5,"end_ns":105,"busy_ns":60,"cond_ns":30,"queue_ns":10}]}`
+	if _, err := ReadDoc(strings.NewReader(ok)); err != nil {
+		t.Errorf("ReadDoc(consistent proc) = %v", err)
+	}
+	if _, err := ReadDocFile(filepath.Join("..", "..", "PROF_sample.json")); err != nil {
+		t.Errorf("committed sample: %v", err)
+	}
+}
+
 // TestReadDocNullTreeNode: a null node anywhere in the tree is a named parse
 // error, not a nil dereference when the tree is rendered.
 func TestReadDocNullTreeNode(t *testing.T) {

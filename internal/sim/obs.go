@@ -158,6 +158,57 @@ type MsgTag struct {
 //voyager:noalloc
 func (t MsgTag) Traced() bool { return t.ID != 0 }
 
+// AppendTo appends the tag's identity to fields: "msg", then "attempt" for
+// a retransmission. An untraced tag appends nothing. The fabric's packet
+// events carry the identity alone; MsgInstant adds the "parent" link.
+func (t MsgTag) AppendTo(fields []Field) []Field {
+	if !t.Traced() {
+		return fields
+	}
+	fields = append(fields, I64("msg", int64(t.ID)))
+	if t.Attempt > 1 {
+		fields = append(fields, I64("attempt", int64(t.Attempt)))
+	}
+	return fields
+}
+
+// MsgInstant emits one causal lifecycle instant for a traced message on
+// track (node, component): the tag's identity, "parent" for a derived
+// message, then extra. It is a no-op for an untraced tag or with no
+// observer installed. Every layer's lifecycle instants go through here,
+// and MsgTagOf reads them back.
+func (e *Engine) MsgInstant(node int, component, name string, tag MsgTag, extra ...Field) {
+	if !tag.Traced() || e.obs == nil {
+		return
+	}
+	fields := tag.AppendTo(make([]Field, 0, 3+len(extra)))
+	if tag.Parent != 0 {
+		fields = append(fields, I64("parent", int64(tag.Parent)))
+	}
+	e.obs.Instant(e.now, node, component, name, append(fields, extra...))
+}
+
+// MsgTagOf reads back the tag an event's fields carry (the zero, untraced
+// tag when there is no "msg" field).
+func MsgTagOf(fields []Field) MsgTag {
+	var t MsgTag
+	for _, f := range fields {
+		v, ok := f.Int64()
+		if !ok {
+			continue
+		}
+		switch f.Key {
+		case "msg":
+			t.ID = uint64(v)
+		case "attempt":
+			t.Attempt = uint32(v)
+		case "parent":
+			t.Parent = uint64(v)
+		}
+	}
+	return t
+}
+
 // NewMsgID allocates the next deterministic message id, or 0 when no
 // observer is installed (untraced runs pay nothing and the counter stays
 // untouched, keeping traced and untraced runs causally identical).

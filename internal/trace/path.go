@@ -150,7 +150,7 @@ func AnalyzePaths(events []Event) *PathAnalysis {
 		if e.Kind != Instant {
 			continue
 		}
-		if id, _, _ := msgFields(e); id != 0 {
+		if id := sim.MsgTagOf(e.Fields).ID; id != 0 {
 			if _, seen := chains[id]; !seen {
 				ids = append(ids, id)
 			}
@@ -180,12 +180,12 @@ func AnalyzePaths(events []Event) *PathAnalysis {
 			if i > 0 {
 				m.Stages = appendStage(m.Stages, stageFor(evs[i-1], e), e.At-evs[i-1].At)
 			}
-			_, attempt, parent := msgFields(e)
-			if parent != 0 {
-				m.Parent = parent
+			tag := sim.MsgTagOf(e.Fields)
+			if tag.Parent != 0 {
+				m.Parent = tag.Parent
 			}
-			if attempt > m.Attempts {
-				m.Attempts = attempt
+			if tag.Attempt > m.Attempts {
+				m.Attempts = tag.Attempt
 			}
 			switch e.Name {
 			case "deliver", "msg-exec", "msg-enq", "msg-consume":
@@ -212,25 +212,6 @@ func AnalyzePaths(events []Event) *PathAnalysis {
 		}
 	}
 	return a
-}
-
-// msgFields extracts the trace id, attempt, and parent fields (0 if absent).
-func msgFields(e Event) (id uint64, attempt uint32, parent uint64) {
-	for _, f := range e.Fields {
-		v, ok := f.Int64()
-		if !ok {
-			continue
-		}
-		switch f.Key {
-		case "msg":
-			id = uint64(v)
-		case "attempt":
-			attempt = uint32(v)
-		case "parent":
-			parent = uint64(v)
-		}
-	}
-	return id, attempt, parent
 }
 
 // stageFor names the stage owning the interval between two consecutive

@@ -87,13 +87,13 @@ func WritePerfetto(w io.Writer, events []Event, s Stats) error {
 	// "s" starts the flow at its first event, "t" steps through the middle
 	// ones, "f" finishes at the last. Count occurrences up front so the
 	// single emission pass knows each event's place in its chain.
-	msgTotal := map[int64]int{}
+	msgTotal := map[uint64]int{}
 	for _, e := range events {
-		if id, ok := eventMsgID(e); ok {
+		if id := sim.MsgTagOf(e.Fields).ID; e.Kind == Instant && id != 0 {
 			msgTotal[id]++
 		}
 	}
-	msgSeen := map[int64]int{}
+	msgSeen := map[uint64]int{}
 
 	for _, e := range events {
 		t := tid[trackKey{e.Node, e.Component}]
@@ -107,7 +107,7 @@ func WritePerfetto(w io.Writer, events []Event, s Stats) error {
 		case Instant:
 			emit(fmt.Sprintf("{\"name\":%s,\"ph\":\"i\",\"s\":\"t\",\"pid\":%d,\"tid\":%d,\"ts\":%s%s}",
 				strconv.Quote(e.Name), e.Node, t, tsMicros(e.At), argsJSON(e.Fields)))
-			if id, ok := eventMsgID(e); ok && msgTotal[id] > 1 {
+			if id := sim.MsgTagOf(e.Fields).ID; msgTotal[id] > 1 {
 				msgSeen[id]++
 				ph, bp := "t", ""
 				switch msgSeen[id] {
@@ -134,21 +134,6 @@ func WritePerfetto(w io.Writer, events []Event, s Stats) error {
 // WritePerfetto exports the buffer's retained events.
 func (b *Buffer) WritePerfetto(w io.Writer) error {
 	return WritePerfetto(w, b.Events(), b.Stats())
-}
-
-// eventMsgID returns the instant's "msg" trace id field, if present.
-func eventMsgID(e Event) (int64, bool) {
-	if e.Kind != Instant {
-		return 0, false
-	}
-	for _, f := range e.Fields {
-		if f.Key == "msg" {
-			if v, ok := f.Int64(); ok {
-				return v, true
-			}
-		}
-	}
-	return 0, false
 }
 
 // tsMicros renders a simulated time as exact decimal microseconds.
