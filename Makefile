@@ -8,7 +8,7 @@
 #   make faults      fault-injection smoke matrix -> FAULTS_matrix.json
 #   make faults-check  parallel (-parallel 4) fault matrix byte-compared to sequential
 #   make bench-micro   simulation-core microbenchmarks -> BENCH_micro.json
-#   make fuzz        one minute of event-queue fuzzing (not in ci)
+#   make fuzz        time-boxed fuzzing of every fuzz target (not in ci)
 #   make bench-scale   64/256/1024-node footprint + scale sweep vs BENCH_scale.json
 #   make bench-scale-baseline  refresh the committed scale baseline
 #   make series      windowed telemetry sample byte-compared to SERIES_* goldens
@@ -16,11 +16,13 @@
 #   make prof        simulated-time profile byte-compared to PROF_sample.* goldens
 #   make prof-baseline  refresh the committed profile goldens
 #   make chaos       short-budget chaos sweep, byte-compared to CHAOS_findings.json
+#   make figs        every published figure byte-compared to FIGS_report.txt
+#   make figs-baseline  refresh the committed figure golden
 #   make ci          everything CI runs
 
 GO ?= go
 
-.PHONY: all build test fmt vet voyager-vet vet-json race lint bench-json bench-diff bench-baseline faults faults-check bench-micro fuzz bench-scale bench-scale-baseline series series-baseline prof prof-baseline chaos ci
+.PHONY: all build test fmt vet voyager-vet vet-json race lint bench-json bench-diff bench-baseline faults faults-check bench-micro fuzz bench-scale bench-scale-baseline series series-baseline prof prof-baseline chaos figs figs-baseline ci
 
 all: build test
 
@@ -110,12 +112,18 @@ faults-check:
 bench-micro:
 	$(GO) run ./cmd/voyager-bench -fig none -micro BENCH_micro.json
 
-# Time-boxed fuzzing of the event queue against its heap-only reference.
-# Plain `go test` (and so `make ci`) only replays the committed corpus in
-# internal/sim/testdata/fuzz; this explores beyond it for a minute. New
-# failing inputs land in that directory.
+# Time-boxed fuzzing: the event queue against its heap-only reference, the
+# paged SRAM and sub-paged DRAM against dense arrays, the frame decoder with
+# fuzzed header fields under a recomputed checksum, and the fault-plan
+# round trip. Plain `go test` (and so `make ci`) only replays each target's
+# committed corpus in its package's testdata/fuzz; this explores beyond it.
+# New failing inputs land in those directories.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 60s ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzSRAMPages$$' -fuzztime 30s ./internal/niu/sram/
+	$(GO) test -run '^$$' -fuzz '^FuzzDRAMPages$$' -fuzztime 30s ./internal/mem/
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameFields$$' -fuzztime 30s ./internal/niu/txrx/
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 30s ./internal/fault/
 
 # Machine-size sweep (64/256/1024-node fat trees): per-node heap footprint,
 # construction time, MPI allreduce/samplesort completion, and the per-level
@@ -187,4 +195,19 @@ chaos:
 	cmp CHAOS_found.json CHAOS_findings.json
 	@echo "chaos: sweep matches the committed baseline (no findings)"
 
-ci: build test lint bench-json bench-diff bench-scale faults faults-check series prof chaos
+# Figure golden: `voyager-bench -fig all` prints every figure and table the
+# repo publishes (EXPERIMENTS.md quotes them). The simulator is
+# deterministic, so its stdout is byte-compared to the committed
+# FIGS_report.txt; any change to a simulated number fails until
+# `make figs-baseline` refreshes the golden on purpose.
+figs:
+	$(GO) run ./cmd/voyager-bench -fig all > /tmp/FIGS_report.txt
+	cmp /tmp/FIGS_report.txt FIGS_report.txt
+	@echo "figs: every figure matches FIGS_report.txt"
+
+# Refresh the committed figure golden after an intentional change to a
+# simulated result.
+figs-baseline:
+	$(GO) run ./cmd/voyager-bench -fig all > FIGS_report.txt
+
+ci: build test lint bench-json bench-diff bench-scale faults faults-check series prof chaos figs

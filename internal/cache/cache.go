@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"startvoyager/internal/bus"
 	"startvoyager/internal/sim"
@@ -76,6 +77,13 @@ func (c *Config) fillDefaults() {
 	}
 }
 
+// setListCap is the room the set list reserves at construction, 24 bytes of
+// host memory per entry. Regrowing the list mid-run costs allocation where
+// reserving it costs footprint; 64 entries cover the 32-59 sets an mpi-256
+// rank fills, and a node filling more (a message-passing node fills ~100)
+// regrows it by doubling.
+const setListCap = 64
+
 type line struct {
 	tag   uint32
 	state State
@@ -96,10 +104,18 @@ type Cache struct {
 	name string
 	b    *bus.Bus
 	cfg  Config
-	sets [][]line
 	nset uint32
 	tick uint64
-	node int // owning node, for trace attribution (SetNode)
+
+	// Sets materialize on their first fill: setIdx holds, per set, 0 while
+	// it is untouched and otherwise its position in sets, an append-only
+	// list of per-set line arrays whose entry 0 is the nil untouched set. An
+	// idle set costs 2 bytes. Each line array is its own allocation and is
+	// never moved or freed: ensure holds a *line across a blocking fill or
+	// writeback, while another Proc time-sharing the aP may fill other sets.
+	setIdx []uint16
+	sets   [][]line
+	node   int // owning node, for trace attribution (SetNode)
 
 	// writebackSink reflects intervention data to memory without a second
 	// bus transaction (the controller captures intervention data on real
@@ -132,9 +148,11 @@ func New(name string, b *bus.Bus, cfg Config) *Cache {
 	if nset == 0 || nset&(nset-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", nset))
 	}
-	// Sets materialize lazily (see setForFill): an idle node's cache costs
-	// one pointer per set rather than Assoc full lines per set.
-	c := &Cache{name: name, b: b, cfg: cfg, sets: make([][]line, nset), nset: uint32(nset)}
+	if nset > math.MaxUint16 {
+		panic(fmt.Sprintf("cache: %d sets exceed the %d a 2-byte set index addresses", nset, math.MaxUint16))
+	}
+	c := &Cache{name: name, b: b, cfg: cfg, nset: uint32(nset),
+		setIdx: make([]uint16, nset), sets: make([][]line, 1, setListCap)}
 	c.ivServeFn = c.ivServe
 	return c
 }
@@ -195,17 +213,20 @@ func (c *Cache) Stats() Stats { return c.stats }
 // nil set simply miss, so the read path never materializes state.
 //
 //voyager:noalloc
-func (c *Cache) set(addr uint32) []line { return c.sets[(addr/bus.LineSize)&(c.nset-1)] }
+func (c *Cache) set(addr uint32) []line {
+	return c.sets[c.setIdx[(addr/bus.LineSize)&(c.nset-1)]]
+}
 
 // setForFill materializes addr's set on its first fill.
 //
 //voyager:noalloc
 func (c *Cache) setForFill(addr uint32) []line {
-	idx := (addr / bus.LineSize) & (c.nset - 1)
-	if c.sets[idx] == nil {
-		c.sets[idx] = make([]line, c.cfg.Assoc) //voyager:alloc-ok(lazy set materialization; once per touched set)
+	si := &c.setIdx[(addr/bus.LineSize)&(c.nset-1)]
+	if *si == 0 {
+		*si = uint16(len(c.sets))
+		c.sets = append(c.sets, make([]line, c.cfg.Assoc)) //voyager:alloc-ok(lazy set materialization; once per touched set)
 	}
-	return c.sets[idx]
+	return c.sets[*si]
 }
 
 //voyager:noalloc

@@ -317,3 +317,84 @@ func TestNonPowerOfTwoSetsPanics(t *testing.T) {
 	b := bus.New(eng, "b", bus.DefaultConfig())
 	New("bad", b, Config{SizeBytes: 3 * bus.LineSize, Assoc: 1, HitTime: 1})
 }
+
+// TestTooManySetsPanics: the 2-byte set index addresses at most 65,535
+// sets, so a larger geometry is refused at construction.
+func TestTooManySetsPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic")
+		}
+	}()
+	eng := sim.NewEngine()
+	b := bus.New(eng, "b", bus.DefaultConfig())
+	New("big", b, Config{SizeBytes: 1 << 16 * bus.LineSize, Assoc: 1, HitTime: 1})
+}
+
+// stall retries every transaction on one line while hold is set, as the
+// aBIU retries an S-COMA access whose line the sP is still fetching.
+type stall struct {
+	line uint32
+	hold bool
+}
+
+func (s *stall) DeviceName() string { return "stall" }
+
+func (s *stall) SnoopBus(tx *bus.Transaction) bus.Snoop {
+	if s.hold && tx.Addr&^(bus.LineSize-1) == s.line {
+		return bus.Snoop{Action: bus.Retry}
+	}
+	return bus.Snoop{}
+}
+
+// TestLinesStayPutAcrossBlockedFill: while one Proc blocks in a fill, a
+// second Proc time-sharing the aP fills more sets than the set list reserves,
+// so the list regrows under the first Proc's chosen line. The line must not
+// move: the blocked store completes into the line the cache keeps, so a
+// later load and the flushed memory both hold it. Every load returns the
+// bytes memory holds.
+func TestLinesStayPutAcrossBlockedFill(t *testing.T) {
+	const others = setListCap + 16
+	r := newRig(DefaultConfig())
+	st := &stall{line: 0x8000, hold: true}
+	r.bus.Attach(st)
+	addrOf := func(k int) uint32 { return uint32(k)*bus.LineSize + 8 }
+	for k := 1; k <= others; k++ {
+		r.dram.Poke(addrOf(k), []byte{byte(k), byte(k >> 8), 0x5a, 0xa5})
+	}
+	stored := []byte{0xde, 0xad, 0xbe, 0xef}
+	storeDone := false
+	r.eng.Spawn("blocked", func(p *sim.Proc) {
+		r.c.Store(p, st.line+4, stored)
+		storeDone = true
+		got := make([]byte, len(stored))
+		r.c.Load(p, st.line+4, got)
+		if !bytes.Equal(got, stored) {
+			t.Errorf("load after the blocked store = %x, want %x", got, stored)
+		}
+		r.c.Flush(p, st.line)
+	})
+	r.eng.Spawn("filler", func(p *sim.Proc) {
+		got, want := make([]byte, 4), make([]byte, 4)
+		for k := 1; k <= others; k++ {
+			r.c.Load(p, addrOf(k), got)
+			r.dram.Peek(addrOf(k), want)
+			if !bytes.Equal(got, want) {
+				t.Errorf("load of set %d = %x, memory holds %x", k, got, want)
+			}
+		}
+		if storeDone {
+			t.Error("the store's fill finished before the other sets filled")
+		}
+		st.hold = false
+	})
+	r.eng.Run()
+	got := make([]byte, len(stored))
+	r.dram.Peek(st.line+4, got)
+	if !bytes.Equal(got, stored) {
+		t.Fatalf("memory after flush = %x, want the stored %x", got, stored)
+	}
+	if len(r.c.sets) <= setListCap {
+		t.Fatalf("set list holds %d entries; the test needs it past its reserved %d", len(r.c.sets), setListCap)
+	}
+}

@@ -229,3 +229,42 @@ func TestComputeMetersAP(t *testing.T) {
 		t.Fatalf("aP busy %v, want 12345", got)
 	}
 }
+
+// TestChannelProtectionTraced: a traced send that trips channel protection
+// ends its causal chain with a drop that names protection, so path analysis
+// reports it as dropped rather than as a chain with no outcome. Once software
+// grants the destination and re-enables the queue, the held message
+// relaunches and the same chain continues to its delivery.
+func TestChannelProtectionTraced(t *testing.T) {
+	for _, reenable := range []bool{false, true} {
+		m := NewMachine(2)
+		tb := m.Trace(1 << 12)
+		ch := m.API(0).OpenChannel(1, []int{}) // nothing allowed: the send trips
+		peer := m.API(1).OpenChannel(1, []int{0})
+		m.Go(0, "x", func(p *sim.Proc, a *API) {
+			if err := ch.Send(p, 1, []byte("m")); err != ErrChannelShutdown {
+				t.Errorf("forbidden send: %v, want ErrChannelShutdown", err)
+			}
+			if reenable {
+				a.Node().Ctrl.SetTxAllowedDests(2, 1<<1)
+				ch.Reenable()
+			}
+		})
+		if reenable {
+			m.Go(1, "peer", func(p *sim.Proc, _ *API) { peer.Recv(p) })
+		}
+		m.Run()
+		pa := trace.AnalyzePaths(tb.Events())
+		want := trace.Dropped
+		if reenable {
+			want = trace.Delivered
+		}
+		if len(pa.Msgs) != 1 {
+			t.Fatalf("reenable=%v: %d chains, want the forbidden message's one", reenable, len(pa.Msgs))
+		}
+		if mp := pa.Msgs[0]; mp.Outcome != want || mp.DropWhy != "protection" || mp.Complete != reenable {
+			t.Fatalf("reenable=%v: outcome %v (complete %v), drop reason %q; want %v after a protection drop",
+				reenable, mp.Outcome, mp.Complete, mp.DropWhy, want)
+		}
+	}
+}

@@ -112,6 +112,9 @@ func TestParsePlanErrors(t *testing.T) {
 		"death=1",
 		"death=x@1us",
 		"seed=zz",
+		"drop=NaN",
+		"death=1@NaNs",
+		"death=1@1e30s",
 	} {
 		if _, err := ParsePlan(s); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", s)

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -94,6 +95,9 @@ func (p *Plan) apply(key, val string) error {
 		if d <= 0 {
 			return fmt.Errorf("fault: delay bound %q must be positive", durStr)
 		}
+		if f == 0 {
+			d = 0 // a delay that never fires has no bound, and String omits it
+		}
 		return p.setLanes(lane, func(lp *LaneProbs) {
 			lp.DelayProb = f
 			lp.DelayMax = d
@@ -158,7 +162,7 @@ func splitLane(key string) (base, lane string, err error) {
 
 func parseProb(key, val string) (float64, error) {
 	f, err := strconv.ParseFloat(val, 64)
-	if err != nil || f < 0 || f > 1 {
+	if err != nil || !(f >= 0 && f <= 1) { // NaN fails both
 		return 0, fmt.Errorf("fault: %s wants a probability in [0,1], got %q", key, val)
 	}
 	return f, nil
@@ -230,8 +234,9 @@ func ParseTime(s string) (sim.Time, error) {
 		return 0, fmt.Errorf("fault: time %q wants a ns/us/ms/s suffix", s)
 	}
 	f, err := strconv.ParseFloat(num, 64)
-	if err != nil || f < 0 {
+	t := f * float64(unit)
+	if err != nil || !(t >= 0 && t < math.MaxInt64) { // NaN fails both
 		return 0, fmt.Errorf("fault: bad time %q", s)
 	}
-	return sim.Time(f * float64(unit)), nil
+	return sim.Time(t), nil
 }

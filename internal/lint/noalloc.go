@@ -149,11 +149,13 @@ var noallocAllowlist = map[string]bool{
 	"(*startvoyager/internal/node.Node).TransSvcIdx":     true,
 	"(*startvoyager/internal/node.Node).TransNotifyIdx":  true,
 	// Buffer memories and byte-order helpers: pure copies into caller-owned
-	// storage.
+	// storage. SRAM.Append grows its destination as append does; its noalloc
+	// caller (ctrl's TagOn pull) reuses a payload buffer whose capacity grows
+	// once to MaxDataPayload.
 	"(*startvoyager/internal/niu/sram.SRAM).Read":   true,
 	"(*startvoyager/internal/niu/sram.SRAM).Write":  true,
 	"(*startvoyager/internal/niu/sram.SRAM).ByteAt": true,
-	"(*startvoyager/internal/niu/sram.SRAM).Slice":  true,
+	"(*startvoyager/internal/niu/sram.SRAM).Append": true,
 	"(encoding/binary.bigEndian).Uint16":            true,
 	"(encoding/binary.bigEndian).Uint32":            true,
 	"(encoding/binary.bigEndian).Uint64":            true,

@@ -3,11 +3,11 @@
 // with a fixed access latency. A zero-time backdoor lets workload setup and
 // test verification touch memory without perturbing simulated timing.
 //
-// Backing storage is paged and demand-allocated: a page materializes on its
-// first write, and reads of never-written pages observe zeros — exactly what
-// a dense zero-initialized array would return. This keeps a node's host
-// footprint proportional to the memory its software actually touches, so
-// thousand-node machines fit in RAM (ROADMAP item 2).
+// Backing storage is paged and demand-allocated: a 1 KB sub-page
+// materializes on its first write, and reads of never-written bytes observe
+// zeros — exactly what a dense zero-initialized array would return. This
+// keeps a node's host footprint proportional to the memory its software
+// actually touches, so thousand-node machines fit in RAM.
 package mem
 
 import (
@@ -18,21 +18,27 @@ import (
 	"startvoyager/internal/stats"
 )
 
-// Backing-page geometry. 64 KB keeps the page table tiny (8 bytes per page —
-// 2 KB for a 16 MB node) while a queue-only workload still touches just a
-// handful of pages.
+// Backing geometry. A 64 KB page keeps the page table tiny (8 bytes per page
+// — 2 KB for a 16 MB node); each page is a lazily allocated block of 1 KB
+// sub-pages, so a one-line S-COMA fill or a scattered store materializes
+// 1 KB rather than 64 KB.
 const (
-	pageShift = 16
-	pageSize  = 1 << pageShift
+	pageShift   = 16
+	pageSize    = 1 << pageShift
+	subShift    = 10
+	subSize     = 1 << subShift
+	subsPerPage = pageSize / subSize
 )
+
+// page is one 64 KB page's sub-page table; nil sub-pages read as zeros.
+type page [subsPerPage]*[subSize]byte
 
 // DRAM is main memory plus its controller, attached to a node bus.
 type DRAM struct {
-	rng      bus.Range
-	pages    [][]byte // demand-allocated; nil pages read as zeros
-	resident int      // pages materialized so far
-	latency  sim.Time
-	aliases  []alias
+	rng     bus.Range
+	pages   []*page // demand-allocated; nil pages read as zeros
+	latency sim.Time
+	aliases []alias
 
 	reads, writes uint64
 
@@ -54,7 +60,7 @@ type alias struct {
 // New creates size bytes of DRAM at base with the given first-access latency.
 func New(rng bus.Range, latency sim.Time) *DRAM {
 	numPages := (uint64(rng.Size) + pageSize - 1) >> pageShift
-	d := &DRAM{rng: rng, pages: make([][]byte, numPages), latency: latency}
+	d := &DRAM{rng: rng, pages: make([]*page, numPages), latency: latency}
 	d.serveFn = d.serve
 	return d
 }
@@ -64,10 +70,6 @@ func (d *DRAM) DeviceName() string { return "dram" }
 
 // Range returns the address range this controller claims.
 func (d *DRAM) Range() bus.Range { return d.rng }
-
-// ResidentBytes returns the host bytes materialized for backing storage —
-// the demand-paged footprint, as opposed to the modeled capacity Range().Size.
-func (d *DRAM) ResidentBytes() int { return d.resident * pageSize }
 
 // AddAlias makes the controller also claim rng, serving it from the backing
 // array starting at offset toBase. Used to back the S-COMA window with DRAM
@@ -92,24 +94,27 @@ func (d *DRAM) resolve(addr uint32) (uint32, bool) {
 	return 0, false
 }
 
+// sub returns the sub-page holding off, or nil if it was never written.
+func (d *DRAM) sub(off uint32) *[subSize]byte {
+	if pg := d.pages[off>>pageShift]; pg != nil {
+		return pg[off>>subShift&(subsPerPage-1)]
+	}
+	return nil
+}
+
 // readAt copies backing bytes at off into buf, clamped to the modeled size;
-// unmaterialized pages read as zeros.
+// unmaterialized sub-pages read as zeros.
 func (d *DRAM) readAt(off uint32, buf []byte) {
 	if rem := uint64(d.rng.Size) - uint64(off); uint64(len(buf)) > rem {
 		buf = buf[:rem]
 	}
 	for len(buf) > 0 {
-		po := off & (pageSize - 1)
-		n := pageSize - int(po)
-		if n > len(buf) {
-			n = len(buf)
-		}
-		if pg := d.pages[off>>pageShift]; pg != nil {
-			copy(buf[:n], pg[po:])
+		so := off & (subSize - 1)
+		n := min(len(buf), subSize-int(so))
+		if sp := d.sub(off); sp != nil {
+			copy(buf[:n], sp[so:])
 		} else {
-			for i := range buf[:n] {
-				buf[i] = 0
-			}
+			clear(buf[:n])
 		}
 		off += uint32(n)
 		buf = buf[n:]
@@ -117,24 +122,22 @@ func (d *DRAM) readAt(off uint32, buf []byte) {
 }
 
 // writeAt copies buf into backing storage at off, clamped to the modeled
-// size, materializing pages as needed.
+// size, materializing pages and sub-pages as needed.
 func (d *DRAM) writeAt(off uint32, data []byte) {
 	if rem := uint64(d.rng.Size) - uint64(off); uint64(len(data)) > rem {
 		data = data[:rem]
 	}
 	for len(data) > 0 {
-		po := off & (pageSize - 1)
-		n := pageSize - int(po)
-		if n > len(data) {
-			n = len(data)
-		}
 		pg := d.pages[off>>pageShift]
 		if pg == nil {
-			pg = make([]byte, pageSize)
+			pg = new(page)
 			d.pages[off>>pageShift] = pg
-			d.resident++
 		}
-		copy(pg[po:], data[:n])
+		sp := &pg[off>>subShift&(subsPerPage-1)]
+		if *sp == nil {
+			*sp = new([subSize]byte)
+		}
+		n := copy((*sp)[off&(subSize-1):], data)
 		off += uint32(n)
 		data = data[n:]
 	}

@@ -83,7 +83,7 @@ func (m *SendMsg) exec(c *Ctrl, done func()) {
 		}
 		c.stats.TagOns++
 		c.ibusMove(m.TagLen, func() {
-			m.Frame.Payload = append(m.Frame.Payload, m.TagBuf.Slice(m.TagOff, m.TagLen)...)
+			m.Frame.Payload = m.TagBuf.Append(m.Frame.Payload, m.TagOff, m.TagLen)
 			cont()
 		})
 	}
@@ -292,7 +292,7 @@ func (b *BlockTx) exec(c *Ctrl, done func()) {
 			}
 			f := &txrx.Frame{Kind: txrx.Cmd, SrcNode: uint16(c.myNode), Op: op,
 				Addr: b.DestAddr + uint32(off), Aux: uint16(b.ClsState),
-				Payload: append([]byte(nil), b.Buf.Slice(b.SramOff+uint32(off), n)...),
+				Payload: b.Buf.Append(nil, b.SramOff+uint32(off), n),
 				Trace:   sim.MsgTag{ID: c.eng.NewMsgID(), Parent: b.TraceParent}}
 			c.eng.MsgInstant(c.myNode, "ctrl", "msg-send", f.Trace)
 			c.emit(f, b.DestNode, b.Priority, func() {

@@ -128,7 +128,7 @@ func (c *Ctrl) launchBasic(q int, slot []byte, tag sim.MsgTag) {
 		payloadMax -= 8
 	}
 	if n > payloadMax {
-		c.violate(q)
+		c.violate(q, tag)
 		return
 	}
 	pl := c.lnFrame.Payload
@@ -162,7 +162,7 @@ func (c *Ctrl) launchBasic(q int, slot []byte, tag sim.MsgTag) {
 				bank = c.aSRAM
 			}
 			if len(c.lnFrame.Payload)+tagLen > txrx.MaxDataPayload || c.lnFrame.Kind == txrx.Cmd {
-				c.violate(q)
+				c.violate(q, tag)
 				return
 			}
 			c.stats.TagOns++
@@ -179,7 +179,7 @@ func (c *Ctrl) launchBasic(q int, slot []byte, tag sim.MsgTag) {
 //
 //voyager:noalloc payload append stays within MaxDataPayload capacity after warm-up
 func (c *Ctrl) lnTagOn() {
-	c.lnFrame.Payload = append(c.lnFrame.Payload, c.lnTagBank.Slice(c.lnTagOff, c.lnTagLen)...) //voyager:alloc-ok(payload capacity grows once to MaxDataPayload)
+	c.lnFrame.Payload = c.lnTagBank.Append(c.lnFrame.Payload, c.lnTagOff, c.lnTagLen)
 	c.lnFinish()
 }
 
@@ -193,7 +193,7 @@ func (c *Ctrl) lnFinish() {
 	flags := c.lnFlags
 	translate := tq.cfg.Translate && flags&SlotFlagRaw == 0
 	if flags&SlotFlagRaw != 0 && !tq.cfg.RawAllowed {
-		c.violate(q)
+		c.violate(q, c.lnFrame.Trace)
 		return
 	}
 	pri := arctic.Low
@@ -229,7 +229,7 @@ func (c *Ctrl) lnTrans() {
 	q := c.lnQ
 	e := c.readTransEntry(c.lnTrIdx)
 	if !e.Valid {
-		c.violate(q)
+		c.violate(q, c.lnFrame.Trace)
 		return
 	}
 	c.lnFrame.LogicalQ = e.LogicalQ
@@ -242,7 +242,7 @@ func (c *Ctrl) lnTrans() {
 func (c *Ctrl) lnSend(q int, phys uint16, pri arctic.Priority) {
 	tq := &c.tx[q]
 	if tq.cfg.AllowedDests>>(phys%64)&1 == 0 {
-		c.violate(q)
+		c.violate(q, c.lnFrame.Trace)
 		return
 	}
 	if len(c.emitPending[pri]) > 0 || !c.net.Ready(pri) {
@@ -374,11 +374,13 @@ func (c *Ctrl) NetReady() {
 }
 
 // violate shuts down queue q and raises the protection interrupt. The
-// offending message is left at the head of the queue for firmware to
-// inspect; the queue stops launching until re-enabled.
+// offending message, traced as tag, is left at the head of the queue for
+// firmware to inspect; the queue stops launching until re-enabled, and a
+// relaunch continues the message's chain with a new msg-launch.
 //
 //voyager:noalloc
-func (c *Ctrl) violate(q int) {
+func (c *Ctrl) violate(q int, tag sim.MsgTag) {
+	c.eng.MsgInstant(c.myNode, "ctrl", "msg-drop", tag, sim.Str("why", "protection"))
 	tq := &c.tx[q]
 	tq.shutdown = true
 	tq.cfg.Enabled = false

@@ -11,21 +11,27 @@ package sram
 
 import "fmt"
 
-// SRAM is a byte-addressed buffer memory. The backing array grows on demand
-// (doubling, up to the configured capacity): a bank whose software only uses
-// the queue region at the bottom costs a few KB of host memory rather than
-// the full 128 KB, which is what makes thousand-node machines cheap. Bytes
-// beyond the materialized prefix read as zeros, identical to a dense
+// Backing-page geometry: a bank materializes in 1 KB pages on first write,
+// so a bank costs host memory only for the regions its software touches (a
+// queue ring at the bottom, a translation table, a pointer-shadow region far
+// above them) rather than a prefix up to its highest written byte.
+const (
+	pageShift = 10
+	pageSize  = 1 << pageShift
+)
+
+// SRAM is a byte-addressed buffer memory backed by demand-allocated pages.
+// Bytes on a never-written page read as zeros, identical to a dense
 // zero-initialized array.
 type SRAM struct {
-	name string
-	size int
-	data []byte // materialized prefix; len(data) <= size
+	name  string
+	size  int
+	pages []*[pageSize]byte // nil until first written
 }
 
 // New allocates an SRAM of size bytes.
 func New(name string, size int) *SRAM {
-	return &SRAM{name: name, size: size}
+	return &SRAM{name: name, size: size, pages: make([]*[pageSize]byte, (size+pageSize-1)>>pageShift)}
 }
 
 // Name returns the bank's name ("aSRAM", "sSRAM").
@@ -34,62 +40,54 @@ func (s *SRAM) Name() string { return s.name }
 // Size returns the bank capacity in bytes.
 func (s *SRAM) Size() int { return s.size }
 
-// ResidentBytes returns the host bytes materialized so far.
-func (s *SRAM) ResidentBytes() int { return len(s.data) }
-
-// grow extends the materialized prefix to cover at least end bytes. Growth
-// reallocates, so previously returned Slice views go stale — which the Slice
-// contract (no retention across foreign writes) already forbids relying on.
-func (s *SRAM) grow(end uint32) {
-	if int(end) <= len(s.data) {
-		return
-	}
-	n := 256
-	for n < int(end) {
-		n <<= 1
-	}
-	if n > s.size {
-		n = s.size
-	}
-	nd := make([]byte, n)
-	copy(nd, s.data)
-	s.data = nd
-}
-
 // Read copies len(buf) bytes at off into buf.
 func (s *SRAM) Read(off uint32, buf []byte) {
 	s.check(off, len(buf))
-	var n int
-	if int(off) < len(s.data) {
-		n = copy(buf, s.data[off:])
-	}
-	for i := n; i < len(buf); i++ {
-		buf[i] = 0
+	for len(buf) > 0 {
+		po := off & (pageSize - 1)
+		n := min(len(buf), pageSize-int(po))
+		if pg := s.pages[off>>pageShift]; pg != nil {
+			copy(buf[:n], pg[po:])
+		} else {
+			clear(buf[:n])
+		}
+		off += uint32(n)
+		buf = buf[n:]
 	}
 }
 
-// Write copies data into the bank at off.
+// Write copies data into the bank at off, materializing pages as needed.
 func (s *SRAM) Write(off uint32, data []byte) {
 	s.check(off, len(data))
-	s.grow(off + uint32(len(data)))
-	copy(s.data[off:], data)
+	for len(data) > 0 {
+		po := off & (pageSize - 1)
+		pg := s.pages[off>>pageShift]
+		if pg == nil {
+			pg = new([pageSize]byte)
+			s.pages[off>>pageShift] = pg
+		}
+		n := copy(pg[po:], data)
+		off += uint32(n)
+		data = data[n:]
+	}
 }
 
 // ByteAt returns the byte at off.
 func (s *SRAM) ByteAt(off uint32) byte {
 	s.check(off, 1)
-	if int(off) >= len(s.data) {
-		return 0
+	if pg := s.pages[off>>pageShift]; pg != nil {
+		return pg[off&(pageSize-1)]
 	}
-	return s.data[off]
+	return 0
 }
 
-// Slice returns a view of [off, off+n) for zero-copy internal moves. Callers
-// must not retain it across writes they do not control.
-func (s *SRAM) Slice(off uint32, n int) []byte {
+// Append appends the n bytes at off to dst and returns the extended slice,
+// growing dst exactly as append would.
+func (s *SRAM) Append(dst []byte, off uint32, n int) []byte {
 	s.check(off, n)
-	s.grow(off + uint32(n))
-	return s.data[off : off+uint32(n)]
+	dst = append(dst, make([]byte, n)...)
+	s.Read(off, dst[len(dst)-n:])
+	return dst
 }
 
 func (s *SRAM) check(off uint32, n int) {
@@ -150,9 +148,6 @@ func NewCls(lines int) *Cls {
 
 // Lines returns the number of tracked lines.
 func (c *Cls) Lines() int { return c.lines }
-
-// ResidentBytes returns the host bytes materialized so far.
-func (c *Cls) ResidentBytes() int { return len(c.states) }
 
 // Get returns the state for line idx.
 func (c *Cls) Get(idx int) LineState {

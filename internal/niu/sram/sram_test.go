@@ -20,11 +20,13 @@ func TestReadWrite(t *testing.T) {
 	if s.ByteAt(101) != 2 {
 		t.Fatal("ReadByte wrong")
 	}
-	sl := s.Slice(100, 3)
-	sl[0] = 9
-	s.Read(100, buf)
-	if buf[0] != 9 {
-		t.Fatal("Slice is not a live view")
+	got := s.Append([]byte{7}, 100, 3)
+	if !bytes.Equal(got, []byte{7, 1, 2, 3}) {
+		t.Fatalf("Append got %v", got)
+	}
+	got[1] = 9
+	if s.ByteAt(100) != 1 {
+		t.Fatal("Append returned a view, not a copy")
 	}
 }
 
@@ -33,7 +35,7 @@ func TestBoundsPanics(t *testing.T) {
 	cases := []func(){
 		func() { s.Read(60, make([]byte, 8)) },
 		func() { s.Write(64, []byte{1}) },
-		func() { s.Slice(0, 65) },
+		func() { s.Append(nil, 0, 65) },
 	}
 	for i, fn := range cases {
 		func() {
