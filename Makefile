@@ -3,9 +3,11 @@
 #   make             build + unit tests (tier-1)
 #   make lint        gofmt + go vet + voyager-vet analyzer suite + race tests
 #   make vet-json    voyager-vet findings as JSON -> VET_findings.json
-#   make bench-json  canonical instrumented run -> BENCH_observability.json (+ trace)
+#   make bench-json  canonical instrumented run byte-compared to BENCH_observability.json (+ trace)
+#   make bench-json-baseline  refresh the committed instrumented-run goldens
 #   make bench-diff  headline latencies byte-compared to BENCH_baseline.json
-#   make faults      fault-injection smoke matrix -> FAULTS_matrix.json
+#   make faults      fault-injection smoke matrix byte-compared to FAULTS_matrix.json
+#   make faults-baseline  refresh the committed fault-matrix golden
 #   make faults-check  parallel (-parallel 4) fault matrix byte-compared to sequential
 #   make bench-micro   simulation-core microbenchmarks -> BENCH_micro.json
 #   make fuzz        time-boxed fuzzing of every fuzz target (not in ci)
@@ -22,7 +24,7 @@
 
 GO ?= go
 
-.PHONY: all build test fmt vet voyager-vet vet-json race lint bench-json bench-diff bench-baseline faults faults-check bench-micro fuzz bench-scale bench-scale-baseline series series-baseline prof prof-baseline chaos figs figs-baseline ci
+.PHONY: all build test fmt vet voyager-vet vet-json race lint bench-json bench-json-baseline bench-diff bench-baseline faults faults-baseline faults-check bench-micro fuzz bench-scale bench-scale-baseline series series-baseline prof prof-baseline chaos figs figs-baseline ci
 
 all: build test
 
@@ -66,8 +68,19 @@ race:
 lint: fmt vet voyager-vet race
 
 # The canonical instrumented run: metrics registry dump plus a Perfetto
-# trace, both byte-identical across invocations (diffable in CI).
+# trace, both byte-identical across invocations, so both are byte-compared
+# to the committed goldens; any drift fails until `make bench-json-baseline`
+# refreshes them on purpose.
 bench-json:
+	$(GO) run ./cmd/voyager-bench -fig none \
+		-metrics /tmp/BENCH_observability.json -trace /tmp/TRACE_observability.json
+	cmp /tmp/BENCH_observability.json BENCH_observability.json
+	cmp /tmp/TRACE_observability.json TRACE_observability.json
+	@echo "bench-json: metrics and trace match the committed goldens"
+
+# Refresh the committed instrumented-run goldens after an intentional timing,
+# metrics or trace change.
+bench-json-baseline:
 	$(GO) run ./cmd/voyager-bench -fig none \
 		-metrics BENCH_observability.json -trace TRACE_observability.json
 
@@ -87,7 +100,16 @@ bench-baseline:
 # The fault-injection smoke matrix: {drop, corrupt, outage, node-death} x
 # three seeds of reliable traffic, with every cell's metrics registry dumped
 # to one JSON artifact. A cell that loses or duplicates a message panics.
+# The artifact is deterministic, so it is byte-compared to the committed
+# FAULTS_matrix.json.
 faults:
+	$(GO) run ./cmd/voyager-bench -fig none -fault-matrix \
+		-fault-seeds 1,2,3 -faults-json /tmp/FAULTS_matrix.json -parallel 4
+	cmp /tmp/FAULTS_matrix.json FAULTS_matrix.json
+	@echo "faults: fault matrix matches FAULTS_matrix.json"
+
+# Refresh the committed fault-matrix golden after an intentional change.
+faults-baseline:
 	$(GO) run ./cmd/voyager-bench -fig none -fault-matrix \
 		-fault-seeds 1,2,3 -faults-json FAULTS_matrix.json -parallel 4
 

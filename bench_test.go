@@ -45,7 +45,7 @@ func BenchmarkFig4Bandwidth(b *testing.B) {
 			b.Run(fmt.Sprintf("%v/%s", a, stats.FormatBytes(size)), func(b *testing.B) {
 				var bw float64
 				for i := 0; i < b.N; i++ {
-					bw = blockxfer.MeasureBandwidth(a, size)
+					bw = blockxfer.MeasureBandwidth(a, size, nil)
 				}
 				b.ReportMetric(bw, "sim-bw-MBps")
 			})

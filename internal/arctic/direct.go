@@ -14,7 +14,7 @@ import (
 type Direct struct {
 	edge
 	latency sim.Time
-	flit    sim.Time // per-16B serialization; 0 = infinite bandwidth
+	flit    sim.Time // per-flit serialization; 0 = infinite bandwidth
 	// chans[src*nodes+dst] serializes per-direction traffic.
 	chans []*directChan
 }
@@ -34,8 +34,8 @@ type directChan struct {
 }
 
 // NewDirect builds an ideal fabric with the given one-way latency. If
-// flitTime is nonzero, each (src,dst) direction serializes packets at 16
-// bytes per flitTime.
+// flitTime is nonzero, each (src,dst) direction serializes packets at
+// FlitBytes per flitTime.
 func NewDirect(eng *sim.Engine, numNodes int, latency, flitTime sim.Time) *Direct {
 	d := &Direct{latency: latency, flit: flitTime, chans: make([]*directChan, numNodes*numNodes)}
 	d.edge = newEdge(eng, numNodes, d.launch)
@@ -91,7 +91,7 @@ func (c *directChan) kick() {
 	c.busy = true
 	ser := sim.Time(0)
 	if c.d.flit > 0 {
-		ser = sim.Time((pkt.Size+15)/16) * c.d.flit
+		ser = sim.Time((pkt.Size+FlitBytes-1)/FlitBytes) * c.d.flit
 	}
 	c.busyNs += ser
 	c.d.eng.Schedule(ser, func() {

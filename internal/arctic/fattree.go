@@ -7,16 +7,22 @@ import (
 	"startvoyager/internal/stats"
 )
 
-// Config holds fat-tree timing and shape parameters. The defaults reproduce
-// Arctic's published characteristics: 160 MB/s per link per direction
-// (16-byte flits at 100 ns) and radix-4 routers.
+// Arctic's fixed geometry: radix-4 routers and 16-byte flits. The flit size
+// is shared by the fat tree, the Direct fabric and CTRL's block-transmit
+// pacing.
+const (
+	Radix     = 4
+	FlitBytes = 16
+)
+
+// Config holds fat-tree timing parameters. The defaults reproduce Arctic's
+// published characteristics: 160 MB/s per link per direction (one flit per
+// 100 ns).
 type Config struct {
-	Radix         int      // router radix k (default 4)
-	FlitBytes     int      // bytes per flit (default 16)
-	FlitTime      sim.Time // serialization time per flit (default 100 ns)
-	RouterLatency sim.Time // per-hop routing decision latency (default 50 ns)
-	// LaneCapacity bounds each link lane's packet buffer (default 4); full
-	// lanes backpressure upstream links hop by hop.
+	FlitTime      sim.Time // serialization time per flit
+	RouterLatency sim.Time // per-hop routing decision latency
+	// LaneCapacity bounds each link lane's packet buffer; full lanes
+	// backpressure upstream links hop by hop.
 	LaneCapacity int
 	// Adaptive selects the least-occupied up-link during ascent instead of
 	// the deterministic source-digit choice. Still deterministic as a
@@ -28,26 +34,8 @@ type Config struct {
 
 // DefaultConfig returns the Arctic-like parameter set.
 func DefaultConfig() Config {
-	return Config{Radix: 4, FlitBytes: 16,
-		FlitTime: 100 * sim.Nanosecond, RouterLatency: 50 * sim.Nanosecond}
-}
-
-func (c *Config) fillDefaults() {
-	if c.Radix == 0 {
-		c.Radix = 4
-	}
-	if c.FlitBytes == 0 {
-		c.FlitBytes = 16
-	}
-	if c.FlitTime == 0 {
-		c.FlitTime = 100 * sim.Nanosecond
-	}
-	if c.RouterLatency == 0 {
-		c.RouterLatency = 50 * sim.Nanosecond
-	}
-	if c.LaneCapacity == 0 {
-		c.LaneCapacity = 4
-	}
+	return Config{FlitTime: 100 * sim.Nanosecond, RouterLatency: 50 * sim.Nanosecond,
+		LaneCapacity: 4}
 }
 
 // FatTree is a k-ary n-tree fabric (the Arctic topology). Routing is
@@ -62,7 +50,6 @@ type FatTree struct {
 	edge
 	cfg    Config
 	n      int // levels
-	k      int
 	width  int // k^(n-1): words per level
 	leaves int // k^n
 
@@ -81,14 +68,13 @@ func NewFatTree(eng *sim.Engine, numNodes int, cfg Config) *FatTree {
 	if numNodes < 1 {
 		panic("arctic: need at least one node")
 	}
-	cfg.fillDefaults()
-	k := cfg.Radix
+	k := Radix
 	n, leaves := 1, k
 	for leaves < numNodes {
 		n++
 		leaves *= k
 	}
-	f := &FatTree{cfg: cfg, n: n, k: k, width: leaves / k, leaves: leaves}
+	f := &FatTree{cfg: cfg, n: n, width: leaves / k, leaves: leaves}
 	f.edge = newEdge(eng, numNodes, f.launch)
 	f.readyHooks = make([]func(), numNodes)
 	f.inject = make([]*link, numNodes)
@@ -233,9 +219,9 @@ func (f *FatTree) CheckLanes() error {
 func (f *FatTree) digit(p, pos int) int {
 	div := 1
 	for i := 0; i < f.n-1-pos; i++ {
-		div *= f.k
+		div *= Radix
 	}
-	return (p / div) % f.k
+	return (p / div) % Radix
 }
 
 // setWordDigit returns word w with its digit at position pos (0 = most
@@ -245,9 +231,9 @@ func (f *FatTree) digit(p, pos int) int {
 func (f *FatTree) setWordDigit(w, pos, v int) int {
 	div := 1
 	for i := 0; i < f.n-2-pos; i++ {
-		div *= f.k
+		div *= Radix
 	}
-	old := (w / div) % f.k
+	old := (w / div) % Radix
 	return w + (v-old)*div
 }
 
@@ -257,8 +243,8 @@ func (f *FatTree) setWordDigit(w, pos, v int) int {
 //voyager:noalloc
 func (f *FatTree) bestUp(l, w int) int {
 	best, bestLoad := 0, int(^uint(0)>>1)
-	for j := 0; j < f.k; j++ {
-		lk := f.up[l][w*f.k+j]
+	for j := 0; j < Radix; j++ {
+		lk := f.up[l][w*Radix+j]
 		load := len(lk.queues[High]) + len(lk.queues[Low])
 		if lk.ser != nil {
 			load++
@@ -280,7 +266,7 @@ func (f *FatTree) HopCount(src, dst int) int { return 2*(f.n-1-f.lcaLevel(src, d
 //
 //voyager:noalloc
 func (f *FatTree) launch(pkt *Packet) {
-	pkt.lvl, pkt.word = f.n-1, pkt.Src/f.k
+	pkt.lvl, pkt.word = f.n-1, pkt.Src/Radix
 	pkt.climb = f.n - 1 - f.lcaLevel(pkt.Src, pkt.Dst)
 	pkt.readyAt = 0
 	f.inject[pkt.Src].enqueueOrWait(pkt, nil)
@@ -304,11 +290,11 @@ func (f *FatTree) forward(pkt *Packet, from *link) {
 		}
 		pkt.lvl--
 		pkt.climb--
-		next = f.up[pkt.lvl][pkt.word*f.k+j]
+		next = f.up[pkt.lvl][pkt.word*Radix+j]
 		pkt.word = f.setWordDigit(pkt.word, pkt.lvl, j)
 	case pkt.lvl < f.n-1:
 		i := f.digit(pkt.Dst, pkt.lvl)
-		next = f.down[pkt.lvl][pkt.word*f.k+i]
+		next = f.down[pkt.lvl][pkt.word*Radix+i]
 		pkt.word = f.setWordDigit(pkt.word, pkt.lvl, i)
 		pkt.lvl++
 	default:
@@ -350,7 +336,7 @@ func (f *FatTree) Poke(node int) { f.eject[node].poke() }
 //
 //voyager:noalloc
 func (f *FatTree) serTime(size int) sim.Time {
-	flits := (size + f.cfg.FlitBytes - 1) / f.cfg.FlitBytes
+	flits := (size + FlitBytes - 1) / FlitBytes
 	return sim.Time(flits) * f.cfg.FlitTime
 }
 

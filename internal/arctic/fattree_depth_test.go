@@ -22,18 +22,18 @@ var depthTestSizes = []int{64, 256, 1024}
 func refRoute(f *FatTree, src, dst int) []*link {
 	links := []*link{f.inject[src]}
 	lca := f.lcaLevel(src, dst)
-	w := src / f.k // word of the leaf-adjacent switch
+	w := src / Radix // word of the leaf-adjacent switch
 	j := f.digit(src, f.n-1)
 	if f.cfg.Adaptive {
 		j = 0
 	}
 	for l := f.n - 2; l >= lca; l-- { // ascend
-		links = append(links, f.up[l][w*f.k+j])
+		links = append(links, f.up[l][w*Radix+j])
 		w = f.setWordDigit(w, l, j)
 	}
 	for l := lca; l <= f.n-2; l++ { // descend
 		i := f.digit(dst, l)
-		links = append(links, f.down[l][w*f.k+i])
+		links = append(links, f.down[l][w*Radix+i])
 		w = f.setWordDigit(w, l, i)
 	}
 	return append(links, f.eject[dst])
@@ -198,7 +198,7 @@ func TestDeterministicConstructionAtDepth(t *testing.T) {
 		if a.NumLinks() != b.NumLinks() {
 			t.Fatalf("n=%d: link counts differ: %d vs %d", n, a.NumLinks(), b.NumLinks())
 		}
-		wantLinks := 2*n + 2*(a.n-1)*a.width*a.k
+		wantLinks := 2*n + 2*(a.n-1)*a.width*Radix
 		if a.NumLinks() != wantLinks {
 			t.Errorf("n=%d: %d links, want %d", n, a.NumLinks(), wantLinks)
 		}

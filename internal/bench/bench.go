@@ -29,7 +29,7 @@ func Fig3Latency(sizes []int) *stats.Table {
 	for _, size := range sizes {
 		row := []string{stats.FormatBytes(size)}
 		for _, a := range []blockxfer.Approach{blockxfer.A1, blockxfer.A2, blockxfer.A3} {
-			row = append(row, fmtUs(blockxfer.Measure(a, size).Latency))
+			row = append(row, fmtUs(blockxfer.MeasureLatency(a, size).Latency))
 		}
 		t.AddRow(row...)
 	}
@@ -46,7 +46,7 @@ func Fig4Bandwidth(sizes []int) *stats.Table {
 	for _, size := range sizes {
 		row := []string{stats.FormatBytes(size)}
 		for _, a := range []blockxfer.Approach{blockxfer.A1, blockxfer.A2, blockxfer.A3} {
-			row = append(row, fmt.Sprintf("%.1f", blockxfer.Measure(a, size).Bandwidth))
+			row = append(row, fmt.Sprintf("%.1f", blockxfer.MeasureBandwidth(a, size, nil)))
 		}
 		t.AddRow(row...)
 	}
@@ -66,7 +66,7 @@ func ExtAEarlyNotification(sizes []int) *stats.Table {
 	for _, size := range sizes {
 		var notify, consume [3]string
 		for i, a := range []blockxfer.Approach{blockxfer.A3, blockxfer.A4, blockxfer.A5} {
-			m := blockxfer.Measure(a, size)
+			m := blockxfer.MeasureLatency(a, size)
 			notify[i] = fmtUs(m.NotifyAt)
 			consume[i] = fmtUs(m.ConsumeDone)
 		}
@@ -88,7 +88,7 @@ func ExtBOccupancy(size int) *stats.Table {
 	}
 	for _, a := range []blockxfer.Approach{blockxfer.A1, blockxfer.A2, blockxfer.A3,
 		blockxfer.A4, blockxfer.A5} {
-		m := blockxfer.Measure(a, size)
+		m := blockxfer.MeasureLatency(a, size)
 		t.AddRow(a.String(), fmtUs(m.APSrcBusy), fmtUs(m.APDstBusy),
 			fmtUs(m.SPSrcBusy), fmtUs(m.SPDstBusy), fmtUs(m.Latency))
 	}

@@ -5,7 +5,6 @@ import (
 
 	"startvoyager/internal/blockxfer"
 	"startvoyager/internal/cluster"
-	"startvoyager/internal/firmware"
 	"startvoyager/internal/sim"
 	"startvoyager/internal/stats"
 )
@@ -34,7 +33,7 @@ func ExtGNetworkScaling(size int) *stats.Table {
 		row := []string{l.name}
 		for _, a := range []blockxfer.Approach{blockxfer.A1, blockxfer.A2, blockxfer.A3} {
 			row = append(row, fmt.Sprintf("%.1f",
-				blockxfer.MeasureBandwidthWith(a, size, hook)))
+				blockxfer.MeasureBandwidth(a, size, hook)))
 		}
 		t.AddRow(row...)
 	}
@@ -51,9 +50,9 @@ func ExtGTopology(size int) *stats.Table {
 		Columns: []string{"fabric", "bandwidth (MB/s)"},
 	}
 	t.AddRow("Arctic fat tree", fmt.Sprintf("%.1f",
-		blockxfer.MeasureBandwidth(blockxfer.A3, size)))
+		blockxfer.MeasureBandwidth(blockxfer.A3, size, nil)))
 	t.AddRow("ideal fixed-latency", fmt.Sprintf("%.1f",
-		blockxfer.MeasureBandwidthWith(blockxfer.A3, size,
+		blockxfer.MeasureBandwidth(blockxfer.A3, size,
 			func(cfg *cluster.Config) { cfg.DirectNet = true })))
 	return t
 }
@@ -81,16 +80,15 @@ func ExtHFirmwareSpeed(size int) *stats.Table {
 	}
 	for _, s := range speeds {
 		hook := func(cfg *cluster.Config) {
-			c := firmware.DefaultCosts()
+			c := &cfg.Node.Costs
 			c.Dispatch *= sim.Time(s.scale)
 			c.Handler *= sim.Time(s.scale)
 			c.PerByte *= sim.Time(s.scale)
 			c.CmdIssue *= sim.Time(s.scale)
-			cfg.Node.Costs = c
 		}
 		t.AddRow(s.name,
-			fmt.Sprintf("%.1f", blockxfer.MeasureBandwidthWith(blockxfer.A2, size, hook)),
-			fmt.Sprintf("%.1f", blockxfer.MeasureBandwidthWith(blockxfer.A3, size, hook)))
+			fmt.Sprintf("%.1f", blockxfer.MeasureBandwidth(blockxfer.A2, size, hook)),
+			fmt.Sprintf("%.1f", blockxfer.MeasureBandwidth(blockxfer.A3, size, hook)))
 	}
 	return t
 }

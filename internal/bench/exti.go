@@ -46,7 +46,7 @@ func multitaskRun(qos, bulk bool) (p50, p99 sim.Time, bulkBW float64) {
 	m := core.NewMachine(2)
 	if qos {
 		// Express traffic to node 1 rides the high-priority network lane...
-		m.Nodes[0].Ctrl.WriteTransEntry(node.TransExpress+1, ctrl.TransEntry{
+		m.Nodes[0].Ctrl.WriteTransEntry(m.Nodes[0].TransExpressIdx(1), ctrl.TransEntry{
 			PhysNode: 1, LogicalQ: node.LqExpress, Priority: arctic.High, Valid: true})
 		// ...and the bulk queue is demoted to a worse arbitration class.
 		m.Nodes[0].Ctrl.SetTxPriority(node.TxBasic, 5)

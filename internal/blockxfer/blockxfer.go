@@ -179,27 +179,11 @@ func MeasureLatency(a Approach, size int) Metrics {
 	return m
 }
 
-// MeasureBandwidth runs only the streaming (bandwidth) experiment.
-func MeasureBandwidth(a Approach, size int) float64 { return measureBandwidth(a, size, nil) }
-
-// MeasureBandwidthWith runs the bandwidth experiment on a machine altered
-// by hook (ablations: network speed, topology, firmware costs).
-func MeasureBandwidthWith(a Approach, size int, hook ConfigHook) float64 {
-	return measureBandwidth(a, size, hook)
-}
-
 // Measure runs the latency, consumption, and bandwidth experiments for one
 // (approach, size) point and verifies data integrity.
 func Measure(a Approach, size int) Metrics {
-	m := Metrics{Approach: a, Size: size}
-	lat := measureOnce(a, size, true)
-	m.Latency = lat.Latency
-	m.NotifyAt = lat.NotifyAt
-	m.DataComplete = lat.DataComplete
-	m.ConsumeDone = lat.ConsumeDone
-	m.APSrcBusy, m.APDstBusy = lat.APSrcBusy, lat.APDstBusy
-	m.SPSrcBusy, m.SPDstBusy = lat.SPSrcBusy, lat.SPDstBusy
-	m.Bandwidth = measureBandwidth(a, size, nil)
+	m := MeasureLatency(a, size)
+	m.Bandwidth = MeasureBandwidth(a, size, nil)
 	return m
 }
 
@@ -255,9 +239,11 @@ func measureOnce(a Approach, size int, consume bool) onceResult {
 	return res
 }
 
-// measureBandwidth performs back-to-back transfers and reports steady-state
-// payload bandwidth.
-func measureBandwidth(a Approach, size int, hook ConfigHook) float64 {
+// MeasureBandwidth runs only the streaming experiment: back-to-back
+// transfers, reporting steady-state payload bandwidth (MB/s), on a machine
+// altered by hook (ablations: network speed, topology, firmware costs); a
+// nil hook measures the default machine.
+func MeasureBandwidth(a Approach, size int, hook ConfigHook) float64 {
 	reps := 4
 	if size*reps < 64<<10 {
 		reps = (64 << 10) / size // small transfers: more reps for steadiness

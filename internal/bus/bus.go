@@ -159,31 +159,16 @@ type Device interface {
 
 // Config holds bus timing parameters.
 type Config struct {
-	CycleTime    sim.Time // bus clock period (default 15 ns — 66 MHz)
-	AddrCycles   int      // address tenure + snoop window (default 2)
-	RetryBackoff sim.Time // master re-issue delay after a retry (default 150 ns)
-	MaxRetries   int      // livelock guard; panic beyond (default 1e6)
+	CycleTime    sim.Time // bus clock period
+	AddrCycles   int      // address tenure + snoop window
+	RetryBackoff sim.Time // master re-issue delay after a retry
+	MaxRetries   int      // livelock guard; panic beyond
 }
 
 // DefaultConfig returns 66 MHz 60X-like timing.
 func DefaultConfig() Config {
 	return Config{CycleTime: 15 * sim.Nanosecond, AddrCycles: 2,
 		RetryBackoff: 150 * sim.Nanosecond, MaxRetries: 1e6}
-}
-
-func (c *Config) fillDefaults() {
-	if c.CycleTime == 0 {
-		c.CycleTime = 15 * sim.Nanosecond
-	}
-	if c.AddrCycles == 0 {
-		c.AddrCycles = 2
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 150 * sim.Nanosecond
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 1e6
-	}
 }
 
 // Stats counts bus activity.
@@ -217,7 +202,6 @@ type Bus struct {
 
 // New creates an empty bus.
 func New(eng *sim.Engine, name string, cfg Config) *Bus {
-	cfg.fillDefaults()
 	b := &Bus{eng: eng, cfg: cfg, res: sim.NewResource(eng, name),
 		retHist: stats.NewHistogram(0, 1, 2, 4, 8, 16, 64, 256)}
 	b.pcallFn = b.pcallStart

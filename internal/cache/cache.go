@@ -55,26 +55,14 @@ func (s State) String() string {
 
 // Config holds cache shape and timing.
 type Config struct {
-	SizeBytes int      // total capacity (default 512 KB)
-	Assoc     int      // ways per set (default 4)
-	HitTime   sim.Time // load/store hit latency (default 6 ns)
+	SizeBytes int      // total capacity
+	Assoc     int      // ways per set
+	HitTime   sim.Time // load/store hit latency
 }
 
 // DefaultConfig returns a 512 KB 4-way cache with 6 ns hits.
 func DefaultConfig() Config {
 	return Config{SizeBytes: 512 << 10, Assoc: 4, HitTime: 6 * sim.Nanosecond}
-}
-
-func (c *Config) fillDefaults() {
-	if c.SizeBytes == 0 {
-		c.SizeBytes = 512 << 10
-	}
-	if c.Assoc == 0 {
-		c.Assoc = 4
-	}
-	if c.HitTime == 0 {
-		c.HitTime = 6 * sim.Nanosecond
-	}
 }
 
 // setListCap is the room the set list reserves at construction, 24 bytes of
@@ -143,7 +131,6 @@ type Cache struct {
 
 // New creates a cache attached (by the caller) to b.
 func New(name string, b *bus.Bus, cfg Config) *Cache {
-	cfg.fillDefaults()
 	nset := cfg.SizeBytes / cfg.Assoc / bus.LineSize
 	if nset == 0 || nset&(nset-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", nset))

@@ -15,7 +15,8 @@ import (
 	"startvoyager/internal/stats"
 )
 
-// Config holds machine-level construction parameters.
+// Config holds machine-level construction parameters. New uses them as
+// given, so a zero field means zero; start from DefaultConfig.
 type Config struct {
 	Nodes int
 	Node  node.Config
@@ -42,9 +43,6 @@ type Config struct {
 	// Faults, when non-nil, attaches a deterministic fault-injection plan to
 	// the fabric (see internal/fault).
 	Faults *fault.Plan
-	// Rel parameterizes the R-Basic reliable-delivery firmware service
-	// (zero fields take defaults).
-	Rel firmware.RelConfig
 
 	// DisableScomaProtocol keeps the S-COMA window and clsSRAM hardware but
 	// installs no directory firmware — experiments that use the cache-line
@@ -60,10 +58,12 @@ type Config struct {
 	Profiler sim.ProcProfiler
 }
 
-// DefaultConfig returns a ready-to-run machine configuration.
+// DefaultConfig returns a ready-to-run machine configuration holding every
+// parameter the machine runs with.
 func DefaultConfig(nodes int) Config {
 	return Config{
 		Nodes:       nodes,
+		Node:        node.DefaultConfig(),
 		Net:         arctic.DefaultConfig(),
 		ScomaSize:   1 << 20,
 		NumaSegment: 1 << 20,
@@ -141,12 +141,7 @@ func New(cfg Config) *Cluster {
 	}
 	ncfg := cfg.Node
 	ncfg.NumNodes = cfg.Nodes
-	if ncfg.Ctrl.PaceFlitBytes == 0 {
-		ncfg.Ctrl.PaceFlitBytes = cfg.Net.FlitBytes
-	}
-	if ncfg.Ctrl.PaceFlitTime == 0 {
-		ncfg.Ctrl.PaceFlitTime = cfg.Net.FlitTime
-	}
+	ncfg.Ctrl.PaceFlitTime = cfg.Net.FlitTime
 	ncfg.ScomaSize = cfg.ScomaSize
 	ncfg.ReflectSize = cfg.ReflectSize
 	for i := 0; i < cfg.Nodes; i++ {
@@ -181,9 +176,7 @@ func New(cfg Config) *Cluster {
 		}))
 		c.MissRings = append(c.MissRings,
 			firmware.NewMissRing(n.FW, MissRingBase, MissRingEntries))
-		relCfg := cfg.Rel
-		relCfg.NumNodes = cfg.Nodes
-		rel := firmware.NewRel(n.FW, relCfg)
+		rel := firmware.NewRel(n.FW, cfg.Nodes)
 		rel.RegisterMetrics(c.Reg.Child(fmt.Sprintf("node%d", n.ID)).Child("fault"))
 		c.Rels = append(c.Rels, rel)
 		n.FW.Start()
@@ -192,8 +185,8 @@ func New(cfg Config) *Cluster {
 }
 
 // RelBound returns the worst-case sim time between submitting a reliable
-// send and its success-or-failure status landing (see RelConfig.SendBound).
-func (c *Cluster) RelBound() sim.Time { return c.Rels[0].Config().SendBound() }
+// send and its success-or-failure status landing (see firmware.RelSendBound).
+func (c *Cluster) RelBound() sim.Time { return firmware.RelSendBound() }
 
 // Run drives the simulation until no events remain, then checks for
 // deadlocked processes.

@@ -3,8 +3,40 @@ package cluster
 import (
 	"testing"
 
+	"startvoyager/internal/arctic"
+	"startvoyager/internal/bus"
+	"startvoyager/internal/cache"
+	"startvoyager/internal/firmware"
+	"startvoyager/internal/niu/biu"
+	"startvoyager/internal/niu/ctrl"
+	"startvoyager/internal/node"
 	"startvoyager/internal/sim"
 )
+
+// TestDefaultConfigIsTheMachine: the machine config holds each component's
+// own defaults, so a field scaled on it is the value the machine runs with.
+func TestDefaultConfigIsTheMachine(t *testing.T) {
+	cfg := DefaultConfig(4)
+	if cfg.Node != node.DefaultConfig() {
+		t.Errorf("Node = %+v, want node.DefaultConfig() = %+v", cfg.Node, node.DefaultConfig())
+	}
+	n := cfg.Node
+	for _, c := range []struct {
+		name string
+		ok   bool
+	}{
+		{"Net", cfg.Net == arctic.DefaultConfig()},
+		{"Node.Bus", n.Bus == bus.DefaultConfig()},
+		{"Node.Cache", n.Cache == cache.DefaultConfig()},
+		{"Node.Ctrl", n.Ctrl == ctrl.DefaultConfig()},
+		{"Node.Biu", n.Biu == biu.DefaultConfig()},
+		{"Node.Costs", n.Costs == firmware.DefaultCosts()},
+	} {
+		if !c.ok {
+			t.Errorf("%s differs from its package's defaults", c.name)
+		}
+	}
+}
 
 func TestNewDefaultCluster(t *testing.T) {
 	c := New(DefaultConfig(4))

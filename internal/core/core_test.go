@@ -49,6 +49,38 @@ func TestBasicPingPong(t *testing.T) {
 	t.Logf("basic rtt = %v", rtt)
 }
 
+// TestNodeKnobsReachTheMachine: a knob scaled on cluster.DefaultConfig
+// changes the machine that runs. Doubling the aSRAM latency and the TxU
+// formatting cycles must slow a Basic ping-pong.
+func TestNodeKnobsReachTheMachine(t *testing.T) {
+	pingPong := func(cfg cluster.Config) sim.Time {
+		m := NewMachineConfig(cfg)
+		var took sim.Time
+		m.Go(0, "ping", func(p *sim.Proc, a *API) {
+			for i := 0; i < 10; i++ {
+				a.SendBasic(p, 1, []byte("ping"))
+				a.RecvBasic(p)
+			}
+			took = p.Now()
+		})
+		m.Go(1, "pong", func(p *sim.Proc, a *API) {
+			for i := 0; i < 10; i++ {
+				a.RecvBasic(p)
+				a.SendBasic(p, 0, []byte("pong"))
+			}
+		})
+		m.Run()
+		return took
+	}
+	base := pingPong(cluster.DefaultConfig(2))
+	cfg := cluster.DefaultConfig(2)
+	cfg.Node.Biu.SramLatency *= 2
+	cfg.Node.Ctrl.TxUCycles *= 2
+	if slow := pingPong(cfg); slow <= base {
+		t.Fatalf("10 round trips take %v with doubled aSRAM latency and TxU cycles, %v by default", slow, base)
+	}
+}
+
 func TestBasicManyMessagesInOrder(t *testing.T) {
 	m := newMachine(t, 2)
 	const count = 100 // several times the queue depth

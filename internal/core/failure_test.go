@@ -58,7 +58,7 @@ func TestHighLaneSurvivesWedgedLowLane(t *testing.T) {
 	// deadlock-avoidance property end to end.
 	m := NewMachine(2)
 	// Route this machine's express traffic on the high lane.
-	m.Nodes[0].Ctrl.WriteTransEntry(node.TransExpress+1, func() ctrl.TransEntry {
+	m.Nodes[0].Ctrl.WriteTransEntry(m.Nodes[0].TransExpressIdx(1), func() ctrl.TransEntry {
 		e := ctrl.TransEntry{PhysNode: 1, LogicalQ: node.LqExpress, Valid: true}
 		e.Priority = 0 // arctic.High
 		return e

@@ -23,10 +23,10 @@ import (
 
 // Costs models sP occupancy per firmware activity.
 type Costs struct {
-	Dispatch sim.Time // interrupt entry / queue poll (default 300 ns)
-	Handler  sim.Time // base handler body (default 250 ns)
-	PerByte  sim.Time // per payload byte touched by the sP (default 4 ns)
-	CmdIssue sim.Time // issuing one CTRL command (default 150 ns)
+	Dispatch sim.Time // interrupt entry / queue poll
+	Handler  sim.Time // base handler body
+	PerByte  sim.Time // per payload byte touched by the sP
+	CmdIssue sim.Time // issuing one CTRL command
 }
 
 // DefaultCosts returns occupancy numbers for an unoptimized 604 firmware,
@@ -89,9 +89,6 @@ type Stats struct {
 // receive queue whose messages are dispatched to registered handlers;
 // missQueue (-1 to disable) is drained by the miss handler.
 func New(s *sim.Engine, node int, sb *biu.SBIU, svcQueue, missQueue int, costs Costs) *Engine {
-	if costs == (Costs{}) {
-		costs = DefaultCosts()
-	}
 	e := &Engine{
 		sim: s, node: node, sb: sb, costs: costs,
 		res:        sim.NewResource(s, fmt.Sprintf("sp%d", node)),

@@ -68,7 +68,7 @@ func newFwRig(t *testing.T) *fwRig {
 	m := biu.Map{Sram: bus.Range{Base: 0xF000_0000, Size: 64 << 10}}
 	a := biu.NewABIU(eng, 0, b, c, aS, cls, m, biu.DefaultConfig())
 	sb := biu.NewSBIU(a, c)
-	fw := New(eng, 0, sb, 13, 14, Costs{})
+	fw := New(eng, 0, sb, 13, 14, DefaultCosts())
 	c.SetPorts(a, nullNet{}, fw)
 	c.ConfigureRx(13, ctrl.RxConfig{Buf: sS, Base: 0x1000, EntryBytes: 96, Entries: 16,
 		ShadowBase: 0x800, Logical: SvcLogicalQ, Interrupt: true, Enabled: true})

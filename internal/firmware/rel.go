@@ -20,8 +20,8 @@ import (
 //   - The aP submits a send as SvcRelSend to its own sP (node-local traffic,
 //     outside the fault plane). The sP assigns the next sequence number for
 //     the destination and transmits SvcRelData [seq, payload] on the Low
-//     lane, keeping a copy in a bounded retransmit buffer (at most Window
-//     in flight; excess sends queue behind them).
+//     lane, keeping a copy in a bounded retransmit buffer (at most
+//     RelWindow in flight; excess sends queue behind them).
 //   - The receiving sP accepts only seq == recvNext: in-order messages are
 //     delivered to the local RelLogicalQ, older duplicates are suppressed,
 //     and out-of-order futures are dropped (a Go-Back-N retransmit will
@@ -30,8 +30,8 @@ import (
 //   - The sender retires entries covered by a cumulative ACK and reports
 //     each as a RelOK status on the local RelStatusLogicalQ. If the ACK
 //     timer expires, every in-flight entry is retransmitted and the timeout
-//     doubles (capped at BackoffCap). After MaxRetries consecutive timeouts
-//     the peer is declared unreachable: all queued sends fail with
+//     doubles (capped at RelBackoffCap). After RelMaxRetries consecutive
+//     timeouts the peer is declared unreachable: all queued sends fail with
 //     RelUnreachable and future sends fail immediately.
 
 // RelMaxPayload bounds a reliable message's payload so every encoding —
@@ -45,49 +45,28 @@ const (
 	RelUnreachable byte = 1 // retry budget exhausted; peer presumed dead
 )
 
-// RelConfig parameterizes the R-Basic service.
-type RelConfig struct {
-	NumNodes   int
-	Timeout    sim.Time // initial retransmit timeout (default 30 us)
-	MaxRetries int      // consecutive timeouts before declaring the peer dead (default 6)
-	BackoffCap sim.Time // upper bound on the backed-off timeout (default 500 us)
-	Window     int      // retransmit-buffer entries per peer (default 8)
-}
+// R-Basic protocol parameters.
+const (
+	RelTimeout    = 30 * sim.Microsecond  // initial retransmit timeout
+	RelMaxRetries = 6                     // consecutive timeouts before declaring the peer dead
+	RelBackoffCap = 500 * sim.Microsecond // upper bound on the backed-off timeout
+	RelWindow     = 8                     // retransmit-buffer entries per peer
+)
 
-// WithDefaults fills zero fields with the default parameter set.
-func (c RelConfig) WithDefaults() RelConfig {
-	if c.Timeout == 0 {
-		c.Timeout = 30 * sim.Microsecond
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 6
-	}
-	if c.BackoffCap == 0 {
-		c.BackoffCap = 500 * sim.Microsecond
-	}
-	if c.Window == 0 {
-		c.Window = 8
-	}
-	return c
-}
-
-// SendBound returns the worst-case sim time between submitting a reliable
-// send and its status arriving: the full backoff ladder (MaxRetries + 1
-// timer expiries, each min(2^i*Timeout, BackoffCap)) plus slack for the
-// final status to cross the node-local path. Callers polling for a status
-// can bound their wait with this and know a verdict must have landed.
-func (c RelConfig) SendBound() sim.Time {
-	c = c.WithDefaults()
+// RelSendBound returns the worst-case sim time between submitting a
+// reliable send and its status arriving: the full backoff ladder
+// (RelMaxRetries + 1 timer expiries, each min(2^i*RelTimeout,
+// RelBackoffCap)) plus slack for the final status to cross the node-local
+// path. Callers polling for a status can bound their wait with this and know
+// a verdict must have landed.
+func RelSendBound() sim.Time {
 	var total sim.Time
-	rto := c.Timeout
-	for i := 0; i <= c.MaxRetries; i++ {
+	rto := RelTimeout
+	for i := 0; i <= RelMaxRetries; i++ {
 		total += rto
-		rto = 2 * rto
-		if rto > c.BackoffCap {
-			rto = c.BackoffCap
-		}
+		rto = min(2*rto, RelBackoffCap)
 	}
-	return total + 4*c.Timeout
+	return total + 4*RelTimeout
 }
 
 // RelStats counts R-Basic activity on one node.
@@ -138,23 +117,22 @@ type relPeer struct {
 // nodes when real traffic touches a tiny fraction of the pairs.
 type Rel struct {
 	e     *Engine
-	cfg   RelConfig
-	peers []*relPeer // nil until first use; see peer()
+	peers []*relPeer // one per node, nil until first use; see peer()
 
 	stats       RelStats
 	backoffHist *stats.Histogram // rto at each expiry (ns)
 }
 
-// NewRel builds and registers the R-Basic service on e.
-func NewRel(e *Engine, cfg RelConfig) *Rel {
-	cfg = cfg.WithDefaults()
-	if cfg.NumNodes <= 0 {
-		panic("firmware: RelConfig.NumNodes required")
+// NewRel builds and registers the R-Basic service on e for a machine of
+// numNodes nodes.
+func NewRel(e *Engine, numNodes int) *Rel {
+	if numNodes <= 0 {
+		panic("firmware: NewRel needs at least one node")
 	}
 	r := &Rel{
-		e: e, cfg: cfg,
-		peers:       make([]*relPeer, cfg.NumNodes),
-		backoffHist: stats.NewHistogram(stats.ExpBounds(int64(cfg.Timeout), 2, 8)...),
+		e:           e,
+		peers:       make([]*relPeer, numNodes),
+		backoffHist: stats.NewHistogram(stats.ExpBounds(int64(RelTimeout), 2, 8)...),
 	}
 	e.Register(SvcRelSend, r.onSend)
 	e.Register(SvcRelData, r.onData)
@@ -166,14 +144,11 @@ func NewRel(e *Engine, cfg RelConfig) *Rel {
 func (r *Rel) peer(i int) *relPeer {
 	p := r.peers[i]
 	if p == nil {
-		p = &relPeer{node: i, rto: r.cfg.Timeout}
+		p = &relPeer{node: i, rto: RelTimeout}
 		r.peers[i] = p
 	}
 	return p
 }
-
-// Config returns the (defaults-filled) parameter set.
-func (r *Rel) Config() RelConfig { return r.cfg }
 
 // Stats returns a snapshot of counters.
 func (r *Rel) Stats() RelStats { return r.stats }
@@ -215,7 +190,7 @@ func (r *Rel) onSend(p *sim.Proc, src uint16, body []byte) {
 	dst := int(binary.BigEndian.Uint16(body[0:]))
 	tag := binary.BigEndian.Uint32(body[2:])
 	payload := append([]byte(nil), body[6:]...)
-	if dst < 0 || dst >= r.cfg.NumNodes {
+	if dst < 0 || dst >= len(r.peers) {
 		panic(fmt.Sprintf("firmware: node %d: RelSend to bad node %d", r.e.node, dst))
 	}
 	r.stats.Sends++
@@ -295,7 +270,7 @@ func (r *Rel) onAck(p *sim.Proc, src uint16, body []byte) {
 	}
 	// Forward progress: the path works, so reset the backoff ladder.
 	peer.retries = 0
-	peer.rto = r.cfg.Timeout
+	peer.rto = RelTimeout
 	r.fillWindow(p, peer)
 	if len(peer.inflight) == 0 {
 		peer.timerGen++ // disarm; nothing awaits an ACK
@@ -308,7 +283,7 @@ func (r *Rel) onAck(p *sim.Proc, src uint16, body []byte) {
 // (re)arms the ACK timer if anything is in flight.
 func (r *Rel) fillWindow(p *sim.Proc, peer *relPeer) {
 	sent := false
-	for len(peer.inflight) < r.cfg.Window && len(peer.pending) > 0 {
+	for len(peer.inflight) < RelWindow && len(peer.pending) > 0 {
 		ent := peer.pending[0]
 		peer.pending = peer.pending[1:]
 		peer.inflight = append(peer.inflight, ent)
@@ -352,7 +327,7 @@ func (r *Rel) onTimeout(p *sim.Proc, peer *relPeer, gen uint64) {
 		return
 	}
 	peer.retries++
-	if peer.retries > r.cfg.MaxRetries {
+	if peer.retries > RelMaxRetries {
 		r.failPeer(p, peer)
 		return
 	}
@@ -367,10 +342,7 @@ func (r *Rel) onTimeout(p *sim.Proc, peer *relPeer, gen uint64) {
 		r.stats.Retransmits++
 		r.transmit(p, peer, ent)
 	}
-	peer.rto = 2 * peer.rto
-	if peer.rto > r.cfg.BackoffCap {
-		peer.rto = r.cfg.BackoffCap
-	}
+	peer.rto = min(2*peer.rto, RelBackoffCap)
 	r.armTimer(peer)
 }
 

@@ -71,22 +71,13 @@ type CapturedOp struct {
 
 // Config holds aBIU timing.
 type Config struct {
-	SramLatency sim.Time // aSRAM service latency on the aP bus (default 45 ns)
-	RegLatency  sim.Time // pointer/express service latency (default 15 ns)
+	SramLatency sim.Time // aSRAM service latency on the aP bus
+	RegLatency  sim.Time // pointer/express service latency
 }
 
 // DefaultConfig returns FPGA-speed defaults.
 func DefaultConfig() Config {
 	return Config{SramLatency: 45 * sim.Nanosecond, RegLatency: 15 * sim.Nanosecond}
-}
-
-func (c *Config) fillDefaults() {
-	if c.SramLatency == 0 {
-		c.SramLatency = 45 * sim.Nanosecond
-	}
-	if c.RegLatency == 0 {
-		c.RegLatency = 15 * sim.Nanosecond
-	}
 }
 
 // kindIndex compacts bus kinds for table indexing.
@@ -154,7 +145,6 @@ type Stats struct {
 // NewABIU builds the aBIU for one node. Attach it to the aP bus yourself.
 func NewABIU(eng *sim.Engine, node int, b *bus.Bus, c *ctrl.Ctrl, aS *sram.SRAM,
 	cls *sram.Cls, m Map, cfg Config) *ABIU {
-	cfg.fillDefaults()
 	a := &ABIU{
 		eng: eng, b: b, c: c, aS: aS, cls: cls, m: m, cfg: cfg, node: node,
 		pendingFill: make(map[uint32][]byte),
@@ -191,12 +181,6 @@ func DefaultScomaTable() [numKinds][16]ScomaAction {
 	// WriteLine (writeback of a dirty S-COMA line) always proceeds.
 	return t
 }
-
-// SetScomaTable replaces the (op, state) action table — an "FPGA reload".
-func (a *ABIU) SetScomaTable(t [numKinds][16]ScomaAction) { a.scomaTable = t }
-
-// ToSP returns the aBIU→sBIU captured-operation queue.
-func (a *ABIU) ToSP() *sim.Queue[CapturedOp] { return a.toSP }
 
 // Stats returns a snapshot of counters.
 func (a *ABIU) Stats() Stats { return a.stats }

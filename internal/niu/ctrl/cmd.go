@@ -325,7 +325,7 @@ func checkBlock(c *Ctrl, addr uint32, n int) {
 
 // paceTime returns wire serialization time for size bytes at the link rate.
 func (c *Ctrl) paceTime(size int) sim.Time {
-	flits := (size + c.cfg.PaceFlitBytes - 1) / c.cfg.PaceFlitBytes
+	flits := (size + arctic.FlitBytes - 1) / arctic.FlitBytes
 	return sim.Time(flits) * c.cfg.PaceFlitTime
 }
 

@@ -83,9 +83,22 @@ const (
 
 // Config holds CTRL parameters.
 type Config struct {
-	CycleTime sim.Time // NIU clock (default 15 ns, bus-synchronous)
-	TxUCycles int      // per-packet transmit formatting (default 4)
-	RxUCycles int      // per-packet receive formatting (default 4)
+	CycleTime sim.Time // NIU clock (bus-synchronous)
+	TxUCycles int      // per-packet transmit formatting
+	RxUCycles int      // per-packet receive formatting
+	// PaceFlitTime is the per-flit link time the block-transmit unit paces
+	// itself to (arctic.FlitBytes per flit); the machine assembly sets it
+	// to the fabric's FlitTime.
+	PaceFlitTime sim.Time
+	// StrictRx restores the original panic-on-garbage Rx behavior — useful
+	// when hunting protocol bugs in a fault-free run, where a bad frame means
+	// a sender-side encoding bug rather than injected corruption.
+	StrictRx bool
+
+	// Wiring, not knobs: node assembly overwrites the four fields below
+	// from the node's address map and queue layout. The defaults serve a
+	// standalone CTRL.
+
 	// TransTableBase is the sSRAM offset of the destination translation
 	// table (8-byte entries).
 	TransTableBase uint32
@@ -97,41 +110,12 @@ type Config struct {
 	// ScomaRange lets remote WriteDramCls/SetCls commands convert physical
 	// addresses into clsSRAM line indices.
 	ScomaRange bus.Range
-	// PaceFlitBytes/PaceFlitTime set the link rate the block-transmit unit
-	// paces itself to (defaults match Arctic: 16 bytes per 100 ns).
-	PaceFlitBytes int
-	PaceFlitTime  sim.Time
-	// StrictRx restores the original panic-on-garbage Rx behavior — useful
-	// when hunting protocol bugs in a fault-free run, where a bad frame means
-	// a sender-side encoding bug rather than injected corruption.
-	StrictRx bool
 }
 
 // DefaultConfig returns NIU-cycle defaults used by the standard machine.
 func DefaultConfig() Config {
 	return Config{CycleTime: 15 * sim.Nanosecond, TxUCycles: 4, RxUCycles: 4,
-		TransTableBase: 0, TransTableEntries: 256, MissQueue: NumQueues - 1}
-}
-
-func (c *Config) fillDefaults() {
-	if c.CycleTime == 0 {
-		c.CycleTime = 15 * sim.Nanosecond
-	}
-	if c.TxUCycles == 0 {
-		c.TxUCycles = 4
-	}
-	if c.RxUCycles == 0 {
-		c.RxUCycles = 4
-	}
-	if c.TransTableEntries == 0 {
-		c.TransTableEntries = 256
-	}
-	if c.PaceFlitBytes == 0 {
-		c.PaceFlitBytes = 16
-	}
-	if c.PaceFlitTime == 0 {
-		c.PaceFlitTime = 100 * sim.Nanosecond
-	}
+		PaceFlitTime: 100 * sim.Nanosecond, TransTableEntries: 256, MissQueue: NumQueues - 1}
 }
 
 // TxConfig configures one hardware transmit queue.
@@ -288,7 +272,6 @@ type Ctrl struct {
 
 // New builds a CTRL for node myNode over the given SRAMs.
 func New(eng *sim.Engine, myNode int, aS, sS *sram.SRAM, cls *sram.Cls, cfg Config) *Ctrl {
-	cfg.fillDefaults()
 	c := &Ctrl{
 		eng: eng, myNode: myNode, cfg: cfg,
 		aSRAM: aS, sSRAM: sS, cls: cls,

@@ -30,6 +30,25 @@ const (
 // DecodeInto refuses one whose header claims it, checksum or not.
 var ErrPayloadTooLong = errors.New("txrx: payload too long for its frame kind")
 
+// DecodeInto's other refusals. Each error it returns matches exactly one of
+// these or ErrPayloadTooLong under errors.Is.
+var (
+	ErrFrameTooShort  = errors.New("txrx: frame too short")
+	ErrChecksum       = errors.New("txrx: checksum mismatch")
+	ErrLengthMismatch = errors.New("txrx: frame length disagrees with its header")
+	ErrUnknownKind    = errors.New("txrx: unknown frame kind")
+)
+
+// refusal is a decode error that wraps its sentinel but renders only msg,
+// which names the frame's particulars.
+type refusal struct {
+	sentinel error
+	msg      string
+}
+
+func (r *refusal) Error() string { return r.msg }
+func (r *refusal) Unwrap() error { return r.sentinel }
+
 // crcTable holds CRC-8 (poly 0x07, MSB-first) remainders for every byte.
 // Each frame carries its checksum at byte 1 — previously an unused pad —
 // computed over the whole encoded frame with that byte held at zero. CRC-8
@@ -213,10 +232,10 @@ func Decode(b []byte) (*Frame, error) {
 //voyager:noalloc payload lands in f's reused capacity
 func DecodeInto(f *Frame, b []byte) error {
 	if len(b) < DataHeaderBytes {
-		return fmt.Errorf("txrx: frame of %d bytes too short", len(b)) //voyager:alloc-ok(error path)
+		return &refusal{ErrFrameTooShort, fmt.Sprintf("txrx: frame of %d bytes too short", len(b))} //voyager:alloc-ok(error path)
 	}
 	if got := Checksum(b); got != b[1] {
-		return fmt.Errorf("txrx: checksum mismatch (got %#02x, want %#02x)", got, b[1]) //voyager:alloc-ok(error path)
+		return &refusal{ErrChecksum, fmt.Sprintf("txrx: checksum mismatch (got %#02x, want %#02x)", got, b[1])} //voyager:alloc-ok(error path)
 	}
 	pl := f.Payload
 	*f = Frame{Kind: Kind(b[0]), SrcNode: binary.BigEndian.Uint16(b[2:])}
@@ -224,7 +243,7 @@ func DecodeInto(f *Frame, b []byte) error {
 	switch f.Kind {
 	case Data:
 		if len(b) != DataHeaderBytes+n {
-			return fmt.Errorf("txrx: data frame length %d, header says %d", len(b), n) //voyager:alloc-ok(error path)
+			return &refusal{ErrLengthMismatch, fmt.Sprintf("txrx: data frame length %d, header says %d", len(b), n)} //voyager:alloc-ok(error path)
 		}
 		if n > MaxDataPayload {
 			return fmt.Errorf("%w: data frame header says %d, limit %d", ErrPayloadTooLong, n, MaxDataPayload) //voyager:alloc-ok(error path)
@@ -234,7 +253,7 @@ func DecodeInto(f *Frame, b []byte) error {
 		return nil
 	case Cmd:
 		if len(b) < CmdHeaderBytes || len(b) != CmdHeaderBytes+n {
-			return fmt.Errorf("txrx: cmd frame length %d, header says %d", len(b), n) //voyager:alloc-ok(error path)
+			return &refusal{ErrLengthMismatch, fmt.Sprintf("txrx: cmd frame length %d, header says %d", len(b), n)} //voyager:alloc-ok(error path)
 		}
 		if n > MaxCmdPayload {
 			return fmt.Errorf("%w: cmd frame header says %d, limit %d", ErrPayloadTooLong, n, MaxCmdPayload) //voyager:alloc-ok(error path)
@@ -246,6 +265,6 @@ func DecodeInto(f *Frame, b []byte) error {
 		f.Payload = append(pl[:0], b[CmdHeaderBytes:]...)
 		return nil
 	default:
-		return fmt.Errorf("txrx: unknown frame kind %d", b[0]) //voyager:alloc-ok(error path)
+		return &refusal{ErrUnknownKind, fmt.Sprintf("txrx: unknown frame kind %d", b[0])} //voyager:alloc-ok(error path)
 	}
 }

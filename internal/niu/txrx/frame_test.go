@@ -165,3 +165,40 @@ func TestDecodeRejectsOversizedPayload(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeRefusalsNamed: each kind of bad frame is refused with its own
+// sentinel, and the message (which CTRL's rx-garbage trace instant carries)
+// names the frame's particulars.
+func TestDecodeRefusalsNamed(t *testing.T) {
+	sealed := func(b []byte) []byte { b[1] = Checksum(b); return b }
+	badSum := sealed([]byte{0, 0, 0, 1, 0, 2, 0, 0})
+	badSum[1] ^= 0xFF
+	tooLong := make([]byte, DataHeaderBytes+MaxDataPayload+1)
+	binary.BigEndian.PutUint16(tooLong[6:], MaxDataPayload+1)
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		want error
+		msg  string
+	}{
+		{"short", []byte{0}, ErrFrameTooShort, "txrx: frame of 1 bytes too short"},
+		{"checksum", badSum, ErrChecksum, "txrx: checksum mismatch (got 0xb4, want 0x4b)"},
+		{"data-length", sealed([]byte{0, 0, 0, 0, 0, 0, 0, 5}), ErrLengthMismatch,
+			"txrx: data frame length 8, header says 5"},
+		{"cmd-length", sealed([]byte{1, 0, 0, 0, 0, 0, 0, 0}), ErrLengthMismatch,
+			"txrx: cmd frame length 8, header says 0"},
+		{"kind", sealed([]byte{9, 0, 0, 0, 0, 0, 0, 0}), ErrUnknownKind, "txrx: unknown frame kind 9"},
+		{"too-long", sealed(tooLong), ErrPayloadTooLong,
+			"txrx: payload too long for its frame kind: data frame header says 89, limit 88"},
+	} {
+		var f Frame
+		err := DecodeInto(&f, tc.b)
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: DecodeInto = %v, want %v", tc.name, err, tc.want)
+			continue
+		}
+		if err.Error() != tc.msg {
+			t.Errorf("%s: message %q, want %q", tc.name, err.Error(), tc.msg)
+		}
+	}
+}

@@ -10,12 +10,14 @@ import (
 
 // FuzzFrameFields: every wire image with a valid checksum either decodes to
 // a frame that re-encodes to the same bytes and decodes to an equal frame,
-// or is refused with an error, ErrPayloadTooLong exactly when a known kind's
-// header claims more payload than the kind allows and the wire length agrees
-// with the claim. The input supplies the header fields, a number of bytes to
-// cut from the end and the payload; the checksum is recomputed over the
-// result, so inputs get past the CRC-8 to the header checks behind it.
+// or is refused with an error that matches exactly one of the decode
+// sentinels, ErrPayloadTooLong exactly when a known kind's header claims
+// more payload than the kind allows and the wire length agrees with the
+// claim. The input supplies the header fields, a number of bytes to cut from
+// the end and the payload; the checksum is recomputed over the result, so
+// inputs get past the CRC-8 to the header checks behind it.
 func FuzzFrameFields(f *testing.F) {
+	sentinels := []error{ErrFrameTooShort, ErrChecksum, ErrLengthMismatch, ErrPayloadTooLong, ErrUnknownKind}
 	f.Fuzz(func(t *testing.T, kind byte, src, qop, length uint16, addr uint32, aux, count uint16, cut uint8, payload []byte) {
 		hdr, limit := DataHeaderBytes, MaxDataPayload
 		if Kind(kind) == Cmd {
@@ -40,6 +42,15 @@ func FuzzFrameFields(f *testing.F) {
 
 		var fr Frame
 		if err := DecodeInto(&fr, b); err != nil {
+			matched := 0
+			for _, s := range sentinels {
+				if errors.Is(err, s) {
+					matched++
+				}
+			}
+			if matched != 1 {
+				t.Fatalf("% x: DecodeInto = %v, matching %d sentinels", b, err, matched)
+			}
 			if errors.Is(err, ErrPayloadTooLong) != tooLong {
 				t.Fatalf("% x: DecodeInto = %v; header claims %d of at most %d", b, err, length, limit)
 			}

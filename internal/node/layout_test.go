@@ -70,7 +70,7 @@ func TestSSramLayoutScalesWithoutOverlap(t *testing.T) {
 func TestTransIndices(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := arctic.NewDirect(eng, 200, 100, 0)
-	n := New(eng, 0, fab, Config{NumNodes: 200}) // stride 256
+	n := New(eng, 0, fab, wired(0, 200)) // stride 256
 	if n.TransStride() != 256 {
 		t.Fatalf("stride %d, want 256", n.TransStride())
 	}

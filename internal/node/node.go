@@ -60,18 +60,6 @@ const (
 	LqNotify         = firmware.NotifyLogicalQ
 )
 
-// Translation table index bases for clusters of up to 64 nodes (the
-// historical fixed layout): entry (base + node) routes to that node's
-// corresponding queue. Larger machines scale the region stride with the node
-// count — use Node.TransBasicIdx and friends, which resolve against the
-// machine's actual stride, instead of these constants.
-const (
-	TransBasic   = 0
-	TransExpress = 64
-	TransSvc     = 128
-	TransNotify  = 192
-)
-
 // MaxNodes is the largest buildable cluster. The Express transmit region
 // encodes (queue<<12 | index) in a store address with a 12-bit index field,
 // so translation indices — and therefore the node count — top out at 2048
@@ -79,7 +67,7 @@ const (
 const MaxNodes = 2048
 
 // TransStride returns the per-region translation-table stride for a machine
-// of numNodes nodes: exactly 64 (matching the historical constants, so small
+// of numNodes nodes: exactly 64 (the historical fixed layout, so small
 // configurations stay byte-identical) up to 64 nodes, and the next power of
 // two >= numNodes beyond that, bounded at MaxNodes by the Express
 // store-address encoding.
@@ -150,37 +138,41 @@ func SSramLayoutFor(numNodes int) SSramLayout {
 // clusters of up to 64 nodes (see SSramLayoutFor for larger machines).
 const UserSSram = 0x2800 + BasicSlotBytes*SvcEntries
 
-// Config holds per-node construction parameters.
+// Memory sizes of every node.
+const (
+	DramSize  = 16 << 20
+	ASramSize = 128 << 10
+	SSramSize = 128 << 10
+)
+
+// Config holds per-node construction parameters. New uses them as given, so
+// a zero field means zero; start from DefaultConfig.
 type Config struct {
-	Bus         bus.Config
-	Cache       cache.Config
-	Ctrl        ctrl.Config
-	Biu         biu.Config
-	Costs       firmware.Costs
-	DramSize    uint32   // default 16 MB
-	DramLat     sim.Time // default 60 ns
-	ASramSize   int      // default 128 KB
-	SSramSize   int      // default 128 KB
-	ScomaSize   uint32   // S-COMA window size (0 disables S-COMA)
-	ReflectSize uint32   // reflective-memory window size (0 disables)
-	NumNodes    int      // cluster size (for S-COMA/NUMA layout)
+	Bus     bus.Config
+	Cache   cache.Config
+	Ctrl    ctrl.Config
+	Biu     biu.Config
+	Costs   firmware.Costs
+	DramLat sim.Time // DRAM access latency
+
+	// Wiring, not knobs: the machine assembly sets these from its own
+	// config, and New derives the CTRL's translation table, miss queue and
+	// S-COMA range from them and the address map.
+	ScomaSize   uint32 // S-COMA window size (0 disables S-COMA)
+	ReflectSize uint32 // reflective-memory window size (0 disables)
+	NumNodes    int    // cluster size (for the sSRAM layout)
 }
 
-func (c *Config) fillDefaults() {
-	if c.DramSize == 0 {
-		c.DramSize = 16 << 20
-	}
-	if c.DramLat == 0 {
-		c.DramLat = 60 * sim.Nanosecond
-	}
-	if c.ASramSize == 0 {
-		c.ASramSize = 128 << 10
-	}
-	if c.SSramSize == 0 {
-		c.SSramSize = 128 << 10
-	}
-	if c.NumNodes == 0 {
-		c.NumNodes = 1
+// DefaultConfig returns the standard node: each component's own defaults,
+// 60 ns DRAM, and no S-COMA or reflective window.
+func DefaultConfig() Config {
+	return Config{
+		Bus:     bus.DefaultConfig(),
+		Cache:   cache.DefaultConfig(),
+		Ctrl:    ctrl.DefaultConfig(),
+		Biu:     biu.DefaultConfig(),
+		Costs:   firmware.DefaultCosts(),
+		DramLat: 60 * sim.Nanosecond,
 	}
 }
 
@@ -202,7 +194,6 @@ type Node struct {
 	FW      *firmware.Engine
 
 	Map    biu.Map
-	cfg    Config
 	lay    SSramLayout
 	stride int // translation-region stride for this machine's node count
 
@@ -215,23 +206,22 @@ type Node struct {
 
 // New builds a node (queues unconfigured; see SetupDefaultQueues).
 func New(eng *sim.Engine, id int, fabric arctic.Fabric, cfg Config) *Node {
-	cfg.fillDefaults()
-	n := &Node{ID: id, Eng: eng, cfg: cfg, fabric: fabric,
+	n := &Node{ID: id, Eng: eng, fabric: fabric,
 		lay: SSramLayoutFor(cfg.NumNodes), stride: TransStride(cfg.NumNodes),
 		APMeter: stats.NewMeter(eng, fmt.Sprintf("aP%d", id))}
 
 	n.Bus = bus.New(eng, fmt.Sprintf("bus%d", id), cfg.Bus)
 	n.Bus.SetNode(id)
-	n.Dram = mem.New(bus.Range{Base: DramBase, Size: cfg.DramSize}, cfg.DramLat)
+	n.Dram = mem.New(bus.Range{Base: DramBase, Size: DramSize}, cfg.DramLat)
 	n.Cache = cache.New(fmt.Sprintf("l2-%d", id), n.Bus, cfg.Cache)
 	n.Cache.SetNode(id)
 	n.Cache.SetWritebackSink(n.Dram.Poke)
 
-	n.ASram = sram.New(fmt.Sprintf("aSRAM%d", id), cfg.ASramSize)
-	n.SSram = sram.New(fmt.Sprintf("sSRAM%d", id), cfg.SSramSize)
+	n.ASram = sram.New(fmt.Sprintf("aSRAM%d", id), ASramSize)
+	n.SSram = sram.New(fmt.Sprintf("sSRAM%d", id), SSramSize)
 
 	n.Map = biu.Map{
-		Sram:      bus.Range{Base: SramBase, Size: uint32(cfg.ASramSize)},
+		Sram:      bus.Range{Base: SramBase, Size: ASramSize},
 		Ptr:       bus.Range{Base: PtrBase, Size: PtrSize},
 		ExpressTx: bus.Range{Base: ExTxBase, Size: ExTxSize},
 		ExpressRx: bus.Range{Base: ExRxBase, Size: ExRxSize},
@@ -240,7 +230,7 @@ func New(eng *sim.Engine, id int, fabric arctic.Fabric, cfg Config) *Node {
 		Reflect:   bus.Range{Base: ReflectBase, Size: cfg.ReflectSize},
 	}
 
-	ctrlCfg := cfg.Ctrl // remaining zero fields are filled by ctrl defaults
+	ctrlCfg := cfg.Ctrl
 	ctrlCfg.TransTableBase = n.lay.TransTable
 	ctrlCfg.TransTableEntries = 4 * n.stride
 	ctrlCfg.MissQueue = RxMiss
@@ -248,13 +238,13 @@ func New(eng *sim.Engine, id int, fabric arctic.Fabric, cfg Config) *Node {
 	if cfg.ScomaSize > 0 {
 		n.ClsSram = sram.NewCls(int(cfg.ScomaSize) / bus.LineSize)
 		// Back the S-COMA window with frames at the top of DRAM.
-		n.Dram.AddAlias(n.Map.Scoma, cfg.DramSize-cfg.ScomaSize)
+		n.Dram.AddAlias(n.Map.Scoma, DramSize-cfg.ScomaSize)
 	} else {
 		n.ClsSram = sram.NewCls(1)
 	}
 	if cfg.ReflectSize > 0 {
 		// Back the reflective window with frames below the S-COMA frames.
-		n.Dram.AddAlias(n.Map.Reflect, cfg.DramSize-cfg.ScomaSize-cfg.ReflectSize)
+		n.Dram.AddAlias(n.Map.Reflect, DramSize-cfg.ScomaSize-cfg.ReflectSize)
 	}
 	n.Ctrl = ctrl.New(eng, id, n.ASram, n.SSram, n.ClsSram, ctrlCfg)
 	n.ABIU = biu.NewABIU(eng, id, n.Bus, n.Ctrl, n.ASram, n.ClsSram, n.Map, cfg.Biu)
@@ -304,7 +294,7 @@ func (n *Node) RegisterMetrics(r *stats.Registry) {
 func (n *Node) ScomaWindow() bus.Range { return n.Map.Scoma }
 
 // DmaStagingOff returns the aSRAM offset of the DMA staging area.
-func (n *Node) DmaStagingOff() uint32 { return uint32(n.cfg.ASramSize - DmaStagingLen) }
+func (n *Node) DmaStagingOff() uint32 { return ASramSize - DmaStagingLen }
 
 // SetupDefaultQueues programs the standard queue layout and translation
 // table for a cluster of numNodes nodes, and installs the default firmware
@@ -361,8 +351,7 @@ func (n *Node) SetupDefaultQueues(numNodes int) {
 		ShadowBase: n.lay.SShadow + RxMiss*8,
 		Logical:    firmware.MissLogicalQ, Interrupt: true, Full: ctrl.Hold, Enabled: true,
 	})
-	// Destination translation table (region bases scale with the stride; at
-	// the default 64-node stride these are exactly TransBasic..TransNotify).
+	// Destination translation table (region bases scale with the stride).
 	for i := 0; i < numNodes; i++ {
 		c.WriteTransEntry(n.TransBasicIdx(i), ctrl.TransEntry{
 			PhysNode: uint16(i), LogicalQ: LqBasic, Priority: arctic.Low, Valid: true})
@@ -403,6 +392,3 @@ func (n *Node) TransNotifyIdx(dest int) int { return 3*n.stride + dest }
 //
 //voyager:noalloc
 func (n *Node) TransStride() int { return n.stride }
-
-// SSram layout accessor for firmware extensions that need the free region.
-func (n *Node) Layout() SSramLayout { return n.lay }

@@ -9,19 +9,28 @@ import (
 	"startvoyager/internal/sim"
 )
 
+// wired returns the default node config with the wiring a machine assembly
+// would set.
+func wired(scomaSize uint32, numNodes int) Config {
+	cfg := DefaultConfig()
+	cfg.ScomaSize = scomaSize
+	cfg.NumNodes = numNodes
+	return cfg
+}
+
 func TestAddressMapDisjoint(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := arctic.NewDirect(eng, 1, 100, 0)
-	n := New(eng, 0, fab, Config{ScomaSize: 1 << 20})
+	n := New(eng, 0, fab, wired(1<<20, 1))
 	ranges := []struct {
 		name string
 		base uint32
 		size uint32
 	}{
-		{"dram", DramBase, 16 << 20},
+		{"dram", DramBase, DramSize},
 		{"numa", NumaBase, NumaSize},
 		{"scoma", ScomaBase, 1 << 20},
-		{"sram", SramBase, uint32(128 << 10)},
+		{"sram", SramBase, ASramSize},
 		{"ptr", PtrBase, PtrSize},
 		{"extx", ExTxBase, ExTxSize},
 		{"exrx", ExRxBase, ExRxSize},
@@ -67,7 +76,7 @@ func TestSramLayoutDisjoint(t *testing.T) {
 func TestDefaultQueuesConfigured(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := arctic.NewDirect(eng, 4, 100, 0)
-	n := New(eng, 2, fab, Config{ScomaSize: 1 << 20, NumNodes: 4})
+	n := New(eng, 2, fab, wired(1<<20, 4))
 	n.SetupDefaultQueues(4)
 	if !n.Ctrl.TxQueueConfig(TxBasic).Enabled || !n.Ctrl.TxQueueConfig(TxExpress).Express {
 		t.Fatal("tx queues misconfigured")
@@ -83,7 +92,7 @@ func TestDefaultQueuesConfigured(t *testing.T) {
 func TestDmaStagingInsideASram(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := arctic.NewDirect(eng, 1, 100, 0)
-	n := New(eng, 0, fab, Config{})
+	n := New(eng, 0, fab, wired(0, 1))
 	off := n.DmaStagingOff()
 	if int(off)+DmaStagingLen > n.ASram.Size() {
 		t.Fatal("staging beyond aSRAM")
@@ -96,7 +105,7 @@ func TestDmaStagingInsideASram(t *testing.T) {
 func TestScomaDisabled(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := arctic.NewDirect(eng, 1, 100, 0)
-	n := New(eng, 0, fab, Config{ScomaSize: 0})
+	n := New(eng, 0, fab, wired(0, 1))
 	if n.Map.Scoma.Size != 0 {
 		t.Fatal("scoma window present when disabled")
 	}

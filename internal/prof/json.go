@@ -8,7 +8,6 @@ import (
 	"os"
 	"sort"
 
-	"startvoyager/internal/sim"
 	"startvoyager/internal/stats"
 )
 
@@ -129,9 +128,6 @@ func (pr *Profiler) Doc(meta *stats.RunMeta) *Doc {
 	}
 	return d
 }
-
-// FinishAt returns the snapshot time recorded by Finish.
-func (pr *Profiler) FinishAt() sim.Time { return pr.finishAt }
 
 // WriteJSON writes the document as indented JSON with a trailing newline.
 // Output is byte-stable for identical profiles.

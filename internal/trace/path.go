@@ -135,15 +135,13 @@ type PathAnalysis struct {
 	// Orphans counts chains whose first retained event is not msg-send —
 	// evidence of ring truncation, never of a healthy run.
 	Orphans int
-
-	byID map[uint64]*MsgPath
 }
 
 // AnalyzePaths reconstructs causal chains from an event stream (as returned
 // by Buffer.Events: emission order). Events without an I64 "msg" field are
 // ignored.
 func AnalyzePaths(events []Event) *PathAnalysis {
-	a := &PathAnalysis{byID: make(map[uint64]*MsgPath)}
+	a := &PathAnalysis{}
 	chains := map[uint64][]Event{}
 	var ids []uint64
 	for _, e := range events {
@@ -174,7 +172,6 @@ func AnalyzePaths(events []Event) *PathAnalysis {
 			Start: evs[0].At, End: evs[len(evs)-1].At,
 			first: evs[0].Name, last: evs[len(evs)-1].Name,
 			seen: make(map[string]bool)}
-		a.byID[id] = m
 		a.Msgs = append(a.Msgs, m)
 		for i, e := range evs {
 			if i > 0 {
@@ -267,17 +264,10 @@ func (a *PathAnalysis) Slowest(n int) *PathAnalysis {
 		}
 		return ranked[i].ID < ranked[j].ID
 	})
-	out := &PathAnalysis{Orphans: a.Orphans, byID: make(map[uint64]*MsgPath, n)}
-	for _, m := range ranked[:n] {
-		out.Msgs = append(out.Msgs, m)
-		out.byID[m.ID] = m
-	}
+	out := &PathAnalysis{Orphans: a.Orphans, Msgs: ranked[:n]}
 	sort.Slice(out.Msgs, func(i, j int) bool { return out.Msgs[i].ID < out.Msgs[j].ID })
 	return out
 }
-
-// Msg returns the chain for a trace id (nil if unseen).
-func (a *PathAnalysis) Msg(id uint64) *MsgPath { return a.byID[id] }
 
 // Counts returns how many chains ended in each outcome.
 func (a *PathAnalysis) Counts() (delivered, dropped, inflight, complete int) {
