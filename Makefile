@@ -24,6 +24,11 @@
 
 GO ?= go
 
+# The gates write each run's own output under GATE_OUT before comparing it
+# with its committed golden; CI uploads this directory, so a failed gate's
+# artifact is the output that differed.
+GATE_OUT := gate-out
+
 .PHONY: all build test fmt vet voyager-vet vet-json race lint bench-json bench-json-baseline bench-diff bench-baseline faults faults-baseline faults-check bench-micro fuzz bench-scale bench-scale-baseline series series-baseline prof prof-baseline chaos figs figs-baseline ci
 
 all: build test
@@ -72,10 +77,11 @@ lint: fmt vet voyager-vet race
 # to the committed goldens; any drift fails until `make bench-json-baseline`
 # refreshes them on purpose.
 bench-json:
+	@mkdir -p $(GATE_OUT)
 	$(GO) run ./cmd/voyager-bench -fig none \
-		-metrics /tmp/BENCH_observability.json -trace /tmp/TRACE_observability.json
-	cmp /tmp/BENCH_observability.json BENCH_observability.json
-	cmp /tmp/TRACE_observability.json TRACE_observability.json
+		-metrics $(GATE_OUT)/BENCH_observability.json -trace $(GATE_OUT)/TRACE_observability.json
+	cmp $(GATE_OUT)/BENCH_observability.json BENCH_observability.json
+	cmp $(GATE_OUT)/TRACE_observability.json TRACE_observability.json
 	@echo "bench-json: metrics and trace match the committed goldens"
 
 # Refresh the committed instrumented-run goldens after an intentional timing,
@@ -89,8 +95,9 @@ bench-json-baseline:
 # deterministic, so any change, faster or slower, fails until
 # `make bench-baseline` refreshes the file on purpose.
 bench-diff:
-	$(GO) run ./cmd/voyager-bench -fig none -headline /tmp/BENCH_baseline.json
-	cmp /tmp/BENCH_baseline.json BENCH_baseline.json
+	@mkdir -p $(GATE_OUT)
+	$(GO) run ./cmd/voyager-bench -fig none -headline $(GATE_OUT)/BENCH_baseline.json
+	cmp $(GATE_OUT)/BENCH_baseline.json BENCH_baseline.json
 	@echo "bench-diff: headline latencies match BENCH_baseline.json"
 
 # Refresh the committed baseline after an intentional performance change.
@@ -103,9 +110,10 @@ bench-baseline:
 # The artifact is deterministic, so it is byte-compared to the committed
 # FAULTS_matrix.json.
 faults:
+	@mkdir -p $(GATE_OUT)
 	$(GO) run ./cmd/voyager-bench -fig none -fault-matrix \
-		-fault-seeds 1,2,3 -faults-json /tmp/FAULTS_matrix.json -parallel 4
-	cmp /tmp/FAULTS_matrix.json FAULTS_matrix.json
+		-fault-seeds 1,2,3 -faults-json $(GATE_OUT)/FAULTS_matrix.json -parallel 4
+	cmp $(GATE_OUT)/FAULTS_matrix.json FAULTS_matrix.json
 	@echo "faults: fault matrix matches FAULTS_matrix.json"
 
 # Refresh the committed fault-matrix golden after an intentional change.
@@ -117,14 +125,15 @@ faults-baseline:
 # across 4 workers must be byte-for-byte the sequential run, artifact
 # included.
 faults-check:
+	@mkdir -p $(GATE_OUT)
 	$(GO) run ./cmd/voyager-bench -fig none -fault-matrix \
-		-fault-seeds 1,2,3 -faults-json /tmp/FAULTS_seq.json \
-		| grep -v '^fault metrics:' > /tmp/FAULTS_seq.txt
+		-fault-seeds 1,2,3 -faults-json $(GATE_OUT)/FAULTS_seq.json \
+		| grep -v '^fault metrics:' > $(GATE_OUT)/FAULTS_seq.txt
 	$(GO) run ./cmd/voyager-bench -fig none -fault-matrix \
-		-fault-seeds 1,2,3 -faults-json /tmp/FAULTS_par.json -parallel 4 \
-		| grep -v '^fault metrics:' > /tmp/FAULTS_par.txt
-	cmp /tmp/FAULTS_seq.json /tmp/FAULTS_par.json
-	cmp /tmp/FAULTS_seq.txt /tmp/FAULTS_par.txt
+		-fault-seeds 1,2,3 -faults-json $(GATE_OUT)/FAULTS_par.json -parallel 4 \
+		| grep -v '^fault metrics:' > $(GATE_OUT)/FAULTS_par.txt
+	cmp $(GATE_OUT)/FAULTS_seq.json $(GATE_OUT)/FAULTS_par.json
+	cmp $(GATE_OUT)/FAULTS_seq.txt $(GATE_OUT)/FAULTS_par.txt
 	@echo "faults-check: parallel output is byte-identical to sequential"
 
 # Simulation-core microbenchmarks (event queue schedule/step, Proc handoff,
@@ -148,12 +157,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 30s ./internal/fault/
 
 # Machine-size sweep (64/256/1024-node fat trees): per-node heap footprint,
-# construction time, MPI allreduce/samplesort completion, and the per-level
-# hotspot saturation profile. The gate recomputes the sweep against the
-# committed BENCH_scale.json and fails if any bytes/node figure regressed
-# >10%, or if any deterministic column (levels, links, allreduce_ns,
-# samplesort_ns, hotspot_level_stalls) differs at all, as bench-diff does
-# for the headline; wall-clock columns are informational.
+# construction time, MPI allreduce/samplesort completion, the allreduce's
+# event count, and the per-level hotspot saturation profile. The gate
+# recomputes the sweep against the committed BENCH_scale.json and fails if
+# any bytes/node figure regressed >10%, or if any deterministic column
+# (levels, links, events, allreduce_ns, samplesort_ns,
+# hotspot_level_stalls) differs at all, as bench-diff does for the
+# headline; the construction wall-clock is informational.
 bench-scale:
 	$(GO) run ./cmd/voyager-bench -fig none -scale-diff BENCH_scale.json
 
@@ -166,11 +176,12 @@ bench-scale-baseline:
 # the link/credit heatmaps and stall attribution; both are byte-compared to
 # the committed artifacts, so any drift fails the build.
 series:
+	@mkdir -p $(GATE_OUT)
 	$(GO) run ./cmd/voyager-run -nodes 4 -mech reliable -count 50 \
-		-faults 'seed=7,drop=0.05' -series /tmp/SERIES_sample.json -series-window 20us
-	$(GO) run ./cmd/voyager-stats -top 8 /tmp/SERIES_sample.json > /tmp/SERIES_report.txt
-	cmp /tmp/SERIES_sample.json SERIES_sample.json
-	cmp /tmp/SERIES_report.txt SERIES_report.txt
+		-faults 'seed=7,drop=0.05' -series $(GATE_OUT)/SERIES_sample.json -series-window 20us
+	$(GO) run ./cmd/voyager-stats -top 8 $(GATE_OUT)/SERIES_sample.json > $(GATE_OUT)/SERIES_report.txt
+	cmp $(GATE_OUT)/SERIES_sample.json SERIES_sample.json
+	cmp $(GATE_OUT)/SERIES_report.txt SERIES_report.txt
 	@echo "series: telemetry artifacts match the committed goldens"
 
 # Refresh the committed series goldens after an intentional timing or
@@ -186,14 +197,15 @@ series-baseline:
 # byte-compared to the committed artifact. The inertness tests under
 # `make test` prove the profiled run is the same run as the unprofiled one.
 prof:
+	@mkdir -p $(GATE_OUT)
 	$(GO) run ./cmd/voyager-run -nodes 4 -mech reliable -count 50 \
-		-faults 'seed=7,drop=0.05' -prof /tmp/PROF_sample.json \
-		-prof-folded /tmp/PROF_sample.folded -prof-pprof /tmp/PROF_sample.pb
-	$(GO) run ./cmd/voyager-prof -top 8 /tmp/PROF_sample.json > /tmp/PROF_report.txt
-	cmp /tmp/PROF_sample.json PROF_sample.json
-	cmp /tmp/PROF_sample.folded PROF_sample.folded
-	cmp /tmp/PROF_sample.pb PROF_sample.pb
-	cmp /tmp/PROF_report.txt PROF_report.txt
+		-faults 'seed=7,drop=0.05' -prof $(GATE_OUT)/PROF_sample.json \
+		-prof-folded $(GATE_OUT)/PROF_sample.folded -prof-pprof $(GATE_OUT)/PROF_sample.pb
+	$(GO) run ./cmd/voyager-prof -top 8 $(GATE_OUT)/PROF_sample.json > $(GATE_OUT)/PROF_report.txt
+	cmp $(GATE_OUT)/PROF_sample.json PROF_sample.json
+	cmp $(GATE_OUT)/PROF_sample.folded PROF_sample.folded
+	cmp $(GATE_OUT)/PROF_sample.pb PROF_sample.pb
+	cmp $(GATE_OUT)/PROF_report.txt PROF_report.txt
 	@echo "prof: profile artifacts match the committed goldens"
 
 # Refresh the committed profile goldens after an intentional timing or
@@ -223,8 +235,9 @@ chaos:
 # FIGS_report.txt; any change to a simulated number fails until
 # `make figs-baseline` refreshes the golden on purpose.
 figs:
-	$(GO) run ./cmd/voyager-bench -fig all > /tmp/FIGS_report.txt
-	cmp /tmp/FIGS_report.txt FIGS_report.txt
+	@mkdir -p $(GATE_OUT)
+	$(GO) run ./cmd/voyager-bench -fig all > $(GATE_OUT)/FIGS_report.txt
+	cmp $(GATE_OUT)/FIGS_report.txt FIGS_report.txt
 	@echo "figs: every figure matches FIGS_report.txt"
 
 # Refresh the committed figure golden after an intentional change to a

@@ -98,17 +98,17 @@ type LevelStallsJSON struct {
 }
 
 // ScaleResult is one node count's row of the scale sweep. Levels, Links,
-// AllreduceNs, SamplesortNs and HotspotStalls are fully deterministic;
-// BytesPerNode, ConstructMs and EventsPerSec are host-side measurements
+// Events, AllreduceNs, SamplesortNs and HotspotStalls are fully
+// deterministic; BytesPerNode and ConstructMs are host-side measurements
 // (only BytesPerNode is stable enough to gate in CI, with a tolerance).
 type ScaleResult struct {
 	Nodes        int     `json:"nodes"`
 	Levels       int     `json:"levels"` // fat-tree switch levels
 	Links        int     `json:"links"`  // directed links incl. inject/eject
 	BytesPerNode int64   `json:"bytes_per_node"`
-	HeapBytes    int64   `json:"heap_bytes"`     // live heap of one idle machine
-	ConstructMs  float64 `json:"construct_ms"`   // informational, not gated
-	EventsPerSec float64 `json:"events_per_sec"` // informational, not gated
+	HeapBytes    int64   `json:"heap_bytes"`   // live heap of one idle machine
+	ConstructMs  float64 `json:"construct_ms"` // informational, not gated
+	Events       int64   `json:"events"`       // events the allreduce run executed
 
 	AllreduceNs   int64             `json:"allreduce_ns"`
 	SamplesortNs  int64             `json:"samplesort_ns"` // 0 = skipped (see SamplesortMaxNodes)
@@ -131,9 +131,9 @@ func scaleOne(n int, o ScaleOpts) ScaleResult {
 	r.HeapBytes, r.ConstructMs, r.Levels, r.Links = measureFootprint(n)
 	r.BytesPerNode = r.HeapBytes / int64(n)
 
-	lat, eps := allreduceRun(n)
+	lat, events := allreduceRun(n)
 	r.AllreduceNs = int64(lat)
-	r.EventsPerSec = eps
+	r.Events = int64(events)
 	if n <= o.SamplesortMaxNodes {
 		r.SamplesortNs = int64(samplesortTime(n, o.SamplesortKeys))
 	}
@@ -171,9 +171,9 @@ func measureFootprint(n int) (heapBytes int64, constructMs float64, levels, link
 }
 
 // allreduceRun runs one 8-byte MPI allreduce across all n ranks and returns
-// the simulated completion time of the last rank plus the host events/sec
-// the engine sustained while running it.
-func allreduceRun(n int) (sim.Time, float64) {
+// the simulated completion time of the last rank plus the number of events
+// the engine executed to run it.
+func allreduceRun(n int) (sim.Time, uint64) {
 	m := core.NewMachine(n)
 	var last sim.Time
 	for r := 0; r < n; r++ {
@@ -185,16 +185,8 @@ func allreduceRun(n int) (sim.Time, float64) {
 			}
 		})
 	}
-	//lint:allow nowalltime host-side throughput measurement, never feeds sim state
-	start := time.Now()
 	m.Run()
-	//lint:allow nowalltime host-side throughput measurement, never feeds sim state
-	wall := time.Since(start).Seconds()
-	var eps float64
-	if wall > 0 {
-		eps = float64(m.Eng.Executed()) / wall
-	}
-	return last, eps
+	return last, m.Eng.Executed()
 }
 
 // samplesortTime runs the example samplesort workload (local sort, sample
@@ -342,19 +334,20 @@ func ScaleTable(results []ScaleResult) *stats.Table {
 }
 
 // ScaleFootprintTable renders the host-side columns — per-node heap bytes,
-// construction wall-clock, and engine throughput. Informational except for
-// bytes/node, which DiffScale gates.
+// construction wall-clock, and the allreduce run's event count. DiffScale
+// gates bytes/node with a tolerance and the event count exactly; the
+// construction time is informational.
 func ScaleFootprintTable(results []ScaleResult) *stats.Table {
 	t := &stats.Table{
-		Title: "scale sweep — host-side footprint and speed (bytes/node gated in CI)",
+		Title: "scale sweep — host-side footprint and work (bytes/node and events gated in CI)",
 		Columns: []string{"nodes", "bytes/node", "total heap (MB)",
-			"construct (ms)", "events/sec"},
+			"construct (ms)", "allreduce events"},
 	}
 	for _, r := range results {
 		t.AddRow(fmt.Sprint(r.Nodes), fmt.Sprint(r.BytesPerNode),
 			fmt.Sprintf("%.1f", float64(r.HeapBytes)/(1<<20)),
 			fmt.Sprintf("%.1f", r.ConstructMs),
-			fmt.Sprintf("%.0f", r.EventsPerSec))
+			fmt.Sprint(r.Events))
 	}
 	return t
 }
@@ -393,9 +386,9 @@ func WriteScale(w io.Writer, results []ScaleResult) error {
 // DiffScale compares fresh results against the committed baseline document
 // and reports every node count to w. Returns false — the CI failure signal —
 // when a node count is missing, when its bytes/node exceeds the baseline by
-// more than 10%, or when any deterministic column (levels, links,
+// more than 10%, or when any deterministic column (levels, links, events,
 // allreduce_ns, samplesort_ns, hotspot_level_stalls) differs from the
-// baseline at all. The wall-clock columns are host noise and never gated.
+// baseline at all. The wall-clock column is host noise and never gated.
 func DiffScale(baseline []byte, results []ScaleResult, w io.Writer) bool {
 	var base scaleDoc
 	if err := json.Unmarshal(baseline, &base); err != nil {
@@ -429,6 +422,7 @@ func DiffScale(baseline []byte, results []ScaleResult, w io.Writer) bool {
 		}
 		exact("levels", int64(b.Levels), int64(now.Levels))
 		exact("links", int64(b.Links), int64(now.Links))
+		exact("events", b.Events, now.Events)
 		exact("allreduce_ns", b.AllreduceNs, now.AllreduceNs)
 		exact("samplesort_ns", b.SamplesortNs, now.SamplesortNs)
 		if !slices.Equal(b.HotspotStalls, now.HotspotStalls) {

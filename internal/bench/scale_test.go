@@ -68,6 +68,9 @@ func TestScaleDeterministic(t *testing.T) {
 		if a[i].AllreduceNs != b[i].AllreduceNs {
 			t.Errorf("nodes=%d: allreduce %d vs %d ns", a[i].Nodes, a[i].AllreduceNs, b[i].AllreduceNs)
 		}
+		if a[i].Events == 0 || a[i].Events != b[i].Events {
+			t.Errorf("nodes=%d: allreduce events %d vs %d", a[i].Nodes, a[i].Events, b[i].Events)
+		}
 		if a[i].SamplesortNs != b[i].SamplesortNs {
 			t.Errorf("nodes=%d: samplesort %d vs %d ns", a[i].Nodes, a[i].SamplesortNs, b[i].SamplesortNs)
 		}
@@ -111,7 +114,7 @@ func TestScaleSkipsSamplesortAboveCap(t *testing.T) {
 func TestWriteDiffScale(t *testing.T) {
 	results := []ScaleResult{
 		{Nodes: 64, Levels: 3, Links: 512, BytesPerNode: 100_000, HeapBytes: 6_400_000,
-			AllreduceNs: 25_000, SamplesortNs: 300_000,
+			Events: 120_000, AllreduceNs: 25_000, SamplesortNs: 300_000,
 			HotspotStalls: []LevelStallsJSON{{Level: "inject", Links: 64, Stalls: 10, StalledNs: 1000}}},
 		{Nodes: 256, Levels: 4, BytesPerNode: 150_000, AllreduceNs: 37_000},
 	}
@@ -148,6 +151,7 @@ func TestWriteDiffScale(t *testing.T) {
 
 	for name, mutate := range map[string]func(r *ScaleResult){
 		"allreduce_ns":  func(r *ScaleResult) { r.AllreduceNs++ },
+		"events":        func(r *ScaleResult) { r.Events++ },
 		"levels":        func(r *ScaleResult) { r.Levels++ },
 		"samplesort_ns": func(r *ScaleResult) { r.SamplesortNs-- },
 		"hotspot_level_stalls": func(r *ScaleResult) {

@@ -92,23 +92,18 @@ type Cluster struct {
 	Rels      []*firmware.Rel
 }
 
-// Fixed per-node DRAM layout and the ideal fabric's latency.
+// Fixed per-node DRAM layout and the ideal fabric's latency. The overflow
+// ring above them sits at firmware.MissRingBase (12 MB).
 const (
 	// NumaLocalBase is the home-local DRAM address backing NUMA segments.
 	NumaLocalBase = 4 << 20
 	// ScomaBackingBase is the home-local DRAM address of S-COMA backing
 	// copies.
 	ScomaBackingBase = 8 << 20
-	// MissRingBase is the DRAM address of the non-resident-queue overflow
-	// ring on every node.
-	MissRingBase = 12 << 20
 
 	// DirectNetLatency is the DirectNet fabric's fixed latency.
 	DirectNetLatency = 250 * sim.Nanosecond
 )
-
-// MissRingEntries is the overflow ring capacity.
-const MissRingEntries = 64
 
 // New builds and starts a machine.
 func New(cfg Config) *Cluster {
@@ -139,14 +134,9 @@ func New(cfg Config) *Cluster {
 		}
 		c.Faults.RegisterMetrics(c.Reg.Child("net").Child("fault"))
 	}
-	ncfg := cfg.Node
-	ncfg.NumNodes = cfg.Nodes
-	ncfg.Ctrl.PaceFlitTime = cfg.Net.FlitTime
-	ncfg.ScomaSize = cfg.ScomaSize
-	ncfg.ReflectSize = cfg.ReflectSize
 	for i := 0; i < cfg.Nodes; i++ {
-		n := node.New(eng, i, fabric, ncfg)
-		n.SetupDefaultQueues(cfg.Nodes)
+		n := node.New(eng, i, fabric, cfg.Node, cfg.Nodes, cfg.Net.FlitTime,
+			cfg.ScomaSize, cfg.ReflectSize)
 		n.RegisterMetrics(c.Reg.Child(fmt.Sprintf("node%d", i)))
 		c.Nodes = append(c.Nodes, n)
 	}
@@ -174,8 +164,7 @@ func New(cfg Config) *Cluster {
 			StagingBase: n.DmaStagingOff(),
 			StagingSize: node.DmaStagingLen,
 		}))
-		c.MissRings = append(c.MissRings,
-			firmware.NewMissRing(n.FW, MissRingBase, MissRingEntries))
+		c.MissRings = append(c.MissRings, firmware.NewMissRing(n.FW))
 		rel := firmware.NewRel(n.FW, cfg.Nodes)
 		rel.RegisterMetrics(c.Reg.Child(fmt.Sprintf("node%d", n.ID)).Child("fault"))
 		c.Rels = append(c.Rels, rel)

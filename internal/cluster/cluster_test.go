@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"startvoyager/internal/arctic"
@@ -35,6 +38,47 @@ func TestDefaultConfigIsTheMachine(t *testing.T) {
 		if !c.ok {
 			t.Errorf("%s differs from its package's defaults", c.name)
 		}
+	}
+}
+
+// TestConfigHoldsOnlyKnobs is the census of Config's settable values, by
+// path: every one is a knob a caller can vary on its own. Wiring (the node
+// count, flit time and window sizes that node.New and ctrl.New also need)
+// is passed as arguments, and wiring with one value in every machine is a
+// constant. The walk enters every struct but bus.Range; a pointer or an
+// interface (Faults, Profiler) is one value.
+func TestConfigHoldsOnlyKnobs(t *testing.T) {
+	var got []string
+	var walk func(prefix string, typ reflect.Type)
+	walk = func(prefix string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			if f.Type.Kind() == reflect.Struct && f.Type != reflect.TypeOf(bus.Range{}) {
+				walk(prefix+f.Name+".", f.Type)
+				continue
+			}
+			got = append(got, prefix+f.Name)
+		}
+	}
+	walk("", reflect.TypeOf(Config{}))
+	want := []string{
+		"Nodes",
+		"Node.Bus.CycleTime", "Node.Bus.AddrCycles", "Node.Bus.RetryBackoff", "Node.Bus.MaxRetries",
+		"Node.Cache.SizeBytes", "Node.Cache.Assoc", "Node.Cache.HitTime",
+		"Node.Ctrl.TxUCycles", "Node.Ctrl.RxUCycles", "Node.Ctrl.StrictRx",
+		"Node.Biu.SramLatency", "Node.Biu.RegLatency",
+		"Node.Costs.Dispatch", "Node.Costs.Handler", "Node.Costs.PerByte", "Node.Costs.CmdIssue",
+		"Node.DramLat",
+		"Net.FlitTime", "Net.RouterLatency", "Net.LaneCapacity", "Net.Adaptive",
+		"DirectNet", "ScomaSize", "NumaSegment", "ScomaMigratory", "ReflectSize",
+		"Faults", "DisableScomaProtocol", "Profiler",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Config has %d settable values, want %d:\n  got  %s\n  want %s",
+			len(got), len(want), strings.Join(got, " "), strings.Join(want, " "))
 	}
 }
 

@@ -51,7 +51,10 @@ func TestBasicPingPong(t *testing.T) {
 
 // TestNodeKnobsReachTheMachine: a knob scaled on cluster.DefaultConfig
 // changes the machine that runs. Doubling the aSRAM latency and the TxU
-// formatting cycles must slow a Basic ping-pong.
+// formatting cycles must slow a Basic ping-pong. CTRL is bus-synchronous,
+// so doubling the bus clock alone slows CTRL too: 10 round trips take
+// 46.83 µs, the time with both clocks doubled, not the 36.33 µs of a CTRL
+// left at 15 ns.
 func TestNodeKnobsReachTheMachine(t *testing.T) {
 	pingPong := func(cfg cluster.Config) sim.Time {
 		m := NewMachineConfig(cfg)
@@ -78,6 +81,11 @@ func TestNodeKnobsReachTheMachine(t *testing.T) {
 	cfg.Node.Ctrl.TxUCycles *= 2
 	if slow := pingPong(cfg); slow <= base {
 		t.Fatalf("10 round trips take %v with doubled aSRAM latency and TxU cycles, %v by default", slow, base)
+	}
+	cfg = cluster.DefaultConfig(2)
+	cfg.Node.Bus.CycleTime *= 2
+	if got, want := pingPong(cfg), 46830*sim.Nanosecond; got != want {
+		t.Fatalf("10 round trips take %v with the bus clock doubled, want %v", got, want)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"startvoyager/internal/arctic"
-	"startvoyager/internal/cluster"
 	"startvoyager/internal/firmware"
 	"startvoyager/internal/niu/ctrl"
 	"startvoyager/internal/sim"
@@ -45,15 +44,13 @@ func (a *API) SendVirtual(p *sim.Proc, virt int, payload []byte) {
 func (a *API) TryRecvOverflow(p *sim.Proc) (src int, logicalQ uint16, payload []byte, ok bool) {
 	defer a.busy(p, "TryRecvOverflow")()
 	var prod [8]byte
-	a.n.Cache.Load(p, cluster.MissRingBase, prod[:])
+	a.n.Cache.Load(p, firmware.MissRingBase, prod[:])
 	producer := uint32(binary.BigEndian.Uint64(prod[:]))
 	if producer == a.overflowCons {
 		return 0, 0, nil, false
 	}
-	addr := cluster.MissRingBase + firmware.RingHeaderBytes +
-		(a.overflowCons%cluster.MissRingEntries)*firmware.RingSlotBytes
 	slot := make([]byte, firmware.RingSlotBytes)
-	a.n.Cache.Load(p, addr, slot)
+	a.n.Cache.Load(p, firmware.RingSlotAddr(a.overflowCons), slot)
 	n := int(binary.BigEndian.Uint16(slot[4:]))
 	src = int(binary.BigEndian.Uint16(slot[0:]))
 	logicalQ = binary.BigEndian.Uint16(slot[2:])
@@ -63,7 +60,7 @@ func (a *API) TryRecvOverflow(p *sim.Proc) (src int, logicalQ uint16, payload []
 	binary.BigEndian.PutUint64(cons[:], uint64(a.overflowCons))
 	// Publish the consumer counter; the firmware's uncached read will pull
 	// it from the cache by intervention.
-	a.n.Cache.Store(p, cluster.MissRingBase+8, cons[:])
+	a.n.Cache.Store(p, firmware.MissRingBase+8, cons[:])
 	return src, logicalQ, payload, true
 }
 

@@ -54,9 +54,6 @@ type Engine struct {
 	res   *sim.Resource
 	costs Costs
 
-	svcQueue  int // physical rx queue carrying service messages
-	missQueue int // physical miss/overflow queue (-1: none)
-
 	handlers   map[byte]Handler
 	missH      MissHandler
 	scomaCap   CaptureHandler
@@ -85,15 +82,13 @@ type Stats struct {
 	ProtViols  uint64
 }
 
-// New creates the firmware engine for a node. svcQueue is the physical
-// receive queue whose messages are dispatched to registered handlers;
-// missQueue (-1 to disable) is drained by the miss handler.
-func New(s *sim.Engine, node int, sb *biu.SBIU, svcQueue, missQueue int, costs Costs) *Engine {
+// New creates the firmware engine for a node. Messages in an interrupting
+// receive queue are dispatched to registered handlers, except those in
+// ctrl.MissQueue, which the miss handler drains.
+func New(s *sim.Engine, node int, sb *biu.SBIU, costs Costs) *Engine {
 	e := &Engine{
 		sim: s, node: node, sb: sb, costs: costs,
 		res:        sim.NewResource(s, fmt.Sprintf("sp%d", node)),
-		svcQueue:   svcQueue,
-		missQueue:  missQueue,
 		handlers:   make(map[byte]Handler),
 		rxNotify:   sim.NewQueue[int](s),
 		protNotify: sim.NewQueue[int](s),
@@ -222,7 +217,7 @@ func (e *Engine) msgLoop(p *sim.Proc) {
 			// loops emit instants); sP occupancy itself is traced by the
 			// observed sp resource on the "sP" track.
 			switch {
-			case q == e.missQueue:
+			case q == ctrl.MissQueue:
 				e.stats.MissServed++
 				if e.missH != nil {
 					span := e.handlerSpan("miss", src)

@@ -62,17 +62,16 @@ func newFwRig(t *testing.T) *fwRig {
 	sS := sram.New("s", 64<<10)
 	cls := sram.NewCls(64)
 	b := bus.New(eng, "b", bus.DefaultConfig())
-	ccfg := ctrl.DefaultConfig()
-	ccfg.MissQueue = 14
-	c := ctrl.New(eng, 0, aS, sS, cls, ccfg)
+	c := ctrl.New(eng, 0, aS, sS, cls, ctrl.DefaultConfig(),
+		15*sim.Nanosecond, 100*sim.Nanosecond, 256, bus.Range{})
 	m := biu.Map{Sram: bus.Range{Base: 0xF000_0000, Size: 64 << 10}}
 	a := biu.NewABIU(eng, 0, b, c, aS, cls, m, biu.DefaultConfig())
 	sb := biu.NewSBIU(a, c)
-	fw := New(eng, 0, sb, 13, 14, DefaultCosts())
+	fw := New(eng, 0, sb, DefaultCosts())
 	c.SetPorts(a, nullNet{}, fw)
 	c.ConfigureRx(13, ctrl.RxConfig{Buf: sS, Base: 0x1000, EntryBytes: 96, Entries: 16,
 		ShadowBase: 0x800, Logical: SvcLogicalQ, Interrupt: true, Enabled: true})
-	c.ConfigureRx(14, ctrl.RxConfig{Buf: sS, Base: 0x2000, EntryBytes: 96, Entries: 16,
+	c.ConfigureRx(ctrl.MissQueue, ctrl.RxConfig{Buf: sS, Base: 0x2000, EntryBytes: 96, Entries: 16,
 		ShadowBase: 0x808, Logical: MissLogicalQ, Interrupt: true, Enabled: true})
 	return &fwRig{eng: eng, c: c, fw: fw, a: a, sS: sS}
 }

@@ -17,24 +17,34 @@ import (
 //
 // Ring layout in DRAM:
 //
-//	Base+0   producer counter (8 bytes, written by firmware)
-//	Base+8   consumer counter (8 bytes, written by the aP)
-//	Base+32  slots: src(2) logicalQ(2) len(2) pad(2) payload (RingSlotBytes each)
+//	MissRingBase+0   producer counter (8 bytes, written by firmware)
+//	MissRingBase+8   consumer counter (8 bytes, written by the aP)
+//	MissRingBase+32  slots: src(2) logicalQ(2) len(2) pad(2) payload (RingSlotBytes each)
 type MissRing struct {
-	e       *Engine
-	base    uint32
-	entries int
+	e *Engine
 
 	producer uint32 // firmware's copy
 
 	stats MissRingStats
 }
 
-// RingSlotBytes is the DRAM ring slot size (three cache lines).
-const RingSlotBytes = 96
+// The ring's geometry, identical on every node.
+const (
+	// MissRingBase is the DRAM address of the ring.
+	MissRingBase = 12 << 20
+	// MissRingEntries is the ring capacity.
+	MissRingEntries = 64
+	// RingSlotBytes is the DRAM ring slot size (three cache lines).
+	RingSlotBytes = 96
+	// RingHeaderBytes is the ring bookkeeping area before the first slot.
+	RingHeaderBytes = 32
+)
 
-// RingHeaderBytes is the ring bookkeeping area before the first slot.
-const RingHeaderBytes = 32
+// RingSlotAddr returns the DRAM address of the slot that the free-running
+// ring counter ptr names.
+func RingSlotAddr(ptr uint32) uint32 {
+	return MissRingBase + RingHeaderBytes + (ptr%MissRingEntries)*RingSlotBytes
+}
 
 // MissRingStats counts overflow servicing.
 type MissRingStats struct {
@@ -43,9 +53,9 @@ type MissRingStats struct {
 }
 
 // NewMissRing installs the default miss/overflow servicer, backing
-// non-resident logical queues with a DRAM ring of the given geometry.
-func NewMissRing(e *Engine, base uint32, entries int) *MissRing {
-	r := &MissRing{e: e, base: base, entries: entries}
+// non-resident logical queues with the DRAM ring.
+func NewMissRing(e *Engine) *MissRing {
+	r := &MissRing{e: e}
 	e.SetMissHandler(r.onMiss)
 	return r
 }
@@ -53,26 +63,16 @@ func NewMissRing(e *Engine, base uint32, entries int) *MissRing {
 // Stats returns a snapshot of counters.
 func (r *MissRing) Stats() MissRingStats { return r.stats }
 
-// Base returns the ring's DRAM base address.
-func (r *MissRing) Base() uint32 { return r.base }
-
-// Entries returns the ring capacity.
-func (r *MissRing) Entries() int { return r.entries }
-
-func (r *MissRing) slotAddr(ptr uint32) uint32 {
-	return r.base + RingHeaderBytes + (ptr%uint32(r.entries))*RingSlotBytes
-}
-
 // onMiss writes one diverted message into the DRAM ring with command-queue
 // bus operations, then publishes the new producer counter.
 func (r *MissRing) onMiss(p *sim.Proc, src uint16, logicalQ uint16, payload []byte) {
 	// Check for space: read the aP-owned consumer counter from DRAM.
-	cons := &bus.Transaction{Kind: bus.ReadWord, Addr: r.base + 8, Data: make([]byte, 8)}
+	cons := &bus.Transaction{Kind: bus.ReadWord, Addr: MissRingBase + 8, Data: make([]byte, 8)}
 	g := sim.NewGate(p.Engine())
 	r.e.IssueCommand(p, 0, &ctrl.BusOp{Base: ctrl.Base{Done: g.Open}, Tx: cons})
 	g.Wait(p)
 	consumer := uint32(binary.BigEndian.Uint64(cons.Data))
-	if r.producer-consumer >= uint32(r.entries) {
+	if r.producer-consumer >= MissRingEntries {
 		r.stats.Dropped++
 		return
 	}
@@ -82,7 +82,7 @@ func (r *MissRing) onMiss(p *sim.Proc, src uint16, logicalQ uint16, payload []by
 	binary.BigEndian.PutUint16(slot[2:], logicalQ)
 	binary.BigEndian.PutUint16(slot[4:], uint16(len(payload)))
 	copy(slot[8:], payload)
-	addr := r.slotAddr(r.producer)
+	addr := RingSlotAddr(r.producer)
 	for off := 0; off < RingSlotBytes; off += bus.LineSize {
 		r.e.IssueCommand(p, 0, &ctrl.BusOp{
 			Tx: &bus.Transaction{Kind: bus.WriteLine, Addr: addr + uint32(off),
@@ -95,7 +95,7 @@ func (r *MissRing) onMiss(p *sim.Proc, src uint16, logicalQ uint16, payload []by
 	// The producer update is ordered after the slot writes by the command
 	// queue, so the aP never sees a counter ahead of the data.
 	r.e.IssueCommand(p, 0, &ctrl.BusOp{
-		Tx: &bus.Transaction{Kind: bus.WriteWord, Addr: r.base, Data: prod[:]},
+		Tx: &bus.Transaction{Kind: bus.WriteWord, Addr: MissRingBase, Data: prod[:]},
 	})
 	r.stats.Written++
 }

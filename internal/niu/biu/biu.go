@@ -96,8 +96,6 @@ type ABIU struct {
 	cfg  Config
 	node int
 
-	scomaTable [numKinds][16]ScomaAction
-
 	// NUMA machinery.
 	pendingFill map[uint32][]byte // line address -> data ready to serve
 	pendingAck  map[uint32]bool   // write addresses acknowledged by the home
@@ -154,7 +152,6 @@ func NewABIU(eng *sim.Engine, node int, b *bus.Bus, c *ctrl.Ctrl, aS *sram.SRAM,
 		toSP:        sim.NewQueue[CapturedOp](eng),
 	}
 	a.toSP.SetName("biu/captured")
-	a.scomaTable = DefaultScomaTable()
 	a.sramServeFn = a.sramServe
 	a.ptrServeFn = a.ptrServe
 	a.exTxServeFn = a.exTxServe
@@ -162,10 +159,10 @@ func NewABIU(eng *sim.Engine, node int, b *bus.Bus, c *ctrl.Ctrl, aS *sram.SRAM,
 	return a
 }
 
-// DefaultScomaTable returns the action table for the default MSI-style
-// S-COMA protocol over the sram.CL* state encoding.
-func DefaultScomaTable() [numKinds][16]ScomaAction {
-	var t [numKinds][16]ScomaAction
+// scomaActions is the action table of the default MSI-style S-COMA protocol
+// over the sram.CL* state encoding. Every node shares it: experiments change
+// the protocol in firmware, not here.
+var scomaActions = func() (t [numKinds][16]ScomaAction) {
 	inv, pend, ro := int(sram.CLInvalid), int(sram.CLPending), int(sram.CLReadOnly)
 	// Reads: stall on Invalid (notify) and Pending (silent).
 	for _, k := range []bus.Kind{bus.ReadLine, bus.ReadWord} {
@@ -180,7 +177,7 @@ func DefaultScomaTable() [numKinds][16]ScomaAction {
 	}
 	// WriteLine (writeback of a dirty S-COMA line) always proceeds.
 	return t
-}
+}()
 
 // Stats returns a snapshot of counters.
 func (a *ABIU) Stats() Stats { return a.stats }
@@ -383,7 +380,7 @@ func (a *ABIU) snoopNuma(tx *bus.Transaction) bus.Snoop {
 func (a *ABIU) snoopScoma(tx *bus.Transaction) bus.Snoop {
 	lineIdx := int(a.m.Scoma.Offset(tx.Addr)) / bus.LineSize
 	st := a.cls.Get(lineIdx)
-	act := a.scomaTable[kindIndex(tx.Kind)][st]
+	act := scomaActions[kindIndex(tx.Kind)][st]
 	if act.PassSP && !a.notified[lineIdx] {
 		a.notified[lineIdx] = true
 		a.stats.ScomaCaptured++

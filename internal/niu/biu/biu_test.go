@@ -68,9 +68,8 @@ func newRig(t *testing.T) *rig {
 	aS := sram.New("aSRAM", 64<<10)
 	sS := sram.New("sSRAM", 64<<10)
 	cls := sram.NewCls(int(testMap.Scoma.Size) / bus.LineSize)
-	ccfg := ctrl.DefaultConfig()
-	ccfg.ScomaRange = testMap.Scoma
-	c := ctrl.New(eng, 0, aS, sS, cls, ccfg)
+	c := ctrl.New(eng, 0, aS, sS, cls, ctrl.DefaultConfig(),
+		15*sim.Nanosecond, 100*sim.Nanosecond, 256, testMap.Scoma)
 	a := NewABIU(eng, 0, b, c, aS, cls, testMap, DefaultConfig())
 	net := &netSink{}
 	c.SetPorts(a, net, noInts{})

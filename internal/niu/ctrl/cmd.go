@@ -92,7 +92,7 @@ func (m *SendMsg) exec(c *Ctrl, done func()) {
 			send(m.Dest, m.Priority)
 			return
 		}
-		idx := int(m.Dest) % c.cfg.TransTableEntries
+		idx := int(m.Dest) % c.transEntries
 		c.ibusMove(8, func() {
 			e := c.readTransEntry(idx)
 			if !e.Valid {
@@ -326,7 +326,7 @@ func checkBlock(c *Ctrl, addr uint32, n int) {
 // paceTime returns wire serialization time for size bytes at the link rate.
 func (c *Ctrl) paceTime(size int) sim.Time {
 	flits := (size + arctic.FlitBytes - 1) / arctic.FlitBytes
-	return sim.Time(flits) * c.cfg.PaceFlitTime
+	return sim.Time(flits) * c.paceFlit
 }
 
 // cmdQueue is one ordered local command queue.

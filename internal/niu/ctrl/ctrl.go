@@ -81,42 +81,24 @@ const (
 	Divert
 )
 
-// Config holds CTRL parameters.
+// Config holds CTRL's knobs; New takes its wiring as arguments.
 type Config struct {
-	CycleTime sim.Time // NIU clock (bus-synchronous)
-	TxUCycles int      // per-packet transmit formatting
-	RxUCycles int      // per-packet receive formatting
-	// PaceFlitTime is the per-flit link time the block-transmit unit paces
-	// itself to (arctic.FlitBytes per flit); the machine assembly sets it
-	// to the fabric's FlitTime.
-	PaceFlitTime sim.Time
+	TxUCycles int // per-packet transmit formatting
+	RxUCycles int // per-packet receive formatting
 	// StrictRx restores the original panic-on-garbage Rx behavior — useful
 	// when hunting protocol bugs in a fault-free run, where a bad frame means
 	// a sender-side encoding bug rather than injected corruption.
 	StrictRx bool
-
-	// Wiring, not knobs: node assembly overwrites the four fields below
-	// from the node's address map and queue layout. The defaults serve a
-	// standalone CTRL.
-
-	// TransTableBase is the sSRAM offset of the destination translation
-	// table (8-byte entries).
-	TransTableBase uint32
-	// TransTableEntries bounds the masked virtual destination space.
-	TransTableEntries int
-	// MissQueue is the physical receive queue to which unresident logical
-	// destinations and Divert overflow are steered (-1 disables).
-	MissQueue int
-	// ScomaRange lets remote WriteDramCls/SetCls commands convert physical
-	// addresses into clsSRAM line indices.
-	ScomaRange bus.Range
 }
 
 // DefaultConfig returns NIU-cycle defaults used by the standard machine.
 func DefaultConfig() Config {
-	return Config{CycleTime: 15 * sim.Nanosecond, TxUCycles: 4, RxUCycles: 4,
-		PaceFlitTime: 100 * sim.Nanosecond, TransTableEntries: 256, MissQueue: NumQueues - 1}
+	return Config{TxUCycles: 4, RxUCycles: 4}
 }
+
+// MissQueue is the physical receive queue to which unresident logical
+// destinations and Divert overflow are steered.
+const MissQueue = 14
 
 // TxConfig configures one hardware transmit queue.
 type TxConfig struct {
@@ -206,6 +188,11 @@ type Ctrl struct {
 	myNode int
 	cfg    Config
 
+	cycle        sim.Time  // NIU clock (bus-synchronous)
+	paceFlit     sim.Time  // block-transmit pacing per flit
+	transEntries int       // translation table size
+	scoma        bus.Range // S-COMA window for remote clsSRAM updates
+
 	aSRAM *sram.SRAM
 	sSRAM *sram.SRAM
 	cls   *sram.Cls
@@ -270,10 +257,19 @@ type Ctrl struct {
 	rxSizeHist *stats.Histogram // received payload bytes
 }
 
-// New builds a CTRL for node myNode over the given SRAMs.
-func New(eng *sim.Engine, myNode int, aS, sS *sram.SRAM, cls *sram.Cls, cfg Config) *Ctrl {
+// New builds a CTRL for node myNode over the given SRAMs. The rest is
+// wiring from the node's assembly: cycle is the NIU clock, which runs
+// synchronous to the node's 60X bus; paceFlit is the per-flit link time
+// the block-transmit unit paces itself to (arctic.FlitBytes per flit);
+// transEntries bounds the masked virtual destination space of the
+// translation table at sSRAM offset 0; and scoma is the window in which
+// remote WriteDramCls/SetCls commands convert physical addresses into
+// clsSRAM line indices.
+func New(eng *sim.Engine, myNode int, aS, sS *sram.SRAM, cls *sram.Cls, cfg Config,
+	cycle, paceFlit sim.Time, transEntries int, scoma bus.Range) *Ctrl {
 	c := &Ctrl{
 		eng: eng, myNode: myNode, cfg: cfg,
+		cycle: cycle, paceFlit: paceFlit, transEntries: transEntries, scoma: scoma,
 		aSRAM: aS, sSRAM: sS, cls: cls,
 		ibus:       sim.NewResource(eng, fmt.Sprintf("ibus%d", myNode)),
 		rxSizeHist: stats.NewHistogram(8, 16, 32, 64, 96),
@@ -352,9 +348,9 @@ func (c *Ctrl) RegisterMetrics(r *stats.Registry) {
 	r.Time("ibus_busy", c.ibus.BusyTime)
 	r.Histogram("rx_payload_bytes", c.rxSizeHist)
 	// Per-queue depth gauges for the queues configured at registration time
-	// (cluster wiring registers after SetupDefaultQueues), so the windowed
-	// sampler can chart occupancy — rising rx depth per window is the
-	// receiver-side face of tree saturation.
+	// (node assembly programs its queues before the machine registers), so
+	// the windowed sampler can chart occupancy — rising rx depth per window
+	// is the receiver-side face of tree saturation.
 	for q := 0; q < NumQueues; q++ {
 		q := q
 		if c.tx[q].cfg.Buf != nil {
@@ -434,7 +430,7 @@ func (c *Ctrl) SSram() *sram.SRAM { return c.sSRAM }
 // cycles converts NIU cycles to time.
 //
 //voyager:noalloc
-func (c *Ctrl) cycles(n int) sim.Time { return sim.Time(n) * c.cfg.CycleTime }
+func (c *Ctrl) cycles(n int) sim.Time { return sim.Time(n) * c.cycle }
 
 // ibusMove occupies the IBus long enough to move n bytes (8 bytes/cycle,
 // minimum one cycle), then runs done. Callers pass prebound method values,
@@ -634,9 +630,10 @@ type TransEntry struct {
 }
 
 // WriteTransEntry stores a translation entry at index idx (setup/firmware
-// path; timing is the caller's concern).
+// path; timing is the caller's concern). The table's 8-byte entries start
+// at sSRAM offset 0.
 func (c *Ctrl) WriteTransEntry(idx int, e TransEntry) {
-	if idx < 0 || idx >= c.cfg.TransTableEntries {
+	if idx < 0 || idx >= c.transEntries {
 		panic(fmt.Sprintf("ctrl: translation index %d out of range", idx))
 	}
 	var b [8]byte
@@ -650,7 +647,7 @@ func (c *Ctrl) WriteTransEntry(idx int, e TransEntry) {
 		flags |= 2
 	}
 	b[4] = flags
-	c.sSRAM.Write(c.cfg.TransTableBase+uint32(idx)*8, b[:])
+	c.sSRAM.Write(uint32(idx)*8, b[:])
 }
 
 // readTransEntry fetches and decodes entry idx from sSRAM.
@@ -658,7 +655,7 @@ func (c *Ctrl) WriteTransEntry(idx int, e TransEntry) {
 //voyager:noalloc
 func (c *Ctrl) readTransEntry(idx int) TransEntry {
 	var b [8]byte
-	c.sSRAM.Read(c.cfg.TransTableBase+uint32(idx)*8, b[:])
+	c.sSRAM.Read(uint32(idx)*8, b[:])
 	pr := arctic.Low
 	if b[4]&2 != 0 {
 		pr = arctic.High

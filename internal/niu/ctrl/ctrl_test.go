@@ -105,6 +105,14 @@ type rig struct {
 	sS   *sram.SRAM
 }
 
+// The rig's wiring, as on a default machine: a 15 ns bus-synchronous NIU
+// clock, 100 ns flits and a 256-entry translation table.
+const (
+	rigCycle   = 15 * sim.Nanosecond
+	rigFlit    = 100 * sim.Nanosecond
+	rigEntries = 256
+)
+
 func newRig(t *testing.T, node int) *rig {
 	if t != nil {
 		t.Helper()
@@ -113,9 +121,8 @@ func newRig(t *testing.T, node int) *rig {
 	aS := sram.New("aSRAM", 64<<10)
 	sS := sram.New("sSRAM", 64<<10)
 	cls := sram.NewCls(1024)
-	cfg := DefaultConfig()
-	cfg.ScomaRange = bus.Range{Base: 0x8000_0000, Size: 1024 * bus.LineSize}
-	c := New(eng, node, aS, sS, cls, cfg)
+	c := New(eng, node, aS, sS, cls, DefaultConfig(), rigCycle, rigFlit, rigEntries,
+		bus.Range{Base: 0x8000_0000, Size: 1024 * bus.LineSize})
 	net := &fakeNet{eng: eng, delay: 300}
 	busp := &fakeBus{eng: eng, memry: make([]byte, 1<<20), delay: 150}
 	ints := &fakeInts{}
@@ -369,13 +376,13 @@ func TestRxInterrupt(t *testing.T) {
 func TestRxMissQueue(t *testing.T) {
 	r := newRig(t, 1)
 	r.stdRx(0, 7, Hold)
-	r.stdRx(NumQueues-1, 0xFFFF, Hold) // miss queue
+	r.stdRx(MissQueue, 0xFFFF, Hold) // miss queue
 	w, _ := txrx.Encode(&txrx.Frame{Kind: txrx.Data, LogicalQ: 1234, Payload: []byte("m")})
 	if !r.c.TryReceive(w, sim.MsgTag{}) {
 		t.Fatal("refused")
 	}
 	r.eng.Run()
-	if r.c.RxProducer(NumQueues-1) != 1 {
+	if r.c.RxProducer(MissQueue) != 1 {
 		t.Fatal("miss queue did not get the message")
 	}
 	if r.c.Stats().RxMisses != 1 {
@@ -423,15 +430,15 @@ func TestRxFullPolicies(t *testing.T) {
 	// Divert.
 	r3 := newRig(t, 1)
 	r3.stdRx(0, 7, Divert)
-	r3.stdRx(NumQueues-1, 0xFFFF, Hold)
+	r3.stdRx(MissQueue, 0xFFFF, Hold)
 	for i := 0; i < 5; i++ {
 		if !r3.c.TryReceive(w, sim.MsgTag{}) {
 			t.Fatal("divert policy refused")
 		}
 	}
 	r3.eng.Run()
-	if r3.c.RxProducer(0) != 4 || r3.c.RxProducer(NumQueues-1) != 1 {
-		t.Fatalf("divert: q0=%d miss=%d", r3.c.RxProducer(0), r3.c.RxProducer(NumQueues-1))
+	if r3.c.RxProducer(0) != 4 || r3.c.RxProducer(MissQueue) != 1 {
+		t.Fatalf("divert: q0=%d miss=%d", r3.c.RxProducer(0), r3.c.RxProducer(MissQueue))
 	}
 }
 
@@ -440,7 +447,8 @@ func TestExpressComposeAndReceive(t *testing.T) {
 	r := newRig(t, 0)
 	peer := newRig(t, 1)
 	// Share one engine: rebuild peer on r's engine for loopback.
-	peerC := New(r.eng, 1, peer.aS, peer.sS, sram.NewCls(16), DefaultConfig())
+	peerC := New(r.eng, 1, peer.aS, peer.sS, sram.NewCls(16), DefaultConfig(),
+		rigCycle, rigFlit, rigEntries, bus.Range{})
 	peerNet := &fakeNet{eng: r.eng}
 	peerC.SetPorts(&fakeBus{eng: r.eng, memry: make([]byte, 4096)}, peerNet, &fakeInts{})
 	r.net.peer = peerC
@@ -595,7 +603,7 @@ func TestBlockTxToRemoteDram(t *testing.T) {
 	// completion notification into logical queue 30.
 	r := newRig(t, 0)
 	peerC := New(r.eng, 1, sram.New("a1", 64<<10), sram.New("s1", 64<<10),
-		sram.NewCls(16), DefaultConfig())
+		sram.NewCls(16), DefaultConfig(), rigCycle, rigFlit, rigEntries, bus.Range{})
 	peerBus := &fakeBus{eng: r.eng, memry: make([]byte, 1<<20), delay: 150}
 	peerC.SetPorts(peerBus, &fakeNet{eng: r.eng}, &fakeInts{})
 	peerC.ConfigureRx(0, RxConfig{Buf: peerC.aSRAM, Base: 0x4000, EntryBytes: 96,

@@ -161,7 +161,7 @@ func TestTranslationMaskProperty(t *testing.T) {
 			Translate: true, AndMask: and, OrMask: or,
 			AllowedDests: ^uint64(0), Enabled: true,
 		})
-		idx := int(virt&and|or) % r.c.cfg.TransTableEntries
+		idx := int(virt&and|or) % r.c.transEntries
 		r.c.WriteTransEntry(idx, TransEntry{PhysNode: 9, LogicalQ: uint16(idx), Valid: true})
 		p := r.composeBasic(0, virt, 0, []byte("m"))
 		r.c.TxProducerUpdate(0, p)

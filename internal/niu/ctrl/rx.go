@@ -59,13 +59,7 @@ func (c *Ctrl) TryReceive(wire []byte, tag sim.MsgTag) bool {
 	if q < 0 {
 		// Unresident logical queue: divert to the miss queue.
 		c.stats.RxMisses++
-		q = c.cfg.MissQueue
-		if q < 0 {
-			c.stats.RxDrops++
-			c.eng.MsgInstant(c.myNode, "ctrl", "msg-drop", frame.Trace, sim.Str("why", "no-queue"))
-			c.framePut(frame)
-			return true
-		}
+		q = MissQueue
 	}
 	if !c.acceptInto(q, frame) {
 		c.framePut(frame)
@@ -109,9 +103,9 @@ func (c *Ctrl) acceptInto(q int, frame *txrx.Frame) bool {
 			c.framePut(frame)
 			return true
 		case Divert:
-			if q != c.cfg.MissQueue && c.cfg.MissQueue >= 0 {
+			if q != MissQueue {
 				c.stats.RxMisses++
-				return c.acceptInto(c.cfg.MissQueue, frame)
+				return c.acceptInto(MissQueue, frame)
 			}
 			c.stats.RxDrops++
 			c.eng.MsgInstant(c.myNode, "ctrl", "msg-drop", frame.Trace, sim.Str("why", "rx-full"))
@@ -291,18 +285,14 @@ func (c *Ctrl) execRemote(f *txrx.Frame, done func()) {
 		q := c.lookupRx(g.LogicalQ)
 		if q < 0 {
 			c.stats.RxMisses++
-			q = c.cfg.MissQueue
+			q = MissQueue
 		}
-		if q >= 0 {
-			// Notify deliveries ignore Hold (they bypass via accept-or-miss:
-			// a refused notify would deadlock the remote command queue).
-			if !c.acceptInto(q, g) {
-				c.rx[q].holding = false
-				c.stats.RxDrops++
-				c.eng.MsgInstant(c.myNode, "ctrl", "msg-drop", g.Trace, sim.Str("why", "notify-hold"))
-			}
-		} else {
-			c.eng.MsgInstant(c.myNode, "ctrl", "msg-drop", g.Trace, sim.Str("why", "no-queue"))
+		// Notify deliveries ignore Hold (they bypass via accept-or-miss: a
+		// refused notify would deadlock the remote command queue).
+		if !c.acceptInto(q, g) {
+			c.rx[q].holding = false
+			c.stats.RxDrops++
+			c.eng.MsgInstant(c.myNode, "ctrl", "msg-drop", g.Trace, sim.Str("why", "notify-hold"))
 		}
 		done()
 	case txrx.CmdWriteSram:
@@ -351,9 +341,9 @@ func (c *Ctrl) setClsForRange(addr uint32, n int, st sram.LineState) {
 }
 
 func (c *Ctrl) setClsLines(addr uint32, count int, st sram.LineState) {
-	if c.cls == nil || !c.cfg.ScomaRange.Contains(addr) {
+	if c.cls == nil || !c.scoma.Contains(addr) {
 		return
 	}
-	first := int(c.cfg.ScomaRange.Offset(addr)) / bus.LineSize
+	first := int(c.scoma.Offset(addr)) / bus.LineSize
 	c.cls.SetRange(first, first+count, st)
 }

@@ -216,7 +216,7 @@ func (c *Ctrl) translateAndSend(q int, dest uint16, translate bool, pri arctic.P
 		return
 	}
 	tq := &c.tx[q]
-	c.lnTrIdx = int(dest&tq.cfg.AndMask|tq.cfg.OrMask) % c.cfg.TransTableEntries
+	c.lnTrIdx = int(dest&tq.cfg.AndMask|tq.cfg.OrMask) % c.transEntries
 	c.lnPri = pri
 	// Translation table lookup crosses the IBus (one 8-byte entry).
 	c.ibusMove(8, c.lnTransFn)

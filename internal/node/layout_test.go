@@ -36,7 +36,7 @@ func TestTransStride(t *testing.T) {
 func TestSSramLayoutSmallMatchesHistorical(t *testing.T) {
 	for _, n := range []int{2, 4, 16, 64} {
 		l := SSramLayoutFor(n)
-		if l.TransTable != 0 || l.SShadow != 0x800 || l.SvcBuf != 0x1000 ||
+		if l.SShadow != 0x800 || l.SvcBuf != 0x1000 ||
 			l.MissBuf != 0x2800 || l.User != UserSSram {
 			t.Errorf("SSramLayoutFor(%d)=%+v, want historical fixed layout", n, l)
 		}
@@ -50,10 +50,10 @@ func TestSSramLayoutScalesWithoutOverlap(t *testing.T) {
 	for _, n := range []int{64, 65, 128, 256, 1024, MaxNodes} {
 		l := SSramLayoutFor(n)
 		stride := uint32(TransStride(n))
-		if l.SShadow != l.TransTable+4*stride*8 {
+		if l.SShadow != 4*stride*8 {
 			t.Errorf("n=%d: shadows at %#x overlap the %d-entry translation table", n, l.SShadow, 4*stride)
 		}
-		if !(l.TransTable < l.SShadow && l.SShadow < l.SvcBuf && l.SvcBuf < l.MissBuf && l.MissBuf < l.User) {
+		if !(l.SShadow < l.SvcBuf && l.SvcBuf < l.MissBuf && l.MissBuf < l.User) {
 			t.Errorf("n=%d: regions out of order: %+v", n, l)
 		}
 		if l.SvcBuf-l.SShadow < 0x800 {
@@ -70,7 +70,7 @@ func TestSSramLayoutScalesWithoutOverlap(t *testing.T) {
 func TestTransIndices(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := arctic.NewDirect(eng, 200, 100, 0)
-	n := New(eng, 0, fab, wired(0, 200)) // stride 256
+	n := New(eng, 0, fab, DefaultConfig(), 200, 0, 0, 0) // stride 256
 	if n.TransStride() != 256 {
 		t.Fatalf("stride %d, want 256", n.TransStride())
 	}

@@ -50,7 +50,8 @@ const (
 	RxRel       = 11 // reliably-delivered payloads (R-Basic service)
 	RxRelStatus = 12 // reliable-send completion statuses
 	RxSvc       = 13 // sP service queue (interrupting)
-	RxMiss      = 14 // miss/overflow queue (interrupting)
+
+	RxMiss = ctrl.MissQueue // miss/overflow queue (interrupting), fixed by CTRL
 )
 
 // Logical receive queue numbers (network-visible names).
@@ -110,24 +111,22 @@ const (
 )
 
 // SSramLayout is the numNodes-dependent sSRAM allocation: the translation
-// table (4 regions * stride entries * 8 bytes) at the bottom, then the sP
-// shadow pairs, the service and miss queue buffers, and free space. For
-// clusters of up to 64 nodes this is exactly the historical fixed layout
-// (table 0x0000, shadows 0x0800, service buffer 0x1000, miss buffer 0x2800).
+// table (4 regions * stride entries * 8 bytes) at offset 0, where CTRL reads
+// it, then the sP shadow pairs, the service and miss queue buffers, and free
+// space. For clusters of up to 64 nodes this is exactly the historical fixed
+// layout (shadows 0x0800, service buffer 0x1000, miss buffer 0x2800).
 type SSramLayout struct {
-	TransTable uint32 // translation table base
-	SShadow    uint32 // sP shadow-pair region base
-	SvcBuf     uint32 // service queue buffer base
-	MissBuf    uint32 // miss/overflow queue buffer base
-	User       uint32 // first offset free for firmware extensions
+	SShadow uint32 // sP shadow-pair region base
+	SvcBuf  uint32 // service queue buffer base
+	MissBuf uint32 // miss/overflow queue buffer base
+	User    uint32 // first offset free for firmware extensions
 }
 
 // SSramLayoutFor computes the layout for a cluster of numNodes nodes.
 func SSramLayoutFor(numNodes int) SSramLayout {
 	stride := uint32(TransStride(numNodes))
 	var l SSramLayout
-	l.TransTable = 0
-	l.SShadow = l.TransTable + 4*stride*8
+	l.SShadow = 4 * stride * 8
 	l.SvcBuf = l.SShadow + 0x800
 	l.MissBuf = l.SvcBuf + BasicSlotBytes*SvcEntries
 	l.User = l.MissBuf + BasicSlotBytes*SvcEntries
@@ -154,17 +153,10 @@ type Config struct {
 	Biu     biu.Config
 	Costs   firmware.Costs
 	DramLat sim.Time // DRAM access latency
-
-	// Wiring, not knobs: the machine assembly sets these from its own
-	// config, and New derives the CTRL's translation table, miss queue and
-	// S-COMA range from them and the address map.
-	ScomaSize   uint32 // S-COMA window size (0 disables S-COMA)
-	ReflectSize uint32 // reflective-memory window size (0 disables)
-	NumNodes    int    // cluster size (for the sSRAM layout)
 }
 
-// DefaultConfig returns the standard node: each component's own defaults,
-// 60 ns DRAM, and no S-COMA or reflective window.
+// DefaultConfig returns the standard node: each component's own defaults
+// and 60 ns DRAM.
 func DefaultConfig() Config {
 	return Config{
 		Bus:     bus.DefaultConfig(),
@@ -204,10 +196,15 @@ type Node struct {
 	fabric arctic.Fabric
 }
 
-// New builds a node (queues unconfigured; see SetupDefaultQueues).
-func New(eng *sim.Engine, id int, fabric arctic.Fabric, cfg Config) *Node {
+// New builds node id of a numNodes-node machine, with its queues and
+// translation table programmed (see programQueues). The rest is wiring from
+// the machine's assembly: flitTime is the fabric's per-flit link time, which
+// CTRL's block-transmit unit paces itself to, and scomaSize and reflectSize
+// size the S-COMA and reflective-memory windows (0 disables either).
+func New(eng *sim.Engine, id int, fabric arctic.Fabric, cfg Config, numNodes int,
+	flitTime sim.Time, scomaSize, reflectSize uint32) *Node {
 	n := &Node{ID: id, Eng: eng, fabric: fabric,
-		lay: SSramLayoutFor(cfg.NumNodes), stride: TransStride(cfg.NumNodes),
+		lay: SSramLayoutFor(numNodes), stride: TransStride(numNodes),
 		APMeter: stats.NewMeter(eng, fmt.Sprintf("aP%d", id))}
 
 	n.Bus = bus.New(eng, fmt.Sprintf("bus%d", id), cfg.Bus)
@@ -226,30 +223,27 @@ func New(eng *sim.Engine, id int, fabric arctic.Fabric, cfg Config) *Node {
 		ExpressTx: bus.Range{Base: ExTxBase, Size: ExTxSize},
 		ExpressRx: bus.Range{Base: ExRxBase, Size: ExRxSize},
 		Numa:      bus.Range{Base: NumaBase, Size: NumaSize},
-		Scoma:     bus.Range{Base: ScomaBase, Size: cfg.ScomaSize},
-		Reflect:   bus.Range{Base: ReflectBase, Size: cfg.ReflectSize},
+		Scoma:     bus.Range{Base: ScomaBase, Size: scomaSize},
+		Reflect:   bus.Range{Base: ReflectBase, Size: reflectSize},
 	}
 
-	ctrlCfg := cfg.Ctrl
-	ctrlCfg.TransTableBase = n.lay.TransTable
-	ctrlCfg.TransTableEntries = 4 * n.stride
-	ctrlCfg.MissQueue = RxMiss
-	ctrlCfg.ScomaRange = n.Map.Scoma
-	if cfg.ScomaSize > 0 {
-		n.ClsSram = sram.NewCls(int(cfg.ScomaSize) / bus.LineSize)
+	if scomaSize > 0 {
+		n.ClsSram = sram.NewCls(int(scomaSize) / bus.LineSize)
 		// Back the S-COMA window with frames at the top of DRAM.
-		n.Dram.AddAlias(n.Map.Scoma, DramSize-cfg.ScomaSize)
+		n.Dram.AddAlias(n.Map.Scoma, DramSize-scomaSize)
 	} else {
 		n.ClsSram = sram.NewCls(1)
 	}
-	if cfg.ReflectSize > 0 {
+	if reflectSize > 0 {
 		// Back the reflective window with frames below the S-COMA frames.
-		n.Dram.AddAlias(n.Map.Reflect, DramSize-cfg.ScomaSize-cfg.ReflectSize)
+		n.Dram.AddAlias(n.Map.Reflect, DramSize-scomaSize-reflectSize)
 	}
-	n.Ctrl = ctrl.New(eng, id, n.ASram, n.SSram, n.ClsSram, ctrlCfg)
+	// CTRL is bus-synchronous: it runs on the 60X bus clock.
+	n.Ctrl = ctrl.New(eng, id, n.ASram, n.SSram, n.ClsSram, cfg.Ctrl,
+		cfg.Bus.CycleTime, flitTime, 4*n.stride, n.Map.Scoma)
 	n.ABIU = biu.NewABIU(eng, id, n.Bus, n.Ctrl, n.ASram, n.ClsSram, n.Map, cfg.Biu)
 	n.SBIU = biu.NewSBIU(n.ABIU, n.Ctrl)
-	n.FW = firmware.New(eng, id, n.SBIU, RxSvc, RxMiss, cfg.Costs)
+	n.FW = firmware.New(eng, id, n.SBIU, cfg.Costs)
 
 	n.Ctrl.SetPorts(n.ABIU, &netAdapter{n: n}, n.FW)
 	n.Bus.Attach(n.Dram)
@@ -257,6 +251,7 @@ func New(eng *sim.Engine, id int, fabric arctic.Fabric, cfg Config) *Node {
 	n.Bus.Attach(n.ABIU)
 	fabric.Attach(id, &netAdapter{n: n})
 	fabric.SetReadyHook(id, n.Ctrl.NetReady)
+	n.programQueues(numNodes)
 	return n
 }
 
@@ -296,10 +291,9 @@ func (n *Node) ScomaWindow() bus.Range { return n.Map.Scoma }
 // DmaStagingOff returns the aSRAM offset of the DMA staging area.
 func (n *Node) DmaStagingOff() uint32 { return ASramSize - DmaStagingLen }
 
-// SetupDefaultQueues programs the standard queue layout and translation
-// table for a cluster of numNodes nodes, and installs the default firmware
-// services (miss handler; NUMA/S-COMA/DMA when enabled).
-func (n *Node) SetupDefaultQueues(numNodes int) {
+// programQueues programs the standard queue layout and the translation
+// table for a cluster of numNodes nodes.
+func (n *Node) programQueues(numNodes int) {
 	c := n.Ctrl
 	// aP transmit queues.
 	c.ConfigureTx(TxBasic, ctrl.TxConfig{

@@ -9,19 +9,10 @@ import (
 	"startvoyager/internal/sim"
 )
 
-// wired returns the default node config with the wiring a machine assembly
-// would set.
-func wired(scomaSize uint32, numNodes int) Config {
-	cfg := DefaultConfig()
-	cfg.ScomaSize = scomaSize
-	cfg.NumNodes = numNodes
-	return cfg
-}
-
 func TestAddressMapDisjoint(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := arctic.NewDirect(eng, 1, 100, 0)
-	n := New(eng, 0, fab, wired(1<<20, 1))
+	n := New(eng, 0, fab, DefaultConfig(), 1, 0, 1<<20, 0)
 	ranges := []struct {
 		name string
 		base uint32
@@ -76,8 +67,7 @@ func TestSramLayoutDisjoint(t *testing.T) {
 func TestDefaultQueuesConfigured(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := arctic.NewDirect(eng, 4, 100, 0)
-	n := New(eng, 2, fab, wired(1<<20, 4))
-	n.SetupDefaultQueues(4)
+	n := New(eng, 2, fab, DefaultConfig(), 4, 0, 1<<20, 0)
 	if !n.Ctrl.TxQueueConfig(TxBasic).Enabled || !n.Ctrl.TxQueueConfig(TxExpress).Express {
 		t.Fatal("tx queues misconfigured")
 	}
@@ -92,7 +82,7 @@ func TestDefaultQueuesConfigured(t *testing.T) {
 func TestDmaStagingInsideASram(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := arctic.NewDirect(eng, 1, 100, 0)
-	n := New(eng, 0, fab, wired(0, 1))
+	n := New(eng, 0, fab, DefaultConfig(), 1, 0, 0, 0)
 	off := n.DmaStagingOff()
 	if int(off)+DmaStagingLen > n.ASram.Size() {
 		t.Fatal("staging beyond aSRAM")
@@ -105,7 +95,7 @@ func TestDmaStagingInsideASram(t *testing.T) {
 func TestScomaDisabled(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := arctic.NewDirect(eng, 1, 100, 0)
-	n := New(eng, 0, fab, wired(0, 1))
+	n := New(eng, 0, fab, DefaultConfig(), 1, 0, 0, 0)
 	if n.Map.Scoma.Size != 0 {
 		t.Fatal("scoma window present when disabled")
 	}

@@ -231,15 +231,3 @@ func (p *Proc) callDone() {
 		p.run()
 	}
 }
-
-// CallT is like Call but passes through a value from the completion.
-func CallT[T any](p *Proc, start func(done func(T))) T {
-	var v T
-	p.Call(func(done func()) {
-		start(func(x T) {
-			v = x
-			done()
-		})
-	})
-	return v
-}

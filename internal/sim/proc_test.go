@@ -82,20 +82,6 @@ func TestProcCallDeferred(t *testing.T) {
 	}
 }
 
-func TestCallT(t *testing.T) {
-	e := NewEngine()
-	var got int
-	e.Spawn("p", func(p *Proc) {
-		got = CallT(p, func(done func(int)) {
-			e.Schedule(5, func() { done(42) })
-		})
-	})
-	e.Run()
-	if got != 42 {
-		t.Fatalf("got %d, want 42", got)
-	}
-}
-
 // runRecovered runs e until it drains or panics and returns the recovered
 // panic value (nil if Run returned normally).
 func runRecovered(e *Engine) (r interface{}) {
