@@ -29,6 +29,42 @@ GO ?= go
 # artifact is the output that differed.
 GATE_OUT := gate-out
 
+# Each golden's generator is written once, as a function of the directory
+# it writes into ($(1)). A gate calls it with $(GATE_OUT) and compares the
+# output with the committed golden; the gate's -baseline twin calls it with
+# the repo root, so a refresh always runs exactly what the gate checks.
+define gen-bench-json
+$(GO) run ./cmd/voyager-bench -fig none \
+	-metrics $(1)/BENCH_observability.json -trace $(1)/TRACE_observability.json
+endef
+
+define gen-bench-diff
+$(GO) run ./cmd/voyager-bench -fig none -headline $(1)/BENCH_baseline.json
+endef
+
+define gen-faults
+$(GO) run ./cmd/voyager-bench -fig none -fault-matrix \
+	-fault-seeds 1,2,3 -faults-json $(1)/FAULTS_matrix.json -parallel 4
+endef
+
+define gen-series
+$(GO) run ./cmd/voyager-run -nodes 4 -mech reliable -count 50 \
+	-faults 'seed=7,drop=0.05' -series $(1)/SERIES_sample.json -series-window 20us
+$(GO) run ./cmd/voyager-stats -top 8 $(1)/SERIES_sample.json > $(1)/SERIES_report.txt
+endef
+
+define gen-prof
+$(GO) run ./cmd/voyager-run -nodes 4 -mech reliable -count 50 \
+	-faults 'seed=7,drop=0.05' -prof $(1)/PROF_sample.json
+$(GO) run ./cmd/voyager-prof -folded $(1)/PROF_sample.folded -pprof $(1)/PROF_sample.pb \
+	$(1)/PROF_sample.json
+$(GO) run ./cmd/voyager-prof -top 8 $(1)/PROF_sample.json > $(1)/PROF_report.txt
+endef
+
+define gen-figs
+$(GO) run ./cmd/voyager-bench -fig all > $(1)/FIGS_report.txt
+endef
+
 .PHONY: all build test fmt vet voyager-vet vet-json race lint bench-json bench-json-baseline bench-diff bench-baseline faults faults-baseline faults-check bench-micro fuzz bench-scale bench-scale-baseline series series-baseline prof prof-baseline chaos figs figs-baseline ci
 
 all: build test
@@ -78,8 +114,7 @@ lint: fmt vet voyager-vet race
 # refreshes them on purpose.
 bench-json:
 	@mkdir -p $(GATE_OUT)
-	$(GO) run ./cmd/voyager-bench -fig none \
-		-metrics $(GATE_OUT)/BENCH_observability.json -trace $(GATE_OUT)/TRACE_observability.json
+	$(call gen-bench-json,$(GATE_OUT))
 	cmp $(GATE_OUT)/BENCH_observability.json BENCH_observability.json
 	cmp $(GATE_OUT)/TRACE_observability.json TRACE_observability.json
 	@echo "bench-json: metrics and trace match the committed goldens"
@@ -87,8 +122,7 @@ bench-json:
 # Refresh the committed instrumented-run goldens after an intentional timing,
 # metrics or trace change.
 bench-json-baseline:
-	$(GO) run ./cmd/voyager-bench -fig none \
-		-metrics BENCH_observability.json -trace TRACE_observability.json
+	$(call gen-bench-json,.)
 
 # Headline latency gate: recompute the per-mechanism traced end-to-end
 # means and byte-compare them with the committed baseline. They are
@@ -96,13 +130,13 @@ bench-json-baseline:
 # `make bench-baseline` refreshes the file on purpose.
 bench-diff:
 	@mkdir -p $(GATE_OUT)
-	$(GO) run ./cmd/voyager-bench -fig none -headline $(GATE_OUT)/BENCH_baseline.json
+	$(call gen-bench-diff,$(GATE_OUT))
 	cmp $(GATE_OUT)/BENCH_baseline.json BENCH_baseline.json
 	@echo "bench-diff: headline latencies match BENCH_baseline.json"
 
 # Refresh the committed baseline after an intentional performance change.
 bench-baseline:
-	$(GO) run ./cmd/voyager-bench -fig none -headline BENCH_baseline.json
+	$(call gen-bench-diff,.)
 
 # The fault-injection smoke matrix: {drop, corrupt, outage, node-death} x
 # three seeds of reliable traffic, with every cell's metrics registry dumped
@@ -111,15 +145,13 @@ bench-baseline:
 # FAULTS_matrix.json.
 faults:
 	@mkdir -p $(GATE_OUT)
-	$(GO) run ./cmd/voyager-bench -fig none -fault-matrix \
-		-fault-seeds 1,2,3 -faults-json $(GATE_OUT)/FAULTS_matrix.json -parallel 4
+	$(call gen-faults,$(GATE_OUT))
 	cmp $(GATE_OUT)/FAULTS_matrix.json FAULTS_matrix.json
 	@echo "faults: fault matrix matches FAULTS_matrix.json"
 
 # Refresh the committed fault-matrix golden after an intentional change.
 faults-baseline:
-	$(GO) run ./cmd/voyager-bench -fig none -fault-matrix \
-		-fault-seeds 1,2,3 -faults-json FAULTS_matrix.json -parallel 4
+	$(call gen-faults,.)
 
 # Determinism gate for the parallel run harness: the fault matrix fanned
 # across 4 workers must be byte-for-byte the sequential run, artifact
@@ -145,8 +177,8 @@ bench-micro:
 
 # Time-boxed fuzzing: the event queue against its heap-only reference, the
 # paged SRAM and sub-paged DRAM against dense arrays, the frame decoder with
-# fuzzed header fields under a recomputed checksum, and the fault-plan
-# round trip. Plain `go test` (and so `make ci`) only replays each target's
+# fuzzed header fields under a recomputed checksum, and the round trips of
+# the fault plan, the -nodes list and the fault-plan time grammar. Plain `go test` (and so `make ci`) only replays each target's
 # committed corpus in its package's testdata/fuzz; this explores beyond it.
 # New failing inputs land in those directories.
 fuzz:
@@ -155,6 +187,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDRAMPages$$' -fuzztime 30s ./internal/mem/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameFields$$' -fuzztime 30s ./internal/niu/txrx/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 30s ./internal/fault/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTime$$' -fuzztime 30s ./internal/fault/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseNodeList$$' -fuzztime 30s ./internal/bench/
 
 # Machine-size sweep (64/256/1024-node fat trees): per-node heap footprint,
 # construction time, MPI allreduce/samplesort completion, the allreduce's
@@ -177,9 +211,7 @@ bench-scale-baseline:
 # the committed artifacts, so any drift fails the build.
 series:
 	@mkdir -p $(GATE_OUT)
-	$(GO) run ./cmd/voyager-run -nodes 4 -mech reliable -count 50 \
-		-faults 'seed=7,drop=0.05' -series $(GATE_OUT)/SERIES_sample.json -series-window 20us
-	$(GO) run ./cmd/voyager-stats -top 8 $(GATE_OUT)/SERIES_sample.json > $(GATE_OUT)/SERIES_report.txt
+	$(call gen-series,$(GATE_OUT))
 	cmp $(GATE_OUT)/SERIES_sample.json SERIES_sample.json
 	cmp $(GATE_OUT)/SERIES_report.txt SERIES_report.txt
 	@echo "series: telemetry artifacts match the committed goldens"
@@ -187,21 +219,17 @@ series:
 # Refresh the committed series goldens after an intentional timing or
 # metrics change.
 series-baseline:
-	$(GO) run ./cmd/voyager-run -nodes 4 -mech reliable -count 50 \
-		-faults 'seed=7,drop=0.05' -series SERIES_sample.json -series-window 20us
-	$(GO) run ./cmd/voyager-stats -top 8 SERIES_sample.json > SERIES_report.txt
+	$(call gen-series,.)
 
 # Simulated-time profile golden: the headline reliable-ring run captured
-# with the profiler and exported in all three formats (voyager-prof/v1 JSON,
-# folded flame-graph stacks, pprof protobuf) plus the rendered report, each
-# byte-compared to the committed artifact. The inertness tests under
-# `make test` prove the profiled run is the same run as the unprofiled one.
+# with the profiler as voyager-prof/v1 JSON, which voyager-prof re-exports
+# as folded flame-graph stacks and pprof protobuf and renders as the
+# report; each is byte-compared to the committed artifact. The inertness
+# tests under `make test` prove the profiled run is the same run as the
+# unprofiled one.
 prof:
 	@mkdir -p $(GATE_OUT)
-	$(GO) run ./cmd/voyager-run -nodes 4 -mech reliable -count 50 \
-		-faults 'seed=7,drop=0.05' -prof $(GATE_OUT)/PROF_sample.json \
-		-prof-folded $(GATE_OUT)/PROF_sample.folded -prof-pprof $(GATE_OUT)/PROF_sample.pb
-	$(GO) run ./cmd/voyager-prof -top 8 $(GATE_OUT)/PROF_sample.json > $(GATE_OUT)/PROF_report.txt
+	$(call gen-prof,$(GATE_OUT))
 	cmp $(GATE_OUT)/PROF_sample.json PROF_sample.json
 	cmp $(GATE_OUT)/PROF_sample.folded PROF_sample.folded
 	cmp $(GATE_OUT)/PROF_sample.pb PROF_sample.pb
@@ -211,10 +239,7 @@ prof:
 # Refresh the committed profile goldens after an intentional timing or
 # attribution change.
 prof-baseline:
-	$(GO) run ./cmd/voyager-run -nodes 4 -mech reliable -count 50 \
-		-faults 'seed=7,drop=0.05' -prof PROF_sample.json \
-		-prof-folded PROF_sample.folded -prof-pprof PROF_sample.pb
-	$(GO) run ./cmd/voyager-prof -top 8 PROF_sample.json > PROF_report.txt
+	$(call gen-prof,.)
 
 # Short-budget chaos sweep: fuzzed fault plans run through the invariant
 # oracles (exactly-once, conservation, quiescence, telescoping, metrics,
@@ -236,13 +261,13 @@ chaos:
 # `make figs-baseline` refreshes the golden on purpose.
 figs:
 	@mkdir -p $(GATE_OUT)
-	$(GO) run ./cmd/voyager-bench -fig all > $(GATE_OUT)/FIGS_report.txt
+	$(call gen-figs,$(GATE_OUT))
 	cmp $(GATE_OUT)/FIGS_report.txt FIGS_report.txt
 	@echo "figs: every figure matches FIGS_report.txt"
 
 # Refresh the committed figure golden after an intentional change to a
 # simulated result.
 figs-baseline:
-	$(GO) run ./cmd/voyager-bench -fig all > FIGS_report.txt
+	$(call gen-figs,.)
 
 ci: build test lint bench-json bench-diff bench-scale faults faults-check series prof chaos figs

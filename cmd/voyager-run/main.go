@@ -7,8 +7,7 @@
 //	voyager-run [-nodes n1,n2,...] [-mech basic|express|tagon|dma|reliable] [-count c] [-size s]
 //	            [-faults plan] [-trace file.json] [-metrics file.json] [-dump n]
 //	            [-series file.json] [-series-window 20us] [-strict-trace]
-//	            [-prof f] [-prof-folded f] [-prof-pprof f]
-//	            [-seeds 1,2,3] [-parallel n] [-cpuprofile f] [-memprofile f]
+//	            [-prof f] [-seeds 1,2,3] [-parallel n] [-cpuprofile f] [-memprofile f]
 //
 // The artifact flags are the shared internal/bench.Artifacts set, also used
 // by voyager-bench; -dump is this tool's own.
@@ -27,6 +26,10 @@
 //
 // -strict-trace attaches the trace ring and exits nonzero when it dropped
 // events — the CI guard that a run's trace artifact is complete.
+//
+// -prof writes the simulated-time profile as voyager-prof/v1 JSON;
+// voyager-prof renders it and re-exports it as folded stacks (-folded) or
+// pprof protobuf (-pprof).
 //
 // -faults attaches a deterministic fault-injection plan to the network, e.g.
 //

@@ -24,12 +24,12 @@ import (
 // the flags are parsed, so parallel workers may Start runs from one spec;
 // each run's instruments live in the Run value Start returns.
 type Artifacts struct {
-	Trace, Metrics, Series      string // export paths; "" = not requested
-	Prof, ProfFolded, ProfPprof string // simulated-time profile exports
-	CPUProfile, MemProfile      string // host-process pprof profiles
-	TraceCap                    int
-	SeriesWindow                sim.Time // -series window width
-	StrictTrace                 bool
+	Trace, Metrics, Series string // export paths; "" = not requested
+	Prof                   string // simulated-time profile (voyager-prof/v1 JSON)
+	CPUProfile, MemProfile string // host-process pprof profiles
+	TraceCap               int
+	SeriesWindow           sim.Time // -series window width
+	StrictTrace            bool
 
 	// Dump prints the last Dump trace events after the file exports. It has
 	// no shared flag: voyager-run registers its own -dump into it.
@@ -53,23 +53,19 @@ func (a *Artifacts) Register(fs *flag.FlagSet) {
 	})
 	fs.BoolVar(&a.StrictTrace, "strict-trace", false, "exit nonzero if the trace ring dropped events (implies tracing)")
 	fs.StringVar(&a.Prof, "prof", "", "write a simulated-time profile (voyager-prof/v1 JSON, render with voyager-prof)")
-	fs.StringVar(&a.ProfFolded, "prof-folded", "", "write the simulated-time profile as folded flame-graph stacks")
-	fs.StringVar(&a.ProfPprof, "prof-pprof", "", "write the simulated-time profile as pprof protobuf (open with go tool pprof)")
 	fs.StringVar(&a.CPUProfile, "cpuprofile", "", "write a CPU profile of the simulator process")
 	fs.StringVar(&a.MemProfile, "memprofile", "", "write an allocation profile of the simulator process")
 }
 
 // Requested reports whether any per-run export was asked for.
 func (a *Artifacts) Requested() bool {
-	return a.tracing() || a.Metrics != "" || a.Series != "" || a.profiling()
+	return a.tracing() || a.Metrics != "" || a.Series != "" || a.Prof != ""
 }
 
 // tracing is the one trace-attach rule: the ring is attached only when its
 // contents are exported (-trace, -dump) or checked (-strict-trace), so a
 // run's metrics and series carry trace/ gauges only then.
 func (a *Artifacts) tracing() bool { return a.Trace != "" || a.Dump > 0 || a.StrictTrace }
-
-func (a *Artifacts) profiling() bool { return a.Prof != "" || a.ProfFolded != "" || a.ProfPprof != "" }
 
 // Run is one machine run and the instruments Start attached to it.
 type Run struct {
@@ -86,7 +82,7 @@ type Run struct {
 // the registry; then the sampler, which snapshots the registry's paths.
 func (a *Artifacts) Start(cfg cluster.Config) Run {
 	var r Run
-	if a.profiling() {
+	if a.Prof != "" {
 		r.profiler = prof.New()
 		cfg.Profiler = r.profiler
 	}
@@ -146,21 +142,10 @@ func (a *Artifacts) Write(r Run, meta stats.RunMeta) error {
 		}
 	}
 	if r.profiler != nil {
-		// All three formats derive from one document, so their totals agree.
-		doc := r.profiler.Doc(&meta)
-		for _, out := range []struct {
-			path, flag, note string
-			write            func(io.Writer) error
-		}{
-			{a.Prof, "prof", "render with voyager-prof", doc.WriteJSON},
-			{a.ProfFolded, "prof-folded", "flamegraph.pl / speedscope", doc.WriteFolded},
-			{a.ProfPprof, "prof-pprof", "go tool pprof", doc.WritePprof},
-		} {
-			if out.path != "" {
-				WriteFile(out.path, out.write)
-				fmt.Printf("%s: %s (%s)\n", out.flag, out.path, out.note)
-			}
-		}
+		// voyager-prof renders the document and re-exports it as folded
+		// stacks or pprof protobuf.
+		WriteFile(a.Prof, r.profiler.Doc(&meta).WriteJSON)
+		fmt.Printf("prof: %s (render with voyager-prof)\n", a.Prof)
 	}
 	if a.StrictTrace && dropped > 0 {
 		return fmt.Errorf("strict-trace: ring dropped %d events", dropped)

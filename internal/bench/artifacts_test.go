@@ -9,21 +9,22 @@ import (
 
 	"startvoyager/internal/cluster"
 	"startvoyager/internal/fault"
+	"startvoyager/internal/prof"
 	"startvoyager/internal/sim"
 	"startvoyager/internal/stats"
 )
 
 // TestArtifactsGoldens runs the shared spec and driver in the `make prof` /
 // `make series` configuration and byte-compares every export with the
-// goldens committed at the repo root.
+// goldens committed at the repo root. The folded and pprof goldens are
+// rendered from the run's profile document read back from its JSON, as
+// voyager-prof -folded and -pprof render them.
 func TestArtifactsGoldens(t *testing.T) {
 	dir := t.TempDir()
 	art := &Artifacts{
 		Series: filepath.Join(dir, "SERIES_sample.json"), SeriesWindow: 20 * sim.Microsecond,
-		Prof:       filepath.Join(dir, "PROF_sample.json"),
-		ProfFolded: filepath.Join(dir, "PROF_sample.folded"),
-		ProfPprof:  filepath.Join(dir, "PROF_sample.pb"),
-		TraceCap:   1 << 18,
+		Prof:     filepath.Join(dir, "PROF_sample.json"),
+		TraceCap: 1 << 18,
 	}
 	plan, err := fault.ParsePlan("seed=7,drop=0.05")
 	if err != nil {
@@ -41,6 +42,12 @@ func TestArtifactsGoldens(t *testing.T) {
 	if err := art.Write(r, meta); err != nil {
 		t.Fatal(err)
 	}
+	doc, err := prof.ReadDocFile(art.Prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	WriteFile(filepath.Join(dir, "PROF_sample.folded"), doc.WriteFolded)
+	WriteFile(filepath.Join(dir, "PROF_sample.pb"), doc.WritePprof)
 	for _, name := range []string{"SERIES_sample.json", "PROF_sample.json", "PROF_sample.folded", "PROF_sample.pb"} {
 		got, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {

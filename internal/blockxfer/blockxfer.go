@@ -165,43 +165,17 @@ func fillPattern(buf []byte, seed byte) {
 	}
 }
 
-// MeasureLatency runs only the single-transfer (latency/occupancy)
-// experiment for one point.
+// MeasureLatency runs only the single-transfer experiment for one point:
+// one instrumented transfer, whose receiver consumes the data after
+// notification, with the data integrity verified and each processor's
+// occupancy recorded.
 func MeasureLatency(a Approach, size int) Metrics {
-	m := Metrics{Approach: a, Size: size}
-	lat := measureOnce(a, size, true)
-	m.Latency = lat.Latency
-	m.NotifyAt = lat.NotifyAt
-	m.DataComplete = lat.DataComplete
-	m.ConsumeDone = lat.ConsumeDone
-	m.APSrcBusy, m.APDstBusy = lat.APSrcBusy, lat.APDstBusy
-	m.SPSrcBusy, m.SPDstBusy = lat.SPSrcBusy, lat.SPDstBusy
-	return m
-}
-
-// Measure runs the latency, consumption, and bandwidth experiments for one
-// (approach, size) point and verifies data integrity.
-func Measure(a Approach, size int) Metrics {
-	m := MeasureLatency(a, size)
-	m.Bandwidth = MeasureBandwidth(a, size, nil)
-	return m
-}
-
-// onceResult carries the single-transfer measurement.
-type onceResult struct {
-	Latency, NotifyAt, DataComplete, ConsumeDone sim.Time
-	APSrcBusy, APDstBusy, SPSrcBusy, SPDstBusy   sim.Time
-}
-
-// measureOnce performs one instrumented transfer (optionally with the
-// receiver consuming the data after notification).
-func measureOnce(a Approach, size int, consume bool) onceResult {
 	m := machine(a, nil)
 	src := make([]byte, size)
 	fillPattern(src, byte(a))
 	m.API(0).Poke(srcAddr, src)
 
-	var res onceResult
+	res := Metrics{Approach: a, Size: size}
 	var start sim.Time
 	xfer := NewTransfer(a, m, size)
 
@@ -212,10 +186,8 @@ func measureOnce(a Approach, size int, consume bool) onceResult {
 	m.Go(1, "xfer-dst", func(p *sim.Proc, api *core.API) {
 		xfer.Receive(p, api)
 		res.NotifyAt = p.Now() - start
-		if consume {
-			xfer.Consume(p, api)
-			res.ConsumeDone = p.Now() - start
-		}
+		xfer.Consume(p, api)
+		res.ConsumeDone = p.Now() - start
 	})
 	m.Run()
 	res.DataComplete = xfer.DataComplete() - start
@@ -237,6 +209,14 @@ func measureOnce(a Approach, size int, consume bool) onceResult {
 	res.SPSrcBusy = m.Nodes[0].FW.BusyTime()
 	res.SPDstBusy = m.Nodes[1].FW.BusyTime()
 	return res
+}
+
+// Measure runs the latency, consumption, and bandwidth experiments for one
+// (approach, size) point and verifies data integrity.
+func Measure(a Approach, size int) Metrics {
+	m := MeasureLatency(a, size)
+	m.Bandwidth = MeasureBandwidth(a, size, nil)
+	return m
 }
 
 // MeasureBandwidth runs only the streaming experiment: back-to-back

@@ -35,16 +35,20 @@ func RunCell(c Cell, cfg Config) CellResult {
 	}
 }
 
-// runSlices drives the engine to now+budget in n slices, sampling the
-// monotone watch between slices, then applies the watchdog's BudgetCheck
+// budgetSlices is how many budget slices a cell samples its metrics at for
+// the monotone-counter oracle.
+const budgetSlices = 8
+
+// runSlices drives the engine to now+budget in budgetSlices slices, sampling
+// the monotone watch between slices, then applies the watchdog's BudgetCheck
 // with the machine's firmware loops as the expected-live count.
-func runSlices(m *core.Machine, budget sim.Time, n int) (*sim.StallError, []Violation) {
+func runSlices(m *core.Machine, budget sim.Time) (*sim.StallError, []Violation) {
 	var out []Violation
 	w := newMonotoneWatch(m)
 	out = append(out, w.sample()...)
 	end := m.Eng.Now() + budget
-	for i := 1; i <= n; i++ {
-		m.Eng.RunUntil(m.Eng.Now() + budget/sim.Time(n))
+	for i := 1; i <= budgetSlices; i++ {
+		m.Eng.RunUntil(m.Eng.Now() + budget/budgetSlices)
 		out = append(out, w.sample()...)
 	}
 	m.Eng.RunUntil(end) // mop up slice rounding
@@ -93,7 +97,7 @@ func runReliable(c Cell, cfg Config) CellResult {
 	clcfg := cluster.DefaultConfig(nodes)
 	clcfg.Faults = c.Plan
 	m := core.NewMachineConfig(clcfg)
-	tap := attachLifecycleTap(m.Eng, cfg.traceCap())
+	tap := attachLifecycleTap(m.Eng)
 
 	sent := make([][]bool, nodes) // sent[i][k]: send k by node i acknowledged
 	senderDone := make([]bool, nodes)
@@ -143,7 +147,7 @@ func runReliable(c Cell, cfg Config) CellResult {
 		// timeout); the receiver trails by a few poll windows.
 		budget = sim.Time(2*c.Msgs+8)*m.RelBound() + sim.Millisecond
 	}
-	stall, violations := runSlices(m, budget, cfg.slices())
+	stall, violations := runSlices(m, budget)
 	res := CellResult{Cell: c, Violations: violations, SimTime: m.Eng.Now()}
 	if stall != nil {
 		res.Violations = append(res.Violations, stallViolation(m, stall))
@@ -194,7 +198,7 @@ func runBasic(c Cell, cfg Config) CellResult {
 	clcfg := cluster.DefaultConfig(nodes)
 	clcfg.Faults = c.Plan
 	m := core.NewMachineConfig(clcfg)
-	tap := attachLifecycleTap(m.Eng, cfg.traceCap())
+	tap := attachLifecycleTap(m.Eng)
 
 	senderDone := make([]bool, nodes)
 	tallies := make([]recvTally, nodes)
@@ -240,7 +244,7 @@ func runBasic(c Cell, cfg Config) CellResult {
 	if budget == 0 {
 		budget = sim.Time(c.Msgs)*200*sim.Microsecond + 10*sim.Millisecond
 	}
-	stall, violations := runSlices(m, budget, cfg.slices())
+	stall, violations := runSlices(m, budget)
 	res := CellResult{Cell: c, Violations: violations, SimTime: m.Eng.Now()}
 	if stall != nil {
 		res.Violations = append(res.Violations, stallViolation(m, stall))
@@ -294,7 +298,7 @@ func runBasic(c Cell, cfg Config) CellResult {
 func runScoma(c Cell, cfg Config) CellResult {
 	nodes := cfg.Nodes
 	m := core.NewMachineConfig(cluster.DefaultConfig(nodes))
-	tap := attachLifecycleTap(m.Eng, cfg.traceCap())
+	tap := attachLifecycleTap(m.Eng)
 
 	var h memcheck.History
 	for id := 0; id < nodes; id++ {
@@ -324,7 +328,7 @@ func runScoma(c Cell, cfg Config) CellResult {
 	if budget == 0 {
 		budget = sim.Time(c.Msgs*nodes)*100*sim.Microsecond + 10*sim.Millisecond
 	}
-	stall, violations := runSlices(m, budget, cfg.slices())
+	stall, violations := runSlices(m, budget)
 	res := CellResult{Cell: c, Violations: violations, SimTime: m.Eng.Now()}
 	if stall != nil {
 		res.Violations = append(res.Violations, stallViolation(m, stall))

@@ -47,15 +47,6 @@ type Config struct {
 	// Budget bounds each cell's simulated time; 0 derives a per-mechanism
 	// bound generous enough that only a genuine livelock exceeds it.
 	Budget sim.Time
-	// Slices is how many budget slices to sample metrics at for the
-	// monotone-counter oracle (0 = 8).
-	Slices int
-
-	// TraceCap bounds the per-cell lifecycle-event tap (0 = 1<<20 events).
-	// The tap retains only message-lifecycle instants — storage scales with
-	// traffic, not budget — so the cap is a guard against pathological
-	// cells; hitting it is itself reported as a telescoping finding.
-	TraceCap int
 
 	// Shrink reduces each failing cell to a minimal reproduction before
 	// reporting (costs up to MaxShrinkRuns extra cell runs per failure).
@@ -69,20 +60,6 @@ func (c Config) mechs() []string {
 		return DefaultMechs
 	}
 	return c.Mechs
-}
-
-func (c Config) slices() int {
-	if c.Slices <= 0 {
-		return 8
-	}
-	return c.Slices
-}
-
-func (c Config) traceCap() int {
-	if c.TraceCap <= 0 {
-		return 1 << 20
-	}
-	return c.TraceCap
 }
 
 func (c Config) maxShrinkRuns() int {

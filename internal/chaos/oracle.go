@@ -143,8 +143,8 @@ func checkTelescoping(tap *lifecycleTap) []Violation {
 	var out []Violation
 	if tap.dropped > 0 {
 		return []Violation{violationf(OracleTelescoping,
-			"lifecycle tap dropped %d events past its %d cap; raise Config.TraceCap for this cell size",
-			tap.dropped, tap.cap)}
+			"lifecycle tap dropped %d events past its %d cap; the cell's traffic outgrew the tap (run fewer -msgs or -nodes)",
+			tap.dropped, tapCap)}
 	}
 	an := trace.AnalyzePaths(tap.events)
 	if an.Orphans > 0 {

@@ -5,6 +5,12 @@ import (
 	"startvoyager/internal/trace"
 )
 
+// tapCap bounds the per-cell lifecycle-event tap. The tap retains only
+// message-lifecycle instants — storage scales with traffic, not budget — so
+// the cap is a guard against pathological cells; hitting it is itself
+// reported as a telescoping finding.
+const tapCap = 1 << 20
+
 // lifecycleTap is a sim.Observer that retains only message-lifecycle
 // instants — the events trace.AnalyzePaths consumes (Instant kind, nonzero
 // I64 "msg" field). Firmware polling emits tens of span events per simulated
@@ -13,13 +19,12 @@ import (
 // observer instead keeps memory proportional to actual message traffic and
 // makes the telescoping oracle immune to ring truncation.
 type lifecycleTap struct {
-	cap     int
 	events  []trace.Event
 	dropped uint64
 }
 
-func attachLifecycleTap(e *sim.Engine, capacity int) *lifecycleTap {
-	t := &lifecycleTap{cap: capacity}
+func attachLifecycleTap(e *sim.Engine) *lifecycleTap {
+	t := &lifecycleTap{}
 	e.SetObserver(t)
 	return t
 }
@@ -29,7 +34,7 @@ func (t *lifecycleTap) Instant(at sim.Time, node int, component, name string, fi
 	if !sim.MsgTagOf(fields).Traced() {
 		return
 	}
-	if len(t.events) >= t.cap {
+	if len(t.events) >= tapCap {
 		t.dropped++
 		return
 	}

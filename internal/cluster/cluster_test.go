@@ -68,7 +68,7 @@ func TestConfigHoldsOnlyKnobs(t *testing.T) {
 		"Nodes",
 		"Node.Bus.CycleTime", "Node.Bus.AddrCycles", "Node.Bus.RetryBackoff", "Node.Bus.MaxRetries",
 		"Node.Cache.SizeBytes", "Node.Cache.Assoc", "Node.Cache.HitTime",
-		"Node.Ctrl.TxUCycles", "Node.Ctrl.RxUCycles", "Node.Ctrl.StrictRx",
+		"Node.Ctrl.TxUCycles", "Node.Ctrl.RxUCycles",
 		"Node.Biu.SramLatency", "Node.Biu.RegLatency",
 		"Node.Costs.Dispatch", "Node.Costs.Handler", "Node.Costs.PerByte", "Node.Costs.CmdIssue",
 		"Node.DramLat",

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"startvoyager/internal/cluster"
+	"startvoyager/internal/firmware"
 	"startvoyager/internal/niu/biu"
 	"startvoyager/internal/sim"
+	"startvoyager/internal/trace"
 )
 
 func reflectMachine(t *testing.T, nodes int, mode biu.ReflectMode) *Machine {
@@ -209,6 +211,38 @@ func TestOverflowMany(t *testing.T) {
 	for i, v := range order {
 		if v != byte(i) {
 			t.Fatalf("overflow reordered at %d: %d", i, v)
+		}
+	}
+}
+
+func TestOverflowRingFullDropsChain(t *testing.T) {
+	// Traced messages to a non-resident queue that nobody reads: the DRAM
+	// ring takes MissRingEntries of them and the firmware loses the rest.
+	// Each lost message's chain must end dropped (why=ring-full), not at
+	// the sP's msg-consume as a delivery.
+	m := NewMachine(2)
+	tb := m.Trace(1 << 16)
+	m.API(0).MapVirtualDest(240, 1, 900)
+	const count = firmware.MissRingEntries + 6
+	m.Go(0, "sender", func(p *sim.Proc, a *API) {
+		for i := 0; i < count; i++ {
+			a.SendVirtual(p, 240, []byte{byte(i)})
+		}
+	})
+	m.Run()
+	if st := m.MissRings[1].Stats(); st.Written != firmware.MissRingEntries || st.Dropped != 6 {
+		t.Fatalf("ring stats %+v, want %d written and 6 dropped", st, firmware.MissRingEntries)
+	}
+	pa := trace.AnalyzePaths(tb.Events())
+	delivered, dropped, inflight, _ := pa.Counts()
+	if delivered != firmware.MissRingEntries || dropped != 6 || inflight != 0 {
+		t.Fatalf("chains: %d delivered, %d dropped, %d in flight; want %d, 6, 0",
+			delivered, dropped, inflight, firmware.MissRingEntries)
+	}
+	for _, mp := range pa.Msgs {
+		if mp.Outcome == trace.Dropped && (mp.DropWhy != "ring-full" || mp.DstNode != 1) {
+			t.Fatalf("chain %d dropped at node %d with why=%q, want node 1, ring-full",
+				mp.ID, mp.DstNode, mp.DropWhy)
 		}
 	}
 }

@@ -59,7 +59,6 @@ type Engine struct {
 	scomaCap   CaptureHandler
 	numaCap    CaptureHandler
 	reflectCap CaptureHandler
-	protViol   func(p *sim.Proc, q int)
 	rxNotify   *sim.Queue[int]
 	protNotify *sim.Queue[int]
 	started    bool
@@ -150,9 +149,6 @@ func (e *Engine) SetNumaCapture(h CaptureHandler) { e.numaCap = h }
 
 // SetReflectCapture installs the reflective-memory captured-write handler.
 func (e *Engine) SetReflectCapture(h CaptureHandler) { e.reflectCap = h }
-
-// SetProtViolationHandler installs the protection-shutdown handler.
-func (e *Engine) SetProtViolationHandler(h func(p *sim.Proc, q int)) { e.protViol = h }
 
 // RxInterrupt implements ctrl.IntPort.
 func (e *Engine) RxInterrupt(q int) { e.rxNotify.Push(q) }
@@ -301,16 +297,15 @@ func (e *Engine) captureLoop(p *sim.Proc) {
 	}
 }
 
-// protLoop handles protection-violation interrupts.
+// protLoop takes protection-violation interrupts: it counts and traces each
+// one and charges the sP its dispatch. The queue stays shut down until its
+// owner re-enables it (ctrl.SetTxEnabled, as core.Channel.Reenable does).
 func (e *Engine) protLoop(p *sim.Proc) {
 	for {
 		q := e.protNotify.Pop(p)
 		e.stats.ProtViols++
 		e.sim.Instant(e.node, "fw", "prot-viol", sim.Int("q", q))
 		e.Occupy(p, e.costs.Dispatch)
-		if e.protViol != nil {
-			e.protViol(p, q)
-		}
 	}
 }
 

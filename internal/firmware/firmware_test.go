@@ -11,6 +11,7 @@ import (
 	"startvoyager/internal/niu/sram"
 	"startvoyager/internal/niu/txrx"
 	"startvoyager/internal/sim"
+	"startvoyager/internal/trace"
 )
 
 func TestDmaRequestRoundTrip(t *testing.T) {
@@ -176,17 +177,25 @@ func TestDoubleStartPanics(t *testing.T) {
 }
 
 func TestProtViolationRouted(t *testing.T) {
+	// The protection interrupt reaches the sP's protLoop, which counts the
+	// violation, traces it with the queue number and charges one dispatch.
 	r := newFwRig(t)
-	var gotQ int
-	r.fw.SetProtViolationHandler(func(p *sim.Proc, q int) { gotQ = q })
+	buf := trace.Attach(r.eng, 64)
 	r.fw.Start()
 	r.eng.Schedule(0, func() { r.fw.ProtViolation(7) })
 	r.eng.Run()
-	if gotQ != 7 {
-		t.Fatalf("prot handler got %d", gotQ)
-	}
 	if r.fw.Stats().ProtViols != 1 {
 		t.Fatalf("stats %+v", r.fw.Stats())
+	}
+	evs := buf.Filter("fw", "prot-viol")
+	if len(evs) != 1 {
+		t.Fatalf("%d prot-viol instants, want 1", len(evs))
+	}
+	if q, ok := evs[0].Fields[0].Int64(); !ok || q != 7 || evs[0].Fields[0].Key != "q" {
+		t.Fatalf("prot-viol fields %v, want q=7", evs[0].Fields)
+	}
+	if got, want := r.fw.BusyTime(), r.fw.Costs().Dispatch; got != want {
+		t.Fatalf("sP busy %v after one violation, want one dispatch (%v)", got, want)
 	}
 }
 

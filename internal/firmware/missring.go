@@ -73,7 +73,10 @@ func (r *MissRing) onMiss(p *sim.Proc, src uint16, logicalQ uint16, payload []by
 	g.Wait(p)
 	consumer := uint32(binary.BigEndian.Uint64(cons.Data))
 	if r.producer-consumer >= MissRingEntries {
+		// The message is lost for good: its chain ends here, not at the
+		// sP's msg-consume.
 		r.stats.Dropped++
+		r.e.sim.MsgInstant(r.e.node, "fw", "msg-drop", r.e.curMsg, sim.Str("why", "ring-full"))
 		return
 	}
 

@@ -378,8 +378,8 @@ func TestCtrlMastersViaABIU(t *testing.T) {
 	r.dram.Poke(0x1000, want)
 	done := false
 	r.eng.Schedule(0, func() {
-		r.c.IssueCommand(0, &ctrl.BlockRead{DramAddr: 0x1000, SramOff: 0x5000, Len: 128})
-		r.c.IssueCommand(0, &ctrl.Configure{Fn: func(*ctrl.Ctrl) { done = true }})
+		r.c.IssueCommand(0, &ctrl.BlockRead{Base: ctrl.Base{Done: func() { done = true }},
+			DramAddr: 0x1000, SramOff: 0x5000, Len: 128})
 	})
 	r.eng.Run()
 	got := make([]byte, 128)

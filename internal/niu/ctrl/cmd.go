@@ -43,13 +43,12 @@ func (b Base) background() bool   { return false }
 func (b Base) completion() func() { return b.Done }
 
 // SendMsg launches a message directly from the command queue (the firmware
-// transmit path: translation optional, protection trusted).
+// transmit path: the destination is physical and protection is trusted).
 type SendMsg struct {
 	Base
-	Frame     *txrx.Frame // SrcNode is filled in by CTRL
-	Dest      uint16      // physical node, or translation index when Translate
-	Translate bool
-	Priority  arctic.Priority
+	Frame    *txrx.Frame // SrcNode is filled in by CTRL
+	Dest     uint16      // physical node
+	Priority arctic.Priority
 	// Optional TagOn data appended from SRAM.
 	TagBuf *sram.SRAM
 	TagOff uint32
@@ -66,97 +65,46 @@ func (m *SendMsg) exec(c *Ctrl, done func()) {
 		m.Frame.Trace.ID = c.eng.NewMsgID()
 		c.eng.MsgInstant(c.myNode, "ctrl", "msg-send", m.Frame.Trace)
 	}
-	send := func(phys uint16, pri arctic.Priority) {
+	send := func() {
 		// Move the payload across the IBus into the Tx FIFO, then format.
 		c.ibusMove(len(m.Frame.Payload)+SlotHeaderBytes, func() {
-			c.emit(m.Frame, int(phys), pri, func() {
+			c.emit(m.Frame, int(m.Dest), m.Priority, func() {
 				c.stats.TxMessages++
 				c.stats.TxBytes += uint64(len(m.Frame.Payload))
 				done()
 			})
 		})
 	}
-	withTag := func(cont func()) {
-		if m.TagLen == 0 {
-			cont()
-			return
-		}
-		c.stats.TagOns++
-		c.ibusMove(m.TagLen, func() {
-			m.Frame.Payload = m.TagBuf.Append(m.Frame.Payload, m.TagOff, m.TagLen)
-			cont()
-		})
+	if m.TagLen == 0 {
+		send()
+		return
 	}
-	withTag(func() {
-		if !m.Translate {
-			send(m.Dest, m.Priority)
-			return
-		}
-		idx := int(m.Dest) % c.transEntries
-		c.ibusMove(8, func() {
-			e := c.readTransEntry(idx)
-			if !e.Valid {
-				panic(fmt.Sprintf("ctrl: node %d: SendMsg through invalid translation %d",
-					c.myNode, idx))
-			}
-			m.Frame.LogicalQ = e.LogicalQ
-			send(e.PhysNode, e.Priority)
-		})
+	c.stats.TagOns++
+	c.ibusMove(m.TagLen, func() {
+		m.Frame.Payload = m.TagBuf.Append(m.Frame.Payload, m.TagOff, m.TagLen)
+		send()
 	})
 }
 
 // BusOp issues a single operation on the aP memory bus through the aBIU.
-// For reads, data lands in ToBuf at ToOff (or only in Tx.Data if ToBuf is
-// nil); for writes, data is taken from FromBuf at FromOff (or from Tx.Data).
+// Reads land in Tx.Data and, when ToBuf is set, in ToBuf at ToOff; writes
+// take their data from Tx.Data.
 type BusOp struct {
 	Base
-	Tx      *bus.Transaction
-	ToBuf   *sram.SRAM
-	ToOff   uint32
-	FromBuf *sram.SRAM
-	FromOff uint32
+	Tx    *bus.Transaction
+	ToBuf *sram.SRAM
+	ToOff uint32
 }
 
 func (b *BusOp) exec(c *Ctrl, done func()) {
-	issue := func() {
-		c.busPort.IssueBusOp(b.Tx, func() {
-			if b.Tx.Kind.IsRead() && b.ToBuf != nil {
-				c.ibusMove(len(b.Tx.Data), func() {
-					b.ToBuf.Write(b.ToOff, b.Tx.Data)
-					done()
-				})
-				return
-			}
-			done()
-		})
-	}
-	if !b.Tx.Kind.IsRead() && b.FromBuf != nil {
-		c.ibusMove(len(b.Tx.Data), func() {
-			b.FromBuf.Read(b.FromOff, b.Tx.Data)
-			issue()
-		})
-		return
-	}
-	issue()
-}
-
-// CopySram moves bytes between (or within) the SRAM banks over the IBus.
-type CopySram struct {
-	Base
-	From    *sram.SRAM
-	FromOff uint32
-	To      *sram.SRAM
-	ToOff   uint32
-	Len     int
-}
-
-func (cp *CopySram) exec(c *Ctrl, done func()) {
-	// The IBus sees the data twice (read port, write port), but the banks
-	// are dual-ported; one pass of occupancy models the transfer.
-	c.ibusMove(cp.Len, func() {
-		tmp := make([]byte, cp.Len)
-		cp.From.Read(cp.FromOff, tmp)
-		cp.To.Write(cp.ToOff, tmp)
+	c.busPort.IssueBusOp(b.Tx, func() {
+		if b.Tx.Kind.IsRead() && b.ToBuf != nil {
+			c.ibusMove(len(b.Tx.Data), func() {
+				b.ToBuf.Write(b.ToOff, b.Tx.Data)
+				done()
+			})
+			return
+		}
 		done()
 	})
 }
@@ -173,18 +121,6 @@ type SetCls struct {
 func (s *SetCls) exec(c *Ctrl, done func()) {
 	c.setClsLines(s.Addr, s.Count, s.State)
 	c.eng.Schedule(c.cycles(s.Count), done)
-}
-
-// Configure runs an arbitrary CTRL state update in command-queue order (the
-// "system register write" path).
-type Configure struct {
-	Base
-	Fn func(c *Ctrl)
-}
-
-func (cf *Configure) exec(c *Ctrl, done func()) {
-	cf.Fn(c)
-	c.eng.Schedule(c.cycles(1), done)
 }
 
 // BlockRead reads [DramAddr, DramAddr+Len) from aP DRAM into aSRAM at
@@ -332,12 +268,9 @@ func (c *Ctrl) paceTime(size int) sim.Time {
 // cmdQueue is one ordered local command queue.
 type cmdQueue struct {
 	c     *Ctrl
-	name  string
 	items []Command
 	busy  bool
 }
-
-func newCmdQueue(c *Ctrl, name string) *cmdQueue { return &cmdQueue{c: c, name: name} }
 
 // IssueCommand enqueues cmd on local command queue q (0 or 1).
 func (c *Ctrl) IssueCommand(q int, cmd Command) {
@@ -388,13 +321,9 @@ func (q *cmdQueue) kick() {
 
 // blockUnit serializes use of one block-operation functional unit.
 type blockUnit struct {
-	c       *Ctrl
-	name    string
 	busy    bool
 	waiters []func(finished func())
 }
-
-func newBlockUnit(c *Ctrl, name string) *blockUnit { return &blockUnit{c: c, name: name} }
 
 func (u *blockUnit) acquire(start func(finished func())) {
 	if u.busy {

@@ -85,10 +85,6 @@ const (
 type Config struct {
 	TxUCycles int // per-packet transmit formatting
 	RxUCycles int // per-packet receive formatting
-	// StrictRx restores the original panic-on-garbage Rx behavior — useful
-	// when hunting protocol bugs in a fault-free run, where a bad frame means
-	// a sender-side encoding bug rather than injected corruption.
-	StrictRx bool
 }
 
 // DefaultConfig returns NIU-cycle defaults used by the standard machine.
@@ -232,7 +228,6 @@ type Ctrl struct {
 	lnDest    uint16     // virtual (or raw physical) destination
 	lnFlags   byte       // slot flags
 	lnRawLQ   uint16     // logical queue for untranslated messages
-	lnPri     arctic.Priority
 	lnTagBank *sram.SRAM // TagOn source bank
 	lnTagOff  uint32
 	lnTagLen  int
@@ -275,11 +270,11 @@ func New(eng *sim.Engine, myNode int, aS, sS *sram.SRAM, cls *sram.Cls, cfg Conf
 		rxSizeHist: stats.NewHistogram(8, 16, 32, 64, 96),
 	}
 	c.ibus.Observe(myNode, "niu")
-	c.local[0] = newCmdQueue(c, "cmdq0")
-	c.local[1] = newCmdQueue(c, "cmdq1")
+	c.local[0] = &cmdQueue{c: c}
+	c.local[1] = &cmdQueue{c: c}
 	c.remote = newRemoteQueue(c)
-	c.blockRead = newBlockUnit(c, "blockread")
-	c.blockTx = newBlockUnit(c, "blocktx")
+	c.blockRead = &blockUnit{}
+	c.blockTx = &blockUnit{}
 	c.lnReadFn = c.lnRead
 	c.lnTagOnFn = c.lnTagOn
 	c.lnTransFn = c.lnTrans

@@ -3,6 +3,7 @@ package ctrl
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"startvoyager/internal/arctic"
@@ -509,39 +510,41 @@ func TestCmdSendMsg(t *testing.T) {
 }
 
 func TestCmdOrdering(t *testing.T) {
+	// Commands in one queue complete in issue order: a one-cycle SetCls
+	// behind a bus read waits for it, and a launch behind both waits too.
 	r := newRig(t, 0)
 	var order []string
+	note := func(s string) Base { return Base{Done: func() { order = append(order, s) }} }
 	r.eng.Schedule(0, func() {
-		r.c.IssueCommand(0, &CopySram{Base: Base{Done: func() { order = append(order, "copy1") }},
-			From: r.aS, FromOff: 0, To: r.sS, ToOff: 0x100, Len: 512})
-		r.c.IssueCommand(0, &CopySram{Base: Base{Done: func() { order = append(order, "copy2") }},
-			From: r.aS, FromOff: 512, To: r.sS, ToOff: 0x300, Len: 8})
-		r.c.IssueCommand(0, &Configure{Base: Base{Done: func() { order = append(order, "cfg") }},
-			Fn: func(c *Ctrl) {}})
+		r.c.IssueCommand(0, &BusOp{Base: note("busop"),
+			Tx:    &bus.Transaction{Kind: bus.ReadLine, Addr: 0x500, Data: make([]byte, bus.LineSize)},
+			ToBuf: r.aS, ToOff: 0x700})
+		r.c.IssueCommand(0, &SetCls{Base: note("cls"),
+			Addr: 0x8000_0000, Count: 1, State: sram.CLPending})
+		r.c.IssueCommand(0, &SendMsg{Base: note("send"),
+			Frame: &txrx.Frame{Kind: txrx.Data, LogicalQ: 5, Payload: []byte("x")}, Dest: 1})
 	})
 	r.eng.Run()
-	want := []string{"copy1", "copy2", "cfg"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v", order)
-		}
+	if got := strings.Join(order, ","); got != "busop,cls,send" {
+		t.Fatalf("order %s, want busop,cls,send", got)
 	}
 }
 
 func TestCmdBusOp(t *testing.T) {
 	r := newRig(t, 0)
 	copy(r.busp.memry[0x500:], []byte("dramdata"))
-	r.aS.Write(0x600, []byte("sramsrc!"))
+	bare := &bus.Transaction{Kind: bus.ReadWord, Addr: 0x500, Data: make([]byte, 8)}
 	r.eng.Schedule(0, func() {
-		// Read DRAM word into aSRAM.
+		// Read a DRAM word into aSRAM.
 		r.c.IssueCommand(0, &BusOp{
 			Tx:    &bus.Transaction{Kind: bus.ReadWord, Addr: 0x500, Data: make([]byte, 8)},
 			ToBuf: r.aS, ToOff: 0x700,
 		})
-		// Write aSRAM word to DRAM.
+		// Without a buffer, the read lands in the transaction only.
+		r.c.IssueCommand(0, &BusOp{Tx: bare})
+		// A write takes its data from the transaction.
 		r.c.IssueCommand(0, &BusOp{
-			Tx:      &bus.Transaction{Kind: bus.WriteWord, Addr: 0x508, Data: make([]byte, 8)},
-			FromBuf: r.aS, FromOff: 0x600,
+			Tx: &bus.Transaction{Kind: bus.WriteWord, Addr: 0x508, Data: []byte("busdata!")},
 		})
 	})
 	r.eng.Run()
@@ -550,8 +553,11 @@ func TestCmdBusOp(t *testing.T) {
 	if !bytes.Equal(got, []byte("dramdata")) {
 		t.Fatalf("bus read into SRAM: %q", got)
 	}
-	if !bytes.Equal(r.busp.memry[0x508:0x510], []byte("sramsrc!")) {
-		t.Fatalf("bus write from SRAM: %q", r.busp.memry[0x508:0x510])
+	if !bytes.Equal(bare.Data, []byte("dramdata")) {
+		t.Fatalf("bus read without a buffer: %q", bare.Data)
+	}
+	if !bytes.Equal(r.busp.memry[0x508:0x510], []byte("busdata!")) {
+		t.Fatalf("bus write: %q", r.busp.memry[0x508:0x510])
 	}
 }
 
@@ -589,11 +595,11 @@ func TestBlockReadDoesNotStallQueue(t *testing.T) {
 	r.eng.Schedule(0, func() {
 		r.c.IssueCommand(0, &BlockRead{Base: Base{Done: func() { order = append(order, "block") }},
 			DramAddr: 0, SramOff: 0, Len: 4096})
-		r.c.IssueCommand(0, &Configure{Base: Base{Done: func() { order = append(order, "cfg") }},
-			Fn: func(c *Ctrl) {}})
+		r.c.IssueCommand(0, &SetCls{Base: Base{Done: func() { order = append(order, "cls") }},
+			Addr: 0x8000_0000, Count: 1, State: sram.CLPending})
 	})
 	r.eng.Run()
-	if len(order) != 2 || order[0] != "cfg" || order[1] != "block" {
+	if len(order) != 2 || order[0] != "cls" || order[1] != "block" {
 		t.Fatalf("order %v", order)
 	}
 }

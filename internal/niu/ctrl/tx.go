@@ -16,16 +16,13 @@ import (
 //	byte  3    inline payload length
 //	bytes 4-6  TagOn SRAM offset (24-bit)     | raw: bytes 4-5 logical queue
 //	byte  7    TagOn length in 16-byte units (0..5, i.e. up to 2.5 lines)
-//	bytes 8+   inline payload; for command frames: addr(4) aux(2) count(2)
-//	           then payload from byte 16
+//	bytes 8+   inline payload
 //
 // Express queues use an 8-byte slot composed by the aBIU from a single
 // uncached store: dest(2) len(1) payload(5).
 const (
 	SlotFlagTagOn    = 1 << 0 // append TagOn data from SRAM
-	SlotFlagRaw      = 1 << 1 // bypass translation (dest is physical)
-	SlotFlagHighPri  = 1 << 2 // raw messages: use the high-priority network lane
-	SlotFlagCmd      = 1 << 3 // payload encodes a remote command frame
+	SlotFlagRaw      = 1 << 1 // bypass translation: dest is physical, lane is low
 	SlotFlagTagASram = 1 << 4 // TagOn data lives in aSRAM (else sSRAM)
 )
 
@@ -114,7 +111,7 @@ func (c *Ctrl) launchExpress(q int, slot []byte, tag sim.MsgTag) {
 	pl := c.lnFrame.Payload
 	c.lnFrame = txrx.Frame{Kind: txrx.Data, SrcNode: uint16(c.myNode), Trace: tag}
 	c.lnFrame.Payload = append(pl[:0], slot[3:3+n]...)
-	c.translateAndSend(q, dest, true, arctic.Low)
+	c.translateAndSend(q, dest, true)
 }
 
 //voyager:noalloc
@@ -123,32 +120,13 @@ func (c *Ctrl) launchBasic(q int, slot []byte, tag sim.MsgTag) {
 	dest := binary.BigEndian.Uint16(slot[0:])
 	flags := slot[2]
 	n := int(slot[3])
-	payloadMax := tq.cfg.EntryBytes - SlotHeaderBytes
-	if flags&SlotFlagCmd != 0 {
-		payloadMax -= 8
-	}
-	if n > payloadMax {
+	if n > tq.cfg.EntryBytes-SlotHeaderBytes {
 		c.violate(q, tag)
 		return
 	}
 	pl := c.lnFrame.Payload
-	if flags&SlotFlagCmd != 0 {
-		// Command frames reuse the TagOn field (bytes 4-5) for the op;
-		// TagOn and command framing are mutually exclusive.
-		c.lnFrame = txrx.Frame{
-			Kind:    txrx.Cmd,
-			SrcNode: uint16(c.myNode),
-			Op:      txrx.CmdOp(binary.BigEndian.Uint16(slot[4:])),
-			Addr:    binary.BigEndian.Uint32(slot[8:]),
-			Aux:     binary.BigEndian.Uint16(slot[12:]),
-			Count:   binary.BigEndian.Uint16(slot[14:]),
-			Trace:   tag,
-		}
-		c.lnFrame.Payload = append(pl[:0], slot[16:16+n]...)
-	} else {
-		c.lnFrame = txrx.Frame{Kind: txrx.Data, SrcNode: uint16(c.myNode), Trace: tag}
-		c.lnFrame.Payload = append(pl[:0], slot[8:8+n]...)
-	}
+	c.lnFrame = txrx.Frame{Kind: txrx.Data, SrcNode: uint16(c.myNode), Trace: tag}
+	c.lnFrame.Payload = append(pl[:0], slot[8:8+n]...)
 	c.lnDest = dest
 	c.lnFlags = flags
 	c.lnRawLQ = binary.BigEndian.Uint16(slot[4:])
@@ -161,7 +139,7 @@ func (c *Ctrl) launchBasic(q int, slot []byte, tag sim.MsgTag) {
 			if flags&SlotFlagTagASram != 0 {
 				bank = c.aSRAM
 			}
-			if len(c.lnFrame.Payload)+tagLen > txrx.MaxDataPayload || c.lnFrame.Kind == txrx.Cmd {
+			if len(c.lnFrame.Payload)+tagLen > txrx.MaxDataPayload {
 				c.violate(q, tag)
 				return
 			}
@@ -196,28 +174,24 @@ func (c *Ctrl) lnFinish() {
 		c.violate(q, c.lnFrame.Trace)
 		return
 	}
-	pri := arctic.Low
-	if flags&SlotFlagHighPri != 0 {
-		pri = arctic.High
-	}
 	if !translate {
 		c.lnFrame.LogicalQ = c.lnRawLQ
 	}
-	c.translateAndSend(q, c.lnDest, translate, pri)
+	c.translateAndSend(q, c.lnDest, translate)
 }
 
 // translateAndSend applies destination translation and protection to the
-// staged launch frame (c.lnFrame), then hands it to the TxU.
+// staged launch frame (c.lnFrame), then hands it to the TxU. An untranslated
+// message takes the low-priority lane; a translated one, its entry's lane.
 //
 //voyager:noalloc
-func (c *Ctrl) translateAndSend(q int, dest uint16, translate bool, pri arctic.Priority) {
+func (c *Ctrl) translateAndSend(q int, dest uint16, translate bool) {
 	if !translate {
-		c.lnSend(q, dest, pri)
+		c.lnSend(q, dest, arctic.Low)
 		return
 	}
 	tq := &c.tx[q]
 	c.lnTrIdx = int(dest&tq.cfg.AndMask|tq.cfg.OrMask) % c.transEntries
-	c.lnPri = pri
 	// Translation table lookup crosses the IBus (one 8-byte entry).
 	c.ibusMove(8, c.lnTransFn)
 }

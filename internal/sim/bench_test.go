@@ -123,7 +123,7 @@ func TestQueueSteadyStateZeroAllocs(t *testing.T) {
 	q := sim.NewQueue[int](e)
 	var allocs float64
 	e.Spawn("consumer", func(p *sim.Proc) {
-		for i := 0; i < 8; i++ { // warm up free list and ring
+		for i := 0; i < 8; i++ { // warm up the waiter list and ring
 			q.Pop(p)
 		}
 		allocs = testing.AllocsPerRun(500, func() {

@@ -7,47 +7,13 @@ type Cond struct {
 	eng     *Engine
 	name    string // optional label for stall diagnostics (see SetName)
 	isQueue bool   // belongs to a Queue: waits profile as BlockQueue
-	waiters []*condWaiter
+	waiters []condWaiter
 }
 
-// condWaiter tracks one blocked Proc plus the signal/timeout race state:
-// whichever of Signal and the timeout event fires first resumes the Proc and
-// marks the waiter so the loser becomes a no-op. Waiter records are recycled
-// through the engine's free list (steady-state blocking allocates nothing);
-// gen stamps each reuse so a stale timeout event holding an old pointer
-// recognizes itself and bows out.
+// condWaiter is one blocked Proc, held by value in its Cond's FIFO.
 type condWaiter struct {
-	p        *Proc
-	since    Time // when the wait began, for stall diagnostics
-	signaled bool
-	timedOut bool
-	timed    bool   // a timeout event may still reference this record
-	gen      uint64 // recycle generation, bumped on every free
-}
-
-// getWaiter takes a waiter record from the free list (or allocates one).
-//
-//voyager:noalloc
-func (e *Engine) getWaiter(p *Proc) *condWaiter {
-	if n := len(e.waiterFree); n > 0 {
-		w := e.waiterFree[n-1]
-		e.waiterFree = e.waiterFree[:n-1]
-		w.p = p
-		w.since = e.now
-		w.signaled, w.timedOut, w.timed = false, false, false
-		return w
-	}
-	return &condWaiter{p: p, since: e.now} //voyager:alloc-ok(pool warm-up; recycled thereafter)
-}
-
-// putWaiter returns a waiter record to the free list, invalidating any
-// timeout event still holding it.
-//
-//voyager:noalloc
-func (e *Engine) putWaiter(w *condWaiter) {
-	w.gen++
-	w.p = nil
-	e.waiterFree = append(e.waiterFree, w) //voyager:alloc-ok(amortized: free-list backing array is retained)
+	p     *Proc
+	since Time // when the wait began, for stall diagnostics
 }
 
 // NewCond returns a condition variable bound to e.
@@ -67,7 +33,7 @@ func (c *Cond) SetName(name string) { c.name = name }
 //
 //voyager:noalloc
 func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, c.eng.getWaiter(p)) //voyager:alloc-ok(amortized: waiter list backing array is retained)
+	c.waiters = append(c.waiters, condWaiter{p: p, since: c.eng.now}) //voyager:alloc-ok(amortized: waiter list backing array is retained)
 	c.eng.blocked++
 	c.profBlock(p)
 	p.block()
@@ -90,40 +56,6 @@ func (c *Cond) profBlock(p *Proc) {
 	pr.ProcBlock(c.eng.now, p, kind, c.name)
 }
 
-// WaitTimeout blocks p until a Signal/Broadcast resumes it or d elapses,
-// whichever is first; it reports true for a signal and false for a timeout.
-// A negative d means no deadline (identical to Wait, always true).
-func (c *Cond) WaitTimeout(p *Proc, d Time) bool {
-	if d < 0 {
-		c.Wait(p)
-		return true
-	}
-	w := c.eng.getWaiter(p)
-	w.timed = true
-	gen := w.gen
-	c.waiters = append(c.waiters, w)
-	c.eng.blocked++
-	c.eng.Schedule(d, func() {
-		if w.gen != gen || w.signaled || w.timedOut {
-			return // recycled or lost the race; Signal already resumed the Proc
-		}
-		w.timedOut = true
-		for i, cw := range c.waiters {
-			if cw == w {
-				c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-				break
-			}
-		}
-		c.eng.blocked--
-		c.eng.Schedule(0, w.p.runFn)
-	})
-	c.profBlock(p)
-	p.block()
-	timedOut := w.timedOut
-	c.eng.putWaiter(w)
-	return !timedOut
-}
-
 // Signal wakes the longest-waiting process, if any.
 //
 //voyager:noalloc
@@ -131,22 +63,16 @@ func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
 		return
 	}
-	w := c.waiters[0]
+	p := c.waiters[0].p
 	// Pop by copy-down, not reslice: sliding the head would walk the backing
 	// array forward and force a reallocation on a later append. Waiter lists
 	// are short (usually one entry), so the copy is cheaper than the alloc.
 	n := len(c.waiters)
 	copy(c.waiters, c.waiters[1:])
-	c.waiters[n-1] = nil
+	c.waiters[n-1] = condWaiter{}
 	c.waiters = c.waiters[:n-1]
-	w.signaled = true
 	c.eng.blocked--
-	c.eng.Schedule(0, w.p.runFn)
-	if !w.timed {
-		// Timed waiters are freed by WaitTimeout itself, after it has read
-		// the race outcome; untimed ones have no other referent.
-		c.eng.putWaiter(w)
-	}
+	c.eng.Schedule(0, p.runFn)
 }
 
 // Broadcast wakes all waiting processes in FIFO order.
@@ -198,26 +124,6 @@ func (g *Gate) Wait(p *Proc) {
 	for !g.open {
 		g.cond.Wait(p)
 	}
-}
-
-// WaitTimeout blocks p until the gate opens or d elapses; it reports whether
-// the gate is open. A negative d means no deadline.
-func (g *Gate) WaitTimeout(p *Proc, d Time) bool {
-	if g.open {
-		return true
-	}
-	if d < 0 {
-		g.Wait(p)
-		return true
-	}
-	deadline := g.cond.eng.now + d
-	for !g.open {
-		left := deadline - g.cond.eng.now
-		if left <= 0 || !g.cond.WaitTimeout(p, left) {
-			return g.open
-		}
-	}
-	return true
 }
 
 // Queue is an unbounded FIFO of items with blocking receive, for
@@ -316,25 +222,6 @@ func (q *Queue[T]) Pop(p *Proc) T {
 		q.cond.Wait(p)
 	}
 	return q.take()
-}
-
-// PopTimeout is Pop with a deadline: ok is false if d elapsed with the queue
-// still empty. A negative d means no deadline.
-func (q *Queue[T]) PopTimeout(p *Proc, d Time) (v T, ok bool) {
-	if d < 0 {
-		return q.Pop(p), true
-	}
-	deadline := q.cond.eng.now + d
-	for q.n == 0 {
-		left := deadline - q.cond.eng.now
-		if left <= 0 || !q.cond.WaitTimeout(p, left) {
-			if q.n > 0 {
-				break // an item landed in the same instant the timer fired
-			}
-			return v, false
-		}
-	}
-	return q.take(), true
 }
 
 // TryPop removes and returns an item without blocking; ok is false when the

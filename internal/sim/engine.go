@@ -58,10 +58,6 @@ type Engine struct {
 	prof    ProcProfiler
 	curProc *Proc
 
-	// waiterFree recycles condWaiter records (see cond.go) so steady-state
-	// blocking — every Queue.Pop, every Cond.Wait — is allocation-free.
-	waiterFree []*condWaiter
-
 	// conds registers every condition variable created on this engine, in
 	// construction order, so the stall watchdog (watchdog.go) can enumerate
 	// blocked Procs with where and since-when they block. Registration is a
