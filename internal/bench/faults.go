@@ -144,8 +144,10 @@ func runFaultScenario(name string, plan *fault.Plan, seed uint64, msgs int) Faul
 	m := core.NewMachineConfig(cfg)
 	d := AllToOne{Mech: "reliable", Count: msgs, Size: 1}.Spawn(m)
 	m.Run()
-	return FaultRun{Scenario: name, Seed: seed, Delivered: msgs - d.Failed, Failed: d.Failed,
+	run := FaultRun{Scenario: name, Seed: seed, Delivered: msgs - d.Failed, Failed: d.Failed,
 		RecoveryStats: Recovery(m), Reg: m.Metrics(), Now: m.Eng.Now()}
+	m.Close()
+	return run
 }
 
 // FaultMatrix runs every fault scenario at every seed — the CI smoke that

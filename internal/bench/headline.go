@@ -41,6 +41,7 @@ func RunMechTraced(mech string) *trace.Buffer {
 	if d := tbuf.Stats().Dropped; d != 0 {
 		panic(fmt.Sprintf("bench: headline trace ring dropped %d events", d))
 	}
+	m.Close()
 	return tbuf
 }
 

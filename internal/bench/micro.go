@@ -10,8 +10,8 @@ import (
 )
 
 // Microbenchmark suite for the simulation core's hot paths: event
-// scheduling, Proc handoff, queue traffic, a whole-node message exchange,
-// and an aP spinning on an empty receive queue. `voyager-bench -micro` (make bench-micro) runs it with
+// scheduling, Proc handoff and spawn, queue traffic, a whole-node message
+// exchange, and an aP spinning on an empty receive queue. `voyager-bench -micro` (make bench-micro) runs it with
 // testing.Benchmark and records events/sec and allocs/op in
 // BENCH_micro.json, so the perf trajectory is versioned alongside the
 // sim-time baseline in BENCH_baseline.json. Wall-clock numbers are
@@ -37,6 +37,7 @@ var microSuite = []struct {
 	{"engine/schedule-step", benchEngineScheduleStep},
 	{"proc/delay", benchProcDelay},
 	{"proc/call-immediate", benchProcCallImmediate},
+	{"proc/spawn", benchProcSpawn},
 	{"queue/push-pop", benchQueuePushPop},
 	{"node/basic-msg", benchNodeBasicMsg},
 	{"node/empty-poll", benchNodeEmptyPoll},
@@ -133,6 +134,22 @@ func benchProcCallImmediate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
+}
+
+// benchProcSpawn measures a short Proc's whole life on a warm engine: spawn,
+// one 10 ns Delay, end. Each spawn runs on the worker the previous one
+// parked (Step, unlike Run, leaves it parked), so an op allocates only the
+// Proc record.
+func benchProcSpawn(b *testing.B) {
+	e := sim.NewEngine()
+	body := func(p *sim.Proc) { p.Delay(10 * sim.Nanosecond) }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Spawn("p", body)
+		for e.Step() {
+		}
+	}
 }
 
 // benchQueuePushPop measures producer/consumer coupling through sim.Queue:

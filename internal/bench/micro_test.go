@@ -32,12 +32,13 @@ func TestWriteMicro(t *testing.T) {
 }
 
 // TestMicroSuiteContents pins the benchmark set: the engine schedule/step
-// probe alongside the handoff, queue, whole-node and empty-poll probes.
+// probe alongside the handoff, spawn, queue, whole-node and empty-poll
+// probes.
 func TestMicroSuiteContents(t *testing.T) {
 	want := []string{
 		"engine/schedule-step",
-		"proc/delay", "proc/call-immediate", "queue/push-pop", "node/basic-msg",
-		"node/empty-poll",
+		"proc/delay", "proc/call-immediate", "proc/spawn", "queue/push-pop",
+		"node/basic-msg", "node/empty-poll",
 	}
 	if len(microSuite) != len(want) {
 		t.Fatalf("suite has %d benchmarks, want %d", len(microSuite), len(want))
@@ -50,4 +51,24 @@ func TestMicroSuiteContents(t *testing.T) {
 			t.Errorf("suite[%d] %q has nil fn", i, s.name)
 		}
 	}
+}
+
+// TestProcSpawnAllocs pins proc/spawn's allocation budget: a spawn on a
+// warm engine allocates the Proc record and its two prebound callbacks and
+// no coroutine. Before workers were pooled, the fresh iter.Pull coroutine
+// of every spawn made it 15 allocations and 496 B.
+func TestProcSpawnAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed; skipped in -short")
+	}
+	r := testing.Benchmark(benchProcSpawn)
+	const maxAllocs = 3  // measured: 3 allocs/op
+	const maxBytes = 128 // measured: 128 B/op
+	if got := r.AllocsPerOp(); got > maxAllocs {
+		t.Errorf("proc/spawn allocates %d/op, budget is %d", got, maxAllocs)
+	}
+	if got := r.AllocedBytesPerOp(); got > maxBytes {
+		t.Errorf("proc/spawn allocates %d B/op, budget is %d", got, maxBytes)
+	}
+	t.Logf("proc/spawn: %d allocs/op, %d B/op over %d ops", r.AllocsPerOp(), r.AllocedBytesPerOp(), r.N)
 }

@@ -166,7 +166,7 @@ func measureFootprint(n int) (heapBytes int64, constructMs float64, levels, link
 	if ft, ok := m.Fabric.(*arctic.FatTree); ok {
 		levels, links = ft.Levels(), ft.NumLinks()
 	}
-	runtime.KeepAlive(m)
+	m.Close()
 	return heapBytes, constructMs, levels, links
 }
 
@@ -186,6 +186,7 @@ func allreduceRun(n int) (sim.Time, uint64) {
 		})
 	}
 	m.Run()
+	m.Close()
 	return last, m.Eng.Executed()
 }
 
@@ -246,6 +247,7 @@ func samplesortTime(n, keysPerRank int) sim.Time {
 		})
 	}
 	m.Run()
+	m.Close()
 	return last
 }
 

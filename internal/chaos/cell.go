@@ -97,6 +97,7 @@ func runReliable(c Cell, cfg Config) CellResult {
 	clcfg := cluster.DefaultConfig(nodes)
 	clcfg.Faults = c.Plan
 	m := core.NewMachineConfig(clcfg)
+	defer m.Close()
 	tap := attachLifecycleTap(m.Eng)
 
 	sent := make([][]bool, nodes) // sent[i][k]: send k by node i acknowledged
@@ -198,6 +199,7 @@ func runBasic(c Cell, cfg Config) CellResult {
 	clcfg := cluster.DefaultConfig(nodes)
 	clcfg.Faults = c.Plan
 	m := core.NewMachineConfig(clcfg)
+	defer m.Close()
 	tap := attachLifecycleTap(m.Eng)
 
 	senderDone := make([]bool, nodes)
@@ -298,6 +300,7 @@ func runBasic(c Cell, cfg Config) CellResult {
 func runScoma(c Cell, cfg Config) CellResult {
 	nodes := cfg.Nodes
 	m := core.NewMachineConfig(cluster.DefaultConfig(nodes))
+	defer m.Close()
 	tap := attachLifecycleTap(m.Eng)
 
 	var h memcheck.History

@@ -183,6 +183,11 @@ func (c *Cluster) Run() {
 	c.Eng.Run()
 }
 
+// Close stops the machine's Proc coroutines (sim.Engine.Close), among them
+// the firmware service loops that block forever, so the machine can be
+// garbage collected. Read every result first: the machine cannot run again.
+func (c *Cluster) Close() { c.Eng.Close() }
+
 // RunFor drives the simulation for d of simulated time.
 func (c *Cluster) RunFor(d sim.Time) { c.Eng.RunUntil(c.Eng.Now() + d) }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -171,5 +172,37 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	c2.Run()
 	if *n1 != *n2 || c1.Eng.Executed() != c2.Eng.Executed() {
 		t.Fatalf("nondeterminism: %d/%d vs %d/%d", *n1, c1.Eng.Executed(), *n2, c2.Eng.Executed())
+	}
+}
+
+// TestCloseReleasesMachines: a process that builds, runs and closes
+// machines in a loop keeps neither their coroutines nor their heap. A
+// machine left unclosed keeps its 192 firmware service loops blocked, and
+// they keep the whole machine reachable.
+func TestCloseReleasesMachines(t *testing.T) {
+	cycle := func() {
+		c := New(DefaultConfig(64))
+		for _, n := range c.Nodes {
+			n.FW.Go("work", func(p *sim.Proc) { p.Delay(10) })
+		}
+		c.Run()
+		c.Close()
+	}
+	var ms runtime.MemStats
+	heap := func() int64 {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	cycle() // settle one-time package state
+	goroutines, base := runtime.NumGoroutine(), heap()
+	for i := 0; i < 20; i++ {
+		cycle()
+	}
+	if got := runtime.NumGoroutine(); got != goroutines {
+		t.Errorf("%d goroutines after 20 closed machines, want %d", got, goroutines)
+	}
+	if grew := heap() - base; grew > 1<<20 {
+		t.Errorf("heap grew %d KiB over 20 closed machines, want at most 1024", grew>>10)
 	}
 }

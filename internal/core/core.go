@@ -56,7 +56,7 @@ func (m *Machine) API(i int) *API { return m.apis[i] }
 // Go spawns an application program on node i's aP.
 func (m *Machine) Go(i int, name string, body func(p *sim.Proc, a *API)) {
 	a := m.apis[i]
-	m.Eng.SpawnOn(i, "aP", fmt.Sprintf("ap%d-%s", i, name), func(p *sim.Proc) {
+	m.Eng.SpawnOn(i, "aP", "ap", name, func(p *sim.Proc) {
 		body(p, a)
 	})
 }

@@ -162,7 +162,7 @@ func (e *Engine) Occupy(p *sim.Proc, d sim.Time) { e.res.UseP(p, d) }
 // Go runs fn as an asynchronous firmware continuation (its occupancy charges
 // are made through Occupy as usual).
 func (e *Engine) Go(name string, fn func(p *sim.Proc)) {
-	e.sim.SpawnOn(e.node, "sP", fmt.Sprintf("fw%d-%s", e.node, name), fn)
+	e.sim.SpawnOn(e.node, "sP", "fw", name, fn)
 }
 
 // IssueCommand charges command-issue occupancy and enqueues cmd on CTRL

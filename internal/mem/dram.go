@@ -4,10 +4,11 @@
 // test verification touch memory without perturbing simulated timing.
 //
 // Backing storage is paged and demand-allocated: a 1 KB sub-page
-// materializes on its first write, and reads of never-written bytes observe
-// zeros — exactly what a dense zero-initialized array would return. This
-// keeps a node's host footprint proportional to the memory its software
-// actually touches, so thousand-node machines fit in RAM.
+// materializes on its first non-zero write, and reads of bytes never
+// written with data observe zeros — exactly what a dense zero-initialized
+// array would return. This keeps a node's host footprint proportional to
+// the data its software actually stores, so thousand-node machines fit in
+// RAM, and an S-COMA fill of a never-written line stores nothing.
 package mem
 
 import (
@@ -121,26 +122,47 @@ func (d *DRAM) readAt(off uint32, buf []byte) {
 	}
 }
 
-// writeAt copies buf into backing storage at off, clamped to the modeled
-// size, materializing pages and sub-pages as needed.
+// writeAt copies data into backing storage at off, clamped to the modeled
+// size. A chunk materializes its page and sub-page only if it holds a
+// non-zero byte: an absent sub-page already reads as the zeros it would
+// store.
 func (d *DRAM) writeAt(off uint32, data []byte) {
 	if rem := uint64(d.rng.Size) - uint64(off); uint64(len(data)) > rem {
 		data = data[:rem]
 	}
 	for len(data) > 0 {
-		pg := d.pages[off>>pageShift]
-		if pg == nil {
-			pg = new(page)
-			d.pages[off>>pageShift] = pg
+		chunk := data[:min(len(data), subSize-int(off&(subSize-1)))]
+		sp := d.sub(off)
+		if sp == nil && !allZero(chunk) {
+			sp = d.materialize(off)
 		}
-		sp := &pg[off>>subShift&(subsPerPage-1)]
-		if *sp == nil {
-			*sp = new([subSize]byte)
+		if sp != nil {
+			copy(sp[off&(subSize-1):], chunk)
 		}
-		n := copy((*sp)[off&(subSize-1):], data)
-		off += uint32(n)
-		data = data[n:]
+		off += uint32(len(chunk))
+		data = data[len(chunk):]
 	}
+}
+
+// materialize allocates the sub-page holding off, and its page if needed.
+func (d *DRAM) materialize(off uint32) *[subSize]byte {
+	pg := d.pages[off>>pageShift]
+	if pg == nil {
+		pg = new(page)
+		d.pages[off>>pageShift] = pg
+	}
+	sp := new([subSize]byte)
+	pg[off>>subShift&(subsPerPage-1)] = sp
+	return sp
+}
+
+func allZero(b []byte) bool {
+	for _, v := range b {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // SnoopBus claims transactions in range and services them from the array.

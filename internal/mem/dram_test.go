@@ -90,3 +90,40 @@ func TestPeekOutOfRangePanics(t *testing.T) {
 	}()
 	d.Peek(60, make([]byte, 8)) // spills past the end
 }
+
+// TestZeroWriteMaterializesNothing: zeros written where nothing was written
+// before, by the backdoor or by a bus line write, allocate no page and no
+// sub-page, and still read back as zeros.
+func TestZeroWriteMaterializesNothing(t *testing.T) {
+	d := New(bus.Range{Base: 0, Size: 4 * pageSize}, 60)
+	d.Poke(pageSize-100, make([]byte, 3*subSize)) // straddles a page boundary
+	tx := &bus.Transaction{Kind: bus.WriteLine, Addr: 2 * pageSize, Data: make([]byte, bus.LineSize)}
+	d.SnoopBus(tx).Serve(tx)
+	for i, pg := range d.pages {
+		if pg != nil {
+			t.Fatalf("page %d materialized by zero writes", i)
+		}
+	}
+	got := pattern(3*subSize, 1)
+	d.Peek(pageSize-100, got)
+	if !bytes.Equal(got, make([]byte, len(got))) {
+		t.Fatal("zero-written bytes do not read as zeros")
+	}
+}
+
+// TestZeroWriteClearsData: zeros written over stored data replace it, in a
+// sub-page that already exists and across into one that does not.
+func TestZeroWriteClearsData(t *testing.T) {
+	d := New(bus.Range{Base: 0, Size: pageSize}, 60)
+	d.Poke(subSize-64, pattern(64, 1)) // the tail of sub-page 0 only
+	d.Poke(subSize-32, make([]byte, 64))
+	got := make([]byte, 128)
+	d.Peek(subSize-64, got)
+	want := append(pattern(32, 1), make([]byte, 96)...)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("got %x, want %x", got, want)
+	}
+	if d.pages[0][1] != nil {
+		t.Error("the zero tail materialized sub-page 1")
+	}
+}

@@ -31,9 +31,11 @@ const fuzzBase = 0x100000
 // bus claim, and returns what it read.
 func dramOp(d *DRAM, op byte, lo, n int, val byte, dst int) []byte {
 	addr := uint32(fuzzBase + lo)
-	switch op % 5 {
+	switch op % 6 {
 	case 0:
 		d.Poke(addr, pattern(n, val))
+	case 5: // zeros: stored over data, skipped where nothing was written
+		d.Poke(addr, make([]byte, n))
 	case 1:
 		buf := pattern(n, val) // dirty, so a sub-page that reads no zeros shows
 		d.Peek(addr, buf)
@@ -44,7 +46,7 @@ func dramOp(d *DRAM, op byte, lo, n int, val byte, dst int) []byte {
 		d.Poke(uint32(fuzzBase+dst), buf)
 	default: // a line read or write claimed on the bus, clamped at the end
 		kind := bus.ReadLine
-		if op%5 == 4 {
+		if op%6 == 4 {
 			kind = bus.WriteLine
 		}
 		tx := &bus.Transaction{Kind: kind, Addr: addr, Data: pattern(bus.LineSize, val)}
@@ -70,9 +72,11 @@ func (r dense) at(lo, n int) []byte {
 }
 
 func denseOp(r dense, op byte, lo, n int, val byte, dst int) []byte {
-	switch op % 5 {
+	switch op % 6 {
 	case 0:
 		copy(r.at(lo, n), pattern(n, val))
+	case 5:
+		clear(r.at(lo, n))
 	case 1:
 		return append([]byte(nil), r.at(lo, n)...)
 	case 2:
@@ -84,7 +88,7 @@ func denseOp(r dense, op byte, lo, n int, val byte, dst int) []byte {
 		}
 		line := pattern(bus.LineSize, val)
 		mem := r[lo:min(lo+bus.LineSize, len(r))]
-		if op%5 == 4 {
+		if op%6 == 4 {
 			copy(mem, line)
 		} else {
 			copy(line, mem)
@@ -96,7 +100,9 @@ func denseOp(r dense, op byte, lo, n int, val byte, dst int) []byte {
 
 // FuzzDRAMPages: a sub-paged DRAM behaves as a dense zero-initialized
 // array. The input is a 3-byte DRAM size (up to three 64 KB pages) followed
-// by 10-byte records (op, offset, length, value, second offset). Offsets
+// by 10-byte records (op, offset, length, value, second offset). The ops
+// write a pattern, read, copy, read or write a line on the bus, and write
+// zeros. Offsets
 // reach a sub-page below the DRAM and past its end, and lengths span up to
 // three sub-pages, so records straddle sub-page and page boundaries. Each
 // record runs against the DRAM and against a []byte of the same size: every
@@ -122,11 +128,11 @@ func FuzzDRAMPages(f *testing.F) {
 			wantPanic := panics(func() { want = denseOp(ref, op, lo, n, val, dst) })
 			if gotPanic != wantPanic {
 				t.Fatalf("record %d (op %d off %d n %d dst %d, size %d): DRAM panicked %v, reference %v",
-					i/10, op%5, lo, n, dst, size, gotPanic, wantPanic)
+					i/10, op%6, lo, n, dst, size, gotPanic, wantPanic)
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("record %d (op %d off %d n %d dst %d, size %d): DRAM read %x, reference %x",
-					i/10, op%5, lo, n, dst, size, got, want)
+					i/10, op%6, lo, n, dst, size, got, want)
 			}
 		}
 		all := pattern(size, 1)

@@ -155,7 +155,8 @@ func TestExpressTxRegion(t *testing.T) {
 	if len(r.net.injected) != 1 || r.net.dsts[0] != 3 {
 		t.Fatalf("express: injected %d dsts %v", len(r.net.injected), r.net.dsts)
 	}
-	f, _ := txrx.Decode(r.net.injected[0])
+	var f txrx.Frame
+	_ = txrx.DecodeInto(&f, r.net.injected[0])
 	if f.LogicalQ != 11 || !bytes.Equal(f.Payload, []byte{9, 8, 7, 6, 5}) {
 		t.Fatalf("frame %+v", f)
 	}

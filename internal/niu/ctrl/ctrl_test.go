@@ -183,8 +183,8 @@ func TestRawTransmit(t *testing.T) {
 	if in.dst != 5 || in.pri != arctic.Low {
 		t.Fatalf("dst=%d pri=%v", in.dst, in.pri)
 	}
-	f, err := txrx.Decode(in.wire)
-	if err != nil {
+	var f txrx.Frame
+	if err := txrx.DecodeInto(&f, in.wire); err != nil {
 		t.Fatal(err)
 	}
 	if f.SrcNode != 3 || !bytes.Equal(f.Payload, []byte("ping")) {
@@ -212,7 +212,8 @@ func TestTranslatedTransmit(t *testing.T) {
 		t.Fatal("nothing injected")
 	}
 	in := r.net.injected[0]
-	f, _ := txrx.Decode(in.wire)
+	var f txrx.Frame
+	_ = txrx.DecodeInto(&f, in.wire)
 	if in.dst != 9 || in.pri != arctic.High || f.LogicalQ != 42 {
 		t.Fatalf("translation wrong: dst=%d pri=%v lq=%d", in.dst, in.pri, f.LogicalQ)
 	}
@@ -326,7 +327,8 @@ func TestTagOn(t *testing.T) {
 	if len(r.net.injected) != 1 {
 		t.Fatal("no packet")
 	}
-	f, _ := txrx.Decode(r.net.injected[0].wire)
+	var f txrx.Frame
+	_ = txrx.DecodeInto(&f, r.net.injected[0].wire)
 	if len(f.Payload) != 5+48 {
 		t.Fatalf("payload %d bytes", len(f.Payload))
 	}

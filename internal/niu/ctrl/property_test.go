@@ -69,8 +69,8 @@ func TestQueueDisciplineProperty(t *testing.T) {
 		// (dest == q+1 by construction), must equal the per-queue plan.
 		got := map[int][][]byte{}
 		for _, in := range r.net.injected {
-			f, err := txrx.Decode(in.wire)
-			if err != nil {
+			var f txrx.Frame
+			if err := txrx.DecodeInto(&f, in.wire); err != nil {
 				return false
 			}
 			got[in.dst] = append(got[in.dst], f.Payload)
@@ -171,7 +171,8 @@ func TestTranslationMaskProperty(t *testing.T) {
 		if len(r.net.injected) != 1 || r.net.injected[0].dst != 9 {
 			return false
 		}
-		f, _ := txrx.Decode(r.net.injected[0].wire)
+		var f txrx.Frame
+		_ = txrx.DecodeInto(&f, r.net.injected[0].wire)
 		return f.LogicalQ == uint16(idx)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

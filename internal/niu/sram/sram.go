@@ -9,7 +9,10 @@
 // parts' ability to serve both sides concurrently.
 package sram
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Backing-page geometry: a bank materializes in 1 KB pages on first write,
 // so a bank costs host memory only for the regions its software touches (a
@@ -24,14 +27,32 @@ const (
 // Bytes on a never-written page read as zeros, identical to a dense
 // zero-initialized array.
 type SRAM struct {
-	name  string
-	size  int
-	pages []*[pageSize]byte // nil until first written
+	name string
+	size int
+
+	// Pages materialize on first write: idx holds, per page, 0 while it is
+	// untouched and otherwise its position in pages, an append-only list
+	// whose entry 0 is the nil untouched page. An idle page costs 1 byte.
+	idx   []uint8
+	pages []*[pageSize]byte
 }
+
+// pageListCap is the room the page list reserves at construction, 8 bytes
+// of host memory per entry. Regrowing the list mid-run costs allocation
+// where reserving it costs footprint. 16 entries cover every page a node
+// writes in either bank on machines of up to 256 nodes (at most 4 aSRAM and
+// 9 sSRAM pages); a 1024-node sSRAM regrows the list at construction for
+// its 32 KB translation table.
+const pageListCap = 16
 
 // New allocates an SRAM of size bytes.
 func New(name string, size int) *SRAM {
-	return &SRAM{name: name, size: size, pages: make([]*[pageSize]byte, (size+pageSize-1)>>pageShift)}
+	n := (size + pageSize - 1) >> pageShift
+	if n > math.MaxUint8 {
+		panic(fmt.Sprintf("sram: %s has %d pages; a 1-byte page index addresses %d", name, n, math.MaxUint8))
+	}
+	return &SRAM{name: name, size: size, idx: make([]uint8, n),
+		pages: make([]*[pageSize]byte, 1, pageListCap)}
 }
 
 // Name returns the bank's name ("aSRAM", "sSRAM").
@@ -46,7 +67,7 @@ func (s *SRAM) Read(off uint32, buf []byte) {
 	for len(buf) > 0 {
 		po := off & (pageSize - 1)
 		n := min(len(buf), pageSize-int(po))
-		if pg := s.pages[off>>pageShift]; pg != nil {
+		if pg := s.pages[s.idx[off>>pageShift]]; pg != nil {
 			copy(buf[:n], pg[po:])
 		} else {
 			clear(buf[:n])
@@ -60,13 +81,12 @@ func (s *SRAM) Read(off uint32, buf []byte) {
 func (s *SRAM) Write(off uint32, data []byte) {
 	s.check(off, len(data))
 	for len(data) > 0 {
-		po := off & (pageSize - 1)
-		pg := s.pages[off>>pageShift]
-		if pg == nil {
-			pg = new([pageSize]byte)
-			s.pages[off>>pageShift] = pg
+		i := &s.idx[off>>pageShift]
+		if *i == 0 {
+			*i = uint8(len(s.pages))
+			s.pages = append(s.pages, new([pageSize]byte))
 		}
-		n := copy(pg[po:], data)
+		n := copy(s.pages[*i][off&(pageSize-1):], data)
 		off += uint32(n)
 		data = data[n:]
 	}
@@ -75,7 +95,7 @@ func (s *SRAM) Write(off uint32, data []byte) {
 // ByteAt returns the byte at off.
 func (s *SRAM) ByteAt(off uint32) byte {
 	s.check(off, 1)
-	if pg := s.pages[off>>pageShift]; pg != nil {
+	if pg := s.pages[s.idx[off>>pageShift]]; pg != nil {
 		return pg[off&(pageSize-1)]
 	}
 	return 0

@@ -21,7 +21,7 @@ func TestChecksumDetectsEverySingleBitFlip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Decode(b); err != nil {
+		if err := DecodeInto(&Frame{}, b); err != nil {
 			t.Fatalf("clean frame rejected: %v", err)
 		}
 		for bit := 0; bit < len(b)*8; bit++ {
@@ -30,7 +30,7 @@ func TestChecksumDetectsEverySingleBitFlip(t *testing.T) {
 			}
 			m := append([]byte(nil), b...)
 			m[bit/8] ^= 1 << (bit % 8)
-			if _, err := Decode(m); err == nil {
+			if err := DecodeInto(&Frame{}, m); err == nil {
 				t.Fatalf("%v frame: flipped bit %d went undetected", fr.Kind, bit)
 			}
 		}
@@ -38,7 +38,7 @@ func TestChecksumDetectsEverySingleBitFlip(t *testing.T) {
 		for bit := 8; bit < 16; bit++ {
 			m := append([]byte(nil), b...)
 			m[bit/8] ^= 1 << (bit % 8)
-			if _, err := Decode(m); err == nil {
+			if err := DecodeInto(&Frame{}, m); err == nil {
 				t.Fatalf("%v frame: checksum-byte bit %d went undetected", fr.Kind, bit)
 			}
 		}

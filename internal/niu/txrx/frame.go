@@ -152,7 +152,7 @@ type Frame struct {
 	Count uint16
 
 	// Trace is the message's causal trace context. It is sideband state —
-	// never encoded on the wire (Decode leaves it zero; the CTRL copies it
+	// never encoded on the wire (DecodeInto leaves it zero; the CTRL copies it
 	// from the Arctic packet) — modeling a hardware trace tag that rides next
 	// to the data and so survives payload corruption.
 	Trace sim.MsgTag
@@ -214,15 +214,6 @@ func EncodeInto(f *Frame, buf []byte) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("txrx: unknown frame kind %d", f.Kind) //voyager:alloc-ok(error path)
 	}
-}
-
-// Decode parses wire bytes into a freshly allocated frame.
-func Decode(b []byte) (*Frame, error) {
-	f := &Frame{}
-	if err := DecodeInto(f, b); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // DecodeInto parses wire bytes into f, reusing f's payload capacity. Every

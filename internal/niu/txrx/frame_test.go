@@ -19,8 +19,8 @@ func TestDataRoundTrip(t *testing.T) {
 	if len(b) != f.WireSize() || len(b) != DataHeaderBytes+5 {
 		t.Fatalf("wire size %d", len(b))
 	}
-	g, err := Decode(b)
-	if err != nil {
+	var g Frame
+	if err := DecodeInto(&g, b); err != nil {
 		t.Fatal(err)
 	}
 	if g.Kind != Data || g.SrcNode != 7 || g.LogicalQ != 300 || !bytes.Equal(g.Payload, f.Payload) {
@@ -35,8 +35,8 @@ func TestCmdRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Decode(b)
-	if err != nil {
+	var g Frame
+	if err := DecodeInto(&g, b); err != nil {
 		t.Fatal(err)
 	}
 	if g.Op != CmdWriteDramCls || g.Addr != 0x12345678 || g.Aux != 2 || g.Count != 4 ||
@@ -79,7 +79,7 @@ func TestDecodeErrors(t *testing.T) {
 		{1, 0, 0, 0, 0, 0, 0, 0}, // cmd too short for cmd header
 	}
 	for i, b := range cases {
-		if _, err := Decode(b); err == nil {
+		if err := DecodeInto(&Frame{}, b); err == nil {
 			t.Errorf("case %d: decoded garbage", i)
 		}
 	}
@@ -97,7 +97,7 @@ func TestCmdOpString(t *testing.T) {
 	}
 }
 
-// Property: Encode/Decode is the identity on valid frames.
+// Property: Encode/DecodeInto is the identity on valid frames.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(kind bool, src, lq, aux, count uint16, addr uint32, op uint8, payload []byte) bool {
 		fr := &Frame{SrcNode: src}
@@ -122,8 +122,8 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		g, err := Decode(b)
-		if err != nil {
+		var g Frame
+		if err := DecodeInto(&g, b); err != nil {
 			return false
 		}
 		if g.Kind != fr.Kind || g.SrcNode != fr.SrcNode || !bytes.Equal(g.Payload, fr.Payload) {

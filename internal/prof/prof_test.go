@@ -28,7 +28,7 @@ func synthRun() *Profiler {
 	c.SetName("ready")
 
 	// Consumer: two queue pops with framed processing after each.
-	e.SpawnOn(0, "sP", "consumer", func(p *sim.Proc) {
+	e.SpawnOn(0, "sP", "", "consumer", func(p *sim.Proc) {
 		for i := 0; i < 2; i++ {
 			v := q.Pop(p)
 			e.ProfPush("handle")
@@ -38,7 +38,7 @@ func synthRun() *Profiler {
 	})
 	// Producer: staggered pushes, then a cond wait nobody signals (still
 	// blocked at Finish).
-	e.SpawnOn(0, "aP", "producer", func(p *sim.Proc) {
+	e.SpawnOn(0, "aP", "", "producer", func(p *sim.Proc) {
 		p.Delay(100)
 		q.Push(0)
 		p.Delay(100)
@@ -305,7 +305,7 @@ func TestFinishTerminal(t *testing.T) {
 	e := sim.NewEngine()
 	pr := New()
 	e.SetProfiler(pr)
-	e.SpawnOn(0, "aP", "late", func(p *sim.Proc) {
+	e.SpawnOn(0, "aP", "", "late", func(p *sim.Proc) {
 		p.Delay(100)
 		p.Delay(100)
 	})

@@ -188,19 +188,6 @@ func (q *Queue[T]) grow() {
 	q.head = 0
 }
 
-// take removes and returns the oldest item; the caller guarantees q.n > 0.
-//
-//voyager:noalloc
-func (q *Queue[T]) take() T {
-	var zero T
-	v := q.buf[q.head]
-	q.buf[q.head] = zero // release the slot's referents for GC
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	q.sample()
-	return v
-}
-
 // Push appends an item and wakes one waiter.
 //
 //voyager:noalloc
@@ -221,18 +208,13 @@ func (q *Queue[T]) Pop(p *Proc) T {
 	for q.n == 0 {
 		q.cond.Wait(p)
 	}
-	return q.take()
-}
-
-// TryPop removes and returns an item without blocking; ok is false when the
-// queue is empty.
-//
-//voyager:noalloc
-func (q *Queue[T]) TryPop() (v T, ok bool) {
-	if q.n == 0 {
-		return v, false
-	}
-	return q.take(), true
+	var zero T
+	v := q.buf[q.head]
+	q.buf[q.head] = zero // release the slot's referents for GC
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	q.sample()
+	return v
 }
 
 // Len returns the number of queued items.

@@ -4,10 +4,11 @@
 // The engine is single-threaded: events are executed strictly in (time,
 // sequence) order. Concurrency in the modeled system (processors, firmware,
 // routers) is expressed either as callback-style components that schedule
-// events, or as Procs — stdlib coroutines (iter.Pull) driven in strict
-// handoff so that exactly one of them runs at any instant. Both styles are
-// deterministic and can be mixed freely. The package starts no goroutines
-// and uses no channels; proc.go needs a go1.23 toolchain for iter.
+// events, or as Procs — bodies run on pooled stdlib coroutines (iter.Pull)
+// driven in strict handoff so that exactly one of them runs at any instant.
+// Both styles are deterministic and can be mixed freely. The package starts
+// no goroutines and uses no channels; proc.go needs a go1.23 toolchain for
+// iter.
 package sim
 
 import "fmt"
@@ -45,6 +46,12 @@ type Engine struct {
 
 	procs   int // live Procs
 	blocked int // Procs blocked on a Cond (not on a scheduled event)
+
+	// Proc coroutines (proc.go): workers holds every worker whose coroutine
+	// may still be suspended, bound to a live Proc or parked; idle holds the
+	// parked ones, which SpawnOn reuses before it makes a new one.
+	workers []*worker
+	idle    []*worker
 
 	obs     Observer // instrumentation sink (nil: all hooks are no-ops)
 	spanSeq uint64   // deterministic span id allocator
@@ -166,20 +173,26 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until none remain.
+// Run executes events until none remain, then stops the parked Proc
+// coroutines.
 //
 //voyager:noalloc
 func (e *Engine) Run() {
 	for e.Step() {
 	}
+	e.releaseIdle()
 }
 
-// RunUntil executes events with timestamps <= t, then sets now to t.
+// RunUntil executes events with timestamps <= t, then sets now to t. If no
+// events remain, it stops the parked Proc coroutines, as Run does.
 //
 //voyager:noalloc
 func (e *Engine) RunUntil(t Time) {
 	for e.q.len() > 0 && e.q.peek() <= t {
 		e.Step()
+	}
+	if e.q.len() == 0 {
+		e.releaseIdle()
 	}
 	if e.hookFn != nil && e.hookAt <= t {
 		e.fireHooks(t)
@@ -190,14 +203,16 @@ func (e *Engine) RunUntil(t Time) {
 }
 
 // RunLimit executes at most n further events; it reports whether the event
-// queue drained within the limit. Useful as a livelock guard in tests.
+// queue drained within the limit, and stops the parked Proc coroutines if
+// so. Useful as a livelock guard in tests.
 func (e *Engine) RunLimit(n uint64) bool {
-	for i := uint64(0); i < n; i++ {
-		if !e.Step() {
-			return true
-		}
+	for i := uint64(0); i < n && e.Step(); i++ {
 	}
-	return e.q.len() == 0
+	if e.q.len() > 0 {
+		return false
+	}
+	e.releaseIdle()
+	return true
 }
 
 // Pending returns the number of scheduled events.

@@ -10,81 +10,99 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"strconv"
 )
 
 // Proc is a simulated sequential process (an aP program, a firmware handler
-// loop, a traffic generator). A Proc runs as a stdlib coroutine (iter.Pull)
-// in strict handoff with the engine: resuming it returns once the Proc
-// either blocks again (Delay, Cond.Wait, Call) or finishes. Control moves
-// directly between coroutines, never through the Go scheduler, and exactly
-// one of them executes at any instant, preserving determinism.
+// loop, a traffic generator). A Proc's body runs on a stdlib coroutine
+// (iter.Pull) that the engine pools across Procs, in strict handoff with
+// the engine: resuming it returns once the Proc either blocks again (Delay,
+// Cond.Wait, Call) or finishes. Control moves directly between coroutines,
+// never through the Go scheduler, and exactly one of them executes at any
+// instant, preserving determinism.
 //
 // Resuming is the coroutine's next and blocking is its yield, so every
 // transfer is one coroutine switch. Both resume-closures (run as an engine
 // event) and the Call completion callback are bound once at Spawn, so the
 // steady-state block/resume cycle performs no allocation.
 type Proc struct {
-	eng   *Engine
-	name  string
-	next  func() (struct{}, bool) // resumes the body until its next yield
-	yield func(struct{}) bool     // suspends the body back into next's caller
-	dead  bool
+	eng *Engine
+	w   *worker // the pooled coroutine running the body
+
+	// name is the Spawn name; with a tag, Name renders "<tag><node>-<name>".
+	name string
+	tag  string
 
 	// Profiler attribution given at SpawnOn: the node and component this
 	// proc executes on (an aP program, sP firmware). Plain Spawn leaves them
 	// at (-1, ""), which the profiler groups as "host".
-	onNode    int
 	component string
+	onNode    int
 
 	// runFn is the prebound p.run method value: scheduling a wakeup is
 	// `eng.Schedule(d, p.runFn)` with no per-wakeup closure allocation.
 	runFn func()
+	// doneFn is the prebound completion callback handed to a Call's start.
+	doneFn func()
 
-	// Completion state of the active Call, plus the prebound done callback
-	// handed to start. A Proc has at most one Call in flight: a start
-	// function that itself Calls panics. inline marks an Inline window, in
-	// which the Proc must not block.
+	dead bool
+	// Completion state of the active Call. A Proc has at most one Call in
+	// flight: a start function that itself Calls panics. inline marks an
+	// Inline window, in which the Proc must not block.
 	callActive    bool
 	callCompleted bool
 	callBlocked   bool
 	inline        bool
-	doneFn        func()
 }
+
+// worker is a pooled coroutine. It runs one bound Proc's body at a time and
+// ends that Proc, then parks on its engine's idle list until SpawnOn binds
+// the next Proc. A body that panics takes its worker down with it.
+type worker struct {
+	next  func() (struct{}, bool) // resumes the coroutine until its next yield
+	yield func(struct{}) bool     // suspends the coroutine back into next's caller
+	stop  func()                  // ends the coroutine wherever it is suspended
+	p     *Proc                   // the bound Proc; after its end, until rebound
+	body  func(p *Proc)           // p's body, until it starts
+}
+
+// procClosed is the panic value that unwinds a blocked Proc's body when
+// Engine.Close stops its worker; the worker recovers it silently.
+type procClosed struct{}
 
 // Spawn starts body as a new process at the current simulated time.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	return e.SpawnOn(-1, "", name, body)
+	return e.SpawnOn(-1, "", "", name, body)
 }
 
 // SpawnOn is Spawn with a (node, component) attribution for the
 // simulated-time profiler: the proc's lifetime buckets roll up under
 // "node<n>/<component>" (e.g. "node0/aP", "node2/sP") in profile exports.
-// Timing and scheduling are identical to Spawn.
-func (e *Engine) SpawnOn(node int, component, name string, body func(p *Proc)) *Proc {
+// A non-empty tag names the proc "<tag><node>-<name>" (tag "fw" on node 3:
+// "fw3-<name>"), rendered only when Name is called. Timing and scheduling
+// are identical to Spawn.
+//
+// The body runs on a parked worker when the engine has one, and on a new
+// coroutine otherwise. Either way it starts from the same zero-delay event.
+func (e *Engine) SpawnOn(node int, component, tag, name string, body func(p *Proc)) *Proc {
 	p := &Proc{
 		eng:       e,
 		name:      name,
+		tag:       tag,
 		onNode:    node,
 		component: component,
 	}
 	p.runFn = p.run
 	p.doneFn = p.callDone
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		defer func() {
-			r := recover()
-			if e.prof != nil {
-				e.prof.ProcEnd(e.now, p)
-			}
-			p.dead = true
-			e.procs--
-			if r != nil {
-				// next re-raises this in whichever event or proc resumed p.
-				panic(fmt.Sprintf("sim: proc %q panicked: %v", p.name, r))
-			}
-		}()
-		body(p)
-	})
+	if n := len(e.idle); n > 0 {
+		p.w = e.idle[n-1]
+		e.idle = e.idle[:n-1]
+	} else {
+		p.w = new(worker)
+		p.w.next, p.w.stop = iter.Pull(p.w.loop)
+		e.workers = append(e.workers, p.w)
+	}
+	p.w.p, p.w.body = p, body
 	e.procs++
 	if e.prof != nil {
 		e.prof.ProcStart(e.now, p)
@@ -93,12 +111,98 @@ func (e *Engine) SpawnOn(node int, component, name string, body func(p *Proc)) *
 	return p
 }
 
+// loop is the worker's coroutine: run the bound Proc to its end, park,
+// repeat. It returns when Close unwinds a body or stops the parked worker.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	e := w.p.eng
+	for w.runBody() {
+		e.idle = append(e.idle, w)
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// runBody runs the bound Proc's body and then ends the Proc: the profiler's
+// ProcEnd, dead, and the live count. It reports false if Close unwound the
+// body instead, which ends nothing.
+func (w *worker) runBody() (ended bool) {
+	p, body := w.p, w.body
+	w.body = nil
+	defer func() {
+		r := recover()
+		if _, closed := r.(procClosed); closed {
+			return
+		}
+		e := p.eng
+		if e.prof != nil {
+			e.prof.ProcEnd(e.now, p)
+		}
+		p.dead = true
+		e.procs--
+		if r != nil {
+			// next re-raises this in whichever event or proc resumed p.
+			panic(fmt.Sprintf("sim: proc %q panicked: %v", p.Name(), r))
+		}
+		ended = true
+	}()
+	body(p)
+	return
+}
+
+// releaseIdle stops the parked workers once the event queue has drained,
+// so no idle coroutine outlives a run; a later spawn makes a fresh one.
+//
+//voyager:noalloc
+func (e *Engine) releaseIdle() {
+	if len(e.idle) == 0 {
+		return
+	}
+	for _, w := range e.idle {
+		w.stop()
+	}
+	clear(e.idle)
+	e.idle = e.idle[:0]
+	// Keep the workers whose Proc is live, dropping the stopped ones and
+	// any a panicking body took down.
+	n := 0
+	for _, w := range e.workers {
+		if !w.p.dead {
+			e.workers[n] = w
+			n++
+		}
+	}
+	clear(e.workers[n:])
+	e.workers = e.workers[:n]
+}
+
+// Close stops every coroutine the engine holds. Parked workers end, and the
+// body of every Proc still blocked unwinds from its block point, running
+// its deferred calls, with no ProcEnd. Close schedules nothing and makes no
+// profiler callback; the engine is unusable afterwards. A blocked coroutine
+// keeps everything its body references reachable, so a process that builds
+// machines in a loop closes each one, from outside any Proc, once it has
+// read its results.
+func (e *Engine) Close() {
+	for _, w := range e.workers {
+		w.stop()
+	}
+	e.workers, e.idle = nil, nil
+}
+
 // Origin returns the (node, component) attribution given at SpawnOn, or
 // (-1, "") for a plain Spawn.
 func (p *Proc) Origin() (node int, component string) { return p.onNode, p.component }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
+// Name returns the process name: the Spawn name, or "<tag><node>-<name>"
+// for a proc spawned with a tag.
+func (p *Proc) Name() string {
+	if p.tag == "" {
+		return p.name
+	}
+	return p.tag + strconv.Itoa(p.onNode) + "-" + p.name
+}
 
 // Engine returns the engine driving this process.
 func (p *Proc) Engine() *Engine { return p.eng }
@@ -114,7 +218,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 //voyager:noalloc
 func (p *Proc) run() {
 	if p.dead {
-		panic(fmt.Sprintf("sim: resuming dead proc %q", p.name)) //voyager:alloc-ok(panic path)
+		panic(fmt.Sprintf("sim: resuming dead proc %q", p.Name())) //voyager:alloc-ok(panic path)
 	}
 	// Track the currently executing proc for the profiler's frame hooks.
 	// Saving and restoring (rather than clearing) keeps nested resumes
@@ -126,20 +230,22 @@ func (p *Proc) run() {
 	if e.prof != nil {
 		e.prof.ProcResume(e.now, p)
 	}
-	p.next()
+	p.w.next()
 	e.curProc = prev
 }
 
 // block yields control back to whoever resumed the process. The caller must
 // have arranged a wakeup (a scheduled event or Cond registration) that calls
-// p.run().
+// p.run(). If Close stops the worker instead, block unwinds the body.
 //
 //voyager:noalloc
 func (p *Proc) block() {
 	if p.inline {
-		panic(fmt.Sprintf("sim: proc %q blocked inside Inline", p.name)) //voyager:alloc-ok(panic path)
+		panic(fmt.Sprintf("sim: proc %q blocked inside Inline", p.Name())) //voyager:alloc-ok(panic path)
 	}
-	p.yield(struct{}{})
+	if !p.w.yield(struct{}{}) {
+		panic(procClosed{})
+	}
 }
 
 // Inline runs fn as p while p stays blocked: fn is the code p would run if
@@ -155,7 +261,7 @@ func (p *Proc) block() {
 func (p *Proc) Inline(fn func()) {
 	e := p.eng
 	if p.dead || e.curProc == p {
-		panic(fmt.Sprintf("sim: Inline on proc %q, which is not blocked", p.name)) //voyager:alloc-ok(panic path)
+		panic(fmt.Sprintf("sim: Inline on proc %q, which is not blocked", p.Name())) //voyager:alloc-ok(panic path)
 	}
 	prev := e.curProc
 	e.curProc = p
@@ -200,10 +306,10 @@ func (p *Proc) Delay(d Time) {
 //voyager:noalloc
 func (p *Proc) Call(start func(done func())) {
 	if p.inline {
-		panic(fmt.Sprintf("sim: proc %q blocked inside Inline", p.name)) //voyager:alloc-ok(panic path)
+		panic(fmt.Sprintf("sim: proc %q blocked inside Inline", p.Name())) //voyager:alloc-ok(panic path)
 	}
 	if p.callActive {
-		panic(fmt.Sprintf("sim: nested Call in proc %q", p.name)) //voyager:alloc-ok(panic path)
+		panic(fmt.Sprintf("sim: nested Call in proc %q", p.Name())) //voyager:alloc-ok(panic path)
 	}
 	p.callActive = true
 	p.callCompleted = false
@@ -224,7 +330,7 @@ func (p *Proc) Call(start func(done func())) {
 //voyager:noalloc
 func (p *Proc) callDone() {
 	if !p.callActive || p.callCompleted {
-		panic(fmt.Sprintf("sim: double completion in proc %q", p.name)) //voyager:alloc-ok(panic path)
+		panic(fmt.Sprintf("sim: double completion in proc %q", p.Name())) //voyager:alloc-ok(panic path)
 	}
 	p.callCompleted = true
 	if p.callBlocked {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -295,22 +296,10 @@ func TestQueueBlockingPop(t *testing.T) {
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("got %v", got)
 	}
-}
-
-func TestQueueTryPop(t *testing.T) {
-	e := NewEngine()
-	q := NewQueue[string](e)
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop on empty succeeded")
-	}
-	q.Push("a")
-	q.Push("b")
+	q.Push(4)
+	q.Push(5) // no waiter left: both stay queued
 	if q.Len() != 2 {
-		t.Fatalf("len = %d", q.Len())
-	}
-	v, ok := q.TryPop()
-	if !ok || v != "a" {
-		t.Fatalf("got %q, %v", v, ok)
+		t.Fatalf("len = %d, want 2", q.Len())
 	}
 }
 
@@ -360,4 +349,173 @@ func TestResourceReleaseIdlePanics(t *testing.T) {
 		}
 	}()
 	NewResource(NewEngine(), "x").Release()
+}
+
+// TestSpawnReusesCoroutine: on a warm engine a spawn-run-end cycle makes no
+// coroutine. It allocates only the Proc record and its two prebound
+// callbacks; the same cycle on a fresh iter.Pull coroutine allocates 16
+// times.
+func TestSpawnReusesCoroutine(t *testing.T) {
+	e := NewEngine()
+	body := func(p *Proc) { p.Delay(1) }
+	cycle := func() {
+		e.Spawn("p", body)
+		for e.Step() { // Step, unlike Run, keeps the parked worker
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 3 {
+		t.Fatalf("a spawn-run-end cycle allocates %v, want at most 3 (the Proc record)", allocs)
+	}
+}
+
+// TestSecondSpawnReusesWorker: a Proc spawned after another ended runs on
+// the ended Proc's worker, under its own Proc record and name.
+func TestSecondSpawnReusesWorker(t *testing.T) {
+	e := NewEngine()
+	var names []string
+	first := e.Spawn("first", func(p *Proc) { names = append(names, p.Name()) })
+	for e.Step() {
+	}
+	second := e.SpawnOn(3, "sP", "fw", "second", func(p *Proc) { names = append(names, p.Name()) })
+	if second.w != first.w {
+		t.Fatal("the second spawn made a new worker; want the first spawn's")
+	}
+	for e.Step() {
+	}
+	if len(names) != 2 || names[0] != "first" || names[1] != "fw3-second" {
+		t.Fatalf("names = %q", names)
+	}
+	if !first.dead || !second.dead || e.LiveProcs() != 0 {
+		t.Fatalf("dead: first=%v second=%v, live=%d", first.dead, second.dead, e.LiveProcs())
+	}
+}
+
+// TestRunReleasesParkedWorkers: once Run returns with an empty queue no
+// worker is left parked, and only the blocked Proc's worker is held; the
+// next spawn makes a fresh coroutine.
+func TestRunReleasesParkedWorkers(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e)
+	for i := 0; i < 3; i++ {
+		e.Spawn("short", func(p *Proc) { p.Delay(Time(i + 1)) })
+	}
+	stuck := e.Spawn("stuck", func(p *Proc) { c.Wait(p) })
+	e.Run()
+	if len(e.idle) != 0 {
+		t.Fatalf("%d workers parked after Run, want 0", len(e.idle))
+	}
+	if len(e.workers) != 1 || e.workers[0] != stuck.w {
+		t.Fatalf("engine holds %d workers after Run, want only the blocked proc's", len(e.workers))
+	}
+	ran := false
+	e.Spawn("later", func(p *Proc) { ran = true })
+	e.Run()
+	if !ran || len(e.idle) != 0 || len(e.workers) != 1 {
+		t.Fatalf("later spawn: ran=%v, %d parked, %d held", ran, len(e.idle), len(e.workers))
+	}
+}
+
+// TestPanickedWorkerNotReused: a body that panics takes its worker down;
+// the next spawn gets a fresh worker, and the next drained Run drops the
+// dead one from the engine.
+func TestPanickedWorkerNotReused(t *testing.T) {
+	e := NewEngine()
+	boom := e.Spawn("boom", func(p *Proc) { panic("boom") })
+	if r := runRecovered(e); r != `sim: proc "boom" panicked: boom` {
+		t.Fatalf("recovered %v", r)
+	}
+	if len(e.idle) != 0 {
+		t.Fatal("the panicked worker was parked")
+	}
+	next := e.Spawn("next", func(p *Proc) {})
+	if next.w == boom.w {
+		t.Fatal("a spawn reused the panicked worker")
+	}
+	e.Run()
+	if len(e.workers) != 0 {
+		t.Fatalf("engine holds %d workers after Run, want 0", len(e.workers))
+	}
+}
+
+// TestStaleWakeupPanics: a wakeup of an ended Proc panics even when its
+// worker already runs another Proc, which it must not resume.
+func TestStaleWakeupPanics(t *testing.T) {
+	e := NewEngine()
+	c := NewCond(e)
+	ended := e.Spawn("ended", func(p *Proc) {})
+	for e.Step() {
+	}
+	resumed := false
+	e.Spawn("waiter", func(p *Proc) {
+		c.Wait(p)
+		resumed = true
+	})
+	for e.Step() {
+	}
+	e.Schedule(0, ended.runFn)
+	if r := runRecovered(e); r != `sim: resuming dead proc "ended"` {
+		t.Fatalf("recovered %v", r)
+	}
+	if resumed || c.Waiting() != 1 {
+		t.Fatalf("the stale wakeup resumed the worker's next proc (resumed=%v, waiting=%d)", resumed, c.Waiting())
+	}
+}
+
+// closeLog is a ProcProfiler that counts its callbacks.
+type closeLog struct{ calls int }
+
+func (c *closeLog) ProcStart(Time, *Proc)                    { c.calls++ }
+func (c *closeLog) ProcResume(Time, *Proc)                   { c.calls++ }
+func (c *closeLog) ProcBlock(Time, *Proc, BlockKind, string) { c.calls++ }
+func (c *closeLog) ProcEnd(Time, *Proc)                      { c.calls++ }
+func (c *closeLog) FramePush(*Proc, string)                  { c.calls++ }
+func (c *closeLog) FramePop(*Proc)                           { c.calls++ }
+
+// TestCloseStopsEveryCoroutine: Close ends parked workers, unwinds blocked
+// bodies (their deferred calls run, the code after the block does not),
+// and leaves the goroutine count where it was before the engine existed.
+// It schedules nothing and makes no profiler callback.
+func TestCloseStopsEveryCoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	pr := &closeLog{}
+	e.SetProfiler(pr)
+	c := NewCond(e)
+	unwound, passed := 0, 0
+	for i := 0; i < 4; i++ {
+		e.Spawn("cond", func(p *Proc) {
+			defer func() { unwound++ }()
+			c.Wait(p)
+			passed++
+		})
+	}
+	e.Spawn("call", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Call(func(func()) {}) // never completes
+		passed++
+	})
+	e.Spawn("delay", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.Delay(100)
+		passed++
+	})
+	e.Spawn("short", func(p *Proc) {})
+	e.RunUntil(10) // "short" ends and parks; "delay" stays scheduled
+	e.Spawn("unstarted", func(p *Proc) { passed++ })
+	if got := runtime.NumGoroutine() - base; got != 7 {
+		t.Fatalf("%d coroutines before Close, want 7", got)
+	}
+	pending, calls := e.Pending(), pr.calls
+	e.Close()
+	if unwound != 6 || passed != 0 {
+		t.Errorf("unwound %d bodies, %d passed their block point; want 6 and 0", unwound, passed)
+	}
+	if got := runtime.NumGoroutine() - base; got != 0 {
+		t.Errorf("%d coroutines left after Close, want 0", got)
+	}
+	if e.Pending() != pending || pr.calls != calls {
+		t.Errorf("Close scheduled %d events and made %d profiler callbacks",
+			e.Pending()-pending, pr.calls-calls)
+	}
 }

@@ -85,8 +85,11 @@ func (r *Resource) Release() {
 		r.span = Span{}
 	}
 	if len(r.queue) > 0 {
+		// Pop by copy-down, keeping the backing array for later Acquires.
 		next := r.queue[0]
-		r.queue = r.queue[1:]
+		n := copy(r.queue, r.queue[1:])
+		r.queue[n] = nil
+		r.queue = r.queue[:n]
 		if r.observed {
 			r.eng.Sample(r.obsNode, r.obsComp, r.waitersName, int64(len(r.queue)))
 		}

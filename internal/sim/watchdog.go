@@ -111,7 +111,7 @@ func (e *Engine) Stalled(kind StallKind, budget Time, expectedLive int) *StallEr
 		}
 		for _, w := range c.waiters {
 			se.Blocked = append(se.Blocked, BlockedProcInfo{
-				Proc: w.p.name, Where: name, Since: w.since,
+				Proc: w.p.Name(), Where: name, Since: w.since,
 			})
 		}
 	}

@@ -208,6 +208,7 @@ func RunInstrumented(cfg Config, attach func(*core.Machine)) Result {
 			res.BusUtil = u
 		}
 	}
+	m.Close()
 	return res
 }
 
