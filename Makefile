@@ -176,11 +176,14 @@ bench-micro:
 	$(GO) run ./cmd/voyager-bench -fig none -micro BENCH_micro.json
 
 # Time-boxed fuzzing: the event queue against its heap-only reference, the
-# paged SRAM and sub-paged DRAM against dense arrays, the frame decoder with
-# fuzzed header fields under a recomputed checksum, and the round trips of
-# the fault plan, the -nodes list and the fault-plan time grammar. Plain `go test` (and so `make ci`) only replays each target's
-# committed corpus in its package's testdata/fuzz; this explores beyond it.
-# New failing inputs land in those directories.
+# paged SRAM (bare and over an image) and sub-paged DRAM against dense
+# arrays, the frame decoder with fuzzed header fields under a recomputed
+# checksum, the round trips of the fault plan, the -nodes list and the
+# fault-plan time grammar, and the series and profile readers through the
+# voyager-stats and voyager-prof renderers. Plain `go test` (and so
+# `make ci`) only replays each target's committed corpus in its package's
+# testdata/fuzz; this explores beyond it. New failing inputs land in those
+# directories.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 60s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzSRAMPages$$' -fuzztime 30s ./internal/niu/sram/
@@ -189,6 +192,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 30s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTime$$' -fuzztime 30s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseNodeList$$' -fuzztime 30s ./internal/bench/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSeries$$' -fuzztime 30s ./internal/stats/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadDoc$$' -fuzztime 30s ./internal/prof/
 
 # Machine-size sweep (64/256/1024-node fat trees): per-node heap footprint,
 # construction time, MPI allreduce/samplesort completion, the allreduce's
@@ -197,9 +202,12 @@ fuzz:
 # any bytes/node figure regressed >10%, or if any deterministic column
 # (levels, links, events, allreduce_ns, samplesort_ns,
 # hotspot_level_stalls) differs at all, as bench-diff does for the
-# headline; the construction wall-clock is informational.
+# headline; the construction wall-clock is informational. The sweep it
+# compared is left in $(GATE_OUT)/BENCH_scale.json.
 bench-scale:
-	$(GO) run ./cmd/voyager-bench -fig none -scale-diff BENCH_scale.json
+	@mkdir -p $(GATE_OUT)
+	$(GO) run ./cmd/voyager-bench -fig none -scale $(GATE_OUT)/BENCH_scale.json \
+		-scale-diff BENCH_scale.json
 
 # Refresh the committed scale baseline after an intentional footprint change.
 bench-scale-baseline:

@@ -141,6 +141,7 @@ func MeasureMechanisms() []MechResult {
 func basicPingPong() MechResult {
 	const rounds = 20
 	m := core.NewMachine(2)
+	defer m.Close()
 	var rtt sim.Time
 	m.Go(0, "ping", func(p *sim.Proc, a *core.API) {
 		start := p.Now()
@@ -161,6 +162,7 @@ func basicPingPong() MechResult {
 	const count = 500
 	payload := make([]byte, core.MaxBasicPayload)
 	m2 := core.NewMachine(2)
+	defer m2.Close()
 	var dur sim.Time
 	m2.Go(0, "src", func(p *sim.Proc, a *core.API) {
 		for i := 0; i < count; i++ {
@@ -183,6 +185,7 @@ func basicPingPong() MechResult {
 func expressPingPong() MechResult {
 	const rounds = 20
 	m := core.NewMachine(2)
+	defer m.Close()
 	var rtt sim.Time
 	m.Go(0, "ping", func(p *sim.Proc, a *core.API) {
 		start := p.Now()
@@ -202,6 +205,7 @@ func expressPingPong() MechResult {
 
 	const count = 500
 	m2 := core.NewMachine(2)
+	defer m2.Close()
 	var dur sim.Time
 	m2.Go(0, "src", func(p *sim.Proc, a *core.API) {
 		for i := 0; i < count; i++ {
@@ -231,6 +235,7 @@ func expressPingPong() MechResult {
 func tagonLatency() MechResult {
 	const rounds = 10
 	m := core.NewMachine(2)
+	defer m.Close()
 	var rtt sim.Time
 	tag := make([]byte, 80)
 	m.Go(0, "ping", func(p *sim.Proc, a *core.API) {
@@ -254,6 +259,7 @@ func tagonLatency() MechResult {
 
 func dmaLatency() MechResult {
 	m := core.NewMachine(2)
+	defer m.Close()
 	const size = 4096
 	m.API(0).Poke(0x10_0000, make([]byte, size))
 	var lat sim.Time
@@ -272,6 +278,7 @@ func dmaLatency() MechResult {
 
 func numaReadLatency() MechResult {
 	m := core.NewMachine(2)
+	defer m.Close()
 	var lat sim.Time
 	m.Go(0, "rd", func(p *sim.Proc, a *core.API) {
 		var b [8]byte
@@ -285,6 +292,7 @@ func numaReadLatency() MechResult {
 
 func scomaMissLatency() MechResult {
 	m := core.NewMachine(2)
+	defer m.Close()
 	m.Nodes[0].Dram.Poke(8<<20, make([]byte, 4096))
 	var lat sim.Time
 	m.Go(1, "rd", func(p *sim.Proc, a *core.API) {

@@ -21,6 +21,7 @@ func ExtEQueueCaching() *stats.Table {
 
 	// Resident: the standard Basic queue.
 	m := core.NewMachine(2)
+	defer m.Close()
 	var lat sim.Time
 	var start sim.Time
 	m.Go(0, "s", func(p *sim.Proc, a *core.API) {
@@ -36,6 +37,7 @@ func ExtEQueueCaching() *stats.Table {
 
 	// Non-resident: diverted to the miss queue, serviced into DRAM.
 	m2 := core.NewMachine(2)
+	defer m2.Close()
 	m2.API(0).MapVirtualDest(core.TransUser, 1, 4321)
 	var lat2 sim.Time
 	m2.Go(0, "s", func(p *sim.Proc, a *core.API) {
@@ -86,6 +88,7 @@ func ExtFCollectives(nodeCounts []int) *stats.Table {
 // the last rank's completion.
 func collectiveTime(n int, body func(p *sim.Proc, c *mpi.Comm)) sim.Time {
 	m := core.NewMachine(n)
+	defer m.Close()
 	var last sim.Time
 	for r := 0; r < n; r++ {
 		c := mpi.World(m, r)

@@ -44,6 +44,7 @@ func multitaskRun(qos, bulk bool) (p50, p99 sim.Time, bulkBW float64) {
 	const pings = 40
 	const bulkMsgs = 600
 	m := core.NewMachine(2)
+	defer m.Close()
 	if qos {
 		// Express traffic to node 1 rides the high-priority network lane...
 		m.Nodes[0].Ctrl.WriteTransEntry(m.Nodes[0].TransExpressIdx(1), ctrl.TransEntry{

@@ -39,6 +39,7 @@ func migratingCounter(migratory bool) (sim.Time, scomaStats) {
 	cfg := cluster.DefaultConfig(2)
 	cfg.ScomaMigratory = migratory
 	m := core.NewMachineConfig(cfg)
+	defer m.Close()
 	m.Nodes[0].Dram.Poke(8<<20, []byte{0})
 	const rounds = 8
 	incr := func(p *sim.Proc, a *core.API) {
@@ -92,6 +93,7 @@ func ExtKStencil(cells, iters, nodes int) *stats.Table {
 // with each neighbour per iteration.
 func stencilMP(cells, iters, nodes int) (sim.Time, uint64, float64) {
 	m := core.NewMachine(nodes)
+	defer m.Close()
 	per := cells / nodes
 	for r := 0; r < nodes; r++ {
 		r := r
@@ -150,6 +152,7 @@ func stencilMP(cells, iters, nodes int) (sim.Time, uint64, float64) {
 // neighbours' boundary cells through the coherence protocol.
 func stencilSM(cells, iters, nodes int) (sim.Time, uint64, float64) {
 	m := core.NewMachine(nodes)
+	defer m.Close()
 	per := cells / nodes
 	bufA, bufB := uint32(0), uint32(64<<10)
 	cell := func(buf uint32, i int) uint32 { return buf + uint32(i)*8 }

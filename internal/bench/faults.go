@@ -28,6 +28,7 @@ func reliableStream(msgs int, drop float64) (lat sim.Time, mbps float64, retrans
 	cfg := cluster.DefaultConfig(2)
 	cfg.Faults = plan
 	m := core.NewMachineConfig(cfg)
+	defer m.Close()
 
 	var sendBusy sim.Time
 	m.Go(0, "src", func(p *sim.Proc, a *core.API) {
@@ -62,6 +63,7 @@ func reliableStream(msgs int, drop float64) (lat sim.Time, mbps float64, retrans
 func basicStream(msgs int) (lat sim.Time, mbps float64) {
 	const payload = 64
 	m := core.NewMachine(2)
+	defer m.Close()
 	var sendBusy sim.Time
 	m.Go(0, "src", func(p *sim.Proc, a *core.API) {
 		buf := make([]byte, payload)

@@ -42,6 +42,7 @@ func reflectRig(mode biu.ReflectMode) *core.Machine {
 // 16 KB streaming write's bandwidth.
 func reflectEager(mode biu.ReflectMode) (lat sim.Time, bw float64, sp sim.Time) {
 	m := reflectRig(mode)
+	defer m.Close()
 	var start sim.Time
 	m.Go(0, "writer", func(p *sim.Proc, a *core.API) {
 		start = p.Now()
@@ -58,6 +59,7 @@ func reflectEager(mode biu.ReflectMode) (lat sim.Time, bw float64, sp sim.Time) 
 
 	const size = 16 << 10
 	m2 := reflectRig(mode)
+	defer m2.Close()
 	var dur sim.Time
 	m2.Go(0, "writer", func(p *sim.Proc, a *core.API) {
 		s := p.Now()
@@ -78,6 +80,7 @@ func reflectEager(mode biu.ReflectMode) (lat sim.Time, bw float64, sp sim.Time) 
 // propagation cost; one flush sends only the modified lines.
 func reflectDeferred() (lat sim.Time, bw float64, sp sim.Time) {
 	m := reflectRig(biu.ReflectDeferred)
+	defer m.Close()
 	const size = 16 << 10
 	var start sim.Time
 	var dur sim.Time

@@ -199,3 +199,21 @@ func TestScaleFootprintMeasures(t *testing.T) {
 		t.Errorf("footprint %d bytes/node exceeds 1 MB — lazy allocation broken?", perNode)
 	}
 }
+
+// TestFootprintFlatInNodes: per-node memory does not grow with the machine.
+// A node's share of a 1024-node machine stays within 1.25x of its share of a
+// 64-node one: the translation table is one image per machine, tag rings
+// exist only in traced runs, and R-Basic keeps only the peers it talked to,
+// so nothing a node holds is sized by the node count.
+func TestFootprintFlatInNodes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 1024-node machine")
+	}
+	small, _, _, _ := measureFootprint(64)
+	large, _, _, _ := measureFootprint(1024)
+	perSmall, perLarge := small/64, large/1024
+	if float64(perLarge) > 1.25*float64(perSmall) {
+		t.Errorf("bytes/node %d at 1024 nodes vs %d at 64 nodes: %.2fx, want at most 1.25x",
+			perLarge, perSmall, float64(perLarge)/float64(perSmall))
+	}
+}

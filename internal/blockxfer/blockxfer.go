@@ -171,6 +171,7 @@ func fillPattern(buf []byte, seed byte) {
 // occupancy recorded.
 func MeasureLatency(a Approach, size int) Metrics {
 	m := machine(a, nil)
+	defer m.Close()
 	src := make([]byte, size)
 	fillPattern(src, byte(a))
 	m.API(0).Poke(srcAddr, src)
@@ -229,6 +230,7 @@ func MeasureBandwidth(a Approach, size int, hook ConfigHook) float64 {
 		reps = (64 << 10) / size // small transfers: more reps for steadiness
 	}
 	m := machine(a, hook)
+	defer m.Close()
 	src := make([]byte, size)
 	fillPattern(src, byte(a))
 	m.API(0).Poke(srcAddr, src)

@@ -134,9 +134,10 @@ func New(cfg Config) *Cluster {
 		}
 		c.Faults.RegisterMetrics(c.Reg.Child("net").Child("fault"))
 	}
+	trans := node.TransImage(cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		n := node.New(eng, i, fabric, cfg.Node, cfg.Nodes, cfg.Net.FlitTime,
-			cfg.ScomaSize, cfg.ReflectSize)
+			cfg.ScomaSize, cfg.ReflectSize, trans)
 		n.RegisterMetrics(c.Reg.Child(fmt.Sprintf("node%d", i)))
 		c.Nodes = append(c.Nodes, n)
 	}

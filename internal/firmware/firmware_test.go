@@ -1,6 +1,8 @@
 package firmware
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -213,5 +215,31 @@ func TestOccupancySerialized(t *testing.T) {
 	r.eng.Run()
 	if done[0] != 1000 || done[1] != 2000 {
 		t.Fatalf("occupancy not serialized: %v", done)
+	}
+}
+
+// TestRelPeersOnFirstUse: on a 1024-node machine a Rel holds state only for
+// the peers that carried traffic, in node order, and Quiesced names the
+// lowest-numbered peer with a send still awaiting its ACK.
+func TestRelPeersOnFirstUse(t *testing.T) {
+	r := newFwRig(t)
+	rel := NewRel(r.fw, 1024)
+	r.fw.Start()
+	svc := func(src uint16, body ...byte) {
+		r.deliver(t, &txrx.Frame{Kind: txrx.Data, SrcNode: src, LogicalQ: SvcLogicalQ, Payload: body})
+	}
+	svc(700, SvcRelData, 0, 0, 0, 0, 'a')           // in-order data from node 700
+	svc(0, SvcRelSend, 0x03, 0x84, 0, 0, 0, 1, 'b') // a send to node 900
+	svc(0, SvcRelSend, 0x00, 0x05, 0, 0, 0, 2, 'c') // a send to node 5
+	r.eng.RunUntil(RelTimeout / 2)                  // the sends await ACKs
+	var nodes []int
+	for _, p := range rel.peers {
+		nodes = append(nodes, p.node)
+	}
+	if !slices.Equal(nodes, []int{5, 700, 900}) || cap(rel.peers) > 2*len(rel.peers) {
+		t.Fatalf("peers %v (capacity %d), want [5 700 900]", nodes, cap(rel.peers))
+	}
+	if err := rel.Quiesced(); err == nil || !strings.Contains(err.Error(), "rel peer 5 ") {
+		t.Fatalf("Quiesced() = %v, want node 5 named", err)
 	}
 }

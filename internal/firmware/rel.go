@@ -3,6 +3,7 @@ package firmware
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"startvoyager/internal/arctic"
 	"startvoyager/internal/niu/ctrl"
@@ -112,12 +113,14 @@ type relPeer struct {
 }
 
 // Rel is one node's R-Basic service instance. Peer state materializes on the
-// first exchange with that peer: protocol state is per directed pair, so
-// eager allocation would cost O(nodes²) machine-wide — prohibitive at 1024
-// nodes when real traffic touches a tiny fraction of the pairs.
+// first exchange with that peer, and the service holds only those peers:
+// protocol state is per directed pair, so anything sized by the node count
+// would cost O(nodes²) machine-wide, when real traffic touches a tiny
+// fraction of the pairs.
 type Rel struct {
 	e     *Engine
-	peers []*relPeer // one per node, nil until first use; see peer()
+	nodes int        // machine size, the bound on a send's destination
+	peers []*relPeer // the peers that carried traffic, by node; see peer()
 
 	stats       RelStats
 	backoffHist *stats.Histogram // rto at each expiry (ns)
@@ -131,7 +134,7 @@ func NewRel(e *Engine, numNodes int) *Rel {
 	}
 	r := &Rel{
 		e:           e,
-		peers:       make([]*relPeer, numNodes),
+		nodes:       numNodes,
 		backoffHist: stats.NewHistogram(stats.ExpBounds(int64(RelTimeout), 2, 8)...),
 	}
 	e.Register(SvcRelSend, r.onSend)
@@ -142,12 +145,11 @@ func NewRel(e *Engine, numNodes int) *Rel {
 
 // peer returns node i's protocol state, materializing it on first use.
 func (r *Rel) peer(i int) *relPeer {
-	p := r.peers[i]
-	if p == nil {
-		p = &relPeer{node: i, rto: RelTimeout}
-		r.peers[i] = p
+	at, found := slices.BinarySearchFunc(r.peers, i, func(p *relPeer, i int) int { return p.node - i })
+	if !found {
+		r.peers = slices.Insert(r.peers, at, &relPeer{node: i, rto: RelTimeout})
 	}
-	return p
+	return r.peers[at]
 }
 
 // Stats returns a snapshot of counters.
@@ -156,12 +158,10 @@ func (r *Rel) Stats() RelStats { return r.stats }
 // Quiesced reports whether every peer's sender state has drained: nothing
 // awaiting an ACK, nothing queued behind the window. With the event queue
 // drained this must hold — a non-empty buffer with no armed timer means a
-// send was silently abandoned, which is the quiescence oracle's target.
+// send was silently abandoned, which is the quiescence oracle's target. The
+// error names the lowest-numbered peer that has not drained.
 func (r *Rel) Quiesced() error {
 	for _, peer := range r.peers {
-		if peer == nil {
-			continue
-		}
 		if len(peer.inflight) > 0 || len(peer.pending) > 0 {
 			return fmt.Errorf("firmware: node %d rel peer %d not quiesced: %d in flight, %d pending",
 				r.e.node, peer.node, len(peer.inflight), len(peer.pending))
@@ -190,7 +190,7 @@ func (r *Rel) onSend(p *sim.Proc, src uint16, body []byte) {
 	dst := int(binary.BigEndian.Uint16(body[0:]))
 	tag := binary.BigEndian.Uint32(body[2:])
 	payload := append([]byte(nil), body[6:]...)
-	if dst < 0 || dst >= len(r.peers) {
+	if dst < 0 || dst >= r.nodes {
 		panic(fmt.Sprintf("firmware: node %d: RelSend to bad node %d", r.e.node, dst))
 	}
 	r.stats.Sends++
@@ -303,7 +303,11 @@ func (r *Rel) transmit(p *sim.Proc, peer *relPeer, ent *relEntry) {
 	binary.BigEndian.PutUint32(body[0:], ent.seq)
 	copy(body[4:], ent.payload)
 	r.e.Occupy(p, sim.Time(len(ent.payload))*r.e.costs.PerByte)
-	ent.attempt++
+	if ent.msg != 0 {
+		// Attempts are counted on a traced send's identity; an untraced
+		// send carries the zero tag, which CTRL's tag rings never store.
+		ent.attempt++
+	}
 	r.e.SendSvcTagged(p, peer.node, SvcRelData, body, arctic.Low,
 		sim.MsgTag{ID: ent.msg, Attempt: ent.attempt, Parent: ent.parent}, nil)
 }

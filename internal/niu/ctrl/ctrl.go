@@ -140,7 +140,8 @@ type txQueue struct {
 	parked    bool
 	parkedPri arctic.Priority
 	// tags is the per-slot causal trace sideband (indexed ptr mod Entries),
-	// written when a slot is composed and read when CTRL launches it.
+	// written when a slot is composed and read when CTRL launches it; see
+	// setTag for when it exists.
 	tags []sim.MsgTag
 }
 
@@ -151,8 +152,36 @@ type rxQueue struct {
 	reserved uint32 // accepted but not yet written (in-flight through IBus)
 	holding  bool   // refused a delivery; poke the fabric on space
 	// tags is the per-slot causal trace sideband (indexed ptr mod Entries),
-	// written when the RxU lands a message and read by its consumer.
+	// written when the RxU lands a message and read by its consumer; see
+	// setTag for when it exists.
 	tags []sim.MsgTag
+}
+
+// setTag stores tag as slot ptr's trace sideband in *ring, the tag ring of
+// a queue of entries slots. The ring is allocated at the first nonzero tag
+// and written unconditionally from then on; until then every tag staged was
+// zero, which is what a nil ring reads (tagAt), so an untraced run never
+// allocates one.
+//
+//voyager:noalloc
+func setTag(ring *[]sim.MsgTag, entries int, ptr uint32, tag sim.MsgTag) {
+	if *ring == nil {
+		if tag == (sim.MsgTag{}) || entries == 0 {
+			return
+		}
+		*ring = make([]sim.MsgTag, entries) //voyager:alloc-ok(once per queue configuration, traced runs only)
+	}
+	(*ring)[int(ptr)%len(*ring)] = tag
+}
+
+// tagAt reads slot ptr's trace sideband from ring; a nil ring reads zero.
+//
+//voyager:noalloc
+func tagAt(ring []sim.MsgTag, ptr uint32) sim.MsgTag {
+	if len(ring) == 0 {
+		return sim.MsgTag{}
+	}
+	return ring[int(ptr)%len(ring)]
 }
 
 //voyager:noalloc
@@ -384,21 +413,13 @@ func (c *Ctrl) sampleRx(q int) {
 func (c *Ctrl) StageTxTag(q int, ptr uint32, tag sim.MsgTag) {
 	c.checkQ(q)
 	tq := &c.tx[q]
-	if len(tq.tags) > 0 {
-		tq.tags[int(ptr)%len(tq.tags)] = tag
-	}
+	setTag(&tq.tags, tq.cfg.Entries, ptr, tag)
 }
 
 // txTag reads the trace tag staged for transmit slot ptr of queue q.
 //
 //voyager:noalloc
-func (c *Ctrl) txTag(q int, ptr uint32) sim.MsgTag {
-	tq := &c.tx[q]
-	if len(tq.tags) == 0 {
-		return sim.MsgTag{}
-	}
-	return tq.tags[int(ptr)%len(tq.tags)]
-}
+func (c *Ctrl) txTag(q int, ptr uint32) sim.MsgTag { return tagAt(c.tx[q].tags, ptr) }
 
 // RxTag returns the trace tag of the message in receive slot ptr of queue q
 // (sideband next to the slot bytes; consumers read it alongside the slot).
@@ -406,11 +427,7 @@ func (c *Ctrl) txTag(q int, ptr uint32) sim.MsgTag {
 //voyager:noalloc
 func (c *Ctrl) RxTag(q int, ptr uint32) sim.MsgTag {
 	c.checkQ(q)
-	rq := &c.rx[q]
-	if len(rq.tags) == 0 {
-		return sim.MsgTag{}
-	}
-	return rq.tags[int(ptr)%len(rq.tags)]
+	return tagAt(c.rx[q].tags, ptr)
 }
 
 // Cls exposes the clsSRAM (written by remote commands and firmware).
@@ -448,7 +465,7 @@ func (c *Ctrl) ConfigureTx(q int, cfg TxConfig) {
 	if cfg.EntryBytes <= 0 || cfg.Entries <= 0 || cfg.Buf == nil {
 		panic(fmt.Sprintf("ctrl: bad tx config for queue %d", q))
 	}
-	c.tx[q] = txQueue{cfg: cfg, tags: make([]sim.MsgTag, cfg.Entries)}
+	c.tx[q] = txQueue{cfg: cfg}
 	c.shadowTx(q)
 }
 
@@ -458,7 +475,7 @@ func (c *Ctrl) ConfigureRx(q int, cfg RxConfig) {
 	if cfg.EntryBytes <= 0 || cfg.Entries <= 0 || cfg.Buf == nil {
 		panic(fmt.Sprintf("ctrl: bad rx config for queue %d", q))
 	}
-	c.rx[q] = rxQueue{cfg: cfg, tags: make([]sim.MsgTag, cfg.Entries)}
+	c.rx[q] = rxQueue{cfg: cfg}
 	c.shadowRx(q)
 }
 
@@ -624,14 +641,14 @@ type TransEntry struct {
 	Valid    bool
 }
 
-// WriteTransEntry stores a translation entry at index idx (setup/firmware
-// path; timing is the caller's concern). The table's 8-byte entries start
-// at sSRAM offset 0.
-func (c *Ctrl) WriteTransEntry(idx int, e TransEntry) {
-	if idx < 0 || idx >= c.transEntries {
-		panic(fmt.Sprintf("ctrl: translation index %d out of range", idx))
-	}
-	var b [8]byte
+// TransEntryBytes is the size of one translation-table entry. Entry idx
+// sits at sSRAM offset idx*TransEntryBytes.
+const TransEntryBytes = 8
+
+// PutTransEntry encodes e into the zeroed entry b[:TransEntryBytes] as the
+// table holds it: physical node, logical queue, then a flags byte (1 valid,
+// 2 high priority).
+func PutTransEntry(b []byte, e TransEntry) {
 	binary.BigEndian.PutUint16(b[0:], e.PhysNode)
 	binary.BigEndian.PutUint16(b[2:], e.LogicalQ)
 	flags := byte(0)
@@ -642,15 +659,25 @@ func (c *Ctrl) WriteTransEntry(idx int, e TransEntry) {
 		flags |= 2
 	}
 	b[4] = flags
-	c.sSRAM.Write(uint32(idx)*8, b[:])
+}
+
+// WriteTransEntry stores a translation entry at index idx (setup/firmware
+// path; timing is the caller's concern).
+func (c *Ctrl) WriteTransEntry(idx int, e TransEntry) {
+	if idx < 0 || idx >= c.transEntries {
+		panic(fmt.Sprintf("ctrl: translation index %d out of range", idx))
+	}
+	var b [TransEntryBytes]byte
+	PutTransEntry(b[:], e)
+	c.sSRAM.Write(uint32(idx)*TransEntryBytes, b[:])
 }
 
 // readTransEntry fetches and decodes entry idx from sSRAM.
 //
 //voyager:noalloc
 func (c *Ctrl) readTransEntry(idx int) TransEntry {
-	var b [8]byte
-	c.sSRAM.Read(uint32(idx)*8, b[:])
+	var b [TransEntryBytes]byte
+	c.sSRAM.Read(uint32(idx)*TransEntryBytes, b[:])
 	pr := arctic.Low
 	if b[4]&2 != 0 {
 		pr = arctic.High

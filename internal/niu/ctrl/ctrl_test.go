@@ -723,3 +723,70 @@ func TestBlockChecks(t *testing.T) {
 		}()
 	}
 }
+
+// nullObserver turns tracing on and discards every event.
+type nullObserver struct{}
+
+func (nullObserver) SpanBegin(sim.Time, int, string, string, uint64, []sim.Field) {}
+func (nullObserver) SpanEnd(sim.Time, int, string, uint64, []sim.Field)           {}
+func (nullObserver) Instant(sim.Time, int, string, string, []sim.Field)           {}
+func (nullObserver) CounterSample(sim.Time, int, string, string, int64)           {}
+
+// TestTagRingsOnlyWhenTraced: the two writers of a queue's trace-tag ring,
+// StageTxTag (here through ExpressCompose and a library-style Basic send)
+// and the RxU landing, allocate the ring at the first nonzero tag. An
+// untraced run stages only zero tags and leaves every ring on both CTRLs
+// nil; a traced run allocates the rings its messages pass through and
+// reads back the tags it staged.
+func TestTagRingsOnlyWhenTraced(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		r := newRig(t, 0)
+		if traced {
+			r.eng.SetObserver(nullObserver{})
+		}
+		peerC := New(r.eng, 1, sram.New("a1", 64<<10), sram.New("s1", 64<<10),
+			sram.NewCls(16), DefaultConfig(), rigCycle, rigFlit, rigEntries, bus.Range{})
+		peerC.SetPorts(&fakeBus{eng: r.eng, memry: make([]byte, 4096)}, &fakeNet{eng: r.eng}, &fakeInts{})
+		r.net.peer = peerC
+		r.stdTx(0, false)
+		r.c.ConfigureTx(1, TxConfig{Buf: r.aS, Base: 0x2000, EntryBytes: 8, Entries: 16,
+			ShadowBase: 0x110, Express: true, Translate: true, AndMask: 0xFFFF,
+			AllowedDests: ^uint64(0), Enabled: true})
+		r.c.WriteTransEntry(3, TransEntry{PhysNode: 1, LogicalQ: 70, Valid: true})
+		peerC.ConfigureRx(0, RxConfig{Buf: peerC.aSRAM, Base: 0x4000, EntryBytes: 96,
+			Entries: 8, ShadowBase: 0x200, Logical: 0, Enabled: true})
+		peerC.ConfigureRx(2, RxConfig{Buf: peerC.aSRAM, Base: 0x2000, EntryBytes: 8, Entries: 16,
+			ShadowBase: 0x110, Logical: 70, Express: true, Enabled: true})
+
+		basic := sim.MsgTag{ID: r.eng.NewMsgID()} // as the aP library stages it
+		r.c.StageTxTag(0, 0, basic)
+		p := r.composeBasic(0, 1, SlotFlagRaw, []byte("b"))
+		r.eng.Schedule(0, func() {
+			r.c.TxProducerUpdate(0, p)
+			r.c.ExpressCompose(1, 3, []byte{1})
+		})
+		r.eng.Run()
+		if peerC.RxProducer(0) != 1 || peerC.RxProducer(2) != 1 {
+			t.Fatalf("traced=%v: delivered %d basic, %d express", traced, peerC.RxProducer(0), peerC.RxProducer(2))
+		}
+
+		var rings int
+		for _, c := range []*Ctrl{r.c, peerC} {
+			for q := 0; q < NumQueues; q++ {
+				for _, ring := range [][]sim.MsgTag{c.tx[q].tags, c.rx[q].tags} {
+					if ring != nil {
+						rings++
+					}
+				}
+			}
+		}
+		switch {
+		case !traced && rings != 0:
+			t.Fatalf("untraced run allocated %d tag rings", rings)
+		case traced && rings != 4:
+			t.Fatalf("traced run allocated %d tag rings, want 4 (two tx, two rx)", rings)
+		case traced && (!basic.Traced() || peerC.RxTag(0, 0) != basic || !peerC.RxTag(2, 0).Traced()):
+			t.Fatalf("traced run read tags %+v and %+v, staged %+v", peerC.RxTag(0, 0), peerC.RxTag(2, 0), basic)
+		}
+	}
+}

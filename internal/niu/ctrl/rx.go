@@ -185,9 +185,7 @@ func (o *rxOp) land() {
 		copy(slot[SlotHeaderBytes:], frame.Payload)
 		rq.cfg.Buf.Write(off, slot)
 	}
-	if len(rq.tags) > 0 {
-		rq.tags[int(ptr)%len(rq.tags)] = frame.Trace
-	}
+	setTag(&rq.tags, rq.cfg.Entries, ptr, frame.Trace)
 	c.eng.MsgInstant(c.myNode, "ctrl", "msg-enq", frame.Trace, sim.Int("rxq", q))
 	rq.reserved--
 	rq.producer++

@@ -61,22 +61,49 @@ func denseOp(ref []byte, op byte, off uint32, n int, val byte, dst uint32) []byt
 	return nil
 }
 
-// FuzzSRAMPages: a paged bank behaves as a dense zero-initialized array.
-// The input is a 2-byte bank size followed by 8-byte records (op, offset,
-// length, value, second offset). Offsets reach a page past the end of the
-// bank and lengths span up to three pages, so records straddle page
-// boundaries and the end of the bank. Each record runs against the bank and
-// against a []byte of the same size: every read must match, and the bank
-// must panic exactly when the reference's slice bounds check does.
+// imageData returns n bytes that differ from page to page, so an image page
+// read at the wrong page number shows.
+func imageData(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i) ^ byte(i>>pageShift)*0x35 ^ 0xA5
+	}
+	return b
+}
+
+// FuzzSRAMPages: a paged bank behaves as a dense array initialized from its
+// image, or zeroed without one. The input is a 2-byte bank size whose top
+// bit selects a bank over an image, then (in image mode) a 2-byte image
+// length, then 8-byte records (op, offset, length, value, second offset).
+// Offsets reach a page past the end of the bank and lengths span up to three
+// pages, so records straddle page boundaries, the end of the image and the
+// end of the bank. Each record runs against the bank and against a []byte
+// of the same size: every read must match, and the bank must panic exactly
+// when the reference's slice bounds check does. Writes to the bank must
+// never reach its image: a second bank over it still reads the image.
 func FuzzSRAMPages(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
-		size := 1 + int(binary.BigEndian.Uint16(data))%(8*pageSize)
-		s, ref := New("fuzz", size), make([]byte, size)
+		word := binary.BigEndian.Uint16(data)
+		size := 1 + int(word)%(8*pageSize)
+		data = data[2:]
+		var img *Image
+		var imgData []byte
+		ref := make([]byte, size)
+		if word&0x8000 != 0 {
+			if len(data) < 2 {
+				return
+			}
+			imgData = imageData(1 + int(binary.BigEndian.Uint16(data))%size)
+			data = data[2:]
+			img = NewImage(imgData)
+			copy(ref, imgData)
+		}
+		s := NewOver("fuzz", size, img)
 		span := uint32(size + pageSize)
-		for i := 2; i+8 <= len(data); i += 8 {
+		for i := 0; i+8 <= len(data); i += 8 {
 			r := data[i : i+8]
 			op, val := r[0], r[5]
 			off := uint32(binary.BigEndian.Uint16(r[1:])) % span
@@ -99,5 +126,22 @@ func FuzzSRAMPages(f *testing.F) {
 		if !bytes.Equal(all, ref) {
 			t.Fatal("bank contents differ from the reference")
 		}
+		if img != nil {
+			fresh, want := pattern(size, 1), make([]byte, size)
+			copy(want, imgData)
+			NewOver("fresh", size, img).Read(0, fresh)
+			if !bytes.Equal(fresh, want) {
+				t.Fatal("writes to a bank changed its image")
+			}
+		}
 	})
+}
+
+// TestImageLargerThanBankPanics: an image must fit the banks it backs.
+func TestImageLargerThanBankPanics(t *testing.T) {
+	img := NewImage(make([]byte, 2*pageSize+1))
+	if !panics(func() { NewOver("small", 2*pageSize, img) }) {
+		t.Fatal("a bank smaller than its image was built")
+	}
+	NewOver("fits", 2*pageSize+1, img)
 }

@@ -15,17 +15,17 @@ import (
 )
 
 // Backing-page geometry: a bank materializes in 1 KB pages on first write,
-// so a bank costs host memory only for the regions its software touches (a
-// queue ring at the bottom, a translation table, a pointer-shadow region far
-// above them) rather than a prefix up to its highest written byte.
+// so a bank costs host memory only for the regions its software writes (a
+// queue ring at the bottom, a pointer-shadow region far above it) rather
+// than a prefix up to its highest written byte.
 const (
 	pageShift = 10
 	pageSize  = 1 << pageShift
 )
 
 // SRAM is a byte-addressed buffer memory backed by demand-allocated pages.
-// Bytes on a never-written page read as zeros, identical to a dense
-// zero-initialized array.
+// Bytes on a never-written page read as the bank's image (NewOver), and as
+// zeros past it, identical to a dense array initialized from the image.
 type SRAM struct {
 	name string
 	size int
@@ -35,24 +35,62 @@ type SRAM struct {
 	// whose entry 0 is the nil untouched page. An idle page costs 1 byte.
 	idx   []uint8
 	pages []*[pageSize]byte
+	// image holds the read-only pages an untouched page reads; the first
+	// write to such a page copies it before writing.
+	image []*[pageSize]byte
 }
 
 // pageListCap is the room the page list reserves at construction, 8 bytes
 // of host memory per entry. Regrowing the list mid-run costs allocation
 // where reserving it costs footprint. 16 entries cover every page a node
-// writes in either bank on machines of up to 256 nodes (at most 4 aSRAM and
-// 9 sSRAM pages); a 1024-node sSRAM regrows the list at construction for
-// its 32 KB translation table.
+// writes in either bank at any machine size: a count over MPI traffic up to
+// 1024 nodes and S-COMA and R-Basic traffic up to 256 found at most 4 aSRAM
+// and 7 sSRAM pages per node. The translation table is the machine's image
+// (NewOver), so a node copies a table page only when it rewrites an entry,
+// and a 1024-node sSRAM no longer regrows the list for its 32 KB table.
 const pageListCap = 16
 
-// New allocates an SRAM of size bytes.
-func New(name string, size int) *SRAM {
+// Image is a read-only bank prefix that several banks read until each
+// writes its own copy: the machine's default translation table, which every
+// node's sSRAM starts from. NewImage copies its data, and nothing writes an
+// Image afterwards.
+type Image struct {
+	size  int
+	pages []*[pageSize]byte
+}
+
+// NewImage returns an image of data, read at bank offset 0.
+func NewImage(data []byte) *Image {
+	n := (len(data) + pageSize - 1) >> pageShift
+	buf := make([]byte, n<<pageShift)
+	copy(buf, data)
+	img := &Image{size: len(data), pages: make([]*[pageSize]byte, n)}
+	for i := range img.pages {
+		img.pages[i] = (*[pageSize]byte)(buf[i<<pageShift:])
+	}
+	return img
+}
+
+// New allocates an SRAM of size bytes that reads as zeros until written.
+func New(name string, size int) *SRAM { return NewOver(name, size, nil) }
+
+// NewOver allocates an SRAM of size bytes that reads as img (nil reads as
+// zeros) until written. Banks over one image share its pages: a bank holds
+// its own copy only of the pages it writes.
+func NewOver(name string, size int, img *Image) *SRAM {
 	n := (size + pageSize - 1) >> pageShift
 	if n > math.MaxUint8 {
 		panic(fmt.Sprintf("sram: %s has %d pages; a 1-byte page index addresses %d", name, n, math.MaxUint8))
 	}
-	return &SRAM{name: name, size: size, idx: make([]uint8, n),
+	s := &SRAM{name: name, size: size, idx: make([]uint8, n),
 		pages: make([]*[pageSize]byte, 1, pageListCap)}
+	if img != nil {
+		if img.size > size {
+			panic(fmt.Sprintf("sram: %d-byte image exceeds %s's %d bytes", img.size, name, size))
+		}
+		s.image = img.pages
+	}
+	return s
 }
 
 // Name returns the bank's name ("aSRAM", "sSRAM").
@@ -61,13 +99,23 @@ func (s *SRAM) Name() string { return s.name }
 // Size returns the bank capacity in bytes.
 func (s *SRAM) Size() int { return s.size }
 
+// page returns the page holding off as reads see it: the bank's own copy
+// once written, else the image's page, else nil for zeros.
+func (s *SRAM) page(off uint32) *[pageSize]byte {
+	p := off >> pageShift
+	if i := s.idx[p]; i != 0 || int(p) >= len(s.image) {
+		return s.pages[i]
+	}
+	return s.image[p]
+}
+
 // Read copies len(buf) bytes at off into buf.
 func (s *SRAM) Read(off uint32, buf []byte) {
 	s.check(off, len(buf))
 	for len(buf) > 0 {
 		po := off & (pageSize - 1)
 		n := min(len(buf), pageSize-int(po))
-		if pg := s.pages[s.idx[off>>pageShift]]; pg != nil {
+		if pg := s.page(off); pg != nil {
 			copy(buf[:n], pg[po:])
 		} else {
 			clear(buf[:n])
@@ -77,14 +125,19 @@ func (s *SRAM) Read(off uint32, buf []byte) {
 	}
 }
 
-// Write copies data into the bank at off, materializing pages as needed.
+// Write copies data into the bank at off, materializing pages as needed: a
+// page's first write copies what it read until then.
 func (s *SRAM) Write(off uint32, data []byte) {
 	s.check(off, len(data))
 	for len(data) > 0 {
 		i := &s.idx[off>>pageShift]
 		if *i == 0 {
+			pg := new([pageSize]byte)
+			if img := s.page(off); img != nil {
+				*pg = *img
+			}
 			*i = uint8(len(s.pages))
-			s.pages = append(s.pages, new([pageSize]byte))
+			s.pages = append(s.pages, pg)
 		}
 		n := copy(s.pages[*i][off&(pageSize-1):], data)
 		off += uint32(n)
@@ -95,7 +148,7 @@ func (s *SRAM) Write(off uint32, data []byte) {
 // ByteAt returns the byte at off.
 func (s *SRAM) ByteAt(off uint32) byte {
 	s.check(off, 1)
-	if pg := s.pages[s.idx[off>>pageShift]]; pg != nil {
+	if pg := s.page(off); pg != nil {
 		return pg[off&(pageSize-1)]
 	}
 	return 0

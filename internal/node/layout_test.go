@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"startvoyager/internal/arctic"
+	"startvoyager/internal/firmware"
+	"startvoyager/internal/niu/ctrl"
 	"startvoyager/internal/sim"
 )
 
@@ -70,7 +72,7 @@ func TestSSramLayoutScalesWithoutOverlap(t *testing.T) {
 func TestTransIndices(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := arctic.NewDirect(eng, 200, 100, 0)
-	n := New(eng, 0, fab, DefaultConfig(), 200, 0, 0, 0) // stride 256
+	n := New(eng, 0, fab, DefaultConfig(), 200, 0, 0, 0, TransImage(200)) // stride 256
 	if n.TransStride() != 256 {
 		t.Fatalf("stride %d, want 256", n.TransStride())
 	}
@@ -93,5 +95,61 @@ func TestTransIndices(t *testing.T) {
 				t.Fatalf("%s index %d outside the %d-entry table", e.region, e.idx, 4*256)
 			}
 		}
+	}
+}
+
+// TestTransImageSharedByEveryNode: on a 256-node machine every node's sSRAM
+// holds the default entry for every destination in all four regions, read
+// from the one image the machine built. A node that rewrites an entry
+// copies the page for itself alone: another node still reads the default
+// at that index, and the writer still reads it next to the new entry.
+func TestTransImageSharedByEveryNode(t *testing.T) {
+	const numNodes = 256
+	eng := sim.NewEngine()
+	fab := arctic.NewDirect(eng, numNodes, 100, 0)
+	trans := TransImage(numNodes)
+	nodes := make([]*Node, numNodes)
+	for i := range nodes {
+		nodes[i] = New(eng, i, fab, DefaultConfig(), numNodes, 0, 0, 0, trans)
+	}
+	read := func(n *Node, idx int) [8]byte {
+		var b [8]byte
+		n.SSram.Read(uint32(idx)*8, b[:])
+		return b
+	}
+	// entry is the table's 8-byte format: node, logical queue, flags
+	// (1 valid, 2 high priority).
+	entry := func(dest int, lq uint16, flags byte) [8]byte {
+		return [8]byte{byte(dest >> 8), byte(dest), byte(lq >> 8), byte(lq), flags}
+	}
+	for _, n := range nodes {
+		for dest := 0; dest < numNodes; dest++ {
+			for _, e := range []struct {
+				idx int
+				lq  uint16
+			}{
+				{n.TransBasicIdx(dest), LqBasic},
+				{n.TransExpressIdx(dest), LqExpress},
+				{n.TransSvcIdx(dest), firmware.SvcLogicalQ},
+				{n.TransNotifyIdx(dest), LqNotify},
+			} {
+				if got, want := read(n, e.idx), entry(dest, e.lq, 1); got != want {
+					t.Fatalf("node %d entry %d reads % x, want % x", n.ID, e.idx, got, want)
+				}
+			}
+		}
+	}
+
+	idx := nodes[0].TransExpressIdx(1)
+	nodes[0].Ctrl.WriteTransEntry(idx, ctrl.TransEntry{
+		PhysNode: 1, LogicalQ: LqExpress, Priority: arctic.High, Valid: true})
+	if got, want := read(nodes[0], idx), entry(1, LqExpress, 3); got != want {
+		t.Errorf("node 0 entry %d reads % x after its write, want % x", idx, got, want)
+	}
+	if got, want := read(nodes[0], idx+1), entry(2, LqExpress, 1); got != want {
+		t.Errorf("node 0 entry %d reads % x next to its write, want the default % x", idx+1, got, want)
+	}
+	if got, want := read(nodes[1], idx), entry(1, LqExpress, 1); got != want {
+		t.Errorf("node 1 entry %d reads % x after node 0's write, want the default % x", idx, got, want)
 	}
 }

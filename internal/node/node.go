@@ -111,10 +111,11 @@ const (
 )
 
 // SSramLayout is the numNodes-dependent sSRAM allocation: the translation
-// table (4 regions * stride entries * 8 bytes) at offset 0, where CTRL reads
-// it, then the sP shadow pairs, the service and miss queue buffers, and free
-// space. For clusters of up to 64 nodes this is exactly the historical fixed
-// layout (shadows 0x0800, service buffer 0x1000, miss buffer 0x2800).
+// table (4 regions * stride entries * 8 bytes, see TransImage) at offset 0,
+// where CTRL reads it, then the sP shadow pairs, the service and miss queue
+// buffers, and free space. For clusters of up to 64 nodes this is exactly
+// the historical fixed layout (shadows 0x0800, service buffer 0x1000, miss
+// buffer 0x2800).
 type SSramLayout struct {
 	SShadow uint32 // sP shadow-pair region base
 	SvcBuf  uint32 // service queue buffer base
@@ -196,13 +197,15 @@ type Node struct {
 	fabric arctic.Fabric
 }
 
-// New builds node id of a numNodes-node machine, with its queues and
-// translation table programmed (see programQueues). The rest is wiring from
-// the machine's assembly: flitTime is the fabric's per-flit link time, which
-// CTRL's block-transmit unit paces itself to, and scomaSize and reflectSize
-// size the S-COMA and reflective-memory windows (0 disables either).
+// New builds node id of a numNodes-node machine, with its queues programmed
+// (see programQueues). The rest is wiring from the machine's assembly:
+// flitTime is the fabric's per-flit link time, which CTRL's block-transmit
+// unit paces itself to; scomaSize and reflectSize size the S-COMA and
+// reflective-memory windows (0 disables either); and trans is the machine's
+// TransImage(numNodes), which the node's sSRAM reads until the node writes
+// a translation entry of its own.
 func New(eng *sim.Engine, id int, fabric arctic.Fabric, cfg Config, numNodes int,
-	flitTime sim.Time, scomaSize, reflectSize uint32) *Node {
+	flitTime sim.Time, scomaSize, reflectSize uint32, trans *sram.Image) *Node {
 	n := &Node{ID: id, Eng: eng, fabric: fabric,
 		lay: SSramLayoutFor(numNodes), stride: TransStride(numNodes),
 		APMeter: stats.NewMeter(eng, fmt.Sprintf("aP%d", id))}
@@ -215,7 +218,7 @@ func New(eng *sim.Engine, id int, fabric arctic.Fabric, cfg Config, numNodes int
 	n.Cache.SetWritebackSink(n.Dram.Poke)
 
 	n.ASram = sram.New(fmt.Sprintf("aSRAM%d", id), ASramSize)
-	n.SSram = sram.New(fmt.Sprintf("sSRAM%d", id), SSramSize)
+	n.SSram = sram.NewOver(fmt.Sprintf("sSRAM%d", id), SSramSize, trans)
 
 	n.Map = biu.Map{
 		Sram:      bus.Range{Base: SramBase, Size: ASramSize},
@@ -251,8 +254,25 @@ func New(eng *sim.Engine, id int, fabric arctic.Fabric, cfg Config, numNodes int
 	n.Bus.Attach(n.ABIU)
 	fabric.Attach(id, &netAdapter{n: n})
 	fabric.SetReadyHook(id, n.Ctrl.NetReady)
-	n.programQueues(numNodes)
+	n.programQueues()
 	return n
+}
+
+// TransImage builds the default translation table of a numNodes-node
+// machine as an sSRAM image: four regions of TransStride(numNodes) entries
+// (Basic, Express, service, notification; see the Trans*Idx methods), whose
+// entry for node i routes to node i's queue of that kind on the Low lane.
+// The machine's assembly builds it once and hands it to every node.
+func TransImage(numNodes int) *sram.Image {
+	stride := TransStride(numNodes)
+	table := make([]byte, 4*stride*ctrl.TransEntryBytes)
+	for r, lq := range [4]uint16{LqBasic, LqExpress, firmware.SvcLogicalQ, LqNotify} {
+		for i := 0; i < numNodes; i++ {
+			ctrl.PutTransEntry(table[(r*stride+i)*ctrl.TransEntryBytes:], ctrl.TransEntry{
+				PhysNode: uint16(i), LogicalQ: lq, Priority: arctic.Low, Valid: true})
+		}
+	}
+	return sram.NewImage(table)
 }
 
 // netAdapter bridges CTRL's NetPort to the Arctic fabric and the fabric's
@@ -291,9 +311,8 @@ func (n *Node) ScomaWindow() bus.Range { return n.Map.Scoma }
 // DmaStagingOff returns the aSRAM offset of the DMA staging area.
 func (n *Node) DmaStagingOff() uint32 { return ASramSize - DmaStagingLen }
 
-// programQueues programs the standard queue layout and the translation
-// table for a cluster of numNodes nodes.
-func (n *Node) programQueues(numNodes int) {
+// programQueues programs the standard queue layout.
+func (n *Node) programQueues() {
 	c := n.Ctrl
 	// aP transmit queues.
 	c.ConfigureTx(TxBasic, ctrl.TxConfig{
@@ -345,17 +364,6 @@ func (n *Node) programQueues(numNodes int) {
 		ShadowBase: n.lay.SShadow + RxMiss*8,
 		Logical:    firmware.MissLogicalQ, Interrupt: true, Full: ctrl.Hold, Enabled: true,
 	})
-	// Destination translation table (region bases scale with the stride).
-	for i := 0; i < numNodes; i++ {
-		c.WriteTransEntry(n.TransBasicIdx(i), ctrl.TransEntry{
-			PhysNode: uint16(i), LogicalQ: LqBasic, Priority: arctic.Low, Valid: true})
-		c.WriteTransEntry(n.TransExpressIdx(i), ctrl.TransEntry{
-			PhysNode: uint16(i), LogicalQ: LqExpress, Priority: arctic.Low, Valid: true})
-		c.WriteTransEntry(n.TransSvcIdx(i), ctrl.TransEntry{
-			PhysNode: uint16(i), LogicalQ: firmware.SvcLogicalQ, Priority: arctic.Low, Valid: true})
-		c.WriteTransEntry(n.TransNotifyIdx(i), ctrl.TransEntry{
-			PhysNode: uint16(i), LogicalQ: LqNotify, Priority: arctic.Low, Valid: true})
-	}
 }
 
 // TransBasicIdx returns the translation-table index routing a Basic message

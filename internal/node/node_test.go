@@ -12,7 +12,7 @@ import (
 func TestAddressMapDisjoint(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := arctic.NewDirect(eng, 1, 100, 0)
-	n := New(eng, 0, fab, DefaultConfig(), 1, 0, 1<<20, 0)
+	n := New(eng, 0, fab, DefaultConfig(), 1, 0, 1<<20, 0, TransImage(1))
 	ranges := []struct {
 		name string
 		base uint32
@@ -67,7 +67,7 @@ func TestSramLayoutDisjoint(t *testing.T) {
 func TestDefaultQueuesConfigured(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := arctic.NewDirect(eng, 4, 100, 0)
-	n := New(eng, 2, fab, DefaultConfig(), 4, 0, 1<<20, 0)
+	n := New(eng, 2, fab, DefaultConfig(), 4, 0, 1<<20, 0, TransImage(4))
 	if !n.Ctrl.TxQueueConfig(TxBasic).Enabled || !n.Ctrl.TxQueueConfig(TxExpress).Express {
 		t.Fatal("tx queues misconfigured")
 	}
@@ -82,7 +82,7 @@ func TestDefaultQueuesConfigured(t *testing.T) {
 func TestDmaStagingInsideASram(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := arctic.NewDirect(eng, 1, 100, 0)
-	n := New(eng, 0, fab, DefaultConfig(), 1, 0, 0, 0)
+	n := New(eng, 0, fab, DefaultConfig(), 1, 0, 0, 0, TransImage(1))
 	off := n.DmaStagingOff()
 	if int(off)+DmaStagingLen > n.ASram.Size() {
 		t.Fatal("staging beyond aSRAM")
@@ -95,7 +95,7 @@ func TestDmaStagingInsideASram(t *testing.T) {
 func TestScomaDisabled(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := arctic.NewDirect(eng, 1, 100, 0)
-	n := New(eng, 0, fab, DefaultConfig(), 1, 0, 0, 0)
+	n := New(eng, 0, fab, DefaultConfig(), 1, 0, 0, 0, TransImage(1))
 	if n.Map.Scoma.Size != 0 {
 		t.Fatal("scoma window present when disabled")
 	}

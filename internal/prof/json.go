@@ -141,15 +141,24 @@ func (d *Doc) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// ErrNullTreeNode reports a profile document whose tree holds a null node.
-var ErrNullTreeNode = errors.New("prof: null tree node")
+// The refusals of ReadDoc: every error it returns for a document it read
+// wraps one of them.
+var (
+	// ErrDocJSON reports input that does not decode as a profile document.
+	ErrDocJSON = errors.New("prof: profile document does not decode")
+	// ErrSchema reports a document of another schema.
+	ErrSchema = errors.New("prof: not a " + Schema + " document")
+	// ErrNullTreeNode reports a profile document whose tree holds a null
+	// node.
+	ErrNullTreeNode = errors.New("prof: null tree node")
+	// ErrProcTimes reports a profile document with a proc entry that breaks
+	// the telescoping law: a negative time or bucket, or buckets that do not
+	// sum to the proc's lifetime.
+	ErrProcTimes = errors.New("prof: proc times break the telescoping law")
+)
 
-// ErrProcTimes reports a profile document with a proc entry that breaks the
-// telescoping law: a negative time or bucket, or buckets that do not sum to
-// the proc's lifetime.
-var ErrProcTimes = errors.New("prof: proc times break the telescoping law")
-
-// ReadDoc parses a voyager-prof/v1 JSON document.
+// ReadDoc parses a voyager-prof/v1 JSON document. A document it accepts
+// renders through WriteReport, WriteFolded and WritePprof.
 func ReadDoc(r io.Reader) (*Doc, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -157,10 +166,10 @@ func ReadDoc(r io.Reader) (*Doc, error) {
 	}
 	var d Doc
 	if err := json.Unmarshal(data, &d); err != nil {
-		return nil, fmt.Errorf("prof: parse profile: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrDocJSON, err)
 	}
 	if d.Schema != Schema {
-		return nil, fmt.Errorf("prof: unsupported schema %q (want %q)", d.Schema, Schema)
+		return nil, fmt.Errorf("%w: schema %q", ErrSchema, d.Schema)
 	}
 	if err := checkTree(d.Tree); err != nil {
 		return nil, err

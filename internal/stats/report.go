@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -57,16 +58,19 @@ func sparkline(vals []int64, width int) string {
 }
 
 // rampChar picks the ramp glyph for v against scale max: zero is blank, any
-// nonzero value renders at least the faintest glyph.
+// nonzero value renders at least the faintest glyph, and v >= max the
+// darkest. The scaled product is taken in 128 bits, so values near the
+// int64 limit cannot wrap to a negative glyph index.
 func rampChar(v, max int64) byte {
 	if v <= 0 || max <= 0 {
 		return sparkRamp[0]
 	}
-	idx := 1 + int(v*int64(len(sparkRamp)-2)/max)
-	if idx >= len(sparkRamp) {
-		idx = len(sparkRamp) - 1
+	if v >= max {
+		return sparkRamp[len(sparkRamp)-1]
 	}
-	return sparkRamp[idx]
+	hi, lo := bits.Mul64(uint64(v), uint64(len(sparkRamp)-2))
+	step, _ := bits.Div64(hi, lo, uint64(max)) // hi < max, as v < max
+	return sparkRamp[1+step]
 }
 
 // downsampleMax reduces vals to at most width buckets, each the max of its

@@ -3,6 +3,7 @@ package stats
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -183,6 +184,32 @@ func TestSparkline(t *testing.T) {
 	}
 	if got := len(sparkline(make([]int64, 500), 64)); got != 64 {
 		t.Fatalf("width = %d", got)
+	}
+}
+
+// TestRampCharScale: the glyph is 1 + 7v/max, clamped to the ramp, and
+// values near the int64 limit pick the glyph their ratio calls for instead
+// of wrapping to a negative index.
+func TestRampCharScale(t *testing.T) {
+	for max := int64(1); max <= 40; max++ {
+		for v := int64(-1); v <= 50; v++ {
+			want := sparkRamp[0]
+			if v > 0 {
+				want = sparkRamp[min(1+7*v/max, int64(len(sparkRamp)-1))]
+			}
+			if got := rampChar(v, max); got != want {
+				t.Fatalf("rampChar(%d, %d) = %q, want %q", v, max, got, want)
+			}
+		}
+	}
+	const big = math.MaxInt64
+	for _, c := range []struct {
+		v, max int64
+		want   byte
+	}{{big - 1, big, '#'}, {big / 2, big, '='}, {2e18, 2e18, '@'}, {2e18, 4e18, '='}, {1, big, '.'}} {
+		if got := rampChar(c.v, c.max); got != c.want {
+			t.Errorf("rampChar(%d, %d) = %q, want %q", c.v, c.max, got, c.want)
+		}
 	}
 }
 

@@ -485,35 +485,59 @@ func (s *Sampler) WriteJSON(w io.Writer, meta *RunMeta) error {
 	return err
 }
 
-// ErrNullSeries reports a series document whose series map holds a null
-// entry.
-var ErrNullSeries = errors.New("stats: null series entry")
+// The refusals of ParseSeries: every error it returns wraps one of them.
+var (
+	// ErrSeriesJSON reports input that does not decode as a series
+	// document.
+	ErrSeriesJSON = errors.New("stats: series document does not decode")
+	// ErrSeriesSchema reports a document of another schema.
+	ErrSeriesSchema = errors.New("stats: not a " + SeriesSchema + " document")
+	// ErrNullSeries reports a series document whose series map holds a null
+	// entry.
+	ErrNullSeries = errors.New("stats: null series entry")
+	// ErrSeriesWindows reports a window count the series arrays do not bear
+	// out: a negative count, windows with no series to hold them, or a
+	// series whose arrays are not one entry per window (the quantile arrays
+	// are all absent or all present).
+	ErrSeriesWindows = errors.New("stats: window count disagrees with the series")
+)
 
-// ParseSeries reads and validates a voyager-series/v1 document.
+// ParseSeries reads and validates a voyager-series/v1 document. A document
+// it accepts renders through WriteReport.
 func ParseSeries(r io.Reader) (*SeriesDoc, error) {
 	var doc SeriesDoc
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("stats: parsing series document: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrSeriesJSON, err)
 	}
 	if doc.Schema != SeriesSchema {
-		return nil, fmt.Errorf("stats: schema %q, want %q", doc.Schema, SeriesSchema)
+		return nil, fmt.Errorf("%w: schema %q", ErrSeriesSchema, doc.Schema)
+	}
+	if doc.Windows < 0 || doc.Windows > 0 && len(doc.Series) == 0 {
+		return nil, fmt.Errorf("%w: %d windows in %d series", ErrSeriesWindows, doc.Windows, len(doc.Series))
 	}
 	for _, p := range doc.SortedPaths() {
 		d := doc.Series[p]
 		if d == nil {
 			return nil, fmt.Errorf("%w: %q", ErrNullSeries, p)
 		}
-		for _, l := range [][2]int{
-			{len(d.Min), doc.Windows}, {len(d.Max), doc.Windows},
-			{len(d.Sum), doc.Windows}, {len(d.Count), doc.Windows},
-		} {
-			if l[0] != l[1] {
-				return nil, fmt.Errorf("stats: series %q has %d windows, document says %d", p, l[0], l[1])
-			}
+		if !d.holds(doc.Windows) {
+			return nil, fmt.Errorf("%w: series %q does not hold %d windows", ErrSeriesWindows, p, doc.Windows)
 		}
 	}
 	return &doc, nil
+}
+
+// holds reports whether every array of d has one entry per window, the
+// quantile arrays either all absent or all present.
+func (d *SeriesData) holds(windows int) bool {
+	for _, n := range []int{len(d.Min), len(d.Max), len(d.Sum), len(d.Count)} {
+		if n != windows {
+			return false
+		}
+	}
+	q := len(d.P50)
+	return (q == 0 || q == windows) && len(d.P99) == q && len(d.P999) == q
 }
 
 // SortedPaths returns the document's series paths in sorted order.
