@@ -193,6 +193,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTime$$' -fuzztime 30s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseNodeList$$' -fuzztime 30s ./internal/bench/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSeries$$' -fuzztime 30s ./internal/stats/
+	$(GO) test -run '^$$' -fuzz '^FuzzRegistryPath$$' -fuzztime 30s ./internal/stats/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDoc$$' -fuzztime 30s ./internal/prof/
 
 # Machine-size sweep (64/256/1024-node fat trees): per-node heap footprint,

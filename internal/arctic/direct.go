@@ -45,19 +45,24 @@ func NewDirect(eng *sim.Engine, numNodes int, latency, flitTime sim.Time) *Direc
 	return d
 }
 
-// RegisterMetrics registers the fabric's counters under r.
+// chanMetrics is a DirectNet channel's metric table.
+var chanMetrics = stats.NewMetrics(
+	stats.TimeOf("busy", func(c *directChan) sim.Time { return c.busyNs }),
+	stats.CounterOf("credit_stalls", func(c *directChan) *stats.Counter { return &c.stallCnt }),
+	stats.GaugeOf("queued", func(c *directChan) int64 { return int64(len(c.queue) + len(c.stalled)) }),
+)
+
+// directLinks is the family of a DirectNet's channels, ch<src>-<dst>.
+var directLinks = stats.NewFamily(chanMetrics,
+	func(d *Direct) int { return len(d.chans) },
+	func(d *Direct, i int) string { return fmt.Sprintf("ch%d-%d", i/d.nodes, i%d.nodes) },
+	func(d *Direct, i int) *directChan { return d.chans[i] })
+
+// RegisterMetrics registers the fabric's counters under r, and its channels
+// under r/link as one family.
 func (d *Direct) RegisterMetrics(r *stats.Registry) {
-	d.registerMetrics(r)
-	lr := r.Child("link")
-	for i, c := range d.chans {
-		c := c
-		lc := lr.Child(fmt.Sprintf("ch%d-%d", i/d.nodes, i%d.nodes))
-		lc.Time("busy", func() sim.Time { return c.busyNs })
-		lc.Counter("credit_stalls", &c.stallCnt)
-		lc.Gauge("queued", func() int64 {
-			return int64(len(c.queue) + len(c.stalled))
-		})
-	}
+	edgeMetrics.Register(r, &d.edge)
+	directLinks.Register(r.Child("link"), d)
 }
 
 // InFlight counts packets buffered in the fabric's directional channels

@@ -53,17 +53,17 @@ func (e *edge) Stats() Stats { return e.stats }
 // Attach registers the endpoint for node.
 func (e *edge) Attach(node int, ep Endpoint) { e.endpoints[node] = ep }
 
-// registerMetrics registers the delivery counters and latency histogram
-// under r; each fabric adds its per-link children.
-func (e *edge) registerMetrics(r *stats.Registry) {
-	r.Gauge("injected", func() int64 { return int64(e.stats.Injected) })
-	r.Gauge("delivered", func() int64 { return int64(e.stats.Delivered) })
-	r.Gauge("bytes", func() int64 { return int64(e.stats.Bytes) })
-	r.Gauge("refusals", func() int64 { return int64(e.stats.Refusals) })
-	r.Gauge("high_pri", func() int64 { return int64(e.stats.ByPri[High]) })
-	r.Gauge("low_pri", func() int64 { return int64(e.stats.ByPri[Low]) })
-	r.Histogram("delivery_latency_ns", e.latHist)
-}
+// edgeMetrics is the metric table of a fabric's delivery counters and
+// latency histogram; each fabric adds its link family under link/.
+var edgeMetrics = stats.NewMetrics(
+	stats.GaugeOf("injected", func(e *edge) int64 { return int64(e.stats.Injected) }),
+	stats.GaugeOf("delivered", func(e *edge) int64 { return int64(e.stats.Delivered) }),
+	stats.GaugeOf("bytes", func(e *edge) int64 { return int64(e.stats.Bytes) }),
+	stats.GaugeOf("refusals", func(e *edge) int64 { return int64(e.stats.Refusals) }),
+	stats.GaugeOf("high_pri", func(e *edge) int64 { return int64(e.stats.ByPri[High]) }),
+	stats.GaugeOf("low_pri", func(e *edge) int64 { return int64(e.stats.ByPri[Low]) }),
+	stats.HistogramOf("delivery_latency_ns", func(e *edge) *stats.Histogram { return e.latHist }),
+)
 
 // Inject sends pkt from pkt.Src toward pkt.Dst. The fabric owns pkt from
 // here until it is delivered or dropped (see Packet).

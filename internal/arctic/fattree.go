@@ -112,19 +112,25 @@ func (f *FatTree) Levels() int { return f.n }
 // per-node injection and ejection links.
 func (f *FatTree) NumLinks() int { return len(f.links) }
 
-// RegisterMetrics registers the fabric's counters under r.
+// linkMetrics is a fat-tree link's metric table.
+var linkMetrics = stats.NewMetrics(
+	stats.TimeOf("busy", func(l *link) sim.Time { return l.busyNs }),
+	stats.CounterOf("credit_stalls", func(l *link) *stats.Counter { return &l.stallCnt }),
+	stats.GaugeOf("queued", func(l *link) int64 { return int64(len(l.queues[High]) + len(l.queues[Low])) }),
+)
+
+// treeLinks is the family of a fat tree's links, each named by its place in
+// the tree.
+var treeLinks = stats.NewFamily(linkMetrics,
+	func(f *FatTree) int { return len(f.links) },
+	func(f *FatTree, i int) string { return f.links[i].name() },
+	func(f *FatTree, i int) *link { return f.links[i] })
+
+// RegisterMetrics registers the fabric's counters under r, and its links
+// under r/link as one family.
 func (f *FatTree) RegisterMetrics(r *stats.Registry) {
-	f.registerMetrics(r)
-	lr := r.Child("link")
-	for _, l := range f.links {
-		l := l
-		lc := lr.Child(l.name())
-		lc.Time("busy", func() sim.Time { return l.busyNs })
-		lc.Counter("credit_stalls", &l.stallCnt)
-		lc.Gauge("queued", func() int64 {
-			return int64(len(l.queues[High]) + len(l.queues[Low]))
-		})
-	}
+	edgeMetrics.Register(r, &f.edge)
+	treeLinks.Register(r.Child("link"), f)
 }
 
 // LevelStalls aggregates the credit-stall telemetry of every link at one

@@ -224,16 +224,19 @@ func (b *Bus) BusyTime() sim.Time { return b.res.BusyTime() }
 // set, which is right for single-node tests).
 func (b *Bus) SetNode(id int) { b.node = id }
 
-// RegisterMetrics registers the bus's counters under r.
-func (b *Bus) RegisterMetrics(r *stats.Registry) {
-	r.Gauge("transactions", func() int64 { return int64(b.stats.Transactions) })
-	r.Gauge("retries", func() int64 { return int64(b.stats.Retries) })
-	r.Gauge("data_bytes", func() int64 { return int64(b.stats.DataBytes) })
-	r.Time("busy", b.res.BusyTime)
-	r.Histogram("retries_per_tx", b.retHist)
+// busMetrics is the bus's metric table.
+var busMetrics = stats.NewMetrics(
+	stats.GaugeOf("transactions", func(b *Bus) int64 { return int64(b.stats.Transactions) }),
+	stats.GaugeOf("retries", func(b *Bus) int64 { return int64(b.stats.Retries) }),
+	stats.GaugeOf("data_bytes", func(b *Bus) int64 { return int64(b.stats.DataBytes) }),
+	stats.TimeOf("busy", (*Bus).BusyTime),
+	stats.HistogramOf("retries_per_tx", func(b *Bus) *stats.Histogram { return b.retHist }),
 	// Masters queued for bus tenure right now — the bus-side depth series.
-	r.Gauge("waiters", func() int64 { return int64(b.res.QueueLen()) })
-}
+	stats.GaugeOf("waiters", func(b *Bus) int64 { return int64(b.res.QueueLen()) }),
+)
+
+// RegisterMetrics registers the bus's counters under r.
+func (b *Bus) RegisterMetrics(r *stats.Registry) { busMetrics.Register(r, b) }
 
 // Issue runs tx to completion, retrying as needed, then calls done. The
 // master must not mutate tx until done runs.

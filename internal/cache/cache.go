@@ -180,15 +180,18 @@ func (c *Cache) SetWritebackSink(fn func(addr uint32, data []byte)) { c.writebac
 // SetNode records the owning node's id for trace attribution.
 func (c *Cache) SetNode(id int) { c.node = id }
 
+// cacheMetrics is the cache's metric table.
+var cacheMetrics = stats.NewMetrics(
+	stats.GaugeOf("hits", func(c *Cache) int64 { return int64(c.stats.Hits) }),
+	stats.GaugeOf("misses", func(c *Cache) int64 { return int64(c.stats.Misses) }),
+	stats.GaugeOf("writebacks", func(c *Cache) int64 { return int64(c.stats.Writebacks) }),
+	stats.GaugeOf("upgrades", func(c *Cache) int64 { return int64(c.stats.Upgrades) }),
+	stats.GaugeOf("snoop_invalidations", func(c *Cache) int64 { return int64(c.stats.SnoopInvalidations) }),
+	stats.GaugeOf("interventions", func(c *Cache) int64 { return int64(c.stats.Interventions) }),
+)
+
 // RegisterMetrics registers the cache's counters under r.
-func (c *Cache) RegisterMetrics(r *stats.Registry) {
-	r.Gauge("hits", func() int64 { return int64(c.stats.Hits) })
-	r.Gauge("misses", func() int64 { return int64(c.stats.Misses) })
-	r.Gauge("writebacks", func() int64 { return int64(c.stats.Writebacks) })
-	r.Gauge("upgrades", func() int64 { return int64(c.stats.Upgrades) })
-	r.Gauge("snoop_invalidations", func() int64 { return int64(c.stats.SnoopInvalidations) })
-	r.Gauge("interventions", func() int64 { return int64(c.stats.Interventions) })
-}
+func (c *Cache) RegisterMetrics(r *stats.Registry) { cacheMetrics.Register(r, c) }
 
 // DeviceName implements bus.Device.
 func (c *Cache) DeviceName() string { return c.name }

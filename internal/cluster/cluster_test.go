@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -15,6 +16,7 @@ import (
 	"startvoyager/internal/niu/ctrl"
 	"startvoyager/internal/node"
 	"startvoyager/internal/sim"
+	"startvoyager/internal/stats"
 )
 
 // TestDefaultConfigIsTheMachine: the machine config holds each component's
@@ -204,5 +206,36 @@ func TestCloseReleasesMachines(t *testing.T) {
 	}
 	if grew := heap() - base; grew > 1<<20 {
 		t.Errorf("heap grew %d KiB over 20 closed machines, want at most 1024", grew>>10)
+	}
+}
+
+// TestRegistryBytesPerNode: a node's registry state is one record per
+// component. Registering a 256-node machine's node and Rel metrics the way
+// New does — entering node<i> a second time for Rel — retains at most 1,400
+// bytes per node, where one record and one closure per metric held 6,976.
+func TestRegistryBytesPerNode(t *testing.T) {
+	const n = 256
+	c := New(DefaultConfig(n))
+	defer c.Close()
+	liveHeap := func() int64 {
+		runtime.GC() // twice, so pooled objects cleared by the first go too
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := liveHeap()
+	reg := stats.NewRegistry()
+	for i, nd := range c.Nodes {
+		nd.RegisterMetrics(reg.Child(fmt.Sprintf("node%d", i)))
+	}
+	for i, rel := range c.Rels {
+		rel.RegisterMetrics(reg.Child(fmt.Sprintf("node%d", i)).Child("fault"))
+	}
+	perNode := (liveHeap() - before) / n
+	runtime.KeepAlive(reg)
+	t.Logf("%d bytes per node", perNode)
+	if perNode > 1400 {
+		t.Errorf("node and Rel metrics retain %d bytes per node, want at most 1400", perNode)
 	}
 }

@@ -12,9 +12,7 @@ import (
 // artifact (and fails -strict-trace runs) instead of passing silently.
 func (m *Machine) Trace(capacity int) *trace.Buffer {
 	b := trace.Attach(m.Eng, capacity)
-	tr := m.Reg.Child("trace")
-	tr.Gauge("dropped", func() int64 { return int64(b.Stats().Dropped) })
-	tr.Gauge("captured", func() int64 { return int64(b.Stats().Captured) })
+	b.RegisterMetrics(m.Reg.Child("trace"))
 	return b
 }
 

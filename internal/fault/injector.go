@@ -140,13 +140,16 @@ func (in *Injector) instant(name string, src, dst int) {
 	in.eng.Instant(node, "net", name, sim.Int("src", src), sim.Int("dst", dst))
 }
 
+// injectorMetrics is the injector's metric table.
+var injectorMetrics = stats.NewMetrics(
+	stats.GaugeOf("injected_drops", func(in *Injector) int64 { return int64(in.stats.InjectedDrops) }),
+	stats.GaugeOf("corrupted", func(in *Injector) int64 { return int64(in.stats.Corrupted) }),
+	stats.GaugeOf("duplicated", func(in *Injector) int64 { return int64(in.stats.Duplicated) }),
+	stats.GaugeOf("delayed", func(in *Injector) int64 { return int64(in.stats.Delayed) }),
+	stats.GaugeOf("outage_drops", func(in *Injector) int64 { return int64(in.stats.OutageDrops) }),
+	stats.GaugeOf("death_drops", func(in *Injector) int64 { return int64(in.stats.DeathDrops) }),
+	stats.HistogramOf("delay_ns", func(in *Injector) *stats.Histogram { return in.delayHist }),
+)
+
 // RegisterMetrics exposes the fault counters, typically under net/fault.
-func (in *Injector) RegisterMetrics(r *stats.Registry) {
-	r.Gauge("injected_drops", func() int64 { return int64(in.stats.InjectedDrops) })
-	r.Gauge("corrupted", func() int64 { return int64(in.stats.Corrupted) })
-	r.Gauge("duplicated", func() int64 { return int64(in.stats.Duplicated) })
-	r.Gauge("delayed", func() int64 { return int64(in.stats.Delayed) })
-	r.Gauge("outage_drops", func() int64 { return int64(in.stats.OutageDrops) })
-	r.Gauge("death_drops", func() int64 { return int64(in.stats.DeathDrops) })
-	r.Histogram("delay_ns", in.delayHist)
-}
+func (in *Injector) RegisterMetrics(r *stats.Registry) { injectorMetrics.Register(r, in) }

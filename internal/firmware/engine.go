@@ -120,15 +120,18 @@ func (e *Engine) BusyTime() sim.Time { return e.res.BusyTime() }
 // over the run so far, so occupancy is computable from either.
 func (e *Engine) IdleTime() sim.Time { return e.sim.Now() - e.res.BusyTime() }
 
+// engineMetrics is the firmware engine's metric table.
+var engineMetrics = stats.NewMetrics(
+	stats.GaugeOf("messages", func(e *Engine) int64 { return int64(e.stats.Messages) }),
+	stats.GaugeOf("miss_served", func(e *Engine) int64 { return int64(e.stats.MissServed) }),
+	stats.GaugeOf("captures", func(e *Engine) int64 { return int64(e.stats.Captures) }),
+	stats.GaugeOf("prot_viols", func(e *Engine) int64 { return int64(e.stats.ProtViols) }),
+	stats.TimeOf("sp_busy", (*Engine).BusyTime),
+	stats.TimeOf("sp_idle", (*Engine).IdleTime),
+)
+
 // RegisterMetrics registers the firmware engine's counters under r.
-func (e *Engine) RegisterMetrics(r *stats.Registry) {
-	r.Gauge("messages", func() int64 { return int64(e.stats.Messages) })
-	r.Gauge("miss_served", func() int64 { return int64(e.stats.MissServed) })
-	r.Gauge("captures", func() int64 { return int64(e.stats.Captures) })
-	r.Gauge("prot_viols", func() int64 { return int64(e.stats.ProtViols) })
-	r.Time("sp_busy", e.res.BusyTime)
-	r.Time("sp_idle", e.IdleTime)
-}
+func (e *Engine) RegisterMetrics(r *stats.Registry) { engineMetrics.Register(r, e) }
 
 // Register installs h for service id svc (the first payload byte).
 func (e *Engine) Register(svc byte, h Handler) {

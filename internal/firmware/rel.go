@@ -170,17 +170,20 @@ func (r *Rel) Quiesced() error {
 	return nil
 }
 
+// relMetrics is the service's metric table.
+var relMetrics = stats.NewMetrics(
+	stats.GaugeOf("rel_sends", func(r *Rel) int64 { return int64(r.stats.Sends) }),
+	stats.GaugeOf("rel_delivered", func(r *Rel) int64 { return int64(r.stats.Delivered) }),
+	stats.GaugeOf("retransmits", func(r *Rel) int64 { return int64(r.stats.Retransmits) }),
+	stats.GaugeOf("dup_suppressed", func(r *Rel) int64 { return int64(r.stats.DupSuppressed) }),
+	stats.GaugeOf("ooo_dropped", func(r *Rel) int64 { return int64(r.stats.OooDropped) }),
+	stats.GaugeOf("rel_acks", func(r *Rel) int64 { return int64(r.stats.Acks) }),
+	stats.GaugeOf("rel_failures", func(r *Rel) int64 { return int64(r.stats.Failures) }),
+	stats.HistogramOf("backoff_ns", func(r *Rel) *stats.Histogram { return r.backoffHist }),
+)
+
 // RegisterMetrics registers the service's counters under reg.
-func (r *Rel) RegisterMetrics(reg *stats.Registry) {
-	reg.Gauge("rel_sends", func() int64 { return int64(r.stats.Sends) })
-	reg.Gauge("rel_delivered", func() int64 { return int64(r.stats.Delivered) })
-	reg.Gauge("retransmits", func() int64 { return int64(r.stats.Retransmits) })
-	reg.Gauge("dup_suppressed", func() int64 { return int64(r.stats.DupSuppressed) })
-	reg.Gauge("ooo_dropped", func() int64 { return int64(r.stats.OooDropped) })
-	reg.Gauge("rel_acks", func() int64 { return int64(r.stats.Acks) })
-	reg.Gauge("rel_failures", func() int64 { return int64(r.stats.Failures) })
-	reg.Histogram("backoff_ns", r.backoffHist)
-}
+func (r *Rel) RegisterMetrics(reg *stats.Registry) { relMetrics.Register(reg, r) }
 
 // onSend handles SvcRelSend from the local aP: dst(2) tag(4) payload.
 func (r *Rel) onSend(p *sim.Proc, src uint16, body []byte) {

@@ -193,11 +193,14 @@ func (d *DRAM) serve(tx *bus.Transaction) {
 // Accesses returns the number of read and write transactions served.
 func (d *DRAM) Accesses() (reads, writes uint64) { return d.reads, d.writes }
 
+// dramMetrics is the controller's metric table.
+var dramMetrics = stats.NewMetrics(
+	stats.GaugeOf("reads", func(d *DRAM) int64 { return int64(d.reads) }),
+	stats.GaugeOf("writes", func(d *DRAM) int64 { return int64(d.writes) }),
+)
+
 // RegisterMetrics registers the controller's access counters under r.
-func (d *DRAM) RegisterMetrics(r *stats.Registry) {
-	r.Gauge("reads", func() int64 { return int64(d.reads) })
-	r.Gauge("writes", func() int64 { return int64(d.writes) })
-}
+func (d *DRAM) RegisterMetrics(r *stats.Registry) { dramMetrics.Register(r, d) }
 
 // Peek copies memory at addr into buf without consuming simulated time.
 func (d *DRAM) Peek(addr uint32, buf []byte) {

@@ -13,6 +13,7 @@ package ctrl
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"startvoyager/internal/arctic"
 	"startvoyager/internal/bus"
@@ -279,6 +280,9 @@ type Ctrl struct {
 
 	stats      Stats
 	rxSizeHist *stats.Histogram // received payload bytes
+	// gauged marks the queues RegisterMetrics gave a depth gauge: transmit
+	// queue q is bit q, receive queue q bit NumQueues+q.
+	gauged uint32
 }
 
 // New builds a CTRL for node myNode over the given SRAMs. The rest is
@@ -353,37 +357,73 @@ func (c *Ctrl) Stats() Stats { return c.stats }
 // IBusBusyTime returns accumulated IBus occupancy.
 func (c *Ctrl) IBusBusyTime() sim.Time { return c.ibus.BusyTime() }
 
-// RegisterMetrics registers CTRL's counters under r.
+// ctrlMetrics is CTRL's metric table.
+var ctrlMetrics = stats.NewMetrics(
+	stats.GaugeOf("tx_messages", func(c *Ctrl) int64 { return int64(c.stats.TxMessages) }),
+	stats.GaugeOf("rx_messages", func(c *Ctrl) int64 { return int64(c.stats.RxMessages) }),
+	stats.GaugeOf("tx_bytes", func(c *Ctrl) int64 { return int64(c.stats.TxBytes) }),
+	stats.GaugeOf("rx_bytes", func(c *Ctrl) int64 { return int64(c.stats.RxBytes) }),
+	stats.GaugeOf("rx_misses", func(c *Ctrl) int64 { return int64(c.stats.RxMisses) }),
+	stats.GaugeOf("rx_drops", func(c *Ctrl) int64 { return int64(c.stats.RxDrops) }),
+	stats.GaugeOf("rx_holds", func(c *Ctrl) int64 { return int64(c.stats.RxHolds) }),
+	stats.GaugeOf("rx_garbage", func(c *Ctrl) int64 { return int64(c.stats.RxGarbage) }),
+	stats.GaugeOf("prot_violations", func(c *Ctrl) int64 { return int64(c.stats.ProtViolations) }),
+	stats.GaugeOf("local_cmds", func(c *Ctrl) int64 { return int64(c.stats.LocalCmds) }),
+	stats.GaugeOf("remote_cmds", func(c *Ctrl) int64 { return int64(c.stats.RemoteCmds) }),
+	stats.GaugeOf("block_reads", func(c *Ctrl) int64 { return int64(c.stats.BlockReads) }),
+	stats.GaugeOf("block_txs", func(c *Ctrl) int64 { return int64(c.stats.BlockTxs) }),
+	stats.GaugeOf("tagons", func(c *Ctrl) int64 { return int64(c.stats.TagOns) }),
+	stats.TimeOf("ibus_busy", (*Ctrl).IBusBusyTime),
+	stats.HistogramOf("rx_payload_bytes", func(c *Ctrl) *stats.Histogram { return c.rxSizeHist }),
+)
+
+// depthGauges is the family of queue-depth gauges, txq<q>_depth and
+// rxq<q>_depth, one per queue in c.gauged.
+var depthGauges = stats.NewGaugeFamily(
+	func(c *Ctrl) int { return bits.OnesCount32(c.gauged) },
+	func(c *Ctrl, i int) string {
+		q := c.gaugedQueue(i)
+		if q < NumQueues {
+			return txqName[q] + "_depth"
+		}
+		return rxqName[q-NumQueues] + "_depth"
+	},
+	func(c *Ctrl, i int) int64 {
+		q := c.gaugedQueue(i)
+		if q < NumQueues {
+			return int64(c.tx[q].pending())
+		}
+		return int64(c.rx[q-NumQueues].used())
+	})
+
+// gaugedQueue returns the queue of depth gauge i, the i-th set bit of
+// c.gauged: transmit queue q as q, receive queue q as NumQueues+q.
+func (c *Ctrl) gaugedQueue(i int) int {
+	m := c.gauged
+	for ; i > 0; i-- {
+		m &= m - 1
+	}
+	return bits.TrailingZeros32(m)
+}
+
+// RegisterMetrics registers CTRL's counters under r, with a depth gauge for
+// each queue configured now (node assembly programs its queues before the
+// machine registers), so the windowed sampler can chart occupancy — rising
+// rx depth per window is the receiver-side face of tree saturation. The
+// gauged set lives on CTRL, so a second call re-snapshots it for every
+// registry CTRL is in.
 func (c *Ctrl) RegisterMetrics(r *stats.Registry) {
-	r.Gauge("tx_messages", func() int64 { return int64(c.stats.TxMessages) })
-	r.Gauge("rx_messages", func() int64 { return int64(c.stats.RxMessages) })
-	r.Gauge("tx_bytes", func() int64 { return int64(c.stats.TxBytes) })
-	r.Gauge("rx_bytes", func() int64 { return int64(c.stats.RxBytes) })
-	r.Gauge("rx_misses", func() int64 { return int64(c.stats.RxMisses) })
-	r.Gauge("rx_drops", func() int64 { return int64(c.stats.RxDrops) })
-	r.Gauge("rx_holds", func() int64 { return int64(c.stats.RxHolds) })
-	r.Gauge("rx_garbage", func() int64 { return int64(c.stats.RxGarbage) })
-	r.Gauge("prot_violations", func() int64 { return int64(c.stats.ProtViolations) })
-	r.Gauge("local_cmds", func() int64 { return int64(c.stats.LocalCmds) })
-	r.Gauge("remote_cmds", func() int64 { return int64(c.stats.RemoteCmds) })
-	r.Gauge("block_reads", func() int64 { return int64(c.stats.BlockReads) })
-	r.Gauge("block_txs", func() int64 { return int64(c.stats.BlockTxs) })
-	r.Gauge("tagons", func() int64 { return int64(c.stats.TagOns) })
-	r.Time("ibus_busy", c.ibus.BusyTime)
-	r.Histogram("rx_payload_bytes", c.rxSizeHist)
-	// Per-queue depth gauges for the queues configured at registration time
-	// (node assembly programs its queues before the machine registers), so
-	// the windowed sampler can chart occupancy — rising rx depth per window
-	// is the receiver-side face of tree saturation.
+	ctrlMetrics.Register(r, c)
+	c.gauged = 0
 	for q := 0; q < NumQueues; q++ {
-		q := q
 		if c.tx[q].cfg.Buf != nil {
-			r.Gauge(txqName[q]+"_depth", func() int64 { return int64(c.tx[q].pending()) })
+			c.gauged |= 1 << q
 		}
 		if c.rx[q].cfg.Buf != nil {
-			r.Gauge(rxqName[q]+"_depth", func() int64 { return int64(c.rx[q].used()) })
+			c.gauged |= 1 << (NumQueues + q)
 		}
 	}
+	depthGauges.Register(r, c)
 }
 
 // sampleTx emits transmit queue q's depth on the node's "ctrl" track.

@@ -294,10 +294,15 @@ func (a *netAdapter) TryDeliver(pkt *arctic.Packet) bool {
 	return a.n.Ctrl.TryReceive(pkt.Payload.([]byte), pkt.Trace)
 }
 
+// nodeMetrics is the node's own metric table: the aP's occupancy meter.
+var nodeMetrics = stats.NewMetrics(
+	stats.MeterOf("aP", func(n *Node) *stats.Meter { return n.APMeter }),
+)
+
 // RegisterMetrics registers every component's counters under r (one child
 // per component, mirroring the trace track taxonomy).
 func (n *Node) RegisterMetrics(r *stats.Registry) {
-	r.Meter("aP", n.APMeter)
+	nodeMetrics.Register(r, n)
 	n.Bus.RegisterMetrics(r.Child("bus"))
 	n.Cache.RegisterMetrics(r.Child("cache"))
 	n.Dram.RegisterMetrics(r.Child("mem"))

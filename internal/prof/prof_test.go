@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -369,6 +370,22 @@ func TestReadDocNullTreeNode(t *testing.T) {
 	} {
 		if _, err := ReadDoc(strings.NewReader(doc)); !errors.Is(err, ErrNullTreeNode) {
 			t.Errorf("ReadDoc(%s) = %v, want ErrNullTreeNode", doc, err)
+		}
+	}
+}
+
+// TestPctTenths: percentages are exact for every int64 numerator; 1e16 and
+// the int64 limit overflowed num*1000.
+func TestPctTenths(t *testing.T) {
+	for _, c := range []struct {
+		num, den int64
+		want     string
+	}{
+		{125, 1000, "12.5%"}, {1, 3, "33.3%"}, {0, 5, "0.0%"}, {5, 0, "0.0%"}, {2000, 1000, "200.0%"},
+		{1e16, 1e16, "100.0%"}, {math.MaxInt64, 1, "922337203685477580700.0%"},
+	} {
+		if got := pctTenths(c.num, c.den); got != c.want {
+			t.Errorf("pctTenths(%d,%d) = %q, want %q", c.num, c.den, got, c.want)
 		}
 	}
 }

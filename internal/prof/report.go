@@ -3,6 +3,7 @@ package prof
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -103,13 +104,27 @@ func (d *Doc) groupTotals() []*groupTotal {
 func fmtNs(ns int64) string { return sim.Time(ns).String() }
 
 // pctTenths renders num/den as a percentage with one decimal in pure integer
-// math, matching the voyager-stats report style.
+// math, matching the voyager-stats report style, exact for every int64
+// numerator.
 func pctTenths(num, den int64) string {
 	if den <= 0 {
 		return "0.0%"
 	}
-	t := num * 1000 / den
-	return fmt.Sprintf("%d.%d%%", t/10, t%10)
+	// num/den = q + r/den, so the percentage is q*100 plus the first three
+	// digits of r/den; r < den keeps the 128-bit quotient below 1000, and
+	// q is printed before those digits rather than scaled, so no product
+	// can overflow. A negative num renders its magnitude behind a sign.
+	sign, mag := "", uint64(num)
+	if num < 0 {
+		sign, mag = "-", -mag
+	}
+	q, r := mag/uint64(den), mag%uint64(den)
+	hi, lo := bits.Mul64(r, 1000)
+	t, _ := bits.Div64(hi, lo, uint64(den))
+	if q == 0 {
+		return fmt.Sprintf("%s%d.%d%%", sign, t/10, t%10)
+	}
+	return fmt.Sprintf("%s%d%02d.%d%%", sign, q, t/10, t%10)
 }
 
 // trimPath elides the middle of over-long folded paths, keeping the root

@@ -3,8 +3,11 @@ package stats
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
+
+	"startvoyager/internal/sim"
 )
 
 // FuzzParseSeries: ParseSeries never panics, every document it refuses gets
@@ -30,6 +33,87 @@ func FuzzParseSeries(f *testing.F) {
 			if err := WriteReport(io.Discard, doc, opts); err != nil {
 				t.Fatal(err)
 			}
+		}
+	})
+}
+
+// fuzzComp and fuzzOwner are a component type and a family owner for the
+// registry the path fuzzer reads.
+type fuzzComp struct {
+	a, ab int64
+	c     Counter
+	h     *Histogram
+}
+
+type fuzzOwner struct {
+	members []*fuzzComp
+	depths  []int64
+}
+
+var fuzzCompMetrics = NewMetrics(
+	GaugeOf("a", func(c *fuzzComp) int64 { return c.a }),
+	GaugeOf("ab", func(c *fuzzComp) int64 { return c.ab }),
+	TimeOf("t", func(c *fuzzComp) sim.Time { return sim.Time(c.a + c.ab) }),
+	CounterOf("c", func(c *fuzzComp) *Counter { return &c.c }),
+	HistogramOf("h", func(c *fuzzComp) *Histogram { return c.h }),
+)
+
+var fuzzMembers = NewFamily(fuzzCompMetrics,
+	func(o *fuzzOwner) int { return len(o.members) },
+	func(o *fuzzOwner, i int) string { return fmt.Sprintf("m%d", i) },
+	func(o *fuzzOwner, i int) *fuzzComp { return o.members[i] })
+
+var fuzzDepths = NewGaugeFamily(
+	func(o *fuzzOwner) int { return len(o.depths) },
+	func(o *fuzzOwner, i int) string { return fmt.Sprintf("q%d_depth", i) },
+	func(o *fuzzOwner, i int) int64 { return o.depths[i] })
+
+// fuzzRegistry builds a registry with every registration shape: single
+// values at the root and deep in the tree, a component table, a family of
+// tables (members m0..m11, so m1 prefixes m10), a gauge family held as a
+// scope's second table, and names that prefix one another.
+func fuzzRegistry() *Registry {
+	mk := func(v int64) *fuzzComp {
+		c := &fuzzComp{a: v, ab: 2 * v, h: NewHistogram(10, 100)}
+		c.c.Add(uint64(v))
+		c.h.Observe(v)
+		return c
+	}
+	owner := &fuzzOwner{depths: []int64{5, 6, 7}}
+	for i := 0; i < 12; i++ {
+		owner.members = append(owner.members, mk(int64(100+i)))
+	}
+	reg := NewRegistry()
+	reg.Gauge("up", func() int64 { return 1 })
+	reg.Gauge("upper", func() int64 { return 2 })
+	net := reg.Child("net")
+	fuzzCompMetrics.Register(net, mk(3))
+	fuzzDepths.Register(net, owner)
+	link := net.Child("link")
+	fuzzMembers.Register(link, owner)
+	link.Child("m1x").Gauge("g", func() int64 { return 4 })
+	reg.Child("node0").Child("bus").Meter("aP", NewMeter(sim.NewEngine(), "aP0"))
+	reg.Child("node0").Gauge("n", func() int64 { return 9 })
+	return reg
+}
+
+// FuzzRegistryPath: ReadGauge never panics on an arbitrary string, and it
+// reads exactly the gauge paths the registry renders — not a scope, not a
+// non-gauge metric, not a path with an empty segment or a trailing "/", not
+// a family member that does not exist, not a name that prefixes a real one.
+func FuzzRegistryPath(f *testing.F) {
+	reg := fuzzRegistry()
+	gauges := map[string]int64{}
+	for _, m := range reg.metrics() {
+		if m.rd.row.kind == kindGauge {
+			gauges[m.path] = m.rd.value()
+		}
+	}
+	f.Fuzz(func(t *testing.T, path string) {
+		v, ok := reg.ReadGauge(path)
+		want, isGauge := gauges[path]
+		if ok != isGauge || v != want {
+			t.Fatalf("ReadGauge(%q) = %d, %v; want %d, %v", path, v, ok, want, isGauge)
 		}
 	})
 }

@@ -3,8 +3,11 @@ package stats
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -193,4 +196,45 @@ func TestMeterPanicsNameTime(t *testing.T) {
 		}()
 		m.Stop()
 	}()
+}
+
+// TestRegistryTablesAndFamilies: a component table renders its rows under
+// its scope, a family renders each member's rows under the member's name, a
+// gauge family names each gauge by its member, and a scope's second table
+// adds no path segment.
+func TestRegistryTablesAndFamilies(t *testing.T) {
+	var want []string
+	want = append(want, "net/a", "net/ab", "net/c", "net/h")
+	for i := 0; i < 12; i++ {
+		for _, row := range []string{"a", "ab", "c", "h", "t"} {
+			want = append(want, fmt.Sprintf("net/link/m%d/%s", i, row))
+		}
+	}
+	want = append(want, "net/link/m1x/g", "net/q0_depth", "net/q1_depth", "net/q2_depth", "net/t",
+		"node0/bus/aP", "node0/n", "up", "upper")
+	sort.Strings(want)
+	if got := fuzzRegistry().Paths(); !slices.Equal(got, want) {
+		t.Errorf("Paths() =\n%v\nwant\n%v", got, want)
+	}
+	reg := fuzzRegistry()
+	for path, v := range map[string]int64{"net/ab": 6, "net/link/m11/a": 111, "net/q1_depth": 6, "upper": 2} {
+		if got, ok := reg.ReadGauge(path); !ok || got != v {
+			t.Errorf("ReadGauge(%q) = %d, %v; want %d", path, got, ok, v)
+		}
+	}
+}
+
+// TestNewMetricsBadNamePanics: a table row name must be one path segment,
+// checked when the table is declared.
+func TestNewMetricsBadNamePanics(t *testing.T) {
+	for _, bad := range []string{"", "a/b"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("row name %q did not panic", bad)
+				}
+			}()
+			NewMetrics(GaugeOf(bad, func(c *Counter) int64 { return 0 }))
+		}()
+	}
 }

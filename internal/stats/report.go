@@ -96,14 +96,27 @@ func downsampleMax(vals []int64, width int) []int64 {
 	return out
 }
 
-// pctTenths renders num/den as a percentage with one decimal, in pure
-// integer math ("12.5%").
+// pctTenths renders num/den as a percentage with one decimal, truncated, in
+// pure integer math ("12.5%"), exact for every int64 numerator.
 func pctTenths(num, den int64) string {
 	if den <= 0 {
 		return "0.0%"
 	}
-	t := num * 1000 / den
-	return fmt.Sprintf("%d.%d%%", t/10, t%10)
+	// num/den = q + r/den, so the percentage is q*100 plus the first three
+	// digits of r/den; r < den keeps the 128-bit quotient below 1000, and
+	// q is printed before those digits rather than scaled, so no product
+	// can overflow. A negative num renders its magnitude behind a sign.
+	sign, mag := "", uint64(num)
+	if num < 0 {
+		sign, mag = "-", -mag
+	}
+	q, r := mag/uint64(den), mag%uint64(den)
+	hi, lo := bits.Mul64(r, 1000)
+	t, _ := bits.Div64(hi, lo, uint64(den))
+	if q == 0 {
+		return fmt.Sprintf("%s%d.%d%%", sign, t/10, t%10)
+	}
+	return fmt.Sprintf("%s%d%02d.%d%%", sign, q, t/10, t%10)
 }
 
 // seriesRef is one selected series plus its precomputed per-window sums.

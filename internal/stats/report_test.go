@@ -217,10 +217,44 @@ func TestPctTenths(t *testing.T) {
 	for _, c := range []struct {
 		num, den int64
 		want     string
-	}{{125, 1000, "12.5%"}, {1, 3, "33.3%"}, {0, 5, "0.0%"}, {5, 0, "0.0%"}, {2000, 1000, "200.0%"}} {
+	}{
+		{125, 1000, "12.5%"}, {1, 3, "33.3%"}, {0, 5, "0.0%"}, {5, 0, "0.0%"}, {2000, 1000, "200.0%"},
+		{1e16, 1e16, "100.0%"}, {math.MaxInt64, 1, "922337203685477580700.0%"},
+		{math.MaxInt64, math.MaxInt64 - 1, "100.0%"}, {-125, 1000, "-12.5%"},
+	} {
 		if got := pctTenths(c.num, c.den); got != c.want {
 			t.Errorf("pctTenths(%d,%d) = %q, want %q", c.num, c.den, got, c.want)
 		}
+	}
+}
+
+// TestReportHugeBusy: a link busy for 1e16 ns of a 1e16 ns window reads
+// 100% utilized, where num*1000 overflowed int64 and printed
+// "-844674407370955.-1%".
+func TestReportHugeBusy(t *testing.T) {
+	one := func(kind string, v int64) *SeriesData {
+		return &SeriesData{Kind: kind, Min: []int64{v}, Max: []int64{v}, Sum: []int64{v}, Count: []uint64{1}}
+	}
+	doc := &SeriesDoc{
+		Schema: SeriesSchema, WindowNs: 1e16, Scrapes: 4, Windows: 1,
+		Series: map[string]*SeriesData{
+			"net/link/inj0/busy":          one("time", 1e16),
+			"net/link/inj0/credit_stalls": one("counter", 0),
+		},
+	}
+	var b strings.Builder
+	if err := WriteReport(&b, doc, ReportOpts{}); err != nil {
+		t.Fatal(err)
+	}
+	var row string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "inj0 ") {
+			row = line
+			break
+		}
+	}
+	if f := strings.Fields(row); len(f) < 4 || f[2] != "100.0%" || f[3] != "100.0%" {
+		t.Errorf("hot-link row %q, want util and peak-win 100.0%%\n%s", row, b.String())
 	}
 }
 

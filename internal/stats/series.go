@@ -124,13 +124,14 @@ type SamplerConfig struct {
 	Scrapes int
 }
 
-// sampSeries is the scrape state for one registry entry: where its
-// observations accumulate plus the previous-scrape snapshot that turns
-// monotonic totals into per-scrape deltas.
+// sampSeries is the scrape state for one registered metric: its reader,
+// where its observations accumulate, and the previous-scrape snapshot that
+// turns monotonic totals into per-scrape deltas.
 type sampSeries struct {
-	path  string
-	entry *entry
-	out   *Series
+	path string
+	rd   reader
+	hist *Histogram // the histogram of a histogram metric
+	out  *Series
 
 	prevU uint64   // counter: Events at last scrape
 	prevT sim.Time // meter/time: nanoseconds at last scrape
@@ -180,10 +181,11 @@ type Sampler struct {
 	finished   bool
 }
 
-// NewSampler snapshots reg's current metric set (sorted by path) and
-// returns a sampler scraping it every cfg.Window/cfg.Scrapes of simulated
-// time. Metrics registered after NewSampler are not scraped. Call Start to
-// arm it, Finish after the run, then Doc/WriteJSON to export.
+// NewSampler snapshots reg's current metric set (sorted by path), resolving
+// each path to its reader once, and returns a sampler scraping it every
+// cfg.Window/cfg.Scrapes of simulated time. Metrics registered after
+// NewSampler are not scraped. Call Start to arm it, Finish after the run,
+// then Doc/WriteJSON to export.
 func NewSampler(eng *sim.Engine, reg *Registry, cfg SamplerConfig) *Sampler {
 	if cfg.Window <= 0 {
 		panic(fmt.Sprintf("stats: sampler window %d, must be > 0", int64(cfg.Window)))
@@ -201,13 +203,13 @@ func NewSampler(eng *sim.Engine, reg *Registry, cfg SamplerConfig) *Sampler {
 		step:    cfg.Window / sim.Time(cfg.Scrapes),
 		scrapes: cfg.Scrapes,
 	}
-	paths := reg.Paths()
-	s.series = make([]*sampSeries, 0, len(paths))
-	for _, p := range paths {
-		e := reg.root.entries[p]
-		ss := &sampSeries{path: p, entry: e, out: NewSeries(cfg.Window)}
-		if e.kind == kindHist {
-			n := e.hist.NumBuckets()
+	ms := reg.metrics()
+	s.series = make([]*sampSeries, 0, len(ms))
+	for _, m := range ms {
+		ss := &sampSeries{path: m.path, rd: m.rd, out: NewSeries(cfg.Window)}
+		if m.rd.row.kind == kindHist {
+			ss.hist = m.rd.hist()
+			n := ss.hist.NumBuckets()
 			ss.prevBuckets = make([]uint64, n)
 			ss.curBuckets = make([]uint64, n)
 		}
@@ -233,7 +235,7 @@ func (s *Sampler) Windows() int {
 func (s *Sampler) Reserve(n int) {
 	for _, ss := range s.series {
 		ss.out.Reserve(n)
-		if ss.entry.kind == kindHist {
+		if ss.hist != nil {
 			ss.p50 = reserveI64(ss.p50, n)
 			ss.p99 = reserveI64(ss.p99, n)
 			ss.p999 = reserveI64(ss.p999, n)
@@ -277,7 +279,7 @@ func (s *Sampler) tick(at sim.Time) {
 func (s *Sampler) ensure(idx int) {
 	for _, ss := range s.series {
 		ss.out.ensure(idx)
-		if ss.entry.kind == kindHist {
+		if ss.hist != nil {
 			ss.p50 = ensureI64(ss.p50, idx+1)
 			ss.p99 = ensureI64(ss.p99, idx+1)
 			ss.p999 = ensureI64(ss.p999, idx+1)
@@ -302,26 +304,25 @@ func ensureI64(s []int64, n int) []int64 {
 //voyager:noalloc
 func (s *Sampler) scrape(at sim.Time, idx int) {
 	for _, ss := range s.series {
-		e := ss.entry
 		var v int64
-		switch e.kind {
+		switch ss.rd.row.kind {
 		case kindGauge:
-			v = e.gauge()
+			v = ss.rd.value()
 		case kindCounter:
-			cur := e.counter.Events
+			cur := ss.rd.counter().Events
 			v = int64(cur - ss.prevU)
 			ss.prevU = cur
 		case kindMeter:
-			cur := e.meter.BusyTime()
+			cur := ss.rd.meter().BusyTime()
 			v = int64(cur - ss.prevT)
 			ss.prevT = cur
 		case kindTime:
-			cur := e.timeFn()
+			cur := sim.Time(ss.rd.value())
 			v = int64(cur - ss.prevT)
 			ss.prevT = cur
 		case kindHist:
 			var delta uint64
-			for i, c := range e.hist.counts {
+			for i, c := range ss.hist.counts {
 				d := c - ss.prevBuckets[i]
 				ss.curBuckets[i] += d
 				ss.prevBuckets[i] = c
@@ -339,10 +340,10 @@ func (s *Sampler) scrape(at sim.Time, idx int) {
 //voyager:noalloc
 func (s *Sampler) closeWindow(idx int) {
 	for _, ss := range s.series {
-		if ss.entry.kind != kindHist {
+		h := ss.hist
+		if h == nil {
 			continue
 		}
-		h := ss.entry.hist
 		var total uint64
 		for _, c := range ss.curBuckets {
 			total += c
@@ -454,7 +455,7 @@ func (s *Sampler) Doc(meta *RunMeta) *SeriesDoc {
 	}
 	for _, ss := range s.series {
 		d := &SeriesData{
-			Kind:  kindNames[ss.entry.kind],
+			Kind:  kindNames[ss.rd.row.kind],
 			Min:   make([]int64, n),
 			Max:   make([]int64, n),
 			Sum:   make([]int64, n),
@@ -464,7 +465,7 @@ func (s *Sampler) Doc(meta *RunMeta) *SeriesDoc {
 			w := ss.out.At(i)
 			d.Min[i], d.Max[i], d.Sum[i], d.Count[i] = w.Min, w.Max, w.Sum, w.Count
 		}
-		if ss.entry.kind == kindHist {
+		if ss.hist != nil {
 			d.P50, d.P99, d.P999 = ss.p50[:n:n], ss.p99[:n:n], ss.p999[:n:n]
 		}
 		doc.Series[ss.path] = d

@@ -1,6 +1,13 @@
 // Package stats provides instrumentation primitives for the simulation:
 // counters, busy-time (occupancy) meters, latency samplers, and simple
 // table/series formatting used by the benchmark harness.
+//
+// Its Registry names a machine's metrics by path. Registration stores one
+// record per component: the component's pointer and its type's static
+// metric table (Metrics), or for a set of like members (links, queues) the
+// owner and its Family table. No path string and no per-metric state is
+// stored; paths are built on demand by Paths, ReadGauge, WriteJSON and
+// NewSampler, which resolves each path to its reader once.
 package stats
 
 import (

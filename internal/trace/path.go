@@ -307,37 +307,56 @@ func (a *PathAnalysis) StageTotals() []StageSpan {
 	return out
 }
 
+// pathStats is what an analysis publishes: per-stage and end-to-end
+// latency histograms of its delivered chains, and its chain counts as of
+// registration.
+type pathStats struct {
+	a                                      *PathAnalysis
+	stages                                 []*stats.Histogram // by StageOrder
+	e2e                                    *stats.Histogram
+	delivered, dropped, inflight, complete int
+}
+
+// pathMetrics is pathStats' metric table: <stage>_ns for each stage, then
+// end_to_end_ns and the chain counters.
+var pathMetrics = func() *stats.Metrics[pathStats] {
+	var rows []stats.Metric[pathStats]
+	for i, name := range StageOrder {
+		rows = append(rows, stats.HistogramOf(strings.ReplaceAll(name, "-", "_")+"_ns",
+			func(p *pathStats) *stats.Histogram { return p.stages[i] }))
+	}
+	return stats.NewMetrics(append(rows,
+		stats.HistogramOf("end_to_end_ns", func(p *pathStats) *stats.Histogram { return p.e2e }),
+		stats.GaugeOf("msgs", func(p *pathStats) int64 { return int64(len(p.a.Msgs)) }),
+		stats.GaugeOf("delivered", func(p *pathStats) int64 { return int64(p.delivered) }),
+		stats.GaugeOf("dropped", func(p *pathStats) int64 { return int64(p.dropped) }),
+		stats.GaugeOf("in_flight", func(p *pathStats) int64 { return int64(p.inflight) }),
+		stats.GaugeOf("complete_chains", func(p *pathStats) int64 { return int64(p.complete) }),
+		stats.GaugeOf("orphans", func(p *pathStats) int64 { return int64(p.a.Orphans) }),
+	)...)
+}()
+
 // RegisterMetrics publishes the analysis into a stats registry: one latency
 // histogram per stage (per-message attributed nanoseconds) plus chain
 // counters. Call on a Child scope, e.g. reg.Child("path").
 func (a *PathAnalysis) RegisterMetrics(reg *stats.Registry) {
-	hists := map[string]*stats.Histogram{}
-	for _, name := range StageOrder {
-		hists[name] = stats.NewHistogram(stats.ExpBounds(100, 2, 16)...)
+	p := &pathStats{a: a, e2e: stats.NewHistogram(stats.ExpBounds(1000, 2, 14)...)}
+	for range StageOrder {
+		p.stages = append(p.stages, stats.NewHistogram(stats.ExpBounds(100, 2, 16)...))
 	}
-	var e2e = stats.NewHistogram(stats.ExpBounds(1000, 2, 14)...)
 	for _, m := range a.Msgs {
 		if m.Outcome != Delivered {
 			continue
 		}
-		e2e.ObserveTime(m.Total())
-		for _, name := range StageOrder {
+		p.e2e.ObserveTime(m.Total())
+		for i, name := range StageOrder {
 			if d := m.Stage(name); d > 0 || (name != StageRetransmit && m.seen[stageEvent(name)]) {
-				hists[name].Observe(int64(d))
+				p.stages[i].Observe(int64(d))
 			}
 		}
 	}
-	for _, name := range StageOrder {
-		reg.Histogram(strings.ReplaceAll(name, "-", "_")+"_ns", hists[name])
-	}
-	reg.Histogram("end_to_end_ns", e2e)
-	delivered, dropped, inflight, complete := a.Counts()
-	reg.Gauge("msgs", func() int64 { return int64(len(a.Msgs)) })
-	reg.Gauge("delivered", func() int64 { return int64(delivered) })
-	reg.Gauge("dropped", func() int64 { return int64(dropped) })
-	reg.Gauge("in_flight", func() int64 { return int64(inflight) })
-	reg.Gauge("complete_chains", func() int64 { return int64(complete) })
-	reg.Gauge("orphans", func() int64 { return int64(a.Orphans) })
+	p.delivered, p.dropped, p.inflight, p.complete = a.Counts()
+	pathMetrics.Register(reg, p)
 }
 
 // stageEvent maps a stage to the event whose presence means the stage

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"startvoyager/internal/sim"
+	"startvoyager/internal/stats"
 )
 
 // Kind is the type of one trace event.
@@ -154,6 +155,16 @@ func (b *Buffer) Stats() Stats {
 	retained := uint64(len(b.events))
 	return Stats{Captured: retained + b.dropped, Retained: retained, Dropped: b.dropped}
 }
+
+// bufferMetrics is the ring's metric table: its capture and drop totals, so
+// a truncated trace is visible in the metrics artifact.
+var bufferMetrics = stats.NewMetrics(
+	stats.GaugeOf("dropped", func(b *Buffer) int64 { return int64(b.Stats().Dropped) }),
+	stats.GaugeOf("captured", func(b *Buffer) int64 { return int64(b.Stats().Captured) }),
+)
+
+// RegisterMetrics registers the ring's capture and drop totals under r.
+func (b *Buffer) RegisterMetrics(r *stats.Registry) { bufferMetrics.Register(r, b) }
 
 // Events returns retained events in emission order.
 func (b *Buffer) Events() []Event {
