@@ -26,6 +26,11 @@ type Stats struct {
 // real hardware whose receiver simply went away). Each fabric embeds edge
 // and binds its own launch, which takes a fault-approved packet onto its
 // links.
+//
+// The edge also keeps the fabric's packet pool (see Packet): NewPacket hands
+// pooled packets out, and release takes each back where it leaves the
+// fabric — after delivered's accounting, at an injection-time drop, and in
+// dropDead — so every pooled packet dies at the edge it entered by.
 type edge struct {
 	eng       *sim.Engine
 	nodes     int
@@ -34,6 +39,9 @@ type edge struct {
 	stats     Stats
 	latHist   *stats.Histogram // end-to-end delivery latency (ns)
 	faults    *fault.Injector  // nil = fault-free fabric
+
+	free []*Packet // released pooled packets, reused last-in first-out
+	out  int       // pooled packets handed out and not yet released
 }
 
 func newEdge(eng *sim.Engine, nodes int, launch func(*Packet)) edge {
@@ -52,6 +60,40 @@ func (e *edge) Stats() Stats { return e.stats }
 
 // Attach registers the endpoint for node.
 func (e *edge) Attach(node int, ep Endpoint) { e.endpoints[node] = ep }
+
+// NewPacket hands out a zeroed pooled packet (see Packet).
+//
+//voyager:noalloc
+func (e *edge) NewPacket() *Packet {
+	e.out++
+	if n := len(e.free); n > 0 {
+		p := e.free[n-1]
+		e.free = e.free[:n-1]
+		return p
+	}
+	r := &pooledPacket{} //voyager:alloc-ok(pool warm-up; recycled thereafter)
+	r.wire = &r.buf
+	return &r.Packet
+}
+
+// release takes pkt back into the pool if it is a pooled packet; a
+// caller-built packet is left to its caller. The record is zeroed, so no
+// stale header, trace tag or payload outlives the packet.
+//
+//voyager:noalloc
+func (e *edge) release(pkt *Packet) {
+	if pkt.wire == nil {
+		return
+	}
+	e.out--
+	*pkt = Packet{wire: pkt.wire}
+	e.free = append(e.free, pkt) //voyager:alloc-ok(amortized: pool backing array is retained)
+}
+
+// Outstanding counts the pooled packets the fabric has handed out and not
+// taken back. A pooled packet is released exactly where it leaves the
+// fabric, so once the event queue has drained this equals InFlight.
+func (e *edge) Outstanding() int { return e.out }
 
 // edgeMetrics is the metric table of a fabric's delivery counters and
 // latency histogram; each fabric adds its link family under link/.
@@ -88,9 +130,13 @@ func (e *edge) Inject(pkt *Packet) {
 		return
 	}
 	launch, delay := e.judge(pkt)
-	if len(launch) == 0 && e.eng.Observed() && pkt.Trace.Traced() {
-		e.eng.Instant(pkt.Src, "net", "msg-drop",
-			pkt.Trace.AppendTo([]sim.Field{sim.Str("why", "fault")})...)
+	if len(launch) == 0 {
+		if e.eng.Observed() && pkt.Trace.Traced() {
+			e.eng.Instant(pkt.Src, "net", "msg-drop",
+				pkt.Trace.AppendTo([]sim.Field{sim.Str("why", "fault")})...)
+		}
+		e.release(pkt)
+		return
 	}
 	for _, lp := range launch {
 		lp := lp
@@ -104,27 +150,28 @@ func (e *edge) Inject(pkt *Packet) {
 
 // judge applies the injector's injection-time ruling to pkt. It returns the
 // packets to actually launch — empty for a drop, the original (possibly with
-// corrupted payload bytes) otherwise, plus an independent copy when the
+// corrupted wire bytes) otherwise, plus an independent pooled copy when the
 // packet is duplicated, counted as injected so delivered <= injected stays
-// true — and the extra latency to charge each of them.
+// true — and the extra latency to charge each of them. The wire it judges is
+// the packet's Wire, which a caller-built packet lacks, so only pooled
+// packets can be corrupted.
 func (e *edge) judge(pkt *Packet) (launch []*Packet, delay sim.Time) {
-	wire, _ := pkt.Payload.([]byte)
+	wire := pkt.Wire()
 	v := e.faults.Judge(pkt.Src, pkt.Dst, int(pkt.Priority), wire)
 	if v.Drop {
 		return nil, 0
 	}
-	if wire != nil {
-		pkt.Payload = v.Wire
-	}
+	copy(wire, v.Wire) // a corrupted copy lands in the packet's own buffer
 	launch = append(launch, pkt)
 	if v.Dup {
-		dup := *pkt
-		if wire != nil {
-			dup.Payload = append([]byte(nil), v.Wire...)
-		}
+		dup := e.NewPacket()
+		buf := dup.wire
+		*dup = *pkt
+		dup.wire = buf
+		copy(dup.Wire(), wire)
 		e.stats.Injected++
 		e.stats.ByPri[dup.Priority]++
-		launch = append(launch, &dup)
+		launch = append(launch, dup)
 	}
 	return launch, v.Delay
 }
@@ -151,8 +198,9 @@ func (e *edge) tryDeliver(pkt *Packet) bool {
 	return false
 }
 
-// delivered updates delivery counters and emits the per-packet trace event;
-// every acceptance path (first try and post-Poke retry) funnels through it.
+// delivered updates delivery counters and emits the per-packet trace event,
+// then takes the packet back; every acceptance path (first try and
+// post-Poke retry) funnels through it.
 //
 //voyager:noalloc
 func (e *edge) delivered(pkt *Packet) {
@@ -166,9 +214,11 @@ func (e *edge) delivered(pkt *Packet) {
 				sim.Int("src", pkt.Src), sim.I64("lat_ns", int64(lat)),
 				sim.Int("size", pkt.Size)})...)
 	}
+	e.release(pkt)
 }
 
-// dropDead traces a packet killed at the delivery boundary (dead receiver).
+// dropDead traces a packet killed at the delivery boundary (dead receiver)
+// and takes it back.
 //
 //voyager:noalloc
 func (e *edge) dropDead(pkt *Packet) {
@@ -176,4 +226,5 @@ func (e *edge) dropDead(pkt *Packet) {
 		e.eng.Instant(pkt.Dst, "net", "msg-drop", //voyager:alloc-ok(observed runs trade allocation for visibility)
 			pkt.Trace.AppendTo([]sim.Field{sim.Str("why", "dead")})...)
 	}
+	e.release(pkt)
 }

@@ -272,8 +272,8 @@ func (f *FatTree) HopCount(src, dst int) int { return 2*(f.n-1-f.lcaLevel(src, d
 //
 //voyager:noalloc
 func (f *FatTree) launch(pkt *Packet) {
-	pkt.lvl, pkt.word = f.n-1, pkt.Src/Radix
-	pkt.climb = f.n - 1 - f.lcaLevel(pkt.Src, pkt.Dst)
+	pkt.lvl, pkt.word = int16(f.n-1), int32(pkt.Src/Radix)
+	pkt.climb = int16(f.n - 1 - f.lcaLevel(pkt.Src, pkt.Dst))
 	pkt.readyAt = 0
 	f.inject[pkt.Src].enqueueOrWait(pkt, nil)
 }
@@ -288,21 +288,21 @@ func (f *FatTree) launch(pkt *Packet) {
 //voyager:noalloc
 func (f *FatTree) forward(pkt *Packet, from *link) {
 	var next *link
+	lvl, word := int(pkt.lvl), int(pkt.word)
 	switch {
 	case pkt.climb > 0:
 		j := f.digit(pkt.Src, f.n-1)
 		if f.cfg.Adaptive {
-			j = f.bestUp(pkt.lvl-1, pkt.word)
+			j = f.bestUp(lvl-1, word)
 		}
-		pkt.lvl--
+		lvl--
 		pkt.climb--
-		next = f.up[pkt.lvl][pkt.word*Radix+j]
-		pkt.word = f.setWordDigit(pkt.word, pkt.lvl, j)
-	case pkt.lvl < f.n-1:
-		i := f.digit(pkt.Dst, pkt.lvl)
-		next = f.down[pkt.lvl][pkt.word*Radix+i]
-		pkt.word = f.setWordDigit(pkt.word, pkt.lvl, i)
-		pkt.lvl++
+		next = f.up[lvl][word*Radix+j]
+		pkt.lvl, pkt.word = int16(lvl), int32(f.setWordDigit(word, lvl, j))
+	case lvl < f.n-1:
+		i := f.digit(pkt.Dst, lvl)
+		next = f.down[lvl][word*Radix+i]
+		pkt.lvl, pkt.word = int16(lvl+1), int32(f.setWordDigit(word, lvl, i))
 	default:
 		next = f.eject[pkt.Dst]
 	}
@@ -416,16 +416,6 @@ func (l *link) name() string {
 	}
 }
 
-// popFront removes q's head in place, keeping the backing array, so a lane
-// never holds more than LaneCapacity slots.
-//
-//voyager:noalloc
-func popFront(q []*Packet) []*Packet {
-	n := copy(q, q[1:])
-	q[n] = nil
-	return q[:n]
-}
-
 // enqueueOrWait admits the packet if the lane has room, otherwise registers
 // it as a credit waiter; from (if non-nil) stays blocked until admission.
 //
@@ -478,7 +468,7 @@ func (l *link) kick() {
 			l.f.eng.At(pkt.readyAt, l.kickFn)
 			continue
 		}
-		l.queues[pr] = popFront(l.queues[pr])
+		l.queues[pr] = sim.PopFront(l.queues[pr])
 		l.ser = pkt
 		l.admitWaiter(pr)
 		ser := l.f.serTime(pkt.Size)
@@ -508,7 +498,7 @@ func (l *link) admitWaiter(pr Priority) {
 		return
 	}
 	pkt := l.waiters[pr][0]
-	l.waiters[pr] = popFront(l.waiters[pr])
+	l.waiters[pr] = sim.PopFront(l.waiters[pr])
 	l.stallCnt.Amount += uint64(l.f.eng.Now() - pkt.since)
 	l.queues[pr] = append(l.queues[pr], pkt) //voyager:alloc-ok(amortized: the slot just freed keeps the lane within its capacity)
 	if pkt.from != nil {

@@ -38,18 +38,30 @@ const (
 	MaxPayloadBytes = MaxPacketBytes - HeaderBytes
 )
 
-// Packet is one Arctic network packet. Payload is opaque to the network; the
-// NIU layers attach their message representation to it.
+// Packet is one Arctic network packet. Its contents — a pooled packet's
+// Wire bytes, a caller-built packet's Payload — are opaque to the network,
+// which only flips Wire bits when a fault plan corrupts the packet.
 //
 // The fabric owns a packet from Fabric.Inject until it is delivered or
 // dropped, and carries its route state in it the way a router carries the
 // route in the header: inject a fresh packet each time, and leave it alone
 // while it is in flight.
+//
+// A packet is pooled or caller-built. Fabric.NewPacket hands out a pooled
+// packet, whose wire bytes (Wire) live in the same pooled record; the fabric
+// takes it back where it leaves the fabric — after its delivery is
+// accounted, or where it is dropped (a fault or outage ruling at Inject, a
+// dead destination at delivery) — and hands it out again. So an endpoint
+// copies what it needs out of a packet before TryDeliver returns true, and
+// nobody keeps a pooled packet past that. A caller-built packet (a Packet
+// value the caller allocates) carries its message in Payload and is never
+// recycled.
 type Packet struct {
 	Src, Dst int
 	Priority Priority
 	// Size is the total wire size in bytes including header; it determines
-	// serialization time. Must be in (HeaderBytes, MaxPacketBytes].
+	// serialization time. Must be in (HeaderBytes, MaxPacketBytes]. On a
+	// pooled packet it is also the length of Wire.
 	Size    int
 	Payload interface{}
 
@@ -60,19 +72,44 @@ type Packet struct {
 
 	injected sim.Time
 
+	// wire is a pooled packet's wire buffer, nil on a caller-built packet.
+	wire *[MaxPacketBytes]byte
+
 	// Fat-tree hop state. The packet is at switch (lvl, word) and still
-	// has climb up links to take before it turns down toward Dst.
-	lvl, word, climb int
-	readyAt          sim.Time // router pipeline done: serialization may start
+	// has climb up links to take before it turns down toward Dst. The
+	// narrow widths keep a Packet within 128 bytes: a tree has at most a
+	// few levels, and word < Radix^(levels-1).
+	lvl, climb int16
+	word       int32
+	readyAt    sim.Time // router pipeline done: serialization may start
 	// While the packet waits for a lane slot: the upstream link it holds
 	// blocked, and when the credit stall began.
 	from  *link
 	since sim.Time
 }
 
+// pooledPacket is the record behind a pooled packet: the packet and its
+// wire buffer in one allocation.
+type pooledPacket struct {
+	Packet
+	buf [MaxPacketBytes]byte
+}
+
 // InjectedAt returns the time the packet entered the fabric (set by the
 // fabric on injection).
 func (p *Packet) InjectedAt() sim.Time { return p.injected }
+
+// Wire returns a pooled packet's wire bytes, the first Size bytes of its
+// buffer, for the sender to fill and the endpoint to read; a caller-built
+// packet has none.
+//
+//voyager:noalloc
+func (p *Packet) Wire() []byte {
+	if p.wire == nil {
+		return nil
+	}
+	return p.wire[:p.Size]
+}
 
 // Endpoint receives packets from the fabric. TryDeliver returns false to
 // refuse the packet (backpressure): the fabric then stalls that packet's
@@ -93,6 +130,10 @@ type Fabric interface {
 	// Attach registers the endpoint for a node. Must be called before the
 	// first delivery to that node.
 	Attach(node int, ep Endpoint)
+	// NewPacket hands out a zeroed pooled packet (see Packet). The caller
+	// sets its header fields and Size, writes Wire, and passes it to Inject;
+	// the fabric takes it back when it leaves the fabric.
+	NewPacket() *Packet
 	// Inject sends a packet from pkt.Src toward pkt.Dst. The fabric owns
 	// pkt until it is delivered or dropped: pass a fresh packet each time.
 	Inject(pkt *Packet)

@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"startvoyager/internal/arctic"
 	"startvoyager/internal/cluster"
 	"startvoyager/internal/core"
 	"startvoyager/internal/prof"
@@ -16,17 +17,18 @@ import (
 // aP consume; at the growth seed it cost 112 allocs/op. The pooled records
 // (bus ops, cache transactions, ctrl launch/land state) and stack arrays
 // for core's slot and word buffers (the cache copies them, never retains
-// them) brought it to 14, and the alloc-free fat-tree hop path to 4. The
-// budget below leaves a little headroom over the measured value so
-// incidental runtime jitter does not flake, while still catching any
-// closure or buffer that slips back onto the path.
+// them) brought it to 14, the alloc-free fat-tree hop path to 4, and the
+// fabric's packet pool with CTRL's pooled wire buffers to 1. That one
+// allocation is the received payload the aP library hands the receiver (an
+// ownership transfer: 4 bytes here). The budget catches any closure,
+// packet or buffer that slips back onto the path.
 func TestBasicMsgChainAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed; skipped in -short")
 	}
 	r := testing.Benchmark(benchNodeBasicMsg)
-	const maxAllocs = 6  // measured: 4 allocs/op
-	const maxBytes = 256 // measured: 168 B/op
+	const maxAllocs = 1 // measured: 1 alloc/op, the received payload
+	const maxBytes = 16 // measured: 4 B/op
 	if got := r.AllocsPerOp(); got > maxAllocs {
 		t.Errorf("node/basic-msg allocates %d/op, budget is %d (seed was 112)", got, maxAllocs)
 	}
@@ -35,6 +37,39 @@ func TestBasicMsgChainAllocs(t *testing.T) {
 	}
 	t.Logf("node/basic-msg: %d allocs/op, %d B/op over %d ops",
 		r.AllocsPerOp(), r.AllocedBytesPerOp(), r.N)
+}
+
+// TestServiceMsgAllocs pins a warm sP-to-sP service message on a 2-node
+// machine: the sender's SendSvc (a pooled command record), CTRL's command
+// queue and TxU, the fabric, the receiver's RxU landing and its msgLoop
+// dispatch allocate nothing but the payload ReadRxSlot hands the handler.
+// The two sPs play ping-pong, each handler answering the other, so every
+// message is one send and one dispatch.
+func TestServiceMsgAllocs(t *testing.T) {
+	const svcPing = 0x70
+	m := core.NewMachine(2)
+	handled := 0
+	body := []byte{1, 2, 3, 4}
+	for i, n := range m.Nodes {
+		fw, peer := n.FW, 1-i
+		fw.Register(svcPing, func(p *sim.Proc, _ uint16, _ []byte) {
+			handled++
+			fw.SendSvc(p, peer, svcPing, body, arctic.Low, nil)
+		})
+	}
+	m.Go(0, "serve", func(p *sim.Proc, a *core.API) { a.SendSvc(p, 1, svcPing, body) })
+	m.Eng.RunUntil(100 * sim.Microsecond) // warm every pool on both nodes
+	before := handled
+	const window = 100 * sim.Microsecond
+	allocs := testing.AllocsPerRun(20, func() { m.Eng.RunUntil(m.Eng.Now() + window) })
+	msgs := float64(handled-before) / 21
+	if msgs < 5 {
+		t.Fatalf("%.1f service messages per %v window, want a running ping-pong", msgs, window)
+	}
+	if per := allocs / msgs; per > 1 {
+		t.Errorf("a service message allocates %.2f objects, want at most 1 (the received payload)", per)
+	}
+	t.Logf("%.1f allocs per window of %.1f service messages", allocs, msgs)
 }
 
 // TestChannelMsgChainAllocs: a protected channel's send and receive run the

@@ -188,8 +188,8 @@ func TestProfiledBasicMsgChainAllocs(t *testing.T) {
 		t.Skip("benchmark-backed; skipped in -short")
 	}
 	r := testing.Benchmark(benchProfiledNodeBasicMsg)
-	const maxAllocs = 6  // same budget as the unprofiled chain; measured: 4 allocs/op
-	const maxBytes = 320 // measured: 232 B/op
+	const maxAllocs = 1 // same count as the unprofiled chain: the received payload
+	const maxBytes = 96 // measured: 32 B/op
 	if got := r.AllocsPerOp(); got > maxAllocs {
 		t.Errorf("profiled node/basic-msg allocates %d/op, budget is %d", got, maxAllocs)
 	}

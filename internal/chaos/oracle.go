@@ -41,9 +41,11 @@ func violationf(oracle, format string, args ...interface{}) Violation {
 //
 //	injected == delivered + injected_drops + outage_drops + death_drops + in_flight
 //
-// Exact once the event queue has drained. A deficit means the fabric lost a
-// packet without a fault ruling; a surplus means one was delivered or
-// counted twice.
+// and the fabric's packet pool against the same buffers: every pooled packet
+// the fabric handed out and has not taken back must still be in flight.
+// Both are exact once the event queue has drained. A deficit means the
+// fabric lost a packet without a fault ruling (or leaked a pooled one); a
+// surplus means one was delivered, counted or released twice.
 func checkConservation(m *core.Machine) []Violation {
 	fb, ok := m.Fabric.(interface{ Stats() arctic.Stats })
 	if !ok {
@@ -54,14 +56,19 @@ func checkConservation(m *core.Machine) []Violation {
 	if m.Faults != nil {
 		fs = m.Faults.Stats()
 	}
+	var out []Violation
 	inFlight := fabricInFlight(m)
 	want := st.Delivered + fs.InjectedDrops + fs.OutageDrops + fs.DeathDrops + uint64(inFlight)
 	if st.Injected != want {
-		return []Violation{violationf(OracleConservation,
+		out = append(out, violationf(OracleConservation,
 			"injected %d != delivered %d + drops (prob %d, outage %d, death %d) + in-flight %d",
-			st.Injected, st.Delivered, fs.InjectedDrops, fs.OutageDrops, fs.DeathDrops, inFlight)}
+			st.Injected, st.Delivered, fs.InjectedDrops, fs.OutageDrops, fs.DeathDrops, inFlight))
 	}
-	return nil
+	if p, ok := m.Fabric.(interface{ Outstanding() int }); ok && p.Outstanding() != inFlight {
+		out = append(out, violationf(OracleConservation,
+			"%d pooled packets outstanding but %d in flight", p.Outstanding(), inFlight))
+	}
+	return out
 }
 
 func fabricInFlight(m *core.Machine) int {

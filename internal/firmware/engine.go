@@ -51,6 +51,7 @@ type Engine struct {
 	sim   *sim.Engine
 	node  int
 	sb    *biu.SBIU
+	ctrl  *ctrl.Ctrl
 	res   *sim.Resource
 	costs Costs
 
@@ -70,6 +71,9 @@ type Engine struct {
 	// (DMA pushes, retransmit timers) must capture it at handler time.
 	curMsg sim.MsgTag
 
+	// svcFree recycles the records of service sends (SendSvcTagged).
+	svcFree []*svcSend
+
 	stats Stats
 }
 
@@ -86,7 +90,7 @@ type Stats struct {
 // ctrl.MissQueue, which the miss handler drains.
 func New(s *sim.Engine, node int, sb *biu.SBIU, costs Costs) *Engine {
 	e := &Engine{
-		sim: s, node: node, sb: sb, costs: costs,
+		sim: s, node: node, sb: sb, ctrl: sb.Ctrl(), costs: costs,
 		res:        sim.NewResource(s, fmt.Sprintf("sp%d", node)),
 		handlers:   make(map[byte]Handler),
 		rxNotify:   sim.NewQueue[int](s),
@@ -102,7 +106,7 @@ func New(s *sim.Engine, node int, sb *biu.SBIU, costs Costs) *Engine {
 func (e *Engine) Node() int { return e.node }
 
 // Ctrl returns the immediate CTRL interface.
-func (e *Engine) Ctrl() *ctrl.Ctrl { return e.sb.Ctrl() }
+func (e *Engine) Ctrl() *ctrl.Ctrl { return e.ctrl }
 
 // ABIU returns the node's aBIU.
 func (e *Engine) ABIU() *biu.ABIU { return e.sb.ABIU() }
@@ -160,6 +164,8 @@ func (e *Engine) RxInterrupt(q int) { e.rxNotify.Push(q) }
 func (e *Engine) ProtViolation(q int) { e.protNotify.Push(q) }
 
 // Occupy charges d of sP time to the calling firmware activity.
+//
+//voyager:noalloc
 func (e *Engine) Occupy(p *sim.Proc, d sim.Time) { e.res.UseP(p, d) }
 
 // Go runs fn as an asynchronous firmware continuation (its occupancy charges
@@ -170,9 +176,11 @@ func (e *Engine) Go(name string, fn func(p *sim.Proc)) {
 
 // IssueCommand charges command-issue occupancy and enqueues cmd on CTRL
 // local command queue q.
+//
+//voyager:noalloc
 func (e *Engine) IssueCommand(p *sim.Proc, q int, cmd ctrl.Command) {
 	e.Occupy(p, e.costs.CmdIssue)
-	e.Ctrl().IssueCommand(q, cmd)
+	e.ctrl.IssueCommand(q, cmd)
 }
 
 // Start spawns the firmware loops. Call once, after all registration.
@@ -329,15 +337,57 @@ func (e *Engine) SendSvc(p *sim.Proc, destNode int, svc byte, body []byte,
 
 // SendSvcTagged is SendSvc with an explicit trace context: a zero-ID tag is
 // allocated a fresh message id at launch, while a tagged one (reliable
-// retransmissions) keeps its identity across attempts.
+// retransmissions) keeps its identity across attempts. The command, its
+// frame and the payload (svc then body, copied) live in a pooled record,
+// recycled when the command completes.
+//
+//voyager:noalloc
 func (e *Engine) SendSvcTagged(p *sim.Proc, destNode int, svc byte, body []byte,
 	pri arctic.Priority, tag sim.MsgTag, done func()) {
-	payload := append([]byte{svc}, body...)
-	e.IssueCommand(p, 0, &ctrl.SendMsg{
-		Base: ctrl.Base{Done: done},
-		Frame: &txrx.Frame{Kind: txrx.Data, LogicalQ: SvcLogicalQ, Payload: payload,
-			Trace: tag},
-		Dest:     uint16(destNode),
-		Priority: pri,
-	})
+	s := e.svcGet()
+	pl := append(s.frame.Payload[:0], svc)
+	s.frame = txrx.Frame{Kind: txrx.Data, LogicalQ: SvcLogicalQ,
+		Payload: append(pl[:1], body...), Trace: tag}
+	s.msg = ctrl.SendMsg{Base: ctrl.Base{Done: s.doneFn}, Frame: &s.frame,
+		Dest: uint16(destNode), Priority: pri}
+	s.done = done
+	e.IssueCommand(p, 0, &s.msg)
+}
+
+// svcSend is one service send in flight: the SendMsg command CTRL runs, the
+// frame it carries and the caller's completion callback.
+type svcSend struct {
+	e      *Engine
+	msg    ctrl.SendMsg
+	frame  txrx.Frame
+	done   func()
+	doneFn func()
+}
+
+// svcGet returns a recycled (or new) service-send record.
+//
+//voyager:noalloc
+func (e *Engine) svcGet() *svcSend {
+	if n := len(e.svcFree); n > 0 {
+		s := e.svcFree[n-1]
+		e.svcFree = e.svcFree[:n-1]
+		return s
+	}
+	s := &svcSend{e: e}   //voyager:alloc-ok(pool warm-up; recycled thereafter)
+	s.doneFn = s.complete //voyager:alloc-ok(one-time method binding for the pooled record)
+	return s
+}
+
+// complete is the send's command completion: CTRL has injected the frame,
+// so the record goes back to the pool before the caller's callback runs.
+//
+//voyager:noalloc
+func (s *svcSend) complete() {
+	e, done := s.e, s.done
+	s.done = nil
+	s.msg = ctrl.SendMsg{}
+	e.svcFree = append(e.svcFree, s) //voyager:alloc-ok(amortized: pool backing array is retained)
+	if done != nil {
+		done()
+	}
 }

@@ -81,7 +81,7 @@ func newFwRig(t *testing.T) *fwRig {
 
 func (r *fwRig) deliver(t *testing.T, f *txrx.Frame) {
 	t.Helper()
-	w, err := txrx.Encode(f)
+	w, err := txrx.EncodeInto(f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

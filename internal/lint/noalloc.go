@@ -63,6 +63,7 @@ var noallocAllowlist = map[string]bool{
 	"(*startvoyager/internal/sim.Resource).Release": true,
 	"(*startvoyager/internal/sim.Resource).Use":     true,
 	"(*startvoyager/internal/sim.Resource).Busy":    true,
+	"(*startvoyager/internal/sim.Resource).UseP":    true,
 	"(*startvoyager/internal/sim.Proc).Call":        true,
 	"(*startvoyager/internal/sim.Proc).Delay":       true,
 	"(*startvoyager/internal/sim.Proc).Inline":      true,
@@ -71,6 +72,7 @@ var noallocAllowlist = map[string]bool{
 	"(*startvoyager/internal/sim.Queue).Pop":        true,
 	"(*startvoyager/internal/sim.Cond).Wait":        true,
 	"(*startvoyager/internal/sim.Cond).Broadcast":   true,
+	"startvoyager/internal/sim.PopFront":            true,
 	// Observability hooks: no-ops without an observer; instrumented runs
 	// trade allocation for visibility by design (see DESIGN.md).
 	"(*startvoyager/internal/sim.Engine).BeginSpan": true,
@@ -128,12 +130,28 @@ var noallocAllowlist = map[string]bool{
 	"startvoyager/internal/niu/ctrl.SlotOffset":               true,
 	"startvoyager/internal/niu/txrx.EncodeInto":               true,
 	"startvoyager/internal/niu/txrx.DecodeInto":               true,
+	// CTRL's command queues, crossed by the sP's service sends and remote
+	// commands (pinned by TestServiceMsgAllocs): the local queue's intake,
+	// the name a remote command's trace instant carries (constant for every
+	// op the remote queue admits), and the clsSRAM writes of SetCls and
+	// WriteDramCls (the state array is built on its first write).
+	"(*startvoyager/internal/niu/ctrl.Ctrl).IssueCommand": true,
+	"(startvoyager/internal/niu/txrx.CmdOp).String":       true,
+	"(*startvoyager/internal/niu/sram.Cls).SetRange":      true,
+	"(startvoyager/internal/bus.Range).Contains":          true,
 	// Fabric delivery boundary, crossed by the fat tree's hop path: the
 	// Endpoint implementations are pinned by TestHopPathAllocs
 	// (internal/arctic) and TestBasicMsgChainAllocs, DropOnDelivery by
 	// TestDropOnDeliveryAllocs (internal/fault).
 	"(startvoyager/internal/arctic.Endpoint).TryDeliver":     true,
 	"(*startvoyager/internal/fault.Injector).DropOnDelivery": true,
+	// The node adapter's side of the same boundary: a pooled packet out of
+	// the fabric's pool (NewPacket, marked in internal/arctic) and into
+	// Inject, whose fault-free path is the hop path above; TestHopPathAllocs
+	// and TestBasicMsgChainAllocs pin both.
+	"(startvoyager/internal/arctic.Fabric).NewPacket": true,
+	"(startvoyager/internal/arctic.Fabric).Inject":    true,
+	"(*startvoyager/internal/arctic.Packet).Wire":     true,
 	// NIU interface ports: implementations are audited by the same budget
 	// tests (interface dispatch cannot be checked statically).
 	"(startvoyager/internal/niu/ctrl.NetPort).Inject":        true,

@@ -166,8 +166,9 @@ func TestExpressRxRegion(t *testing.T) {
 	r := newRig(t)
 	r.c.ConfigureRx(4, ctrl.RxConfig{Buf: r.aS, Base: 0x3000, EntryBytes: 8,
 		Entries: 16, ShadowBase: 0xA0, Logical: 77, Express: true, Enabled: true})
-	w, _ := txrx.Encode(&txrx.Frame{Kind: txrx.Data, SrcNode: 2, LogicalQ: 77,
-		Payload: []byte{1, 2, 3, 4, 5}})
+	w, _ := txrx.EncodeInto(&txrx.Frame{Kind: txrx.Data, SrcNode: 2, LogicalQ: 77,
+		Payload: []byte{1, 2, 3, 4, 5}}, nil)
+
 	r.c.TryReceive(w, sim.MsgTag{})
 	var got [8]byte
 	r.eng.Spawn("ap", func(p *sim.Proc) {

@@ -22,14 +22,10 @@ const BlockTxChunk = 2 * bus.LineSize
 // by firmware (or by BIU state machines). Commands within a queue are issued
 // and completed in order, with the exception of block operations, which are
 // handed to their functional unit and complete in the background — exactly
-// the ordering contract the paper specifies.
+// the ordering contract the paper specifies. The command types are the
+// ones below; the queue runs each (see cmdQueue).
 type Command interface {
-	exec(c *Ctrl, done func())
-	// background commands release the queue at hand-over rather than at
-	// completion.
-	background() bool
-	// completion callback, invoked when the command's effects are done.
-	completion() func()
+	command() *Base
 }
 
 // Base carries the completion callback shared by all commands.
@@ -39,8 +35,7 @@ type Base struct {
 	Done func()
 }
 
-func (b Base) background() bool   { return false }
-func (b Base) completion() func() { return b.Done }
+func (b *Base) command() *Base { return b }
 
 // SendMsg launches a message directly from the command queue (the firmware
 // transmit path: the destination is physical and protection is trusted).
@@ -55,7 +50,12 @@ type SendMsg struct {
 	TagLen int
 }
 
-func (m *SendMsg) exec(c *Ctrl, done func()) {
+// startSend runs m as the queue's command: the TagOn pull (if any), the
+// payload's IBus move into the Tx FIFO, then the TxU.
+//
+//voyager:noalloc
+func (q *cmdQueue) startSend(m *SendMsg) {
+	c := q.c
 	m.Frame.SrcNode = uint16(c.myNode)
 	if !m.Frame.Trace.Traced() {
 		// First entry into the system: allocate the trace id here (keeping
@@ -65,25 +65,48 @@ func (m *SendMsg) exec(c *Ctrl, done func()) {
 		m.Frame.Trace.ID = c.eng.NewMsgID()
 		c.eng.MsgInstant(c.myNode, "ctrl", "msg-send", m.Frame.Trace)
 	}
-	send := func() {
-		// Move the payload across the IBus into the Tx FIFO, then format.
-		c.ibusMove(len(m.Frame.Payload)+SlotHeaderBytes, func() {
-			c.emit(m.Frame, int(m.Dest), m.Priority, func() {
-				c.stats.TxMessages++
-				c.stats.TxBytes += uint64(len(m.Frame.Payload))
-				done()
-			})
-		})
-	}
+	q.msg = m
 	if m.TagLen == 0 {
-		send()
+		q.sendMsg()
 		return
 	}
 	c.stats.TagOns++
-	c.ibusMove(m.TagLen, func() {
-		m.Frame.Payload = m.TagBuf.Append(m.Frame.Payload, m.TagOff, m.TagLen)
-		send()
-	})
+	c.ibusMove(m.TagLen, q.tagOnFn)
+}
+
+// tagOn appends the staged message's TagOn data once its IBus pull lands.
+//
+//voyager:noalloc payload append reuses the frame's capacity after warm-up
+func (q *cmdQueue) tagOn() {
+	m := q.msg
+	m.Frame.Payload = m.TagBuf.Append(m.Frame.Payload, m.TagOff, m.TagLen)
+	q.sendMsg()
+}
+
+// sendMsg moves the staged message's payload across the IBus into the Tx
+// FIFO.
+//
+//voyager:noalloc
+func (q *cmdQueue) sendMsg() {
+	q.c.ibusMove(len(q.msg.Frame.Payload)+SlotHeaderBytes, q.emitFn)
+}
+
+// emitMsg formats and injects the staged message.
+//
+//voyager:noalloc
+func (q *cmdQueue) emitMsg() {
+	m := q.msg
+	q.c.emit(m.Frame, int(m.Dest), m.Priority, q.sentFn)
+}
+
+// sent accounts the injected message and retires the command.
+//
+//voyager:noalloc
+func (q *cmdQueue) sent() {
+	c := q.c
+	c.stats.TxMessages++
+	c.stats.TxBytes += uint64(len(q.msg.Frame.Payload))
+	q.finish()
 }
 
 // BusOp issues a single operation on the aP memory bus through the aBIU.
@@ -96,17 +119,34 @@ type BusOp struct {
 	ToOff uint32
 }
 
-func (b *BusOp) exec(c *Ctrl, done func()) {
-	c.busPort.IssueBusOp(b.Tx, func() {
-		if b.Tx.Kind.IsRead() && b.ToBuf != nil {
-			c.ibusMove(len(b.Tx.Data), func() {
-				b.ToBuf.Write(b.ToOff, b.Tx.Data)
-				done()
-			})
-			return
-		}
-		done()
-	})
+// startBusOp runs b as the queue's command.
+//
+//voyager:noalloc
+func (q *cmdQueue) startBusOp(b *BusOp) {
+	q.bop = b
+	q.c.busPort.IssueBusOp(b.Tx, q.busDoneFn)
+}
+
+// busDone completes the staged bus operation; a read bound for an SRAM
+// crosses the IBus first.
+//
+//voyager:noalloc
+func (q *cmdQueue) busDone() {
+	b := q.bop
+	if b.Tx.Kind.IsRead() && b.ToBuf != nil {
+		q.c.ibusMove(len(b.Tx.Data), q.busMovedFn)
+		return
+	}
+	q.finish()
+}
+
+// busMoved lands the staged read in its SRAM.
+//
+//voyager:noalloc
+func (q *cmdQueue) busMoved() {
+	b := q.bop
+	b.ToBuf.Write(b.ToOff, b.Tx.Data)
+	q.finish()
 }
 
 // SetCls updates clsSRAM state for Count lines starting at the line
@@ -118,9 +158,13 @@ type SetCls struct {
 	State sram.LineState
 }
 
-func (s *SetCls) exec(c *Ctrl, done func()) {
+// startSetCls runs s as the queue's command.
+//
+//voyager:noalloc
+func (q *cmdQueue) startSetCls(s *SetCls) {
+	c := q.c
 	c.setClsLines(s.Addr, s.Count, s.State)
-	c.eng.Schedule(c.cycles(s.Count), done)
+	c.eng.Schedule(c.cycles(s.Count), q.finishFn)
 }
 
 // BlockRead reads [DramAddr, DramAddr+Len) from aP DRAM into aSRAM at
@@ -132,8 +176,6 @@ type BlockRead struct {
 	SramOff  uint32
 	Len      int
 }
-
-func (b *BlockRead) background() bool { return true }
 
 func (b *BlockRead) exec(c *Ctrl, done func()) {
 	checkBlock(c, b.DramAddr, b.Len)
@@ -192,8 +234,6 @@ type BlockTx struct {
 	// DMA request the firmware handled); 0 when untraced.
 	TraceParent uint64
 }
-
-func (b *BlockTx) background() bool { return true }
 
 func (b *BlockTx) exec(c *Ctrl, done func()) {
 	checkBlock(c, b.DestAddr, b.Len)
@@ -265,11 +305,23 @@ func (c *Ctrl) paceTime(size int) sim.Time {
 	return sim.Time(flits) * c.paceFlit
 }
 
-// cmdQueue is one ordered local command queue.
+// cmdQueue is one ordered local command queue. It runs one foreground
+// command at a time, so the running command and its progress are staged on
+// the queue (done, msg, bop) and each step's continuation is one of the
+// queue's method values instead of a closure per step. A queue is built,
+// and its continuations bound, on its first command, so a node whose sP
+// never issues one carries none. A block command is handed to its unit,
+// and the queue moves on.
 type cmdQueue struct {
 	c     *Ctrl
 	items []Command
 	busy  bool
+
+	done func()   // the running foreground command's Done
+	msg  *SendMsg // the running SendMsg
+	bop  *BusOp   // the running BusOp
+
+	finishFn, tagOnFn, emitFn, sentFn, busDoneFn, busMovedFn func()
 }
 
 // IssueCommand enqueues cmd on local command queue q (0 or 1).
@@ -279,43 +331,84 @@ func (c *Ctrl) IssueCommand(q int, cmd Command) {
 	}
 	c.stats.LocalCmds++
 	cq := c.local[q]
+	if cq == nil {
+		cq = newCmdQueue(c)
+		c.local[q] = cq
+	}
 	cq.items = append(cq.items, cmd)
 	cq.kick()
 }
 
+func newCmdQueue(c *Ctrl) *cmdQueue {
+	q := &cmdQueue{c: c}
+	q.finishFn, q.tagOnFn, q.emitFn = q.finish, q.tagOn, q.emitMsg
+	q.sentFn, q.busDoneFn, q.busMovedFn = q.sent, q.busDone, q.busMoved
+	return q
+}
+
+// kick starts the queue's next command if it is idle.
+//
+//voyager:noalloc
 func (q *cmdQueue) kick() {
 	if q.busy || len(q.items) == 0 {
 		return
 	}
 	cmd := q.items[0]
-	q.items = q.items[1:]
+	q.items = sim.PopFront(q.items)
 	q.busy = true
-	c := q.c
-	if cmd.background() {
-		// Hand the command to its functional unit; the queue resumes at
-		// hand-over, the Done callback fires at true completion.
-		unit := c.blockRead
-		if _, ok := cmd.(*BlockTx); ok {
-			unit = c.blockTx
-		}
-		unit.acquire(func(finished func()) {
-			q.busy = false
-			q.kick()
-			cmd.exec(c, func() {
-				finished()
-				if d := cmd.completion(); d != nil {
-					d()
-				}
-			})
-		})
-		return
+	switch cmd := cmd.(type) {
+	case *SendMsg:
+		q.done = cmd.Done
+		q.startSend(cmd)
+	case *BusOp:
+		q.done = cmd.Done
+		q.startBusOp(cmd)
+	case *SetCls:
+		q.done = cmd.Done
+		q.startSetCls(cmd)
+	default:
+		// A block command runs on its unit, whose transfer steps are
+		// closures of their own.
+		q.handOver(cmd) //voyager:alloc-ok(a block transfer keeps its closures: it is not per-message work)
 	}
-	cmd.exec(c, func() {
+}
+
+// finish retires the running foreground command: the queue frees, the
+// command's Done runs, and the next command starts.
+//
+//voyager:noalloc
+func (q *cmdQueue) finish() {
+	done := q.done
+	q.done, q.msg, q.bop = nil, nil, nil
+	q.busy = false
+	if done != nil {
+		done()
+	}
+	q.kick()
+}
+
+// blockCmd is a command that runs on a block unit.
+type blockCmd interface {
+	exec(c *Ctrl, done func())
+}
+
+// handOver gives block command cmd to its functional unit. The queue
+// resumes at hand-over; the command's Done fires at true completion.
+func (q *cmdQueue) handOver(cmd Command) {
+	c := q.c
+	unit := c.blockRead
+	if _, ok := cmd.(*BlockTx); ok {
+		unit = c.blockTx
+	}
+	unit.acquire(func(finished func()) {
 		q.busy = false
-		if d := cmd.completion(); d != nil {
-			d()
-		}
 		q.kick()
+		cmd.(blockCmd).exec(c, func() {
+			finished()
+			if d := cmd.command().Done; d != nil {
+				d()
+			}
+		})
 	})
 }
 
@@ -338,7 +431,7 @@ func (u *blockUnit) finish() {
 	u.busy = false
 	if len(u.waiters) > 0 {
 		next := u.waiters[0]
-		u.waiters = u.waiters[1:]
+		u.waiters = sim.PopFront(u.waiters)
 		u.busy = true
 		next(u.finish)
 	}

@@ -49,7 +49,8 @@ type BusPort interface {
 // NetPort is CTRL's path into the network (provided by the TxU/RxU wiring).
 type NetPort interface {
 	// Inject sends an encoded frame; tag is the message's causal trace
-	// context, carried as sideband next to the wire bytes.
+	// context, carried as sideband next to the wire bytes. Inject copies
+	// wire: CTRL reuses the buffer once Inject returns.
 	Inject(dst int, pri arctic.Priority, wire []byte, tag sim.MsgTag)
 	// Poke retries deliveries this NIU previously refused (Hold policy).
 	Poke()
@@ -235,12 +236,13 @@ type Ctrl struct {
 	txBusy bool
 	txRR   int // round-robin cursor within a priority class
 
+	// The command queues, each built on its first command.
 	local  [2]*cmdQueue
 	remote *remoteQueue
 
 	// emitPending holds launches deferred by fabric backpressure, one FIFO
 	// per priority lane.
-	emitPending [2][]pendingEmit
+	emitPending [2][]*emitOp
 
 	blockRead *blockUnit
 	blockTx   *blockUnit
@@ -303,9 +305,6 @@ func New(eng *sim.Engine, myNode int, aS, sS *sram.SRAM, cls *sram.Cls, cfg Conf
 		rxSizeHist: stats.NewHistogram(8, 16, 32, 64, 96),
 	}
 	c.ibus.Observe(myNode, "niu")
-	c.local[0] = &cmdQueue{c: c}
-	c.local[1] = &cmdQueue{c: c}
-	c.remote = newRemoteQueue(c)
 	c.blockRead = &blockUnit{}
 	c.blockTx = &blockUnit{}
 	c.lnReadFn = c.lnRead

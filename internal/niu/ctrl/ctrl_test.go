@@ -13,7 +13,9 @@ import (
 	"startvoyager/internal/sim"
 )
 
-// fakeNet records injections and can loop them back into another CTRL.
+// fakeNet records injections and can loop them back into another CTRL. Like
+// every NetPort it copies the wire bytes it is handed: CTRL reuses the
+// buffer once Inject returns.
 type fakeNet struct {
 	eng      *sim.Engine
 	injected []injRec
@@ -36,9 +38,9 @@ type stalledRec struct {
 }
 
 func (n *fakeNet) Inject(dst int, pri arctic.Priority, wire []byte, tag sim.MsgTag) {
-	n.injected = append(n.injected, injRec{dst, pri, wire})
+	w := append([]byte(nil), wire...)
+	n.injected = append(n.injected, injRec{dst, pri, w})
 	if n.peer != nil {
-		w := append([]byte(nil), wire...)
 		n.eng.Schedule(n.delay, func() { n.deliver(w, tag) })
 	}
 }
@@ -344,7 +346,7 @@ func TestRxDelivery(t *testing.T) {
 	r := newRig(t, 1)
 	r.stdRx(0, 7, Hold)
 	f := &txrx.Frame{Kind: txrx.Data, SrcNode: 4, LogicalQ: 7, Payload: []byte("hello")}
-	w, _ := txrx.Encode(f)
+	w, _ := txrx.EncodeInto(f, nil)
 	if !r.c.TryReceive(w, sim.MsgTag{}) {
 		t.Fatal("refused")
 	}
@@ -368,7 +370,7 @@ func TestRxInterrupt(t *testing.T) {
 	r := newRig(t, 1)
 	r.c.ConfigureRx(2, RxConfig{Buf: r.aS, Base: 0x4000, EntryBytes: 96, Entries: 4,
 		ShadowBase: 0x200, Logical: 9, Interrupt: true, Enabled: true})
-	w, _ := txrx.Encode(&txrx.Frame{Kind: txrx.Data, LogicalQ: 9, Payload: []byte("i")})
+	w, _ := txrx.EncodeInto(&txrx.Frame{Kind: txrx.Data, LogicalQ: 9, Payload: []byte("i")}, nil)
 	r.c.TryReceive(w, sim.MsgTag{})
 	r.eng.Run()
 	if len(r.ints.rx) != 1 || r.ints.rx[0] != 2 {
@@ -380,7 +382,7 @@ func TestRxMissQueue(t *testing.T) {
 	r := newRig(t, 1)
 	r.stdRx(0, 7, Hold)
 	r.stdRx(MissQueue, 0xFFFF, Hold) // miss queue
-	w, _ := txrx.Encode(&txrx.Frame{Kind: txrx.Data, LogicalQ: 1234, Payload: []byte("m")})
+	w, _ := txrx.EncodeInto(&txrx.Frame{Kind: txrx.Data, LogicalQ: 1234, Payload: []byte("m")}, nil)
 	if !r.c.TryReceive(w, sim.MsgTag{}) {
 		t.Fatal("refused")
 	}
@@ -397,7 +399,7 @@ func TestRxFullPolicies(t *testing.T) {
 	// Hold: refuse.
 	r := newRig(t, 1)
 	r.stdRx(0, 7, Hold)
-	w, _ := txrx.Encode(&txrx.Frame{Kind: txrx.Data, LogicalQ: 7, Payload: []byte("m")})
+	w, _ := txrx.EncodeInto(&txrx.Frame{Kind: txrx.Data, LogicalQ: 7, Payload: []byte("m")}, nil)
 	for i := 0; i < 4; i++ {
 		if !r.c.TryReceive(w, sim.MsgTag{}) {
 			t.Fatalf("refused at %d", i)
@@ -655,8 +657,9 @@ func TestRemoteSetClsAndWriteDramCls(t *testing.T) {
 	r := newRig(t, 0)
 	scomaBase := uint32(0x8000_0000)
 	// SetCls for 4 lines starting at line 2.
-	w, _ := txrx.Encode(&txrx.Frame{Kind: txrx.Cmd, Op: txrx.CmdSetCls,
-		Addr: scomaBase + 2*bus.LineSize, Aux: uint16(sram.CLPending), Count: 4})
+	w, _ := txrx.EncodeInto(&txrx.Frame{Kind: txrx.Cmd, Op: txrx.CmdSetCls,
+		Addr: scomaBase + 2*bus.LineSize, Aux: uint16(sram.CLPending), Count: 4}, nil)
+
 	r.c.TryReceive(w, sim.MsgTag{})
 	r.eng.Run()
 	for i := 2; i < 6; i++ {
@@ -666,8 +669,9 @@ func TestRemoteSetClsAndWriteDramCls(t *testing.T) {
 	}
 	// WriteDramCls: writes 64 bytes and marks 2 lines ReadOnly.
 	data := bytes.Repeat([]byte{5}, 64)
-	w2, _ := txrx.Encode(&txrx.Frame{Kind: txrx.Cmd, Op: txrx.CmdWriteDramCls,
-		Addr: scomaBase + 2*bus.LineSize, Aux: uint16(sram.CLReadOnly), Payload: data})
+	w2, _ := txrx.EncodeInto(&txrx.Frame{Kind: txrx.Cmd, Op: txrx.CmdWriteDramCls,
+		Addr: scomaBase + 2*bus.LineSize, Aux: uint16(sram.CLReadOnly), Payload: data}, nil)
+
 	r.c.TryReceive(w2, sim.MsgTag{})
 	r.eng.Run()
 	if r.c.Cls().Get(2) != sram.CLReadOnly || r.c.Cls().Get(3) != sram.CLReadOnly {
@@ -683,8 +687,9 @@ func TestRemoteSetClsAndWriteDramCls(t *testing.T) {
 
 func TestRemoteWriteSram(t *testing.T) {
 	r := newRig(t, 0)
-	w, _ := txrx.Encode(&txrx.Frame{Kind: txrx.Cmd, Op: txrx.CmdWriteSram,
-		Addr: 0x1234, Payload: []byte("remote!!")})
+	w, _ := txrx.EncodeInto(&txrx.Frame{Kind: txrx.Cmd, Op: txrx.CmdWriteSram,
+		Addr: 0x1234, Payload: []byte("remote!!")}, nil)
+
 	r.c.TryReceive(w, sim.MsgTag{})
 	r.eng.Run()
 	got := make([]byte, 8)

@@ -119,7 +119,7 @@ func TestRxPointerProperty(t *testing.T) {
 			}
 			msg := make([]byte, 1+rng.Intn(16))
 			rng.Read(msg)
-			w, _ := txrx.Encode(&txrx.Frame{Kind: txrx.Data, LogicalQ: 7, Payload: msg})
+			w, _ := txrx.EncodeInto(&txrx.Frame{Kind: txrx.Data, LogicalQ: 7, Payload: msg}, nil)
 			if r.c.TryReceive(w, sim.MsgTag{}) {
 				want = append(want, msg)
 			}

@@ -49,7 +49,7 @@ func (c *Ctrl) TryReceive(wire []byte, tag sim.MsgTag) bool {
 		// Remote commands always land in the (unbounded-from-the-network's-
 		// view, firmware-bounded in practice) remote command queue. The
 		// frame is not recycled — command execution owns it from here.
-		c.remote.enqueue(frame) //voyager:alloc-ok(command frames leave the alloc-free path here)
+		c.enqueueRemote(frame) //voyager:alloc-ok(command frames leave the alloc-free path here)
 		return true
 	}
 	q := c.lookupRx(frame.LogicalQ)
@@ -217,65 +217,107 @@ func (c *Ctrl) rxOpGet() *rxOp {
 
 // ReadRxSlot decodes the message at the given receive pointer (a firmware /
 // library convenience over the raw SRAM layout; callers account their own
-// access timing).
+// access timing). The slot header is read onto the stack, so the payload,
+// which the caller owns, is its only allocation.
 func (c *Ctrl) ReadRxSlot(q int, ptr uint32) (src uint16, logical uint16, payload []byte) {
 	c.checkQ(q)
 	rq := &c.rx[q]
 	off := SlotOffset(rq.cfg.Base, rq.cfg.EntryBytes, rq.cfg.Entries, ptr)
-	slot := make([]byte, rq.cfg.EntryBytes)
-	rq.cfg.Buf.Read(off, slot)
+	var hdr [SlotHeaderBytes]byte
+	rq.cfg.Buf.Read(off, hdr[:])
 	if rq.cfg.Express {
-		return binary.BigEndian.Uint16(slot[1:]), rq.cfg.Logical, append([]byte(nil), slot[3:8]...)
+		return binary.BigEndian.Uint16(hdr[1:]), rq.cfg.Logical, append([]byte(nil), hdr[3:8]...)
 	}
-	n := int(binary.BigEndian.Uint16(slot[4:]))
-	return binary.BigEndian.Uint16(slot[0:]), binary.BigEndian.Uint16(slot[2:]),
-		append([]byte(nil), slot[SlotHeaderBytes:SlotHeaderBytes+n]...)
+	n := int(binary.BigEndian.Uint16(hdr[4:]))
+	if n > rq.cfg.EntryBytes-SlotHeaderBytes {
+		panic(fmt.Sprintf("ctrl: node %d: rx%d slot %d claims a %d-byte payload in %d-byte slots",
+			c.myNode, q, ptr, n, rq.cfg.EntryBytes))
+	}
+	if n > 0 {
+		payload = make([]byte, n)
+		rq.cfg.Buf.Read(off+SlotHeaderBytes, payload)
+	}
+	return binary.BigEndian.Uint16(hdr[0:]), binary.BigEndian.Uint16(hdr[2:]), payload
 }
 
-// remoteQueue executes command frames from other nodes strictly in order.
+// remoteQueue executes command frames from other nodes strictly in order,
+// one at a time, so the running command and its progress are staged on the
+// queue (cur, line, tx) and its steps continue through the queue's method
+// values. Like a local queue, it is built on its first command.
 type remoteQueue struct {
 	c     *Ctrl
 	items []*txrx.Frame
 	busy  bool
+
+	cur  *txrx.Frame     // the running command
+	line int             // a DRAM write's next line
+	tx   bus.Transaction // the running command's bus write
+
+	finishFn, lineFn, lineDoneFn, sramFn, wordFn func()
 }
 
-func newRemoteQueue(c *Ctrl) *remoteQueue { return &remoteQueue{c: c} }
+// enqueueRemote hands a command frame to the remote queue, building the
+// queue on the first one.
+func (c *Ctrl) enqueueRemote(f *txrx.Frame) {
+	if c.remote == nil {
+		r := &remoteQueue{c: c}
+		r.finishFn, r.lineFn, r.lineDoneFn = r.finish, r.writeLine, r.lineDone
+		r.sramFn, r.wordFn = r.writeSram, r.writeWord
+		c.remote = r
+	}
+	c.remote.enqueue(f)
+}
 
+// enqueue takes a command frame off the network. A command CTRL cannot
+// execute (an unknown op, a DRAM write off line alignment) is refused here,
+// as it lands.
 func (r *remoteQueue) enqueue(f *txrx.Frame) {
+	switch f.Op {
+	case txrx.CmdWriteDram, txrx.CmdWriteDramCls:
+		if len(f.Payload)%bus.LineSize != 0 || f.Addr%bus.LineSize != 0 {
+			panic(fmt.Sprintf("ctrl: node %d: unaligned remote DRAM write %#x+%d",
+				r.c.myNode, f.Addr, len(f.Payload)))
+		}
+	case txrx.CmdSetCls, txrx.CmdNotify, txrx.CmdWriteSram, txrx.CmdWriteWord:
+	default:
+		panic(fmt.Sprintf("ctrl: node %d: unknown remote command %v", r.c.myNode, f.Op))
+	}
 	r.items = append(r.items, f)
 	r.kick()
 }
 
+// kick starts the next remote command if the queue is idle.
+//
+//voyager:noalloc
 func (r *remoteQueue) kick() {
 	if r.busy || len(r.items) == 0 {
 		return
 	}
-	f := r.items[0]
-	r.items = r.items[1:]
+	r.cur = r.items[0]
+	r.items = sim.PopFront(r.items)
 	r.busy = true
 	r.c.stats.RemoteCmds++
-	r.c.execRemote(f, func() {
-		r.busy = false
-		r.kick()
-	})
+	r.exec()
 }
 
-// execRemote performs one remote command.
-func (c *Ctrl) execRemote(f *txrx.Frame, done func()) {
+// exec performs the running remote command (enqueue vetted its op).
+//
+//voyager:noalloc
+func (r *remoteQueue) exec() {
+	c, f := r.c, r.cur
 	c.eng.MsgInstant(c.myNode, "ctrl", "msg-exec", f.Trace, sim.Str("op", f.Op.String()))
 	switch f.Op {
 	case txrx.CmdWriteDram, txrx.CmdWriteDramCls:
-		c.writeDramLines(f.Addr, f.Payload, func() {
-			if f.Op == txrx.CmdWriteDramCls {
-				c.setClsForRange(f.Addr, len(f.Payload), sram.LineState(f.Aux))
-			}
-			done()
-		})
+		r.line = 0
+		r.nextLine()
 	case txrx.CmdSetCls:
 		c.setClsLines(f.Addr, int(f.Count), sram.LineState(f.Aux))
-		c.eng.Schedule(c.cycles(1), done)
+		c.eng.Schedule(c.cycles(1), r.finishFn)
 	case txrx.CmdNotify:
-		g := &txrx.Frame{Kind: txrx.Data, SrcNode: f.SrcNode, LogicalQ: f.Aux,
+		// The notification lands by alias: its data frame carries the
+		// command frame's payload.
+		g := c.frameGet()
+		*g = txrx.Frame{Kind: txrx.Data, SrcNode: f.SrcNode, LogicalQ: f.Aux,
 			Payload: f.Payload, Trace: f.Trace}
 		q := c.lookupRx(g.LogicalQ)
 		if q < 0 {
@@ -288,53 +330,88 @@ func (c *Ctrl) execRemote(f *txrx.Frame, done func()) {
 			c.rx[q].holding = false
 			c.stats.RxDrops++
 			c.eng.MsgInstant(c.myNode, "ctrl", "msg-drop", g.Trace, sim.Str("why", "notify-hold"))
+			c.framePut(g)
 		}
-		done()
+		r.finish()
 	case txrx.CmdWriteSram:
-		c.ibusMove(len(f.Payload), func() {
-			c.aSRAM.Write(f.Addr, f.Payload)
-			done()
-		})
+		c.ibusMove(len(f.Payload), r.sramFn)
 	case txrx.CmdWriteWord:
-		c.ibusMove(len(f.Payload), func() {
-			tx := &bus.Transaction{Kind: bus.WriteWord, Addr: f.Addr,
-				Data: append([]byte(nil), f.Payload...)}
-			c.busPort.IssueBusOp(tx, done)
-		})
-	default:
-		panic(fmt.Sprintf("ctrl: node %d: unknown remote command %v", c.myNode, f.Op))
+		c.ibusMove(len(f.Payload), r.wordFn)
 	}
 }
 
-// writeDramLines issues WriteLine bus operations for each 32-byte line of
-// data starting at addr (moving the data across the IBus first).
-func (c *Ctrl) writeDramLines(addr uint32, data []byte, done func()) {
-	if len(data)%bus.LineSize != 0 || addr%bus.LineSize != 0 {
-		panic(fmt.Sprintf("ctrl: node %d: unaligned remote DRAM write %#x+%d",
-			c.myNode, addr, len(data)))
-	}
-	var step func(i int)
-	step = func(i int) {
-		if i*bus.LineSize >= len(data) {
-			done()
-			return
+// nextLine writes the running DRAM write's next 32-byte line (across the
+// IBus, then as a bus WriteLine); after the last line a WriteDramCls
+// updates the lines' clsSRAM state, and the queue moves on.
+//
+//voyager:noalloc
+func (r *remoteQueue) nextLine() {
+	f := r.cur
+	if r.line*bus.LineSize >= len(f.Payload) {
+		if f.Op == txrx.CmdWriteDramCls {
+			r.c.setClsForRange(f.Addr, len(f.Payload), sram.LineState(f.Aux))
 		}
-		line := data[i*bus.LineSize : (i+1)*bus.LineSize]
-		c.ibusMove(bus.LineSize, func() {
-			tx := &bus.Transaction{Kind: bus.WriteLine, Addr: addr + uint32(i*bus.LineSize),
-				Data: line}
-			c.busPort.IssueBusOp(tx, func() { step(i + 1) })
-		})
+		r.finish()
+		return
 	}
-	step(0)
+	r.c.ibusMove(bus.LineSize, r.lineFn)
+}
+
+// writeLine issues the staged line's bus write once it has crossed the IBus.
+//
+//voyager:noalloc
+func (r *remoteQueue) writeLine() {
+	f, i := r.cur, r.line
+	r.tx = bus.Transaction{Kind: bus.WriteLine, Addr: f.Addr + uint32(i*bus.LineSize),
+		Data: f.Payload[i*bus.LineSize : (i+1)*bus.LineSize]}
+	r.c.busPort.IssueBusOp(&r.tx, r.lineDoneFn)
+}
+
+//voyager:noalloc
+func (r *remoteQueue) lineDone() {
+	r.line++
+	r.nextLine()
+}
+
+// writeSram lands a WriteSram's payload in the aSRAM.
+//
+//voyager:noalloc
+func (r *remoteQueue) writeSram() {
+	r.c.aSRAM.Write(r.cur.Addr, r.cur.Payload)
+	r.finish()
+}
+
+// writeWord issues a WriteWord's bus write once its data has crossed the
+// IBus.
+//
+//voyager:noalloc
+func (r *remoteQueue) writeWord() {
+	f := r.cur
+	r.tx = bus.Transaction{Kind: bus.WriteWord, Addr: f.Addr, Data: f.Payload}
+	r.c.busPort.IssueBusOp(&r.tx, r.finishFn)
+}
+
+// finish retires the running remote command and starts the next.
+//
+//voyager:noalloc
+func (r *remoteQueue) finish() {
+	r.cur = nil
+	r.busy = false
+	r.kick()
 }
 
 // setClsForRange updates clsSRAM states for the lines covered by
 // [addr, addr+n) — the approach-5 aBIU extension.
+//
+//voyager:noalloc
 func (c *Ctrl) setClsForRange(addr uint32, n int, st sram.LineState) {
 	c.setClsLines(addr, (n+bus.LineSize-1)/bus.LineSize, st)
 }
 
+// setClsLines sets count clsSRAM lines from the one holding addr (an
+// S-COMA address; other addresses have no clsSRAM state).
+//
+//voyager:noalloc
 func (c *Ctrl) setClsLines(addr uint32, count int, st sram.LineState) {
 	if c.cls == nil || !c.scoma.Contains(addr) {
 		return

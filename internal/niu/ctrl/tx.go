@@ -250,22 +250,17 @@ func (c *Ctrl) lnDone() {
 	c.kickTx()
 }
 
-// pendingEmit is a launch deferred by fabric backpressure.
-type pendingEmit struct {
-	wire []byte
-	phys int
-	pri  arctic.Priority
-	tag  sim.MsgTag
-	done func()
-}
-
-// emitOp is one in-flight TxU inject event: a recycled record whose prebound
-// method value stands in for the Schedule closure. Pooled (not staged on the
-// Ctrl) because the command queues and block units emit concurrently with
-// the launch pipeline.
+// emitOp is one message in the TxU: the frame encoded into the record's own
+// wire buffer, waiting either for its inject event (the prebound method
+// value stands in for the Schedule closure) or, under fabric backpressure,
+// in its lane's emitPending FIFO. Pooled (not staged on the Ctrl) because
+// the command queues and block units emit concurrently with the launch
+// pipeline. NetPort.Inject copies the wire, so the record is recycled once
+// Inject returns.
 type emitOp struct {
 	c        *Ctrl
-	wire     []byte
+	buf      [arctic.MaxPacketBytes]byte
+	wire     []byte // the encoded frame, in buf
 	phys     int
 	pri      arctic.Priority
 	tag      sim.MsgTag
@@ -275,10 +270,10 @@ type emitOp struct {
 
 //voyager:noalloc
 func (o *emitOp) inject() {
-	c, wire, phys, pri, tag, done := o.c, o.wire, o.phys, o.pri, o.tag, o.done
+	c, done := o.c, o.done
+	c.net.Inject(o.phys, o.pri, o.wire, o.tag)
 	o.wire, o.done = nil, nil
 	c.emFree = append(c.emFree, o) //voyager:alloc-ok(amortized: pool backing array is retained)
-	c.net.Inject(phys, pri, wire, tag)
 	done()
 }
 
@@ -302,23 +297,24 @@ func (c *Ctrl) emitOpGet() *emitOp {
 // propagates backpressure into the NIU and from there to software.
 //
 // The frame itself is the caller's (it may be the staged launch scratch);
-// emit does not retain it past this call.
+// emit encodes it into a pooled emitOp and does not retain it past this
+// call.
 //
-//voyager:noalloc wire buffer is the one per-message allocation (it travels in the packet)
+//voyager:noalloc
 func (c *Ctrl) emit(frame *txrx.Frame, phys int, pri arctic.Priority, done func()) {
-	wire, err := txrx.Encode(frame) //voyager:alloc-ok(wire bytes travel inside the packet until remote delivery; recycling at the destination would accumulate unboundedly under one-way traffic)
+	o := c.emitOpGet()
+	wire, err := txrx.EncodeInto(frame, o.buf[:0])
 	if err != nil {
 		panic(fmt.Sprintf("ctrl: node %d: %v", c.myNode, err)) //voyager:alloc-ok(panic path)
 	}
+	o.wire, o.phys, o.pri, o.tag, o.done = wire, phys, pri, frame.Trace, done
 	// The message has left its queue and owns the TxU: one launch per
 	// attempt, even if injection is then deferred by backpressure.
 	c.eng.MsgInstant(c.myNode, "ctrl", "msg-launch", frame.Trace, sim.Int("dst", phys))
 	if len(c.emitPending[pri]) > 0 || !c.net.Ready(pri) {
-		c.emitPending[pri] = append(c.emitPending[pri], pendingEmit{wire, phys, pri, frame.Trace, done}) //voyager:alloc-ok(backpressure path)
+		c.emitPending[pri] = append(c.emitPending[pri], o) //voyager:alloc-ok(amortized: the lane's FIFO keeps its backing array)
 		return
 	}
-	o := c.emitOpGet()
-	o.wire, o.phys, o.pri, o.tag, o.done = wire, phys, pri, frame.Trace, done
 	c.eng.Schedule(c.cycles(c.cfg.TxUCycles), o.injectFn)
 }
 
@@ -327,10 +323,8 @@ func (c *Ctrl) emit(frame *txrx.Frame, phys int, pri arctic.Priority, done func(
 func (c *Ctrl) NetReady() {
 	for pri := arctic.Priority(0); pri < 2; pri++ {
 		for len(c.emitPending[pri]) > 0 && c.net.Ready(pri) {
-			pe := c.emitPending[pri][0]
-			c.emitPending[pri] = c.emitPending[pri][1:]
-			o := c.emitOpGet()
-			o.wire, o.phys, o.pri, o.tag, o.done = pe.wire, pe.phys, pe.pri, pe.tag, pe.done
+			o := c.emitPending[pri][0]
+			c.emitPending[pri] = sim.PopFront(c.emitPending[pri])
 			c.eng.Schedule(c.cycles(c.cfg.TxUCycles), o.injectFn)
 		}
 	}

@@ -17,7 +17,7 @@ func TestChecksumDetectsEverySingleBitFlip(t *testing.T) {
 			Payload: []byte{0xFF}},
 	}
 	for _, fr := range frames {
-		b, err := Encode(fr)
+		b, err := EncodeInto(fr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,8 +53,8 @@ func TestChecksumStable(t *testing.T) {
 			payload = payload[:MaxDataPayload]
 		}
 		fr := &Frame{Kind: Data, SrcNode: src, LogicalQ: lq, Payload: payload}
-		a, err1 := Encode(fr)
-		b, err2 := Encode(fr)
+		a, err1 := EncodeInto(fr, nil)
+		b, err2 := EncodeInto(fr, nil)
 		if err1 != nil || err2 != nil {
 			return false
 		}

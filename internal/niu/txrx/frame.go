@@ -26,7 +26,7 @@ const (
 )
 
 // ErrPayloadTooLong reports a frame whose payload exceeds its kind's limit
-// (MaxDataPayload, MaxCmdPayload): Encode refuses to build one, and
+// (MaxDataPayload, MaxCmdPayload): EncodeInto refuses to build one, and
 // DecodeInto refuses one whose header claims it, checksum or not.
 var ErrPayloadTooLong = errors.New("txrx: payload too long for its frame kind")
 
@@ -166,14 +166,9 @@ func (f *Frame) WireSize() int {
 	return DataHeaderBytes + len(f.Payload)
 }
 
-// Encode serializes the frame to freshly allocated wire bytes.
-func Encode(f *Frame) ([]byte, error) {
-	return EncodeInto(f, nil)
-}
-
 // EncodeInto serializes the frame, reusing buf's capacity when it suffices
-// (the returned slice aliases buf in that case). Callers that hand the wire
-// bytes to the fabric must not reuse buf until the packet is delivered.
+// (the returned slice aliases buf in that case; a nil buf gets freshly
+// allocated bytes).
 //
 //voyager:noalloc wire bytes reuse buf's capacity when it suffices
 func EncodeInto(f *Frame, buf []byte) ([]byte, error) {

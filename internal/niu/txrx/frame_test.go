@@ -12,7 +12,7 @@ import (
 
 func TestDataRoundTrip(t *testing.T) {
 	f := &Frame{Kind: Data, SrcNode: 7, LogicalQ: 300, Payload: []byte("hello")}
-	b, err := Encode(f)
+	b, err := EncodeInto(f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestDataRoundTrip(t *testing.T) {
 func TestCmdRoundTrip(t *testing.T) {
 	f := &Frame{Kind: Cmd, SrcNode: 3, Op: CmdWriteDramCls, Addr: 0x12345678,
 		Aux: 2, Count: 4, Payload: make([]byte, 64)}
-	b, err := Encode(f)
+	b, err := EncodeInto(f, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,25 +47,25 @@ func TestCmdRoundTrip(t *testing.T) {
 
 func TestMaxSizesFitArctic(t *testing.T) {
 	d := &Frame{Kind: Data, Payload: make([]byte, MaxDataPayload)}
-	b, err := Encode(d)
+	b, err := EncodeInto(d, nil)
 	if err != nil || len(b) != arctic.MaxPacketBytes {
 		t.Fatalf("max data frame: %d bytes, err %v", len(b), err)
 	}
 	c := &Frame{Kind: Cmd, Payload: make([]byte, MaxCmdPayload)}
-	b, err = Encode(c)
+	b, err = EncodeInto(c, nil)
 	if err != nil || len(b) != arctic.MaxPacketBytes {
 		t.Fatalf("max cmd frame: %d bytes, err %v", len(b), err)
 	}
 }
 
 func TestOversizeRejected(t *testing.T) {
-	if _, err := Encode(&Frame{Kind: Data, Payload: make([]byte, MaxDataPayload+1)}); err == nil {
+	if _, err := EncodeInto(&Frame{Kind: Data, Payload: make([]byte, MaxDataPayload+1)}, nil); err == nil {
 		t.Fatal("oversize data accepted")
 	}
-	if _, err := Encode(&Frame{Kind: Cmd, Payload: make([]byte, MaxCmdPayload+1)}); err == nil {
+	if _, err := EncodeInto(&Frame{Kind: Cmd, Payload: make([]byte, MaxCmdPayload+1)}, nil); err == nil {
 		t.Fatal("oversize cmd accepted")
 	}
-	if _, err := Encode(&Frame{Kind: Kind(9)}); err == nil {
+	if _, err := EncodeInto(&Frame{Kind: Kind(9)}, nil); err == nil {
 		t.Fatal("bad kind accepted")
 	}
 }
@@ -118,7 +118,7 @@ func TestRoundTripProperty(t *testing.T) {
 			}
 		}
 		fr.Payload = payload
-		b, err := Encode(fr)
+		b, err := EncodeInto(fr, nil)
 		if err != nil {
 			return false
 		}
@@ -160,8 +160,8 @@ func TestDecodeRejectsOversizedPayload(t *testing.T) {
 		if err := DecodeInto(&f, b); !errors.Is(err, ErrPayloadTooLong) {
 			t.Errorf("kind %d: DecodeInto(%d-byte payload) = %v, want ErrPayloadTooLong", tc.kind, n, err)
 		}
-		if _, err := Encode(&Frame{Kind: tc.kind, Payload: make([]byte, n)}); !errors.Is(err, ErrPayloadTooLong) {
-			t.Errorf("kind %d: Encode(%d-byte payload) = %v, want ErrPayloadTooLong", tc.kind, n, err)
+		if _, err := EncodeInto(&Frame{Kind: tc.kind, Payload: make([]byte, n)}, nil); !errors.Is(err, ErrPayloadTooLong) {
+			t.Errorf("kind %d: EncodeInto(%d-byte payload) = %v, want ErrPayloadTooLong", tc.kind, n, err)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func FuzzFrameFields(f *testing.F) {
 		if tooLong {
 			t.Fatalf("% x: accepted a %d-byte payload over the %d-byte limit", b, length, limit)
 		}
-		re, err := Encode(&fr)
+		re, err := EncodeInto(&fr, nil)
 		if err != nil {
 			t.Fatalf("% x: decoded frame %+v does not re-encode: %v", b, fr, err)
 		}

@@ -276,22 +276,27 @@ func TransImage(numNodes int) *sram.Image {
 }
 
 // netAdapter bridges CTRL's NetPort to the Arctic fabric and the fabric's
-// Endpoint back into CTRL (the TxU/RxU wiring).
+// Endpoint back into CTRL (the TxU/RxU wiring). Frames cross in the
+// fabric's pooled packets: Inject copies CTRL's wire bytes into one, and
+// TryDeliver hands CTRL the packet's bytes, which TryReceive decodes (and so
+// copies) before the fabric takes the packet back.
 type netAdapter struct{ n *Node }
 
+//voyager:noalloc
 func (a *netAdapter) Inject(dst int, pri arctic.Priority, wire []byte, tag sim.MsgTag) {
-	a.n.fabric.Inject(&arctic.Packet{
-		Src: a.n.ID, Dst: dst, Priority: pri, Size: len(wire), Payload: wire,
-		Trace: tag,
-	})
+	pkt := a.n.fabric.NewPacket()
+	pkt.Src, pkt.Dst, pkt.Priority, pkt.Size, pkt.Trace = a.n.ID, dst, pri, len(wire), tag
+	copy(pkt.Wire(), wire)
+	a.n.fabric.Inject(pkt)
 }
 
 func (a *netAdapter) Poke() { a.n.fabric.Poke(a.n.ID) }
 
 func (a *netAdapter) Ready(pri arctic.Priority) bool { return a.n.fabric.InjectReady(a.n.ID, pri) }
 
+//voyager:noalloc
 func (a *netAdapter) TryDeliver(pkt *arctic.Packet) bool {
-	return a.n.Ctrl.TryReceive(pkt.Payload.([]byte), pkt.Trace)
+	return a.n.Ctrl.TryReceive(pkt.Wire(), pkt.Trace)
 }
 
 // nodeMetrics is the node's own metric table: the aP's occupancy meter.

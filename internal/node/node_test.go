@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"testing"
 
 	"startvoyager/internal/arctic"
@@ -101,5 +102,71 @@ func TestScomaDisabled(t *testing.T) {
 	}
 	if n.ClsSram == nil {
 		t.Fatal("cls placeholder missing")
+	}
+}
+
+// reuseCounter wraps a node's endpoint and counts the deliveries each
+// pooled packet record carried.
+type reuseCounter struct {
+	inner arctic.Endpoint
+	seen  map[*arctic.Packet]int
+	n     int
+}
+
+func (r *reuseCounter) TryDeliver(p *arctic.Packet) bool {
+	if !r.inner.TryDeliver(p) {
+		return false
+	}
+	r.seen[p]++
+	r.n++
+	return true
+}
+
+// TestRemoteCommandPayloadOutlivesPacket: a remote command's payload is its
+// own once CTRL has taken it off the wire. Two back-to-back block transfers
+// from node 0 queue CmdWriteDram commands (and a CmdNotify each) in node 1's
+// remote queue while their packets go back to the fabric's pool and carry
+// later packets; every DRAM line and both notifications still land intact.
+func TestRemoteCommandPayloadOutlivesPacket(t *testing.T) {
+	eng := sim.NewEngine()
+	fab := arctic.NewFatTree(eng, 2, arctic.DefaultConfig())
+	trans := TransImage(2)
+	n0 := New(eng, 0, fab, DefaultConfig(), 2, arctic.DefaultConfig().FlitTime, 1<<20, 0, trans)
+	n1 := New(eng, 1, fab, DefaultConfig(), 2, arctic.DefaultConfig().FlitTime, 1<<20, 0, trans)
+	rc := &reuseCounter{inner: &netAdapter{n: n1}, seen: map[*arctic.Packet]int{}}
+	fab.Attach(1, rc)
+
+	const xfer = 512
+	src := make([]byte, 2*xfer)
+	for i := range src {
+		src[i] = byte(i*7 + 3)
+	}
+	n0.ASram.Write(UserASram, src)
+	for k := 0; k < 2; k++ {
+		n0.Ctrl.IssueCommand(0, &ctrl.BlockTx{Buf: n0.ASram, SramOff: UserASram + uint32(k*xfer),
+			Len: xfer, DestNode: 1, DestAddr: 0x10000 + uint32(k*xfer), Priority: arctic.Low,
+			NotifyQ: LqNotify, NotifyPayload: []byte{0xA0 + byte(k), 1, 2, 3}})
+	}
+	eng.Run()
+
+	if want := 2 * (xfer/ctrl.BlockTxChunk + 1); rc.n != want {
+		t.Fatalf("node 1 took %d packets, want %d", rc.n, want)
+	}
+	if len(rc.seen) >= rc.n {
+		t.Fatalf("%d deliveries rode %d distinct packets: the pool never reused one", rc.n, len(rc.seen))
+	}
+	got := make([]byte, 2*xfer)
+	n1.Dram.Peek(0x10000, got)
+	if !bytes.Equal(got, src) {
+		t.Fatal("remote DRAM writes landed corrupted after their packets were reused")
+	}
+	if n1.Ctrl.RxProducer(RxNotify) != 2 {
+		t.Fatalf("%d notifications landed, want 2", n1.Ctrl.RxProducer(RxNotify))
+	}
+	for k := uint32(0); k < 2; k++ {
+		_, _, pl := n1.Ctrl.ReadRxSlot(RxNotify, k)
+		if want := []byte{0xA0 + byte(k), 1, 2, 3}; !bytes.Equal(pl, want) {
+			t.Fatalf("notification %d carried %v, want %v", k, pl, want)
+		}
 	}
 }

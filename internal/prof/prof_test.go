@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"flag"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -374,18 +373,42 @@ func TestReadDocNullTreeNode(t *testing.T) {
 	}
 }
 
-// TestPctTenths: percentages are exact for every int64 numerator; 1e16 and
-// the int64 limit overflowed num*1000.
+// TestPctTenths: the report's percentage columns stay exact when times reach
+// 1e16 ns, where the old num*1000 overflowed int64 and printed a negative
+// share.
 func TestPctTenths(t *testing.T) {
-	for _, c := range []struct {
-		num, den int64
-		want     string
-	}{
-		{125, 1000, "12.5%"}, {1, 3, "33.3%"}, {0, 5, "0.0%"}, {5, 0, "0.0%"}, {2000, 1000, "200.0%"},
-		{1e16, 1e16, "100.0%"}, {math.MaxInt64, 1, "922337203685477580700.0%"},
+	const big = int64(1e16)
+	doc := &Doc{
+		Schema:  Schema,
+		SimNs:   big,
+		TotalNs: 2 * big,
+		Procs: []ProcEntry{
+			{Name: "loop0", Group: "node0/sP", EndNs: big, BusyNs: big},
+			{Name: "loop1", Group: "node1/sP", EndNs: big, BusyNs: big / 2, CondNs: big / 2},
+		},
+		Tree: []*TreeNode{
+			{Name: "node0/sP", Kind: "frame", Children: []*TreeNode{{Name: "loop0", Kind: "frame", BusyNs: big}}},
+			{Name: "node1/sP", Kind: "frame", Children: []*TreeNode{
+				{Name: "loop1", Kind: "frame", BusyNs: big / 2, CondNs: big / 2}}},
+		},
+	}
+	var buf bytes.Buffer
+	if err := doc.WriteReport(&buf, 10); err != nil {
+		t.Fatal(err)
+	}
+	report := buf.String()
+	for _, want := range []string{
+		"50.0%",  // loop0's self share of all proc time
+		"100.0%", // node0/sP busy for the whole run
+		"75.0%",  // node*/sP averaged over both nodes
 	} {
-		if got := pctTenths(c.num, c.den); got != c.want {
-			t.Errorf("pctTenths(%d,%d) = %q, want %q", c.num, c.den, got, c.want)
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+	for _, f := range strings.Fields(report) {
+		if strings.HasSuffix(f, "%") && strings.HasPrefix(f, "-") {
+			t.Errorf("negative percentage %q in report:\n%s", f, report)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package prof
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"strings"
 
@@ -103,30 +102,6 @@ func (d *Doc) groupTotals() []*groupTotal {
 
 func fmtNs(ns int64) string { return sim.Time(ns).String() }
 
-// pctTenths renders num/den as a percentage with one decimal in pure integer
-// math, matching the voyager-stats report style, exact for every int64
-// numerator.
-func pctTenths(num, den int64) string {
-	if den <= 0 {
-		return "0.0%"
-	}
-	// num/den = q + r/den, so the percentage is q*100 plus the first three
-	// digits of r/den; r < den keeps the 128-bit quotient below 1000, and
-	// q is printed before those digits rather than scaled, so no product
-	// can overflow. A negative num renders its magnitude behind a sign.
-	sign, mag := "", uint64(num)
-	if num < 0 {
-		sign, mag = "-", -mag
-	}
-	q, r := mag/uint64(den), mag%uint64(den)
-	hi, lo := bits.Mul64(r, 1000)
-	t, _ := bits.Div64(hi, lo, uint64(den))
-	if q == 0 {
-		return fmt.Sprintf("%s%d.%d%%", sign, t/10, t%10)
-	}
-	return fmt.Sprintf("%s%d%02d.%d%%", sign, q, t/10, t%10)
-}
-
 // trimPath elides the middle of over-long folded paths, keeping the root
 // group and as much of the leaf end as fits.
 func trimPath(path string, max int) string {
@@ -197,7 +172,7 @@ func (d *Doc) WriteReport(w io.Writer, topN int) error {
 		if i >= topN {
 			break
 		}
-		self.AddRow(fmtNs(r.self), pctTenths(r.self, d.TotalNs),
+		self.AddRow(fmtNs(r.self), stats.PctTenths(r.self, d.TotalNs),
 			fmtNs(r.busy), fmtNs(r.cond+r.queue), trimPath(r.path, 72))
 	}
 	b.WriteString(self.String())
@@ -225,7 +200,7 @@ func (d *Doc) WriteReport(w io.Writer, topN int) error {
 		if i >= topN {
 			break
 		}
-		cum.AddRow(fmtNs(r.cum), pctTenths(r.cum, d.TotalNs), fmtNs(r.self),
+		cum.AddRow(fmtNs(r.cum), stats.PctTenths(r.cum, d.TotalNs), fmtNs(r.self),
 			trimPath(r.path, 72))
 	}
 	b.WriteString(cum.String())
@@ -242,7 +217,7 @@ func (d *Doc) WriteReport(w io.Writer, topN int) error {
 	}
 	for _, g := range groups {
 		occ.AddRow(g.group, fmt.Sprintf("%d", g.procs), fmtNs(g.busy),
-			pctTenths(g.busy, d.SimNs), fmtNs(g.cond), fmtNs(g.queue))
+			stats.PctTenths(g.busy, d.SimNs), fmtNs(g.cond), fmtNs(g.queue))
 	}
 	b.WriteString(occ.String())
 	b.WriteByte('\n')
@@ -284,7 +259,7 @@ func (d *Doc) WriteReport(w io.Writer, topN int) error {
 	for _, c := range comps {
 		roll.AddRow("node*/"+c.comp, fmt.Sprintf("%d", c.nodes),
 			fmt.Sprintf("%d", c.procs), fmtNs(c.busy),
-			pctTenths(c.busy, d.SimNs*int64(c.nodes)), fmtNs(c.cond), fmtNs(c.queue))
+			stats.PctTenths(c.busy, d.SimNs*int64(c.nodes)), fmtNs(c.cond), fmtNs(c.queue))
 	}
 	b.WriteString(roll.String())
 

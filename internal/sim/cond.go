@@ -64,13 +64,7 @@ func (c *Cond) Signal() {
 		return
 	}
 	p := c.waiters[0].p
-	// Pop by copy-down, not reslice: sliding the head would walk the backing
-	// array forward and force a reallocation on a later append. Waiter lists
-	// are short (usually one entry), so the copy is cheaper than the alloc.
-	n := len(c.waiters)
-	copy(c.waiters, c.waiters[1:])
-	c.waiters[n-1] = condWaiter{}
-	c.waiters = c.waiters[:n-1]
+	c.waiters = PopFront(c.waiters)
 	c.eng.blocked--
 	c.eng.Schedule(0, p.runFn)
 }

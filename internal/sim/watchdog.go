@@ -9,8 +9,9 @@ import (
 // either as a true deadlock (the event queue drains with Procs still blocked
 // on conditions nobody will signal) or as a livelock that burns simulated
 // time forever (poll loops rescheduling themselves past any horizon) — a
-// caller drives the engine with RunBudget and gets a typed StallError
-// carrying a structured diagnostic dump: every blocked Proc with where and
+// caller drives the engine to now+budget with RunUntil (in one call or in
+// slices), then asks BudgetCheck, and gets a typed StallError carrying a
+// structured diagnostic dump: every blocked Proc with where and
 // since-when it waits, live-Proc and pending-event counts, and the next
 // event's timestamp. The dump is deterministic (conds enumerate in
 // construction order, waiters in FIFO order), so a stall reproduces byte for
@@ -118,22 +119,13 @@ func (e *Engine) Stalled(kind StallKind, budget Time, expectedLive int) *StallEr
 	return se
 }
 
-// RunBudget drives the simulation for at most budget of simulated time and
-// reports how it ended: nil when the event queue drained with no more than
-// expectedLive Procs still alive (services legitimately block forever —
-// firmware loops — and the caller knows how many), a StallBudget error when
-// the budget elapsed with events still pending, and a StallDeadlock error
-// when the queue drained but extra Procs remain blocked with no wakeup
-// scheduled. RunBudget always terminates in wall-clock time provided each
-// individual event handler does.
-func (e *Engine) RunBudget(budget Time, expectedLive int) *StallError {
-	e.RunUntil(e.now + budget)
-	return e.BudgetCheck(budget, expectedLive)
-}
-
-// BudgetCheck classifies the engine's state after a budgeted run (see
-// RunBudget); callers that drive RunUntil in slices — scraping metrics at
-// each boundary — invoke it once the final slice lands.
+// BudgetCheck classifies the engine's state after a budgeted run, once the
+// caller's RunUntil (or its final slice) has reached the budget's end: nil
+// when the event queue drained with no more than expectedLive Procs still
+// alive (services legitimately block forever — firmware loops — and the
+// caller knows how many), a StallBudget error when events are still
+// pending, and a StallDeadlock error when the queue drained but extra Procs
+// remain blocked with no wakeup scheduled.
 func (e *Engine) BudgetCheck(budget Time, expectedLive int) *StallError {
 	if e.q.len() > 0 {
 		return e.Stalled(StallBudget, budget, expectedLive)

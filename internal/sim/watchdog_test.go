@@ -13,7 +13,8 @@ func TestRunBudgetClean(t *testing.T) {
 		p.Delay(50 * Microsecond)
 		done = true
 	})
-	if err := e.RunBudget(1*Millisecond, 0); err != nil {
+	e.RunUntil(e.Now() + 1*Millisecond)
+	if err := e.BudgetCheck(1*Millisecond, 0); err != nil {
 		t.Fatalf("clean run stalled: %v", err)
 	}
 	if !done {
@@ -36,7 +37,8 @@ func TestRunBudgetDeadlock(t *testing.T) {
 		p.Delay(20 * Microsecond)
 		never.Wait(p)
 	})
-	err := e.RunBudget(1*Millisecond, 0)
+	e.RunUntil(e.Now() + 1*Millisecond)
+	err := e.BudgetCheck(1*Millisecond, 0)
 	if err == nil {
 		t.Fatal("deadlocked run reported clean")
 	}
@@ -75,7 +77,8 @@ func TestRunBudgetLivelock(t *testing.T) {
 			p.Delay(100 * Nanosecond)
 		}
 	})
-	err := e.RunBudget(200*Microsecond, 0)
+	e.RunUntil(e.Now() + 200*Microsecond)
+	err := e.BudgetCheck(200*Microsecond, 0)
 	if err == nil {
 		t.Fatal("livelocked run reported clean")
 	}
@@ -105,7 +108,8 @@ func TestRunBudgetExpectedServices(t *testing.T) {
 		}
 	})
 	e.Spawn("worker", func(p *Proc) { p.Delay(5 * Microsecond) })
-	if err := e.RunBudget(1*Millisecond, 1); err != nil {
+	e.RunUntil(e.Now() + 1*Millisecond)
+	if err := e.BudgetCheck(1*Millisecond, 1); err != nil {
 		t.Fatalf("service loop misreported as stall: %v", err)
 	}
 	// The same state with expectation 0 is a deadlock naming the service.
@@ -128,10 +132,12 @@ func TestStalledIsObservationOnly(t *testing.T) {
 			ticks++
 		}
 	})
-	if err := e.RunBudget(10*Microsecond, 0); err == nil || err.Kind != StallBudget {
+	e.RunUntil(e.Now() + 10*Microsecond)
+	if err := e.BudgetCheck(10*Microsecond, 0); err == nil || err.Kind != StallBudget {
 		t.Fatalf("err = %v, want budget stall", err)
 	}
-	if err := e.RunBudget(1*Millisecond, 0); err != nil {
+	e.RunUntil(e.Now() + 1*Millisecond)
+	if err := e.BudgetCheck(1*Millisecond, 0); err != nil {
 		t.Fatalf("resumed run stalled: %v", err)
 	}
 	if ticks != 100 {

@@ -96,9 +96,10 @@ func downsampleMax(vals []int64, width int) []int64 {
 	return out
 }
 
-// pctTenths renders num/den as a percentage with one decimal, truncated, in
-// pure integer math ("12.5%"), exact for every int64 numerator.
-func pctTenths(num, den int64) string {
+// PctTenths renders num/den as a percentage with one decimal, truncated, in
+// pure integer math ("12.5%"), exact for every int64 numerator. The
+// voyager-stats and voyager-prof reports both print their shares with it.
+func PctTenths(num, den int64) string {
 	if den <= 0 {
 		return "0.0%"
 	}
@@ -244,8 +245,8 @@ func writeHotLinks(b *strings.Builder, doc *SeriesDoc, links []*seriesRef, opts 
 	for _, l := range topK(links, opts.TopK) {
 		total := int64(doc.WindowNs) * int64(doc.Windows)
 		t.AddRow(l.short, sim.Time(l.total).String(),
-			pctTenths(l.total, total),
-			pctTenths(l.peak, int64(doc.WindowNs)),
+			PctTenths(l.total, total),
+			PctTenths(l.peak, int64(doc.WindowNs)),
 			sparkline(l.sums, opts.Width))
 	}
 	writeTableOrNone(b, &t, "no link busy series in document")
@@ -413,7 +414,7 @@ func writeSpOccupancy(b *strings.Builder, doc *SeriesDoc, opts ReportOpts) {
 			}
 		}
 		t.AddRow(strings.TrimSuffix(s.path, "/sp_busy"),
-			pctTenths(busyTotal, busyTotal+idleTotal),
+			PctTenths(busyTotal, busyTotal+idleTotal),
 			sim.Time(busyTotal).String(),
 			sparkline(pcts, opts.Width))
 	}

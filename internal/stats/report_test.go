@@ -213,6 +213,9 @@ func TestRampCharScale(t *testing.T) {
 	}
 }
 
+// TestPctTenths: percentages are exact for every int64 numerator; 1e16 and
+// the int64 limits overflowed num*1000. The voyager-prof report prints its
+// shares through the same function.
 func TestPctTenths(t *testing.T) {
 	for _, c := range []struct {
 		num, den int64
@@ -222,8 +225,8 @@ func TestPctTenths(t *testing.T) {
 		{1e16, 1e16, "100.0%"}, {math.MaxInt64, 1, "922337203685477580700.0%"},
 		{math.MaxInt64, math.MaxInt64 - 1, "100.0%"}, {-125, 1000, "-12.5%"},
 	} {
-		if got := pctTenths(c.num, c.den); got != c.want {
-			t.Errorf("pctTenths(%d,%d) = %q, want %q", c.num, c.den, got, c.want)
+		if got := PctTenths(c.num, c.den); got != c.want {
+			t.Errorf("PctTenths(%d,%d) = %q, want %q", c.num, c.den, got, c.want)
 		}
 	}
 }
