@@ -101,10 +101,14 @@ vet-json:
 
 # The engine and core protocol layers drive every sim.Proc coroutine switch.
 # Coroutines are race-instrumented like goroutines, so a handoff that lost
-# its ordering would still be reported; run their tests under the race
-# detector.
+# its ordering would still be reported; run their tests, and those of the
+# firmware and NIU layers, under the race detector. `make chaos` runs
+# S-COMA cells on 4 workers, so every record pool must belong to a node,
+# never to a package: the S-COMA-only chaos case runs 1 worker against 4
+# under the detector to catch a pool shared across machines.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/core/...
+	$(GO) test -race ./internal/sim/... ./internal/core/... ./internal/firmware/... ./internal/niu/...
+	$(GO) test -race -run 'TestRunDeterministicAcrossWorkers/scoma' ./internal/chaos/
 
 lint: fmt vet voyager-vet race
 

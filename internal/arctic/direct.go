@@ -25,6 +25,12 @@ type directChan struct {
 	busy    bool
 	queue   []*Packet
 	stalled []*Packet // refused deliveries, FIFO, retried on Poke
+	// flight holds the packets serializing or in flight, in the order they
+	// arrive: every packet crosses the channel in the same fixed latency.
+	flight []*Packet
+	// serializedFn and landFn are the channel's event callbacks, bound on
+	// its first packet.
+	serializedFn, landFn func()
 
 	// Per-channel telemetry, mirroring the fat-tree's per-link series: wire
 	// occupancy and stall onsets (here endpoint refusals rather than credit
@@ -78,34 +84,59 @@ func (d *Direct) InFlight() int {
 }
 
 // launch enters pkt into its directional channel.
+//
+//voyager:noalloc
 func (d *Direct) launch(pkt *Packet) {
 	ch := d.chans[pkt.Src*d.nodes+pkt.Dst]
-	ch.queue = append(ch.queue, pkt)
+	ch.queue = append(ch.queue, pkt) //voyager:alloc-ok(amortized: the FIFO keeps its storage)
 	ch.kick()
 }
 
 // kick starts serializing the next packet. Serialization occupies the
 // channel; the flight latency is pipelined (the next packet serializes
 // while earlier ones are in flight), so a stream achieves full wire rate.
+//
+//voyager:noalloc
 func (c *directChan) kick() {
 	if c.busy || len(c.queue) == 0 {
 		return
 	}
+	if c.serializedFn == nil {
+		c.serializedFn = c.serialized //voyager:alloc-ok(one-time method binding, on the channel's first packet)
+		c.landFn = c.land             //voyager:alloc-ok(one-time method binding, on the channel's first packet)
+	}
 	pkt := c.queue[0]
-	c.queue = c.queue[1:]
+	c.queue = sim.PopFront(c.queue)
+	c.flight = append(c.flight, pkt) //voyager:alloc-ok(amortized: the FIFO keeps its storage)
 	c.busy = true
 	ser := sim.Time(0)
 	if c.d.flit > 0 {
 		ser = sim.Time((pkt.Size+FlitBytes-1)/FlitBytes) * c.d.flit
 	}
 	c.busyNs += ser
-	c.d.eng.Schedule(ser, func() {
-		c.busy = false
-		c.d.eng.Schedule(c.d.latency, func() { c.arrive(pkt) })
-		c.kick()
-	})
+	c.d.eng.Schedule(ser, c.serializedFn)
 }
 
+// serialized frees the channel once a packet is on the wire; the packet
+// lands after the flight latency.
+//
+//voyager:noalloc
+func (c *directChan) serialized() {
+	c.busy = false
+	c.d.eng.Schedule(c.d.latency, c.landFn)
+	c.kick()
+}
+
+// land delivers the oldest packet in flight.
+//
+//voyager:noalloc
+func (c *directChan) land() {
+	pkt := c.flight[0]
+	c.flight = sim.PopFront(c.flight)
+	c.arrive(pkt)
+}
+
+//voyager:noalloc
 func (c *directChan) arrive(pkt *Packet) {
 	if c.d.faults != nil && c.d.faults.DropOnDelivery(pkt.Dst) {
 		c.d.dropDead(pkt)
@@ -115,7 +146,7 @@ func (c *directChan) arrive(pkt *Packet) {
 	// queue behind it.
 	if len(c.stalled) > 0 {
 		c.stallCnt.Events++
-		c.stalled = append(c.stalled, pkt)
+		c.stalled = append(c.stalled, pkt) //voyager:alloc-ok(amortized: the FIFO keeps its storage)
 		return
 	}
 	if c.d.endpoints[pkt.Dst].TryDeliver(pkt) {
@@ -124,7 +155,7 @@ func (c *directChan) arrive(pkt *Packet) {
 	}
 	c.d.stats.Refusals++
 	c.stallCnt.Events++
-	c.stalled = append(c.stalled, pkt)
+	c.stalled = append(c.stalled, pkt) //voyager:alloc-ok(amortized: the FIFO keeps its storage)
 }
 
 // InjectReady always reports true: the ideal fabric buffers without bound.
@@ -138,7 +169,7 @@ func (d *Direct) Poke(node int) {
 	for src := 0; src < d.nodes; src++ {
 		ch := d.chans[src*d.nodes+node]
 		for len(ch.stalled) > 0 && d.tryDeliver(ch.stalled[0]) {
-			ch.stalled = ch.stalled[1:]
+			ch.stalled = sim.PopFront(ch.stalled)
 		}
 	}
 }

@@ -129,8 +129,8 @@ func (e *edge) Inject(pkt *Packet) {
 		e.launchFn(pkt)
 		return
 	}
-	launch, delay := e.judge(pkt)
-	if len(launch) == 0 {
+	launch, n, delay := e.judge(pkt)
+	if n == 0 {
 		if e.eng.Observed() && pkt.Trace.Traced() {
 			e.eng.Instant(pkt.Src, "net", "msg-drop",
 				pkt.Trace.AppendTo([]sim.Field{sim.Str("why", "fault")})...)
@@ -138,10 +138,10 @@ func (e *edge) Inject(pkt *Packet) {
 		e.release(pkt)
 		return
 	}
-	for _, lp := range launch {
-		lp := lp
+	for _, lp := range launch[:n] {
 		if delay > 0 {
-			e.eng.Schedule(delay, func() { e.launchFn(lp) })
+			late := lp // a delayed launch is the fault path: it keeps its closure
+			e.eng.Schedule(delay, func() { e.launchFn(late) })
 		} else {
 			e.launchFn(lp)
 		}
@@ -149,20 +149,20 @@ func (e *edge) Inject(pkt *Packet) {
 }
 
 // judge applies the injector's injection-time ruling to pkt. It returns the
-// packets to actually launch — empty for a drop, the original (possibly with
-// corrupted wire bytes) otherwise, plus an independent pooled copy when the
-// packet is duplicated, counted as injected so delivered <= injected stays
-// true — and the extra latency to charge each of them. The wire it judges is
-// the packet's Wire, which a caller-built packet lacks, so only pooled
-// packets can be corrupted.
-func (e *edge) judge(pkt *Packet) (launch []*Packet, delay sim.Time) {
+// n packets to actually launch — none for a drop, the original (possibly
+// with corrupted wire bytes) otherwise, plus an independent pooled copy when
+// the packet is duplicated, counted as injected so delivered <= injected
+// stays true — and the extra latency to charge each of them. The wire it
+// judges is the packet's Wire, which a caller-built packet lacks, so only
+// pooled packets can be corrupted.
+func (e *edge) judge(pkt *Packet) (launch [2]*Packet, n int, delay sim.Time) {
 	wire := pkt.Wire()
 	v := e.faults.Judge(pkt.Src, pkt.Dst, int(pkt.Priority), wire)
 	if v.Drop {
-		return nil, 0
+		return launch, 0, 0
 	}
 	copy(wire, v.Wire) // a corrupted copy lands in the packet's own buffer
-	launch = append(launch, pkt)
+	launch[0], n = pkt, 1
 	if v.Dup {
 		dup := e.NewPacket()
 		buf := dup.wire
@@ -171,9 +171,9 @@ func (e *edge) judge(pkt *Packet) (launch []*Packet, delay sim.Time) {
 		copy(dup.Wire(), wire)
 		e.stats.Injected++
 		e.stats.ByPri[dup.Priority]++
-		launch = append(launch, dup)
+		launch[1], n = dup, 2
 	}
-	return launch, v.Delay
+	return launch, n, v.Delay
 }
 
 // tryDeliver hands pkt to its destination's endpoint, or kills it there if

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"startvoyager/internal/fault"
 	"startvoyager/internal/sim"
 )
 
@@ -257,13 +258,26 @@ func TestBadPacketPanics(t *testing.T) {
 
 // TestHopPathAllocs pins the fat tree's per-hop path at zero allocations:
 // on a warmed 64-node tree, one packet from 0 to 63 (six links), injected
-// and drained, allocates nothing in either routing mode.
+// and drained, allocates nothing in either routing mode, nor under a fault
+// plan that rules on nothing (a delay at probability 1e-9), whose judgement
+// returns its launches in an array.
 func TestHopPathAllocs(t *testing.T) {
-	for _, adaptive := range []bool{false, true} {
+	idle, err := fault.ParsePlan("seed=1, delay=1e-9@1us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		adaptive bool
+		plan     *fault.Plan
+	}{{"deterministic", false, nil}, {"adaptive", true, nil}, {"judged", false, idle}} {
 		eng := sim.NewEngine()
 		cfg := DefaultConfig()
-		cfg.Adaptive = adaptive
+		cfg.Adaptive = tc.adaptive
 		f := NewFatTree(eng, 64, cfg)
+		if tc.plan != nil {
+			f.SetFaults(fault.NewInjector(eng, *tc.plan))
+		}
 		f.Attach(63, EndpointFunc(func(*Packet) {}))
 		var pkt Packet
 		send := func() {
@@ -273,11 +287,30 @@ func TestHopPathAllocs(t *testing.T) {
 		}
 		send() // warm-up: grows the route's lanes and binds its links' callbacks
 		if f.HopCount(0, 63) != 6 || f.Stats().Delivered != 1 {
-			t.Fatalf("adaptive=%v: warm-up packet took %d hops, delivered %d", adaptive, f.HopCount(0, 63), f.Stats().Delivered)
+			t.Fatalf("%s: warm-up packet took %d hops, delivered %d", tc.name, f.HopCount(0, 63), f.Stats().Delivered)
 		}
 		if got := testing.AllocsPerRun(100, send); got != 0 {
-			t.Errorf("adaptive=%v: a 6-hop packet allocates %v times, want 0", adaptive, got)
+			t.Errorf("%s: a 6-hop packet allocates %v times, want 0", tc.name, got)
 		}
+	}
+
+	// The ideal fabric's channel binds its serialization and arrival
+	// callbacks once and pops its FIFOs in place, so a warm pooled packet
+	// crosses it without allocating either.
+	eng := sim.NewEngine()
+	d := NewDirect(eng, 2, 100*sim.Nanosecond, DefaultConfig().FlitTime)
+	d.Attach(1, EndpointFunc(func(*Packet) {}))
+	send := func() {
+		for range 4 { // a burst, so packets queue and fly behind each other
+			pkt := d.NewPacket()
+			pkt.Src, pkt.Dst, pkt.Priority, pkt.Size = 0, 1, Low, 96
+			d.Inject(pkt)
+		}
+		eng.Run()
+	}
+	send() // warm-up: the pool, the channel's FIFOs and its callbacks
+	if got := testing.AllocsPerRun(100, send); got != 0 {
+		t.Errorf("a burst of 4 packets over a Direct channel allocates %v times, want 0", got)
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 
 // Microbenchmark suite for the simulation core's hot paths: event
 // scheduling, Proc handoff and spawn, queue traffic, a whole-node message
-// exchange, and an aP spinning on an empty receive queue. `voyager-bench -micro` (make bench-micro) runs it with
+// exchange, an aP spinning on an empty receive queue, and an S-COMA line
+// changing owners. `voyager-bench -micro` (make bench-micro) runs it with
 // testing.Benchmark and records events/sec and allocs/op in
 // BENCH_micro.json, so the perf trajectory is versioned alongside the
 // sim-time baseline in BENCH_baseline.json. Wall-clock numbers are
@@ -41,6 +42,7 @@ var microSuite = []struct {
 	{"queue/push-pop", benchQueuePushPop},
 	{"node/basic-msg", benchNodeBasicMsg},
 	{"node/empty-poll", benchNodeEmptyPoll},
+	{"node/scoma-store", benchNodeScomaStore},
 }
 
 // MicroBench runs the suite and returns the results in suite order.
@@ -202,4 +204,42 @@ func benchNodeEmptyPoll(b *testing.B) {
 	b.StopTimer()
 	m.Go(1, "src", func(p *sim.Proc, a *core.API) { a.SendBasic(p, 0, []byte{1}) })
 	m.Run()
+}
+
+// benchNodeScomaStore is the S-COMA ownership transfer: two aPs on a 2-node
+// machine store in turn to one S-COMA line, so every store misses and the
+// home directory (node 0) recalls the line from the other node and grants
+// it to the storer through its remote command queue. One op is one store.
+func benchNodeScomaStore(b *testing.B) {
+	m := core.NewMachine(2)
+	scomaTurns(m, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	m.Run()
+}
+
+// scomaTurns starts two aPs on m that store in turn to S-COMA line 0, n
+// stores in all (without end if n < 0), handing the turn over through a
+// queue each. It returns the count of stores done so far.
+func scomaTurns(m *core.Machine, n int) *int {
+	stores := new(int)
+	turns := [2]*sim.Queue[int]{sim.NewQueue[int](m.Eng), sim.NewQueue[int](m.Eng)}
+	for id := range turns {
+		m.Go(id, "store", func(p *sim.Proc, a *core.API) {
+			var b [8]byte
+			for {
+				turns[id].Pop(p)
+				if *stores == n {
+					turns[1-id].Push(0)
+					return
+				}
+				b[0]++
+				a.ScomaStore(p, 0, b[:])
+				*stores++
+				turns[1-id].Push(0)
+			}
+		})
+	}
+	turns[0].Push(0)
+	return stores
 }

@@ -32,13 +32,13 @@ func TestWriteMicro(t *testing.T) {
 }
 
 // TestMicroSuiteContents pins the benchmark set: the engine schedule/step
-// probe alongside the handoff, spawn, queue, whole-node and empty-poll
-// probes.
+// probe alongside the handoff, spawn, queue, whole-node, empty-poll and
+// S-COMA store probes.
 func TestMicroSuiteContents(t *testing.T) {
 	want := []string{
 		"engine/schedule-step",
 		"proc/delay", "proc/call-immediate", "proc/spawn", "queue/push-pop",
-		"node/basic-msg", "node/empty-poll",
+		"node/basic-msg", "node/empty-poll", "node/scoma-store",
 	}
 	if len(microSuite) != len(want) {
 		t.Fatalf("suite has %d benchmarks, want %d", len(microSuite), len(want))

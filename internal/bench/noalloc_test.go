@@ -72,6 +72,70 @@ func TestServiceMsgAllocs(t *testing.T) {
 	t.Logf("%.1f allocs per window of %.1f service messages", allocs, msgs)
 }
 
+// TestScomaTransactionAllocs pins a warm S-COMA ownership transfer on a
+// 2-node machine: two aPs store in turn to one line, so every store's miss
+// runs a whole directory transaction (a GetX to the home, a recall to the
+// other node, its recalled data back home, and the grant through the
+// storer's remote command queue). The step records, their commands and
+// line buffers, the sharer lists and the remote command frames are all
+// recycled, so a store allocates only its three firmware continuations
+// (scoma-recall, scoma-grant, scoma-data), 3 objects each for the Proc
+// record and its two bound callbacks, and the payloads ReadRxSlot hands
+// the handlers of its three service messages. Before the step records,
+// sharer lists and command frames were pooled, the same store allocated 37.
+//
+// Each measured run steps the engine until another batch of stores has
+// completed, so every run starts and ends at the same point of a
+// transaction and holds exactly a batch of them.
+func TestScomaTransactionAllocs(t *testing.T) {
+	m := core.NewMachine(2)
+	stores := scomaTurns(m, -1)
+	m.Eng.RunUntil(200 * sim.Microsecond) // warm every pool on both nodes
+	if *stores < 10 {
+		t.Fatalf("%d stores in 200 us, want aPs storing in turn", *stores)
+	}
+	const batch = 50
+	allocs := testing.AllocsPerRun(10, func() {
+		for end := *stores + batch; *stores < end; {
+			m.Eng.Step()
+		}
+	})
+	const budget = 3*3 + 3 // three spawns at 3 objects, three service payloads
+	if per := allocs / batch; per > budget {
+		t.Errorf("an S-COMA store allocates %.2f objects, want at most %d", per, budget)
+	}
+	t.Logf("%.0f allocs per batch of %d stores", allocs, batch)
+}
+
+// TestAPServiceSendAllocs: an aP's service send composes its payload on
+// the stack, so an aP sending to its own sP allocates only the payload
+// ReadRxSlot hands the handler (2 objects per send while the payload was
+// built on the heap).
+func TestAPServiceSendAllocs(t *testing.T) {
+	const svcSink = 0x71
+	m := core.NewMachine(1)
+	handled := 0
+	m.Nodes[0].FW.Register(svcSink, func(*sim.Proc, uint16, []byte) { handled++ })
+	body := []byte{1, 2, 3, 4}
+	m.Go(0, "send", func(p *sim.Proc, a *core.API) {
+		for {
+			a.SendSvc(p, 0, svcSink, body)
+		}
+	})
+	m.Eng.RunUntil(100 * sim.Microsecond) // warm every pool
+	before := handled
+	const window = 100 * sim.Microsecond
+	allocs := testing.AllocsPerRun(20, func() { m.Eng.RunUntil(m.Eng.Now() + window) })
+	sends := float64(handled-before) / 21
+	if sends < 5 {
+		t.Fatalf("%.1f service messages handled per %v window, want a sending aP", sends, window)
+	}
+	if per := allocs / sends; per > 1 {
+		t.Errorf("an aP service send allocates %.2f objects, want at most 1 (the received payload)", per)
+	}
+	t.Logf("%.1f allocs per window of %.1f sends", allocs, sends)
+}
+
 // TestChannelMsgChainAllocs: a protected channel's send and receive run the
 // library's slot path, so a message over a channel pair allocates no more
 // than a Basic message does in node/basic-msg.

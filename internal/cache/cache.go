@@ -27,7 +27,7 @@ func rwName(forWrite bool) string {
 }
 
 // State is a MESI coherence state.
-type State int
+type State uint8
 
 // MESI states.
 const (
@@ -72,11 +72,13 @@ func DefaultConfig() Config {
 // regrows it by doubling.
 const setListCap = 64
 
+// line is one resident line. Its fields are ordered so that it packs into
+// 48 bytes and a 4-way set into 192.
 type line struct {
-	tag   uint32
-	state State
 	data  [bus.LineSize]byte
 	lru   uint64
+	tag   uint32
+	state State
 }
 
 // Stats counts cache activity.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"startvoyager/internal/bus"
 	"startvoyager/internal/mem"
@@ -247,6 +248,18 @@ func TestCacheTransparencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLineSize pins the line record at 48 bytes, so a 4-way set costs 192
+// bytes of host memory: a touched set is the cache's largest lazily built
+// state.
+func TestLineSize(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 48 {
+		t.Errorf("a line record is %d bytes, want 48", got)
+	}
+	if got := unsafe.Sizeof([4]line{}); got != 192 {
+		t.Errorf("a 4-way set is %d bytes, want 192", got)
 	}
 }
 

@@ -11,25 +11,36 @@ import (
 
 // TestRunDeterministicAcrossWorkers is the harness's core contract: the same
 // Config yields a byte-identical report whether cells run sequentially or
-// fanned out across workers.
+// fanned out across workers. The scoma case runs S-COMA cells alone, whose
+// firmware recycles pooled records on every protocol step; `make race` runs
+// it under the race detector, which catches a pool shared between machines
+// on different workers (every pool must belong to a node).
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	base := Config{Seed: 42, Cells: 6, Msgs: 4, Nodes: 3}
+	for _, tc := range []struct {
+		name string
+		base Config
+	}{
+		{"default", Config{Seed: 42, Cells: 6, Msgs: 4, Nodes: 3}},
+		{"scoma", Config{Seed: 42, Cells: 4, Msgs: 4, Nodes: 3, Mechs: []string{MechScoma}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seq := tc.base
+			seq.Workers = 1
+			par := tc.base
+			par.Workers = 4
 
-	seq := base
-	seq.Workers = 1
-	par := base
-	par.Workers = 4
-
-	var seqBuf, parBuf bytes.Buffer
-	if err := Run(seq).WriteJSON(&seqBuf); err != nil {
-		t.Fatalf("sequential report: %v", err)
-	}
-	if err := Run(par).WriteJSON(&parBuf); err != nil {
-		t.Fatalf("parallel report: %v", err)
-	}
-	if !bytes.Equal(seqBuf.Bytes(), parBuf.Bytes()) {
-		t.Errorf("report differs between 1 and 4 workers:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s",
-			seqBuf.String(), parBuf.String())
+			var seqBuf, parBuf bytes.Buffer
+			if err := Run(seq).WriteJSON(&seqBuf); err != nil {
+				t.Fatalf("sequential report: %v", err)
+			}
+			if err := Run(par).WriteJSON(&parBuf); err != nil {
+				t.Fatalf("parallel report: %v", err)
+			}
+			if !bytes.Equal(seqBuf.Bytes(), parBuf.Bytes()) {
+				t.Errorf("report differs between 1 and 4 workers:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s",
+					seqBuf.String(), parBuf.String())
+			}
+		})
 	}
 }
 

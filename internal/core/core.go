@@ -236,9 +236,16 @@ func (a *API) SendBasic(p *sim.Proc, dest int, payload []byte) {
 }
 
 // SendSvc sends a firmware service message (service id + body) to node
-// dest's sP — the aP→sP request path (e.g. DMA requests).
+// dest's sP — the aP→sP request path (e.g. DMA requests). The payload is
+// composed on the stack, since sendSlot copies it into the slot.
 func (a *API) SendSvc(p *sim.Proc, dest int, svc byte, body []byte) {
-	a.sendSlot(p, "SendSvc", txBasicQ, a.n.TransSvcIdx(dest), 0, append([]byte{svc}, body...), 0, 0, false)
+	var buf [MaxBasicPayload]byte
+	if len(body) >= len(buf) {
+		panic(fmt.Sprintf("core: payload %d exceeds Basic limit", 1+len(body)))
+	}
+	buf[0] = svc
+	n := 1 + copy(buf[1:], body)
+	a.sendSlot(p, "SendSvc", txBasicQ, a.n.TransSvcIdx(dest), 0, buf[:n], 0, 0, false)
 }
 
 // SendTagOn sends a Basic message whose payload is extended with tagLen

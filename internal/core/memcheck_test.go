@@ -13,7 +13,10 @@ import (
 // TestScomaLinearizability tortures the S-COMA directory protocol with
 // unsynchronized concurrent reads and writes to one line from every node
 // and validates the observed history against the atomic-register
-// consistency conditions (internal/memcheck).
+// consistency conditions (internal/memcheck). The accesses come densely
+// enough that a store slipping into a recall's window is caught: an owner
+// that reads the recalled line before revoking its write permission (the
+// ordering onRecall's comment warns of) fails every run.
 func TestScomaLinearizability(t *testing.T) {
 	for _, migratory := range []bool{false, true} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -29,8 +32,8 @@ func TestScomaLinearizability(t *testing.T) {
 				id := id
 				rng := rand.New(rand.NewSource(seed*100 + int64(id)))
 				m.Go(id, "torture", func(p *sim.Proc, a *API) {
-					for op := 0; op < 12; op++ {
-						a.Compute(p, sim.Time(rng.Intn(5000)))
+					for op := 0; op < 40; op++ {
+						a.Compute(p, sim.Time(rng.Intn(1500)))
 						if rng.Intn(2) == 0 && id != 3 { // node 3: pure reader
 							val := uint64(id+1)<<32 | uint64(op+1)
 							var b [8]byte

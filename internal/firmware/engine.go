@@ -106,9 +106,13 @@ func New(s *sim.Engine, node int, sb *biu.SBIU, costs Costs) *Engine {
 func (e *Engine) Node() int { return e.node }
 
 // Ctrl returns the immediate CTRL interface.
+//
+//voyager:noalloc
 func (e *Engine) Ctrl() *ctrl.Ctrl { return e.ctrl }
 
 // ABIU returns the node's aBIU.
+//
+//voyager:noalloc
 func (e *Engine) ABIU() *biu.ABIU { return e.sb.ABIU() }
 
 // Costs returns the occupancy model.
@@ -330,6 +334,8 @@ func (e *Engine) CurMsgID() uint64 { return e.curMsg.ID }
 // network lane to stay deadlock-free; requests use the low lane. The new
 // message's trace context links back to the message being handled; callers
 // outside handler context (retransmit timers) use SendSvcTagged.
+//
+//voyager:noalloc
 func (e *Engine) SendSvc(p *sim.Proc, destNode int, svc byte, body []byte,
 	pri arctic.Priority, done func()) {
 	e.SendSvcTagged(p, destNode, svc, body, pri, sim.MsgTag{Parent: e.curMsg.ID}, done)

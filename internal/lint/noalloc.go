@@ -139,6 +139,14 @@ var noallocAllowlist = map[string]bool{
 	"(startvoyager/internal/niu/txrx.CmdOp).String":       true,
 	"(*startvoyager/internal/niu/sram.Cls).SetRange":      true,
 	"(startvoyager/internal/bus.Range).Contains":          true,
+	// The clsSRAM and aBIU state an S-COMA step's continuation changes when
+	// it gives up a line (pinned by TestScomaTransactionAllocs): field
+	// accessors, the state array's single-line write, and the notification
+	// re-arm, a map delete.
+	"(*startvoyager/internal/niu/ctrl.Ctrl).Cls":             true,
+	"(*startvoyager/internal/niu/sram.Cls).Set":              true,
+	"(*startvoyager/internal/niu/biu.SBIU).ABIU":             true,
+	"(*startvoyager/internal/niu/biu.ABIU).ClearScomaNotify": true,
 	// Fabric delivery boundary, crossed by the fat tree's hop path: the
 	// Endpoint implementations are pinned by TestHopPathAllocs
 	// (internal/arctic) and TestBasicMsgChainAllocs, DropOnDelivery by

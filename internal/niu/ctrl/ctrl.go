@@ -316,9 +316,10 @@ func New(eng *sim.Engine, myNode int, aS, sS *sram.SRAM, cls *sram.Cls, cfg Conf
 
 // frameGet returns a receive-frame scratch record. Ownership rules: a frame
 // obtained here is recycled with framePut exactly once, by whoever holds it
-// when it dies (see TryReceive/acceptInto). Command frames are never
-// recycled — remote command execution retains them (and may alias their
-// payloads) past the receive call.
+// when it dies (see TryReceive/acceptInto); a command frame dies when the
+// remote queue finishes its command. Its payload buffer goes with it, save
+// a CmdNotify's, which the notification's data frame takes in exchange for
+// its own (remoteQueue.exec).
 //
 //voyager:noalloc
 func (c *Ctrl) frameGet() *txrx.Frame {

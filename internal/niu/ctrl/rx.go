@@ -21,11 +21,11 @@ import (
 // with its sideband trace tag. It reports acceptance; refusal (Hold policy
 // on a full queue) stalls the packet's network lane until CTRL pokes the
 // fabric.
-// Frame ownership: the frame is decoded into a pooled record (frameGet) and
-// recycled by whoever holds it when it dies — the drop paths here, the rxOp
-// landing in acceptInto, or (on Hold refusal) this function before returning
-// false. Command frames leave the pool for good: remote command execution
-// retains them past this call.
+// Frame ownership: the frame is decoded into a pooled record (frameGet),
+// reusing its payload capacity, and recycled by whoever holds it when it
+// dies — the drop paths here, the rxOp landing in acceptInto, the remote
+// command queue when the command finishes, or (on Hold refusal) this
+// function before returning false.
 //
 //voyager:noalloc decodes into a pooled frame record
 func (c *Ctrl) TryReceive(wire []byte, tag sim.MsgTag) bool {
@@ -47,9 +47,9 @@ func (c *Ctrl) TryReceive(wire []byte, tag sim.MsgTag) bool {
 	frame.Trace = tag
 	if frame.Kind == txrx.Cmd {
 		// Remote commands always land in the (unbounded-from-the-network's-
-		// view, firmware-bounded in practice) remote command queue. The
-		// frame is not recycled — command execution owns it from here.
-		c.enqueueRemote(frame) //voyager:alloc-ok(command frames leave the alloc-free path here)
+		// view, firmware-bounded in practice) remote command queue, which
+		// owns the frame from here.
+		c.enqueueRemote(frame) //voyager:alloc-ok(pool warm-up and amortized growth: the queue is built on its first command and keeps its storage)
 		return true
 	}
 	q := c.lookupRx(frame.LogicalQ)
@@ -314,11 +314,15 @@ func (r *remoteQueue) exec() {
 		c.setClsLines(f.Addr, int(f.Count), sram.LineState(f.Aux))
 		c.eng.Schedule(c.cycles(1), r.finishFn)
 	case txrx.CmdNotify:
-		// The notification lands by alias: its data frame carries the
-		// command frame's payload.
+		// The notification lands by alias: its data frame takes the command
+		// frame's payload buffer and hands over its own in exchange, so the
+		// command frame can go back to the pool at finish while the landing
+		// still reads the payload.
 		g := c.frameGet()
+		buf := g.Payload
 		*g = txrx.Frame{Kind: txrx.Data, SrcNode: f.SrcNode, LogicalQ: f.Aux,
 			Payload: f.Payload, Trace: f.Trace}
+		f.Payload = buf[:0]
 		q := c.lookupRx(g.LogicalQ)
 		if q < 0 {
 			c.stats.RxMisses++
@@ -391,10 +395,12 @@ func (r *remoteQueue) writeWord() {
 	r.c.busPort.IssueBusOp(&r.tx, r.finishFn)
 }
 
-// finish retires the running remote command and starts the next.
+// finish retires the running remote command, recycling its frame, and
+// starts the next.
 //
 //voyager:noalloc
 func (r *remoteQueue) finish() {
+	r.c.framePut(r.cur)
 	r.cur = nil
 	r.busy = false
 	r.kick()

@@ -7,6 +7,7 @@ import (
 	"startvoyager/internal/arctic"
 	"startvoyager/internal/firmware"
 	"startvoyager/internal/niu/ctrl"
+	"startvoyager/internal/niu/txrx"
 	"startvoyager/internal/sim"
 )
 
@@ -127,6 +128,10 @@ func (r *reuseCounter) TryDeliver(p *arctic.Packet) bool {
 // from node 0 queue CmdWriteDram commands (and a CmdNotify each) in node 1's
 // remote queue while their packets go back to the fabric's pool and carry
 // later packets; every DRAM line and both notifications still land intact.
+// Then node 0 sends CmdNotify commands back to back: each arrives while the
+// previous one's notification is still landing, decoded into the command
+// frame that notification came in, which the remote queue has recycled; the
+// notification must still land its own payload.
 func TestRemoteCommandPayloadOutlivesPacket(t *testing.T) {
 	eng := sim.NewEngine()
 	fab := arctic.NewFatTree(eng, 2, arctic.DefaultConfig())
@@ -167,6 +172,23 @@ func TestRemoteCommandPayloadOutlivesPacket(t *testing.T) {
 		_, _, pl := n1.Ctrl.ReadRxSlot(RxNotify, k)
 		if want := []byte{0xA0 + byte(k), 1, 2, 3}; !bytes.Equal(pl, want) {
 			t.Fatalf("notification %d carried %v, want %v", k, pl, want)
+		}
+	}
+
+	const notifies = 6
+	for k := 0; k < notifies; k++ {
+		n0.Ctrl.IssueCommand(0, &ctrl.SendMsg{Frame: &txrx.Frame{Kind: txrx.Cmd,
+			Op: txrx.CmdNotify, Aux: LqNotify, Payload: []byte{0xC0 + byte(k), 4, 5, 6}},
+			Dest: 1, Priority: arctic.Low})
+	}
+	eng.Run()
+	if got := n1.Ctrl.RxProducer(RxNotify); got != 2+notifies {
+		t.Fatalf("%d notifications landed, want %d", got, 2+notifies)
+	}
+	for k := 0; k < notifies; k++ {
+		_, _, pl := n1.Ctrl.ReadRxSlot(RxNotify, uint32(2+k))
+		if want := []byte{0xC0 + byte(k), 4, 5, 6}; !bytes.Equal(pl, want) {
+			t.Fatalf("back-to-back notification %d carried %v, want %v", k, pl, want)
 		}
 	}
 }
