@@ -20,6 +20,7 @@
 #   make chaos       short-budget chaos sweep, byte-compared to CHAOS_findings.json
 #   make figs        every published figure byte-compared to FIGS_report.txt
 #   make figs-baseline  refresh the committed figure golden
+#   make deadcode    functions no CLI, figure or example run reaches, diffed with DEADCODE_allow.txt
 #   make ci          everything CI runs
 
 GO ?= go
@@ -65,7 +66,11 @@ define gen-figs
 $(GO) run ./cmd/voyager-bench -fig all > $(1)/FIGS_report.txt
 endef
 
-.PHONY: all build test fmt vet voyager-vet vet-json race lint bench-json bench-json-baseline bench-diff bench-baseline faults faults-baseline faults-check bench-micro fuzz bench-scale bench-scale-baseline series series-baseline prof prof-baseline chaos figs figs-baseline ci
+define gen-deadcode
+GO=$(GO) sh scripts/deadcode.sh $(1)
+endef
+
+.PHONY: all build test fmt vet voyager-vet vet-json race lint bench-json bench-json-baseline bench-diff bench-baseline faults faults-baseline faults-check bench-micro fuzz bench-scale bench-scale-baseline series series-baseline prof prof-baseline chaos figs figs-baseline deadcode ci
 
 all: build test
 
@@ -283,4 +288,21 @@ figs:
 figs-baseline:
 	$(call gen-figs,.)
 
-ci: build test lint bench-json bench-diff bench-scale faults faults-check series prof chaos figs
+# Every capability has a caller (DESIGN §5): every CLI and example is built
+# with coverage over the whole module and driven through the run list in
+# scripts/deadcode.sh, which checks each run's exit status. The functions
+# that ran 0% are compared with DEADCODE_allow.txt, whose every entry needs
+# one of its six classes and a reason. A "+" line in the diff is a function
+# nothing runs: delete it, or list it with its reason. A "-" line is a listed
+# function that now runs: unlist it. So the list only shrinks.
+deadcode:
+	@mkdir -p $(GATE_OUT)
+	$(call gen-deadcode,$(GATE_OUT))
+	@awk '!/^#/ && NF { if (NF < 3 || $$2 !~ /^(keep-list|layer-0-api|accessor|method-set|finding|unreached-model-path)$$/) { \
+		print "DEADCODE_allow.txt:" NR ": want <function> <class> <reason>: " $$0; bad = 1 } } END { exit bad }' DEADCODE_allow.txt
+	@awk '!/^#/ && NF { print $$1 }' DEADCODE_allow.txt | LC_ALL=C sort | \
+		diff -u --label DEADCODE_allow.txt --label $(GATE_OUT)/DEADCODE_report.txt - $(GATE_OUT)/DEADCODE_report.txt || \
+		{ echo "deadcode: + no run reaches it (delete it, or list it with a class and a reason); - listed but now runs (unlist it)"; exit 1; }
+	@echo "deadcode: every function no run reaches is in DEADCODE_allow.txt"
+
+ci: build test lint bench-json bench-diff bench-scale faults faults-check series prof chaos figs deadcode

@@ -1,20 +1,17 @@
 // Command voyager-vet checks the simulator's determinism contract: a
 // multichecker that runs the internal/lint analyzer suite (nowalltime,
-// noglobalrand, nomaporder, nogoroutine, simtimeunits) and, by default, the
-// standard `go vet` passes over the same packages.
+// noglobalrand, nomaporder, nogoroutine, simtimeunits, spanleak, noalloc)
+// and, by default, the standard `go vet` passes over the same packages.
 //
 // Usage:
 //
 //	voyager-vet [-novet] [-json] [packages]  # default: ./...
-//	go vet -vettool=$(which voyager-vet)     # unit-checker protocol
 //
-// In the first form the tool loads, type-checks, and analyzes every matching
-// package, printing findings as file:line:col: [analyzer] message and
-// exiting 2 if any are found. With -json the findings are instead emitted on
-// stdout as a sorted JSON array of {file, line, col, analyzer, message}
-// objects (deterministic across runs, [] when clean) for CI annotation. In the second form it speaks the cmd/go vet
-// config-file protocol, so it slots into `go vet -vettool` (replacing the
-// standard passes, which cmd/go omits for external tools).
+// The tool loads, type-checks, and analyzes every matching package,
+// printing findings as file:line:col: [analyzer] message and exiting 2 if
+// any are found. With -json the findings are instead emitted on stdout as a
+// sorted JSON array of {file, line, col, analyzer, message} objects
+// (deterministic across runs, [] when clean) for CI annotation.
 //
 // Findings are suppressed with a justification comment on the same line or
 // the one above: //lint:allow <analyzer> <why> (nomaporder also accepts
@@ -22,10 +19,8 @@
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -34,41 +29,11 @@ import (
 	"startvoyager/internal/lint"
 )
 
-// selfHash fingerprints this binary for the -V=full handshake.
-func selfHash() string {
-	f, err := os.Open(os.Args[0])
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
 func run(args []string) int {
-	// cmd/go probes vettool binaries before use: -V=full must print a
-	// version line ending in a buildID (cmd/go caches vet results keyed on
-	// it, so hash the binary itself), and -flags must list the tool's
-	// flags as JSON.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		fmt.Printf("%s version devel comments-go-here buildID=%s\n", os.Args[0], selfHash())
-		return 0
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return 0
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return runUnitchecker(args[0])
-	}
-
 	fs := flag.NewFlagSet("voyager-vet", flag.ExitOnError)
 	novet := fs.Bool("novet", false, "skip the standard `go vet` passes")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (file/line/col/analyzer/message) on stdout")

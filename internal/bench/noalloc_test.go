@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"startvoyager/internal/arctic"
@@ -12,31 +14,58 @@ import (
 
 // TestBasicMsgChainAllocs pins the allocation budget of the Basic message
 // send/recv chain — the path the //voyager:noalloc annotations and the
-// noalloc analyzer guard. The whole-node benchmark pushes one delivered
-// message per op through aP compose → CTRL launch → fabric → CTRL landing →
-// aP consume; at the growth seed it cost 112 allocs/op. The pooled records
-// (bus ops, cache transactions, ctrl launch/land state) and stack arrays
-// for core's slot and word buffers (the cache copies them, never retains
-// them) brought it to 14, the alloc-free fat-tree hop path to 4, and the
+// noalloc analyzer guard. Node 1 sends 4-byte messages to node 0 through
+// aP compose → CTRL launch → fabric → CTRL landing → aP consume; at the
+// growth seed a message cost 112 allocations. The pooled records (bus ops,
+// cache transactions, ctrl launch/land state) and stack arrays for core's
+// slot and word buffers (the cache copies them, never retains them)
+// brought it to 14, the alloc-free fat-tree hop path to 4, and the
 // fabric's packet pool with CTRL's pooled wire buffers to 1. That one
 // allocation is the received payload the aP library hands the receiver (an
 // ownership transfer: 4 bytes here). The budget catches any closure,
 // packet or buffer that slips back onto the path.
 func TestBasicMsgChainAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed; skipped in -short")
+	m := core.NewMachine(2)
+	d := AllToOne{Mech: "basic", Count: math.MaxInt, Size: 4}.Spawn(m)
+	objs, bytes := msgChainCost(t, m, &d.Received)
+	const maxAllocs = 1 // the received payload
+	const maxBytes = 16
+	if objs > maxAllocs {
+		t.Errorf("a Basic message allocates %.2f objects, budget is %d (seed was 112)", objs, maxAllocs)
 	}
-	r := testing.Benchmark(benchNodeBasicMsg)
-	const maxAllocs = 1 // measured: 1 alloc/op, the received payload
-	const maxBytes = 16 // measured: 4 B/op
-	if got := r.AllocsPerOp(); got > maxAllocs {
-		t.Errorf("node/basic-msg allocates %d/op, budget is %d (seed was 112)", got, maxAllocs)
+	// Whole bytes: see TestChannelMsgChainAllocs.
+	if math.Round(bytes) > maxBytes {
+		t.Errorf("a Basic message allocates %.1f B, budget is %d (seed was 5617)", bytes, maxBytes)
 	}
-	if got := r.AllocedBytesPerOp(); got > maxBytes {
-		t.Errorf("node/basic-msg allocates %d B/op, budget is %d (seed was 5617)", got, maxBytes)
+	t.Logf("basic: %.2f objects, %.1f B per message", objs, bytes)
+}
+
+// msgChainCost measures a warm message chain over a fixed window of
+// messages: m's traffic counts each delivered message in *delivered, and
+// each measured run steps m until another batch has been delivered, so
+// every run starts and ends at the same point of the chain. Objects per
+// message come from testing.AllocsPerRun, bytes per message from
+// runtime.MemStats over the same runs. testing.Benchmark's per-op figures
+// would spread warm-up allocation over b.N, which under -race is only a
+// few thousand messages.
+func msgChainCost(t *testing.T, m *core.Machine, delivered *int) (objs, bytes float64) {
+	t.Helper()
+	m.Eng.RunUntil(100 * sim.Microsecond) // warm every pool on both nodes
+	if *delivered < 10 {
+		t.Fatalf("%d messages in 100 us, want a running sender", *delivered)
 	}
-	t.Logf("node/basic-msg: %d allocs/op, %d B/op over %d ops",
-		r.AllocsPerOp(), r.AllocedBytesPerOp(), r.N)
+	const batch, runs = 100, 20
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	allocs := testing.AllocsPerRun(runs, func() {
+		for end := *delivered + batch; *delivered < end; {
+			m.Eng.Step()
+		}
+	})
+	runtime.ReadMemStats(&ms1)
+	// AllocsPerRun runs the batch once more, to warm up, than it averages
+	// over.
+	return allocs / batch, float64(ms1.TotalAlloc-ms0.TotalAlloc) / ((runs + 1) * batch)
 }
 
 // TestServiceMsgAllocs pins a warm sP-to-sP service message on a 2-node
@@ -138,42 +167,42 @@ func TestAPServiceSendAllocs(t *testing.T) {
 
 // TestChannelMsgChainAllocs: a protected channel's send and receive run the
 // library's slot path, so a message over a channel pair allocates no more
-// than a Basic message does in node/basic-msg.
+// than a Basic message does. Node 1 sends 4-byte messages to node 0 over
+// the pair, and each machine is measured as TestBasicMsgChainAllocs
+// measures it.
 func TestChannelMsgChainAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed; skipped in -short")
-	}
-	basic := testing.Benchmark(benchNodeBasicMsg)
-	ch := testing.Benchmark(benchNodeChannelMsg)
-	if ch.AllocsPerOp() > basic.AllocsPerOp() || ch.AllocedBytesPerOp() > basic.AllocedBytesPerOp() {
-		t.Errorf("channel message allocates %d/op, %d B/op; node/basic-msg %d/op, %d B/op",
-			ch.AllocsPerOp(), ch.AllocedBytesPerOp(), basic.AllocsPerOp(), basic.AllocedBytesPerOp())
-	}
-	t.Logf("channel: %d allocs/op, %d B/op over %d ops", ch.AllocsPerOp(), ch.AllocedBytesPerOp(), ch.N)
-}
-
-// benchNodeChannelMsg is benchNodeBasicMsg over a protected channel pair:
-// node 1 sends 4-byte messages to node 0, one delivered message per op.
-func benchNodeChannelMsg(b *testing.B) {
 	m := core.NewMachine(2)
+	d := AllToOne{Mech: "basic", Count: math.MaxInt, Size: 4}.Spawn(m)
+	basicObjs, basicBytes := msgChainCost(t, m, &d.Received)
+
+	m = core.NewMachine(2)
 	sink := m.API(0).OpenChannel(1, []int{1})
 	src := m.API(1).OpenChannel(1, []int{0})
 	payload := make([]byte, 4)
 	m.Go(1, "src", func(p *sim.Proc, _ *core.API) {
-		for range b.N {
+		for {
 			if err := src.Send(p, 0, payload); err != nil {
-				b.Error(err)
+				t.Error(err)
+				return
 			}
 		}
 	})
+	received := 0
 	m.Go(0, "sink", func(p *sim.Proc, _ *core.API) {
-		for range b.N {
+		for {
 			sink.Recv(p)
+			received++
 		}
 	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	m.Run()
+	objs, bytes := msgChainCost(t, m, &received)
+	// Objects are exact per batch. Bytes are compared per whole byte: the
+	// tiny allocator packs small payloads into 16-byte blocks, so where a
+	// window's first and last block fall moves its total by one block.
+	if objs > basicObjs || math.Round(bytes) > math.Round(basicBytes) {
+		t.Errorf("a channel message allocates %.2f objects, %.1f B; a Basic message %.2f, %.1f B",
+			objs, bytes, basicObjs, basicBytes)
+	}
+	t.Logf("channel: %.2f objects, %.1f B per message", objs, bytes)
 }
 
 // TestEmptyPollZeroAllocs: an aP spinning in RecvBasic on an empty queue

@@ -115,9 +115,14 @@ func spinRun(t *testing.T, faults string, program func(m *core.Machine, lg *deli
 	sampler := m.Series(stats.SamplerConfig{Window: 2 * sim.Microsecond})
 	var lg deliveryLog
 	program(m, &lg)
-	if !m.Eng.RunLimit(20_000_000) {
+	// At most 20M events, a livelock guard; Run then finds the queue empty
+	// and only stops the parked coroutines.
+	for n := 0; n < 20_000_000 && m.Eng.Step(); n++ {
+	}
+	if m.Eng.Pending() > 0 {
 		t.Fatal("run did not drain within 20M events")
 	}
+	m.Eng.Run()
 	// Firmware service loops block forever on their queues; an application
 	// proc ("ap<node>-<name>") must not.
 	for _, b := range m.Eng.Stalled(sim.StallDeadlock, 0, 0).Blocked {

@@ -189,21 +189,6 @@ func (c *Cluster) Run() {
 // garbage collected. Read every result first: the machine cannot run again.
 func (c *Cluster) Close() { c.Eng.Close() }
 
-// RunFor drives the simulation for d of simulated time.
-func (c *Cluster) RunFor(d sim.Time) { c.Eng.RunUntil(c.Eng.Now() + d) }
-
-// CheckQuiescent panics if processes are still blocked on conditions with
-// no pending events (a modeled-system deadlock). Workload procs that
-// legitimately wait forever (firmware loops) are excluded by construction:
-// firmware loops block on queues, which counts — so this check is for use
-// by tests that know their expected idle-process count.
-func (c *Cluster) CheckQuiescent(expectedBlocked int) error {
-	if got := c.Eng.BlockedProcs(); got != expectedBlocked {
-		return fmt.Errorf("cluster: %d blocked procs, expected %d", got, expectedBlocked)
-	}
-	return nil
-}
-
 // FirmwareLoops returns the number of always-blocked firmware service procs
-// (three per node), for use with CheckQuiescent.
+// (three per node), the expected live count for Engine.BudgetCheck.
 func (c *Cluster) FirmwareLoops() int { return 3 * len(c.Nodes) }

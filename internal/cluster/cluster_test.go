@@ -93,7 +93,7 @@ func TestNewDefaultCluster(t *testing.T) {
 	}
 	c.Run()
 	// Only the firmware loops (3 per node) may be blocked at quiescence.
-	if err := c.CheckQuiescent(c.FirmwareLoops()); err != nil {
+	if err := c.Eng.BudgetCheck(0, c.FirmwareLoops()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -129,14 +129,6 @@ func TestDirectNetConfig(t *testing.T) {
 	}
 }
 
-func TestRunFor(t *testing.T) {
-	c := New(DefaultConfig(1))
-	c.RunFor(1000)
-	if c.Eng.Now() < 1000 {
-		t.Fatalf("now = %v", c.Eng.Now())
-	}
-}
-
 func TestZeroNodesPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -149,7 +141,7 @@ func TestZeroNodesPanics(t *testing.T) {
 func TestQuiescentMismatchReported(t *testing.T) {
 	c := New(DefaultConfig(1))
 	c.Run()
-	if err := c.CheckQuiescent(0); err == nil {
+	if err := c.Eng.BudgetCheck(0, 0); err == nil {
 		t.Fatal("expected mismatch error")
 	}
 }

@@ -378,13 +378,6 @@ func (a *API) RecvNotifyTimeout(p *sim.Proc, timeout sim.Time) (src int, payload
 	return a.recvSlotT(p, "RecvNotify", "RecvNotify", rxNotifyQ, timeout)
 }
 
-// TryRecvNotify polls the notification queue once.
-//
-//voyager:noalloc
-func (a *API) TryRecvNotify(p *sim.Proc) (src int, payload []byte, ok bool) {
-	return a.tryRecvSlot(p, "TryRecvNotify", rxNotifyQ)
-}
-
 // tryRecvSlot polls receive queue sq once; op names the occupancy bracket.
 //
 //voyager:noalloc

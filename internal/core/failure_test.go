@@ -25,7 +25,7 @@ func TestHoldBackpressureStallsSender(t *testing.T) {
 		}
 	})
 	// Bounded run: the flood wedges, time keeps advancing on retries.
-	m.RunFor(3 * sim.Millisecond)
+	m.Eng.RunUntil(m.Eng.Now() + 3*sim.Millisecond)
 	if sent >= 100 {
 		t.Fatalf("sender finished (%d) despite a dead receiver", sent)
 	}
@@ -83,7 +83,7 @@ func TestHighLaneSurvivesWedgedLowLane(t *testing.T) {
 			}
 		}
 	})
-	m.RunFor(4 * sim.Millisecond)
+	m.Eng.RunUntil(m.Eng.Now() + 4*sim.Millisecond)
 	if expressGot != 5 {
 		t.Fatalf("only %d of 5 express messages bypassed the wedged low lane", expressGot)
 	}
@@ -163,9 +163,9 @@ func TestMutualWedgeIsVisible(t *testing.T) {
 			}
 		})
 	}
-	m.RunFor(2 * sim.Millisecond)
+	m.Eng.RunUntil(m.Eng.Now() + 2*sim.Millisecond)
 	before := sent
-	m.RunFor(2 * sim.Millisecond)
+	m.Eng.RunUntil(m.Eng.Now() + 2*sim.Millisecond)
 	if sent != before {
 		t.Fatalf("progress after wedge: %v -> %v", before, sent)
 	}

@@ -227,7 +227,7 @@ func TestDmaDuringOutageDegradesGracefully(t *testing.T) {
 		_, _, err = a.RecvNotifyTimeout(p, 2*sim.Millisecond)
 		done = true
 	})
-	m.RunFor(10 * sim.Millisecond)
+	m.Eng.RunUntil(m.Eng.Now() + 10*sim.Millisecond)
 	if !done {
 		t.Fatal("consumer still blocked; bounded wait did not fire")
 	}
@@ -288,8 +288,10 @@ func TestNodeDeathBoundedError(t *testing.T) {
 func faultedExport(t *testing.T, seed uint64) ([]byte, []byte) {
 	t.Helper()
 	plan := &fault.Plan{Seed: seed}
-	plan.SetAllLanes(fault.LaneProbs{Drop: 0.05, Corrupt: 0.02, Duplicate: 0.05,
-		DelayProb: 0.2, DelayMax: 2 * sim.Microsecond})
+	for i := range plan.Lanes {
+		plan.Lanes[i] = fault.LaneProbs{Drop: 0.05, Corrupt: 0.02, Duplicate: 0.05,
+			DelayProb: 0.2, DelayMax: 2 * sim.Microsecond}
+	}
 	m := NewMachineConfig(faultedConfig(4, plan))
 	tbuf := m.Trace(1 << 18)
 

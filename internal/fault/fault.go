@@ -71,13 +71,6 @@ type Plan struct {
 	Deaths  []NodeDeath
 }
 
-// SetAllLanes applies the same probabilistic rates to both lanes.
-func (p *Plan) SetAllLanes(lp LaneProbs) {
-	for i := range p.Lanes {
-		p.Lanes[i] = lp
-	}
-}
-
 // rng is a SplitMix64 stream — the same generator the workload package uses
 // for seed derivation. It is tiny, fast, and completely reproducible.
 type rng struct{ state uint64 }

@@ -161,7 +161,9 @@ func TestJudgeCleanPlanPasses(t *testing.T) {
 
 func TestJudgeLoopbackExempt(t *testing.T) {
 	plan := Plan{Seed: 1}
-	plan.SetAllLanes(LaneProbs{Drop: 1})
+	for i := range plan.Lanes {
+		plan.Lanes[i] = LaneProbs{Drop: 1}
+	}
 	eng := sim.NewEngine()
 	in := NewInjector(eng, plan)
 	if v := in.Judge(2, 2, LaneLow, nil); v.Drop {
@@ -174,7 +176,9 @@ func TestJudgeLoopbackExempt(t *testing.T) {
 
 func TestJudgeDropRateConverges(t *testing.T) {
 	plan := Plan{Seed: 5}
-	plan.SetAllLanes(LaneProbs{Drop: 0.3})
+	for i := range plan.Lanes {
+		plan.Lanes[i] = LaneProbs{Drop: 0.3}
+	}
 	eng := sim.NewEngine()
 	in := NewInjector(eng, plan)
 	drops := 0
@@ -195,7 +199,9 @@ func TestJudgeDropRateConverges(t *testing.T) {
 
 func TestJudgeCorruptFlipsOneBit(t *testing.T) {
 	plan := Plan{Seed: 3}
-	plan.SetAllLanes(LaneProbs{Corrupt: 1})
+	for i := range plan.Lanes {
+		plan.Lanes[i] = LaneProbs{Corrupt: 1}
+	}
 	eng := sim.NewEngine()
 	in := NewInjector(eng, plan)
 	orig := []byte{0xAA, 0x55, 0x00, 0xFF}
@@ -222,7 +228,9 @@ func popcount(b byte) int {
 
 func TestJudgeDelayBounded(t *testing.T) {
 	plan := Plan{Seed: 11}
-	plan.SetAllLanes(LaneProbs{DelayProb: 1, DelayMax: 3 * sim.Microsecond})
+	for i := range plan.Lanes {
+		plan.Lanes[i] = LaneProbs{DelayProb: 1, DelayMax: 3 * sim.Microsecond}
+	}
 	eng := sim.NewEngine()
 	in := NewInjector(eng, plan)
 	for i := 0; i < 1000; i++ {
@@ -304,7 +312,9 @@ func TestDropOnDeliveryAllocs(t *testing.T) {
 
 func TestJudgeDuplicateCopiesWire(t *testing.T) {
 	plan := Plan{Seed: 2}
-	plan.SetAllLanes(LaneProbs{Duplicate: 1})
+	for i := range plan.Lanes {
+		plan.Lanes[i] = LaneProbs{Duplicate: 1}
+	}
 	eng := sim.NewEngine()
 	in := NewInjector(eng, plan)
 	v := in.Judge(0, 1, LaneLow, []byte{9, 9})
@@ -318,8 +328,10 @@ func TestJudgeDuplicateCopiesWire(t *testing.T) {
 
 func TestSameSeedSameVerdicts(t *testing.T) {
 	plan := Plan{Seed: 77}
-	plan.SetAllLanes(LaneProbs{Drop: 0.2, Corrupt: 0.1, Duplicate: 0.1,
-		DelayProb: 0.3, DelayMax: sim.Microsecond})
+	for i := range plan.Lanes {
+		plan.Lanes[i] = LaneProbs{Drop: 0.2, Corrupt: 0.1, Duplicate: 0.1,
+			DelayProb: 0.3, DelayMax: sim.Microsecond}
+	}
 	run := func() []Verdict {
 		eng := sim.NewEngine()
 		in := NewInjector(eng, plan)

@@ -45,9 +45,6 @@ func NewInjector(eng *sim.Engine, plan Plan) *Injector {
 	}
 }
 
-// Plan returns a copy of the plan the injector is executing.
-func (in *Injector) Plan() Plan { return in.plan }
-
 // Stats returns a snapshot of the fault counters.
 func (in *Injector) Stats() Stats { return in.stats }
 

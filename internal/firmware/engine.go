@@ -102,9 +102,6 @@ func New(s *sim.Engine, node int, sb *biu.SBIU, costs Costs) *Engine {
 	return e
 }
 
-// Node returns the node id.
-func (e *Engine) Node() int { return e.node }
-
 // Ctrl returns the immediate CTRL interface.
 //
 //voyager:noalloc

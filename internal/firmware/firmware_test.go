@@ -189,7 +189,12 @@ func TestProtViolationRouted(t *testing.T) {
 	if r.fw.Stats().ProtViols != 1 {
 		t.Fatalf("stats %+v", r.fw.Stats())
 	}
-	evs := buf.Filter("fw", "prot-viol")
+	var evs []trace.Event
+	for _, e := range buf.Events() {
+		if e.Component == "fw" && e.Name == "prot-viol" {
+			evs = append(evs, e)
+		}
+	}
 	if len(evs) != 1 {
 		t.Fatalf("%d prot-viol instants, want 1", len(evs))
 	}

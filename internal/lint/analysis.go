@@ -13,9 +13,8 @@
 // (Analyzer, Pass, Diagnostic) but is self-contained on the standard
 // library: packages are type-checked against compiler export data obtained
 // from `go list -export` (see load.go), so the module needs no external
-// dependencies. Analyzers are pure functions of a type-checked package and
-// can be driven by cmd/voyager-vet directly, through the `go vet -vettool`
-// unit-checker protocol, or by the linttest harness.
+// dependencies. Analyzers are pure functions of a type-checked package,
+// driven by cmd/voyager-vet or by the linttest harness.
 //
 // Suppression: a finding can be silenced with a justification comment on
 // the same line or the line immediately above:

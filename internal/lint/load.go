@@ -130,15 +130,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// CheckFiles parses and type-checks one package from explicit file paths,
-// resolving imports through lookup. Drivers that already know the package's
-// sources and export-data locations (the `go vet -vettool` protocol) use
-// this directly instead of Load.
-func CheckFiles(fset *token.FileSet, importPath string, files []string,
-	lookup func(string) (io.ReadCloser, error)) (*Package, error) {
-	return checkFiles(fset, importPath, files, lookup)
-}
-
 // checkFiles parses and type-checks one package from explicit file paths,
 // resolving imports through lookup.
 func checkFiles(fset *token.FileSet, importPath string, files []string,

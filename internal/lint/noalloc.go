@@ -62,16 +62,11 @@ var noallocAllowlist = map[string]bool{
 	"(*startvoyager/internal/sim.Resource).Acquire": true,
 	"(*startvoyager/internal/sim.Resource).Release": true,
 	"(*startvoyager/internal/sim.Resource).Use":     true,
-	"(*startvoyager/internal/sim.Resource).Busy":    true,
 	"(*startvoyager/internal/sim.Resource).UseP":    true,
 	"(*startvoyager/internal/sim.Proc).Call":        true,
 	"(*startvoyager/internal/sim.Proc).Delay":       true,
 	"(*startvoyager/internal/sim.Proc).Inline":      true,
 	"(*startvoyager/internal/sim.Proc).Now":         true,
-	"(*startvoyager/internal/sim.Queue).Push":       true,
-	"(*startvoyager/internal/sim.Queue).Pop":        true,
-	"(*startvoyager/internal/sim.Cond).Wait":        true,
-	"(*startvoyager/internal/sim.Cond).Broadcast":   true,
 	"startvoyager/internal/sim.PopFront":            true,
 	// Observability hooks: no-ops without an observer; instrumented runs
 	// trade allocation for visibility by design (see DESIGN.md).
@@ -88,7 +83,6 @@ var noallocAllowlist = map[string]bool{
 	// Profiler hooks: no-ops without a profiler; the internal/prof
 	// implementations are //voyager:noalloc with an AllocsPerRun pin
 	// (interface dispatch cannot be checked statically).
-	"(*startvoyager/internal/sim.Engine).ProfPush":        true,
 	"(*startvoyager/internal/sim.Engine).ProfPop":         true,
 	"(startvoyager/internal/sim.ProcProfiler).ProcResume": true,
 	"(startvoyager/internal/sim.ProcProfiler).ProcBlock":  true,
@@ -172,15 +166,12 @@ var noallocAllowlist = map[string]bool{
 	// fixed stride, marked //voyager:noalloc at the definitions.
 	"(*startvoyager/internal/node.Node).TransBasicIdx":   true,
 	"(*startvoyager/internal/node.Node).TransExpressIdx": true,
-	"(*startvoyager/internal/node.Node).TransSvcIdx":     true,
-	"(*startvoyager/internal/node.Node).TransNotifyIdx":  true,
 	// Buffer memories and byte-order helpers: pure copies into caller-owned
 	// storage. SRAM.Append grows its destination as append does; its noalloc
 	// caller (ctrl's TagOn pull) reuses a payload buffer whose capacity grows
 	// once to MaxDataPayload.
 	"(*startvoyager/internal/niu/sram.SRAM).Read":   true,
 	"(*startvoyager/internal/niu/sram.SRAM).Write":  true,
-	"(*startvoyager/internal/niu/sram.SRAM).ByteAt": true,
 	"(*startvoyager/internal/niu/sram.SRAM).Append": true,
 	"(encoding/binary.bigEndian).Uint16":            true,
 	"(encoding/binary.bigEndian).Uint32":            true,

@@ -69,9 +69,6 @@ func New(rng bus.Range, latency sim.Time) *DRAM {
 // DeviceName implements bus.Device.
 func (d *DRAM) DeviceName() string { return "dram" }
 
-// Range returns the address range this controller claims.
-func (d *DRAM) Range() bus.Range { return d.rng }
-
 // AddAlias makes the controller also claim rng, serving it from the backing
 // array starting at offset toBase. Used to back the S-COMA window with DRAM
 // frames.

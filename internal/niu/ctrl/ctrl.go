@@ -348,9 +348,6 @@ func (c *Ctrl) SetPorts(b BusPort, n NetPort, i IntPort) {
 // Node returns the node number.
 func (c *Ctrl) Node() int { return c.myNode }
 
-// Engine returns the simulation engine.
-func (c *Ctrl) Engine() *sim.Engine { return c.eng }
-
 // Stats returns a snapshot of counters.
 func (c *Ctrl) Stats() Stats { return c.stats }
 
@@ -475,9 +472,6 @@ func (c *Ctrl) Cls() *sram.Cls { return c.cls }
 
 // ASram exposes the aSRAM bank.
 func (c *Ctrl) ASram() *sram.SRAM { return c.aSRAM }
-
-// SSram exposes the sSRAM bank.
-func (c *Ctrl) SSram() *sram.SRAM { return c.sSRAM }
 
 // cycles converts NIU cycles to time.
 //

@@ -11,6 +11,15 @@ import (
 	"startvoyager/internal/sim"
 )
 
+// drained runs at most n events of e, a livelock guard, and reports whether
+// its event queue drained within them. CTRL spawns no Procs, so nothing is
+// left parked.
+func drained(e *sim.Engine, n int) bool {
+	for ; n > 0 && e.Step(); n-- {
+	}
+	return e.Pending() == 0
+}
+
 // Property: for random interleavings of message composition, producer
 // updates, and receive-consumer updates across multiple queues, every
 // message is launched exactly once, in per-queue FIFO order, with intact
@@ -52,7 +61,7 @@ func TestQueueDisciplineProperty(t *testing.T) {
 					p := published[q]
 					qq := q
 					r.eng.Schedule(0, func() { r.c.TxProducerUpdate(qq, p) })
-					r.eng.RunLimit(10000)
+					drained(r.eng, 10000)
 				}
 			}
 		}
@@ -62,7 +71,7 @@ func TestQueueDisciplineProperty(t *testing.T) {
 				r.eng.Schedule(0, func() { r.c.TxProducerUpdate(qq, p) })
 			}
 		}
-		if !r.eng.RunLimit(1_000_000) {
+		if !drained(r.eng, 1_000_000) {
 			return false
 		}
 		// Per-queue FIFO: the injected stream, filtered by destination
@@ -123,7 +132,7 @@ func TestRxPointerProperty(t *testing.T) {
 			if r.c.TryReceive(w, sim.MsgTag{}) {
 				want = append(want, msg)
 			}
-			if !r.eng.RunLimit(100000) {
+			if !drained(r.eng, 100000) {
 				return false
 			}
 			if r.c.RxProducer(0)-consumed > 4 {
@@ -165,7 +174,7 @@ func TestTranslationMaskProperty(t *testing.T) {
 		r.c.WriteTransEntry(idx, TransEntry{PhysNode: 9, LogicalQ: uint16(idx), Valid: true})
 		p := r.composeBasic(0, virt, 0, []byte("m"))
 		r.c.TxProducerUpdate(0, p)
-		if !r.eng.RunLimit(100000) {
+		if !drained(r.eng, 100000) {
 			return false
 		}
 		if len(r.net.injected) != 1 || r.net.injected[0].dst != 9 {

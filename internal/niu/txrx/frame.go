@@ -158,14 +158,6 @@ type Frame struct {
 	Trace sim.MsgTag
 }
 
-// WireSize returns the encoded size in bytes (== the Arctic packet size).
-func (f *Frame) WireSize() int {
-	if f.Kind == Cmd {
-		return CmdHeaderBytes + len(f.Payload)
-	}
-	return DataHeaderBytes + len(f.Payload)
-}
-
 // EncodeInto serializes the frame, reusing buf's capacity when it suffices
 // (the returned slice aliases buf in that case; a nil buf gets freshly
 // allocated bytes).

@@ -202,19 +202,6 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
-// RunLimit executes at most n further events; it reports whether the event
-// queue drained within the limit, and stops the parked Proc coroutines if
-// so. Useful as a livelock guard in tests.
-func (e *Engine) RunLimit(n uint64) bool {
-	for i := uint64(0); i < n && e.Step(); i++ {
-	}
-	if e.q.len() > 0 {
-		return false
-	}
-	e.releaseIdle()
-	return true
-}
-
 // Pending returns the number of scheduled events.
 func (e *Engine) Pending() int { return e.q.len() }
 

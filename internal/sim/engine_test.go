@@ -76,21 +76,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestRunLimit(t *testing.T) {
-	e := NewEngine()
-	// Self-perpetuating event stream: RunLimit must stop it.
-	var loop func()
-	n := 0
-	loop = func() { n++; e.Schedule(1, loop) }
-	e.Schedule(0, loop)
-	if e.RunLimit(100) {
-		t.Fatal("RunLimit reported drained on an infinite stream")
-	}
-	if n != 100 {
-		t.Fatalf("executed %d events, want 100", n)
-	}
-}
-
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

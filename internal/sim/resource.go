@@ -165,9 +165,6 @@ func (r *Resource) AcquireP(p *Proc) {
 	p.Call(r.acquireFn)
 }
 
-// Busy reports whether the resource is currently held.
-func (r *Resource) Busy() bool { return r.busy }
-
 // QueueLen returns the number of waiting requests.
 func (r *Resource) QueueLen() int { return len(r.queue) }
 
@@ -183,6 +180,3 @@ func (r *Resource) BusyTime() Time {
 
 // Grants returns the number of times the resource has been granted.
 func (r *Resource) Grants() uint64 { return r.grants }
-
-// Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }

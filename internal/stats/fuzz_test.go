@@ -68,14 +68,14 @@ var fuzzDepths = NewGaugeFamily(
 	func(o *fuzzOwner, i int) string { return fmt.Sprintf("q%d_depth", i) },
 	func(o *fuzzOwner, i int) int64 { return o.depths[i] })
 
-// fuzzRegistry builds a registry with every registration shape: single
-// values at the root and deep in the tree, a component table, a family of
+// fuzzRegistry builds a registry with every registration shape: one-row
+// tables at the root and deep in the tree, a component table, a family of
 // tables (members m0..m11, so m1 prefixes m10), a gauge family held as a
 // scope's second table, and names that prefix one another.
 func fuzzRegistry() *Registry {
 	mk := func(v int64) *fuzzComp {
 		c := &fuzzComp{a: v, ab: 2 * v, h: NewHistogram(10, 100)}
-		c.c.Add(uint64(v))
+		c.c = Counter{Events: 1, Amount: uint64(v)}
 		c.h.Observe(v)
 		return c
 	}
@@ -84,16 +84,17 @@ func fuzzRegistry() *Registry {
 		owner.members = append(owner.members, mk(int64(100+i)))
 	}
 	reg := NewRegistry()
-	reg.Gauge("up", func() int64 { return 1 })
-	reg.Gauge("upper", func() int64 { return 2 })
+	lone(reg, "up", 1)
+	lone(reg, "upper", 2)
 	net := reg.Child("net")
 	fuzzCompMetrics.Register(net, mk(3))
 	fuzzDepths.Register(net, owner)
 	link := net.Child("link")
 	fuzzMembers.Register(link, owner)
-	link.Child("m1x").Gauge("g", func() int64 { return 4 })
-	reg.Child("node0").Child("bus").Meter("aP", NewMeter(sim.NewEngine(), "aP0"))
-	reg.Child("node0").Gauge("n", func() int64 { return 9 })
+	lone(link.Child("m1x"), "g", 4)
+	NewMetrics(MeterOf("aP", func(m *Meter) *Meter { return m })).
+		Register(reg.Child("node0").Child("bus"), NewMeter(sim.NewEngine(), "aP0"))
+	lone(reg.Child("node0"), "n", 9)
 	return reg
 }
 

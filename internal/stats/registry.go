@@ -166,16 +166,6 @@ func NewGaugeFamily[S any](size func(*S) int, name func(*S, int) string, read fu
 // Register registers every member of x in scope r as one record.
 func (f *Family[S]) Register(r *Registry, x *S) { r.hold(&f.t, x) }
 
-// The single-value registrations below hold their value in a one-row table
-// whose row is unnamed, so the metric's path is its scope's.
-var (
-	gaugeFn   = table{rows: []row{{kind: kindGauge, value: func(x any, _ int) int64 { return x.(func() int64)() }}}}
-	timeFn    = table{rows: []row{{kind: kindTime, value: func(x any, _ int) int64 { return int64(x.(func() sim.Time)()) }}}}
-	counterPt = table{rows: []row{{kind: kindCounter, counter: func(x any, _ int) *Counter { return x.(*Counter) }}}}
-	meterPt   = table{rows: []row{{kind: kindMeter, meter: func(x any, _ int) *Meter { return x.(*Meter) }}}}
-	histPt    = table{rows: []row{{kind: kindHist, hist: func(x any, _ int) *Histogram { return x.(*Histogram) }}}}
-)
-
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
@@ -187,32 +177,6 @@ func (r *Registry) Child(name string) *Registry {
 		r.kids = slices.Insert(r.kids, i, &Registry{name: name})
 	}
 	return r.kids[i]
-}
-
-// Gauge registers an integer read at dump time.
-func (r *Registry) Gauge(name string, fn func() int64) { r.single(name, &gaugeFn, fn) }
-
-// Counter registers an event/amount counter.
-func (r *Registry) Counter(name string, c *Counter) { r.single(name, &counterPt, c) }
-
-// Meter registers a busy-time meter; the dump reports accumulated busy
-// nanoseconds and completed spans.
-func (r *Registry) Meter(name string, m *Meter) { r.single(name, &meterPt, m) }
-
-// Time registers a simulated-time quantity (resource busy time, latency sum)
-// read at dump time, reported in nanoseconds.
-func (r *Registry) Time(name string, fn func() sim.Time) { r.single(name, &timeFn, fn) }
-
-// Histogram registers a fixed-bucket histogram.
-func (r *Registry) Histogram(name string, h *Histogram) { r.single(name, &histPt, h) }
-
-func (r *Registry) single(name string, t *table, x any) {
-	checkName(name)
-	i, found := r.find(name)
-	if found {
-		panic("stats: duplicate metric " + name)
-	}
-	r.kids = slices.Insert(r.kids, i, &Registry{name: name, tab: t, src: x})
 }
 
 // hold makes r serve t over x. A scope that already serves a table holds the

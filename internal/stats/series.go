@@ -29,27 +29,12 @@ type Window struct {
 	Count uint64
 }
 
-// Series accumulates observations into fixed-width windows of simulated
-// time. Window k covers the half-open interval [k*width, (k+1)*width): an
-// observation stamped exactly on a window edge belongs to the window that
-// starts there, never the one that ends there. Windows between observations
-// are materialized as empty (Count == 0), so index k always means the same
-// simulated interval.
+// Series holds one metric's per-window aggregates. Windows between
+// observations are materialized as empty (Count == 0), so index k always
+// means the same simulated interval: the sampler's window k.
 type Series struct {
-	width sim.Time
-	wins  []Window
+	wins []Window
 }
-
-// NewSeries returns an empty series with the given window width (> 0).
-func NewSeries(width sim.Time) *Series {
-	if width <= 0 {
-		panic(fmt.Sprintf("stats: series window width %d, must be > 0", int64(width)))
-	}
-	return &Series{width: width}
-}
-
-// Width returns the window width.
-func (s *Series) Width() sim.Time { return s.width }
 
 // Len returns the number of materialized windows.
 func (s *Series) Len() int { return len(s.wins) }
@@ -57,49 +42,15 @@ func (s *Series) Len() int { return len(s.wins) }
 // At returns window i.
 func (s *Series) At(i int) Window { return s.wins[i] }
 
-// Index returns the window index covering simulated time at.
-//
-//voyager:noalloc
-func (s *Series) Index(at sim.Time) int { return int(at / s.width) }
-
-// Observe records one observation stamped at simulated time at. Time must
-// not move backwards across calls. Growth is amortized; for an allocation-
-// free steady state, Reserve capacity up front and use add via a Sampler.
-func (s *Series) Observe(at sim.Time, v int64) {
-	idx := s.Index(at)
-	if len(s.wins) > 0 && idx < len(s.wins)-1 {
-		panic(fmt.Sprintf("stats: series observation at %v before current window", at))
-	}
-	s.ensure(idx)
-	s.add(idx, v)
-}
-
-// Reserve grows the backing array to hold at least n windows without
-// further allocation. The sampler calls this once at attach time so the
-// scrape path stays at zero allocations for runs up to the reserved length.
-func (s *Series) Reserve(n int) {
-	if cap(s.wins) >= n {
-		return
-	}
-	w := make([]Window, len(s.wins), n)
-	copy(w, s.wins)
-	s.wins = w
-}
-
 // ensure materializes windows up through idx (gap windows stay empty).
 func (s *Series) ensure(idx int) {
 	for len(s.wins) <= idx {
-		if n := len(s.wins); n < cap(s.wins) {
-			s.wins = s.wins[:n+1]
-			s.wins[n] = Window{}
-		} else {
-			s.wins = append(s.wins, Window{})
-		}
+		s.wins = append(s.wins, Window{})
 	}
 }
 
 // add folds one observation into window idx, which must already be
-// materialized (see ensure/Reserve).
+// materialized (see ensure).
 //
 //voyager:noalloc
 func (s *Series) add(idx int, v int64) {
@@ -154,19 +105,19 @@ type sampSeries struct {
 //
 // A scrape at boundary t runs before any event scheduled exactly at t
 // executes (see Engine.SetTimerHook), so window k captures exactly the
-// half-open interval [k*Window, (k+1)*Window) of simulated activity —
-// matching Series.Observe's edge rule. Per scrape, each metric contributes
-// one observation to the window the scrape closes over: gauges their instantaneous value,
-// counters their event-count delta, meters their busy-time delta, time
-// metrics their nanosecond delta, and histograms their observation-count
-// delta. A window's Sum is therefore the metric's total movement across the
-// window and Max the burstiest scrape interval within it. Histograms also
-// record p50/p99/p999 of the samples that arrived within each window
-// (nearest-rank over bucket deltas; values are bucket upper bounds, with the
-// histogram's running max standing in for the unbounded overflow bucket).
+// half-open interval [k*Window, (k+1)*Window) of simulated activity. Per
+// scrape, each metric contributes one observation to the window the scrape
+// closes over: gauges their instantaneous value, counters their event-count
+// delta, meters their busy-time delta, time metrics their nanosecond delta,
+// and histograms their observation-count delta. A window's Sum is therefore
+// the metric's total movement across the window and Max the burstiest scrape
+// interval within it. Histograms also record p50/p99/p999 of the samples
+// that arrived within each window (nearest-rank over bucket deltas; values
+// are bucket upper bounds, with the histogram's running max standing in for
+// the unbounded overflow bucket).
 //
-// The scrape path is //voyager:noalloc-marked and allocation-free in steady
-// state once Reserve has sized the window arrays.
+// The scrape path is //voyager:noalloc-marked and allocation-free; the
+// window arrays grow outside it, in ensure.
 type Sampler struct {
 	eng     *sim.Engine
 	window  sim.Time
@@ -206,7 +157,7 @@ func NewSampler(eng *sim.Engine, reg *Registry, cfg SamplerConfig) *Sampler {
 	ms := reg.metrics()
 	s.series = make([]*sampSeries, 0, len(ms))
 	for _, m := range ms {
-		ss := &sampSeries{path: m.path, rd: m.rd, out: NewSeries(cfg.Window)}
+		ss := &sampSeries{path: m.path, rd: m.rd, out: &Series{}}
 		if m.rd.row.kind == kindHist {
 			ss.hist = m.rd.hist()
 			n := ss.hist.NumBuckets()
@@ -230,28 +181,6 @@ func (s *Sampler) Windows() int {
 	return s.series[0].out.Len()
 }
 
-// Reserve pre-sizes every per-metric series for n windows so the scrape
-// path allocates nothing for runs up to n*Window of simulated time.
-func (s *Sampler) Reserve(n int) {
-	for _, ss := range s.series {
-		ss.out.Reserve(n)
-		if ss.hist != nil {
-			ss.p50 = reserveI64(ss.p50, n)
-			ss.p99 = reserveI64(ss.p99, n)
-			ss.p999 = reserveI64(ss.p999, n)
-		}
-	}
-}
-
-func reserveI64(s []int64, n int) []int64 {
-	if cap(s) >= n {
-		return s
-	}
-	out := make([]int64, len(s), n)
-	copy(out, s)
-	return out
-}
-
 // Start arms the engine timer hook at the next scrape boundary. The sampler
 // owns the engine's single hook from Start until Finish.
 func (s *Sampler) Start() {
@@ -261,8 +190,8 @@ func (s *Sampler) Start() {
 
 // tick is the timer-hook callback: one scrape, a window close when the
 // boundary is a window edge, re-arm. Growth (ensure) happens here, outside
-// the //voyager:noalloc-marked scrape itself; with Reserve'd capacity the
-// whole tick is allocation-free, which the AllocsPerRun pin in
+// the //voyager:noalloc-marked scrape itself; within materialized windows
+// the whole tick is allocation-free, which the AllocsPerRun pin in
 // series_test.go enforces.
 func (s *Sampler) tick(at sim.Time) {
 	idx := int((at - 1) / s.window)
@@ -289,12 +218,7 @@ func (s *Sampler) ensure(idx int) {
 
 func ensureI64(s []int64, n int) []int64 {
 	for len(s) < n {
-		if l := len(s); l < cap(s) {
-			s = s[:l+1]
-			s[l] = 0
-		} else {
-			s = append(s, 0)
-		}
+		s = append(s, 0)
 	}
 	return s
 }

@@ -5,33 +5,39 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"startvoyager/internal/sim"
 )
 
+// TestSeriesWindowEdges: window k covers [k*W, (k+1)*W), so an event
+// stamped exactly on a window edge lands in the window that starts there,
+// never the one that ends there.
 func TestSeriesWindowEdges(t *testing.T) {
-	s := NewSeries(100)
-	s.Observe(0, 5)    // window 0: [0, 100)
-	s.Observe(99, 7)   // window 0
-	s.Observe(100, 11) // exactly on the edge: window 1, never window 0
-	s.Observe(199, 1)  // window 1
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	eng := sim.NewEngine()
+	reg := NewRegistry()
+	var c Counter
+	NewMetrics(CounterOf("c", func(c *Counter) *Counter { return c })).Register(reg, &c)
+	for _, at := range []sim.Time{0, 99, 100, 199} {
+		eng.At(at, func() { c.Events++ })
 	}
-	if w := s.At(0); w.Count != 2 || w.Min != 5 || w.Max != 7 || w.Sum != 12 {
-		t.Fatalf("window 0 = %+v", w)
-	}
-	if w := s.At(1); w.Count != 2 || w.Min != 1 || w.Max != 11 || w.Sum != 12 {
-		t.Fatalf("window 1 = %+v", w)
+	s := NewSampler(eng, reg, SamplerConfig{Window: 100, Scrapes: 1})
+	s.Start()
+	eng.Run()
+	s.Finish()
+	if sum := s.Doc(nil).Series["c"].Sum; !slices.Equal(sum, []int64{2, 2}) {
+		t.Fatalf("per-window events %v, want [2 2]", sum)
 	}
 }
 
 func TestSeriesEmptyWindows(t *testing.T) {
-	s := NewSeries(10)
-	s.Observe(5, 1)
-	s.Observe(35, 2) // windows 1 and 2 are materialized empty
+	var s Series
+	s.ensure(0)
+	s.add(0, 1)
+	s.ensure(3) // windows 1 and 2 are materialized empty
+	s.add(3, 2)
 	if s.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", s.Len())
 	}
@@ -46,23 +52,13 @@ func TestSeriesEmptyWindows(t *testing.T) {
 }
 
 func TestSeriesNegativeValues(t *testing.T) {
-	s := NewSeries(10)
-	s.Observe(1, -4)
-	s.Observe(2, -9)
+	var s Series
+	s.ensure(0)
+	s.add(0, -4)
+	s.add(0, -9)
 	if w := s.At(0); w.Min != -9 || w.Max != -4 || w.Sum != -13 || w.Count != 2 {
 		t.Fatalf("window 0 = %+v", w)
 	}
-}
-
-func TestSeriesBackwardsObservePanics(t *testing.T) {
-	s := NewSeries(10)
-	s.Observe(25, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on backwards observation")
-		}
-	}()
-	s.Observe(5, 1)
 }
 
 // sampleMachine builds a registry with one metric of every kind plus an
@@ -71,28 +67,21 @@ func sampleMachine(t *testing.T, cfg SamplerConfig) (*sim.Engine, *Sampler) {
 	t.Helper()
 	eng := sim.NewEngine()
 	reg := NewRegistry()
-	c := &Counter{}
-	reg.Counter("packets", c)
-	depth := int64(0)
-	reg.Gauge("depth", func() int64 { return depth })
-	m := NewMeter(eng, "link")
-	reg.Meter("busy", m)
-	var acc sim.Time
-	reg.Time("elapsed", func() sim.Time { return acc })
-	h := NewHistogram(10, 100, 1000)
-	reg.Histogram("lat", h)
+	p := &probe{m: NewMeter(eng, "link"), h: NewHistogram(10, 100, 1000)}
+	probeMetrics("packets", "depth", "busy", "elapsed", "lat").Register(reg, p)
 
 	for i := sim.Time(1); i <= 40; i++ {
 		at := i * 25 // events at 25, 50, ... 1000
 		eng.At(at, func() {
-			c.Add(8)
-			depth++
-			acc += 5
-			h.Observe(int64(at % 150))
+			p.c.Events++
+			p.c.Amount += 8
+			p.g++
+			p.t += 5
+			p.h.Observe(int64(at % 150))
 		})
 	}
-	eng.At(10, func() { m.Start() })
-	eng.At(910, func() { m.Stop() })
+	eng.At(10, func() { p.m.Start() })
+	eng.At(910, func() { p.m.Stop() })
 
 	s := NewSampler(eng, reg, cfg)
 	return eng, s
@@ -216,29 +205,25 @@ func TestSeriesExportGolden(t *testing.T) {
 }
 
 // TestSamplerScrapeAllocFree pins the scrape path at zero allocations per
-// tick once capacity is Reserve'd — the noalloc discipline the
+// tick once its windows exist — the noalloc discipline the
 // //voyager:noalloc marks on scrape/closeWindow declare and voyager-vet
-// checks statically.
+// checks statically. Window growth is ensure's, outside that path.
 func TestSamplerScrapeAllocFree(t *testing.T) {
 	eng := sim.NewEngine()
 	reg := NewRegistry()
-	c := &Counter{}
-	reg.Counter("c", c)
-	reg.Gauge("g", func() int64 { return 3 })
-	reg.Meter("m", NewMeter(eng, "m"))
-	reg.Time("t", func() sim.Time { return 0 })
-	h := NewHistogram(ExpBounds(10, 2, 8)...)
-	reg.Histogram("h", h)
+	p := &probe{g: 3, m: NewMeter(eng, "m"), h: NewHistogram(ExpBounds(10, 2, 8)...)}
+	probeMetrics("c", "g", "m", "t", "h").Register(reg, p)
 
 	s := NewSampler(eng, reg, SamplerConfig{Window: 1000, Scrapes: 4})
-	s.Reserve(2048)
+	// The measured ticks reach window 250.
+	s.ensure(251)
 	at := sim.Time(0)
 	// Warm one tick so the method-value hook and any lazy state exist.
 	at += 250
 	s.tick(at)
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Add(16)
-		h.Observe(int64(at))
+		p.c.Events++
+		p.h.Observe(int64(at))
 		at += 250
 		s.tick(at)
 	})

@@ -25,12 +25,6 @@ type Counter struct {
 	Amount uint64
 }
 
-// Add records one event carrying amount units.
-func (c *Counter) Add(amount uint64) {
-	c.Events++
-	c.Amount += amount
-}
-
 // Meter accrues busy time for a resource so experiments can report
 // occupancy. Busy intervals may not nest.
 type Meter struct {
@@ -91,70 +85,14 @@ func (m *Meter) Utilization(from, to sim.Time) float64 {
 	return float64(m.BusyTime()) / float64(to-from)
 }
 
-// Reset zeroes the meter (it must be idle).
-func (m *Meter) Reset() {
-	if m.busy {
-		panic(fmt.Sprintf("stats: meter %q: Reset while busy (interval open since %v, now %v)",
-			m.name, m.since, m.eng.Now()))
-	}
-	m.total = 0
-	m.spans = 0
-}
-
-// Name returns the meter's name.
-func (m *Meter) Name() string { return m.name }
-
-// Samples collects scalar samples (latencies, sizes) and reports summary
-// statistics. (The windowed time-series scraper is Sampler, in series.go.)
+// Samples collects scalar samples (latencies, sizes) and reports their
+// percentiles. (The windowed time-series scraper is Sampler, in series.go.)
 type Samples struct {
 	vals []float64
 }
 
 // Add records one sample.
 func (s *Samples) Add(v float64) { s.vals = append(s.vals, v) }
-
-// N returns the number of samples.
-func (s *Samples) N() int { return len(s.vals) }
-
-// Mean returns the arithmetic mean (0 if empty).
-func (s *Samples) Mean() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum / float64(len(s.vals))
-}
-
-// Min returns the smallest sample (0 if empty).
-func (s *Samples) Min() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	min := s.vals[0]
-	for _, v := range s.vals[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	return min
-}
-
-// Max returns the largest sample (0 if empty).
-func (s *Samples) Max() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	max := s.vals[0]
-	for _, v := range s.vals[1:] {
-		if v > max {
-			max = v
-		}
-	}
-	return max
-}
 
 // Percentile returns the p-th percentile (p in [0,100]) by nearest-rank.
 func (s *Samples) Percentile(p float64) float64 {

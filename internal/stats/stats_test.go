@@ -9,15 +9,6 @@ import (
 	"startvoyager/internal/sim"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add(10)
-	c.Add(20)
-	if c.Events != 2 || c.Amount != 30 {
-		t.Fatalf("counter = %+v", c)
-	}
-}
-
 func TestMeterAccrual(t *testing.T) {
 	e := sim.NewEngine()
 	m := NewMeter(e, "aP")
@@ -34,10 +25,6 @@ func TestMeterAccrual(t *testing.T) {
 	}
 	if u := m.Utilization(0, 50); math.Abs(u-0.5) > 1e-9 {
 		t.Fatalf("utilization = %v, want 0.5", u)
-	}
-	m.Reset()
-	if m.BusyTime() != 0 || m.Spans() != 0 {
-		t.Fatal("reset failed")
 	}
 }
 
@@ -77,9 +64,6 @@ func TestSamples(t *testing.T) {
 	for _, v := range []float64{5, 1, 3, 2, 4} {
 		s.Add(v)
 	}
-	if s.N() != 5 || s.Mean() != 3 || s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("sampler: n=%d mean=%v min=%v max=%v", s.N(), s.Mean(), s.Min(), s.Max())
-	}
 	if p := s.Percentile(50); p != 3 {
 		t.Fatalf("p50 = %v, want 3", p)
 	}
@@ -93,8 +77,8 @@ func TestSamples(t *testing.T) {
 
 func TestSamplerEmpty(t *testing.T) {
 	var s Samples
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
-		t.Fatal("empty sampler should report zeros")
+	if s.Percentile(50) != 0 {
+		t.Fatal("empty sampler should report zero")
 	}
 }
 
@@ -102,13 +86,16 @@ func TestSamplerEmpty(t *testing.T) {
 func TestPercentileProperty(t *testing.T) {
 	f := func(vals []float64, a, b uint8) bool {
 		var s Samples
+		n, lo, hi := 0, math.Inf(1), math.Inf(-1)
 		for _, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				continue
 			}
 			s.Add(v)
+			n++
+			lo, hi = math.Min(lo, v), math.Max(hi, v)
 		}
-		if s.N() == 0 {
+		if n == 0 {
 			return true
 		}
 		pa, pb := float64(a%101), float64(b%101)
@@ -116,7 +103,7 @@ func TestPercentileProperty(t *testing.T) {
 			pa, pb = pb, pa
 		}
 		va, vb := s.Percentile(pa), s.Percentile(pb)
-		return va >= s.Min() && vb <= s.Max() && va <= vb
+		return va >= lo && vb <= hi && va <= vb
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

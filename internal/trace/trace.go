@@ -8,7 +8,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"startvoyager/internal/sim"
@@ -146,9 +145,6 @@ func (b *Buffer) CounterSample(at sim.Time, node int, component, name string, va
 		Name: name, Value: value})
 }
 
-// Len returns the number of retained events.
-func (b *Buffer) Len() int { return len(b.events) }
-
 // Stats reports capture totals, including how many events were dropped —
 // callers must check Dropped before treating a trace as complete.
 func (b *Buffer) Stats() Stats {
@@ -172,35 +168,4 @@ func (b *Buffer) Events() []Event {
 	out = append(out, b.events[b.start:]...)
 	out = append(out, b.events[:b.start]...)
 	return out
-}
-
-// Filter returns events matching the component prefix and/or substring of
-// Name (empty strings match everything).
-func (b *Buffer) Filter(component, name string) []Event {
-	var out []Event
-	for _, e := range b.Events() {
-		if component != "" && !strings.HasPrefix(e.Component, component) {
-			continue
-		}
-		if name != "" && !strings.Contains(e.Name, name) {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// Dump writes all retained events to w, followed by a capture summary that
-// surfaces any truncation.
-func (b *Buffer) Dump(w io.Writer) {
-	for _, e := range b.Events() {
-		fmt.Fprintln(w, e)
-	}
-	s := b.Stats()
-	if s.Dropped > 0 {
-		fmt.Fprintf(w, "(TRUNCATED: %d of %d events dropped; %d retained)\n",
-			s.Dropped, s.Captured, s.Retained)
-	} else {
-		fmt.Fprintf(w, "(%d events, none dropped)\n", s.Retained)
-	}
 }

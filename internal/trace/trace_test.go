@@ -69,42 +69,6 @@ func TestRingDropsOldest(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	eng := sim.NewEngine()
-	b := Attach(eng, 16)
-	eng.Instant(0, "bus", "ReadLine")
-	eng.Instant(0, "ctrl", "tx")
-	eng.Instant(0, "bus", "WriteLine")
-	if got := b.Filter("bus", ""); len(got) != 2 {
-		t.Fatalf("component filter: %d", len(got))
-	}
-	if got := b.Filter("", "Read"); len(got) != 1 {
-		t.Fatalf("name filter: %d", len(got))
-	}
-}
-
-func TestDumpSurfacesTruncation(t *testing.T) {
-	eng := sim.NewEngine()
-	b := Attach(eng, 2)
-	for i := 0; i < 3; i++ {
-		eng.Instant(0, "c", "e")
-	}
-	var sb strings.Builder
-	b.Dump(&sb)
-	if !strings.Contains(sb.String(), "TRUNCATED: 1 of 3 events dropped") {
-		t.Fatalf("dump missing truncation note:\n%s", sb.String())
-	}
-
-	eng2 := sim.NewEngine()
-	b2 := Attach(eng2, 8)
-	eng2.Instant(0, "c", "e")
-	sb.Reset()
-	b2.Dump(&sb)
-	if !strings.Contains(sb.String(), "none dropped") {
-		t.Fatalf("dump missing completeness note:\n%s", sb.String())
-	}
-}
-
 func TestDefaultCapacity(t *testing.T) {
 	b := New(sim.NewEngine(), 0)
 	if b.cap != 4096 {
