@@ -9,7 +9,12 @@
 // -nodes takes a comma-separated list of fabric sizes (e.g. 16,64,256); the
 // whole characterization runs once per size. -trace / -metrics instrument
 // the deterministic-routing load test of the LAST listed size and export its
-// Perfetto trace / fabric metrics.
+// Perfetto trace / fabric metrics. The metrics open with the run-metadata
+// header every metrics export carries (tool, nodes, simulated time).
+//
+// The two flags are this tool's own rather than the internal/bench.Artifacts
+// set: the load test runs a bare fabric, with no machine for
+// Artifacts.Start(cluster.Config) to build.
 package main
 
 import (
@@ -117,7 +122,8 @@ func characterize(nodes, packets int, instrument bool, traceFile, metricsFile st
 			fmt.Printf("trace: %s\n", traceFile)
 		}
 		if reg != nil {
-			bench.WriteFile(metricsFile, func(w io.Writer) error { return reg.WriteJSON(w, eng2.Now()) })
+			meta := &stats.RunMeta{Tool: "voyager-net", Nodes: nodes, SimTimeNs: int64(eng2.Now())}
+			bench.WriteFile(metricsFile, func(w io.Writer) error { return reg.WriteJSONMeta(w, eng2.Now(), meta) })
 			fmt.Printf("metrics: %s\n", metricsFile)
 		}
 	}

@@ -6,17 +6,28 @@
 //
 //	voyager-run [-nodes n1,n2,...] [-mech basic|express|tagon|dma|reliable] [-count c] [-size s]
 //	            [-faults plan] [-trace file.json] [-metrics file.json] [-dump n]
+//	            [-path file.json] [-waterfall n]
 //	            [-series file.json] [-series-window 20us] [-strict-trace]
 //	            [-prof f] [-seeds 1,2,3] [-parallel n] [-cpuprofile f] [-memprofile f]
 //
 // The artifact flags are the shared internal/bench.Artifacts set, also used
-// by voyager-bench; -dump is this tool's own.
+// by voyager-bench; -dump, -path and -waterfall are this tool's own.
 //
 // -trace writes a Chrome trace-event (Perfetto) file of the run; open it at
-// ui.perfetto.dev. -metrics dumps the hierarchical metrics registry as JSON.
-// Both are byte-identical across runs with the same arguments. The trace
-// ring is attached only for -trace, -dump and -strict-trace, so only then
-// do the metrics and series exports carry its trace/ gauges.
+// ui.perfetto.dev, where flow arrows link each message's events across
+// tracks. -metrics dumps the hierarchical metrics registry as JSON. Both
+// are byte-identical across runs with the same arguments. The trace ring is
+// attached only for -trace, -dump, -path, -waterfall and -strict-trace, so
+// only then do the metrics and series exports carry its trace/ gauges.
+//
+// -path and -waterfall are the causal critical-path report: every traced
+// message's lifecycle reconstructed from the trace ring, with its
+// end-to-end latency attributed to named pipeline stages (tx-queue-wait,
+// bus-tenure, net-flight, rx-queue-wait, sp-dispatch, retransmit-penalty,
+// ...). -path writes the voyager-path/v1 JSON document of every chain;
+// -waterfall n prints, after the run report, the per-stage breakdown of the
+// n slowest chains and their aggregate attribution. Either adds the
+// per-stage latency histograms of every chain to -metrics under path/.
 //
 // -series attaches the windowed telemetry sampler (window width set by
 // -series-window, simulated time) and writes the voyager-series/v1 export:
@@ -51,7 +62,8 @@
 // plan) and prints a per-seed summary table — the quick schedule-robustness
 // sweep. Each seed's machine is independent, so -parallel n fans the runs
 // across up to n OS workers; the table is identical at any worker count.
-// -seeds cannot be combined with the per-run artifacts (-trace/-metrics/-dump).
+// -seeds cannot be combined with the per-run artifacts (-trace/-metrics/-dump
+// and the rest).
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the simulator
 // itself (inspect with `go tool pprof`); they profile the host process and
@@ -112,6 +124,8 @@ func main() {
 	flag.IntVar(&drive.Size, "size", 64, "payload bytes (dma: transfer bytes, line-aligned)")
 	faults := flag.String("faults", "", "fault-injection plan (e.g. 'seed=7,drop=0.05,outage=1-0@20us:200us')")
 	flag.IntVar(&art.Dump, "dump", 0, "print the last N structured trace events")
+	flag.StringVar(&art.Path, "path", "", "write the critical-path analysis of every message chain (voyager-path/v1 JSON)")
+	flag.IntVar(&art.Waterfall, "waterfall", 0, "print the critical-path waterfall of the N slowest message chains")
 	seeds := flag.String("seeds", "", "comma-separated fault-plan seeds: run once per seed and print a summary table")
 	parallelN := flag.Int("parallel", 1, "max OS worker goroutines for the -seeds sweep (output is identical at any value)")
 	flag.Parse()
@@ -136,7 +150,7 @@ func main() {
 
 	if len(nodeCounts) > 1 {
 		if art.Requested() || *seeds != "" {
-			log.Fatalf("a -nodes sweep cannot be combined with -trace, -metrics, -series, -prof, -dump, or -seeds")
+			log.Fatalf("a -nodes sweep cannot be combined with -trace, -metrics, -series, -prof, -dump, -path, -waterfall, or -seeds")
 		}
 		var keys []string
 		var runs []runOpts
@@ -151,7 +165,7 @@ func main() {
 	}
 	if *seeds != "" {
 		if art.Requested() {
-			log.Fatalf("-seeds cannot be combined with -trace, -metrics, -series, -prof, or -dump")
+			log.Fatalf("-seeds cannot be combined with -trace, -metrics, -series, -prof, -dump, -path, or -waterfall")
 		}
 		var keys []string
 		var runs []runOpts

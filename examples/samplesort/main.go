@@ -6,7 +6,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
 	"log"
 	"math/rand"
@@ -15,28 +14,13 @@ import (
 	"startvoyager/internal/core"
 	"startvoyager/internal/mpi"
 	"startvoyager/internal/sim"
+	"startvoyager/internal/workload"
 )
 
 const (
 	nodes   = 8
 	perRank = 1000
 )
-
-func encode(keys []uint32) []byte {
-	b := make([]byte, 4*len(keys))
-	for i, k := range keys {
-		binary.BigEndian.PutUint32(b[i*4:], k)
-	}
-	return b
-}
-
-func decode(b []byte) []uint32 {
-	out := make([]uint32, len(b)/4)
-	for i := range out {
-		out[i] = binary.BigEndian.Uint32(b[i*4:])
-	}
-	return out
-}
 
 func main() {
 	rng := rand.New(rand.NewSource(42))
@@ -58,48 +42,7 @@ func main() {
 		r := r
 		c := mpi.World(m, r)
 		m.Go(r, "sort", func(p *sim.Proc, a *core.API) {
-			keys := append([]uint32(nil), input[r]...)
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			a.Compute(p, sim.Time(len(keys))*50) // model the local sort
-
-			// Regular samples -> root picks splitters -> broadcast.
-			samples := make([]uint32, 0, nodes-1)
-			for i := 1; i < nodes; i++ {
-				samples = append(samples, keys[i*len(keys)/nodes])
-			}
-			gathered := c.Gather(p, 0, encode(samples))
-			var splitters []uint32
-			if r == 0 {
-				var pool []uint32
-				for _, g := range gathered {
-					pool = append(pool, decode(g)...)
-				}
-				sort.Slice(pool, func(i, j int) bool { return pool[i] < pool[j] })
-				for i := 1; i < nodes; i++ {
-					splitters = append(splitters, pool[i*len(pool)/nodes])
-				}
-			}
-			splitters = decode(c.Bcast(p, 0, encode(splitters)))
-
-			// Partition into buckets and exchange.
-			buckets := make([][]uint32, nodes)
-			for _, k := range keys {
-				b := sort.Search(len(splitters), func(i int) bool { return k < splitters[i] })
-				buckets[b] = append(buckets[b], k)
-			}
-			parts := make([][]byte, nodes)
-			for i := range parts {
-				parts[i] = encode(buckets[i])
-			}
-			recv := c.Alltoall(p, parts)
-			var mine []uint32
-			for _, part := range recv {
-				mine = append(mine, decode(part)...)
-			}
-			sort.Slice(mine, func(i, j int) bool { return mine[i] < mine[j] })
-			a.Compute(p, sim.Time(len(mine))*50)
-			sorted[r] = mine
-			c.Barrier(p)
+			sorted[r] = workload.Samplesort(p, a, c, input[r])
 		})
 	}
 	m.Run()

@@ -31,9 +31,15 @@ type Artifacts struct {
 	SeriesWindow           sim.Time // -series window width
 	StrictTrace            bool
 
-	// Dump prints the last Dump trace events after the file exports. It has
-	// no shared flag: voyager-run registers its own -dump into it.
-	Dump int
+	// Dump, Path and Waterfall have no shared flag: voyager-run registers
+	// its own -dump, -path and -waterfall into them. Dump prints the last
+	// Dump trace events after the file exports; Path writes the
+	// critical-path analysis of every traced message chain (voyager-path/v1
+	// JSON); Waterfall prints the waterfall of the Waterfall slowest chains.
+	// Either path export adds the path/ stage histograms to -metrics.
+	Dump      int
+	Path      string
+	Waterfall int
 }
 
 // Register declares the shared artifact flags on fs.
@@ -63,9 +69,15 @@ func (a *Artifacts) Requested() bool {
 }
 
 // tracing is the one trace-attach rule: the ring is attached only when its
-// contents are exported (-trace, -dump) or checked (-strict-trace), so a
-// run's metrics and series carry trace/ gauges only then.
-func (a *Artifacts) tracing() bool { return a.Trace != "" || a.Dump > 0 || a.StrictTrace }
+// contents are exported (-trace, -dump), analyzed (-path, -waterfall) or
+// checked (-strict-trace), so a run's metrics and series carry trace/
+// gauges only then.
+func (a *Artifacts) tracing() bool {
+	return a.Trace != "" || a.Dump > 0 || a.StrictTrace || a.paths()
+}
+
+// paths reports whether a critical-path export was asked for.
+func (a *Artifacts) paths() bool { return a.Path != "" || a.Waterfall > 0 }
 
 // Run is one machine run and the instruments Start attached to it.
 type Run struct {
@@ -91,16 +103,16 @@ func (a *Artifacts) Start(cfg cluster.Config) Run {
 		r.Trace = r.M.Trace(a.TraceCap)
 	}
 	if a.Series != "" {
-		r.sampler = r.M.Series(stats.SamplerConfig{Window: a.SeriesWindow})
+		r.sampler = r.M.Series(a.SeriesWindow)
 	}
 	return r
 }
 
 // Write finishes r's instruments and writes every requested export, with
 // meta (Nodes and SimTimeNs filled in from the run) as the header of the
-// metrics, series and profile documents. It prints one status line per
-// file, warns on stderr when the trace ring dropped events, and returns an
-// error when it did under -strict-trace.
+// metrics, path, series and profile documents. It prints one status line
+// per file, warns on stderr when the trace ring dropped events, and returns
+// an error when it did under -strict-trace.
 func (a *Artifacts) Write(r Run, meta stats.RunMeta) error {
 	now := r.M.Eng.Now()
 	meta.Nodes, meta.SimTimeNs = len(r.M.Nodes), int64(now)
@@ -121,6 +133,15 @@ func (a *Artifacts) Write(r Run, meta stats.RunMeta) error {
 		if dropped = ts.Dropped; dropped > 0 {
 			fmt.Fprintf(os.Stderr, "WARNING: trace ring dropped %d events; the trace is truncated (raise -trace-cap)\n", dropped)
 		}
+	}
+	var chains *trace.PathAnalysis
+	if a.paths() {
+		chains = trace.AnalyzePaths(r.Trace.Events())
+		chains.RegisterMetrics(r.M.Metrics().Child("path"))
+	}
+	if a.Path != "" {
+		WriteFile(a.Path, func(w io.Writer) error { return chains.WriteJSON(w, &meta) })
+		fmt.Printf("path: %s (%d chains)\n", a.Path, len(chains.Msgs))
 	}
 	if a.Metrics != "" {
 		WriteFile(a.Metrics, func(w io.Writer) error { return r.M.Metrics().WriteJSONMeta(w, now, &meta) })
@@ -146,6 +167,12 @@ func (a *Artifacts) Write(r Run, meta stats.RunMeta) error {
 		// stacks or pprof protobuf.
 		WriteFile(a.Prof, r.profiler.Doc(&meta).WriteJSON)
 		fmt.Printf("prof: %s (render with voyager-prof)\n", a.Prof)
+	}
+	if a.Waterfall > 0 {
+		fmt.Println()
+		if err := chains.Slowest(a.Waterfall).WriteWaterfall(os.Stdout); err != nil {
+			log.Fatal(err)
+		}
 	}
 	if a.StrictTrace && dropped > 0 {
 		return fmt.Errorf("strict-trace: ring dropped %d events", dropped)

@@ -2,9 +2,11 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"startvoyager/internal/cluster"
@@ -12,6 +14,7 @@ import (
 	"startvoyager/internal/prof"
 	"startvoyager/internal/sim"
 	"startvoyager/internal/stats"
+	"startvoyager/internal/trace"
 )
 
 // TestArtifactsGoldens runs the shared spec and driver in the `make prof` /
@@ -63,9 +66,125 @@ func TestArtifactsGoldens(t *testing.T) {
 	}
 }
 
+// TestArtifactsPath: the critical-path exports are reports of the run's
+// own trace ring. -path writes AnalyzePaths of the ring under the run's
+// RunMeta, -waterfall n ends the run's output with the waterfall of the n
+// slowest chains, and the metrics export carries path/, covering every
+// chain, exactly when one of the two was asked for. Either flag alone is a
+// per-run export, so the sweeps refuse it.
+func TestArtifactsPath(t *testing.T) {
+	plan, err := fault.ParsePlan("seed=7,drop=0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := stats.RunMeta{Tool: "voyager-run", Mechanism: "reliable", Seed: 7, FaultPlan: "seed=7,drop=0.05"}
+	dir := t.TempDir()
+	metrics := filepath.Join(dir, "m.json")
+	for _, tc := range []struct {
+		name string
+		art  Artifacts
+		path bool
+	}{
+		{"metrics", Artifacts{Metrics: metrics}, false},
+		{"trace", Artifacts{Trace: filepath.Join(dir, "t.json"), Metrics: metrics}, false},
+		{"path", Artifacts{Path: filepath.Join(dir, "p.json"), Metrics: metrics}, true},
+		{"waterfall", Artifacts{Waterfall: 3, Metrics: metrics}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			art := tc.art
+			art.TraceCap = 1 << 18
+			cfg := cluster.DefaultConfig(2)
+			cfg.Faults = plan
+			r := art.Start(cfg)
+			delivery := AllToOne{Mech: "reliable", Count: 8, Size: 32}.Spawn(r.M)
+			r.M.Run()
+			if delivery.Received != 8 || delivery.Failed != 0 {
+				t.Fatalf("delivered %d of 8, %d sends failed", delivery.Received, delivery.Failed)
+			}
+			out := captureStdout(t, func() {
+				if err := art.Write(r, meta); err != nil {
+					t.Fatal(err)
+				}
+			})
+
+			var chains *trace.PathAnalysis
+			if r.Trace != nil {
+				chains = trace.AnalyzePaths(r.Trace.Events())
+			}
+			if art.Path != "" {
+				want := meta
+				want.Nodes, want.SimTimeNs = 2, int64(r.M.Eng.Now())
+				var doc bytes.Buffer
+				if err := chains.WriteJSON(&doc, &want); err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(art.Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, doc.Bytes()) {
+					t.Errorf("-path file differs from AnalyzePaths(events).WriteJSON of the run")
+				}
+			}
+			if art.Waterfall > 0 {
+				var wf strings.Builder
+				if err := chains.Slowest(art.Waterfall).WriteWaterfall(&wf); err != nil {
+					t.Fatal(err)
+				}
+				if !strings.HasSuffix(out, "\n"+wf.String()) {
+					t.Errorf("-waterfall output does not end with the slowest chains' waterfall:\n%s", out)
+				}
+			}
+
+			data, err := os.ReadFile(metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc struct{ Metrics map[string]json.RawMessage }
+			if err := json.Unmarshal(data, &doc); err != nil {
+				t.Fatal(err)
+			}
+			var paths []string
+			for p := range doc.Metrics {
+				paths = append(paths, p)
+			}
+			if got := anyHasPrefix(paths, "path/"); got != tc.path {
+				t.Errorf("path/ in the metrics export = %v, want %v", got, tc.path)
+			}
+			if tc.path {
+				if n, _ := r.M.Metrics().ReadGauge("path/msgs"); n != int64(len(chains.Msgs)) || n <= 3 {
+					t.Errorf("path/msgs = %d, want every one of the run's %d chains", n, len(chains.Msgs))
+				}
+				if !(&Artifacts{Path: art.Path, Waterfall: art.Waterfall}).Requested() {
+					t.Errorf("Requested() is false for %s alone", tc.name)
+				}
+			}
+		})
+	}
+}
+
+// captureStdout returns what f prints on standard output.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	tmp, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	saved := os.Stdout
+	os.Stdout = tmp
+	defer func() { os.Stdout = saved }()
+	f()
+	out, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
 // TestArtifactsTraceAttachRule: the ring, and with it the trace/ gauges in
-// the metrics and series exports, is attached only for -trace, -dump and
-// -strict-trace.
+// the metrics and series exports, is attached only for -trace, -dump,
+// -path, -waterfall and -strict-trace.
 func TestArtifactsTraceAttachRule(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -77,6 +196,8 @@ func TestArtifactsTraceAttachRule(t *testing.T) {
 		{"prof", Artifacts{Prof: "p.json"}, false},
 		{"trace", Artifacts{Trace: "t.json", Metrics: "m.json"}, true},
 		{"dump", Artifacts{Dump: 5}, true},
+		{"path", Artifacts{Path: "p.json"}, true},
+		{"waterfall", Artifacts{Waterfall: 3}, true},
 		{"strict-trace", Artifacts{StrictTrace: true}, true},
 	} {
 		r := tc.art.Start(cluster.DefaultConfig(CanonicalNodes))

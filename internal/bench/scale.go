@@ -1,13 +1,11 @@
 package bench
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -19,6 +17,7 @@ import (
 	"startvoyager/internal/node"
 	"startvoyager/internal/sim"
 	"startvoyager/internal/stats"
+	"startvoyager/internal/workload"
 )
 
 // The scale benchmark pins the cost of growing the machine. The paper's
@@ -190,11 +189,11 @@ func allreduceRun(n int) (sim.Time, uint64) {
 	return last, m.Eng.Executed()
 }
 
-// samplesortTime runs the example samplesort workload (local sort, sample
-// gather, splitter broadcast, all-to-all bucket exchange, final sort,
-// barrier) at n ranks with keysPerRank keys each, and returns the simulated
-// time of the last rank's completion. Keys come from a per-rank SplitMix64
-// stream, so the run is a pure function of (n, keysPerRank).
+// samplesortTime runs workload.Samplesort, the application
+// examples/samplesort runs, at n ranks with keysPerRank keys each, and
+// returns the simulated time of the last rank's completion. Keys come from
+// a per-rank SplitMix64 stream, so the run is a pure function of (n,
+// keysPerRank).
 func samplesortTime(n, keysPerRank int) sim.Time {
 	m := core.NewMachine(n)
 	var last sim.Time
@@ -202,45 +201,7 @@ func samplesortTime(n, keysPerRank int) sim.Time {
 		r := r
 		c := mpi.World(m, r)
 		m.Go(r, "sort", func(p *sim.Proc, a *core.API) {
-			keys := rankKeys(r, keysPerRank)
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			a.Compute(p, sim.Time(len(keys))*50)
-
-			samples := make([]uint32, 0, n-1)
-			for i := 1; i < n; i++ {
-				samples = append(samples, keys[i*len(keys)/n])
-			}
-			gathered := c.Gather(p, 0, encodeU32(samples))
-			var splitters []uint32
-			if r == 0 {
-				var pool []uint32
-				for _, g := range gathered {
-					pool = append(pool, decodeU32(g)...)
-				}
-				sort.Slice(pool, func(i, j int) bool { return pool[i] < pool[j] })
-				for i := 1; i < n; i++ {
-					splitters = append(splitters, pool[i*len(pool)/n])
-				}
-			}
-			splitters = decodeU32(c.Bcast(p, 0, encodeU32(splitters)))
-
-			buckets := make([][]uint32, n)
-			for _, k := range keys {
-				b := sort.Search(len(splitters), func(i int) bool { return k < splitters[i] })
-				buckets[b] = append(buckets[b], k)
-			}
-			parts := make([][]byte, n)
-			for i := range parts {
-				parts[i] = encodeU32(buckets[i])
-			}
-			recv := c.Alltoall(p, parts)
-			var mine []uint32
-			for _, part := range recv {
-				mine = append(mine, decodeU32(part)...)
-			}
-			sort.Slice(mine, func(i, j int) bool { return mine[i] < mine[j] })
-			a.Compute(p, sim.Time(len(mine))*50)
-			c.Barrier(p)
+			workload.Samplesort(p, a, c, rankKeys(r, keysPerRank))
 			if p.Now() > last {
 				last = p.Now()
 			}
@@ -267,22 +228,6 @@ func rankKeys(r, keysPerRank int) []uint32 {
 		keys[i] = uint32(next() % 1_000_000)
 	}
 	return keys
-}
-
-func encodeU32(keys []uint32) []byte {
-	b := make([]byte, 4*len(keys))
-	for i, k := range keys {
-		binary.BigEndian.PutUint32(b[i*4:], k)
-	}
-	return b
-}
-
-func decodeU32(b []byte) []uint32 {
-	out := make([]uint32, len(b)/4)
-	for i := range out {
-		out[i] = binary.BigEndian.Uint32(b[i*4:])
-	}
-	return out
 }
 
 // hotspotSaturation drives an all-to-one hotspot on a bare fat tree (every

@@ -24,7 +24,7 @@ func seriesScenario(t *testing.T) (*stats.SeriesDoc, []byte, []byte) {
 	cfg := cluster.DefaultConfig(4)
 	cfg.Faults = plan
 	m := core.NewMachineConfig(cfg)
-	sampler := m.Series(stats.SamplerConfig{Window: 20 * sim.Microsecond})
+	sampler := m.Series(20 * sim.Microsecond)
 
 	delivery := AllToOne{Mech: "reliable", Count: 60, Size: 1}.Spawn(m)
 	m.Run()

@@ -16,7 +16,6 @@ import (
 	"startvoyager/internal/fault"
 	"startvoyager/internal/prof"
 	"startvoyager/internal/sim"
-	"startvoyager/internal/stats"
 )
 
 // The spin-wait exactness tests. A blocking NIU wait whose try is one
@@ -112,7 +111,7 @@ func spinRun(t *testing.T, faults string, program func(m *core.Machine, lg *deli
 	cfg.Profiler = hooks
 	m := core.NewMachineConfig(cfg)
 	tb := m.Trace(1 << 20)
-	sampler := m.Series(stats.SamplerConfig{Window: 2 * sim.Microsecond})
+	sampler := m.Series(2 * sim.Microsecond)
 	var lg deliveryLog
 	program(m, &lg)
 	// At most 20M events, a livelock guard; Run then finds the queue empty

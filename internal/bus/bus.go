@@ -151,8 +151,6 @@ type Snoop struct {
 
 // Device is anything attached to the bus.
 type Device interface {
-	// DeviceName identifies the device in diagnostics.
-	DeviceName() string
 	// SnoopBus observes a transaction issued by another master.
 	SnoopBus(tx *Transaction) Snoop
 }

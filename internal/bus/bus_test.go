@@ -8,12 +8,10 @@ import (
 
 // fakeDev is a scriptable bus device.
 type fakeDev struct {
-	name    string
 	snoop   func(tx *Transaction) Snoop
 	snooped []*Transaction
 }
 
-func (d *fakeDev) DeviceName() string { return d.name }
 func (d *fakeDev) SnoopBus(tx *Transaction) Snoop {
 	d.snooped = append(d.snooped, tx)
 	if d.snoop == nil {
@@ -23,9 +21,9 @@ func (d *fakeDev) SnoopBus(tx *Transaction) Snoop {
 }
 
 // memDev claims a range and serves from a byte array.
-func memDev(name string, rng Range, latency sim.Time) (*fakeDev, []byte) {
+func memDev(rng Range, latency sim.Time) (*fakeDev, []byte) {
 	data := make([]byte, rng.Size)
-	d := &fakeDev{name: name}
+	d := &fakeDev{}
 	d.snoop = func(tx *Transaction) Snoop {
 		if tx.Kind == Kill || !rng.Contains(tx.Addr) {
 			return Snoop{}
@@ -45,8 +43,8 @@ func memDev(name string, rng Range, latency sim.Time) (*fakeDev, []byte) {
 func TestReadWriteTiming(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, "bus0", DefaultConfig())
-	mem, backing := memDev("mem", Range{0, 1 << 20}, 60)
-	master := &fakeDev{name: "cpu"}
+	mem, backing := memDev(Range{0, 1 << 20}, 60)
+	master := &fakeDev{}
 	b.Attach(mem)
 	b.Attach(master)
 	copy(backing[64:], []byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -84,8 +82,8 @@ func TestReadWriteTiming(t *testing.T) {
 func TestMasterNotSnooped(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, "bus0", DefaultConfig())
-	mem, _ := memDev("mem", Range{0, 4096}, 0)
-	master := &fakeDev{name: "cpu"}
+	mem, _ := memDev(Range{0, 4096}, 0)
+	master := &fakeDev{}
 	b.Attach(mem)
 	b.Attach(master)
 	b.Issue(&Transaction{Kind: ReadWord, Addr: 0, Data: make([]byte, 8), Master: master}, func() {})
@@ -103,16 +101,16 @@ func TestRetryThenSucceed(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RetryBackoff = 100
 	b := New(eng, "bus0", cfg)
-	mem, _ := memDev("mem", Range{0, 4096}, 0)
+	mem, _ := memDev(Range{0, 4096}, 0)
 	tries := 0
-	retrier := &fakeDev{name: "abiu", snoop: func(tx *Transaction) Snoop {
+	retrier := &fakeDev{snoop: func(tx *Transaction) Snoop {
 		tries++
 		if tries <= 3 {
 			return Snoop{Action: Retry}
 		}
 		return Snoop{}
 	}}
-	master := &fakeDev{name: "cpu"}
+	master := &fakeDev{}
 	b.Attach(mem)
 	b.Attach(retrier)
 	b.Attach(master)
@@ -134,8 +132,8 @@ func TestRetryLivelockPanics(t *testing.T) {
 	cfg.MaxRetries = 5
 	cfg.RetryBackoff = 10
 	b := New(eng, "bus0", cfg)
-	always := &fakeDev{name: "nak", snoop: func(tx *Transaction) Snoop { return Snoop{Action: Retry} }}
-	master := &fakeDev{name: "cpu"}
+	always := &fakeDev{snoop: func(tx *Transaction) Snoop { return Snoop{Action: Retry} }}
+	master := &fakeDev{}
 	b.Attach(always)
 	b.Attach(master)
 	b.Issue(&Transaction{Kind: Kill, Addr: 0, Master: master}, func() {})
@@ -150,13 +148,13 @@ func TestRetryLivelockPanics(t *testing.T) {
 func TestInterventionBeatsMemory(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, "bus0", DefaultConfig())
-	mem, backing := memDev("mem", Range{0, 4096}, 60)
+	mem, backing := memDev(Range{0, 4096}, 60)
 	copy(backing, []byte{9, 9, 9, 9})
-	cachev := &fakeDev{name: "l2", snoop: func(tx *Transaction) Snoop {
+	cachev := &fakeDev{snoop: func(tx *Transaction) Snoop {
 		return Snoop{Action: Claim, Intervene: true, Latency: 6,
 			Serve: func(tx *Transaction) { copy(tx.Data, []byte{7, 7, 7, 7}) }}
 	}}
-	master := &fakeDev{name: "niu"}
+	master := &fakeDev{}
 	b.Attach(mem)
 	b.Attach(cachev)
 	b.Attach(master)
@@ -171,7 +169,7 @@ func TestInterventionBeatsMemory(t *testing.T) {
 func TestUnclaimedPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, "bus0", DefaultConfig())
-	master := &fakeDev{name: "cpu"}
+	master := &fakeDev{}
 	b.Attach(master)
 	b.Issue(&Transaction{Kind: ReadWord, Addr: 0xdead0000, Data: make([]byte, 4), Master: master}, func() {})
 	defer func() {
@@ -185,7 +183,7 @@ func TestUnclaimedPanics(t *testing.T) {
 func TestKillNeedsNoClaimer(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, "bus0", DefaultConfig())
-	master := &fakeDev{name: "cpu"}
+	master := &fakeDev{}
 	b.Attach(master)
 	ok := false
 	b.Issue(&Transaction{Kind: Kill, Addr: 32, Master: master}, func() { ok = true })
@@ -198,7 +196,7 @@ func TestKillNeedsNoClaimer(t *testing.T) {
 func TestValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, "bus0", DefaultConfig())
-	master := &fakeDev{name: "cpu"}
+	master := &fakeDev{}
 	bad := []*Transaction{
 		{Kind: ReadLine, Addr: 4, Data: make([]byte, 32), Master: master}, // unaligned
 		{Kind: ReadLine, Addr: 0, Data: make([]byte, 16), Master: master}, // short line
@@ -223,9 +221,9 @@ func TestValidation(t *testing.T) {
 func TestBusSerialization(t *testing.T) {
 	eng := sim.NewEngine()
 	b := New(eng, "bus0", DefaultConfig())
-	mem, _ := memDev("mem", Range{0, 4096}, 0)
-	m1 := &fakeDev{name: "a"}
-	m2 := &fakeDev{name: "b"}
+	mem, _ := memDev(Range{0, 4096}, 0)
+	m1 := &fakeDev{}
+	m2 := &fakeDev{}
 	b.Attach(mem)
 	b.Attach(m1)
 	b.Attach(m2)

@@ -91,7 +91,6 @@ type Stats struct {
 // multiple processes time-sharing the aP (multitasking workloads) are safe:
 // each in-flight operation carries its own pooled transaction record.
 type Cache struct {
-	name string
 	b    *bus.Bus
 	cfg  Config
 	nset uint32
@@ -132,7 +131,7 @@ type Cache struct {
 }
 
 // New creates a cache attached (by the caller) to b.
-func New(name string, b *bus.Bus, cfg Config) *Cache {
+func New(b *bus.Bus, cfg Config) *Cache {
 	nset := cfg.SizeBytes / cfg.Assoc / bus.LineSize
 	if nset == 0 || nset&(nset-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", nset))
@@ -140,7 +139,7 @@ func New(name string, b *bus.Bus, cfg Config) *Cache {
 	if nset > math.MaxUint16 {
 		panic(fmt.Sprintf("cache: %d sets exceed the %d a 2-byte set index addresses", nset, math.MaxUint16))
 	}
-	c := &Cache{name: name, b: b, cfg: cfg, nset: uint32(nset),
+	c := &Cache{b: b, cfg: cfg, nset: uint32(nset),
 		setIdx: make([]uint16, nset), sets: make([][]line, 1, setListCap)}
 	c.ivServeFn = c.ivServe
 	return c
@@ -194,9 +193,6 @@ var cacheMetrics = stats.NewMetrics(
 
 // RegisterMetrics registers the cache's counters under r.
 func (c *Cache) RegisterMetrics(r *stats.Registry) { cacheMetrics.Register(r, c) }
-
-// DeviceName implements bus.Device.
-func (c *Cache) DeviceName() string { return c.name }
 
 // Stats returns a snapshot of counters.
 func (c *Cache) Stats() Stats { return c.stats }

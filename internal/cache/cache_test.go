@@ -20,18 +20,17 @@ type rig struct {
 	niu  *fakeMaster // a second master to generate foreign traffic
 }
 
-type fakeMaster struct{ name string }
+type fakeMaster struct{}
 
-func (m *fakeMaster) DeviceName() string                  { return m.name }
 func (m *fakeMaster) SnoopBus(*bus.Transaction) bus.Snoop { return bus.Snoop{} }
 
 func newRig(cfg Config) *rig {
 	eng := sim.NewEngine()
 	b := bus.New(eng, "bus", bus.DefaultConfig())
 	d := mem.New(bus.Range{Base: 0, Size: 1 << 20}, 60)
-	c := New("l2", b, cfg)
+	c := New(b, cfg)
 	c.SetWritebackSink(d.Poke)
-	niu := &fakeMaster{"niu"}
+	niu := &fakeMaster{}
 	b.Attach(d)
 	b.Attach(c)
 	b.Attach(niu)
@@ -328,7 +327,7 @@ func TestNonPowerOfTwoSetsPanics(t *testing.T) {
 	}()
 	eng := sim.NewEngine()
 	b := bus.New(eng, "b", bus.DefaultConfig())
-	New("bad", b, Config{SizeBytes: 3 * bus.LineSize, Assoc: 1, HitTime: 1})
+	New(b, Config{SizeBytes: 3 * bus.LineSize, Assoc: 1, HitTime: 1})
 }
 
 // TestTooManySetsPanics: the 2-byte set index addresses at most 65,535
@@ -341,7 +340,7 @@ func TestTooManySetsPanics(t *testing.T) {
 	}()
 	eng := sim.NewEngine()
 	b := bus.New(eng, "b", bus.DefaultConfig())
-	New("big", b, Config{SizeBytes: 1 << 16 * bus.LineSize, Assoc: 1, HitTime: 1})
+	New(b, Config{SizeBytes: 1 << 16 * bus.LineSize, Assoc: 1, HitTime: 1})
 }
 
 // stall retries every transaction on one line while hold is set, as the
@@ -350,8 +349,6 @@ type stall struct {
 	line uint32
 	hold bool
 }
-
-func (s *stall) DeviceName() string { return "stall" }
 
 func (s *stall) SnoopBus(tx *bus.Transaction) bus.Snoop {
 	if s.hold && tx.Addr&^(bus.LineSize-1) == s.line {

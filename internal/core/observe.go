@@ -1,6 +1,7 @@
 package core
 
 import (
+	"startvoyager/internal/sim"
 	"startvoyager/internal/stats"
 	"startvoyager/internal/trace"
 )
@@ -20,13 +21,13 @@ func (m *Machine) Trace(capacity int) *trace.Buffer {
 // component at construction).
 func (m *Machine) Metrics() *stats.Registry { return m.Reg }
 
-// Series attaches a windowed telemetry sampler scraping every registered
-// metric on the given cadence and arms it. Call before Run (and after any
+// Series attaches a windowed telemetry sampler aggregating every registered
+// metric into windows of the given width and arms it. Call before Run (and after any
 // Trace call whose trace/dropped metric should be scraped), then
 // Sampler.Finish once the run completes. Sampling rides the engine's
 // out-of-band timer hook: it changes no simulated outcome.
-func (m *Machine) Series(cfg stats.SamplerConfig) *stats.Sampler {
-	s := stats.NewSampler(m.Eng, m.Reg, cfg)
+func (m *Machine) Series(window sim.Time) *stats.Sampler {
+	s := stats.NewSampler(m.Eng, m.Reg, window)
 	s.Start()
 	return s
 }

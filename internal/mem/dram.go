@@ -66,9 +66,6 @@ func New(rng bus.Range, latency sim.Time) *DRAM {
 	return d
 }
 
-// DeviceName implements bus.Device.
-func (d *DRAM) DeviceName() string { return "dram" }
-
 // AddAlias makes the controller also claim rng, serving it from the backing
 // array starting at offset toBase. Used to back the S-COMA window with DRAM
 // frames.

@@ -8,16 +8,15 @@ import (
 	"startvoyager/internal/sim"
 )
 
-type master struct{ name string }
+type master struct{}
 
-func (m *master) DeviceName() string                  { return m.name }
 func (m *master) SnoopBus(*bus.Transaction) bus.Snoop { return bus.Snoop{} }
 
 func TestDRAMReadWrite(t *testing.T) {
 	eng := sim.NewEngine()
 	b := bus.New(eng, "bus", bus.DefaultConfig())
 	d := New(bus.Range{Base: 0, Size: 1 << 16}, 60)
-	m := &master{"cpu"}
+	m := &master{}
 	b.Attach(d)
 	b.Attach(m)
 
@@ -46,7 +45,7 @@ func TestDRAMClaimZeroAllocs(t *testing.T) {
 	eng := sim.NewEngine()
 	b := bus.New(eng, "bus", bus.DefaultConfig())
 	d := New(bus.Range{Base: 0, Size: 1 << 16}, 60)
-	m := &master{"cpu"}
+	m := &master{}
 	b.Attach(d)
 	b.Attach(m)
 	for _, kind := range []bus.Kind{bus.ReadLine, bus.WriteLine} {

@@ -182,9 +182,6 @@ var scomaActions = func() (t [numKinds][16]ScomaAction) {
 // Stats returns a snapshot of counters.
 func (a *ABIU) Stats() Stats { return a.stats }
 
-// DeviceName implements bus.Device.
-func (a *ABIU) DeviceName() string { return fmt.Sprintf("abiu%d", a.node) }
-
 // IssueBusOp implements ctrl.BusPort: CTRL masters the aP bus through the
 // aBIU.
 func (a *ABIU) IssueBusOp(tx *bus.Transaction, done func()) {

@@ -63,7 +63,7 @@ func newRig(t *testing.T) *rig {
 	dram := mem.New(bus.Range{Base: 0, Size: 4 << 20}, 60)
 	// Back the S-COMA window with the top 1 MB of DRAM.
 	dram.AddAlias(testMap.Scoma, 3<<20)
-	ch := cache.New("l2", b, cache.DefaultConfig())
+	ch := cache.New(b, cache.DefaultConfig())
 	ch.SetWritebackSink(dram.Poke)
 	aS := sram.New("aSRAM", 64<<10)
 	sS := sram.New("sSRAM", 64<<10)

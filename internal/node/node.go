@@ -213,7 +213,7 @@ func New(eng *sim.Engine, id int, fabric arctic.Fabric, cfg Config, numNodes int
 	n.Bus = bus.New(eng, fmt.Sprintf("bus%d", id), cfg.Bus)
 	n.Bus.SetNode(id)
 	n.Dram = mem.New(bus.Range{Base: DramBase, Size: DramSize}, cfg.DramLat)
-	n.Cache = cache.New(fmt.Sprintf("l2-%d", id), n.Bus, cfg.Cache)
+	n.Cache = cache.New(n.Bus, cfg.Cache)
 	n.Cache.SetNode(id)
 	n.Cache.SetWritebackSink(n.Dram.Poke)
 

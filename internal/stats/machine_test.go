@@ -109,7 +109,7 @@ func TestRegistryConsistent(t *testing.T) {
 		t.Errorf("net/fault/injected_drops = %d, %v; the injector counted %d", v, ok, m.Faults.Stats().InjectedDrops)
 	}
 
-	s := stats.NewSampler(m.Eng, reg, stats.SamplerConfig{Window: sim.Microsecond})
+	s := stats.NewSampler(m.Eng, reg, sim.Microsecond)
 	if got := s.SeriesPaths(); !slices.Equal(got, paths) {
 		t.Errorf("the sampler scrapes %d series, not the %d of Paths() in order", len(got), len(paths))
 	}

@@ -65,15 +65,11 @@ func (s *Series) add(idx int, v int64) {
 	w.Count++
 }
 
-// SamplerConfig configures a Sampler.
-type SamplerConfig struct {
-	// Window is the aggregation window width in simulated time (required).
-	Window sim.Time
-	// Scrapes is the number of scrapes per window (default 4). Window must
-	// divide evenly by it. More scrapes sharpen the per-window min/max of
-	// gauges and rate burstiness of counters at proportional scrape cost.
-	Scrapes int
-}
+// scrapesPerWindow is how many times a Sampler scrapes within one window;
+// the window width must divide evenly by it. Scraping more than once per
+// window lets a gauge's min/max catch intra-window excursions the closing
+// scrape would miss.
+const scrapesPerWindow = 4
 
 // sampSeries is the scrape state for one registered metric: its reader,
 // where its observations accumulate, and the previous-scrape snapshot that
@@ -119,10 +115,9 @@ type sampSeries struct {
 // The scrape path is //voyager:noalloc-marked and allocation-free; the
 // window arrays grow outside it, in ensure.
 type Sampler struct {
-	eng     *sim.Engine
-	window  sim.Time
-	step    sim.Time
-	scrapes int
+	eng    *sim.Engine
+	window sim.Time
+	step   sim.Time
 
 	series []*sampSeries
 	tickFn func(sim.Time)
@@ -133,27 +128,19 @@ type Sampler struct {
 }
 
 // NewSampler snapshots reg's current metric set (sorted by path), resolving
-// each path to its reader once, and returns a sampler scraping it every
-// cfg.Window/cfg.Scrapes of simulated time. Metrics registered after
-// NewSampler are not scraped. Call Start to arm it, Finish after the run,
-// then Doc/WriteJSON to export.
-func NewSampler(eng *sim.Engine, reg *Registry, cfg SamplerConfig) *Sampler {
-	if cfg.Window <= 0 {
-		panic(fmt.Sprintf("stats: sampler window %d, must be > 0", int64(cfg.Window)))
+// each path to its reader once, and returns a sampler aggregating it into
+// windows of the given simulated-time width, scraped four times per window.
+// Metrics registered after NewSampler are not scraped. Call Start to arm
+// it, Finish after the run, then Doc/WriteJSON to export.
+func NewSampler(eng *sim.Engine, reg *Registry, window sim.Time) *Sampler {
+	if window <= 0 {
+		panic(fmt.Sprintf("stats: sampler window %d, must be > 0", int64(window)))
 	}
-	if cfg.Scrapes == 0 {
-		cfg.Scrapes = 4
-	}
-	if cfg.Scrapes < 1 || cfg.Window%sim.Time(cfg.Scrapes) != 0 {
+	if window%scrapesPerWindow != 0 {
 		panic(fmt.Sprintf("stats: sampler window %d not divisible by %d scrapes",
-			int64(cfg.Window), cfg.Scrapes))
+			int64(window), scrapesPerWindow))
 	}
-	s := &Sampler{
-		eng:     eng,
-		window:  cfg.Window,
-		step:    cfg.Window / sim.Time(cfg.Scrapes),
-		scrapes: cfg.Scrapes,
-	}
+	s := &Sampler{eng: eng, window: window, step: window / scrapesPerWindow}
 	ms := reg.metrics()
 	s.series = make([]*sampSeries, 0, len(ms))
 	for _, m := range ms {
@@ -373,7 +360,7 @@ func (s *Sampler) Doc(meta *RunMeta) *SeriesDoc {
 		Schema:   SeriesSchema,
 		Run:      meta,
 		WindowNs: int64(s.window),
-		Scrapes:  s.scrapes,
+		Scrapes:  scrapesPerWindow,
 		Windows:  n,
 		Series:   make(map[string]*SeriesData, len(s.series)),
 	}

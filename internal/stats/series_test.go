@@ -14,7 +14,7 @@ import (
 
 // TestSeriesWindowEdges: window k covers [k*W, (k+1)*W), so an event
 // stamped exactly on a window edge lands in the window that starts there,
-// never the one that ends there.
+// never the one that ends there, whichever of the window's scrapes sees it.
 func TestSeriesWindowEdges(t *testing.T) {
 	eng := sim.NewEngine()
 	reg := NewRegistry()
@@ -23,7 +23,7 @@ func TestSeriesWindowEdges(t *testing.T) {
 	for _, at := range []sim.Time{0, 99, 100, 199} {
 		eng.At(at, func() { c.Events++ })
 	}
-	s := NewSampler(eng, reg, SamplerConfig{Window: 100, Scrapes: 1})
+	s := NewSampler(eng, reg, 100)
 	s.Start()
 	eng.Run()
 	s.Finish()
@@ -63,7 +63,7 @@ func TestSeriesNegativeValues(t *testing.T) {
 
 // sampleMachine builds a registry with one metric of every kind plus an
 // event-driven workload that moves them, and a sampler over it.
-func sampleMachine(t *testing.T, cfg SamplerConfig) (*sim.Engine, *Sampler) {
+func sampleMachine(t *testing.T, window sim.Time) (*sim.Engine, *Sampler) {
 	t.Helper()
 	eng := sim.NewEngine()
 	reg := NewRegistry()
@@ -83,12 +83,12 @@ func sampleMachine(t *testing.T, cfg SamplerConfig) (*sim.Engine, *Sampler) {
 	eng.At(10, func() { p.m.Start() })
 	eng.At(910, func() { p.m.Stop() })
 
-	s := NewSampler(eng, reg, cfg)
+	s := NewSampler(eng, reg, window)
 	return eng, s
 }
 
 func TestSamplerWindows(t *testing.T) {
-	eng, s := sampleMachine(t, SamplerConfig{Window: 200, Scrapes: 4})
+	eng, s := sampleMachine(t, 200)
 	s.Start()
 	eng.Run()
 	s.Finish()
@@ -135,26 +135,27 @@ func TestSamplerWindows(t *testing.T) {
 }
 
 func TestSamplerPartialFinalWindow(t *testing.T) {
-	eng, s := sampleMachine(t, SamplerConfig{Window: 300, Scrapes: 3})
+	eng, s := sampleMachine(t, 400)
 	s.Start()
-	eng.Run() // run ends at 1000: windows [0,300) [300,600) [600,900) [900,1000 partial)
+	eng.Run() // run ends at 1000: windows [0,400) [400,800) [800,1000 partial)
 	s.Finish()
-	if got := s.Windows(); got != 4 {
-		t.Fatalf("windows = %d, want 4", got)
+	if got := s.Windows(); got != 3 {
+		t.Fatalf("windows = %d, want 3", got)
 	}
 	doc := s.Doc(nil)
 	pk := doc.Series["packets"]
-	// Partial final window [900, 1000): the scrape at 1000 runs before the
-	// event at 1000 executes, so it captures 900, 925, 950, 975 — 4 events —
-	// and the event at 1000 falls in a window the run never enters.
-	if pk.Sum[3] != 4 {
-		t.Fatalf("partial window sum = %d, want 4 (%v)", pk.Sum[3], pk.Sum)
+	// Partial final window [800, 1000): its scrape at 1000 runs before the
+	// event at 1000 executes, so it captures 800, 825, ..., 975 — 8 events,
+	// where a full window holds 16 — and the event at 1000 falls past the
+	// last scrape the run reaches.
+	if pk.Sum[2] != 8 {
+		t.Fatalf("partial window sum = %d, want 8 (%v)", pk.Sum[2], pk.Sum)
 	}
 }
 
 func TestSamplerExportDeterministic(t *testing.T) {
 	render := func() []byte {
-		eng, s := sampleMachine(t, SamplerConfig{Window: 200})
+		eng, s := sampleMachine(t, 200)
 		s.Start()
 		eng.Run()
 		s.Finish()
@@ -181,7 +182,7 @@ func TestSamplerExportDeterministic(t *testing.T) {
 }
 
 func TestSeriesExportGolden(t *testing.T) {
-	eng, s := sampleMachine(t, SamplerConfig{Window: 200})
+	eng, s := sampleMachine(t, 200)
 	s.Start()
 	eng.Run()
 	s.Finish()
@@ -214,7 +215,7 @@ func TestSamplerScrapeAllocFree(t *testing.T) {
 	p := &probe{g: 3, m: NewMeter(eng, "m"), h: NewHistogram(ExpBounds(10, 2, 8)...)}
 	probeMetrics("c", "g", "m", "t", "h").Register(reg, p)
 
-	s := NewSampler(eng, reg, SamplerConfig{Window: 1000, Scrapes: 4})
+	s := NewSampler(eng, reg, 1000)
 	// The measured ticks reach window 250.
 	s.ensure(251)
 	at := sim.Time(0)
@@ -232,22 +233,19 @@ func TestSamplerScrapeAllocFree(t *testing.T) {
 	}
 }
 
+// TestSamplerConfigValidation: a window that is not positive, or that four
+// scrapes cannot divide evenly, is refused at construction.
 func TestSamplerConfigValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	reg := NewRegistry()
-	for _, cfg := range []SamplerConfig{
-		{Window: 0},
-		{Window: -5},
-		{Window: 100, Scrapes: 3}, // 100 % 3 != 0
-		{Window: 100, Scrapes: -1},
-	} {
+	for _, window := range []sim.Time{0, -5, 3, 102} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("config %+v did not panic", cfg)
+					t.Fatalf("window %d did not panic", window)
 				}
 			}()
-			NewSampler(eng, reg, cfg)
+			NewSampler(eng, reg, window)
 		}()
 	}
 }

@@ -7,7 +7,8 @@ import (
 	"startvoyager/internal/stats"
 )
 
-// PathSchema is the voyager-path JSON export's schema identifier.
+// PathSchema is the critical-path JSON export's schema identifier (the
+// voyager-run -path document).
 const PathSchema = "voyager-path/v1"
 
 // pathStageJSON is one attributed stage interval in the JSON export.

@@ -88,7 +88,6 @@ type Stats struct {
 // Buffer is a bounded ring of events implementing sim.Observer (older
 // events are dropped first).
 type Buffer struct {
-	eng     *sim.Engine
 	cap     int
 	events  []Event
 	start   int // ring head when full
@@ -96,17 +95,17 @@ type Buffer struct {
 }
 
 // New creates a buffer holding up to capacity events. The buffer must still
-// be installed with eng.SetObserver (or use Attach).
-func New(eng *sim.Engine, capacity int) *Buffer {
+// be installed with an engine's SetObserver (or use Attach).
+func New(capacity int) *Buffer {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &Buffer{eng: eng, cap: capacity}
+	return &Buffer{cap: capacity}
 }
 
 // Attach creates a buffer and installs it as eng's observer.
 func Attach(eng *sim.Engine, capacity int) *Buffer {
-	b := New(eng, capacity)
+	b := New(capacity)
 	eng.SetObserver(b)
 	return b
 }

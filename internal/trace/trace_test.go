@@ -70,7 +70,7 @@ func TestRingDropsOldest(t *testing.T) {
 }
 
 func TestDefaultCapacity(t *testing.T) {
-	b := New(sim.NewEngine(), 0)
+	b := New(0)
 	if b.cap != 4096 {
 		t.Fatalf("cap = %d", b.cap)
 	}

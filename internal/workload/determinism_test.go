@@ -166,7 +166,7 @@ func sampledRun(t *testing.T, seed int64) (Result, []byte, []byte) {
 	res := RunInstrumented(detConfig(seed), func(m *core.Machine) {
 		mach = m
 		m.Trace(1 << 16)
-		sampler = m.Series(stats.SamplerConfig{Window: 20 * sim.Microsecond})
+		sampler = m.Series(20 * sim.Microsecond)
 	})
 	sampler.Finish()
 	var metricsOut, seriesOut bytes.Buffer

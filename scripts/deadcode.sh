@@ -47,12 +47,12 @@ ok voyager-bench -fig none -micro "$w/micro.json"
 ok voyager-bench -fig none -nodes 64 -scale "$w/scale.json"
 ok voyager-bench -fig none -nodes 64 -scale-diff "$w/scale.json"
 
-# Each mechanism with every artifact, and through the critical-path tool.
+# Each mechanism with every artifact, and with the critical-path report.
 for mech in basic express tagon dma reliable; do
 	ok voyager-run -mech $mech -trace "$w/t-$mech.json" -metrics "$w/m-$mech.json" -dump 5 \
 		-series "$w/s-$mech.json" -prof "$w/p-$mech.json"
-	ok voyager-path -mech $mech -top 3
-	ok voyager-path -mech $mech -json -metrics "$w/pm-$mech.json" -trace "$w/pt-$mech.json"
+	ok voyager-run -nodes 2 -count 8 -size 32 -mech $mech -path "$w/path-$mech.json" -waterfall 3 \
+		-metrics "$w/pm-$mech.json" -trace "$w/pt-$mech.json"
 done
 
 # Reliable delivery under every fault kind, a seed sweep, a machine-size
