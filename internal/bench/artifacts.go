@@ -51,10 +51,14 @@ func (a *Artifacts) Register(fs *flag.FlagSet) {
 	a.SeriesWindow = 20 * sim.Microsecond
 	fs.Func("series-window", "simulated-time window width for -series (Go duration, default 20us)", func(s string) error {
 		w, err := time.ParseDuration(s)
-		if err != nil || w <= 0 {
+		if err != nil {
 			return fmt.Errorf("invalid duration %q", s)
 		}
-		a.SeriesWindow = sim.Time(w.Nanoseconds())
+		window := sim.Time(w.Nanoseconds())
+		if err := stats.CheckWindow(window); err != nil {
+			return err
+		}
+		a.SeriesWindow = window
 		return nil
 	})
 	fs.BoolVar(&a.StrictTrace, "strict-trace", false, "exit nonzero if the trace ring dropped events (implies tracing)")

@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -180,6 +182,41 @@ func captureStdout(t *testing.T, f func()) string {
 		t.Fatal(err)
 	}
 	return string(out)
+}
+
+// TestSeriesWindowFlag: -series-window refuses, as a flag error naming the
+// value, a width the sampler cannot split into its scrapes (3ns, 102ns) or
+// that is not positive, where NewSampler used to panic on the first two once
+// the machine was built; a width it can split is taken as given.
+func TestSeriesWindowFlag(t *testing.T) {
+	for _, tc := range []struct {
+		arg  string
+		want sim.Time // 0: refused
+	}{
+		{"3ns", 0},
+		{"102ns", 0},
+		{"0s", 0},
+		{"-4ns", 0},
+		{"20us", 20 * sim.Microsecond},
+		{"4ns", 4},
+	} {
+		var a Artifacts
+		fs := flag.NewFlagSet("run", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		a.Register(fs)
+		err := fs.Parse([]string{"-series-window", tc.arg})
+		switch {
+		case tc.want == 0 && err == nil:
+			t.Errorf("-series-window %s accepted as %v", tc.arg, a.SeriesWindow)
+		case tc.want == 0 && !strings.Contains(err.Error(), "-series-window") ||
+			tc.want == 0 && !strings.Contains(err.Error(), tc.arg):
+			t.Errorf("-series-window %s refused without naming the flag and value: %v", tc.arg, err)
+		case tc.want != 0 && err != nil:
+			t.Errorf("-series-window %s refused: %v", tc.arg, err)
+		case tc.want != 0 && a.SeriesWindow != tc.want:
+			t.Errorf("-series-window %s parsed as %v, want %v", tc.arg, a.SeriesWindow, tc.want)
+		}
+	}
 }
 
 // TestArtifactsTraceAttachRule: the ring, and with it the trace/ gauges in

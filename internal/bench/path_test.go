@@ -156,3 +156,42 @@ func TestPathWaterfallRenders(t *testing.T) {
 		}
 	}
 }
+
+// TestPathWaterfallHeader pins the attribution header of the run CI's path
+// report comes from (two nodes, R-Basic, 8 messages of 32 bytes, a 5% drop
+// plan, 41 chains): a Slowest view that drops chains says how many of the
+// run's chains it sums, also when cut again, and a view that keeps them all
+// (CI asks for -waterfall 100) still says "all chains".
+func TestPathWaterfallHeader(t *testing.T) {
+	plan, err := fault.ParsePlan("seed=7,drop=0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cluster.DefaultConfig(2)
+	cfg.Faults = plan
+	m := core.NewMachineConfig(cfg)
+	tbuf := m.Trace(1 << 18)
+	AllToOne{Mech: "reliable", Count: 8, Size: 32}.Spawn(m)
+	m.Run()
+	a := trace.AnalyzePaths(tbuf.Events())
+	if len(a.Msgs) != 41 {
+		t.Fatalf("the run traced %d chains, want 41", len(a.Msgs))
+	}
+	for _, tc := range []struct {
+		view *trace.PathAnalysis
+		want string
+	}{
+		{a.Slowest(3), "critical-path attribution (3 of 41 chains, 36.374us attributed)\n"},
+		{a.Slowest(5).Slowest(3), "critical-path attribution (3 of 41 chains, 36.374us attributed)\n"},
+		{a.Slowest(100), "critical-path attribution (all chains, 88.348us attributed)\n"},
+		{a, "critical-path attribution (all chains, 88.348us attributed)\n"},
+	} {
+		var b strings.Builder
+		if err := tc.view.WriteWaterfall(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), "\n\n"+tc.want) {
+			t.Errorf("%d-chain view lacks the header %q:\n%s", len(tc.view.Msgs), tc.want, b.String())
+		}
+	}
+}

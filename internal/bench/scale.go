@@ -332,10 +332,13 @@ func WriteScale(w io.Writer, results []ScaleResult) error {
 
 // DiffScale compares fresh results against the committed baseline document
 // and reports every node count to w. Returns false — the CI failure signal —
-// when a node count is missing, when its bytes/node exceeds the baseline by
-// more than 10%, or when any deterministic column (levels, links, events,
-// allreduce_ns, samplesort_ns, hotspot_level_stalls) differs from the
-// baseline at all. The wall-clock column is host noise and never gated.
+// when a node count is missing, when its bytes/node is more than 10% above
+// or below the baseline, or when any deterministic column (levels, links,
+// events, allreduce_ns, samplesort_ns, hotspot_level_stalls) differs from
+// the baseline at all. A footprint gain fails too until it is committed
+// with make bench-scale-baseline: a baseline left above the real footprint
+// would let a later regression of up to the uncommitted gain pass. The
+// wall-clock column is host noise and never gated.
 func DiffScale(baseline []byte, results []ScaleResult, w io.Writer) bool {
 	var base scaleDoc
 	if err := json.Unmarshal(baseline, &base); err != nil {
@@ -362,6 +365,9 @@ func DiffScale(baseline []byte, results []ScaleResult, w io.Writer) bool {
 		if now.BytesPerNode > b.BytesPerNode+b.BytesPerNode/10 {
 			bad = append(bad, "REGRESSED")
 		}
+		if now.BytesPerNode < b.BytesPerNode-b.BytesPerNode/10 {
+			bad = append(bad, "SHRANK (commit the gain with make bench-scale-baseline)")
+		}
 		exact := func(col string, was, is int64) {
 			if was != is {
 				bad = append(bad, fmt.Sprintf("CHANGED %s %d -> %d", col, was, is))
@@ -383,7 +389,7 @@ func DiffScale(baseline []byte, results []ScaleResult, w io.Writer) bool {
 			b.Nodes, b.BytesPerNode, now.BytesPerNode, pct, b.AllreduceNs, now.AllreduceNs, verdict)
 	}
 	if !ok {
-		fmt.Fprintln(w, "scale-diff: FAIL — a node count is missing, its bytes/node regressed >10%, or a deterministic column changed (refresh BENCH_scale.json via make bench-scale-baseline if intentional)")
+		fmt.Fprintln(w, "scale-diff: FAIL — a node count is missing, its bytes/node moved >10% either way, or a deterministic column changed (refresh BENCH_scale.json via make bench-scale-baseline if intentional)")
 	}
 	return ok
 }

@@ -108,7 +108,8 @@ func TestScaleSkipsSamplesortAboveCap(t *testing.T) {
 }
 
 // TestWriteDiffScale: the JSON round-trips, an unchanged footprint passes
-// the gate, a >10% bytes/node growth fails it (naming the node count), any
+// the gate, a >10% bytes/node growth fails it (naming the node count), a
+// >10% shrink fails it until committed (naming make bench-scale-baseline), any
 // difference in a deterministic simulated column fails it (naming the
 // column), and a missing node count fails it.
 func TestWriteDiffScale(t *testing.T) {
@@ -147,6 +148,23 @@ func TestWriteDiffScale(t *testing.T) {
 	out.Reset()
 	if !DiffScale(baseline, within, &out) {
 		t.Errorf("9%% growth tripped the 10%% gate:\n%s", out.String())
+	}
+
+	shrunk := append([]ScaleResult(nil), results...)
+	shrunk[0].BytesPerNode = 85_000 // -15%: a gain left uncommitted
+	out.Reset()
+	if DiffScale(baseline, shrunk, &out) {
+		t.Error("15% bytes/node shrink passed the gate uncommitted")
+	}
+	if !strings.Contains(out.String(), "SHRANK") || !strings.Contains(out.String(), "make bench-scale-baseline") {
+		t.Errorf("shrink report does not name the refresh target:\n%s", out.String())
+	}
+
+	shrunkWithin := append([]ScaleResult(nil), results...)
+	shrunkWithin[0].BytesPerNode = 91_000 // -9%: inside the gate
+	out.Reset()
+	if !DiffScale(baseline, shrunkWithin, &out) {
+		t.Errorf("9%% shrink tripped the 10%% gate:\n%s", out.String())
 	}
 
 	for name, mutate := range map[string]func(r *ScaleResult){
@@ -215,5 +233,21 @@ func TestFootprintFlatInNodes(t *testing.T) {
 	if float64(perLarge) > 1.25*float64(perSmall) {
 		t.Errorf("bytes/node %d at 1024 nodes vs %d at 64 nodes: %.2fx, want at most 1.25x",
 			perLarge, perSmall, float64(perLarge)/float64(perSmall))
+	}
+}
+
+// TestFootprintBudget: a default 256-node machine holds at most 20 KB of live
+// heap per node, about 18.5 KB with sparse indexes over the cache's sets and
+// the memories' pages and CTRL records only for the queues in use. The
+// budget leaves room for noise, not for a table sized by the hardware: the
+// cache's dense 2-byte set index alone would break it.
+func TestFootprintBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 256-node machine")
+	}
+	const budget = 20 << 10
+	heap, _, _, _ := measureFootprint(256)
+	if perNode := heap / 256; perNode > budget {
+		t.Errorf("a 256-node machine holds %d bytes/node, over the %d-byte budget", perNode, budget)
 	}
 }

@@ -11,7 +11,6 @@ package cache
 
 import (
 	"fmt"
-	"math"
 
 	"startvoyager/internal/bus"
 	"startvoyager/internal/sim"
@@ -96,15 +95,15 @@ type Cache struct {
 	nset uint32
 	tick uint64
 
-	// Sets materialize on their first fill: setIdx holds, per set, 0 while
-	// it is untouched and otherwise its position in sets, an append-only
-	// list of per-set line arrays whose entry 0 is the nil untouched set. An
-	// idle set costs 2 bytes. Each line array is its own allocation and is
-	// never moved or freed: ensure holds a *line across a blocking fill or
+	// Sets materialize on their first fill: touched marks the touched sets,
+	// and sets holds their line arrays in set order, each at its set's rank
+	// in touched. An idle set costs 0.16 bytes. Each line array is its own
+	// allocation and is never moved or freed (a new set shifts only the
+	// list's slice headers): ensure holds a *line across a blocking fill or
 	// writeback, while another Proc time-sharing the aP may fill other sets.
-	setIdx []uint16
-	sets   [][]line
-	node   int // owning node, for trace attribution (SetNode)
+	touched sim.Sparse
+	sets    [][]line
+	node    int // owning node, for trace attribution (SetNode)
 
 	// writebackSink reflects intervention data to memory without a second
 	// bus transaction (the controller captures intervention data on real
@@ -136,11 +135,8 @@ func New(b *bus.Bus, cfg Config) *Cache {
 	if nset == 0 || nset&(nset-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", nset))
 	}
-	if nset > math.MaxUint16 {
-		panic(fmt.Sprintf("cache: %d sets exceed the %d a 2-byte set index addresses", nset, math.MaxUint16))
-	}
 	c := &Cache{b: b, cfg: cfg, nset: uint32(nset),
-		setIdx: make([]uint16, nset), sets: make([][]line, 1, setListCap)}
+		touched: sim.NewSparse(nset), sets: make([][]line, 0, setListCap)}
 	c.ivServeFn = c.ivServe
 	return c
 }
@@ -197,24 +193,33 @@ func (c *Cache) RegisterMetrics(r *stats.Registry) { cacheMetrics.Register(r, c)
 // Stats returns a snapshot of counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// setNum returns the number of addr's set.
+//
+//voyager:noalloc
+func (c *Cache) setNum(addr uint32) int { return int((addr / bus.LineSize) & (c.nset - 1)) }
+
 // set returns addr's set, which is nil until first filled — lookups over a
 // nil set simply miss, so the read path never materializes state.
 //
 //voyager:noalloc
 func (c *Cache) set(addr uint32) []line {
-	return c.sets[c.setIdx[(addr/bus.LineSize)&(c.nset-1)]]
+	if i, ok := c.touched.Find(c.setNum(addr)); ok {
+		return c.sets[i]
+	}
+	return nil
 }
 
 // setForFill materializes addr's set on its first fill.
 //
 //voyager:noalloc
 func (c *Cache) setForFill(addr uint32) []line {
-	si := &c.setIdx[(addr/bus.LineSize)&(c.nset-1)]
-	if *si == 0 {
-		*si = uint16(len(c.sets))
-		c.sets = append(c.sets, make([]line, c.cfg.Assoc)) //voyager:alloc-ok(lazy set materialization; once per touched set)
+	s := c.setNum(addr)
+	i, ok := c.touched.Find(s)
+	if !ok {
+		c.touched.Insert(s)
+		c.sets = sim.InsertAt(c.sets, i, make([]line, c.cfg.Assoc)) //voyager:alloc-ok(lazy set materialization; once per touched set)
 	}
-	return c.sets[*si]
+	return c.sets[i]
 }
 
 //voyager:noalloc
@@ -256,8 +261,7 @@ func (c *Cache) lineAddr(addr uint32) uint32 { return addr &^ (bus.LineSize - 1)
 //
 //voyager:noalloc
 func (c *Cache) addrOf(l *line, anyAddrInSet uint32) uint32 {
-	setIdx := (anyAddrInSet / bus.LineSize) & (c.nset - 1)
-	return (l.tag*c.nset + setIdx) * bus.LineSize
+	return (l.tag*c.nset + uint32(c.setNum(anyAddrInSet))) * bus.LineSize
 }
 
 // Load performs a cached read of len(buf) bytes at addr (may span lines).

@@ -330,8 +330,8 @@ func TestNonPowerOfTwoSetsPanics(t *testing.T) {
 	New(b, Config{SizeBytes: 3 * bus.LineSize, Assoc: 1, HitTime: 1})
 }
 
-// TestTooManySetsPanics: the 2-byte set index addresses at most 65,535
-// sets, so a larger geometry is refused at construction.
+// TestTooManySetsPanics: the sparse set index ranks at most 65,536 sets,
+// so a larger geometry is refused at construction.
 func TestTooManySetsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -340,7 +340,7 @@ func TestTooManySetsPanics(t *testing.T) {
 	}()
 	eng := sim.NewEngine()
 	b := bus.New(eng, "b", bus.DefaultConfig())
-	New(b, Config{SizeBytes: 1 << 16 * bus.LineSize, Assoc: 1, HitTime: 1})
+	New(b, Config{SizeBytes: 1 << 17 * bus.LineSize, Assoc: 1, HitTime: 1})
 }
 
 // stall retries every transaction on one line while hold is set, as the

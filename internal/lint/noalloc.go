@@ -68,6 +68,9 @@ var noallocAllowlist = map[string]bool{
 	"(*startvoyager/internal/sim.Proc).Inline":      true,
 	"(*startvoyager/internal/sim.Proc).Now":         true,
 	"startvoyager/internal/sim.PopFront":            true,
+	"startvoyager/internal/sim.InsertAt":            true,
+	"(*startvoyager/internal/sim.Sparse).Find":      true,
+	"(*startvoyager/internal/sim.Sparse).Insert":    true,
 	// Observability hooks: no-ops without an observer; instrumented runs
 	// trade allocation for visibility by design (see DESIGN.md).
 	"(*startvoyager/internal/sim.Engine).BeginSpan": true,
@@ -179,9 +182,10 @@ var noallocAllowlist = map[string]bool{
 	"(encoding/binary.bigEndian).PutUint16":         true,
 	"(encoding/binary.bigEndian).PutUint32":         true,
 	"(encoding/binary.bigEndian).PutUint64":         true,
-	// Compiler intrinsic (a single TZCNT/BSF): the event wheel's occupancy
-	// bitmap scan.
+	// Compiler intrinsics (a single TZCNT/BSF, POPCNT): the event wheel's
+	// occupancy bitmap scan and the sparse index's rank count.
 	"math/bits.TrailingZeros64": true,
+	"math/bits.OnesCount64":     true,
 }
 
 // hasNoallocDirective reports whether the function's doc comment carries the

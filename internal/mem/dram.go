@@ -19,10 +19,10 @@ import (
 	"startvoyager/internal/stats"
 )
 
-// Backing geometry. A 64 KB page keeps the page table tiny (8 bytes per page
-// — 2 KB for a 16 MB node); each page is a lazily allocated block of 1 KB
-// sub-pages, so a one-line S-COMA fill or a scattered store materializes
-// 1 KB rather than 64 KB.
+// Backing geometry. A 64 KB page keeps the page index tiny (40 bytes for
+// the 256 pages of a 16 MB node); each page is a lazily allocated block of
+// 1 KB sub-pages, so a one-line S-COMA fill or a scattered store
+// materializes 1 KB rather than 64 KB.
 const (
 	pageShift   = 16
 	pageSize    = 1 << pageShift
@@ -36,8 +36,15 @@ type page [subsPerPage]*[subSize]byte
 
 // DRAM is main memory plus its controller, attached to a node bus.
 type DRAM struct {
-	rng     bus.Range
-	pages   []*page // demand-allocated; nil pages read as zeros
+	rng bus.Range
+	// Pages materialize on their first non-zero write: written marks the
+	// written pages, and pages holds them in page order, each at its page's
+	// rank in written. An unwritten page reads as zeros. The list reserves
+	// nothing: none of the benchmark's workloads writes a node's DRAM, and
+	// a node that does grows the list by doubling, 8 bytes a page beside
+	// the page's own 512-byte table and 1 KB sub-page.
+	written sim.Sparse
+	pages   []*page
 	latency sim.Time
 	aliases []alias
 
@@ -61,7 +68,7 @@ type alias struct {
 // New creates size bytes of DRAM at base with the given first-access latency.
 func New(rng bus.Range, latency sim.Time) *DRAM {
 	numPages := (uint64(rng.Size) + pageSize - 1) >> pageShift
-	d := &DRAM{rng: rng, pages: make([]*page, numPages), latency: latency}
+	d := &DRAM{rng: rng, written: sim.NewSparse(int(numPages)), latency: latency}
 	d.serveFn = d.serve
 	return d
 }
@@ -91,8 +98,8 @@ func (d *DRAM) resolve(addr uint32) (uint32, bool) {
 
 // sub returns the sub-page holding off, or nil if it was never written.
 func (d *DRAM) sub(off uint32) *[subSize]byte {
-	if pg := d.pages[off>>pageShift]; pg != nil {
-		return pg[off>>subShift&(subsPerPage-1)]
+	if i, ok := d.written.Find(int(off >> pageShift)); ok {
+		return d.pages[i][off>>subShift&(subsPerPage-1)]
 	}
 	return nil
 }
@@ -140,11 +147,13 @@ func (d *DRAM) writeAt(off uint32, data []byte) {
 
 // materialize allocates the sub-page holding off, and its page if needed.
 func (d *DRAM) materialize(off uint32) *[subSize]byte {
-	pg := d.pages[off>>pageShift]
-	if pg == nil {
-		pg = new(page)
-		d.pages[off>>pageShift] = pg
+	p := int(off >> pageShift)
+	i, ok := d.written.Find(p)
+	if !ok {
+		d.written.Insert(p)
+		d.pages = sim.InsertAt(d.pages, i, new(page))
 	}
+	pg := d.pages[i]
 	sp := new([subSize]byte)
 	pg[off>>subShift&(subsPerPage-1)] = sp
 	return sp

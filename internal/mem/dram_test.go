@@ -98,10 +98,13 @@ func TestZeroWriteMaterializesNothing(t *testing.T) {
 	d.Poke(pageSize-100, make([]byte, 3*subSize)) // straddles a page boundary
 	tx := &bus.Transaction{Kind: bus.WriteLine, Addr: 2 * pageSize, Data: make([]byte, bus.LineSize)}
 	d.SnoopBus(tx).Serve(tx)
-	for i, pg := range d.pages {
-		if pg != nil {
-			t.Fatalf("page %d materialized by zero writes", i)
+	for p := 0; p < 4; p++ {
+		if d.page(p) != nil {
+			t.Fatalf("page %d materialized by zero writes", p)
 		}
+	}
+	if len(d.pages) != 0 {
+		t.Fatalf("zero writes listed %d pages", len(d.pages))
 	}
 	got := pattern(3*subSize, 1)
 	d.Peek(pageSize-100, got)
@@ -122,7 +125,18 @@ func TestZeroWriteClearsData(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("got %x, want %x", got, want)
 	}
-	if d.pages[0][1] != nil {
+	if pg := d.page(0); pg == nil || pg[0] == nil {
+		t.Fatal("stored data did not materialize page 0's sub-page 0")
+	} else if pg[1] != nil {
 		t.Error("the zero tail materialized sub-page 1")
 	}
+}
+
+// page returns page p as the page index finds it, nil if it was never
+// written.
+func (d *DRAM) page(p int) *page {
+	if i, ok := d.written.Find(p); ok {
+		return d.pages[i]
+	}
+	return nil
 }

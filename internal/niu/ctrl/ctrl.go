@@ -186,6 +186,13 @@ func tagAt(ring []sim.MsgTag, ptr uint32) sim.MsgTag {
 	return ring[int(ptr)%len(ring)]
 }
 
+// idleTx and idleRx are the records of a queue nothing has programmed: every
+// read of such a queue sees them, and nothing writes them (see txq).
+var (
+	idleTx txQueue
+	idleRx rxQueue
+)
+
 //voyager:noalloc
 func (q *txQueue) pending() uint32 { return q.producer - q.consumer }
 
@@ -230,8 +237,14 @@ type Ctrl struct {
 
 	ibus *sim.Resource
 
-	tx [NumQueues]txQueue
-	rx [NumQueues]rxQueue
+	// Queue state exists only for the queues in use: tx[q] and rx[q] stay
+	// nil until ConfigureTx/ConfigureRx programs queue q or software writes
+	// one of its registers (txState), and reads of a queue with no record
+	// see the zero record, idleTx or idleRx (txq). Node assembly programs 9
+	// of the 32 queues. A record is never moved or freed once made, so a
+	// pointer to it stays valid across events.
+	tx [NumQueues]*txQueue
+	rx [NumQueues]*rxQueue
 
 	txBusy bool
 	txRR   int // round-robin cursor within a priority class
@@ -388,9 +401,9 @@ var depthGauges = stats.NewGaugeFamily(
 	func(c *Ctrl, i int) int64 {
 		q := c.gaugedQueue(i)
 		if q < NumQueues {
-			return int64(c.tx[q].pending())
+			return int64(c.txq(q).pending())
 		}
-		return int64(c.rx[q-NumQueues].used())
+		return int64(c.rxq(q - NumQueues).used())
 	})
 
 // gaugedQueue returns the queue of depth gauge i, the i-th set bit of
@@ -413,10 +426,10 @@ func (c *Ctrl) RegisterMetrics(r *stats.Registry) {
 	ctrlMetrics.Register(r, c)
 	c.gauged = 0
 	for q := 0; q < NumQueues; q++ {
-		if c.tx[q].cfg.Buf != nil {
+		if c.txq(q).cfg.Buf != nil {
 			c.gauged |= 1 << q
 		}
-		if c.rx[q].cfg.Buf != nil {
+		if c.rxq(q).cfg.Buf != nil {
 			c.gauged |= 1 << (NumQueues + q)
 		}
 	}
@@ -428,7 +441,7 @@ func (c *Ctrl) RegisterMetrics(r *stats.Registry) {
 //voyager:noalloc
 func (c *Ctrl) sampleTx(q int) {
 	if c.eng.Observed() {
-		c.eng.Sample(c.myNode, "ctrl", txqName[q], int64(c.tx[q].pending()))
+		c.eng.Sample(c.myNode, "ctrl", txqName[q], int64(c.txq(q).pending()))
 	}
 }
 
@@ -437,7 +450,7 @@ func (c *Ctrl) sampleTx(q int) {
 //voyager:noalloc
 func (c *Ctrl) sampleRx(q int) {
 	if c.eng.Observed() {
-		c.eng.Sample(c.myNode, "ctrl", rxqName[q], int64(c.rx[q].used()))
+		c.eng.Sample(c.myNode, "ctrl", rxqName[q], int64(c.rxq(q).used()))
 	}
 }
 
@@ -449,14 +462,14 @@ func (c *Ctrl) sampleRx(q int) {
 //voyager:noalloc
 func (c *Ctrl) StageTxTag(q int, ptr uint32, tag sim.MsgTag) {
 	c.checkQ(q)
-	tq := &c.tx[q]
+	tq := c.txState(q)
 	setTag(&tq.tags, tq.cfg.Entries, ptr, tag)
 }
 
 // txTag reads the trace tag staged for transmit slot ptr of queue q.
 //
 //voyager:noalloc
-func (c *Ctrl) txTag(q int, ptr uint32) sim.MsgTag { return tagAt(c.tx[q].tags, ptr) }
+func (c *Ctrl) txTag(q int, ptr uint32) sim.MsgTag { return tagAt(c.txq(q).tags, ptr) }
 
 // RxTag returns the trace tag of the message in receive slot ptr of queue q
 // (sideband next to the slot bytes; consumers read it alongside the slot).
@@ -464,7 +477,7 @@ func (c *Ctrl) txTag(q int, ptr uint32) sim.MsgTag { return tagAt(c.tx[q].tags, 
 //voyager:noalloc
 func (c *Ctrl) RxTag(q int, ptr uint32) sim.MsgTag {
 	c.checkQ(q)
-	return tagAt(c.rx[q].tags, ptr)
+	return tagAt(c.rxq(q).tags, ptr)
 }
 
 // Cls exposes the clsSRAM (written by remote commands and firmware).
@@ -499,7 +512,7 @@ func (c *Ctrl) ConfigureTx(q int, cfg TxConfig) {
 	if cfg.EntryBytes <= 0 || cfg.Entries <= 0 || cfg.Buf == nil {
 		panic(fmt.Sprintf("ctrl: bad tx config for queue %d", q))
 	}
-	c.tx[q] = txQueue{cfg: cfg}
+	*c.txState(q) = txQueue{cfg: cfg}
 	c.shadowTx(q)
 }
 
@@ -509,22 +522,67 @@ func (c *Ctrl) ConfigureRx(q int, cfg RxConfig) {
 	if cfg.EntryBytes <= 0 || cfg.Entries <= 0 || cfg.Buf == nil {
 		panic(fmt.Sprintf("ctrl: bad rx config for queue %d", q))
 	}
-	c.rx[q] = rxQueue{cfg: cfg}
+	*c.rxState(q) = rxQueue{cfg: cfg}
 	c.shadowRx(q)
 }
 
+// txq returns transmit queue q's record for reading: idleTx, the zero
+// record, if q has none.
+//
+//voyager:noalloc
+func (c *Ctrl) txq(q int) *txQueue {
+	if tq := c.tx[q]; tq != nil {
+		return tq
+	}
+	return &idleTx
+}
+
+// rxq returns receive queue q's record for reading: idleRx, the zero
+// record, if q has none.
+//
+//voyager:noalloc
+func (c *Ctrl) rxq(q int) *rxQueue {
+	if rq := c.rx[q]; rq != nil {
+		return rq
+	}
+	return &idleRx
+}
+
+// txState returns transmit queue q's record for writing, making a zero one
+// on the queue's first write.
+//
+//voyager:noalloc
+func (c *Ctrl) txState(q int) *txQueue {
+	if c.tx[q] == nil {
+		c.tx[q] = new(txQueue) //voyager:alloc-ok(once per queue, at its first configuration or register write)
+	}
+	return c.tx[q]
+}
+
+// rxState returns receive queue q's record for writing, making a zero one
+// on the queue's first write.
+//
+//voyager:noalloc
+func (c *Ctrl) rxState(q int) *rxQueue {
+	if c.rx[q] == nil {
+		c.rx[q] = new(rxQueue) //voyager:alloc-ok(once per queue, at its first configuration or register write)
+	}
+	return c.rx[q]
+}
+
 // TxQueueConfig returns the live configuration of transmit queue q.
-func (c *Ctrl) TxQueueConfig(q int) TxConfig { c.checkQ(q); return c.tx[q].cfg }
+func (c *Ctrl) TxQueueConfig(q int) TxConfig { c.checkQ(q); return c.txq(q).cfg }
 
 // RxQueueConfig returns the live configuration of receive queue q.
-func (c *Ctrl) RxQueueConfig(q int) RxConfig { c.checkQ(q); return c.rx[q].cfg }
+func (c *Ctrl) RxQueueConfig(q int) RxConfig { c.checkQ(q); return c.rxq(q).cfg }
 
 // SetTxEnabled enables or disables a transmit queue (firmware re-enables a
 // queue after a protection shutdown this way).
 func (c *Ctrl) SetTxEnabled(q int, on bool) {
 	c.checkQ(q)
-	c.tx[q].cfg.Enabled = on
-	c.tx[q].shutdown = false
+	tq := c.txState(q)
+	tq.cfg.Enabled = on
+	tq.shutdown = false
 	if on {
 		c.kickTx()
 	}
@@ -534,14 +592,14 @@ func (c *Ctrl) SetTxEnabled(q int, on bool) {
 // reconfigurable priority register of the paper).
 func (c *Ctrl) SetTxPriority(q, prio int) {
 	c.checkQ(q)
-	c.tx[q].cfg.Priority = prio
+	c.txState(q).cfg.Priority = prio
 }
 
 // SetTxAllowedDests updates a queue's destination permission mask (a
 // privileged system-register write; pointers are unaffected).
 func (c *Ctrl) SetTxAllowedDests(q int, mask uint64) {
 	c.checkQ(q)
-	c.tx[q].cfg.AllowedDests = mask
+	c.txState(q).cfg.AllowedDests = mask
 }
 
 //voyager:noalloc
@@ -559,7 +617,7 @@ func (c *Ctrl) checkQ(q int) {
 //voyager:noalloc
 func (c *Ctrl) TxProducerUpdate(q int, producer uint32) {
 	c.checkQ(q)
-	tq := &c.tx[q]
+	tq := c.txState(q)
 	if producer-tq.consumer > uint32(tq.cfg.Entries) {
 		panic(fmt.Sprintf("ctrl: tx%d producer %d overruns consumer %d (%d entries)", //voyager:alloc-ok(panic path)
 			q, producer, tq.consumer, tq.cfg.Entries))
@@ -578,7 +636,7 @@ func (c *Ctrl) TxProducerUpdate(q int, producer uint32) {
 //voyager:noalloc
 func (c *Ctrl) RxConsumerUpdate(q int, consumer uint32) {
 	c.checkQ(q)
-	rq := &c.rx[q]
+	rq := c.rxState(q)
 	if consumer-rq.consumer > rq.used() {
 		panic(fmt.Sprintf("ctrl: rx%d consumer %d passes producer %d", q, consumer, rq.producer)) //voyager:alloc-ok(panic path)
 	}
@@ -595,27 +653,27 @@ func (c *Ctrl) RxConsumerUpdate(q int, consumer uint32) {
 // launched).
 //
 //voyager:noalloc
-func (c *Ctrl) TxConsumer(q int) uint32 { c.checkQ(q); return c.tx[q].consumer }
+func (c *Ctrl) TxConsumer(q int) uint32 { c.checkQ(q); return c.txq(q).consumer }
 
 // TxProducer returns the transmit producer counter.
 //
 //voyager:noalloc
-func (c *Ctrl) TxProducer(q int) uint32 { c.checkQ(q); return c.tx[q].producer }
+func (c *Ctrl) TxProducer(q int) uint32 { c.checkQ(q); return c.txq(q).producer }
 
 // RxProducer returns the receive producer counter (messages available).
 //
 //voyager:noalloc
-func (c *Ctrl) RxProducer(q int) uint32 { c.checkQ(q); return c.rx[q].producer }
+func (c *Ctrl) RxProducer(q int) uint32 { c.checkQ(q); return c.rxq(q).producer }
 
 // RxConsumer returns the receive consumer counter.
 //
 //voyager:noalloc
-func (c *Ctrl) RxConsumer(q int) uint32 { c.checkQ(q); return c.rx[q].consumer }
+func (c *Ctrl) RxConsumer(q int) uint32 { c.checkQ(q); return c.rxq(q).consumer }
 
 // TxShutdown reports whether queue q was shut down by protection.
 //
 //voyager:noalloc
-func (c *Ctrl) TxShutdown(q int) bool { c.checkQ(q); return c.tx[q].shutdown }
+func (c *Ctrl) TxShutdown(q int) bool { c.checkQ(q); return c.txq(q).shutdown }
 
 // TxBacklog totals the work CTRL has accepted but not finished launching:
 // produced-but-unconsumed transmit descriptors across every queue, plus
@@ -624,8 +682,10 @@ func (c *Ctrl) TxShutdown(q int) bool { c.checkQ(q); return c.tx[q].shutdown }
 // drains means a send was accepted and then silently wedged.
 func (c *Ctrl) TxBacklog() int {
 	n := 0
-	for q := range c.tx {
-		n += int(c.tx[q].pending())
+	for _, tq := range &c.tx {
+		if tq != nil {
+			n += int(tq.pending())
+		}
 	}
 	n += len(c.emitPending[0]) + len(c.emitPending[1])
 	return n
@@ -635,7 +695,7 @@ func (c *Ctrl) TxBacklog() int {
 //
 //voyager:noalloc
 func (c *Ctrl) shadowTx(q int) {
-	tq := &c.tx[q]
+	tq := c.txq(q)
 	if tq.cfg.Buf == nil {
 		return
 	}
@@ -647,7 +707,7 @@ func (c *Ctrl) shadowTx(q int) {
 
 //voyager:noalloc
 func (c *Ctrl) shadowRx(q int) {
-	rq := &c.rx[q]
+	rq := c.rxq(q)
 	if rq.cfg.Buf == nil {
 		return
 	}

@@ -3,6 +3,7 @@ package ctrl
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"startvoyager/internal/niu/sram"
 	"startvoyager/internal/niu/txrx"
 	"startvoyager/internal/sim"
+	"startvoyager/internal/stats"
 )
 
 // fakeNet records injections and can loop them back into another CTRL. Like
@@ -778,7 +780,7 @@ func TestTagRingsOnlyWhenTraced(t *testing.T) {
 		var rings int
 		for _, c := range []*Ctrl{r.c, peerC} {
 			for q := 0; q < NumQueues; q++ {
-				for _, ring := range [][]sim.MsgTag{c.tx[q].tags, c.rx[q].tags} {
+				for _, ring := range [][]sim.MsgTag{c.txq(q).tags, c.rxq(q).tags} {
 					if ring != nil {
 						rings++
 					}
@@ -793,5 +795,75 @@ func TestTagRingsOnlyWhenTraced(t *testing.T) {
 		case traced && (!basic.Traced() || peerC.RxTag(0, 0) != basic || !peerC.RxTag(2, 0).Traced()):
 			t.Fatalf("traced run read tags %+v and %+v, staged %+v", peerC.RxTag(0, 0), peerC.RxTag(2, 0), basic)
 		}
+	}
+}
+
+// TestUnprogrammedQueuesHoldNoState: CTRL holds a record only for the
+// queues it programs, and every accessor, the transmit backlog, the depth
+// gauges and the range check answer for a queue it never programmed as for
+// a zero queue, without making a record for it.
+func TestUnprogrammedQueuesHoldNoState(t *testing.T) {
+	r := newRig(t, 0)
+	r.stdTx(3, false)
+	r.stdRx(5, 9, Hold)
+	records := func() (tx, rx []int) {
+		for q := 0; q < NumQueues; q++ {
+			if r.c.tx[q] != nil {
+				tx = append(tx, q)
+			}
+			if r.c.rx[q] != nil {
+				rx = append(rx, q)
+			}
+		}
+		return tx, rx
+	}
+	for q := 0; q < NumQueues; q++ {
+		if q != 3 && (r.c.TxQueueConfig(q) != TxConfig{} || r.c.TxProducer(q) != 0 ||
+			r.c.TxConsumer(q) != 0 || r.c.TxShutdown(q)) {
+			t.Errorf("unprogrammed tx%d reads config %+v, producer %d, consumer %d, shutdown %v",
+				q, r.c.TxQueueConfig(q), r.c.TxProducer(q), r.c.TxConsumer(q), r.c.TxShutdown(q))
+		}
+		if q != 5 && (r.c.RxQueueConfig(q) != RxConfig{} || r.c.RxProducer(q) != 0 ||
+			r.c.RxConsumer(q) != 0 || r.c.RxTag(q, 0) != sim.MsgTag{} || r.c.ExpressReceive(q) != [8]byte{}) {
+			t.Errorf("unprogrammed rx%d reads config %+v, producer %d, consumer %d",
+				q, r.c.RxQueueConfig(q), r.c.RxProducer(q), r.c.RxConsumer(q))
+		}
+	}
+	if n := r.c.TxBacklog(); n != 0 {
+		t.Errorf("backlog %d with nothing sent", n)
+	}
+	reg := stats.NewRegistry()
+	r.c.RegisterMetrics(reg)
+	var gauges []string
+	for _, p := range reg.Paths() {
+		if strings.HasSuffix(p, "_depth") {
+			gauges = append(gauges, p)
+		}
+	}
+	if want := []string{"rxq5_depth", "txq3_depth"}; !slices.Equal(gauges, want) {
+		t.Errorf("depth gauges %v, want %v", gauges, want)
+	}
+	if tx, rx := records(); !slices.Equal(tx, []int{3}) || !slices.Equal(rx, []int{5}) {
+		t.Fatalf("records for tx %v and rx %v, want tx [3] and rx [5]", tx, rx)
+	}
+	for _, q := range []int{-1, NumQueues} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("queue %d passed the range check", q)
+				}
+			}()
+			r.c.TxProducer(q)
+		}()
+	}
+
+	// A register write to an unprogrammed queue makes its record, which
+	// then reads back what was written, as the inline record did.
+	r.c.SetTxPriority(7, 2)
+	if got := r.c.TxQueueConfig(7); got != (TxConfig{Priority: 2}) {
+		t.Errorf("tx7 after a priority write reads %+v", got)
+	}
+	if tx, _ := records(); !slices.Equal(tx, []int{3, 7}) {
+		t.Errorf("records for tx %v after a register write, want [3 7]", tx)
 	}
 }

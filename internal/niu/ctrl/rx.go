@@ -69,9 +69,8 @@ func (c *Ctrl) TryReceive(wire []byte, tag sim.MsgTag) bool {
 //
 //voyager:noalloc
 func (c *Ctrl) lookupRx(logical uint16) int {
-	for i := 0; i < NumQueues; i++ {
-		rq := &c.rx[i]
-		if rq.cfg.Buf != nil && rq.cfg.Enabled && rq.cfg.Logical == logical {
+	for i, rq := range &c.rx {
+		if rq != nil && rq.cfg.Buf != nil && rq.cfg.Enabled && rq.cfg.Logical == logical {
 			return i
 		}
 	}
@@ -85,7 +84,7 @@ func (c *Ctrl) lookupRx(logical uint16) int {
 //
 //voyager:noalloc rides a pooled rxOp record
 func (c *Ctrl) acceptInto(q int, frame *txrx.Frame) bool {
-	rq := &c.rx[q]
+	rq := c.rxq(q)
 	if rq.cfg.Buf == nil || !rq.cfg.Enabled {
 		c.stats.RxDrops++
 		c.eng.MsgInstant(c.myNode, "ctrl", "msg-drop", frame.Trace, sim.Str("why", "rx-disabled"))
@@ -155,7 +154,7 @@ func (o *rxOp) land() {
 	c, q, ptr, off, frame := o.c, o.q, o.ptr, o.off, o.frame
 	o.frame = nil
 	c.rxFree = append(c.rxFree, o) //voyager:alloc-ok(amortized: pool backing array is retained)
-	rq := &c.rx[q]
+	rq := c.rx[q]
 	if rq.cfg.Express {
 		var slot [ExpressSlotBytes]byte
 		slot[0] = 0x80
@@ -221,7 +220,7 @@ func (c *Ctrl) rxOpGet() *rxOp {
 // which the caller owns, is its only allocation.
 func (c *Ctrl) ReadRxSlot(q int, ptr uint32) (src uint16, logical uint16, payload []byte) {
 	c.checkQ(q)
-	rq := &c.rx[q]
+	rq := c.rxq(q)
 	off := SlotOffset(rq.cfg.Base, rq.cfg.EntryBytes, rq.cfg.Entries, ptr)
 	var hdr [SlotHeaderBytes]byte
 	rq.cfg.Buf.Read(off, hdr[:])

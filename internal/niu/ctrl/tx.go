@@ -55,8 +55,8 @@ func (c *Ctrl) pickTx() int {
 	best, bestPri := -1, 0
 	for i := 0; i < NumQueues; i++ {
 		q := (c.txRR + 1 + i) % NumQueues
-		tq := &c.tx[q]
-		if tq.cfg.Buf == nil || !tq.cfg.Enabled || tq.shutdown || tq.parked ||
+		tq := c.tx[q]
+		if tq == nil || tq.cfg.Buf == nil || !tq.cfg.Enabled || tq.shutdown || tq.parked ||
 			tq.pending() == 0 {
 			continue
 		}
@@ -75,7 +75,7 @@ func (c *Ctrl) pickTx() int {
 //
 //voyager:noalloc staged launch record; pipeline serialized by txBusy
 func (c *Ctrl) launchFrom(q int) {
-	tq := &c.tx[q]
+	tq := c.tx[q]
 	c.lnQ = q
 	c.lnOff = SlotOffset(tq.cfg.Base, tq.cfg.EntryBytes, tq.cfg.Entries, tq.consumer)
 	c.lnTag = c.txTag(q, tq.consumer)
@@ -88,7 +88,7 @@ func (c *Ctrl) launchFrom(q int) {
 //
 //voyager:noalloc
 func (c *Ctrl) lnRead() {
-	tq := &c.tx[c.lnQ]
+	tq := c.tx[c.lnQ]
 	if cap(c.lnSlot) < tq.cfg.EntryBytes {
 		c.lnSlot = make([]byte, tq.cfg.EntryBytes) //voyager:alloc-ok(scratch grows once to the largest slot size)
 	}
@@ -116,7 +116,7 @@ func (c *Ctrl) launchExpress(q int, slot []byte, tag sim.MsgTag) {
 
 //voyager:noalloc
 func (c *Ctrl) launchBasic(q int, slot []byte, tag sim.MsgTag) {
-	tq := &c.tx[q]
+	tq := c.tx[q]
 	dest := binary.BigEndian.Uint16(slot[0:])
 	flags := slot[2]
 	n := int(slot[3])
@@ -167,7 +167,7 @@ func (c *Ctrl) lnTagOn() {
 //voyager:noalloc
 func (c *Ctrl) lnFinish() {
 	q := c.lnQ
-	tq := &c.tx[q]
+	tq := c.tx[q]
 	flags := c.lnFlags
 	translate := tq.cfg.Translate && flags&SlotFlagRaw == 0
 	if flags&SlotFlagRaw != 0 && !tq.cfg.RawAllowed {
@@ -190,7 +190,7 @@ func (c *Ctrl) translateAndSend(q int, dest uint16, translate bool) {
 		c.lnSend(q, dest, arctic.Low)
 		return
 	}
-	tq := &c.tx[q]
+	tq := c.tx[q]
 	c.lnTrIdx = int(dest&tq.cfg.AndMask|tq.cfg.OrMask) % c.transEntries
 	// Translation table lookup crosses the IBus (one 8-byte entry).
 	c.ibusMove(8, c.lnTransFn)
@@ -214,7 +214,7 @@ func (c *Ctrl) lnTrans() {
 //
 //voyager:noalloc
 func (c *Ctrl) lnSend(q int, phys uint16, pri arctic.Priority) {
-	tq := &c.tx[q]
+	tq := c.tx[q]
 	if tq.cfg.AllowedDests>>(phys%64)&1 == 0 {
 		c.violate(q, c.lnFrame.Trace)
 		return
@@ -239,7 +239,7 @@ func (c *Ctrl) lnSend(q int, phys uint16, pri arctic.Priority) {
 //voyager:noalloc
 func (c *Ctrl) lnDone() {
 	q := c.lnQ
-	tq := &c.tx[q]
+	tq := c.tx[q]
 	tq.consumer++
 	c.shadowTx(q)
 	c.sampleTx(q)
@@ -329,9 +329,8 @@ func (c *Ctrl) NetReady() {
 		}
 	}
 	unparked := false
-	for q := range c.tx {
-		tq := &c.tx[q]
-		if tq.parked && len(c.emitPending[tq.parkedPri]) == 0 && c.net.Ready(tq.parkedPri) {
+	for _, tq := range &c.tx {
+		if tq != nil && tq.parked && len(c.emitPending[tq.parkedPri]) == 0 && c.net.Ready(tq.parkedPri) {
 			tq.parked = false
 			unparked = true
 		}
@@ -349,7 +348,7 @@ func (c *Ctrl) NetReady() {
 //voyager:noalloc
 func (c *Ctrl) violate(q int, tag sim.MsgTag) {
 	c.eng.MsgInstant(c.myNode, "ctrl", "msg-drop", tag, sim.Str("why", "protection"))
-	tq := &c.tx[q]
+	tq := c.tx[q]
 	tq.shutdown = true
 	tq.cfg.Enabled = false
 	c.stats.ProtViolations++
@@ -366,7 +365,7 @@ func (c *Ctrl) violate(q int, tag sim.MsgTag) {
 // processor involvement beyond the original store.
 func (c *Ctrl) ExpressCompose(q int, dest uint16, payload []byte) {
 	c.checkQ(q)
-	tq := &c.tx[q]
+	tq := c.txq(q)
 	if !tq.cfg.Express {
 		panic(fmt.Sprintf("ctrl: tx%d is not an express queue", q))
 	}
@@ -402,7 +401,7 @@ func (c *Ctrl) ExpressCompose(q int, dest uint16, payload []byte) {
 // zeros) is returned when no message is pending.
 func (c *Ctrl) ExpressReceive(q int) [8]byte {
 	c.checkQ(q)
-	rq := &c.rx[q]
+	rq := c.rxq(q)
 	var out [8]byte
 	if rq.producer == rq.consumer {
 		return out

@@ -11,7 +11,8 @@ package sram
 
 import (
 	"fmt"
-	"math"
+
+	"startvoyager/internal/sim"
 )
 
 // Backing-page geometry: a bank materializes in 1 KB pages on first write,
@@ -30,11 +31,11 @@ type SRAM struct {
 	name string
 	size int
 
-	// Pages materialize on first write: idx holds, per page, 0 while it is
-	// untouched and otherwise its position in pages, an append-only list
-	// whose entry 0 is the nil untouched page. An idle page costs 1 byte.
-	idx   []uint8
-	pages []*[pageSize]byte
+	// Pages materialize on first write: written marks the written pages,
+	// and pages holds them in page order, each at its page's rank in
+	// written.
+	written sim.Sparse
+	pages   []*[pageSize]byte
 	// image holds the read-only pages an untouched page reads; the first
 	// write to such a page copies it before writing.
 	image []*[pageSize]byte
@@ -79,11 +80,8 @@ func New(name string, size int) *SRAM { return NewOver(name, size, nil) }
 // its own copy only of the pages it writes.
 func NewOver(name string, size int, img *Image) *SRAM {
 	n := (size + pageSize - 1) >> pageShift
-	if n > math.MaxUint8 {
-		panic(fmt.Sprintf("sram: %s has %d pages; a 1-byte page index addresses %d", name, n, math.MaxUint8))
-	}
-	s := &SRAM{name: name, size: size, idx: make([]uint8, n),
-		pages: make([]*[pageSize]byte, 1, pageListCap)}
+	s := &SRAM{name: name, size: size, written: sim.NewSparse(n),
+		pages: make([]*[pageSize]byte, 0, pageListCap)}
 	if img != nil {
 		if img.size > size {
 			panic(fmt.Sprintf("sram: %d-byte image exceeds %s's %d bytes", img.size, name, size))
@@ -102,11 +100,14 @@ func (s *SRAM) Size() int { return s.size }
 // page returns the page holding off as reads see it: the bank's own copy
 // once written, else the image's page, else nil for zeros.
 func (s *SRAM) page(off uint32) *[pageSize]byte {
-	p := off >> pageShift
-	if i := s.idx[p]; i != 0 || int(p) >= len(s.image) {
+	p := int(off >> pageShift)
+	if i, ok := s.written.Find(p); ok {
 		return s.pages[i]
 	}
-	return s.image[p]
+	if p < len(s.image) {
+		return s.image[p]
+	}
+	return nil
 }
 
 // Read copies len(buf) bytes at off into buf.
@@ -130,16 +131,17 @@ func (s *SRAM) Read(off uint32, buf []byte) {
 func (s *SRAM) Write(off uint32, data []byte) {
 	s.check(off, len(data))
 	for len(data) > 0 {
-		i := &s.idx[off>>pageShift]
-		if *i == 0 {
+		p := int(off >> pageShift)
+		i, ok := s.written.Find(p)
+		if !ok {
 			pg := new([pageSize]byte)
-			if img := s.page(off); img != nil {
-				*pg = *img
+			if p < len(s.image) {
+				*pg = *s.image[p]
 			}
-			*i = uint8(len(s.pages))
-			s.pages = append(s.pages, pg)
+			s.written.Insert(p)
+			s.pages = sim.InsertAt(s.pages, i, pg)
 		}
-		n := copy(s.pages[*i][off&(pageSize-1):], data)
+		n := copy(s.pages[i][off&(pageSize-1):], data)
 		off += uint32(n)
 		data = data[n:]
 	}
@@ -204,14 +206,15 @@ func (s LineState) String() string {
 }
 
 // Cls is the clsSRAM: one 4-bit state per 32-byte cache line of the S-COMA
-// region. It is read combinationally by the aBIU on every aP bus operation
+// region, two lines to a byte (line 2k in the low nibble, 2k+1 in the
+// high). It is read combinationally by the aBIU on every aP bus operation
 // and written under sP (or, in approach 5, block-unit) control. The state
-// array materializes on the first Set: a node that never touches S-COMA pays
-// nothing, and reads before then return CLInvalid — the zero value a dense
-// array would hold anyway.
+// array materializes on the first Set of a state other than CLInvalid: a
+// node that never touches S-COMA pays nothing, and reads before then return
+// CLInvalid — the zero value a dense array would hold anyway.
 type Cls struct {
 	lines  int
-	states []LineState // nil until first Set
+	states []byte // two states per byte; nil until first Set
 }
 
 // NewCls sizes the state memory for the given number of cache lines.
@@ -228,7 +231,7 @@ func (c *Cls) Get(idx int) LineState {
 	if c.states == nil {
 		return CLInvalid
 	}
-	return c.states[idx]
+	return LineState(c.states[idx>>1] >> nibble(idx) & 0xf)
 }
 
 // Set stores the state for line idx.
@@ -241,10 +244,14 @@ func (c *Cls) Set(idx int, st LineState) {
 		if st == CLInvalid {
 			return
 		}
-		c.states = make([]LineState, c.lines)
+		c.states = make([]byte, (c.lines+1)/2)
 	}
-	c.states[idx] = st
+	b := &c.states[idx>>1]
+	*b = *b&^(0xf<<nibble(idx)) | byte(st)<<nibble(idx)
 }
+
+// nibble returns the shift of line idx's state within its byte.
+func nibble(idx int) uint { return uint(idx&1) * 4 }
 
 // SetRange stores st for lines [from, to).
 func (c *Cls) SetRange(from, to int, st LineState) {

@@ -72,6 +72,41 @@ func TestCls(t *testing.T) {
 	}
 }
 
+// TestClsNibbles: the state memory packs two 4-bit states per byte. Every
+// one of the 16 states round-trips on an even and on an odd line, an odd
+// line count keeps its last line, and a write to one line leaves the other
+// state in its byte as it was.
+func TestClsNibbles(t *testing.T) {
+	c := NewCls(7)
+	c.Set(6, CLReadWrite) // the last line, alone in its byte
+	for _, line := range []int{2, 3} {
+		other := line ^ 1
+		for neighbour := LineState(0); neighbour < 16; neighbour++ {
+			c.Set(other, neighbour)
+			for st := LineState(0); st < 16; st++ {
+				c.Set(line, st)
+				if got := c.Get(line); got != st {
+					t.Fatalf("line %d holds %v after Set(%v)", line, got, st)
+				}
+				if got := c.Get(other); got != neighbour {
+					t.Fatalf("Set(%d, %v) changed line %d from %v to %v", line, st, other, neighbour, got)
+				}
+			}
+		}
+	}
+	for _, line := range []int{0, 1, 4, 5} {
+		if got := c.Get(line); got != CLInvalid {
+			t.Errorf("untouched line %d holds %v", line, got)
+		}
+	}
+	if got := c.Get(6); got != CLReadWrite {
+		t.Errorf("last line holds %v, want %v", got, CLReadWrite)
+	}
+	if len(c.states) != 4 {
+		t.Errorf("7 lines take %d bytes, want 4", len(c.states))
+	}
+}
+
 func TestClsPanics(t *testing.T) {
 	c := NewCls(4)
 	for i, fn := range []func(){

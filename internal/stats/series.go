@@ -71,6 +71,21 @@ func (s *Series) add(idx int, v int64) {
 // scrape would miss.
 const scrapesPerWindow = 4
 
+// CheckWindow reports why window cannot be a sampler's window width, or nil
+// if it can: the width must be positive and split into scrapesPerWindow
+// scrapes of whole nanoseconds. A flag parser calls it so a bad width is
+// refused as input rather than panicking in NewSampler.
+func CheckWindow(window sim.Time) error {
+	if window <= 0 {
+		return fmt.Errorf("window %dns is not positive", int64(window))
+	}
+	if window%scrapesPerWindow != 0 {
+		return fmt.Errorf("window %dns is not a multiple of %dns: the sampler scrapes %d times per window",
+			int64(window), scrapesPerWindow, scrapesPerWindow)
+	}
+	return nil
+}
+
 // sampSeries is the scrape state for one registered metric: its reader,
 // where its observations accumulate, and the previous-scrape snapshot that
 // turns monotonic totals into per-scrape deltas.
@@ -133,12 +148,8 @@ type Sampler struct {
 // Metrics registered after NewSampler are not scraped. Call Start to arm
 // it, Finish after the run, then Doc/WriteJSON to export.
 func NewSampler(eng *sim.Engine, reg *Registry, window sim.Time) *Sampler {
-	if window <= 0 {
-		panic(fmt.Sprintf("stats: sampler window %d, must be > 0", int64(window)))
-	}
-	if window%scrapesPerWindow != 0 {
-		panic(fmt.Sprintf("stats: sampler window %d not divisible by %d scrapes",
-			int64(window), scrapesPerWindow))
+	if err := CheckWindow(window); err != nil {
+		panic("stats: " + err.Error())
 	}
 	s := &Sampler{eng: eng, window: window, step: window / scrapesPerWindow}
 	ms := reg.metrics()

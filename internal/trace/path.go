@@ -135,6 +135,9 @@ type PathAnalysis struct {
 	// Orphans counts chains whose first retained event is not msg-send —
 	// evidence of ring truncation, never of a healthy run.
 	Orphans int
+	// of is the number of chains in the analysis a Slowest view was cut
+	// from, and 0 in an analysis that holds all of them.
+	of int
 }
 
 // AnalyzePaths reconstructs causal chains from an event stream (as returned
@@ -264,7 +267,11 @@ func (a *PathAnalysis) Slowest(n int) *PathAnalysis {
 		}
 		return ranked[i].ID < ranked[j].ID
 	})
-	out := &PathAnalysis{Orphans: a.Orphans, Msgs: ranked[:n]}
+	of := len(a.Msgs)
+	if a.of > 0 {
+		of = a.of
+	}
+	out := &PathAnalysis{Orphans: a.Orphans, Msgs: ranked[:n], of: of}
 	sort.Slice(out.Msgs, func(i, j int) bool { return out.Msgs[i].ID < out.Msgs[j].ID })
 	return out
 }
@@ -381,8 +388,9 @@ func stageEvent(stage string) string {
 
 // WriteWaterfall renders the deterministic per-message latency report: one
 // block per message (ascending trace id) with its stage breakdown, followed
-// by the aggregate critical-path attribution. Byte-identical for identical
-// event streams.
+// by the aggregate critical-path attribution, which names how many of the
+// run's chains it sums when the analysis is a Slowest view that dropped
+// some. Byte-identical for identical event streams.
 func (a *PathAnalysis) WriteWaterfall(w io.Writer) error {
 	var b strings.Builder
 	delivered, dropped, inflight, complete := a.Counts()
@@ -418,7 +426,11 @@ func (a *PathAnalysis) WriteWaterfall(w io.Writer) error {
 		grand += s.Dur
 	}
 	b.WriteByte('\n')
-	fmt.Fprintf(&b, "critical-path attribution (all chains, %v attributed)\n", grand)
+	chains := "all chains"
+	if a.of > 0 {
+		chains = fmt.Sprintf("%d of %d chains", len(a.Msgs), a.of)
+	}
+	fmt.Fprintf(&b, "critical-path attribution (%s, %v attributed)\n", chains, grand)
 	for _, s := range totals {
 		writeStageLine(&b, s, grand)
 	}
