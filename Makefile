@@ -6,9 +6,9 @@
 #   make bench-json  canonical instrumented run byte-compared to BENCH_observability.json (+ trace)
 #   make bench-json-baseline  refresh the committed instrumented-run goldens
 #   make bench-diff  headline latencies byte-compared to BENCH_baseline.json
-#   make faults      fault-injection smoke matrix byte-compared to FAULTS_matrix.json
-#   make faults-baseline  refresh the committed fault-matrix golden
-#   make faults-check  parallel (-parallel 4) fault matrix byte-compared to sequential
+#   make faults      eight faulted voyager-run runs' metrics byte-compared to FAULTS/
+#   make faults-baseline  refresh the committed fault goldens
+#   make faults-check  voyager-run's seed sweep at -parallel 4 byte-compared to -parallel 1
 #   make bench-micro   simulation-core microbenchmarks -> BENCH_micro.json
 #   make fuzz        time-boxed fuzzing of every fuzz target (not in ci)
 #   make bench-scale   64/256/1024-node footprint + scale sweep vs BENCH_scale.json
@@ -43,9 +43,18 @@ define gen-bench-diff
 $(GO) run ./cmd/voyager-bench -fig none -headline $(1)/BENCH_baseline.json
 endef
 
+# The fault goldens' one run: 30 one-byte reliable messages from node 1
+# to node 0, under the plan given after it.
+FAULT_RUN = $(GO) run ./cmd/voyager-run -nodes 2 -mech reliable -count 30 -size 1
+
 define gen-faults
-$(GO) run ./cmd/voyager-bench -fig none -fault-matrix \
-	-fault-seeds 1,2,3 -faults-json $(1)/FAULTS_matrix.json -parallel 4
+@mkdir -p $(1)/FAULTS
+for s in 1 2 3; do \
+	$(FAULT_RUN) -faults "seed=$$s,drop.low=0.05" -metrics $(1)/FAULTS/drop-seed$$s.json && \
+	$(FAULT_RUN) -faults "seed=$$s,corrupt.low=0.05" -metrics $(1)/FAULTS/corrupt-seed$$s.json || exit 1; \
+done
+$(FAULT_RUN) -faults 'outage=1-0@20us:200us' -metrics $(1)/FAULTS/outage.json
+$(FAULT_RUN) -faults 'death=0@50us' -metrics $(1)/FAULTS/node-death.json
 endef
 
 define gen-series
@@ -147,35 +156,31 @@ bench-diff:
 bench-baseline:
 	$(call gen-bench-diff,.)
 
-# The fault-injection smoke matrix: {drop, corrupt, outage, node-death} x
-# three seeds of reliable traffic, with every cell's metrics registry dumped
-# to one JSON artifact. A cell that loses or duplicates a message panics.
-# The artifact is deterministic, so it is byte-compared to the committed
-# FAULTS_matrix.json.
+# The fault goldens: reliable traffic under a 5% low-lane drop and a 5%
+# corrupt rate at seeds 1, 2 and 3, a 180 us outage of the 1->0 link, and
+# the receiving node's death at 50 us. Each run's voyager-metrics/v1 document
+# names its plan in the run header and is byte-compared to its copy under
+# FAULTS/. The delivery outcome is in each document: every send delivered
+# (node0/fault/rel_delivered = 30) except under node death, where sends
+# fail with an error (node1/fault/rel_failures) rather than hang.
 faults:
-	@mkdir -p $(GATE_OUT)
 	$(call gen-faults,$(GATE_OUT))
-	cmp $(GATE_OUT)/FAULTS_matrix.json FAULTS_matrix.json
-	@echo "faults: fault matrix matches FAULTS_matrix.json"
+	diff -r $(GATE_OUT)/FAULTS FAULTS
+	@echo "faults: every fault run matches FAULTS/"
 
-# Refresh the committed fault-matrix golden after an intentional change.
+# Refresh the committed fault goldens after an intentional change.
 faults-baseline:
 	$(call gen-faults,.)
 
-# Determinism gate for the parallel run harness: the fault matrix fanned
-# across 4 workers must be byte-for-byte the sequential run, artifact
-# included.
+# Determinism gate for the parallel run harness: voyager-run's seed sweep
+# of the drop plan fanned across 4 workers must print byte-for-byte the
+# table of the sequential sweep.
 faults-check:
 	@mkdir -p $(GATE_OUT)
-	$(GO) run ./cmd/voyager-bench -fig none -fault-matrix \
-		-fault-seeds 1,2,3 -faults-json $(GATE_OUT)/FAULTS_seq.json \
-		| grep -v '^fault metrics:' > $(GATE_OUT)/FAULTS_seq.txt
-	$(GO) run ./cmd/voyager-bench -fig none -fault-matrix \
-		-fault-seeds 1,2,3 -faults-json $(GATE_OUT)/FAULTS_par.json -parallel 4 \
-		| grep -v '^fault metrics:' > $(GATE_OUT)/FAULTS_par.txt
-	cmp $(GATE_OUT)/FAULTS_seq.json $(GATE_OUT)/FAULTS_par.json
+	$(FAULT_RUN) -faults drop.low=0.05 -seeds 1,2,3 -parallel 1 > $(GATE_OUT)/FAULTS_seq.txt
+	$(FAULT_RUN) -faults drop.low=0.05 -seeds 1,2,3 -parallel 4 > $(GATE_OUT)/FAULTS_par.txt
 	cmp $(GATE_OUT)/FAULTS_seq.txt $(GATE_OUT)/FAULTS_par.txt
-	@echo "faults-check: parallel output is byte-identical to sequential"
+	@echo "faults-check: the parallel seed sweep is byte-identical to the sequential one"
 
 # Simulation-core microbenchmarks (event queue schedule/step, Proc handoff,
 # queue traffic, whole-node run, empty receive try) -> BENCH_micro.json. Wall-clock numbers are
@@ -206,14 +211,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadDoc$$' -fuzztime 30s ./internal/prof/
 
 # Machine-size sweep (64/256/1024-node fat trees): per-node heap footprint,
-# construction time, MPI allreduce/samplesort completion, the allreduce's
-# event count, and the per-level hotspot saturation profile. The gate
-# recomputes the sweep against the committed BENCH_scale.json and fails if
-# any bytes/node figure regressed >10%, or if any deterministic column
-# (levels, links, events, allreduce_ns, samplesort_ns,
-# hotspot_level_stalls) differs at all, as bench-diff does for the
-# headline; the construction wall-clock is informational. The sweep it
-# compared is left in $(GATE_OUT)/BENCH_scale.json.
+# MPI allreduce/samplesort completion, the allreduce's event count, and the
+# per-level hotspot saturation profile. The gate recomputes the sweep
+# against the committed BENCH_scale.json and fails if any bytes/node figure
+# moved more than 10%, or if any deterministic column (levels, links,
+# events, allreduce_ns, samplesort_ns, hotspot_level_stalls) differs at
+# all, as bench-diff does for the headline. The sweep it compared is left
+# in $(GATE_OUT)/BENCH_scale.json.
 bench-scale:
 	@mkdir -p $(GATE_OUT)
 	$(GO) run ./cmd/voyager-bench -fig none -scale $(GATE_OUT)/BENCH_scale.json \

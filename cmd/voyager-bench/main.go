@@ -3,12 +3,10 @@
 //
 // Usage:
 //
-//	voyager-bench [-fig 3|4|ext-a|ext-b|ext-c|all|none] [-max-size bytes]
+//	voyager-bench [-fig 3|4|ext-a|ext-b|ext-c|all|none]
 //	              [-trace file.json] [-metrics file.json] [-trace-cap n]
 //	              [-series file.json] [-series-window 20us] [-strict-trace]
-//	              [-headline file.json]
-//	              [-fault-matrix] [-fault-seeds 1,2,3] [-faults-json file.json]
-//	              [-parallel n] [-micro file.json]
+//	              [-headline file.json] [-parallel n] [-micro file.json]
 //	              [-scale file.json] [-scale-diff baseline.json] [-nodes 64,256,1024]
 //	              [-cpuprofile file] [-memprofile file]
 //
@@ -27,15 +25,9 @@
 // byte-compares it, so any change fails CI until `make bench-baseline`
 // refreshes the file on purpose.
 //
-// -fault-matrix runs the reliability smoke matrix (drop, corrupt, outage and
-// node-death scenarios at each seed in -fault-seeds); -faults-json writes
-// every cell's metrics registry to one JSON artifact.
-//
-// -parallel n fans the independent cells of the headline probe and the fault
-// matrix across n worker goroutines. Each cell owns a private engine, so the
-// printed tables and JSON artifacts are byte-identical at any -parallel
-// value; only wall-clock changes (CI enforces this with a byte-for-byte
-// diff, see `make faults-check`).
+// -parallel n fans the independent cells of the headline probe across n
+// worker goroutines. Each cell owns a private engine, so the latencies are
+// identical at any -parallel value; only wall-clock changes.
 //
 // -micro runs the scheduler/handoff microbenchmark suite and records
 // events/sec and allocs/op as JSON (`make bench-micro` keeps
@@ -43,25 +35,20 @@
 // profiles of whatever the invocation runs.
 //
 // -scale runs the machine-size sweep (-nodes, default 64,256,1024): per-node
-// heap footprint and construction time, MPI allreduce/samplesort completion,
-// and the per-tree-level hotspot saturation profile, written as
-// voyager-scale/v1 JSON (`make bench-scale-baseline` keeps BENCH_scale.json
-// current). -scale-diff recomputes the sweep and exits nonzero if any
+// heap footprint, MPI allreduce/samplesort completion, and the
+// per-tree-level hotspot saturation profile, written as voyager-scale/v1
+// JSON (`make bench-scale-baseline` keeps BENCH_scale.json current). -scale-diff recomputes the sweep and exits nonzero if any
 // bytes/node figure regressed more than 10% against the given baseline, or
 // if any deterministic simulated column differs from it (`make bench-scale`
 // is the CI gate). -nodes also overrides fig ext-f's machine sizes.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
 	"startvoyager/internal/bench"
 	"startvoyager/internal/cluster"
@@ -71,13 +58,8 @@ import (
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 3, 4, ext-a..ext-l, all, none")
-	maxSize := flag.Int("max-size", 256<<10, "largest transfer size in the sweep")
 	headlineFile := flag.String("headline", "", "write the headline per-mechanism latencies as JSON")
-	faultMatrix := flag.Bool("fault-matrix", false, "run the fault-injection smoke matrix")
-	faultSeeds := flag.String("fault-seeds", "1,2,3", "comma-separated fault seeds for the matrix")
-	faultMsgs := flag.Int("fault-msgs", 30, "reliable messages per fault-matrix cell")
-	faultsJSON := flag.String("faults-json", "", "write the fault matrix's per-cell metrics as one JSON file")
-	parallelN := flag.Int("parallel", 1, "worker goroutines for independent sweep cells (output is byte-identical at any value)")
+	parallelN := flag.Int("parallel", 1, "worker goroutines for the headline probe's cells (output is byte-identical at any value)")
 	microFile := flag.String("micro", "", "run the microbenchmark suite and write events/sec + allocs/op as JSON")
 	scaleFile := flag.String("scale", "", "run the scale sweep and write bytes/node + sim results as JSON (voyager-scale/v1)")
 	scaleDiff := flag.String("scale-diff", "", "diff the scale sweep against this baseline JSON; exit 1 on a >10% bytes/node regression or any simulated-column change")
@@ -87,13 +69,6 @@ func main() {
 	flag.Parse()
 	stopProfiles := art.StartProfiles()
 	defer stopProfiles()
-
-	sizes := []int{}
-	for _, s := range bench.Fig3Sizes {
-		if s <= *maxSize {
-			sizes = append(sizes, s)
-		}
-	}
 
 	ran := false
 	if art.Requested() {
@@ -166,9 +141,9 @@ func main() {
 			ran = true
 		}
 	}
-	show("3", func() { fmt.Print(bench.Fig3Latency(sizes)) })
-	show("4", func() { fmt.Print(bench.Fig4Bandwidth(sizes)) })
-	show("ext-a", func() { fmt.Print(bench.ExtAEarlyNotification(sizes)) })
+	show("3", func() { fmt.Print(bench.Fig3Latency(bench.Fig3Sizes)) })
+	show("4", func() { fmt.Print(bench.Fig4Bandwidth(bench.Fig3Sizes)) })
+	show("ext-a", func() { fmt.Print(bench.ExtAEarlyNotification(bench.Fig3Sizes)) })
 	show("ext-b", func() { fmt.Print(bench.ExtBOccupancy(64 << 10)) })
 	show("ext-c", func() { fmt.Print(bench.ExtCMechanisms()) })
 	show("ext-d", func() { fmt.Print(bench.ExtDReflective()) })
@@ -197,60 +172,9 @@ func main() {
 		fmt.Print(bench.ExtKStencil(64, 8, 4))
 	})
 	show("ext-l", func() { fmt.Print(bench.ExtLReliability(50, bench.ExtLDrops)) })
-	if *faultMatrix || *faultsJSON != "" {
-		var seeds []uint64
-		for _, s := range strings.Split(*faultSeeds, ",") {
-			v, err := strconv.ParseUint(strings.TrimSpace(s), 0, 64)
-			if err != nil {
-				log.Fatalf("-fault-seeds: %v", err)
-			}
-			seeds = append(seeds, v)
-		}
-		table, runs := bench.FaultMatrix(*faultMsgs, seeds, *parallelN)
-		fmt.Print(table)
-		fmt.Println()
-		if *faultsJSON != "" {
-			bench.WriteFile(*faultsJSON, func(w io.Writer) error { return writeFaultRuns(w, runs) })
-			fmt.Printf("fault metrics: %s\n", *faultsJSON)
-		}
-		ran = true
-	}
 	if !ran && *fig != "none" {
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
 		stopProfiles()
 		os.Exit(2)
 	}
-}
-
-// writeFaultRuns renders the fault matrix as one JSON document: a summary
-// plus the full metrics registry per cell (the CI artifact).
-func writeFaultRuns(w io.Writer, runs []bench.FaultRun) error {
-	type cell struct {
-		Scenario  string          `json:"scenario"`
-		Seed      uint64          `json:"seed"`
-		Delivered int             `json:"delivered"`
-		Failed    int             `json:"failed"`
-		Metrics   json.RawMessage `json:"metrics"`
-	}
-	doc := struct {
-		Schema string `json:"schema"`
-		Cells  []cell `json:"cells"`
-	}{Schema: "voyager-fault-matrix/v1"}
-	for _, r := range runs {
-		var buf bytes.Buffer
-		if err := r.Reg.WriteJSON(&buf, r.Now); err != nil {
-			return err
-		}
-		doc.Cells = append(doc.Cells, cell{
-			Scenario: r.Scenario, Seed: r.Seed,
-			Delivered: r.Delivered, Failed: r.Failed,
-			Metrics: json.RawMessage(bytes.TrimSpace(buf.Bytes())),
-		})
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(out, '\n'))
-	return err
 }

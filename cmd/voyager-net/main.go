@@ -123,7 +123,7 @@ func characterize(nodes, packets int, instrument bool, traceFile, metricsFile st
 		}
 		if reg != nil {
 			meta := &stats.RunMeta{Tool: "voyager-net", Nodes: nodes, SimTimeNs: int64(eng2.Now())}
-			bench.WriteFile(metricsFile, func(w io.Writer) error { return reg.WriteJSONMeta(w, eng2.Now(), meta) })
+			bench.WriteFile(metricsFile, func(w io.Writer) error { return reg.WriteJSON(w, eng2.Now(), meta) })
 			fmt.Printf("metrics: %s\n", metricsFile)
 		}
 	}

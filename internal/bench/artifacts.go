@@ -148,7 +148,7 @@ func (a *Artifacts) Write(r Run, meta stats.RunMeta) error {
 		fmt.Printf("path: %s (%d chains)\n", a.Path, len(chains.Msgs))
 	}
 	if a.Metrics != "" {
-		WriteFile(a.Metrics, func(w io.Writer) error { return r.M.Metrics().WriteJSONMeta(w, now, &meta) })
+		WriteFile(a.Metrics, func(w io.Writer) error { return r.M.Metrics().WriteJSON(w, now, &meta) })
 		fmt.Printf("metrics: %s\n", a.Metrics)
 	}
 	if r.sampler != nil {

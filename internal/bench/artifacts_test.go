@@ -20,32 +20,40 @@ import (
 )
 
 // TestArtifactsGoldens runs the shared spec and driver in the `make prof` /
-// `make series` configuration and byte-compares every export with the
-// goldens committed at the repo root. The folded and pprof goldens are
-// rendered from the run's profile document read back from its JSON, as
-// voyager-prof -folded and -pprof render them.
+// `make series` configuration and in the node-death configuration of `make
+// faults`, and byte-compares every export with the goldens committed at the
+// repo root. The folded and pprof goldens are rendered from the run's
+// profile document read back from its JSON, as voyager-prof -folded and
+// -pprof render them. Node death is the one FAULTS/ run whose sends fail.
 func TestArtifactsGoldens(t *testing.T) {
 	dir := t.TempDir()
+	// run drives d on a machine of the given size under the fault plan and
+	// writes art's exports with the RunMeta voyager-run writes.
+	run := func(art *Artifacts, nodes int, faults string, d AllToOne) *Delivery {
+		plan, err := fault.ParsePlan(faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := cluster.DefaultConfig(nodes)
+		cfg.Faults = plan
+		r := art.Start(cfg)
+		delivery := d.Spawn(r.M)
+		r.M.Run()
+		meta := stats.RunMeta{Tool: "voyager-run", Mechanism: d.Mech, Seed: plan.Seed, FaultPlan: faults}
+		if err := art.Write(r, meta); err != nil {
+			t.Fatal(err)
+		}
+		return delivery
+	}
+
 	art := &Artifacts{
 		Series: filepath.Join(dir, "SERIES_sample.json"), SeriesWindow: 20 * sim.Microsecond,
 		Prof:     filepath.Join(dir, "PROF_sample.json"),
 		TraceCap: 1 << 18,
 	}
-	plan, err := fault.ParsePlan("seed=7,drop=0.05")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := cluster.DefaultConfig(4)
-	cfg.Faults = plan
-	r := art.Start(cfg)
-	delivery := AllToOne{Mech: "reliable", Count: 50, Size: 64}.Spawn(r.M)
-	r.M.Run()
+	delivery := run(art, 4, "seed=7,drop=0.05", AllToOne{Mech: "reliable", Count: 50, Size: 64})
 	if delivery.Received != 150 || delivery.Failed != 0 {
 		t.Fatalf("delivered %d of 150, %d sends failed", delivery.Received, delivery.Failed)
-	}
-	meta := stats.RunMeta{Tool: "voyager-run", Mechanism: "reliable", Seed: 7, FaultPlan: "seed=7,drop=0.05"}
-	if err := art.Write(r, meta); err != nil {
-		t.Fatal(err)
 	}
 	doc, err := prof.ReadDocFile(art.Prof)
 	if err != nil {
@@ -53,7 +61,18 @@ func TestArtifactsGoldens(t *testing.T) {
 	}
 	WriteFile(filepath.Join(dir, "PROF_sample.folded"), doc.WriteFolded)
 	WriteFile(filepath.Join(dir, "PROF_sample.pb"), doc.WritePprof)
-	for _, name := range []string{"SERIES_sample.json", "PROF_sample.json", "PROF_sample.folded", "PROF_sample.pb"} {
+
+	death := filepath.Join("FAULTS", "node-death.json")
+	if err := os.Mkdir(filepath.Join(dir, "FAULTS"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	delivery = run(&Artifacts{Metrics: filepath.Join(dir, death)}, 2, "death=0@50us",
+		AllToOne{Mech: "reliable", Count: 30, Size: 1})
+	if delivery.Received != 9 || delivery.Failed != 21 {
+		t.Fatalf("node death: delivered %d of 30, %d sends failed; want 9 and 21", delivery.Received, delivery.Failed)
+	}
+
+	for _, name := range []string{"SERIES_sample.json", "PROF_sample.json", "PROF_sample.folded", "PROF_sample.pb", death} {
 		got, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)

@@ -56,8 +56,8 @@ func Canonical(m *core.Machine) {
 }
 
 // AllToOne is the one all-to-one traffic driver, shared by voyager-run (and
-// with it the critical-path report), the headline probe, the fault matrix
-// and the node/basic-msg microbenchmark: every node but 0 sends Count
+// with it the critical-path report and the FAULTS/ goldens), the headline
+// probe and the node/basic-msg microbenchmark: every node but 0 sends Count
 // messages (DMA: transfers) of Size payload bytes to node 0 over Mech, one
 // of PathMechs.
 type AllToOne struct {

@@ -6,15 +6,16 @@ import (
 	"sync/atomic"
 )
 
-// Deterministic N-way run harness. The headline probe, the fault matrix,
-// and multi-seed determinism sweeps all execute fully independent cells —
-// each cell builds its own Engine, machine, registries, and trace buffers,
-// and no state crosses cells — so they may run on real worker goroutines
-// without perturbing a single simulated nanosecond. Determinism is
-// preserved structurally: results land in a slot indexed by cell, and the
-// caller consumes them in fixed cell order, so the merged output is
-// byte-identical whatever the host scheduler does (test-enforced in
-// parallel_test.go against the fault-matrix JSON and waterfall exports).
+// Deterministic N-way run harness. The headline probe and voyager-run's
+// -seeds and -nodes sweeps all execute fully independent cells — each cell
+// builds its own Engine, machine, registries, and trace buffers, and no
+// state crosses cells — so they may run on real worker goroutines without
+// perturbing a single simulated nanosecond. Determinism is preserved
+// structurally: results land in a slot indexed by cell, and the caller
+// consumes them in fixed cell order, so the merged output is byte-identical
+// whatever the host scheduler does (test-enforced in parallel_test.go
+// against the headline latencies and a workload seed sweep; `make
+// faults-check` compares voyager-run's seed table at 1 and 4 workers).
 //
 // This file is the one sanctioned use of real concurrency in model
 // packages; the nogoroutine analyzer admits it through the

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"startvoyager/internal/workload"
@@ -51,36 +50,6 @@ func TestCellsPanicDeterministic(t *testing.T) {
 				return i
 			})
 		}()
-	}
-}
-
-// faultMatrixBytes flattens a full fault-matrix run — the rendered table plus
-// every cell's metrics-registry JSON — into one byte stream, the same data
-// voyager-bench writes to stdout and FAULTS_matrix.json.
-func faultMatrixBytes(t *testing.T, workers int) []byte {
-	t.Helper()
-	table, runs := FaultMatrix(10, []uint64{1, 2}, workers)
-	var buf bytes.Buffer
-	buf.WriteString(table.String())
-	for _, r := range runs {
-		fmt.Fprintf(&buf, "%s/%d\n", r.Scenario, r.Seed)
-		if err := r.Reg.WriteJSON(&buf, r.Now); err != nil {
-			t.Fatalf("metrics JSON: %v", err)
-		}
-	}
-	return buf.Bytes()
-}
-
-// TestFaultMatrixParallelByteIdentical is the determinism gate for the
-// harness: -parallel output must be byte-for-byte the sequential output.
-func TestFaultMatrixParallelByteIdentical(t *testing.T) {
-	seq := faultMatrixBytes(t, 1)
-	par := faultMatrixBytes(t, 4)
-	if !bytes.Equal(seq, par) {
-		t.Fatalf("parallel fault matrix differs from sequential:\n--- workers=1\n%s\n--- workers=4\n%s", seq, par)
-	}
-	if !strings.Contains(string(seq), "node-death") {
-		t.Fatalf("fault matrix missing node-death row:\n%s", seq)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"startvoyager/internal/arctic"
 	"startvoyager/internal/cluster"
@@ -22,11 +21,11 @@ import (
 
 // The scale benchmark pins the cost of growing the machine. The paper's
 // whole premise is that Voyager-class studies need *large* configurations,
-// so this file measures what large costs here: per-node heap footprint and
-// construction time at 64/256/1024 nodes (host-side, with bytes/node gated
-// against BENCH_scale.json in CI), plus the depth-dependent simulated
-// behaviour that only exists on deep trees — MPI collectives at scale and
-// credit-backpressure propagating level by level under hotspot traffic.
+// so this file measures what large costs here: per-node heap footprint at
+// 64/256/1024 nodes (host-side, gated against BENCH_scale.json in CI), plus
+// the depth-dependent simulated behaviour that only exists on deep trees —
+// MPI collectives at scale and credit-backpressure propagating level by
+// level under hotspot traffic.
 // Every simulated-time number is deterministic: same inputs, same bytes, so
 // CI compares those columns exactly.
 
@@ -98,16 +97,15 @@ type LevelStallsJSON struct {
 
 // ScaleResult is one node count's row of the scale sweep. Levels, Links,
 // Events, AllreduceNs, SamplesortNs and HotspotStalls are fully
-// deterministic; BytesPerNode and ConstructMs are host-side measurements
-// (only BytesPerNode is stable enough to gate in CI, with a tolerance).
+// deterministic; BytesPerNode and HeapBytes are host-side measurements
+// (BytesPerNode is gated in CI, with a tolerance).
 type ScaleResult struct {
-	Nodes        int     `json:"nodes"`
-	Levels       int     `json:"levels"` // fat-tree switch levels
-	Links        int     `json:"links"`  // directed links incl. inject/eject
-	BytesPerNode int64   `json:"bytes_per_node"`
-	HeapBytes    int64   `json:"heap_bytes"`   // live heap of one idle machine
-	ConstructMs  float64 `json:"construct_ms"` // informational, not gated
-	Events       int64   `json:"events"`       // events the allreduce run executed
+	Nodes        int   `json:"nodes"`
+	Levels       int   `json:"levels"` // fat-tree switch levels
+	Links        int   `json:"links"`  // directed links incl. inject/eject
+	BytesPerNode int64 `json:"bytes_per_node"`
+	HeapBytes    int64 `json:"heap_bytes"` // live heap of one idle machine
+	Events       int64 `json:"events"`     // events the allreduce run executed
 
 	AllreduceNs   int64             `json:"allreduce_ns"`
 	SamplesortNs  int64             `json:"samplesort_ns"` // 0 = skipped (see SamplesortMaxNodes)
@@ -127,7 +125,7 @@ func RunScale(o ScaleOpts) []ScaleResult {
 
 func scaleOne(n int, o ScaleOpts) ScaleResult {
 	r := ScaleResult{Nodes: n}
-	r.HeapBytes, r.ConstructMs, r.Levels, r.Links = measureFootprint(n)
+	r.HeapBytes, r.Levels, r.Links = measureFootprint(n)
 	r.BytesPerNode = r.HeapBytes / int64(n)
 
 	lat, events := allreduceRun(n)
@@ -143,18 +141,14 @@ func scaleOne(n int, o ScaleOpts) ScaleResult {
 }
 
 // measureFootprint builds one full machine (firmware services and all) and
-// reports the live heap it retains once construction garbage is collected,
-// plus the wall-clock construction time. Heap deltas are global state, so
-// callers must not run concurrent measurements.
-func measureFootprint(n int) (heapBytes int64, constructMs float64, levels, links int) {
+// reports the live heap it retains once construction garbage is collected.
+// Heap deltas are global state, so callers must not run concurrent
+// measurements.
+func measureFootprint(n int) (heapBytes int64, levels, links int) {
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
-	//lint:allow nowalltime host-side construction-cost measurement, never feeds sim state
-	start := time.Now()
 	m := core.NewMachineConfig(cluster.DefaultConfig(n))
-	//lint:allow nowalltime host-side construction-cost measurement, never feeds sim state
-	constructMs = float64(time.Since(start).Nanoseconds()) / 1e6
 	runtime.GC()
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
@@ -166,7 +160,7 @@ func measureFootprint(n int) (heapBytes int64, constructMs float64, levels, link
 		levels, links = ft.Levels(), ft.NumLinks()
 	}
 	m.Close()
-	return heapBytes, constructMs, levels, links
+	return heapBytes, levels, links
 }
 
 // allreduceRun runs one 8-byte MPI allreduce across all n ranks and returns
@@ -280,20 +274,17 @@ func ScaleTable(results []ScaleResult) *stats.Table {
 	return t
 }
 
-// ScaleFootprintTable renders the host-side columns — per-node heap bytes,
-// construction wall-clock, and the allreduce run's event count. DiffScale
-// gates bytes/node with a tolerance and the event count exactly; the
-// construction time is informational.
+// ScaleFootprintTable renders the host-side columns — per-node heap bytes
+// and the allreduce run's event count. DiffScale gates bytes/node with a
+// tolerance and the event count exactly.
 func ScaleFootprintTable(results []ScaleResult) *stats.Table {
 	t := &stats.Table{
-		Title: "scale sweep — host-side footprint and work (bytes/node and events gated in CI)",
-		Columns: []string{"nodes", "bytes/node", "total heap (MB)",
-			"construct (ms)", "allreduce events"},
+		Title:   "scale sweep — host-side footprint and work (bytes/node and events gated in CI)",
+		Columns: []string{"nodes", "bytes/node", "total heap (MB)", "allreduce events"},
 	}
 	for _, r := range results {
 		t.AddRow(fmt.Sprint(r.Nodes), fmt.Sprint(r.BytesPerNode),
 			fmt.Sprintf("%.1f", float64(r.HeapBytes)/(1<<20)),
-			fmt.Sprintf("%.1f", r.ConstructMs),
 			fmt.Sprint(r.Events))
 	}
 	return t

@@ -203,7 +203,7 @@ func TestWriteDiffScale(t *testing.T) {
 // TestScaleFootprintMeasures: the footprint probe reports plausible values
 // on a small machine — positive heap, per-node share, and fat-tree shape.
 func TestScaleFootprintMeasures(t *testing.T) {
-	heap, _, levels, links := measureFootprint(16)
+	heap, levels, links := measureFootprint(16)
 	if heap <= 0 {
 		t.Fatalf("heap delta %d", heap)
 	}
@@ -227,8 +227,8 @@ func TestFootprintFlatInNodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 1024-node machine")
 	}
-	small, _, _, _ := measureFootprint(64)
-	large, _, _, _ := measureFootprint(1024)
+	small, _, _ := measureFootprint(64)
+	large, _, _ := measureFootprint(1024)
 	perSmall, perLarge := small/64, large/1024
 	if float64(perLarge) > 1.25*float64(perSmall) {
 		t.Errorf("bytes/node %d at 1024 nodes vs %d at 64 nodes: %.2fx, want at most 1.25x",
@@ -246,7 +246,7 @@ func TestFootprintBudget(t *testing.T) {
 		t.Skip("builds a 256-node machine")
 	}
 	const budget = 20 << 10
-	heap, _, _, _ := measureFootprint(256)
+	heap, _, _ := measureFootprint(256)
 	if perNode := heap / 256; perNode > budget {
 		t.Errorf("a 256-node machine holds %d bytes/node, over the %d-byte budget", perNode, budget)
 	}

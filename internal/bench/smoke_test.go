@@ -91,16 +91,3 @@ func TestExtLSmoke(t *testing.T) {
 		t.Fatalf("rows %d", len(tab.Rows))
 	}
 }
-
-func TestFaultMatrixSmoke(t *testing.T) {
-	tab, runs := FaultMatrix(10, []uint64{1}, 1)
-	t.Logf("\n%s", tab)
-	if len(runs) != 4 {
-		t.Fatalf("runs %d", len(runs))
-	}
-	for _, r := range runs {
-		if r.Reg == nil || r.Now <= 0 {
-			t.Fatalf("run %s missing registry/time", r.Scenario)
-		}
-	}
-}

@@ -6,11 +6,12 @@ import (
 	"startvoyager/internal/sim"
 )
 
-// Microbenchmarks for the kernel hot paths (run with `go test -bench . ./internal/sim/`)
-// plus AllocsPerRun regression tests pinning the fast-path guarantees: the
-// event queue's recycled node slab makes steady-state Schedule/Step
-// allocation-free, and the prebound completion callback makes an
-// immediately-completing Proc.Call allocation-free.
+// AllocsPerRun regression tests pinning the kernel's fast-path guarantees:
+// the event queue's recycled node slab makes steady-state Schedule/Step
+// allocation-free, the prebound completion callback makes an
+// immediately-completing Proc.Call allocation-free, and a warm Queue
+// pushes and pops without allocating. The timed probes of the same paths
+// are internal/bench's microbenchmark suite (make bench-micro).
 
 // fan seeds n self-rescheduling event chains so the queue holds a realistic
 // pending population; deltas follow a fixed multiplicative walk.
@@ -24,63 +25,6 @@ func fan(e *sim.Engine, n int) {
 		}
 		e.Schedule(sim.Time(j)*sim.Nanosecond, fn)
 	}
-}
-
-func BenchmarkScheduleStep(b *testing.B) {
-	e := sim.NewEngine()
-	fan(e, 256)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Step()
-	}
-}
-
-func BenchmarkProcDelay(b *testing.B) {
-	e := sim.NewEngine()
-	n := b.N
-	e.Spawn("p", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			p.Delay(10 * sim.Nanosecond)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run()
-}
-
-func BenchmarkProcCallImmediate(b *testing.B) {
-	e := sim.NewEngine()
-	n := b.N
-	immediate := func(done func()) { done() }
-	e.Spawn("p", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			p.Call(immediate)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run()
-}
-
-func BenchmarkQueuePushPop(b *testing.B) {
-	e := sim.NewEngine()
-	q := sim.NewQueue[int](e)
-	n := b.N
-	e.Spawn("consumer", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			q.Pop(p)
-		}
-	})
-	e.Spawn("producer", func(p *sim.Proc) {
-		for i := 0; i < n; i++ {
-			q.Push(i)
-			p.Delay(10 * sim.Nanosecond)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	e.Run()
 }
 
 // TestScheduleStepZeroAllocs: once the queue's node slab has grown to the

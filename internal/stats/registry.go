@@ -26,10 +26,10 @@ import (
 // whatever their metric count. Reads go through the readers, so a dump
 // always reflects live values, and nothing is sampled during simulation.
 //
-// Path strings are never stored: Paths, ReadGauge, WriteJSON/WriteJSONMeta
-// and NewSampler render them on demand from the record names, member names
-// and row names. A Registry value is one scope of the tree: the root from
-// NewRegistry, or a Child.
+// Path strings are never stored: Paths, ReadGauge, WriteJSON and NewSampler
+// render them on demand from the record names, member names and row names.
+// A Registry value is one scope of the tree: the root from NewRegistry, or
+// a Child.
 //
 // Dumps are deterministic: paths are emitted in sorted order and every value
 // is an integer (simulated-time nanoseconds, counts, bytes), so two
@@ -380,15 +380,10 @@ type RunMeta struct {
 }
 
 // WriteJSON writes the whole registry as one indented JSON document, with
-// now recorded as the dump's simulated timestamp. Output is byte-stable for
-// a given registry state (sorted paths, integer values only).
-func (r *Registry) WriteJSON(w io.Writer, now sim.Time) error {
-	return r.WriteJSONMeta(w, now, nil)
-}
-
-// WriteJSONMeta is WriteJSON with an optional run-metadata header; with a
-// nil meta the output is identical to WriteJSON.
-func (r *Registry) WriteJSONMeta(w io.Writer, now sim.Time, meta *RunMeta) error {
+// now recorded as the dump's simulated timestamp and, when a non-nil meta
+// is given (at most one), that run-metadata header. Output is byte-stable
+// for a given registry state (sorted paths, integer values only).
+func (r *Registry) WriteJSON(w io.Writer, now sim.Time, meta ...*RunMeta) error {
 	ms := r.metrics()
 	metrics := make(map[string]interface{}, len(ms))
 	for _, m := range ms {
@@ -399,8 +394,8 @@ func (r *Registry) WriteJSONMeta(w io.Writer, now sim.Time, meta *RunMeta) error
 		"sim_time_ns": int64(now),
 		"metrics":     metrics,
 	}
-	if meta != nil {
-		doc["run"] = meta
+	if len(meta) > 0 && meta[0] != nil {
+		doc["run"] = meta[0]
 	}
 	// encoding/json sorts map keys, which is exactly the stability we want.
 	out, err := json.MarshalIndent(doc, "", "  ")

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -89,6 +90,49 @@ func TestRegistryGolden(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("metrics JSON differs from golden (run with -update to refresh):\n%s", buf.String())
+	}
+}
+
+// TestRegistryRunHeader: a nil meta writes exactly the bare dump, and a
+// meta adds the "run" header and nothing else.
+func TestRegistryRunHeader(t *testing.T) {
+	eng := sim.NewEngine()
+	reg := buildRegistry(eng)
+	eng.Schedule(250, func() {})
+	eng.Run()
+	meta := &RunMeta{Tool: "registry-test", Mechanism: "reliable", Nodes: 1, Seed: 7,
+		FaultPlan: "seed=7,drop=0.05", SimTimeNs: int64(eng.Now())}
+	var bare, nilMeta, withMeta bytes.Buffer
+	for _, w := range []struct {
+		buf  *bytes.Buffer
+		meta []*RunMeta
+	}{{&bare, nil}, {&nilMeta, []*RunMeta{nil}}, {&withMeta, []*RunMeta{meta}}} {
+		if err := reg.WriteJSON(w.buf, eng.Now(), w.meta...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(bare.Bytes(), nilMeta.Bytes()) {
+		t.Errorf("a nil meta changed the dump:\n%s", nilMeta.String())
+	}
+	var plain, headed map[string]json.RawMessage
+	if err := json.Unmarshal(bare.Bytes(), &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(withMeta.Bytes(), &headed); err != nil {
+		t.Fatal(err)
+	}
+	var got RunMeta
+	if err := json.Unmarshal(headed["run"], &got); err != nil || got != *meta {
+		t.Errorf("run header = %+v (%v), want %+v", got, err, *meta)
+	}
+	delete(headed, "run")
+	if len(headed) != len(plain) {
+		t.Errorf("meta added keys beyond run: %d keys, want %d", len(headed), len(plain))
+	}
+	for k, v := range plain {
+		if !bytes.Equal(headed[k], v) {
+			t.Errorf("%s differs under a meta", k)
+		}
 	}
 }
 

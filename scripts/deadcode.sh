@@ -38,11 +38,11 @@ run() {
 }
 ok() { run 0 '' "$@"; }
 
-# Every figure, the instrumented-run artifacts, the headline and fault
-# matrix, the microbenchmarks, and the scale sweep with its diff.
+# Every figure, the instrumented-run artifacts, the headline, the
+# microbenchmarks, and the scale sweep with its diff.
 ok voyager-bench -fig all
 ok voyager-bench -fig none -metrics "$w/m.json" -trace "$w/t.json" -series "$w/s.json" \
-	-prof "$w/p.json" -headline "$w/h.json" -fault-matrix -faults-json "$w/f.json" -parallel 2
+	-prof "$w/p.json" -headline "$w/h.json" -parallel 2
 ok voyager-bench -fig none -micro "$w/micro.json"
 ok voyager-bench -fig none -nodes 64 -scale "$w/scale.json"
 ok voyager-bench -fig none -nodes 64 -scale-diff "$w/scale.json"
