@@ -1,7 +1,7 @@
 # Verify loop for the StarT-Voyager reproduction.
 #
 #   make             build + unit tests (tier-1)
-#   make lint        gofmt + go vet + voyager-vet analyzer suite + race tests
+#   make lint        gofmt + go vet (the benchmark too) + voyager-vet analyzer suite + race tests
 #   make vet-json    voyager-vet findings as JSON -> VET_findings.json
 #   make bench-json  canonical instrumented run byte-compared to BENCH_observability.json (+ trace)
 #   make bench-json-baseline  refresh the committed instrumented-run goldens
@@ -20,7 +20,7 @@
 #   make chaos       short-budget chaos sweep, byte-compared to CHAOS_findings.json
 #   make figs        every published figure byte-compared to FIGS_report.txt
 #   make figs-baseline  refresh the committed figure golden
-#   make deadcode    functions no CLI, figure or example run reaches, diffed with DEADCODE_allow.txt
+#   make deadcode    functions no CLI, figure, example or benchmark run reaches, diffed with DEADCODE_allow.txt
 #   make ci          everything CI runs
 
 GO ?= go
@@ -96,8 +96,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# The benchmark is a module of its own, so `./...` does not reach it. Vetting
+# it compiles the program and its tests against the simulator's API without
+# running them.
 vet:
 	$(GO) vet ./...
+	$(GO) -C benchmark vet ./...
 
 # The full analyzer suite (nowalltime, noglobalrand, nomaporder,
 # nogoroutine, simtimeunits, spanleak, noalloc). Any finding — including a
@@ -292,13 +296,14 @@ figs:
 figs-baseline:
 	$(call gen-figs,.)
 
-# Every capability has a caller (DESIGN §5): every CLI and example is built
-# with coverage over the whole module and driven through the run list in
-# scripts/deadcode.sh, which checks each run's exit status. The functions
-# that ran 0% are compared with DEADCODE_allow.txt, whose every entry needs
-# one of its six classes and a reason. A "+" line in the diff is a function
-# nothing runs: delete it, or list it with its reason. A "-" line is a listed
-# function that now runs: unlist it. So the list only shrinks.
+# Every capability has a caller (DESIGN §5): every CLI and example, and the
+# benchmark program, is built with coverage over the whole module and driven
+# through the run list in scripts/deadcode.sh, which checks each run's exit
+# status. The functions that ran 0% are compared with DEADCODE_allow.txt,
+# whose every entry needs one of its six classes and a reason. A "+" line in
+# the diff is a function nothing runs: delete it, or list it with its reason.
+# A "-" line is a listed function that now runs: unlist it. So the list only
+# shrinks.
 deadcode:
 	@mkdir -p $(GATE_OUT)
 	$(call gen-deadcode,$(GATE_OUT))

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	voyager-bench [-fig 3|4|ext-a|ext-b|ext-c|all|none]
+//	voyager-bench [-fig 3|4|ext-a..ext-m|all|none]
 //	              [-trace file.json] [-metrics file.json] [-trace-cap n]
 //	              [-series file.json] [-series-window 20us] [-strict-trace]
 //	              [-headline file.json] [-parallel n] [-micro file.json]
@@ -40,7 +40,8 @@
 // JSON (`make bench-scale-baseline` keeps BENCH_scale.json current). -scale-diff recomputes the sweep and exits nonzero if any
 // bytes/node figure regressed more than 10% against the given baseline, or
 // if any deterministic simulated column differs from it (`make bench-scale`
-// is the CI gate). -nodes also overrides fig ext-f's machine sizes.
+// is the CI gate). -nodes also overrides the machine sizes of figs ext-f
+// (default 2,4,8,16) and ext-m (default 16).
 package main
 
 import (
@@ -57,13 +58,13 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 3, 4, ext-a..ext-l, all, none")
+	fig := flag.String("fig", "all", "figure to regenerate: 3, 4, ext-a..ext-m, all, none")
 	headlineFile := flag.String("headline", "", "write the headline per-mechanism latencies as JSON")
 	parallelN := flag.Int("parallel", 1, "worker goroutines for the headline probe's cells (output is byte-identical at any value)")
 	microFile := flag.String("micro", "", "run the microbenchmark suite and write events/sec + allocs/op as JSON")
 	scaleFile := flag.String("scale", "", "run the scale sweep and write bytes/node + sim results as JSON (voyager-scale/v1)")
 	scaleDiff := flag.String("scale-diff", "", "diff the scale sweep against this baseline JSON; exit 1 on a >10% bytes/node regression or any simulated-column change")
-	nodesFlag := flag.String("nodes", "", "comma-separated node counts for the scale sweep and fig ext-f (e.g. 64,256,1024)")
+	nodesFlag := flag.String("nodes", "", "comma-separated node counts for the scale sweep and figs ext-f and ext-m (e.g. 64,256,1024)")
 	var art bench.Artifacts
 	art.Register(flag.CommandLine)
 	flag.Parse()
@@ -141,6 +142,13 @@ func main() {
 			ran = true
 		}
 	}
+	// nodesOr is -nodes, or the figure's own sizes when it is not given.
+	nodesOr := func(sizes ...int) []int {
+		if nodeCounts != nil {
+			return nodeCounts
+		}
+		return sizes
+	}
 	show("3", func() { fmt.Print(bench.Fig3Latency(bench.Fig3Sizes)) })
 	show("4", func() { fmt.Print(bench.Fig4Bandwidth(bench.Fig3Sizes)) })
 	show("ext-a", func() { fmt.Print(bench.ExtAEarlyNotification(bench.Fig3Sizes)) })
@@ -148,13 +156,7 @@ func main() {
 	show("ext-c", func() { fmt.Print(bench.ExtCMechanisms()) })
 	show("ext-d", func() { fmt.Print(bench.ExtDReflective()) })
 	show("ext-e", func() { fmt.Print(bench.ExtEQueueCaching()) })
-	show("ext-f", func() {
-		counts := nodeCounts
-		if counts == nil {
-			counts = []int{2, 4, 8, 16}
-		}
-		fmt.Print(bench.ExtFCollectives(counts))
-	})
+	show("ext-f", func() { fmt.Print(bench.ExtFCollectives(nodesOr(2, 4, 8, 16))) })
 	show("ext-g", func() {
 		fmt.Print(bench.ExtGNetworkScaling(64 << 10))
 		fmt.Println()
@@ -172,6 +174,12 @@ func main() {
 		fmt.Print(bench.ExtKStencil(64, 8, 4))
 	})
 	show("ext-l", func() { fmt.Print(bench.ExtLReliability(50, bench.ExtLDrops)) })
+	show("ext-m", func() {
+		latency, load := bench.ExtMFabric(nodesOr(16))
+		fmt.Print(latency)
+		fmt.Println()
+		fmt.Print(load)
+	})
 	if !ran && *fig != "none" {
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
 		stopProfiles()

@@ -60,7 +60,9 @@
 //
 // -seeds runs the workload once per listed seed (each run re-seeds the fault
 // plan) and prints a per-seed summary table — the quick schedule-robustness
-// sweep. Each seed's machine is independent, so -parallel n fans the runs
+// sweep. Only a plan's lane rates draw from its seed, so with no drop,
+// corrupt, dup or delay rate the rows are identical and a note says so.
+// Each seed's machine is independent, so -parallel n fans the runs
 // across up to n OS workers; the table is identical at any worker count.
 // -seeds cannot be combined with the per-run artifacts (-trace/-metrics/-dump
 // and the rest).
@@ -184,8 +186,8 @@ func main() {
 		}
 		sweep(fmt.Sprintf("multi-seed sweep — mechanism=%s nodes=%d messages=%d per seed",
 			drive.Mech, opts.nodes, (opts.nodes-1)*drive.Count), "seed", keys, runs, *parallelN)
-		if plan == nil {
-			fmt.Println("note: no -faults plan attached; seeds have nothing to re-seed, runs are identical")
+		if plan == nil || !plan.UsesSeed() {
+			fmt.Println("note: no -faults drop, corrupt, dup or delay rate draws from the seed; runs are identical")
 		}
 		return
 	}

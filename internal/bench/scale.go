@@ -209,17 +209,10 @@ func samplesortTime(n, keysPerRank int) sim.Time {
 // rankKeys derives keysPerRank pseudo-random keys for rank r from a
 // SplitMix64 stream seeded by the rank — deterministic and rank-decorrelated.
 func rankKeys(r, keysPerRank int) []uint32 {
-	state := uint64(r)*0x9E3779B97F4A7C15 + 0x1234567
-	next := func() uint64 {
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		return z ^ (z >> 31)
-	}
+	rng := sim.NewSplitMix64(uint64(r)*0x9E3779B97F4A7C15 + 0x1234567)
 	keys := make([]uint32, keysPerRank)
 	for i := range keys {
-		keys[i] = uint32(next() % 1_000_000)
+		keys[i] = uint32(rng.Intn(1_000_000))
 	}
 	return keys
 }
@@ -233,10 +226,7 @@ func rankKeys(r, keysPerRank int) []uint32 {
 // paper warns the Hold policy produces.
 func hotspotSaturation(n, perSource int) []arctic.LevelStalls {
 	eng := sim.NewEngine()
-	f := arctic.NewFatTree(eng, n, arctic.DefaultConfig())
-	for i := 0; i < n; i++ {
-		f.Attach(i, arctic.EndpointFunc(func(*arctic.Packet) {}))
-	}
+	f := bareTree(eng, n, arctic.DefaultConfig(), func(*arctic.Packet) {})
 	for src := 1; src < n; src++ {
 		src := src
 		for k := 0; k < perSource; k++ {

@@ -1,6 +1,13 @@
 package bench
 
-import "testing"
+import (
+	"fmt"
+	"strconv"
+	"testing"
+
+	"startvoyager/internal/arctic"
+	"startvoyager/internal/sim"
+)
 
 func TestMechanismsSmoke(t *testing.T) {
 	for _, r := range MeasureMechanisms() {
@@ -89,5 +96,37 @@ func TestExtLSmoke(t *testing.T) {
 	t.Logf("\n%s", tab)
 	if len(tab.Rows) != 1+len(ExtLDrops) {
 		t.Fatalf("rows %d", len(tab.Rows))
+	}
+}
+
+// Ext M's unloaded latency is the store-and-forward sum at the default
+// config, hops serializations of the packet plus a routing decision at every
+// switch on the path, and its loaded fabric delivers every packet under
+// either routing rule.
+func TestExtMFabric(t *testing.T) {
+	latency, load := ExtMFabric([]int{16, 64})
+	t.Logf("\n%s\n%s", latency, load)
+	cfg := arctic.DefaultConfig()
+	flits := sim.Time(extMPacketBytes / arctic.FlitBytes)
+	if len(latency.Rows) != 6 {
+		t.Fatalf("latency rows %d, want 6", len(latency.Rows))
+	}
+	for _, row := range latency.Rows {
+		hops, err := strconv.Atoi(row[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sim.Time(hops)*flits*cfg.FlitTime + sim.Time(hops-1)*cfg.RouterLatency
+		if row[3] != fmtUs(want) {
+			t.Errorf("%s nodes, 0 -> %s at %d hops: latency %s us, want %s", row[0], row[1], hops, row[3], fmtUs(want))
+		}
+	}
+	if len(load.Rows) != 4 {
+		t.Fatalf("load rows %d, want 4", len(load.Rows))
+	}
+	for _, row := range load.Rows {
+		if row[2] != fmt.Sprint(extMPackets) {
+			t.Errorf("%s nodes, %s routing: delivered %s of %d packets", row[0], row[1], row[2], extMPackets)
+		}
 	}
 }

@@ -306,11 +306,12 @@ func runScoma(c Cell, cfg Config) CellResult {
 	var h memcheck.History
 	for id := 0; id < nodes; id++ {
 		id := id
-		r := &srng{state: c.Seed ^ (uint64(id)+1)*0x9E3779B97F4A7C15}
+		// Each node's op mix and compute gaps come from a stream of its own.
+		r := sim.NewSplitMix64(c.Seed ^ (uint64(id)+1)*0x9E3779B97F4A7C15)
 		m.Go(id, "chaos-torture", func(p *sim.Proc, a *core.API) {
 			for op := 0; op < c.Msgs; op++ {
-				a.Compute(p, sim.Time(r.intn(5))*sim.Microsecond)
-				if r.intn(2) == 0 && id != nodes-1 {
+				a.Compute(p, sim.Time(r.Intn(5))*sim.Microsecond)
+				if r.Intn(2) == 0 && id != nodes-1 {
 					val := uint64(id+1)<<32 | uint64(op+1)
 					var b [8]byte
 					binary.BigEndian.PutUint64(b[:], val)

@@ -84,17 +84,19 @@ type Cell struct {
 	Plan  *fault.Plan
 }
 
-// GenCells expands a Config into its cell list. Cell i's seed is the i-th
-// draw of a SplitMix64 stream over the master seed, its mechanism is the
-// rotation's i-th entry, and its plan is fault.GenPlan over the cell seed —
-// so the whole sweep is a pure function of Config.
+// GenCells expands a Config into its cell list. Cell i's seed is the first
+// draw of a SplitMix64 stream over the previous cell's seed (the master seed
+// for cell 0), its mechanism is the rotation's i-th entry, and its plan is
+// fault.GenPlan over the cell seed — so the whole sweep is a pure function
+// of Config.
 func GenCells(cfg Config) []Cell {
 	mechs := cfg.mechs()
 	cells := make([]Cell, 0, cfg.Cells)
-	state := cfg.Seed
+	seed := cfg.Seed
 	for i := 0; i < cfg.Cells; i++ {
-		state = splitmix(state)
-		c := Cell{Index: i, Mech: mechs[i%len(mechs)], Seed: state, Msgs: cfg.Msgs}
+		r := sim.NewSplitMix64(seed)
+		seed = r.Next()
+		c := Cell{Index: i, Mech: mechs[i%len(mechs)], Seed: seed, Msgs: cfg.Msgs}
 		switch c.Mech {
 		case MechReliable:
 			c.Plan = fault.GenPlan(c.Seed, cfg.Nodes, planHorizon)
@@ -115,36 +117,4 @@ func GenCells(cfg Config) []Cell {
 		cells = append(cells, c)
 	}
 	return cells
-}
-
-// splitmix is the SplitMix64 output function — the same generator the fault
-// package uses, so cell seeding is platform-independent.
-func splitmix(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// srng is a tiny deterministic stream over splitmix, for workload-side
-// decisions (op mix, compute gaps) that must not perturb the plan stream.
-type srng struct{ state uint64 }
-
-func (r *srng) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *srng) intn(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return int(r.next() % uint64(n))
 }

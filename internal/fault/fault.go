@@ -71,20 +71,16 @@ type Plan struct {
 	Deaths  []NodeDeath
 }
 
-// rng is a SplitMix64 stream — the same generator the workload package uses
-// for seed derivation. It is tiny, fast, and completely reproducible.
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+// UsesSeed reports whether the plan's seed decides anything: whether some
+// lane has a rate that Injector.Judge draws against (drop, corrupt,
+// duplicate, or delay with a nonzero bound), tested exactly as Judge tests
+// it. Outages and deaths are fixed schedules, so a plan without such a rate
+// runs the same at every seed.
+func (p *Plan) UsesSeed() bool {
+	for _, lp := range p.Lanes {
+		if lp.Drop > 0 || lp.Corrupt > 0 || lp.Duplicate > 0 || lp.DelayProb > 0 && lp.DelayMax > 0 {
+			return true
+		}
+	}
+	return false
 }
-
-// float returns a uniform draw in [0, 1).
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// intn returns a uniform draw in [0, n).
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }

@@ -7,37 +7,6 @@ import (
 	"startvoyager/internal/sim"
 )
 
-func TestRngDeterministic(t *testing.T) {
-	a := rng{state: 42}
-	b := rng{state: 42}
-	for i := 0; i < 1000; i++ {
-		if a.next() != b.next() {
-			t.Fatalf("streams diverge at draw %d", i)
-		}
-	}
-	c := rng{state: 43}
-	same := 0
-	a = rng{state: 42}
-	for i := 0; i < 1000; i++ {
-		if a.next() == c.next() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("%d of 1000 draws collide across seeds", same)
-	}
-}
-
-func TestRngFloatRange(t *testing.T) {
-	r := rng{state: 7}
-	for i := 0; i < 10000; i++ {
-		f := r.float()
-		if f < 0 || f >= 1 {
-			t.Fatalf("float() out of [0,1): %v", f)
-		}
-	}
-}
-
 func TestParsePlanDefaults(t *testing.T) {
 	p, err := ParsePlan("")
 	if err != nil {
@@ -348,5 +317,34 @@ func TestSameSeedSameVerdicts(t *testing.T) {
 			!bytes.Equal(av.Wire, bv.Wire) {
 			t.Fatalf("verdict %d differs between same-seed runs: %+v vs %+v", i, av, bv)
 		}
+	}
+}
+
+// Only lane rates draw from a plan's seed; outages and deaths do not.
+func TestPlanUsesSeed(t *testing.T) {
+	for _, c := range []struct {
+		plan string
+		want bool
+	}{
+		{"", false},
+		{"outage=1-0@20us:200us,death=3@50us", false},
+		{"drop.low=0.05", true},
+		{"corrupt.high=0.01", true},
+		{"dup=0.02", true},
+		{"delay=0.1@2us", true},
+	} {
+		p, err := ParsePlan(c.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.UsesSeed(); got != c.want {
+			t.Errorf("%q: UsesSeed = %v, want %v", c.plan, got, c.want)
+		}
+	}
+	// A delay rate with no bound never draws, as in Judge.
+	var p Plan
+	p.Lanes[LaneLow].DelayProb = 1
+	if p.UsesSeed() {
+		t.Error("a delay rate without a bound uses the seed")
 	}
 }

@@ -17,8 +17,8 @@ import (
 // horizon is the sim-time span the workload is expected to keep traffic in
 // flight; windows and deaths are placed inside it so they actually bite.
 func GenPlan(seed uint64, nodes int, horizon sim.Time) *Plan {
-	r := rng{state: seed}
-	p := &Plan{Seed: r.next() | 1}
+	r := sim.NewSplitMix64(seed)
+	p := &Plan{Seed: r.Next() | 1}
 	if nodes < 2 || horizon <= 0 {
 		return p
 	}
@@ -26,7 +26,7 @@ func GenPlan(seed uint64, nodes int, horizon sim.Time) *Plan {
 	// Probabilistic lane rates: usually shared across lanes (the common
 	// operator input), sometimes split so High-lane ACK traffic sees
 	// different weather than Low-lane data.
-	split := r.intn(4) == 0
+	split := r.Intn(4) == 0
 	p.Lanes[LaneHigh].Drop = genProb(&r)
 	p.Lanes[LaneHigh].Corrupt = genProb(&r)
 	p.Lanes[LaneHigh].Duplicate = genProb(&r)
@@ -37,7 +37,7 @@ func GenPlan(seed uint64, nodes int, horizon sim.Time) *Plan {
 	} else {
 		p.Lanes[LaneLow] = p.Lanes[LaneHigh]
 	}
-	if r.intn(3) == 0 {
+	if r.Intn(3) == 0 {
 		prob := genDelayProb(&r)
 		max := genDelayMax(&r)
 		p.Lanes[LaneHigh].DelayProb = prob
@@ -64,13 +64,13 @@ func GenPlan(seed uint64, nodes int, horizon sim.Time) *Plan {
 	}
 	used := 0 // bitmask of dead nodes; a node dies at most once
 	for i := 0; i < nDeaths; i++ {
-		node := r.intn(nodes)
+		node := r.Intn(nodes)
 		if used&(1<<node) != 0 {
 			continue
 		}
 		used |= 1 << node
 		at := genTime(&r, horizon/8, horizon/2)
-		if r.intn(8) == 0 {
+		if r.Intn(8) == 0 {
 			at = 0 // dead on arrival: every exchange with it must fail fast
 		}
 		p.Deaths = append(p.Deaths, NodeDeath{Node: node, At: at})
@@ -80,12 +80,12 @@ func GenPlan(seed uint64, nodes int, horizon sim.Time) *Plan {
 
 // genProb draws a drop/corrupt/dup rate: usually zero, sometimes light,
 // occasionally at the heavy boundary where the backoff ladder gets climbed.
-func genProb(r *rng) float64 {
+func genProb(r *sim.SplitMix64) float64 {
 	switch pick(r, 55, 25, 12, 8) {
 	case 1:
-		return float64(1+r.intn(5)) / 100 // 0.01 .. 0.05
+		return float64(1+r.Intn(5)) / 100 // 0.01 .. 0.05
 	case 2:
-		return float64(10+r.intn(11)) / 100 // 0.10 .. 0.20
+		return float64(10+r.Intn(11)) / 100 // 0.10 .. 0.20
 	case 3:
 		return 0.5 // boundary: every other packet
 	default:
@@ -94,12 +94,12 @@ func genProb(r *rng) float64 {
 }
 
 // genDelayProb draws a nonzero extra-latency probability.
-func genDelayProb(r *rng) float64 { return float64(1+r.intn(10)) / 100 }
+func genDelayProb(r *sim.SplitMix64) float64 { return float64(1+r.Intn(10)) / 100 }
 
 // genDelayMax draws the delay bound, biased around the 30us initial RTO so
 // delayed frames race the retransmit timer.
-func genDelayMax(r *rng) sim.Time {
-	switch r.intn(4) {
+func genDelayMax(r *sim.SplitMix64) sim.Time {
+	switch r.Intn(4) {
 	case 0:
 		return 1 * sim.Microsecond
 	case 1:
@@ -114,17 +114,17 @@ func genDelayMax(r *rng) sim.Time {
 // genOutage draws one outage window. prev, when non-nil, lets the generator
 // chain windows: back-to-back (adjacent, no gap) or overlapping with the
 // previous one.
-func genOutage(r *rng, nodes int, horizon sim.Time, prev *Outage) Outage {
+func genOutage(r *sim.SplitMix64, nodes int, horizon sim.Time, prev *Outage) Outage {
 	o := Outage{Src: genNode(r, nodes), Dst: genNode(r, nodes)}
 	width := genWidth(r, horizon)
 	switch {
-	case prev != nil && r.intn(2) == 0:
-		if r.intn(2) == 0 {
+	case prev != nil && r.Intn(2) == 0:
+		if r.Intn(2) == 0 {
 			o.From = prev.To // back-to-back: window starts the instant the last ends
 		} else {
 			o.From = prev.From + (prev.To-prev.From)/2 // overlapping halves
 		}
-	case r.intn(6) == 0:
+	case r.Intn(6) == 0:
 		o.From = 0 // boundary: link down from time zero
 	default:
 		o.From = genTime(r, 0, horizon/2)
@@ -135,10 +135,10 @@ func genOutage(r *rng, nodes int, horizon sim.Time, prev *Outage) Outage {
 
 // genWidth draws an outage duration: a sliver, a typical slice, or a long
 // haul that outlives several retransmit timeouts.
-func genWidth(r *rng, horizon sim.Time) sim.Time {
-	switch r.intn(3) {
+func genWidth(r *sim.SplitMix64, horizon sim.Time) sim.Time {
+	switch r.Intn(3) {
 	case 0:
-		return sim.Time(1+r.intn(5)) * sim.Microsecond
+		return sim.Time(1+r.Intn(5)) * sim.Microsecond
 	case 1:
 		return horizon / 16
 	default:
@@ -148,25 +148,25 @@ func genWidth(r *rng, horizon sim.Time) sim.Time {
 
 // genNode draws an endpoint: concrete most of the time, the * wildcard
 // otherwise (mixing the two is one of the plan-grammar edge cases).
-func genNode(r *rng, nodes int) int {
-	if r.intn(4) == 0 {
+func genNode(r *sim.SplitMix64, nodes int) int {
+	if r.Intn(4) == 0 {
 		return -1
 	}
-	return r.intn(nodes)
+	return r.Intn(nodes)
 }
 
 // genTime draws a time uniformly in [lo, hi); lo when the range is empty.
-func genTime(r *rng, lo, hi sim.Time) sim.Time {
+func genTime(r *sim.SplitMix64, lo, hi sim.Time) sim.Time {
 	if hi <= lo {
 		return lo
 	}
-	return lo + sim.Time(r.intn(int(hi-lo)))
+	return lo + sim.Time(r.Intn(int(hi-lo)))
 }
 
 // pick draws an index weighted by the given percentages (which the caller
 // keeps summing to 100).
-func pick(r *rng, weights ...int) int {
-	n := r.intn(100)
+func pick(r *sim.SplitMix64, weights ...int) int {
+	n := r.Intn(100)
 	acc := 0
 	for i, w := range weights {
 		acc += w

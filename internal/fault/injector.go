@@ -29,7 +29,7 @@ type Verdict struct {
 type Injector struct {
 	eng       *sim.Engine
 	plan      Plan
-	rng       rng
+	rng       sim.SplitMix64
 	stats     Stats
 	delayHist *stats.Histogram
 }
@@ -40,7 +40,7 @@ func NewInjector(eng *sim.Engine, plan Plan) *Injector {
 	return &Injector{
 		eng:       eng,
 		plan:      plan,
-		rng:       rng{state: plan.Seed},
+		rng:       sim.NewSplitMix64(plan.Seed),
 		delayHist: stats.NewHistogram(stats.ExpBounds(100, 2, 12)...),
 	}
 }
@@ -86,28 +86,28 @@ func (in *Injector) Judge(src, dst, lane int, wire []byte) Verdict {
 		lane = LaneLow
 	}
 	lp := &in.plan.Lanes[lane]
-	if lp.Drop > 0 && in.rng.float() < lp.Drop {
+	if lp.Drop > 0 && in.rng.Float() < lp.Drop {
 		in.stats.InjectedDrops++
 		v.Drop = true
 		in.instant("fault-drop", src, dst)
 		return v
 	}
-	if lp.Corrupt > 0 && len(wire) > 0 && in.rng.float() < lp.Corrupt {
+	if lp.Corrupt > 0 && len(wire) > 0 && in.rng.Float() < lp.Corrupt {
 		w := make([]byte, len(wire))
 		copy(w, wire)
-		bit := in.rng.intn(len(w) * 8)
+		bit := in.rng.Intn(len(w) * 8)
 		w[bit/8] ^= 1 << (bit % 8)
 		v.Wire = w
 		in.stats.Corrupted++
 		in.instant("fault-corrupt", src, dst)
 	}
-	if lp.Duplicate > 0 && in.rng.float() < lp.Duplicate {
+	if lp.Duplicate > 0 && in.rng.Float() < lp.Duplicate {
 		v.Dup = true
 		in.stats.Duplicated++
 		in.instant("fault-dup", src, dst)
 	}
-	if lp.DelayProb > 0 && lp.DelayMax > 0 && in.rng.float() < lp.DelayProb {
-		v.Delay = sim.Time(1 + in.rng.intn(int(lp.DelayMax)))
+	if lp.DelayProb > 0 && lp.DelayMax > 0 && in.rng.Float() < lp.DelayProb {
+		v.Delay = sim.Time(1 + in.rng.Intn(int(lp.DelayMax)))
 		in.stats.Delayed++
 		in.delayHist.ObserveTime(v.Delay)
 		in.instant("fault-delay", src, dst)

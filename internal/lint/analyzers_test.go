@@ -39,7 +39,7 @@ func TestSuitePolicy(t *testing.T) {
 		{NoGoroutine, "startvoyager/internal/core", true},
 		{NoGoroutine, "startvoyager/internal/sim", true},
 		{NoGoroutine, "startvoyager/examples/samplesort", false},
-		{NoGlobalRand, "startvoyager/cmd/voyager-net", true},
+		{NoGlobalRand, "startvoyager/cmd/voyager-chaos", true},
 		{NoMapOrder, "startvoyager/internal/memcheck", true},
 		{SimTimeUnits, "startvoyager/examples/samplesort", true},
 		{SpanLeak, "startvoyager/internal/bus", true},

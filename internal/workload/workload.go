@@ -76,17 +76,13 @@ type Result struct {
 	TraceHash  uint64  // FNV-1a over the delivery trace; same seed => same hash
 }
 
-// seedFor derives the per-node RNG seed from the run seed with a SplitMix64
-// step, so node streams are decorrelated rather than linearly offset (and
-// identical run seeds still give identical schedules).
+// seedFor derives the per-node RNG seed from the run seed: draw id+1 of the
+// SplitMix64 stream over the run seed, reached by starting the stream id
+// increments in. Node streams are decorrelated rather than linearly offset
+// (and identical run seeds still give identical schedules).
 func seedFor(seed int64, id int) int64 {
-	z := uint64(seed) + 0x9E3779B97F4A7C15*uint64(id+1)
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	r := sim.NewSplitMix64(uint64(seed) + 0x9E3779B97F4A7C15*uint64(id))
+	return int64(r.Next())
 }
 
 // destFor computes one destination per the pattern.

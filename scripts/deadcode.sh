@@ -1,12 +1,13 @@
 #!/bin/sh
 # deadcode.sh OUT — the "every capability has a caller" sweep (DESIGN §5).
 #
-# Builds every CLI and example with statement coverage over the whole
-# module, drives the fixed run list below, and writes the sorted list of
-# functions that no run reached to OUT/DEADCODE_report.txt, one per line,
-# keyed by package path and name (internal/cache.(*Cache).addrOf) so that
-# moving code does not change a key. Every run's exit status is checked:
-# a run that failed quietly would turn live code into a report line.
+# Builds every CLI and example, and the benchmark program, with statement
+# coverage over the whole module, drives the fixed run list below, and
+# writes the sorted list of functions that no run reached to
+# OUT/DEADCODE_report.txt, one per line, keyed by package path and name
+# (internal/cache.(*Cache).addrOf) so that moving code does not change a
+# key. Every run's exit status is checked: a run that failed quietly would
+# turn live code into a report line.
 #
 # Run it from the repository root; `make deadcode` does, and diffs the
 # report with DEADCODE_allow.txt. The binaries and their coverage data
@@ -21,6 +22,10 @@ trap 'rm -rf "$w"' EXIT
 mkdir -p "$w/bin" "$w/cov"
 
 $GO build -cover -coverpkg=startvoyager/... -o "$w/bin/" ./cmd/... ./examples/...
+# The benchmark is a module of its own (benchmark/go.mod) and may be the one
+# caller of a simulator function. Its own functions are left out of the
+# report below: this sweep judges the simulator's code, not the benchmark's.
+$GO -C benchmark build -cover -coverpkg=startvoyager/... -o "$w/bin/voyager-benchmark" .
 
 # run WANT PATTERN TOOL ARGS... runs one entry of the list and stops the
 # sweep unless it exits WANT and, when PATTERN is set, prints a line
@@ -71,7 +76,8 @@ ok voyager-prof -top 8 "$w/p-reliable.json"
 ok voyager-prof -folded "$w/p.folded" -pprof "$w/p.pb" "$w/p-reliable.json"
 ok voyager-prof -diff "$w/p-basic.json" "$w/p-reliable.json"
 
-ok voyager-net -nodes 16,64 -trace "$w/nt.json" -metrics "$w/nm.json"
+# One untimed repetition of every benchmark workload, traced and untraced.
+ok voyager-benchmark -seconds 0 -trace 1
 
 # A clean chaos sweep, and a budget too short for any cell, whose two
 # findings are shrunk.
@@ -87,7 +93,7 @@ done
 
 # covdata names a method *T.m, or, for a generic receiver, m alone: read
 # that receiver from the declaration, then key by package directory.
-$GO tool covdata func -i="$w/cov" | awk '$NF == "0.0%" { print $1, $2 }' |
+$GO tool covdata func -i="$w/cov" | awk '$NF == "0.0%" && $1 !~ /^startvoyager\/benchmark\// { print $1, $2 }' |
 	while read -r pos name; do
 		file=${pos%%:*}
 		file=${file#startvoyager/}
